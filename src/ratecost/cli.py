@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -53,7 +54,12 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _multiplier(mu: float):
+    """JSON value of a multiplier: the cost-floor anchor's infinite one is null."""
+    return mu if math.isfinite(mu) else None
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -94,7 +100,7 @@ def cmd_solve(args, require_source: bool) -> int:
             "D": d,
             "rate_bits": point.rate,
             "achieved_cost": point.cost,
-            "mu": point.multiplier,
+            "mu": _multiplier(point.multiplier),
             "converged": point.converged,
         })
     out_dir = args.out
@@ -106,7 +112,7 @@ def cmd_solve(args, require_source: bool) -> int:
         "spec_path": os.path.abspath(args.spec),
         "seed": args.seed,
         "curve": [
-            {"D": p.cost, "rate_bits": p.rate, "mu": p.multiplier,
+            {"D": p.cost, "rate_bits": p.rate, "mu": _multiplier(p.multiplier),
              "converged": p.converged}
             for p in curve.points
         ],
@@ -124,6 +130,8 @@ def cmd_synth(args) -> int:
     spec = load_spec(args.spec)
     if args.budget is None:
         raise SpecFileError("synth requires --D (or RATECOST_D)")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     options = SchemeOptions(
         epsilon=args.eps, gamma=args.gamma, seed=args.seed,
         cloud_size=args.cloud_size, num_proposals=args.proposals,
@@ -144,7 +152,7 @@ def cmd_synth(args) -> int:
         "solver_point": {
             "rate_bits": bundle.solution.rate,
             "cost": bundle.solution.cost,
-            "mu": bundle.solution.multiplier,
+            "mu": _multiplier(bundle.solution.multiplier),
             "converged": bundle.solution.converged,
         },
         "selector": {

@@ -13,12 +13,12 @@ the decoder knows the context and consumes nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .system import entropy_bits
+from .system import entropy_bits, history_digits
 
 
 class CodingError(ValueError):
@@ -101,21 +101,31 @@ def shannon_code(pmf) -> ContextCode:
 
 @dataclass(frozen=True)
 class ContextCodebook:
-    """Per stage and per action-history context, a matched Shannon code."""
+    """Per stage and per action-history context, a matched Shannon code.
+
+    ``stages[t-1]`` maps the big-endian context index to its code; lookups
+    by action history go through a per-stage table keyed by the history
+    tuple, decoded once from those indices.
+    """
 
     horizon: int
     num_actions: int
     stages: tuple[dict[int, ContextCode], ...]
+    by_history: tuple[dict[tuple, ContextCode], ...] = field(
+        init=False, repr=False, compare=False)
 
-    def context_index(self, u_hist) -> int:
-        idx = 0
-        for u in u_hist:
-            idx = idx * self.num_actions + int(u)
-        return idx
+    def __post_init__(self):
+        lookup = []
+        for t, codes in enumerate(self.stages, start=1):
+            ctxs = list(codes)
+            _, us = history_digits(ctxs, 1, self.num_actions, t - 1)
+            lookup.append({tuple(u_hist): codes[ctx]
+                           for ctx, u_hist in zip(ctxs, us.tolist())})
+        object.__setattr__(self, "by_history", tuple(lookup))
 
     def code(self, t: int, u_hist) -> ContextCode:
         try:
-            return self.stages[t - 1][self.context_index(u_hist)]
+            return self.by_history[t - 1][tuple(u_hist)]
         except KeyError:
             raise CodingError(
                 f"stage {t} context {tuple(u_hist)} is unreachable and has no code"

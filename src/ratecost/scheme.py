@@ -20,7 +20,7 @@ counts codeword bits only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,13 +32,14 @@ from .sfrl import (
     build_stage,
     stage_maps,
 )
-from .solver import RateCostPoint, SolverOptions, solve_rate_cost
+from .solver import RateCostPoint, SolverOptions, min_expected_cost, solve_rate_cost
 from .system import (
     CausalPolicy,
     SystemSpec,
     average_cost,
     entropy_bits,
     evaluate_joint,
+    history_rows,
 )
 from .timeshare import (
     InfeasibleBarycenterError,
@@ -81,6 +82,11 @@ class SchemeOptions:
     seed: int = 0
     max_attempts: int = 4
     solver: SolverOptions = field(default_factory=SolverOptions)
+
+    def __post_init__(self):
+        for name in ("cloud_size", "num_proposals", "max_attempts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,16 +133,9 @@ def _onehot_policy(spec: SystemSpec, maps) -> CausalPolicy:
     for t in range(1, spec.horizon + 1):
         H = (X * U) ** (t - 1)
         tab = np.full((H, X, U), 1.0 / U)
-        xkeys = np.arange(X ** t)
         for ctx, selected in maps[t - 1].items():
-            h = np.zeros_like(xkeys)
-            for s in range(t - 1):
-                xs = (xkeys // X ** (t - 1 - s)) % X
-                us = (ctx // U ** (t - 2 - s)) % U
-                h = (h * X + xs) * U + us
-            rows = np.zeros((xkeys.size, U))
-            rows[np.arange(xkeys.size), selected] = 1.0
-            tab[h, xkeys % X, :] = rows
+            h, x = history_rows(np.arange(X ** t), ctx, X, U, t)
+            tab[h, x] = np.eye(U)[selected]
         tabs.append(tab)
     return CausalPolicy(tuple(tabs))
 
@@ -198,7 +197,7 @@ def synthesize(spec: SystemSpec, budget_cost: float,
         spread = float(costs.std(ddof=1)) if opt.cloud_size > 1 else 0.0
         margin = max(2.0 * spread / math.sqrt(opt.cloud_size),
                      float(costs.mean()) - budget_cost, 1e-9)
-        target = max(target - margin, 0.0)
+        target = max(target - margin, min_expected_cost(spec))
 
     points = [r.point for r in realizations]
     selector = caratheodory_reduce(
@@ -255,29 +254,16 @@ class SimulationReport:
     per_trial_costs: np.ndarray | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "empirical_rate": self.empirical_rate,
-            "empirical_rate_se": self.empirical_rate_se,
-            "empirical_cost": self.empirical_cost,
-            "empirical_cost_se": self.empirical_cost_se,
-            "exact_rate": self.exact_rate,
-            "exact_cost": self.exact_cost,
-            "info_rate": self.info_rate,
-            "rate_budget_value": self.rate_budget_value,
-            "budget_cost": self.budget_cost,
-            "epsilon": self.epsilon,
-            "gamma": self.gamma,
-            "eps_ok": self.eps_ok,
-            "seeds": self.seeds,
-            "mc_rate_consistent": self.mc_rate_consistent,
-            "mc_cost_consistent": self.mc_cost_consistent,
-        }
+        """Every scalar field; the optional per-trial arrays are left out."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if not f.name.startswith("per_trial_")}
 
 
 def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
                keep_per_trial: bool = False) -> SimulationReport:
     """Simulate the closed loop; decode mismatches are fatal by design."""
+    if num_trials < 1:
+        raise ValueError(f"num_trials must be at least 1, got {num_trials}")
     spec = bundle.spec
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
     cum_kernels = [np.cumsum(spec.stage_kernel(t), axis=1)
@@ -355,17 +341,8 @@ class SandwichLedger:
         return self.converse_ok and self.achievability_ok and self.cost_ok
 
     def as_dict(self) -> dict:
-        return {
-            "converse_ok": self.converse_ok,
-            "converse_margin": self.converse_margin,
-            "achievability_ok": self.achievability_ok,
-            "achievability_margin": self.achievability_margin,
-            "cost_ok": self.cost_ok,
-            "cost_margin": self.cost_margin,
-            "mc_rate_consistent": self.mc_rate_consistent,
-            "mc_cost_consistent": self.mc_cost_consistent,
-            "passed": self.passed,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "passed": self.passed}
 
 
 def verify_sandwich(report: SimulationReport,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import CausalPolicy, JointLaw, entropy_bits
+from .system import CausalPolicy, JointLaw, entropy_bits, history_rows
 
 STREAM_TABLES = 1
 STREAM_DYNAMICS = 2
@@ -85,6 +85,16 @@ def _draw_tables(rng, marginal: np.ndarray, count: int, num_proposals: int):
     return symbols, times
 
 
+def _context_marginals(law: JointLaw, t: int):
+    """Context masses P(u_{1..t-1}) and the reachable contexts' marginals
+    q(u_t | u_{1..t-1}), as (mass vector, {context: q})."""
+    act = law.action_marginal(t)                 # (U,)*t
+    ctx_mass = act.sum(axis=-1).reshape(-1) if t > 1 else np.array([1.0])
+    flat = act.reshape(-1, law.num_actions)
+    return ctx_mass, {ctx: flat[ctx] / ctx_mass[ctx]
+                      for ctx in range(ctx_mass.size) if ctx_mass[ctx] > 0.0}
+
+
 def build_stage(t: int, law: JointLaw, policy: CausalPolicy,
                 num_proposals: int = 1024, seed: int = 0,
                 sample_index: int = 0) -> SfrlStage:
@@ -96,14 +106,9 @@ def build_stage(t: int, law: JointLaw, policy: CausalPolicy,
     U = policy.num_actions
     if num_proposals < U:
         raise ValueError("need at least one proposal slot per action symbol")
-    act = law.action_marginal(t)                 # (U,)*t
-    ctx_mass = act.sum(axis=-1).reshape(-1) if t > 1 else np.array([1.0])
-    flat = act.reshape(-1, U)
+    ctx_mass, marginals = _context_marginals(law, t)
     tables: dict[int, ProposalTable] = {}
-    for ctx in range(U ** (t - 1)):
-        if ctx_mass[ctx] <= 0.0:
-            continue
-        q = flat[ctx] / ctx_mass[ctx]
+    for ctx, q in marginals.items():
         rng = _context_rng(seed, sample_index, t, ctx)
         symbols, times = _draw_tables(rng, q, 1, num_proposals)
         tables[ctx] = ProposalTable(symbols=symbols[0], times=times[0],
@@ -157,18 +162,6 @@ def select(stage: SfrlStage, x_hist, u_hist) -> int:
     return select_detailed(stage, x_hist, u_hist)[0]
 
 
-def _context_rows(stage: SfrlStage, ctx: int) -> np.ndarray:
-    """Conditional rows for every state history of one context, (X**t, U)."""
-    X, U, t = stage.num_states, stage.num_actions, stage.t
-    xkeys = np.arange(X ** t)
-    h = np.zeros_like(xkeys)
-    for s in range(t - 1):
-        xs = (xkeys // X ** (t - 1 - s)) % X
-        us = (ctx // U ** (t - 2 - s)) % U
-        h = (h * X + xs) * U + us
-    return stage.conditional[h, xkeys % X]
-
-
 def _select_batch(tables_syms, tables_times, rows, marginal):
     """Vectorized selection: symbols (nT, Xt) and certificates (nT, Xt)."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -197,27 +190,24 @@ def _select_batch(tables_syms, tables_times, rows, marginal):
 
 def stage_maps(stage: SfrlStage) -> dict[int, np.ndarray]:
     """The stage map as arrays: context -> selected symbol per state history."""
+    X, U, t = stage.num_states, stage.num_actions, stage.t
     out = {}
     for ctx, table in stage.tables.items():
-        rows = _context_rows(stage, ctx)
+        rows = stage.conditional[history_rows(np.arange(X ** t), ctx, X, U, t)]
         selected, _ = _select_batch(table.symbols[None], table.times[None],
                                     rows, table.marginal)
         out[ctx] = selected[0]
     return out
 
 
-def _state_history_weights(law: JointLaw, t: int, ctx: int) -> np.ndarray:
-    """P(x_{1..t} | u_{1..t-1}=ctx), flattened big-endian over states."""
-    X, U = law.num_states, law.num_actions
-    pre = law.prefix_marginal(t).sum(axis=2 * t - 1)  # drop u_t
-    indexer: list = []
-    c = []
-    for s in range(t - 1):
-        c.append((ctx // U ** (t - 2 - s)) % U)
-    for s in range(t - 1):
-        indexer.extend([slice(None), c[s]])
-    indexer.append(slice(None))
-    block = pre[tuple(indexer)].reshape(-1)
+def _state_prefix(law: JointLaw, t: int) -> np.ndarray:
+    """P(x_{1..t}, u_{1..t-1}) over flat (history, state) rows."""
+    return law.prefix_marginal(t).sum(axis=2 * t - 1).reshape(-1, law.num_states)
+
+
+def _state_history_weights(prefix: np.ndarray, h, x) -> np.ndarray:
+    """P(x_{1..t} | u_{1..t-1}=ctx) gathered at one context's rows ``(h, x)``."""
+    block = prefix[h, x]
     mass = block.sum()
     return block / mass if mass > 0 else block
 
@@ -229,16 +219,47 @@ def stage_entropy_given_tables(stage: SfrlStage, law: JointLaw) -> float:
     history, so per context the entropy is that of the pushforward of the
     exact history law through the stage map.
     """
+    X, U, t = stage.num_states, stage.num_actions, stage.t
     maps = stage_maps(stage)
+    prefix = _state_prefix(law, t)
     total = 0.0
     for ctx, selected in maps.items():
         mass = float(stage.context_mass[ctx])
         if mass <= 0.0:
             continue
-        w = _state_history_weights(law, stage.t, ctx)
-        pushed = np.bincount(selected, weights=w, minlength=stage.num_actions)
+        h, x = history_rows(np.arange(X ** t), ctx, X, U, t)
+        w = _state_history_weights(prefix, h, x)
+        pushed = np.bincount(selected, weights=w, minlength=U)
         total += mass * entropy_bits(pushed)
     return total
+
+
+def _context_selections(t: int, law: JointLaw, policy: CausalPolicy,
+                        num_proposals: int, num_tables: int, seed: int,
+                        chunk: int):
+    """Stage-t selections under ``num_tables`` seeded table draws.
+
+    Yields ``(mass, rows, weights, batches)`` per reachable context in index
+    order: its mass, the conditional rows and weights of its state histories,
+    and a generator of ``(first table, selected, certified)`` over chunks of
+    tables drawn from the context's ``_context_rng(seed, 0, t, ctx)`` stream.
+    """
+    X, U = policy.num_states, policy.num_actions
+    ctx_mass, marginals = _context_marginals(law, t)
+    prefix = _state_prefix(law, t)
+    conditional = policy.tables[t - 1]
+
+    def batches(rng, q, rows):
+        for done in range(0, num_tables, chunk):
+            syms, times = _draw_tables(rng, q, min(chunk, num_tables - done),
+                                       num_proposals)
+            yield (done, *_select_batch(syms, times, rows, q))
+
+    for ctx, q in marginals.items():
+        h, x = history_rows(np.arange(X ** t), ctx, X, U, t)
+        rows = conditional[h, x]
+        yield (float(ctx_mass[ctx]), rows, _state_history_weights(prefix, h, x),
+               batches(_context_rng(seed, 0, t, ctx), q, rows))
 
 
 def estimate_stage_entropy(t: int, law: JointLaw, policy: CausalPolicy,
@@ -251,26 +272,11 @@ def estimate_stage_entropy(t: int, law: JointLaw, policy: CausalPolicy,
     the result is reproducible bit for bit for fixed arguments.
     """
     U = policy.num_actions
-    act = law.action_marginal(t)
-    ctx_mass = act.sum(axis=-1).reshape(-1) if t > 1 else np.array([1.0])
-    flat = act.reshape(-1, U)
     values = np.zeros(num_tables)
-    stage_proxy = SfrlStage(t=t, tables={}, conditional=policy.tables[t - 1],
-                            context_mass=ctx_mass, num_states=policy.num_states,
-                            num_actions=U, num_proposals=num_proposals, seed=seed)
-    for ctx in range(U ** (t - 1)):
-        mass = float(ctx_mass[ctx])
-        if mass <= 0.0:
-            continue
-        q = flat[ctx] / mass
-        rows = _context_rows(stage_proxy, ctx)
-        w = _state_history_weights(law, t, ctx)
-        rng = _context_rng(seed, 0, t, ctx)
-        done = 0
-        while done < num_tables:
-            take = min(chunk, num_tables - done)
-            syms, times = _draw_tables(rng, q, take, num_proposals)
-            selected, _ = _select_batch(syms, times, rows, q)
+    for mass, _, w, batches in _context_selections(
+            t, law, policy, num_proposals, num_tables, seed, chunk):
+        for done, selected, _ in batches:
+            take = selected.shape[0]
             keys = (np.arange(take)[:, None] * U + selected).ravel()
             counts = np.bincount(
                 keys, weights=np.broadcast_to(w, selected.shape).ravel(),
@@ -279,7 +285,6 @@ def estimate_stage_entropy(t: int, law: JointLaw, policy: CausalPolicy,
             with np.errstate(divide="ignore", invalid="ignore"):
                 logs = np.where(counts > 0, np.log2(np.where(counts > 0, counts, 1.0)), 0.0)
             values[done:done + take] += mass * (-(counts * logs).sum(axis=1))
-            done += take
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(num_tables)) if num_tables > 1 else 0.0
     return mean, se, values
@@ -303,35 +308,18 @@ def conditional_fidelity(t: int, law: JointLaw, policy: CausalPolicy,
     selections whose truncation certificate failed.
     """
     U = policy.num_actions
-    act = law.action_marginal(t)
-    ctx_mass = act.sum(axis=-1).reshape(-1) if t > 1 else np.array([1.0])
-    flat = act.reshape(-1, U)
-    stage_proxy = SfrlStage(t=t, tables={}, conditional=policy.tables[t - 1],
-                            context_mass=ctx_mass, num_states=policy.num_states,
-                            num_actions=U, num_proposals=num_proposals, seed=seed)
     tvs = []
     uncertified = 0
     total_selections = 0
-    for ctx in range(U ** (t - 1)):
-        mass = float(ctx_mass[ctx])
-        if mass <= 0.0:
-            continue
-        q = flat[ctx] / mass
-        rows = _context_rows(stage_proxy, ctx)
-        w = _state_history_weights(law, t, ctx)
+    for _, rows, w, batches in _context_selections(
+            t, law, policy, num_proposals, num_tables, seed, chunk):
         reachable = np.flatnonzero(w > 0)
         counts = np.zeros((rows.shape[0], U))
-        rng = _context_rng(seed, 0, t, ctx)
-        done = 0
-        while done < num_tables:
-            take = min(chunk, num_tables - done)
-            syms, times = _draw_tables(rng, q, take, num_proposals)
-            selected, certified = _select_batch(syms, times, rows, q)
+        for _, selected, certified in batches:
             for xk in reachable:
                 counts[xk] += np.bincount(selected[:, xk], minlength=U)
             uncertified += int((~certified[:, reachable]).sum())
             total_selections += certified[:, reachable].size
-            done += take
         emp = counts / num_tables
         for xk in reachable:
             tvs.append(0.5 * float(np.abs(emp[xk] - rows[xk]).sum()))

@@ -36,6 +36,7 @@ from .system import (
     average_cost,
     directed_information,
     evaluate_joint,
+    history_digits,
 )
 
 _POLICY_FLOOR = 1e-30
@@ -135,7 +136,6 @@ class _Enumeration:
         n, X, U = spec.horizon, spec.num_states, spec.num_actions
         self.n, self.X, self.U = n, X, U
         self.T = (X * U) ** n
-        idx = np.arange(self.T)
         # kernel-only product over trajectories
         k = np.ones(1)
         for t in range(1, n + 1):
@@ -143,18 +143,14 @@ class _Enumeration:
                  * np.ones((1, 1, U))).reshape(-1)
         self.kernel_prod = k
         # per-trajectory total cost and action-sequence key
-        ctot = np.zeros(self.T)
-        akey = np.zeros(self.T, dtype=np.int64)
-        for t in range(1, n + 1):
-            pair = (idx // (X * U) ** (n - t)) % (X * U)
-            xs, us = pair // U, pair % U
-            ctot += spec.cost[xs, us]
-            akey = akey * U + us
-        self.cost_total = ctot
-        self.action_key = akey
+        xs, us = history_digits(np.arange(self.T), X, U, n)
+        self.cost_total = sum(spec.cost[xs[:, t], us[:, t]] for t in range(n))
+        self.action_key = np.ravel_multi_index(tuple(us.T), (U,) * n)
         self.num_action_seqs = U ** n
         # flat (history, x, u) prefix per stage: contiguous blocks
-        self.prefix = [idx // (X * U) ** (n - t) for t in range(1, n + 1)]
+        digits = tuple(np.stack((xs, us), axis=-1).reshape(self.T, 2 * n).T)
+        self.prefix = [np.ravel_multi_index(digits[:2 * t], (X, U) * t)
+                       for t in range(1, n + 1)]
         self.rows = [(X * U) ** (t - 1) * X for t in range(1, n + 1)]
 
     def policy_factors(self, tables) -> list[np.ndarray]:
@@ -219,14 +215,6 @@ class _Enumeration:
         """Probability mass reaching each (history, x) row of stage t+1 (0-based)."""
         B = P.shape[0]
         return P.reshape(B, self.rows[t], -1).sum(axis=2)
-
-
-def objective_value(spec: SystemSpec, policy: CausalPolicy, mu: float) -> float:
-    """Scalarized objective of one policy via the trajectory-sum extension."""
-    enum = _Enumeration(spec)
-    tables = [tab[None] for tab in policy.tables]
-    J, *_ = enum.evaluate(tables, mu)
-    return float(J[0])
 
 
 def gradient_check(spec: SystemSpec, policy: CausalPolicy, mu: float,

@@ -1,8 +1,9 @@
 """JSON system-spec files: schema validation, normalization policy, loading.
 
-Probability rows must sum to one within 1e-9 to be accepted as-is; rows
-off by up to 1e-6 are renormalized with a warning; anything worse is
-rejected.  ``mode: "source"`` declares an uncontrolled kernel: a (X, X)
+Probability rows that sum to one within ``system.KERNEL_ROW_TOL`` (1e-12),
+the tolerance ``SystemSpec`` itself enforces, are accepted as-is; rows off
+by up to ``RENORM_TOL`` (1e-6) are renormalized with a warning; anything
+worse is rejected.  ``mode: "source"`` declares an uncontrolled kernel: a (X, X)
 transition is broadcast over actions, and a (X, U, X) transition must not
 depend on the action column.
 """
@@ -15,9 +16,8 @@ import warnings
 import jsonschema
 import numpy as np
 
-from .system import DEFAULT_BUDGET, SystemSpec
+from .system import DEFAULT_BUDGET, KERNEL_ROW_TOL, SystemSpec
 
-ACCEPT_TOL = 1e-9
 RENORM_TOL = 1e-6
 
 SPEC_SCHEMA = {
@@ -67,7 +67,7 @@ def _check_rows(rows: np.ndarray, key: str) -> np.ndarray:
         raise SpecFileError(f"{key}: negative or non-finite probability entries")
     sums = rows.sum(axis=-1)
     dev = float(np.max(np.abs(sums - 1.0)))
-    if dev <= ACCEPT_TOL:
+    if dev <= KERNEL_ROW_TOL:
         return rows
     if dev <= RENORM_TOL:
         warnings.warn(

@@ -10,7 +10,10 @@ computed exactly by dense enumeration.
 
 Trajectory indexing is stage-major big-endian: the flat index of
 (x_1,u_1,...,x_n,u_n) is built by repeated ``idx = (idx*X + x_t)*U + u_t``,
-so the length-t prefix of a trajectory is ``idx // (X*U)**(n-t)``.
+so the length-t prefix of a trajectory is ``idx // (X*U)**(n-t)``.  State
+keys (x_1..x_t) and action contexts (u_1..u_{t-1}) are big-endian over X
+and U.  ``history_digits`` and ``history_rows`` are the only implementation
+of this convention; every other index is derived from them.
 
 All probabilities are 64-bit floats, all logarithms are base 2, and
 entropy terms use the convention 0*log(0) = 0.  Everything here is a pure
@@ -19,7 +22,6 @@ function of immutable inputs and is safe to call concurrently.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +67,34 @@ def _check_rows(rows: np.ndarray, what: str) -> None:
         raise NormalizationError(
             f"{what} rows deviate from 1 by {worst:.3e} (tolerance {KERNEL_ROW_TOL})"
         )
+
+
+def history_digits(index, num_states: int, num_actions: int, length: int):
+    """Per-stage digits of flat history indices.
+
+    Returns ``(xs, us)``, integer arrays of shape ``np.shape(index) +
+    (length,)`` whose column s holds x_{s+1} and u_{s+1}.
+    """
+    base = num_states * num_actions
+    place = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    pairs = np.asarray(index, dtype=np.int64)[..., None] // place % base
+    return pairs // num_actions, pairs % num_actions
+
+
+def history_rows(xkeys, ctx, num_states: int, num_actions: int, t: int):
+    """Flat stage-t rows ``(h, x_t)`` for state-history keys and a context.
+
+    ``xkeys`` are big-endian keys of (x_1..x_t) over the states and ``ctx``
+    the big-endian key of (u_1..u_{t-1}) over the actions; the two
+    broadcast.  ``h`` is the flat index of (x_1,u_1,...,x_{t-1},u_{t-1}).
+    """
+    X, U = num_states, num_actions
+    xs = np.asarray(xkeys, dtype=np.int64)[..., None] \
+        // X ** np.arange(t - 1, -1, -1, dtype=np.int64) % X
+    us = np.asarray(ctx, dtype=np.int64)[..., None] \
+        // U ** np.arange(t - 2, -1, -1, dtype=np.int64) % U
+    place = (X * U) ** np.arange(t - 2, -1, -1, dtype=np.int64)
+    return ((xs[..., :-1] * U + us) * place).sum(axis=-1), xs[..., -1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +158,8 @@ class SystemSpec:
         U = transition.shape[1]
         kernels = [initial[None, :]]
         for t in range(2, horizon + 1):
-            h = np.arange((X * U) ** (t - 1))
-            x_prev = (h // U) % X
-            u_prev = h % U
-            kernels.append(transition[x_prev, u_prev, :])
+            xs, us = history_digits(np.arange((X * U) ** (t - 1)), X, U, t - 1)
+            kernels.append(transition[xs[:, -1], us[:, -1], :])
         return cls(horizon=horizon, num_states=X, num_actions=U,
                    cost=np.asarray(cost, dtype=float), kernels=tuple(kernels),
                    budget=budget, markov=(_frozen(initial), _frozen(transition)),
@@ -222,12 +250,10 @@ class CausalPolicy:
         tabs = []
         for t in range(1, spec.horizon + 1):
             rows = np.asarray(stage_rows[t - 1], dtype=float)
-            h = np.arange((X * U) ** (t - 1))
-            ukey = np.zeros_like(h)
-            for s in range(t - 1):
-                pair = (h // (X * U) ** (t - 2 - s)) % (X * U)
-                ukey = ukey * U + pair % U
-            tab = np.repeat(rows[ukey][:, None, :], X, axis=1)
+            ctx = np.arange(U ** (t - 1))[:, None]
+            h, x = history_rows(np.arange(X ** t), ctx, X, U, t)
+            tab = np.empty(((X * U) ** (t - 1), X, U))
+            tab[h, x] = rows[ctx]
             tabs.append(tab)
         return cls(tuple(tabs))
 
@@ -240,12 +266,11 @@ class CausalPolicy:
         X, U = spec.num_states, spec.num_actions
         tabs = []
         for t in range(1, spec.horizon + 1):
-            tab = np.zeros(((X * U) ** (t - 1), X, U))
-            for h, pairs in enumerate(itertools.product(range(X * U), repeat=t - 1)):
-                x_hist = tuple(p // U for p in pairs)
-                u_hist = tuple(p % U for p in pairs)
+            xs, us = history_digits(np.arange((X * U) ** (t - 1)), X, U, t - 1)
+            tab = np.zeros((len(xs), X, U))
+            for h, (x_hist, u_hist) in enumerate(zip(xs.tolist(), us.tolist())):
                 for x in range(X):
-                    u = int(choose(t, x_hist + (x,), u_hist))
+                    u = int(choose(t, tuple(x_hist) + (x,), tuple(u_hist)))
                     tab[h, x, u] = 1.0
             tabs.append(tab)
         return cls(tuple(tabs))
@@ -310,17 +335,11 @@ class JointLaw:
 
     def trajectories(self):
         """Yield ((x_1..x_n), (u_1..u_n), prob) for trajectories with mass."""
-        X, U = self.num_states, self.num_actions
-        n = self.horizon
-        for idx in np.flatnonzero(self.probs):
-            rem = int(idx)
-            xs, us = [], []
-            for _ in range(n):
-                us.append(rem % U)
-                rem //= U
-                xs.append(rem % X)
-                rem //= X
-            yield tuple(reversed(xs)), tuple(reversed(us)), float(self.probs[idx])
+        idx = np.flatnonzero(self.probs)
+        xs, us = history_digits(idx, self.num_states, self.num_actions,
+                                self.horizon)
+        for i, x_path, u_path in zip(idx, xs.tolist(), us.tolist()):
+            yield tuple(x_path), tuple(u_path), float(self.probs[i])
 
 
 def evaluate_joint(spec: SystemSpec, policy: CausalPolicy) -> JointLaw:
@@ -360,7 +379,13 @@ def stage_information_terms(law: JointLaw) -> list[float]:
         mask = m1 > 0.0
         num = np.where(mask, m1 * np.broadcast_to(a0, m1.shape), 1.0)
         den = np.where(mask, np.broadcast_to(m0 * a1, m1.shape), 1.0)
-        term = float((m1 * np.log2(num / den))[mask].sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_ratio = np.log2(num / den)
+        # below ~1e-200 the products underflow; take the logs apart there
+        bad = mask & ~np.isfinite(log_ratio)
+        m0, a0, a1 = (np.broadcast_to(a, m1.shape)[bad] for a in (m0, a0, a1))
+        log_ratio[bad] = np.log2(m1[bad]) + np.log2(a0) - np.log2(m0) - np.log2(a1)
+        term = float((m1 * log_ratio)[mask].sum())
         if term < -1e-9:
             raise AssertionError(f"stage information term {term} below -1e-9")
         terms.append(max(term, 0.0))

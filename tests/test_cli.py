@@ -1,5 +1,6 @@
 """CLI: spec files, exit codes, output formats, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from ratecost.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_SPEC, main
-from ratecost.instances import drive_to_zero
+from ratecost.instances import drive_to_zero, sticky_tracking
 from ratecost.specio import SpecFileError, load_spec, parse_spec, spec_document
 
 from oracles import binary_entropy
@@ -67,11 +68,13 @@ class TestSpecIO:
         assert "horizon" in str(err.value)
 
     def test_mild_denormalization_warns_and_renormalizes(self):
-        doc = bernoulli_doc()
-        doc["kernel"]["initial"] = [0.8 + 2e-7, 0.2]
-        with pytest.warns(UserWarning, match="renormalizing"):
-            spec = parse_spec(doc)
-        assert spec.stage_kernel(1).sum() == pytest.approx(1.0, abs=1e-12)
+        # 5e-10 lies between the kernel tolerance and the renormalization limit
+        for excess in (2e-7, 5e-10):
+            doc = bernoulli_doc()
+            doc["kernel"]["initial"] = [0.8 + excess, 0.2]
+            with pytest.warns(UserWarning, match="renormalizing"):
+                spec = parse_spec(doc)
+            assert spec.stage_kernel(1).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_normalization_rejected(self):
         doc = bernoulli_doc()
@@ -151,6 +154,20 @@ class TestSolveCommand:
                      "--D", "0.01", "--restarts", "2"])
         assert code == EXIT_INFEASIBLE
 
+    def test_cost_floor_anchor_is_strict_json(self, tmp_path):
+        # at the floor the query resolves to the greedy anchor, whose
+        # multiplier is infinite; JSON has no literal for it
+        spec_path = write_spec(tmp_path, spec_document(sticky_tracking(1)))
+        code = main(["solve", "--spec", spec_path, "--out", str(tmp_path),
+                     "--D", "0.0", "--restarts", "1"])
+        assert code == EXIT_OK
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads((tmp_path / "solve.json").read_text(), parse_constant=reject)
+        assert doc["requested"][0]["mu"] is None
+
 
 class TestSynthCommand:
     def run_synth(self, tmp_path, spec_path, tag, *extra):
@@ -195,6 +212,33 @@ class TestSynthCommand:
         code = main(["synth", "--spec", spec_path, "--D", "0.05",
                      "--out", str(tmp_path), "--restarts", "2"])
         assert code == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize("flag", ["--trials", "--cloud-size"])
+    def test_zero_count_option_rejected(self, tmp_path, capsys, flag):
+        spec_path = write_spec(tmp_path, controlled_doc())
+        out = tmp_path / "o"
+        code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out",
+                     str(out), "--restarts", "1", flag, "0"])
+        assert code == EXIT_SPEC
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "at least 1" in err[0]
+        assert not (out / "result_bundle.json").exists()
+
+    def test_bundle_digest_pinned(self, tmp_path):
+        # the bundle is a pure function of spec, budget, options and seed;
+        # this digest changes only with the seed contract or the numbers
+        spec_path = write_spec(tmp_path, controlled_doc())
+        out = tmp_path / "golden"
+        code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out", str(out),
+                     "--seed", "0", "--restarts", "1", "--cloud-size", "20",
+                     "--proposals", "128", "--trials", "200"])
+        assert code == EXIT_OK
+        doc = json.loads((out / "result_bundle.json").read_text())
+        del doc["spec_path"]
+        assert doc["seeds"]["attempts"] == 2
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "2d8c4e435b6ad11cf309bb67f40870dd773f647fd3dd00c034030ac005d3841d"
 
 
 class TestLqgCommand:

@@ -107,6 +107,21 @@ class TestSynthesize:
         assert a.exact_cost == b.exact_cost
         assert a.selector == b.selector
 
+    def test_retarget_stays_at_or_above_cost_floor(self):
+        # the first cloud misses the budget and the margin would push the
+        # re-targeted solve below the cost floor
+        spec = noisy_actuator(3)
+        budget = mid_curve_budget(spec)
+        b = synthesize(spec, budget, SchemeOptions(
+            cloud_size=20, num_proposals=128, solver=SolverOptions(restarts=1)))
+        assert b.seeds["attempts"] == 2
+        assert b.exact_cost <= budget
+
+    @pytest.mark.parametrize("field", ["cloud_size", "num_proposals", "max_attempts"])
+    def test_nonpositive_counts_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            SchemeOptions(**{field: 0})
+
     def test_infeasible_budget_propagates(self):
         spec = drive_to_zero(2)
         with pytest.raises(InfeasibleCostError):
@@ -135,6 +150,10 @@ class TestRunTrials:
         report = big_report
         assert report.empirical_rate <= report.rate_budget_value
         assert report.empirical_rate >= report.info_rate - 3 * report.empirical_rate_se
+
+    def test_zero_trials_rejected(self, bundle):
+        with pytest.raises(ValueError, match="num_trials"):
+            run_trials(bundle, 0)
 
     def test_per_trial_arrays_optional(self, bundle):
         report = run_trials(bundle, 50, seed=2, keep_per_trial=True)

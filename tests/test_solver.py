@@ -1,10 +1,12 @@
 """Rate-cost solver: Lagrangian optimizer, budget queries, brute-force oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from ratecost import CausalPolicy, SystemSpec
-from ratecost.instances import bernoulli_source, drive_to_zero
+from ratecost.instances import bernoulli_source, drive_to_zero, noisy_actuator
 from ratecost.solver import (
     InfeasibleCostError,
     InstanceTooLargeError,
@@ -73,6 +75,15 @@ class TestSolveLagrangian:
         point = solve_lagrangian(spec, 1.0, SolverOptions(restarts=8, max_iters=2500))
         oracle = grid_marginal_search(spec, 1.0, resolution=0.02, refine=0.002)
         assert point.objective == pytest.approx(oracle, abs=1e-3)
+
+    def test_large_multiplier_rate_finite(self):
+        # prefix masses fall below 1e-200 here; the information terms'
+        # products used to underflow to 0/0 and make the rate NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            point = solve_lagrangian(noisy_actuator(6), 256.0,
+                                     SolverOptions(restarts=1))
+        assert np.isfinite(point.rate) and point.rate >= 0.0
 
     def test_negative_multiplier_rejected(self):
         with pytest.raises(ValueError):

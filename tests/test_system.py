@@ -1,5 +1,7 @@
 """System model: joint-law enumeration, costs, and information accounting."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from ratecost import (
     stage_information_terms,
 )
 from ratecost.instances import drive_to_zero, sticky_tracking, xor_reference
+from ratecost.system import history_digits, history_rows
 
 from oracles import (
     average_cost_from_dict,
@@ -167,6 +170,35 @@ class TestConditionalActionEntropies:
         np.testing.assert_allclose(
             conditional_action_entropies(law), oracle, atol=1e-12
         )
+
+
+class TestHistoryIndex:
+    """The two index helpers against plain lexicographic enumeration."""
+
+    @given(X=st.integers(1, 3), U=st.integers(1, 3), t=st.integers(1, 4))
+    @settings(max_examples=60)
+    def test_helpers_match_product_enumeration(self, X, U, t):
+        # (x_1,u_1,...,x_{t-1},u_{t-1}) in flat-index order
+        histories = list(itertools.product(*[range(X), range(U)] * (t - 1)))
+        xs, us = history_digits(np.arange(len(histories)), X, U, t - 1)
+        assert xs.tolist() == [list(h[0::2]) for h in histories]
+        assert us.tolist() == [list(h[1::2]) for h in histories]
+
+        flat = {h: i for i, h in enumerate(histories)}
+        x_paths = list(itertools.product(range(X), repeat=t))
+        contexts = list(itertools.product(range(U), repeat=t - 1))
+        h, x = history_rows(np.arange(len(x_paths)),
+                            np.arange(len(contexts))[:, None], X, U, t)
+        want_h = [[flat[tuple(v for pair in zip(xp[:-1], ctx) for v in pair)]
+                   for xp in x_paths] for ctx in contexts]
+        assert h.tolist() == want_h
+        assert x.tolist() == [xp[-1] for xp in x_paths]
+
+        # decoding the encoded rows gives back the two histories
+        dx, du = history_digits(h, X, U, t - 1)
+        for c, ctx in enumerate(contexts):
+            assert du[c].tolist() == [list(ctx)] * len(x_paths)
+            assert dx[c].tolist() == [list(xp[:-1]) for xp in x_paths]
 
 
 class TestInvariants:
