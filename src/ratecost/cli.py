@@ -2,8 +2,8 @@
 
 Every flag has an environment-variable mirror prefixed RATECOST_ (flags
 win).  Outputs are written atomically (temp file then rename).  Exit
-codes: 0 success, 2 spec error, 3 infeasible budget, 4 solver
-non-convergence, 5 verification failure.
+codes: 0 success, 2 spec error or invalid option, 3 infeasible budget,
+4 solver non-convergence, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -57,21 +57,28 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _multiplier(mu: float):
-    """JSON value of a multiplier: the cost-floor anchor's infinite one is null."""
-    return mu if math.isfinite(mu) else None
+def _json_float(x: float):
+    """JSON value of a float that may be non-finite (the cost-floor anchor's
+    infinite multiplier, the gap of a point no solver produced): null."""
+    return x if math.isfinite(x) else None
 
 
 def _parse_grid(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as err:
-        raise SpecFileError(f"grid '{text}' is not a comma-separated float list") \
+        raise ValueError(f"grid '{text}' is not a comma-separated float list") \
             from err
 
 
 def _solver_options(args) -> SolverOptions:
     return SolverOptions(seed=args.seed, restarts=args.restarts)
+
+
+def _solver_record(point) -> dict:
+    """Multiplier and convergence record of one operating point."""
+    return {"mu": _json_float(point.multiplier), "converged": point.converged,
+            "iterations": point.iterations, "gap": _json_float(point.gap)}
 
 
 def _curve_rows(curve: RateCostCurve) -> list[str]:
@@ -100,8 +107,7 @@ def cmd_solve(args, require_source: bool) -> int:
             "D": d,
             "rate_bits": point.rate,
             "achieved_cost": point.cost,
-            "mu": _multiplier(point.multiplier),
-            "converged": point.converged,
+            **_solver_record(point),
         })
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
@@ -111,16 +117,14 @@ def cmd_solve(args, require_source: bool) -> int:
         "schema_version": 1,
         "spec_path": os.path.abspath(args.spec),
         "seed": args.seed,
-        "curve": [
-            {"D": p.cost, "rate_bits": p.rate, "mu": _multiplier(p.multiplier),
-             "converged": p.converged}
-            for p in curve.points
-        ],
+        "curve": [{"D": p.cost, "rate_bits": p.rate, **_solver_record(p)}
+                  for p in curve.points],
         "requested": requested,
     }
     _write_atomic(os.path.join(out_dir, f"{prefix}.json"), _json_text(payload))
-    bad = [p for p in requested if not p["converged"]]
-    if bad or any(not p.converged for p in curve.points):
+    # the answer is the requested points, or the curve when none was asked for
+    answer = requested or payload["curve"]
+    if not all(p["converged"] for p in answer):
         print("warning: solver failed to converge on some points", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
@@ -129,7 +133,7 @@ def cmd_solve(args, require_source: bool) -> int:
 def cmd_synth(args) -> int:
     spec = load_spec(args.spec)
     if args.budget is None:
-        raise SpecFileError("synth requires --D (or RATECOST_D)")
+        raise ValueError("synth requires --D (or RATECOST_D)")
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     options = SchemeOptions(
@@ -152,7 +156,7 @@ def cmd_synth(args) -> int:
         "solver_point": {
             "rate_bits": bundle.solution.rate,
             "cost": bundle.solution.cost,
-            "mu": _multiplier(bundle.solution.multiplier),
+            "mu": _json_float(bundle.solution.multiplier),
             "converged": bundle.solution.converged,
         },
         "selector": {
@@ -281,9 +285,11 @@ def main(argv=None) -> int:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (SpecFileError, DimensionMismatchError, NormalizationError,
-            BudgetExceededError, CurveDomainError, RiccatiError,
-            ValueError) as err:
+            BudgetExceededError, CurveDomainError, RiccatiError) as err:
         print(f"spec error: {err}", file=sys.stderr)
+        return EXIT_SPEC
+    except ValueError as err:
+        print(f"invalid option: {err}", file=sys.stderr)
         return EXIT_SPEC
     return EXIT_OK
 

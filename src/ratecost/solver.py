@@ -1,25 +1,46 @@
 """Minimum directed-information rate subject to an average-cost budget.
 
 The program  min (1/n) I(states -> actions)  s.t.  (1/n) sum_t E[c] <= D
-is convex in the induced causal kernel, but is optimized here in its
-natural product-of-stages parameterization (one simplex row per observable
-history), which is multilinear.  The optimizer is exponentiated gradient
-(mirror descent) on the product of rows with exact analytic gradients,
-per-row preconditioning by reach probability, monotone accept/reject step
-control, and seeded random restarts merged deterministically.  A
-multiplier sweep plus bisection traces the lower convex envelope of
-(cost, rate) points and answers cost-budget queries.
+is solved through its Lagrangian  (1/n) [I + mu * sum_t E c]  by
+forward-backward Blahut-Arimoto over the action-context marginals
+q_t(u | u^{t-1}) (Tanaka, Sandberg & Skoglund, "Transfer-entropy-regularized
+Markov decision processes", arXiv:1708.09096).  For any q the information
+term is at most E[sum_t log2 pi_t / q_t], with equality at the marginals
+that pi induces, so the optimum is the minimum over (pi, q) of the proxy
 
-Gradients are exact for the trajectory-sum objective
+    L(pi, q) = E[ sum_t log2 pi_t(U_t|H_t,X_t) / q_t(U_t|U^{t-1}) + mu c(X_t,U_t) ].
 
-    J~(pi) = sum_w P(w) [ log2 Ppol(w) - log2 A(u(w)) ] + mu * sum_w P(w) c(w)
+One map takes q to the marginals induced by its best policy:
 
-where Ppol is the product of policy factors along trajectory w and A is
-the action-sequence marginal.  The per-stage marginal-kernel terms
-telescope into A, so dJ~/d pi_t(u|h) = sum over trajectories through
-(h, u) at stage t of the leave-one-out product times the integrand.
-This extension of the objective off the simplex is also what the
-finite-difference check differentiates.
+- backward: an exact soft-Bellman pass in the log domain with a per-row
+  max shift gives pi_t(u|h,x) proportional to
+  q_t(u|ctx(h)) 2^-(mu c(x,u) + E V_{t+1}) and the proxy value
+  V(q) = min_pi L(pi, q) / n;
+- forward: the law of the state history given the action context,
+  carried stage by stage, gives the marginals q' that pi induces.
+
+V never increases from q to q'.  The map runs under SQUAREM extrapolation
+on log q (Varadhan & Roland, Scand. J. Stat. 2008) with V as the merit
+function: an extrapolated point that does not lower V is replaced by the
+plain double step.
+
+Certificate.  Let r = prod_t q_t and A = prod_t q'_t be the action-sequence
+laws.  The policy pi has exact objective V(q) - D(A || r) / n, and every
+policy Q has objective at least V(q) - log2 max_{u^n} A(u^n)/r(u^n) / n:
+writing its objective as V(q) + D(P_Q || P_pi) + E_Q log2 r/A_Q (all
+per n) and applying data processing to the first divergence leaves
+-E_{A_Q} log2 (A/r).  This is Blahut's lower bound carried to the
+sequential problem.  The difference of the two is the gap, computed on
+the action tree.  A solve stops when the best objective over its chains
+is within ``tol`` of the best lower bound, and reports that difference.
+log2 q is floored at -1000 so that every action stays in play when a warm
+start moves to another multiplier (the floor moves the value by a
+2^-1000 share); contexts whose conditional probability underflows count
+as unreachable.
+
+A multiplier sweep plus bisection traces the lower convex envelope of
+(cost, rate) points and answers cost-budget queries, each solve
+warm-started from a neighbouring multiplier's marginals.
 """
 
 from __future__ import annotations
@@ -40,7 +61,7 @@ from .system import (
 )
 
 _POLICY_FLOOR = 1e-30
-_REACH_FLOOR = 1e-12
+_LOG_FLOOR = -1000.0
 
 
 class InfeasibleCostError(ValueError):
@@ -61,20 +82,33 @@ class InstanceTooLargeError(ValueError):
 
 @dataclass
 class SolverOptions:
+    """``restarts`` is the number of Blahut-Arimoto chains per solve: chain 0
+    starts from the warm-start marginals (uniform without one), the rest
+    from seeded Dirichlet draws.  ``max_iters`` caps the maps per solve and
+    ``tol`` the certified gap, in bits per stage."""
+
     restarts: int = 8
     max_iters: int = 3000
     tol: float = 1e-9
-    step_init: float = 2.0
     seed: int = 0
     mu_grid: tuple[float, ...] = (0.0,) + tuple(2.0 ** k for k in range(-10, 11))
     bisect_cost_tol: float = 1e-4
     max_bisect: int = 60
-    patience: int = 50
+
+    def __post_init__(self):
+        for name in ("restarts", "max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
 class RateCostPoint:
-    """One operating point: exact rate/cost of the returned causal policy."""
+    """One operating point: exact rate/cost of the returned causal policy.
+
+    ``iterations`` counts the Blahut-Arimoto maps and ``gap`` is the
+    certified optimality gap of the Lagrangian objective (NaN for points
+    not produced by ``solve_lagrangian``).
+    """
 
     rate: float
     cost: float
@@ -82,6 +116,8 @@ class RateCostPoint:
     policy: CausalPolicy
     converged: bool = True
     objective: float = math.nan
+    iterations: int = 0
+    gap: float = math.nan
 
     def __post_init__(self):
         if self.rate < -1e-12 or self.cost < -1e-12:
@@ -128,201 +164,191 @@ class RateCostCurve:
                 raise AssertionError("curve must be convex within tolerance")
 
 
-class _Enumeration:
-    """Cached trajectory machinery for one system spec."""
-
-    def __init__(self, spec: SystemSpec):
-        self.spec = spec
-        n, X, U = spec.horizon, spec.num_states, spec.num_actions
-        self.n, self.X, self.U = n, X, U
-        self.T = (X * U) ** n
-        # kernel-only product over trajectories
-        k = np.ones(1)
-        for t in range(1, n + 1):
-            k = (k[:, None, None] * spec.stage_kernel(t)[:, :, None]
-                 * np.ones((1, 1, U))).reshape(-1)
-        self.kernel_prod = k
-        # per-trajectory total cost and action-sequence key
-        xs, us = history_digits(np.arange(self.T), X, U, n)
-        self.cost_total = sum(spec.cost[xs[:, t], us[:, t]] for t in range(n))
-        self.action_key = np.ravel_multi_index(tuple(us.T), (U,) * n)
-        self.num_action_seqs = U ** n
-        # flat (history, x, u) prefix per stage: contiguous blocks
-        digits = tuple(np.stack((xs, us), axis=-1).reshape(self.T, 2 * n).T)
-        self.prefix = [np.ravel_multi_index(digits[:2 * t], (X, U) * t)
-                       for t in range(1, n + 1)]
-        self.rows = [(X * U) ** (t - 1) * X for t in range(1, n + 1)]
-
-    def policy_factors(self, tables) -> list[np.ndarray]:
-        """Per-stage gathered policy factors, each (B, T)."""
-        return [tables[t].reshape(tables[t].shape[0], -1)[:, self.prefix[t]]
-                for t in range(self.n)]
-
-    def evaluate(self, tables, mu: float):
-        """Objective pieces for a batch of policies.
-
-        Returns (J, info_bits, cost_units, P, factors, log_ratio) where J is
-        the per-stage-normalized scalarized objective, shape (B,).
-        """
-        factors = self.policy_factors(tables)
-        B = factors[0].shape[0]
-        P = np.broadcast_to(self.kernel_prod, (B, self.T)).copy()
-        logpol = np.zeros((B, self.T))
-        for f in factors:
-            P *= f
-            logpol += np.log2(np.maximum(f, _POLICY_FLOOR))
-        offsets = (np.arange(B) * self.num_action_seqs)[:, None]
-        amarg = np.bincount(
-            (self.action_key[None, :] + offsets).ravel(),
-            weights=P.ravel(),
-            minlength=B * self.num_action_seqs,
-        ).reshape(B, self.num_action_seqs)
-        loga = np.take_along_axis(
-            np.log2(np.maximum(amarg, _POLICY_FLOOR)),
-            np.broadcast_to(self.action_key, (B, self.T)),
-            axis=1,
-        )
-        log_ratio = logpol - loga
-        mask = P > 0.0
-        info = np.where(mask, P * log_ratio, 0.0).sum(axis=1)
-        cost = (P * self.cost_total).sum(axis=1)
-        J = (info + mu * cost) / self.n
-        return J, info, cost, P, factors, log_ratio
-
-    def gradients(self, tables, mu: float):
-        """Exact partials of the unnormalized objective, list of (B,H,X,U)."""
-        J, info, cost, P, factors, log_ratio = self.evaluate(tables, mu)
-        ell = log_ratio + mu * self.cost_total[None, :]
-        B = P.shape[0]
-        n = self.n
-        pre = [None] * (n + 1)
-        pre[0] = np.broadcast_to(self.kernel_prod, (B, self.T)).copy()
-        for t in range(n):
-            pre[t + 1] = pre[t] * factors[t]
-        suf = [None] * (n + 1)
-        suf[n] = np.ones((B, self.T))
-        for t in range(n - 1, -1, -1):
-            suf[t] = suf[t + 1] * factors[t]
-        grads = []
-        for t in range(n):
-            loo = pre[t] * suf[t + 1]
-            v = loo * ell
-            g = v.reshape(B, self.rows[t] * self.U, -1).sum(axis=2)
-            grads.append(g.reshape(tables[t].shape))
-        return J, info, cost, grads, P
-
-    def reach(self, P: np.ndarray, t: int) -> np.ndarray:
-        """Probability mass reaching each (history, x) row of stage t+1 (0-based)."""
-        B = P.shape[0]
-        return P.reshape(B, self.rows[t], -1).sum(axis=2)
+def _log_normalize(logq: np.ndarray) -> np.ndarray:
+    """Rows of log2 q shifted so that each sums to one."""
+    top = logq.max(axis=-1, keepdims=True)
+    return logq - top - np.log2(np.exp2(logq - top).sum(axis=-1, keepdims=True))
 
 
-def gradient_check(spec: SystemSpec, policy: CausalPolicy, mu: float,
-                   step: float = 1e-6, rtol: float = 1e-4,
-                   atol: float = 1e-6) -> float:
-    """Central finite differences of the trajectory-sum objective against
-    the analytic gradient.  Returns the worst relative error; raises if it
-    exceeds ``rtol`` beyond ``atol``.
+def _log2(q: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log2(q)
+
+
+def _floored(logq: np.ndarray) -> np.ndarray:
+    """log2 q raised to the floor, rows renormalized."""
+    return _log_normalize(np.maximum(logq, _LOG_FLOOR))
+
+
+@dataclass
+class _Map:
+    """One Blahut-Arimoto map applied to a batch of chains, each field
+    batched over the chains: the input ``logq``, its image ``image``, the
+    proxy value V, the exact objective and certified gap of the policy
+    ``pis`` that V's backward pass produced."""
+
+    logq: list[np.ndarray]
+    image: list[np.ndarray]
+    value: np.ndarray
+    objective: np.ndarray
+    gap: np.ndarray
+    pis: list[np.ndarray]
+
+
+class _Chains:
+    """Forward-backward Blahut-Arimoto maps for one spec and multiplier.
+
+    Stage s (0-based) arrays over (history, state, action) have shape
+    (B, H, X, U) with H = (X*U)**s; reshaped to (B,) + (X, U)*(s+1) their
+    axes interleave the history digits, so marginals q_s of shape
+    (B, U**s, U) broadcast against them as (B,) + (1, U)*(s+1).
     """
-    enum = _Enumeration(spec)
-    tables = [tab[None].copy() for tab in policy.tables]
-    _, _, _, grads, _ = enum.gradients(tables, mu)
-    worst = 0.0
-    for t, tab in enumerate(tables):
-        it = np.nditer(tab[0], flags=["multi_index"])
-        for _ in it:
-            ix = (0,) + it.multi_index
-            orig = tab[ix]
-            tab[ix] = orig + step
-            up = enum.evaluate(tables, mu)[0][0] * enum.n
-            tab[ix] = orig - step
-            dn = enum.evaluate(tables, mu)[0][0] * enum.n
-            tab[ix] = orig
-            fd = (up - dn) / (2.0 * step)
-            an = grads[t][ix]
-            err = abs(fd - an) / max(abs(an), abs(fd), 1.0)
-            worst = max(worst, err)
-            if abs(fd - an) > atol + rtol * max(abs(an), abs(fd)):
-                raise AssertionError(
-                    f"gradient mismatch at stage {t + 1} index {it.multi_index}: "
-                    f"analytic {an}, finite-difference {fd}"
-                )
-    return worst
+
+    def __init__(self, spec: SystemSpec, mu: float):
+        self.n, self.X, self.U = spec.horizon, spec.num_states, spec.num_actions
+        self.kernels = [spec.stage_kernel(t)[None, :, :] for t in range(1, self.n + 1)]
+        self.stage_cost = mu * spec.cost
+        self.size = (self.X * self.U) ** self.n
+
+    def _full(self, s: int):
+        return (-1,) + (self.X, self.U) * (s + 1)
+
+    def _ctx(self, s: int):
+        return (-1,) + (1, self.U) * (s + 1)
+
+    def backward(self, logq):
+        """Optimal policies for the marginals and the proxy value V(q)."""
+        B, (X, U) = logq[0].shape[0], (self.X, self.U)
+        pis = [None] * self.n
+        togo = np.zeros((B, self.size))
+        for s in range(self.n - 1, -1, -1):
+            a = logq[s].reshape(self._ctx(s)) - togo.reshape(self._full(s))
+            a = a.reshape(B, -1, X, U) - self.stage_cost
+            top = a.max(axis=3, keepdims=True)
+            e = np.exp2(a - top)
+            total = e.sum(axis=3, keepdims=True)
+            pis[s] = e / total
+            togo = -(self.kernels[s] * (top + np.log2(total))[..., 0]).sum(axis=2)
+        return pis, togo[:, 0] / self.n
+
+    def forward(self, pis):
+        """Marginals q'_s(u | ctx) induced by the policies, each (B, U**s, U);
+        rows of contexts the policies never reach are zero."""
+        B = pis[0].shape[0]
+        cond = self.kernels[0][..., None]     # law of the states given the context
+        out = []
+        for s in range(self.n):
+            joint = (cond * pis[s]).reshape(self._full(s))
+            q = joint.sum(axis=tuple(range(1, 2 * s + 3, 2))).reshape(B, -1, self.U)
+            out.append(q)
+            if s + 1 < self.n:
+                mass = q.reshape(self._ctx(s))
+                cond = np.divide(joint, mass, out=np.zeros_like(joint), where=mass > 0.0)
+                cond = (cond.reshape(B, -1, 1) * self.kernels[s + 1])[..., None]
+        return out
+
+    def step(self, logq) -> _Map:
+        pis, value = self.backward(logq)
+        induced = self.forward(pis)
+        B = value.shape[0]
+        reach = np.ones((B, 1))       # probability of each action context
+        tree = np.zeros((B, 1))       # log2 A(u^s) / r(u^s) along the action tree
+        divergence = np.zeros(B)      # D(A || r)
+        image = []
+        for s, q in enumerate(induced):
+            reached = q.sum(axis=2, keepdims=True) > 0.0
+            log_new = _log2(q)
+            ratio = np.where(reached, log_new - logq[s], 0.0)
+            terms = q * np.where(q > 0.0, ratio, 0.0)
+            divergence += (reach * terms.sum(axis=2)).sum(axis=1)
+            tree = (tree[:, :, None] + ratio).reshape(B, -1)
+            reach = (reach[:, :, None] * q).reshape(B, -1)
+            image.append(np.where(reached, _floored(log_new), logq[s]))
+        objective = value - divergence / self.n
+        gap = (tree.max(axis=1) - divergence) / self.n
+        return _Map(logq, image, value, objective, gap, pis)
 
 
-def _initial_tables(spec: SystemSpec, restarts: int, seed: int):
-    """Restart 0 is the uniform (state-ignoring) policy; the rest are seeded
-    Dirichlet draws.  Returned as per-stage arrays of shape (B, H, X, U)."""
-    n, X, U = spec.horizon, spec.num_states, spec.num_actions
-    tables = []
-    for t in range(1, n + 1):
-        H = (X * U) ** (t - 1)
-        tab = np.empty((restarts, H, X, U))
-        tab[0] = 1.0 / U
-        for b in range(1, restarts):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, 4, b, t)))
-            tab[b] = rng.dirichlet(np.ones(U), size=(H, X))
-        tables.append(tab)
-    return tables
+def _initial_marginals(chains: _Chains, opts: SolverOptions,
+                       warm: RateCostPoint | None):
+    """log2 q per stage, (restarts, U**s, U): chain 0 from the marginals the
+    warm point's policy induces (uniform without one, and on contexts it
+    never reaches), the rest seeded Dirichlet draws."""
+    U = chains.U
+    start = None
+    if warm is not None:
+        start = chains.forward([tab[None] for tab in warm.policy.tables])
+    logq = []
+    for t in range(1, chains.n + 1):
+        q = np.empty((opts.restarts, U ** (t - 1), U))
+        q[0] = 1.0 / U
+        if start is not None:
+            seen = start[t - 1][0].sum(axis=1) > 0.0
+            q[0][seen] = start[t - 1][0][seen]
+        for b in range(1, opts.restarts):
+            rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 4, b, t)))
+            q[b] = rng.dirichlet(np.ones(U), size=U ** (t - 1))
+        logq.append(_floored(_log2(q)))
+    return logq
+
+
+def _extrapolate(q0, q1, q2, step_max):
+    """SQUAREM step on log q per chain: (points, step lengths alpha <= -1)."""
+    r = [b - a for a, b in zip(q0, q1)]
+    v = [c - 2.0 * b + a for a, b, c in zip(q0, q1, q2)]
+    rr = sum((x * x).sum(axis=(1, 2)) for x in r)
+    vv = sum((x * x).sum(axis=(1, 2)) for x in v)
+    alpha = -np.sqrt(np.divide(rr, vv, out=np.ones_like(rr), where=vv > 0.0))
+    alpha = np.clip(alpha, -step_max, -1.0)
+    al = alpha[:, None, None]
+    points = [_floored(a - 2.0 * al * dr + al * al * dv) for a, dr, dv in zip(q0, r, v)]
+    return points, alpha
 
 
 def solve_lagrangian(spec: SystemSpec, mu: float,
-                     opts: SolverOptions | None = None) -> RateCostPoint:
+                     opts: SolverOptions | None = None,
+                     warm: RateCostPoint | None = None) -> RateCostPoint:
     """Minimize (1/n) * (information term + mu * total cost) over policies.
 
-    The reported rate and cost are re-evaluated exactly through the system
-    model on the best restart's policy.
+    Runs ``opts.restarts`` Blahut-Arimoto chains, chain 0 from the marginals
+    that ``warm``'s policy induces, and returns the chain with the lowest
+    exact objective (ties to the lowest index).  The reported rate and cost
+    are re-evaluated exactly through the system model on its policy.
     """
     if mu < 0:
         raise ValueError("multiplier must be nonnegative")
     opts = opts or SolverOptions()
-    enum = _Enumeration(spec)
-    tables = _initial_tables(spec, opts.restarts, opts.seed)
-    B = opts.restarts
-    eta = np.full(B, opts.step_init)
-    J, info, cost, grads, P = enum.gradients(tables, mu)
-    # converged when a full window of iterations improves J by less than tol
-    window = np.full((opts.patience, B), np.inf)
-    settled = np.zeros(B, dtype=bool)
-    for it in range(opts.max_iters):
-        candidate = []
-        for t in range(enum.n):
-            reach = enum.reach(P, t).reshape(grads[t].shape[:-1])
-            g = grads[t] / np.maximum(reach, _REACH_FLOOR)[..., None]
-            g = g - g.mean(axis=-1, keepdims=True)
-            expo = np.clip(-eta[:, None, None, None] * g, -50.0, 50.0)
-            cand = tables[t] * np.exp2(expo)
-            cand = np.maximum(cand, _POLICY_FLOOR)
-            cand /= cand.sum(axis=-1, keepdims=True)
-            candidate.append(cand)
-        J_new, info_n, cost_n, grads_n, P_n = enum.gradients(candidate, mu)
-        improved = J_new <= J - 1e-15
-        sel = improved[:, None, None, None]
-        for t in range(enum.n):
-            tables[t] = np.where(sel, candidate[t], tables[t])
-            grads[t] = np.where(sel, grads_n[t], grads[t])
-        P = np.where(improved[:, None], P_n, P)
-        J = np.where(improved, J_new, J)
-        info = np.where(improved, info_n, info)
-        cost = np.where(improved, cost_n, cost)
-        eta = np.clip(np.where(improved, eta * 1.25, eta * 0.5), 1e-9, 1e4)
-        window[it % opts.patience] = J
-        if it >= opts.patience:
-            oldest = window[(it + 1) % opts.patience]
-            settled |= (oldest - J) <= opts.tol * (1.0 + np.abs(J))
-            if np.all(settled):
-                break
-    best = int(np.argmin(J))
-    converged = bool(settled[best])
-    policy = CausalPolicy(tuple(
-        tab[best] / tab[best].sum(axis=-1, keepdims=True) for tab in tables
-    ))
+    chains = _Chains(spec, mu)
+    cur = chains.step(_initial_marginals(chains, opts, warm))
+    maps = 1
+    step_max = np.ones(opts.restarts)
+    while True:
+        best = int(np.argmin(cur.objective))
+        gap = float(cur.objective[best] - (cur.objective - cur.gap).max())
+        if gap <= opts.tol or maps + 3 > opts.max_iters:
+            break
+        one = chains.step(cur.image)
+        trial, alpha = _extrapolate(cur.logq, one.logq, one.image, step_max)
+        ext = chains.step(trial)
+        maps += 2
+        accept = ext.value <= one.value
+        at_cap = alpha == -step_max
+        step_max = np.where(accept, np.where(at_cap, 4.0 * step_max, step_max),
+                            np.maximum(1.0, step_max / 4.0))
+        if accept.all():
+            cur = ext
+        else:
+            # the plain double step for the chains that rejected
+            keep = accept[:, None, None]
+            cur = chains.step([np.where(keep, a, b) for a, b in zip(trial, one.image)])
+            maps += 1
+    policy = CausalPolicy(tuple(pi[best] for pi in cur.pis))
     law = evaluate_joint(spec, policy)
-    rate = directed_information(law) / spec.horizon
-    exact_cost = average_cost(law, spec)
-    return RateCostPoint(rate=rate, cost=exact_cost, multiplier=mu,
-                         policy=policy, converged=converged,
-                         objective=float(J[best]))
+    return RateCostPoint(rate=directed_information(law) / spec.horizon,
+                         cost=average_cost(law, spec), multiplier=mu,
+                         policy=policy, converged=gap <= opts.tol,
+                         objective=float(cur.objective[best]),
+                         iterations=maps, gap=gap)
 
 
 def _cost_dp(spec: SystemSpec):
@@ -372,9 +398,17 @@ def greedy_cost_policy(spec: SystemSpec) -> RateCostPoint:
 def sweep_curve(spec: SystemSpec, opts: SolverOptions | None = None
                 ) -> tuple[RateCostCurve, list[RateCostPoint]]:
     """Multiplier sweep over the configured grid; returns the envelope and
-    the raw sweep points in multiplier order."""
+    the raw sweep points in grid order.
+
+    The grid is solved in descending multiplier order, each solve
+    warm-started from the previous one.
+    """
     opts = opts or SolverOptions()
-    raw = [solve_lagrangian(spec, mu, opts) for mu in opts.mu_grid]
+    solved: dict[float, RateCostPoint] = {}
+    warm = None
+    for mu in sorted(set(opts.mu_grid), reverse=True):
+        warm = solved[mu] = solve_lagrangian(spec, mu, opts, warm=warm)
+    raw = [solved[mu] for mu in opts.mu_grid]
     return RateCostCurve.from_points(raw), raw
 
 
@@ -385,9 +419,11 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
 
     Sweeps the multiplier grid, then bisects the bracketing multipliers
     until the achieved cost is within ``bisect_cost_tol`` of the budget
-    (from below).  The returned point is feasible and carries the policy
-    used downstream for synthesis; it is an epsilon-near-optimizer whose
-    exact (rate, cost) are reported without any attainment claim.
+    (from below), each solve warm-started from the feasible bracket point
+    (the infeasible one while there is none).  The returned point is
+    feasible and carries the policy used downstream for synthesis; it is an
+    epsilon-near-optimizer whose exact (rate, cost) are reported without
+    any attainment claim.
     """
     opts = opts or SolverOptions()
     if budget_cost < 0:
@@ -395,8 +431,7 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
     dmin = min_expected_cost(spec)
     if budget_cost < dmin - 1e-9:
         raise InfeasibleCostError(budget_cost, dmin)
-    pts = list(sweep) if sweep is not None else \
-        [solve_lagrangian(spec, mu, opts) for mu in opts.mu_grid]
+    pts = list(sweep) if sweep is not None else sweep_curve(spec, opts)[1]
     anchor = greedy_cost_policy(spec)
     if anchor.cost <= budget_cost:
         pts.append(anchor)
@@ -408,36 +443,90 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
         best = None
     # refine: bracket the budget between a too-costly and a feasible multiplier
     if infeasible and (best is None or best.cost < budget_cost - opts.bisect_cost_tol):
-        lo = max(p.multiplier for p in infeasible if math.isfinite(p.multiplier))
-        hi_candidates = [p.multiplier for p in feasible
-                         if math.isfinite(p.multiplier) and p.multiplier > lo]
-        hi = min(hi_candidates) if hi_candidates else max(lo * 4.0, 1.0)
+        lo_point = max((p for p in infeasible if math.isfinite(p.multiplier)),
+                       key=lambda p: p.multiplier)
+        hi_point = min((p for p in feasible if math.isfinite(p.multiplier)
+                        and p.multiplier > lo_point.multiplier),
+                       key=lambda p: p.multiplier, default=None)
+        lo = lo_point.multiplier
+        hi = hi_point.multiplier if hi_point else max(lo * 4.0, 1.0)
         for _ in range(opts.max_bisect):
             if best is not None and budget_cost - best.cost <= opts.bisect_cost_tol:
                 break
             mid = 0.5 * (lo + hi)
-            p = solve_lagrangian(spec, mid, opts)
+            p = solve_lagrangian(spec, mid, opts, warm=hi_point or lo_point)
             if p.cost <= budget_cost:
-                hi = mid
+                hi, hi_point = mid, p
                 if best is None or p.rate < best.rate - 1e-15 or (
                         abs(p.rate - best.rate) <= 1e-15 and p.cost < best.cost):
                     best = p
             else:
-                lo = mid
+                lo, lo_point = mid, p
             if hi - lo <= 1e-12 * max(1.0, hi):
                 break
     if best is None:
         # budget sits between dmin and the costliest sweep point: push mu up
         mu = max(opts.mu_grid) if opts.mu_grid else 1.0
+        p = None
         for _ in range(opts.max_bisect):
             mu *= 4.0
-            p = solve_lagrangian(spec, mu, opts)
+            p = solve_lagrangian(spec, mu, opts, warm=p)
             if p.cost <= budget_cost:
                 best = p
                 break
         if best is None:
             raise InfeasibleCostError(budget_cost, dmin)
     return best
+
+
+class _Enumeration:
+    """Per-trajectory kernel products, total costs and action keys: the
+    brute-force oracle's batched evaluator."""
+
+    def __init__(self, spec: SystemSpec):
+        n, X, U = spec.horizon, spec.num_states, spec.num_actions
+        self.n = n
+        self.T = (X * U) ** n
+        # kernel-only product over trajectories
+        k = np.ones(1)
+        for t in range(1, n + 1):
+            k = (k[:, None, None] * spec.stage_kernel(t)[:, :, None]
+                 * np.ones((1, 1, U))).reshape(-1)
+        self.kernel_prod = k
+        # per-trajectory total cost and action-sequence key
+        xs, us = history_digits(np.arange(self.T), X, U, n)
+        self.cost_total = sum(spec.cost[xs[:, t], us[:, t]] for t in range(n))
+        self.action_key = np.ravel_multi_index(tuple(us.T), (U,) * n)
+        self.num_action_seqs = U ** n
+        # flat (history, x, u) prefix per stage: contiguous blocks
+        digits = tuple(np.stack((xs, us), axis=-1).reshape(self.T, 2 * n).T)
+        self.prefix = [np.ravel_multi_index(digits[:2 * t], (X, U) * t)
+                       for t in range(1, n + 1)]
+
+    def evaluate(self, tables):
+        """Total information bits and total cost for a batch of policies,
+        each of shape (B,)."""
+        B = tables[0].shape[0]
+        P = np.broadcast_to(self.kernel_prod, (B, self.T)).copy()
+        logpol = np.zeros((B, self.T))
+        for t in range(self.n):
+            f = tables[t].reshape(B, -1)[:, self.prefix[t]]
+            P *= f
+            logpol += np.log2(np.maximum(f, _POLICY_FLOOR))
+        offsets = (np.arange(B) * self.num_action_seqs)[:, None]
+        amarg = np.bincount(
+            (self.action_key[None, :] + offsets).ravel(),
+            weights=P.ravel(),
+            minlength=B * self.num_action_seqs,
+        ).reshape(B, self.num_action_seqs)
+        loga = np.take_along_axis(
+            np.log2(np.maximum(amarg, _POLICY_FLOOR)),
+            np.broadcast_to(self.action_key, (B, self.T)),
+            axis=1,
+        )
+        info = np.where(P > 0.0, P * (logpol - loga), 0.0).sum(axis=1)
+        cost = (P * self.cost_total).sum(axis=1)
+        return info, cost
 
 
 def brute_force_rate_cost(spec: SystemSpec, budget_cost: float,
@@ -483,7 +572,7 @@ def brute_force_rate_cost(spec: SystemSpec, budget_cost: float,
     def flush(chunk, best, min_cost_seen):
         batched = [np.stack(stage) for stage in
                    zip(*(assemble(combo) for combo in chunk))]
-        _, info, cost, _, _, _ = enum.evaluate(batched, 0.0)
+        info, cost = enum.evaluate(batched)
         for b, combo in enumerate(chunk):
             c = float(cost[b]) / n
             rate = max(float(info[b]) / n, 0.0)

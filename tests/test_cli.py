@@ -1,5 +1,6 @@
 """CLI: spec files, exit codes, output formats, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,8 +9,10 @@ import os
 import numpy as np
 import pytest
 
-from ratecost.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_SPEC, main
+import ratecost.cli
+from ratecost.cli import EXIT_INFEASIBLE, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SPEC, main
 from ratecost.instances import drive_to_zero, sticky_tracking
+from ratecost.solver import RateCostCurve
 from ratecost.specio import SpecFileError, load_spec, parse_spec, spec_document
 
 from oracles import binary_entropy
@@ -154,6 +157,41 @@ class TestSolveCommand:
                      "--D", "0.01", "--restarts", "2"])
         assert code == EXIT_INFEASIBLE
 
+    def test_unrequested_unconverged_point_keeps_exit_zero(self, tmp_path,
+                                                            monkeypatch):
+        # mark the zero-rate sweep point (mu = 0, never the answer to a budget
+        # below its cost) unconverged: only an unconverged answer exits 4
+        sweep_curve = ratecost.cli.sweep_curve
+
+        def flagged_sweep(spec, opts):
+            _, raw = sweep_curve(spec, opts)
+            raw = [dataclasses.replace(p, converged=False) if p.multiplier == 0.0
+                   else p for p in raw]
+            return RateCostCurve.from_points(raw), raw
+
+        monkeypatch.setattr(ratecost.cli, "sweep_curve", flagged_sweep)
+        spec_path = write_spec(tmp_path, controlled_doc())
+        code = main(["solve", "--spec", spec_path, "--out", str(tmp_path / "a"),
+                     "--D", "0.4", "--restarts", "1"])
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "a" / "solve.json").read_text())
+        assert doc["requested"][0]["converged"] is True
+        assert not all(p["converged"] for p in doc["curve"])
+        # without a requested budget the curve is the answer
+        code = main(["solve", "--spec", spec_path, "--out", str(tmp_path / "b"),
+                     "--restarts", "1"])
+        assert code == EXIT_NO_CONVERGENCE
+
+    def test_points_report_iterations_and_gap(self, tmp_path):
+        spec_path = write_spec(tmp_path, controlled_doc())
+        code = main(["solve", "--spec", spec_path, "--out", str(tmp_path),
+                     "--D", "0.4", "--restarts", "1"])
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "solve.json").read_text())
+        for entry in doc["curve"] + doc["requested"]:
+            assert entry["iterations"] >= 1
+            assert -1e-12 <= entry["gap"] <= 1e-9
+
     def test_cost_floor_anchor_is_strict_json(self, tmp_path):
         # at the floor the query resolves to the greedy anchor, whose
         # multiplier is infinite; JSON has no literal for it
@@ -167,6 +205,7 @@ class TestSolveCommand:
 
         doc = json.loads((tmp_path / "solve.json").read_text(), parse_constant=reject)
         assert doc["requested"][0]["mu"] is None
+        assert doc["requested"][0]["gap"] is None
 
 
 class TestSynthCommand:
@@ -213,7 +252,7 @@ class TestSynthCommand:
                      "--out", str(tmp_path), "--restarts", "2"])
         assert code == EXIT_INFEASIBLE
 
-    @pytest.mark.parametrize("flag", ["--trials", "--cloud-size"])
+    @pytest.mark.parametrize("flag", ["--trials", "--cloud-size", "--restarts"])
     def test_zero_count_option_rejected(self, tmp_path, capsys, flag):
         spec_path = write_spec(tmp_path, controlled_doc())
         out = tmp_path / "o"
@@ -222,6 +261,7 @@ class TestSynthCommand:
         assert code == EXIT_SPEC
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "at least 1" in err[0]
+        assert err[0].startswith("invalid option: ")
         assert not (out / "result_bundle.json").exists()
 
     def test_bundle_digest_pinned(self, tmp_path):
@@ -238,7 +278,7 @@ class TestSynthCommand:
         assert doc["seeds"]["attempts"] == 2
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "2d8c4e435b6ad11cf309bb67f40870dd773f647fd3dd00c034030ac005d3841d"
+            "31e97f444671d1ad47914f5ea02b2bf5125f8eeb1aedddf949c292bc668a6798"
 
 
 class TestLqgCommand:

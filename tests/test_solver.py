@@ -1,12 +1,18 @@
 """Rate-cost solver: Lagrangian optimizer, budget queries, brute-force oracle."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
 from ratecost import CausalPolicy, SystemSpec
-from ratecost.instances import bernoulli_source, drive_to_zero, noisy_actuator
+from ratecost.instances import (
+    bernoulli_source,
+    drive_to_zero,
+    noisy_actuator,
+    sticky_tracking,
+)
 from ratecost.solver import (
     InfeasibleCostError,
     InstanceTooLargeError,
@@ -15,17 +21,19 @@ from ratecost.solver import (
     SolverOptions,
     brute_force_rate_cost,
     grid_slack,
-    gradient_check,
     min_expected_cost,
     solve_lagrangian,
     solve_rate_cost,
     sweep_curve,
 )
+from ratecost.system import average_cost, directed_information, evaluate_joint
 
 from oracles import (
     binary_entropy,
     blahut_arimoto_rate,
+    enumerate_joint,
     grid_marginal_search,
+    lagrangian_value_given_marginals,
 )
 
 FAST = SolverOptions(restarts=4, max_iters=1500)
@@ -41,15 +49,88 @@ def asymmetric_one_shot(p1=0.35):
     )
 
 
-class TestGradients:
-    def test_finite_difference_agreement(self, rng):
-        spec = drive_to_zero(2)
-        for _ in range(3):
-            tabs = tuple(
-                rng.dirichlet(np.ones(2), size=(4 ** (t - 1), 2)) for t in (1, 2)
-            )
-            worst = gradient_check(spec, CausalPolicy(tabs), mu=rng.uniform(0, 2))
-            assert worst < 1e-4
+def induced_marginals(spec, policy):
+    """Action-context marginals q_t(u | u^{t-1}) of the policy's law, from
+    the dict enumeration; contexts it never reaches get the uniform pmf."""
+    law = enumerate_joint(spec, policy)
+    U = spec.num_actions
+    stages = []
+    for t in range(1, spec.horizon + 1):
+        a1, a0 = {}, {}
+        for (_, us), p in law.items():
+            a1[us[:t]] = a1.get(us[:t], 0.0) + p
+            a0[us[:t - 1]] = a0.get(us[:t - 1], 0.0) + p
+        stage = {}
+        for ctx in itertools.product(range(U), repeat=t - 1):
+            if a0.get(ctx, 0.0) > 0.0:
+                stage[ctx] = tuple(a1.get(ctx + (u,), 0.0) / a0[ctx] for u in range(U))
+            else:
+                stage[ctx] = (1.0 / U,) * U
+        stages.append(stage)
+    return stages
+
+
+def exact_objective(spec, policy, mu):
+    law = evaluate_joint(spec, policy)
+    return directed_information(law) / spec.horizon + mu * average_cost(law, spec)
+
+
+class TestBlahutArimoto:
+    @pytest.mark.parametrize("spec", [drive_to_zero(2), noisy_actuator(3)],
+                             ids=["drive2", "noisy3"])
+    @pytest.mark.parametrize("mu", [0.25, 1.0, 4.0, 16.0])
+    def test_objective_matches_marginal_oracle(self, spec, mu):
+        point = solve_lagrangian(spec, mu, SolverOptions(restarts=1))
+        oracle = lagrangian_value_given_marginals(
+            spec, induced_marginals(spec, point.policy), mu)
+        assert point.converged and point.gap <= 1e-9
+        assert abs(point.objective - oracle) <= 1e-9
+
+    @pytest.mark.parametrize("spec", [noisy_actuator(2), sticky_tracking(2)],
+                             ids=["noisy2", "sticky2"])
+    def test_gap_certifies_a_lower_bound(self, spec, rng):
+        # one map from the uniform start is far from optimal; its lower bound
+        # must still sit below every policy's objective and the grid oracle
+        mu = 1.0
+        early = solve_lagrangian(spec, mu, SolverOptions(restarts=1, max_iters=1))
+        lower = early.objective - early.gap
+        assert not early.converged and early.gap > 1e-3
+        assert early.objective == pytest.approx(
+            exact_objective(spec, early.policy, mu), abs=1e-12)
+        grid = grid_marginal_search(spec, mu, resolution=0.05, refine=0.005)
+        assert lower <= grid
+        X, U = spec.num_states, spec.num_actions
+        for _ in range(200):
+            tabs = tuple(rng.dirichlet(np.full(U, 0.3), size=((X * U) ** (t - 1), X))
+                         for t in range(1, spec.horizon + 1))
+            assert exact_objective(spec, CausalPolicy(tabs), mu) >= lower
+        final = solve_lagrangian(spec, mu, SolverOptions(restarts=1))
+        assert lower <= final.objective <= grid + final.gap
+
+    def test_huge_multiplier_is_warning_free(self):
+        # the push-mu-up loop of solve_rate_cost reaches about 1e39
+        for spec in (drive_to_zero(2), noisy_actuator(3)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                point = solve_lagrangian(spec, 1e30, SolverOptions(restarts=2))
+            assert np.isfinite(point.rate) and point.rate >= 0.0
+            assert point.cost == pytest.approx(min_expected_cost(spec), abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [noisy_actuator(3), sticky_tracking(3)],
+                             ids=["noisy3", "sticky3"])
+    def test_warm_sweep_matches_cold_solves(self, spec):
+        opts = SolverOptions(restarts=1)
+        _, raw = sweep_curve(spec, opts)
+        assert [p.multiplier for p in raw] == list(opts.mu_grid)
+        for p in raw:
+            cold = solve_lagrangian(spec, p.multiplier, opts)
+            assert p.converged and cold.converged
+            assert abs(p.objective - cold.objective) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["restarts", "max_iters"])
+    def test_zero_counts_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            SolverOptions(**{name: 0})
 
 
 class TestSolveLagrangian:
