@@ -1,9 +1,10 @@
 """Command-line surface: solve, synth, lqg, and rd pipelines.
 
-Every flag has an environment-variable mirror prefixed RATECOST_ (flags
-win).  Outputs are written atomically (temp file then rename).  Exit
-codes: 0 success, 2 spec error or invalid option, 3 infeasible budget,
-4 solver non-convergence, 5 verification failure.
+Every flag except the ``--trials-csv`` switch has an environment-variable
+mirror: RATECOST_ plus the flag name, upper-cased with dashes as
+underscores (flags win).  Outputs are written atomically (temp file then
+rename).  Exit codes: 0 success, 2 spec error or invalid option,
+3 infeasible budget, 4 solver non-convergence, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -36,8 +37,15 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_VERIFY = 5
 
 
-def _env(name: str, default=None):
-    return os.environ.get("RATECOST_" + name, default)
+def _add_option(parser, flag: str, **kwargs) -> None:
+    """Add ``flag`` with its environment mirror RATECOST_<FLAG> (``--d-grid``
+    reads RATECOST_D_GRID).  A set, non-empty mirror becomes the option's
+    default and makes it optional; argparse converts it with ``type`` like a
+    command-line value, so a malformed one is a usage error (exit 2)."""
+    value = os.environ.get("RATECOST_" + flag.lstrip("-").replace("-", "_").upper())
+    if value:
+        kwargs.update(default=value, required=False)
+    parser.add_argument(flag, **kwargs)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -222,49 +230,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_spec=True):
-        if need_spec:
-            p.add_argument("--spec", default=_env("SPEC"), required=_env("SPEC") is None,
-                           help="path to a JSON system spec")
-        p.add_argument("--D", dest="budget", type=float,
-                       default=(float(_env("D")) if _env("D") else None),
-                       help="average cost budget")
-        p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
-        p.add_argument("--out", default=_env("OUT", "."),
-                       help="output directory")
-        p.add_argument("--restarts", type=int,
-                       default=int(_env("RESTARTS", "8")))
+    def common(p):
+        _add_option(p, "--spec", required=True, help="path to a JSON system spec")
+        _add_option(p, "--D", dest="budget", type=float, help="average cost budget")
+        _add_option(p, "--seed", type=int, default=0)
+        _add_option(p, "--out", default=".", help="output directory")
+        _add_option(p, "--restarts", type=int, default=8)
 
     for name, help_text in (("solve", "trace the rate-cost curve"),
                             ("rd", "sequential source-coding mode")):
         p = sub.add_parser(name, help=help_text)
         common(p)
-        p.add_argument("--d-grid", default=_env("D_GRID"),
-                       help="comma-separated cost budgets")
+        _add_option(p, "--d-grid", help="comma-separated cost budgets")
 
     p = sub.add_parser("synth", help="synthesize and simulate a full scheme")
     common(p)
-    p.add_argument("--eps", type=float, default=float(_env("EPS", "0.1")))
-    p.add_argument("--gamma", type=float, default=float(_env("GAMMA", "0.25")))
-    p.add_argument("--trials", type=int, default=int(_env("TRIALS", "10000")))
-    p.add_argument("--cloud-size", type=int,
-                   default=int(_env("CLOUD_SIZE", "200")))
-    p.add_argument("--proposals", type=int,
-                   default=int(_env("PROPOSALS", "1024")))
+    _add_option(p, "--eps", type=float, default=0.1)
+    _add_option(p, "--gamma", type=float, default=0.25)
+    _add_option(p, "--trials", type=int, default=10000)
+    _add_option(p, "--cloud-size", type=int, default=200)
+    _add_option(p, "--proposals", type=int, default=1024)
     p.add_argument("--trials-csv", action="store_true",
-                   help="also write per-trial bits and costs")
+                   help="also write per-trial bits and costs (a switch; "
+                        "it has no environment mirror)")
 
     p = sub.add_parser("lqg", help="scalar LQG closed-form curve")
-    p.add_argument("--a", type=float, default=(float(_env("A")) if _env("A") else None),
-                   required=_env("A") is None)
-    p.add_argument("--b", type=float, default=(float(_env("B")) if _env("B") else None),
-                   required=_env("B") is None)
-    p.add_argument("--q", type=float, default=float(_env("Q", "1.0")))
-    p.add_argument("--r", type=float, default=float(_env("R", "0.0")))
-    p.add_argument("--sigma2", type=float, default=float(_env("SIGMA2", "1.0")))
-    p.add_argument("--d-grid", default=_env("D_GRID"), required=_env("D_GRID") is None,
-                   help="comma-separated cost levels, all above D_min")
-    p.add_argument("--out", default=_env("OUT", "."))
+    _add_option(p, "--a", type=float, required=True)
+    _add_option(p, "--b", type=float, required=True)
+    _add_option(p, "--q", type=float, default=1.0)
+    _add_option(p, "--r", type=float, default=0.0)
+    _add_option(p, "--sigma2", type=float, default=1.0)
+    _add_option(p, "--d-grid", required=True,
+                help="comma-separated cost levels, all above D_min")
+    _add_option(p, "--out", default=".")
     return parser
 
 

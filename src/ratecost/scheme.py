@@ -32,14 +32,19 @@ from .sfrl import (
     build_stage,
     stage_maps,
 )
-from .solver import RateCostPoint, SolverOptions, min_expected_cost, solve_rate_cost
+from .solver import (
+    RateCostPoint,
+    SolverOptions,
+    min_expected_cost,
+    solve_rate_cost,
+    sweep_curve,
+)
 from .system import (
     CausalPolicy,
     SystemSpec,
     average_cost,
     entropy_bits,
     evaluate_joint,
-    history_rows,
 )
 from .timeshare import (
     InfeasibleBarycenterError,
@@ -95,7 +100,7 @@ class Realization:
 
     realization_id: int
     stages: tuple[SfrlStage, ...]
-    maps: tuple[dict[int, np.ndarray], ...]
+    maps: tuple[np.ndarray, ...]     # stage maps, (H, X) each
     policy: CausalPolicy
     action_law: np.ndarray
     point: RealizationPoint
@@ -128,16 +133,9 @@ class SchemeBundle:
 def _onehot_policy(spec: SystemSpec, maps) -> CausalPolicy:
     """Deterministic policy defined by realized stage maps; contexts the
     realization can never reach keep uniform placeholder rows (mass zero)."""
-    X, U = spec.num_states, spec.num_actions
-    tabs = []
-    for t in range(1, spec.horizon + 1):
-        H = (X * U) ** (t - 1)
-        tab = np.full((H, X, U), 1.0 / U)
-        for ctx, selected in maps[t - 1].items():
-            h, x = history_rows(np.arange(X ** t), ctx, X, U, t)
-            tab[h, x] = np.eye(U)[selected]
-        tabs.append(tab)
-    return CausalPolicy(tuple(tabs))
+    U = spec.num_actions
+    return CausalPolicy(tuple(np.where(m[..., None] >= 0, np.eye(U)[m], 1.0 / U)
+                              for m in maps))
 
 
 def realize(spec: SystemSpec, policy: CausalPolicy, law,
@@ -176,8 +174,9 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     attempt = 0
     solution = None
     realizations: list[Realization] = []
+    sweep = sweep_curve(spec, opt.solver)[1]
     while True:
-        solution = solve_rate_cost(spec, target, opt.solver)
+        solution = solve_rate_cost(spec, target, opt.solver, sweep=sweep)
         law = evaluate_joint(spec, solution.policy)
         base = attempt * opt.cloud_size
         realizations = [
@@ -278,8 +277,6 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
             np.random.SeedSequence((seed, STREAM_DYNAMICS, trial)))
         re = bundle.realization0 if rng_q.random() < lam else bundle.realization1
         hidx = 0
-        xkey = 0
-        uctx = 0
         u_hist: tuple[int, ...] = ()
         b_total = 0
         c_total = 0.0
@@ -287,8 +284,7 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
             row = cum_kernels[t - 1][hidx]
             x = int(np.searchsorted(row, rng_dyn.random() * row[-1], side="right"))
             x = min(x, X - 1)
-            xkey = xkey * X + x
-            u = int(re.maps[t - 1][uctx][xkey])
+            u = int(re.maps[t - 1][hidx, x])
             word = bundle.codebooks.encode(t, u_hist, u)
             decoded, consumed = bundle.codebooks.decode(t, u_hist, word)
             if decoded != u or consumed != len(word):
@@ -298,7 +294,6 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
             b_total += len(word)
             c_total += float(spec.cost[x, u])
             u_hist += (u,)
-            uctx = uctx * U + u
             hidx = (hidx * X + x) * U + u
         bits[trial] = b_total / n
         costs[trial] = c_total / n

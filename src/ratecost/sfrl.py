@@ -33,10 +33,6 @@ class TruncationFailureError(RuntimeError):
     """Every truncated proposal has an infinite weight for this history."""
 
 
-class ContextUnavailableError(KeyError):
-    """The requested action history has zero mass and no proposal table."""
-
-
 @dataclass(frozen=True, eq=False)
 class ProposalTable:
     """Proposals for one context: i.i.d. symbols from the context marginal
@@ -118,50 +114,6 @@ def build_stage(t: int, law: JointLaw, policy: CausalPolicy,
                      num_actions=U, num_proposals=num_proposals, seed=seed)
 
 
-def _history_row(stage: SfrlStage, x_hist, u_hist) -> np.ndarray:
-    X, U = stage.num_states, stage.num_actions
-    if len(x_hist) != stage.t or len(u_hist) != stage.t - 1:
-        raise ValueError("history lengths must be (t, t-1)")
-    h = 0
-    for x, u in zip(x_hist[:-1], u_hist):
-        h = (h * X + int(x)) * U + int(u)
-    return stage.conditional[h, int(x_hist[-1])]
-
-
-def _context_index(stage: SfrlStage, u_hist) -> int:
-    idx = 0
-    for u in u_hist:
-        idx = idx * stage.num_actions + int(u)
-    return idx
-
-
-def select_detailed(stage: SfrlStage, x_hist, u_hist):
-    """(symbol, proposal index, certified) for one history."""
-    ctx = _context_index(stage, u_hist)
-    if ctx not in stage.tables:
-        raise ContextUnavailableError(ctx)
-    table = stage.tables[ctx]
-    cond = _history_row(stage, x_hist, u_hist)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(cond > 0.0, table.marginal / cond, np.inf)
-    weights = table.times * ratio[table.symbols]
-    k = int(np.argmin(weights))
-    if not np.isfinite(weights[k]):
-        raise TruncationFailureError(
-            f"stage {stage.t} context {ctx}: conditional support is disjoint "
-            f"from all {stage.num_proposals} proposals"
-        )
-    support = table.marginal > 0.0
-    rmin = float(np.min(ratio[support])) if np.any(support) else np.inf
-    certified = bool(weights[k] <= table.times[-1] * rmin)
-    return int(table.symbols[k]), k, certified
-
-
-def select(stage: SfrlStage, x_hist, u_hist) -> int:
-    """The stage map applied to one history: the winning proposal's symbol."""
-    return select_detailed(stage, x_hist, u_hist)[0]
-
-
 def _select_batch(tables_syms, tables_times, rows, marginal):
     """Vectorized selection: symbols (nT, Xt) and certificates (nT, Xt)."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -188,15 +140,17 @@ def _select_batch(tables_syms, tables_times, rows, marginal):
     return selected, certified
 
 
-def stage_maps(stage: SfrlStage) -> dict[int, np.ndarray]:
-    """The stage map as arrays: context -> selected symbol per state history."""
+def stage_maps(stage: SfrlStage) -> np.ndarray:
+    """The stage map in the policy-table layout: the selected action per flat
+    (history, state) row, shape (H, X); -1 on rows of contexts without a
+    table."""
     X, U, t = stage.num_states, stage.num_actions, stage.t
-    out = {}
+    out = np.full(stage.conditional.shape[:2], -1, dtype=np.int64)
     for ctx, table in stage.tables.items():
-        rows = stage.conditional[history_rows(np.arange(X ** t), ctx, X, U, t)]
+        h, x = history_rows(np.arange(X ** t), ctx, X, U, t)
         selected, _ = _select_batch(table.symbols[None], table.times[None],
-                                    rows, table.marginal)
-        out[ctx] = selected[0]
+                                    stage.conditional[h, x], table.marginal)
+        out[h, x] = selected[0]
     return out
 
 
@@ -223,13 +177,13 @@ def stage_entropy_given_tables(stage: SfrlStage, law: JointLaw) -> float:
     maps = stage_maps(stage)
     prefix = _state_prefix(law, t)
     total = 0.0
-    for ctx, selected in maps.items():
+    for ctx in stage.tables:
         mass = float(stage.context_mass[ctx])
         if mass <= 0.0:
             continue
         h, x = history_rows(np.arange(X ** t), ctx, X, U, t)
         w = _state_history_weights(prefix, h, x)
-        pushed = np.bincount(selected, weights=w, minlength=U)
+        pushed = np.bincount(maps[h, x], weights=w, minlength=U)
         total += mass * entropy_bits(pushed)
     return total
 

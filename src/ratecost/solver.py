@@ -57,10 +57,8 @@ from .system import (
     average_cost,
     directed_information,
     evaluate_joint,
-    history_digits,
 )
 
-_POLICY_FLOOR = 1e-30
 _LOG_FLOOR = -1000.0
 
 
@@ -124,6 +122,15 @@ class RateCostPoint:
             raise ValueError("rate and cost must be nonnegative")
 
 
+def _concave_turn(a: RateCostPoint, b: RateCostPoint, c: RateCostPoint,
+                  tol: float) -> bool:
+    """Whether the slope from b to c falls below the slope from a to b by
+    more than ``tol`` (cross-product test on points sorted by cost)."""
+    lhs = (b.rate - a.rate) * (c.cost - b.cost)
+    rhs = (c.rate - b.rate) * (b.cost - a.cost)
+    return lhs - rhs > tol * max(1.0, abs(c.cost - a.cost))
+
+
 @dataclass
 class RateCostCurve:
     """Operating points sorted by increasing cost along the lower envelope."""
@@ -142,14 +149,8 @@ class RateCostCurve:
         # lower convex envelope: slopes must be nondecreasing within tol
         hull: list[RateCostPoint] = []
         for p in pareto:
-            while len(hull) >= 2:
-                a, b = hull[-2], hull[-1]
-                lhs = (b.rate - a.rate) * (p.cost - b.cost)
-                rhs = (p.rate - b.rate) * (b.cost - a.cost)
-                if lhs - rhs > tol * max(1.0, abs(p.cost - a.cost)):
-                    hull.pop()
-                else:
-                    break
+            while len(hull) >= 2 and _concave_turn(hull[-2], hull[-1], p, tol):
+                hull.pop()
             hull.append(p)
         return cls(tuple(hull))
 
@@ -158,9 +159,7 @@ class RateCostCurve:
             if b.rate > a.rate + tol:
                 raise AssertionError("curve rate must be nonincreasing in cost")
         for a, b, c in zip(self.points, self.points[1:], self.points[2:]):
-            lhs = (b.rate - a.rate) * (c.cost - b.cost)
-            rhs = (c.rate - b.rate) * (b.cost - a.cost)
-            if lhs - rhs > tol * max(1.0, abs(c.cost - a.cost)):
+            if _concave_turn(a, b, c, tol):
                 raise AssertionError("curve must be convex within tolerance")
 
 
@@ -342,13 +341,19 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
             keep = accept[:, None, None]
             cur = chains.step([np.where(keep, a, b) for a, b in zip(trial, one.image)])
             maps += 1
-    policy = CausalPolicy(tuple(pi[best] for pi in cur.pis))
+    return _exact_point(spec, CausalPolicy(tuple(pi[best] for pi in cur.pis)), mu,
+                        converged=gap <= opts.tol,
+                        objective=float(cur.objective[best]),
+                        iterations=maps, gap=gap)
+
+
+def _exact_point(spec: SystemSpec, policy: CausalPolicy, multiplier: float,
+                 **record) -> RateCostPoint:
+    """The policy's operating point, rate and cost evaluated exactly."""
     law = evaluate_joint(spec, policy)
     return RateCostPoint(rate=directed_information(law) / spec.horizon,
-                         cost=average_cost(law, spec), multiplier=mu,
-                         policy=policy, converged=gap <= opts.tol,
-                         objective=float(cur.objective[best]),
-                         iterations=maps, gap=gap)
+                         cost=average_cost(law, spec), multiplier=multiplier,
+                         policy=policy, **record)
 
 
 def _cost_dp(spec: SystemSpec):
@@ -375,24 +380,6 @@ def _cost_dp(spec: SystemSpec):
 def min_expected_cost(spec: SystemSpec) -> float:
     """Exact minimum average cost over all causal policies."""
     return _cost_dp(spec)[0]
-
-
-def greedy_cost_policy(spec: SystemSpec) -> RateCostPoint:
-    """The deterministic cost-minimizing policy with its exact coordinates.
-
-    Feasibility anchor: interior-point iterates approach the minimum cost
-    only from above, so budget queries at the cost floor resolve to this
-    point.
-    """
-    _, tabs = _cost_dp(spec)
-    policy = CausalPolicy(tuple(tabs))
-    law = evaluate_joint(spec, policy)
-    return RateCostPoint(
-        rate=directed_information(law) / spec.horizon,
-        cost=average_cost(law, spec),
-        multiplier=math.inf,
-        policy=policy,
-    )
 
 
 def sweep_curve(spec: SystemSpec, opts: SolverOptions | None = None
@@ -426,13 +413,14 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
     any attainment claim.
     """
     opts = opts or SolverOptions()
-    if budget_cost < 0:
-        raise InfeasibleCostError(budget_cost, min_expected_cost(spec))
-    dmin = min_expected_cost(spec)
-    if budget_cost < dmin - 1e-9:
+    dmin, greedy = _cost_dp(spec)
+    if budget_cost < 0 or budget_cost < dmin - 1e-9:
         raise InfeasibleCostError(budget_cost, dmin)
     pts = list(sweep) if sweep is not None else sweep_curve(spec, opts)[1]
-    anchor = greedy_cost_policy(spec)
+    # feasibility anchor: solver iterates approach the minimum cost only
+    # from above, so budget queries at the cost floor resolve to the
+    # deterministic cost-minimizing policy
+    anchor = _exact_point(spec, CausalPolicy(tuple(greedy)), math.inf)
     if anchor.cost <= budget_cost:
         pts.append(anchor)
     feasible = [p for p in pts if p.cost <= budget_cost]
@@ -479,64 +467,16 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
     return best
 
 
-class _Enumeration:
-    """Per-trajectory kernel products, total costs and action keys: the
-    brute-force oracle's batched evaluator."""
-
-    def __init__(self, spec: SystemSpec):
-        n, X, U = spec.horizon, spec.num_states, spec.num_actions
-        self.n = n
-        self.T = (X * U) ** n
-        # kernel-only product over trajectories
-        k = np.ones(1)
-        for t in range(1, n + 1):
-            k = (k[:, None, None] * spec.stage_kernel(t)[:, :, None]
-                 * np.ones((1, 1, U))).reshape(-1)
-        self.kernel_prod = k
-        # per-trajectory total cost and action-sequence key
-        xs, us = history_digits(np.arange(self.T), X, U, n)
-        self.cost_total = sum(spec.cost[xs[:, t], us[:, t]] for t in range(n))
-        self.action_key = np.ravel_multi_index(tuple(us.T), (U,) * n)
-        self.num_action_seqs = U ** n
-        # flat (history, x, u) prefix per stage: contiguous blocks
-        digits = tuple(np.stack((xs, us), axis=-1).reshape(self.T, 2 * n).T)
-        self.prefix = [np.ravel_multi_index(digits[:2 * t], (X, U) * t)
-                       for t in range(1, n + 1)]
-
-    def evaluate(self, tables):
-        """Total information bits and total cost for a batch of policies,
-        each of shape (B,)."""
-        B = tables[0].shape[0]
-        P = np.broadcast_to(self.kernel_prod, (B, self.T)).copy()
-        logpol = np.zeros((B, self.T))
-        for t in range(self.n):
-            f = tables[t].reshape(B, -1)[:, self.prefix[t]]
-            P *= f
-            logpol += np.log2(np.maximum(f, _POLICY_FLOOR))
-        offsets = (np.arange(B) * self.num_action_seqs)[:, None]
-        amarg = np.bincount(
-            (self.action_key[None, :] + offsets).ravel(),
-            weights=P.ravel(),
-            minlength=B * self.num_action_seqs,
-        ).reshape(B, self.num_action_seqs)
-        loga = np.take_along_axis(
-            np.log2(np.maximum(amarg, _POLICY_FLOOR)),
-            np.broadcast_to(self.action_key, (B, self.T)),
-            axis=1,
-        )
-        info = np.where(P > 0.0, P * (logpol - loga), 0.0).sum(axis=1)
-        cost = (P * self.cost_total).sum(axis=1)
-        return info, cost
-
-
 def brute_force_rate_cost(spec: SystemSpec, budget_cost: float,
                           resolution: float = 0.01,
                           max_combos: int = 5_000_000) -> RateCostPoint:
     """Certification oracle: exhaustive grid over every policy-row simplex.
 
     Enforced to instances whose total policy parameter count (probability
-    entries across all rows) is at most 12.  Returns the best grid point
-    with cost <= budget; ties broken toward lower cost.
+    entries across all rows) is at most 12.  Each grid policy goes through
+    ``evaluate_joint``; the information term is computed only for policies
+    within the budget.  Returns the best grid point with cost <= budget;
+    ties broken toward lower cost.
     """
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
     rows = [((X * U) ** (t - 1)) * X for t in range(1, n + 1)]
@@ -555,41 +495,21 @@ def brute_force_rate_cost(spec: SystemSpec, budget_cost: float,
         raise InstanceTooLargeError(
             f"{n_combos} grid combinations exceed the cap of {max_combos}"
         )
-    enum = _Enumeration(spec)
     best = None
     min_cost_seen = math.inf
-    chunk: list[tuple] = []
-
-    def assemble(combo):
-        tabs, ofs = [], 0
-        for t in range(1, n + 1):
-            H = (X * U) ** (t - 1)
-            tab = np.array([combo[ofs + row] for row in range(H * X)])
-            tabs.append(tab.reshape(H, X, U))
-            ofs += H * X
-        return tabs
-
-    def flush(chunk, best, min_cost_seen):
-        batched = [np.stack(stage) for stage in
-                   zip(*(assemble(combo) for combo in chunk))]
-        info, cost = enum.evaluate(batched)
-        for b, combo in enumerate(chunk):
-            c = float(cost[b]) / n
-            rate = max(float(info[b]) / n, 0.0)
-            min_cost_seen = min(min_cost_seen, c)
-            if c <= budget_cost + 1e-12:
-                if best is None or (rate, c) < (best.rate, best.cost):
-                    best = RateCostPoint(rate=rate, cost=c, multiplier=math.nan,
-                                         policy=CausalPolicy(tuple(assemble(combo))))
-        return best, min_cost_seen
-
+    bounds = np.cumsum([0] + rows)
     for combo in itertools.product(simplex, repeat=total_rows):
-        chunk.append(combo)
-        if len(chunk) >= 512:
-            best, min_cost_seen = flush(chunk, best, min_cost_seen)
-            chunk = []
-    if chunk:
-        best, min_cost_seen = flush(chunk, best, min_cost_seen)
+        policy = CausalPolicy(tuple(np.reshape(combo[a:b], (-1, X, U))
+                                    for a, b in zip(bounds, bounds[1:])))
+        law = evaluate_joint(spec, policy)
+        cost = average_cost(law, spec)
+        min_cost_seen = min(min_cost_seen, cost)
+        if cost > budget_cost + 1e-12:
+            continue
+        rate = directed_information(law) / n
+        if best is None or (rate, cost) < (best.rate, best.cost):
+            best = RateCostPoint(rate=rate, cost=cost, multiplier=math.nan,
+                                 policy=policy)
     if best is None:
         raise InfeasibleCostError(budget_cost, min_cost_seen)
     return best

@@ -67,6 +67,32 @@ def conditional_action_entropies_from_dict(law, n):
     return out
 
 
+def argmin_selection(symbols, times, marginal, conditional):
+    """Strong-functional-representation selection for one history, from
+    the definition: the proposal minimizing time * q(sym) / p(sym | history),
+    ties to the smallest index, weight +inf where p(sym | history) = 0.
+
+    Returns (symbol, proposal index, certified), where certified means the
+    winning weight is at most the last arrival time times the smallest
+    finite ratio q(u) / p(u) over the marginal's support, so that no
+    proposal past the truncation could have won.  Raises LookupError when
+    every proposal has an infinite weight.
+    """
+    best_k, best_w = None, math.inf
+    for k, (sym, time) in enumerate(zip(symbols.tolist(), times.tolist())):
+        p = float(conditional[sym])
+        w = time * (float(marginal[sym]) / p) if p > 0.0 else math.inf
+        if w < best_w:
+            best_k, best_w = k, w
+    if best_k is None:
+        raise LookupError("every proposal has an infinite weight")
+    ratios = [float(marginal[u]) / float(conditional[u])
+              for u in range(len(marginal))
+              if marginal[u] > 0.0 and conditional[u] > 0.0]
+    certified = best_w <= times[-1] * min(ratios, default=math.inf)
+    return int(symbols[best_k]), best_k, bool(certified)
+
+
 def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0

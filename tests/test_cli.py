@@ -324,3 +324,19 @@ class TestEnvMirrors:
         assert args.spec == spec_path
         assert args.budget == 0.1
         assert args.restarts == 2
+
+    @pytest.mark.parametrize("name,value,argv", [
+        ("SEED", "abc", ["synth", "--spec", "unused.json"]),
+        ("TRIALS", "1.5", ["synth", "--spec", "unused.json"]),
+        ("D", "low", ["solve", "--spec", "unused.json"]),
+        ("RESTARTS", "two", ["rd", "--spec", "unused.json"]),
+        ("A", "zz", ["lqg", "--b", "1", "--d-grid", "2.0"]),
+        ("SIGMA2", "1,0", ["lqg", "--a", "2", "--b", "1", "--d-grid", "2.0"]),
+    ])
+    def test_malformed_env_value_is_usage_error(self, monkeypatch, capsys,
+                                                name, value, argv):
+        monkeypatch.setenv("RATECOST_" + name, value)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_SPEC
+        assert repr(value) in capsys.readouterr().err

@@ -8,20 +8,20 @@ import pytest
 from ratecost import CausalPolicy, SystemSpec, evaluate_joint
 from ratecost.instances import drive_to_zero, symmetric_pair
 from ratecost.sfrl import (
-    ContextUnavailableError,
     ProposalTable,
     SfrlStage,
     TruncationFailureError,
+    _select_batch,
     build_stage,
     conditional_fidelity,
     estimate_stage_entropy,
-    select,
-    select_detailed,
     stage_entropy_given_tables,
     stage_maps,
 )
 from ratecost.solver import SolverOptions, solve_rate_cost
-from ratecost.system import directed_information, stage_information_terms
+from ratecost.system import directed_information, history_rows, stage_information_terms
+
+from oracles import argmin_selection
 
 
 def crafted_stage(conditional_rows, marginal, times=None, symbols=None):
@@ -38,6 +38,13 @@ def crafted_stage(conditional_rows, marginal, times=None, symbols=None):
                      num_actions=marginal.size, num_proposals=M, seed=0)
 
 
+def oracle_for(stage, x):
+    """Reference selection for state x of a one-shot stage."""
+    table = stage.tables[0]
+    return argmin_selection(table.symbols, table.times, table.marginal,
+                            stage.conditional[0, x])
+
+
 class TestSelect:
     def test_single_action_alphabet_constant_map(self):
         spec = SystemSpec.from_markov(
@@ -47,15 +54,17 @@ class TestSelect:
         law = evaluate_joint(spec, policy)
         stage = build_stage(1, law, policy, num_proposals=4, seed=3)
         assert all(np.all(t.symbols == 0) for t in stage.tables.values())
-        assert select(stage, (0,), ()) == 0 and select(stage, (1,), ()) == 0
+        np.testing.assert_array_equal(stage_maps(stage), [[0, 0]])
+        assert oracle_for(stage, 0)[0] == 0 and oracle_for(stage, 1)[0] == 0
 
     def test_conditional_equal_marginal_selects_first_proposal(self):
         q = np.array([0.3, 0.7])
         stage = crafted_stage([q, q], q)
+        maps = stage_maps(stage)
         for x in (0, 1):
-            sym, k, certified = select_detailed(stage, (x,), ())
+            sym, k, certified = oracle_for(stage, x)
             assert k == 0
-            assert sym == int(stage.tables[0].symbols[0])
+            assert sym == int(stage.tables[0].symbols[0]) == maps[0, x]
             assert certified
 
     def test_point_mass_conditional_returns_atom(self):
@@ -63,8 +72,9 @@ class TestSelect:
         rows = [[0.0, 1.0], [0.0, 1.0]]
         stage = crafted_stage(rows, marginal, symbols=np.array([0, 1, 0, 1]),
                               times=np.array([1.0, 2.0, 3.0, 4.0]))
-        sym, k, _ = select_detailed(stage, (0,), ())
+        sym, k, _ = oracle_for(stage, 0)
         assert sym == 1 and k == 1  # first proposal carrying the atom
+        assert stage_maps(stage)[0, 0] == 1
 
     def test_disjoint_support_raises_truncation_failure(self):
         marginal = np.array([1.0, 0.0])
@@ -72,16 +82,52 @@ class TestSelect:
         stage = crafted_stage(rows, marginal, symbols=np.zeros(4, dtype=int),
                               times=np.array([1.0, 2.0, 3.0, 4.0]))
         with pytest.raises(TruncationFailureError):
-            select(stage, (0,), ())
+            stage_maps(stage)
+        with pytest.raises(LookupError):
+            oracle_for(stage, 0)
 
-    def test_unreachable_context_raises(self):
-        spec, policy = symmetric_pair()
+    def test_unreachable_context_rows_are_minus_one(self):
+        # action 0 at stage 1 always: stage-2 context u_1 = 1 has no table
+        spec = drive_to_zero(2)
+        policy = CausalPolicy.constant_action(spec, 0)
         law = evaluate_joint(spec, policy)
-        stage = build_stage(1, law, policy, num_proposals=16, seed=0)
-        with pytest.raises(ContextUnavailableError):
-            select(stage, (0, 0), (1,))  # wrong stage shape is caught first
-        with pytest.raises(ValueError):
-            select(stage, (0, 0), ())
+        stage = build_stage(2, law, policy, num_proposals=16, seed=0)
+        assert set(stage.tables) == {0}
+        maps = stage_maps(stage)
+        assert maps.shape == (4, 2) and maps.dtype == np.int64
+        h, x = history_rows(np.arange(4), 1, 2, 2, 2)
+        assert np.all(maps[h, x] == -1)
+        h, x = history_rows(np.arange(4), 0, 2, 2, 2)
+        assert np.all(maps[h, x] == 0)
+
+    @pytest.mark.parametrize("num_proposals", [3, 8, 64])
+    def test_maps_and_certificates_match_argmin_oracle(self, num_proposals):
+        # a random stage-2 policy on a three-action plant; short tables make
+        # some certificates fail
+        spec = SystemSpec.from_markov(
+            [0.3, 0.7], np.full((2, 3, 2), 0.5), np.zeros((2, 3)), horizon=2)
+        rng = np.random.default_rng(num_proposals)
+        tabs = [rng.dirichlet(np.ones(3), size=(1, 2)),
+                rng.dirichlet(np.full(3, 0.4), size=(6, 2))]
+        policy = CausalPolicy(tuple(tabs))
+        law = evaluate_joint(spec, policy)
+        stage = build_stage(2, law, policy, num_proposals, seed=13)
+        maps = stage_maps(stage)
+        certificates = []
+        for ctx, table in stage.tables.items():
+            h, x = history_rows(np.arange(4), ctx, 2, 3, 2)
+            _, certified = _select_batch(table.symbols[None], table.times[None],
+                                         stage.conditional[h, x], table.marginal)
+            for row, (hk, xk) in enumerate(zip(h, x)):
+                sym, k, cert = argmin_selection(
+                    table.symbols, table.times, table.marginal,
+                    stage.conditional[hk, xk])
+                assert maps[hk, xk] == sym == table.symbols[k]
+                assert certified[0, row] == cert
+                certificates.append(cert)
+        assert len(certificates) == 12
+        if num_proposals == 3:
+            assert not all(certificates)
 
     def test_state_ignoring_policy_map_ignores_state(self):
         spec = drive_to_zero(2)
@@ -89,9 +135,11 @@ class TestSelect:
         policy = CausalPolicy.state_ignoring(spec, rows)
         law = evaluate_joint(spec, policy)
         for t in (1, 2):
-            maps = stage_maps(build_stage(t, law, policy, 64, seed=11))
-            for selected in maps.values():
-                assert np.all(selected == selected[0])
+            stage = build_stage(t, law, policy, 64, seed=11)
+            maps = stage_maps(stage)
+            for ctx in stage.tables:
+                h, x = history_rows(np.arange(2 ** t), ctx, 2, 2, t)
+                assert np.all(maps[h, x] == maps[h[0], x[0]])
 
 
 class TestIndependenceByConstruction:

@@ -29,8 +29,10 @@ from ratecost.solver import (
 from ratecost.system import average_cost, directed_information, evaluate_joint
 
 from oracles import (
+    average_cost_from_dict,
     binary_entropy,
     blahut_arimoto_rate,
+    directed_information_from_dict,
     enumerate_joint,
     grid_marginal_search,
     lagrangian_value_given_marginals,
@@ -253,6 +255,22 @@ class TestBruteForce:
     def test_large_instance_rejected(self):
         with pytest.raises(InstanceTooLargeError):
             brute_force_rate_cost(drive_to_zero(2), 0.4, resolution=0.25)
+
+    @pytest.mark.parametrize("case", ["two_action", "three_action"])
+    def test_reported_point_matches_dict_oracles(self, case):
+        if case == "two_action":
+            spec, budget, resolution = asymmetric_one_shot(), 0.15, 0.01
+        else:
+            spec = SystemSpec.from_markov(
+                initial=[0.6, 0.4], transition=np.full((2, 3, 2), 0.5),
+                cost=[[0.0, 0.5, 1.0], [1.0, 0.3, 0.0]], horizon=1)
+            budget, resolution = 0.2, 0.1
+        point = brute_force_rate_cost(spec, budget, resolution=resolution)
+        law = enumerate_joint(spec, point.policy)
+        n = spec.horizon
+        assert abs(point.rate - directed_information_from_dict(law, n) / n) <= 1e-12
+        assert abs(point.cost - average_cost_from_dict(law, spec.cost, n)) <= 1e-12
+        assert point.cost <= budget + 1e-12
 
     def test_agrees_with_solver_on_small_instances(self):
         for spec in (asymmetric_one_shot(0.25), asymmetric_one_shot(0.5)):
