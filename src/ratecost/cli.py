@@ -18,7 +18,14 @@ import tempfile
 
 from .lqg import CurveDomainError, RiccatiError, ScalarLqgSpec, rate_cost_curve, \
     riccati_solve
-from .scheme import SchemeOptions, run_trials, synthesize, verify_sandwich
+from .coder import CodingError
+from .scheme import (
+    DecodeMismatchError,
+    SchemeOptions,
+    run_trials,
+    synthesize,
+    verify_sandwich,
+)
 from .timeshare import InfeasibleBarycenterError
 from .solver import (
     InfeasibleCostError,
@@ -37,14 +44,39 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_VERIFY = 5
 
 
+class _MirrorText(str):
+    """An environment mirror's raw value, kept as the option's default."""
+
+
+def _mirror_type(convert, name: str):
+    """``convert`` for an option whose default is the mirror ``name``: a
+    malformed mirror value is reported under the variable's name."""
+    def parse(text):
+        try:
+            return convert(text)
+        except ValueError:
+            if isinstance(text, _MirrorText):
+                raise argparse.ArgumentTypeError(
+                    f"invalid {convert.__name__} value {str(text)!r} "
+                    f"in environment variable {name}") from None
+            raise
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def _add_option(parser, flag: str, **kwargs) -> None:
     """Add ``flag`` with its environment mirror RATECOST_<FLAG> (``--d-grid``
     reads RATECOST_D_GRID).  A set, non-empty mirror becomes the option's
-    default and makes it optional; argparse converts it with ``type`` like a
-    command-line value, so a malformed one is a usage error (exit 2)."""
-    value = os.environ.get("RATECOST_" + flag.lstrip("-").replace("-", "_").upper())
+    default and makes it optional; argparse converts it with ``type`` only
+    when the flag is absent, so a flag overrides a malformed mirror, and a
+    malformed mirror is a usage error (exit 2) that names the variable."""
+    name = "RATECOST_" + flag.lstrip("-").replace("-", "_").upper()
+    value = os.environ.get(name)
     if value:
         kwargs.update(default=value, required=False)
+        if "type" in kwargs:
+            kwargs.update(default=_MirrorText(value),
+                          type=_mirror_type(kwargs["type"], name))
     parser.add_argument(flag, **kwargs)
 
 
@@ -150,11 +182,15 @@ def cmd_synth(args) -> int:
         solver=_solver_options(args),
     )
     bundle = synthesize(spec, args.budget, options)
-    report = run_trials(bundle, args.trials, seed=args.seed,
-                        keep_per_trial=args.trials_csv)
+    try:
+        report = run_trials(bundle, args.trials, seed=args.seed,
+                            keep_per_trial=args.trials_csv)
+    except (DecodeMismatchError, CodingError) as err:
+        print(f"verification failed: {err}", file=sys.stderr)
+        return EXIT_VERIFY
     ledger = verify_sandwich(report)
     payload = {
-        "schema_version": 1,
+        "schema_version": 2,
         "spec_path": os.path.abspath(args.spec),
         "budget_cost": args.budget,
         "epsilon": bundle.epsilon,

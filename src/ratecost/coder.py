@@ -9,6 +9,13 @@ guarantees  sum 2^-len <= 1  and  E[len] <= H + 1  hold exactly.
 
 A context whose pmf is a point mass gets the empty codeword (length 0):
 the decoder knows the context and consumes nothing.
+
+Codewords are held as integer tables: per symbol a length (-1 where the
+symbol has no codeword) and a row of bits, most significant first.  The
+scalar ``encode``/``decode`` and the block coder read the same tables.  A
+block message is one zero-padded, MSB-first byte row per trial (the layout
+of ``pack_bits``), and the block decoder reads only those bytes and the
+codebook.
 """
 
 from __future__ import annotations
@@ -18,7 +25,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .system import entropy_bits, history_digits
+from .system import entropy_bits
+
+# Fills the decoder's window past the end of a message: no codeword bit
+# equals it, so a codeword can never match across the end.
+_NO_BIT = 2
 
 
 class CodingError(ValueError):
@@ -35,32 +46,81 @@ def _ceil_neg_log2(q: Fraction) -> int:
     return ell
 
 
-@dataclass(frozen=True)
-class ContextCode:
-    """Prefix code for one context: symbol -> ('0'/'1' string, length)."""
+def _text_bits(text: str) -> np.ndarray:
+    """A '0'/'1' string as a uint8 array of 0s and 1s."""
+    bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+    if np.any(bits > 1):
+        raise ValueError("bits must be a string of '0' and '1'")
+    return bits
 
-    words: dict[int, str]
+
+def _bit_text(bits: np.ndarray) -> str:
+    return (np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes().decode("ascii")
+
+
+def _match(lengths: np.ndarray, bits: np.ndarray, window: np.ndarray):
+    """Per row, the symbol whose codeword begins ``window``, and its length.
+
+    ``lengths`` is (rows, U), ``bits`` (rows, U, L) and ``window`` (rows, L).
+    Rows where no codeword matches get symbol -1 and length 0; in a prefix
+    code at most one codeword matches.
+    """
+    span = np.arange(bits.shape[-1])
+    differs = (bits != window[:, None, :]) & (span < lengths[..., None])
+    hit = (lengths >= 0) & ~differs.any(axis=-1)
+    found = hit.any(axis=1)
+    symbols = np.where(found, hit.argmax(axis=1), -1)
+    used = np.where(found, lengths[np.arange(len(symbols)), symbols], 0)
+    return symbols, used
+
+
+def _encode_word(lengths: np.ndarray, bits: np.ndarray, symbol: int) -> str:
+    """One context's codeword for ``symbol`` as a '0'/'1' string."""
+    length = int(lengths[symbol]) if 0 <= symbol < len(lengths) else -1
+    if length < 0:
+        raise CodingError(f"symbol {symbol} has no codeword in this context")
+    return "".join("01"[b] for b in bits[symbol, :length].tolist())
+
+
+def _decode_word(lengths: np.ndarray, bits: np.ndarray, text: str,
+                 start: int) -> tuple[int, int]:
+    """(symbol, bits consumed) of one context's codeword at ``text[start:]``."""
+    head = [ord(c) - ord("0") for c in text[start:start + bits.shape[-1]]]
+    for symbol, (length, word) in enumerate(zip(lengths.tolist(), bits.tolist())):
+        if 0 <= length <= len(head) and word[:length] == head[:length]:
+            return symbol, length
+    raise CodingError("bitstring does not begin with any codeword of this context")
+
+
+@dataclass(frozen=True, eq=False)
+class ContextCode:
+    """Prefix code for one context, as integer tables over the symbols.
+
+    ``lengths[u]`` is symbol u's codeword length (-1 where u has no
+    codeword) and ``bits[u, :lengths[u]]`` its bits, most significant first.
+    """
+
+    lengths: np.ndarray
+    bits: np.ndarray
     pmf: tuple[float, ...]
     expected_length: float
     entropy: float
     kraft_sum: float
 
+    @property
+    def words(self) -> dict[int, str]:
+        """Symbol -> codeword as a '0'/'1' string, in codeword order (the
+        descending-probability order in which the code assigned them)."""
+        words = {u: _bit_text(self.bits[u, :length])
+                 for u, length in enumerate(self.lengths.tolist()) if length >= 0}
+        return dict(sorted(words.items(), key=lambda item: item[1]))
+
     def encode(self, symbol: int) -> str:
-        try:
-            return self.words[symbol]
-        except KeyError:
-            raise CodingError(f"symbol {symbol} has no codeword in this context")
+        return _encode_word(self.lengths, self.bits, symbol)
 
     def decode(self, bits: str, start: int = 0) -> tuple[int, int]:
         """Return (symbol, bits consumed) reading ``bits`` from ``start``."""
-        by_word = {w: s for s, w in self.words.items()}
-        for length in sorted({len(w) for w in self.words.values()}):
-            candidate = bits[start:start + length]
-            if len(candidate) < length:
-                break
-            if candidate in by_word:
-                return by_word[candidate], length
-        raise CodingError("bitstring does not begin with any codeword of this context")
+        return _decode_word(self.lengths, self.bits, bits, start)
 
 
 def shannon_code(pmf) -> ContextCode:
@@ -95,47 +155,133 @@ def shannon_code(pmf) -> ContextCode:
     exp_len = float(expected)
     if exp_len > ent + 1.0 + 1e-12:
         raise AssertionError(f"expected length {exp_len} exceeds entropy+1 {ent + 1}")
-    return ContextCode(words=words, pmf=pmf_float, expected_length=exp_len,
-                       entropy=ent, kraft_sum=float(kraft))
+    lengths = np.full(len(probs), -1, dtype=np.int64)
+    bits = np.zeros((len(probs), max(len(w) for w in words.values())), dtype=np.uint8)
+    for i, word in words.items():
+        lengths[i] = len(word)
+        bits[i, :len(word)] = _text_bits(word)
+    return ContextCode(lengths=lengths, bits=bits, pmf=pmf_float,
+                       expected_length=exp_len, entropy=ent,
+                       kraft_sum=float(kraft))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContextCodebook:
     """Per stage and per action-history context, a matched Shannon code.
 
-    ``stages[t-1]`` maps the big-endian context index to its code; lookups
-    by action history go through a per-stage table keyed by the history
-    tuple, decoded once from those indices.
+    ``stages[t-1]`` maps the big-endian context index to its code.  The
+    per-stage tables stack them: ``lengths[t-1]`` is (U^(t-1), U), -1 where
+    a (context, symbol) pair has no codeword (every symbol of a context
+    without a code), and ``bits[t-1]`` is (U^(t-1), U, L_t) with L_t the
+    stage's longest codeword.
     """
 
     horizon: int
     num_actions: int
     stages: tuple[dict[int, ContextCode], ...]
-    by_history: tuple[dict[tuple, ContextCode], ...] = field(
-        init=False, repr=False, compare=False)
+    lengths: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    bits: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        lookup = []
+        U = self.num_actions
+        lengths, bits = [], []
         for t, codes in enumerate(self.stages, start=1):
-            ctxs = list(codes)
-            _, us = history_digits(ctxs, 1, self.num_actions, t - 1)
-            lookup.append({tuple(u_hist): codes[ctx]
-                           for ctx, u_hist in zip(ctxs, us.tolist())})
-        object.__setattr__(self, "by_history", tuple(lookup))
+            width = max((code.bits.shape[1] for code in codes.values()), default=0)
+            stage_lengths = np.full((U ** (t - 1), U), -1, dtype=np.int64)
+            stage_bits = np.zeros((U ** (t - 1), U, width), dtype=np.uint8)
+            for ctx, code in codes.items():
+                stage_lengths[ctx] = code.lengths
+                stage_bits[ctx, :, :code.bits.shape[1]] = code.bits
+            lengths.append(stage_lengths)
+            bits.append(stage_bits)
+        object.__setattr__(self, "lengths", tuple(lengths))
+        object.__setattr__(self, "bits", tuple(bits))
+
+    def _context(self, t: int, u_hist) -> int:
+        """Big-endian index of the action history ``u_hist`` at stage t."""
+        u_hist = tuple(int(u) for u in u_hist)
+        ctx = 0
+        for u in u_hist:
+            ctx = ctx * self.num_actions + u
+        if not (1 <= t <= self.horizon and len(u_hist) == t - 1
+                and all(0 <= u < self.num_actions for u in u_hist)
+                and ctx in self.stages[t - 1]):
+            raise CodingError(
+                f"stage {t} context {u_hist} is unreachable and has no code"
+            )
+        return ctx
 
     def code(self, t: int, u_hist) -> ContextCode:
-        try:
-            return self.by_history[t - 1][tuple(u_hist)]
-        except KeyError:
-            raise CodingError(
-                f"stage {t} context {tuple(u_hist)} is unreachable and has no code"
-            )
+        return self.stages[t - 1][self._context(t, u_hist)]
 
     def encode(self, t: int, u_hist, symbol: int) -> str:
-        return self.code(t, u_hist).encode(symbol)
+        ctx = self._context(t, u_hist)
+        return _encode_word(self.lengths[t - 1][ctx], self.bits[t - 1][ctx], symbol)
 
     def decode(self, t: int, u_hist, bits: str, start: int = 0) -> tuple[int, int]:
-        return self.code(t, u_hist).decode(bits, start)
+        ctx = self._context(t, u_hist)
+        return _decode_word(self.lengths[t - 1][ctx], self.bits[t - 1][ctx],
+                            bits, start)
+
+    def encode_block(self, actions) -> tuple[np.ndarray, np.ndarray]:
+        """Encode each row of ``actions`` (trials, horizon) as one message.
+
+        Returns ``(packed, written)``: a (trials, bytes) uint8 array whose
+        row holds the trial's codewords back to back, MSB first and zero
+        padded, and the number of bits written per trial.  A symbol without
+        a codeword in its context raises ``CodingError``.
+        """
+        actions = np.asarray(actions, dtype=np.int64)
+        if actions.ndim != 2 or actions.shape[1] != self.horizon:
+            raise ValueError(f"actions must have shape (trials, {self.horizon})")
+        trials, U = actions.shape[0], self.num_actions
+        stream = np.zeros((trials, sum(b.shape[2] for b in self.bits)), dtype=np.uint8)
+        cursor = np.zeros(trials, dtype=np.int64)
+        ctx = np.zeros(trials, dtype=np.int64)
+        for t, (lengths, bits) in enumerate(zip(self.lengths, self.bits), start=1):
+            u = actions[:, t - 1]
+            known = (u >= 0) & (u < U)
+            length = np.where(known, lengths[ctx, np.where(known, u, 0)], -1)
+            if np.any(length < 0):
+                i = int(np.argmax(length < 0))
+                raise CodingError(f"row {i} stage {t}: symbol {u[i]} has no "
+                                  f"codeword in context {ctx[i]}")
+            rows, cols = np.nonzero(np.arange(bits.shape[2]) < length[:, None])
+            stream[rows, cursor[rows] + cols] = bits[ctx[rows], u[rows], cols]
+            cursor += length
+            ctx = ctx * U + u
+        return np.packbits(stream, axis=1), cursor
+
+    def decode_block(self, packed) -> tuple[np.ndarray, np.ndarray]:
+        """Decode one message per byte row of ``packed``.
+
+        Walks each row's bit cursor stage by stage, matching the codewords
+        of the context decoded so far.  Returns ``(actions, consumed)``:
+        (trials, horizon) symbols and the bits read per trial.  Bits that
+        begin no codeword of their context, including a codeword cut off
+        by the end of the row, raise ``CodingError``.
+        """
+        packed = np.asarray(packed, dtype=np.uint8)
+        trials, U = packed.shape[0], self.num_actions
+        capacity = 8 * packed.shape[1]
+        widest = max((b.shape[2] for b in self.bits), default=0)
+        stream = np.full((trials, capacity + widest), _NO_BIT, dtype=np.uint8)
+        stream[:, :capacity] = np.unpackbits(packed, axis=1)
+        actions = np.empty((trials, self.horizon), dtype=np.int64)
+        cursor = np.zeros(trials, dtype=np.int64)
+        ctx = np.zeros(trials, dtype=np.int64)
+        rows = np.arange(trials)[:, None]
+        for t, (lengths, bits) in enumerate(zip(self.lengths, self.bits), start=1):
+            window = stream[rows, cursor[:, None] + np.arange(bits.shape[2])]
+            u, used = _match(lengths[ctx], bits[ctx], window)
+            if np.any(u < 0):
+                i = int(np.argmax(u < 0))
+                raise CodingError(f"row {i} stage {t}: bit {cursor[i]} begins no "
+                                  f"codeword of context {ctx[i]}")
+            actions[:, t - 1] = u
+            cursor += used
+            ctx = ctx * U + u
+        return actions, cursor
 
 
 def build_codebooks(action_law: np.ndarray, num_actions: int | None = None
@@ -184,16 +330,13 @@ def expected_stage_lengths(codebook: ContextCodebook, action_law: np.ndarray
 
 
 def pack_bits(bits: str) -> bytes:
-    """Serialize a '0'/'1' string most-significant-bit first, zero padded."""
-    out = bytearray()
-    for i in range(0, len(bits), 8):
-        chunk = bits[i:i + 8].ljust(8, "0")
-        out.append(int(chunk, 2))
-    return bytes(out)
+    """Serialize a '0'/'1' string most-significant-bit first, zero padded:
+    one row of the layout ``ContextCodebook.encode_block`` writes."""
+    return np.packbits(_text_bits(bits)).tobytes()
 
 
 def unpack_bits(data: bytes, num_bits: int) -> str:
     """Inverse of pack_bits; trailing pad bits are dropped."""
     if num_bits > 8 * len(data):
         raise ValueError("fewer bytes than requested bits")
-    return "".join(format(byte, "08b") for byte in data)[:num_bits]
+    return _bit_text(np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:num_bits])

@@ -9,12 +9,14 @@ scheme (cost, codeword-length rate, entropies) is recomputed exactly from
 the realized deterministic policies, so the guarantees do not rest on the
 Monte-Carlo step.
 
-Simulation: draw the selector bit once per trial, then run the plant
-forward, look the action up in the realized stage maps, encode it, decode
-it, check the round trip, and apply it.  Randomness comes from three named
-streams (dynamics, tables, selector) so trials are reproducible and
-independent of scheduling.  The selector bit is never transmitted; rate
-counts codeword bits only.
+Simulation runs trials in blocks of ``TRIAL_BLOCK`` as arrays: each
+block draws its selector uniforms and plant uniforms from two per-block
+streams, runs the plant forward, looks the actions up in the realized
+stage maps, encodes every trial's actions into one packed byte row,
+decodes the rows from those bytes alone, checks the round trip, and
+applies the actions.  Streams are keyed by (seed, stream, block), so a
+run is reproducible and a shorter run is a prefix of a longer one.  The
+selector bit is never transmitted; rate counts codeword bits only.
 """
 
 from __future__ import annotations
@@ -24,7 +26,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .coder import ContextCodebook, build_codebooks, expected_stage_lengths
+from .coder import (
+    CodingError,
+    ContextCodebook,
+    build_codebooks,
+    expected_stage_lengths,
+)
 from .sfrl import (
     STREAM_DYNAMICS,
     STREAM_SELECTOR,
@@ -53,6 +60,11 @@ from .timeshare import (
     caratheodory_reduce,
     mixture_entropy,
 )
+
+
+# Trials per simulation block.  Part of the seed contract: the block index
+# keys the random streams, so another size draws other numbers.
+TRIAL_BLOCK = 4096
 
 
 class DecodeMismatchError(RuntimeError):
@@ -260,43 +272,64 @@ class SimulationReport:
 
 def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
                keep_per_trial: bool = False) -> SimulationReport:
-    """Simulate the closed loop; decode mismatches are fatal by design."""
+    """Simulate the closed loop in blocks of ``TRIAL_BLOCK`` trials.
+
+    Trial i is row i % TRIAL_BLOCK of block i // TRIAL_BLOCK.  A block of
+    m trials draws m selector uniforms from ``SeedSequence((seed,
+    STREAM_SELECTOR, block))`` and (m, n) plant uniforms, row-major, from
+    ``SeedSequence((seed, STREAM_DYNAMICS, block))``; a trial takes
+    realization 0 when its selector uniform is below the selector weight.
+    A stage-map entry of -1 reached by a trial raises ``CodingError``; a
+    decoded action or bit count that differs from the encoded one raises
+    ``DecodeMismatchError``.  Both are fatal by design.
+    """
     if num_trials < 1:
         raise ValueError(f"num_trials must be at least 1, got {num_trials}")
     spec = bundle.spec
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
     cum_kernels = [np.cumsum(spec.stage_kernel(t), axis=1)
                    for t in range(1, n + 1)]
-    bits = np.zeros(num_trials)
-    costs = np.zeros(num_trials)
+    maps = [np.stack(pair) for pair in zip(bundle.realization0.maps,
+                                           bundle.realization1.maps)]
     lam = bundle.selector.weight
-    for trial in range(num_trials):
-        rng_q = np.random.default_rng(
-            np.random.SeedSequence((seed, STREAM_SELECTOR, trial)))
-        rng_dyn = np.random.default_rng(
-            np.random.SeedSequence((seed, STREAM_DYNAMICS, trial)))
-        re = bundle.realization0 if rng_q.random() < lam else bundle.realization1
-        hidx = 0
-        u_hist: tuple[int, ...] = ()
-        b_total = 0
-        c_total = 0.0
-        for t in range(1, n + 1):
-            row = cum_kernels[t - 1][hidx]
-            x = int(np.searchsorted(row, rng_dyn.random() * row[-1], side="right"))
-            x = min(x, X - 1)
-            u = int(re.maps[t - 1][hidx, x])
-            word = bundle.codebooks.encode(t, u_hist, u)
-            decoded, consumed = bundle.codebooks.decode(t, u_hist, word)
-            if decoded != u or consumed != len(word):
-                raise DecodeMismatchError(
-                    f"trial {trial} stage {t}: encoded {u}, decoded {decoded}"
-                )
-            b_total += len(word)
-            c_total += float(spec.cost[x, u])
-            u_hist += (u,)
+    bits = np.empty(num_trials)
+    costs = np.empty(num_trials)
+    for block, first in enumerate(range(0, num_trials, TRIAL_BLOCK)):
+        m = min(TRIAL_BLOCK, num_trials - first)
+        selector = np.random.default_rng(
+            np.random.SeedSequence((seed, STREAM_SELECTOR, block))).random(m)
+        uniforms = np.random.default_rng(
+            np.random.SeedSequence((seed, STREAM_DYNAMICS, block))).random((m, n))
+        which = (selector >= lam).astype(np.intp)
+        actions = np.empty((m, n), dtype=np.int64)
+        cost = np.zeros(m)
+        hidx = np.zeros(m, dtype=np.int64)
+        for t in range(n):
+            cum = cum_kernels[t][hidx]
+            # right-side search: the count of cumulative entries <= the draw
+            x = np.minimum((cum <= (uniforms[:, t] * cum[:, -1])[:, None]).sum(axis=1),
+                           X - 1)
+            u = maps[t][which, hidx, x]
+            if np.any(u < 0):
+                i = int(np.argmax(u < 0))
+                raise CodingError(
+                    f"trial {first + i} stage {t + 1}: realization "
+                    f"{which[i]}'s stage map has no action for history row "
+                    f"{hidx[i]}, state {x[i]}")
+            actions[:, t] = u
+            cost += spec.cost[x, u]
             hidx = (hidx * X + x) * U + u
-        bits[trial] = b_total / n
-        costs[trial] = c_total / n
+        packed, written = bundle.codebooks.encode_block(actions)
+        decoded, consumed = bundle.codebooks.decode_block(packed)
+        wrong = np.any(decoded != actions, axis=1) | (consumed != written)
+        if np.any(wrong):
+            i = int(np.argmax(wrong))
+            raise DecodeMismatchError(
+                f"trial {first + i}: encoded {actions[i].tolist()} in "
+                f"{written[i]} bits, decoded {decoded[i].tolist()} from "
+                f"{consumed[i]} bits")
+        bits[first:first + m] = written / n
+        costs[first:first + m] = cost / n
     emp_rate = float(bits.mean())
     emp_cost = float(costs.mean())
     rate_se = float(bits.std(ddof=1) / math.sqrt(num_trials)) if num_trials > 1 else 0.0

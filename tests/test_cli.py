@@ -10,8 +10,17 @@ import numpy as np
 import pytest
 
 import ratecost.cli
-from ratecost.cli import EXIT_INFEASIBLE, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SPEC, main
+from ratecost.cli import (
+    EXIT_INFEASIBLE,
+    EXIT_NO_CONVERGENCE,
+    EXIT_OK,
+    EXIT_SPEC,
+    EXIT_VERIFY,
+    main,
+)
+from ratecost.coder import CodingError
 from ratecost.instances import drive_to_zero, sticky_tracking
+from ratecost.scheme import TRIAL_BLOCK, DecodeMismatchError
 from ratecost.solver import RateCostCurve
 from ratecost.specio import SpecFileError, load_spec, parse_spec, spec_document
 
@@ -238,13 +247,29 @@ class TestSynthCommand:
     def test_trials_csv_written(self, tmp_path):
         spec_path = write_spec(tmp_path, controlled_doc())
         outdir = tmp_path / "d"
+        trials = TRIAL_BLOCK + 50     # more than one simulation block
         code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out",
-                     str(outdir), "--trials", "50", "--cloud-size", "20",
+                     str(outdir), "--trials", str(trials), "--cloud-size", "20",
                      "--proposals", "128", "--restarts", "2", "--trials-csv"])
         assert code == EXIT_OK
         lines = (outdir / "trials.csv").read_text().splitlines()
         assert lines[0] == "trial,bits_per_stage,cost_per_stage"
-        assert len(lines) == 51
+        assert len(lines) == trials + 1
+        assert lines[-1].startswith(f"{trials - 1},")
+
+    @pytest.mark.parametrize("error", [DecodeMismatchError, CodingError])
+    def test_simulation_failure_exit_code(self, tmp_path, capsys, monkeypatch,
+                                          error):
+        def failing(*args, **kwargs):
+            raise error("trial 7 stage 2: encoded 1, decoded 0")
+
+        monkeypatch.setattr(ratecost.cli, "run_trials", failing)
+        spec_path = write_spec(tmp_path, controlled_doc())
+        code, out = self.run_synth(tmp_path, spec_path, "v")
+        assert code == EXIT_VERIFY
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["verification failed: trial 7 stage 2: encoded 1, decoded 0"]
+        assert not (out / "result_bundle.json").exists()
 
     def test_infeasible_budget_exit(self, tmp_path):
         spec_path = write_spec(tmp_path, controlled_doc())
@@ -278,7 +303,7 @@ class TestSynthCommand:
         assert doc["seeds"]["attempts"] == 2
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "31e97f444671d1ad47914f5ea02b2bf5125f8eeb1aedddf949c292bc668a6798"
+            "4b420d1d26cf51c2efb7f2d6840ee85ca734643c38ce877aca4b336b2cb41c97"
 
 
 class TestLqgCommand:
@@ -340,3 +365,19 @@ class TestEnvMirrors:
             main(argv)
         assert exc.value.code == EXIT_SPEC
         assert repr(value) in capsys.readouterr().err
+
+    def test_malformed_env_error_names_the_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("RATECOST_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--spec", "unused.json"])
+        assert exc.value.code == EXIT_SPEC
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "RATECOST_SEED" in err and "'abc'" in err
+
+    def test_flag_overrides_malformed_env_value(self, monkeypatch):
+        monkeypatch.setenv("RATECOST_SEED", "abc")
+        from ratecost.cli import build_parser
+
+        args = build_parser().parse_args(["synth", "--spec", "unused.json",
+                                          "--seed", "3"])
+        assert args.seed == 3

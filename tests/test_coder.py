@@ -66,6 +66,10 @@ class TestShannonCode:
         assert kraft <= 1
         assert code.expected_length <= code.entropy + 1.0 + 1e-12
         total = sum(Fraction(float(p)) for p in pmf if p > 0)
+        # words come in the order the code assigned them, which fixes the
+        # summation order of the exact length accounting
+        assert list(code.words) == sorted(code.words,
+                                          key=lambda i: (-Fraction(float(pmf[i])), i))
         for sym, word in code.words.items():
             q = Fraction(float(pmf[sym])) / total
             want = 0
@@ -152,6 +156,71 @@ class TestCodebooks:
         code = shannon_code([0.7, 0.0, 0.3])
         with pytest.raises(CodingError):
             code.encode(1)
+
+
+class TestBlockCoding:
+    @staticmethod
+    def book_and_sequences():
+        # stage 1 has codewords of 1, 9 and 10 bits (the long ones cross a
+        # byte boundary); after action 2 the next action is certain, so
+        # that context's code is the empty point-mass codeword
+        first = np.array([0.996, 0.003, 0.001])
+        second = np.array([[0.5, 0.25, 0.25], [0.1, 0.1, 0.8], [0.0, 0.0, 1.0]])
+        third = np.array([0.45, 0.45, 0.1])
+        law = first[:, None, None] * second[:, :, None] * third
+        book = build_codebooks(law)
+        seqs = np.argwhere(law > 0)     # every positive-probability sequence
+        return book, seqs
+
+    def test_block_matches_scalar_for_every_codeword(self):
+        book, seqs = self.book_and_sequences()
+        n, U = book.horizon, book.num_actions
+        packed, written = book.encode_block(seqs)
+        decoded, consumed = book.decode_block(packed)
+        np.testing.assert_array_equal(decoded, seqs)
+        np.testing.assert_array_equal(consumed, written)
+        covered, crossing, empty = set(), 0, 0
+        for row, seq in enumerate(seqs.tolist()):
+            words = [book.encode(t, seq[:t - 1], seq[t - 1]) for t in range(1, n + 1)]
+            message = "".join(words)
+            assert written[row] == len(message)
+            assert packed[row].tobytes() == \
+                pack_bits(message).ljust(packed.shape[1], b"\0")
+            text = unpack_bits(packed[row].tobytes(), len(message))
+            pos = ctx = 0
+            for t, word in enumerate(words, start=1):
+                assert book.decode(t, seq[:t - 1], text, pos) == (seq[t - 1], len(word))
+                covered.add((t, ctx, seq[t - 1]))
+                crossing += len(word) > 0 and pos // 8 != (pos + len(word) - 1) // 8
+                empty += word == ""
+                pos += len(word)
+                ctx = ctx * U + seq[t - 1]
+        assert covered == {(t, int(ctx), int(sym))
+                           for t, lengths in enumerate(book.lengths, start=1)
+                           for ctx, sym in np.argwhere(lengths >= 0)}
+        assert crossing > 0 and empty > 0
+
+    def test_block_encode_rejects_symbols_without_codeword(self):
+        book, seqs = self.book_and_sequences()
+        for bad in (-1, 3):     # -1 must not wrap to the last symbol
+            rows = seqs[:4].copy()
+            rows[2, 1] = bad
+            with pytest.raises(CodingError, match="row 2 stage 2"):
+                book.encode_block(rows)
+        # after action 2 only action 2 has a codeword
+        with pytest.raises(CodingError, match="row 0 stage 2"):
+            book.encode_block([[2, 0, 0]])
+
+    @pytest.mark.parametrize("row,stage", [
+        ([0b10000000], 1),  # no stage-1 codeword begins with 10
+        ([0b11111110], 1),  # a 9-bit stage-1 codeword cut off by the row's end
+        ([], 1),            # an empty row holds not even the 1-bit codeword "0"
+        ([0b00100000], 3),  # stage 1 "0", stage 2 "0", then no stage-3 word "10"
+    ])
+    def test_block_decode_rejects_bits_without_codeword(self, row, stage):
+        book, _ = self.book_and_sequences()
+        with pytest.raises(CodingError, match=f"row 0 stage {stage}"):
+            book.decode_block(np.array([row], dtype=np.uint8).reshape(1, -1))
 
 
 class TestBitPacking:

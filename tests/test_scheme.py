@@ -9,9 +9,17 @@ import pytest
 import ratecost.scheme
 import ratecost.solver
 from ratecost import SystemSpec
-from ratecost.coder import build_codebooks, expected_stage_lengths
-from ratecost.instances import drive_to_zero, min_open_loop_cost, noisy_actuator
+from ratecost.coder import CodingError, ContextCodebook, build_codebooks, \
+    expected_stage_lengths
+from ratecost.instances import (
+    drive_to_zero,
+    min_open_loop_cost,
+    noisy_actuator,
+    sticky_tracking,
+)
 from ratecost.scheme import (
+    TRIAL_BLOCK,
+    DecodeMismatchError,
     SchemeOptions,
     eps_condition,
     log_gap_budget,
@@ -174,6 +182,57 @@ class TestRunTrials:
         report = run_trials(bundle, 50, seed=2, keep_per_trial=True)
         assert report.per_trial_bits.shape == (50,)
         assert report.per_trial_costs.shape == (50,)
+
+    @pytest.mark.parametrize("make", [lambda: drive_to_zero(2),
+                                      lambda: noisy_actuator(3),
+                                      lambda: sticky_tracking(4)],
+                             ids=["drive2", "noisy3", "sticky4"])
+    def test_monte_carlo_within_three_se_on_shipped_instances(self, make):
+        spec = make()
+        b = synthesize(spec, mid_curve_budget(spec), SchemeOptions(
+            cloud_size=40, num_proposals=256, solver=SolverOptions(restarts=1)))
+        report = run_trials(b, 50_000, seed=4)
+        assert abs(report.empirical_rate - b.exact_rate) \
+            <= 3.0 * report.empirical_rate_se
+        assert abs(report.empirical_cost - b.exact_cost) \
+            <= 3.0 * report.empirical_cost_se
+
+    def test_shorter_run_is_a_prefix(self, bundle):
+        longer = run_trials(bundle, 2 * TRIAL_BLOCK + 100, seed=6, keep_per_trial=True)
+        k = TRIAL_BLOCK + 37
+        shorter = run_trials(bundle, k, seed=6, keep_per_trial=True)
+        np.testing.assert_array_equal(shorter.per_trial_bits, longer.per_trial_bits[:k])
+        np.testing.assert_array_equal(shorter.per_trial_costs,
+                                      longer.per_trial_costs[:k])
+
+    def test_reached_unmapped_row_raises(self, bundle):
+        # stage 1 has a single history row, so every trial reaches it
+        def unmapped(re):
+            maps = list(re.maps)
+            maps[0] = maps[0].copy()
+            maps[0][0, :] = -1
+            return dataclasses.replace(re, maps=tuple(maps))
+
+        broken = dataclasses.replace(bundle, realization0=unmapped(bundle.realization0),
+                                     realization1=unmapped(bundle.realization1))
+        with pytest.raises(CodingError, match="trial 0 stage 1"):
+            run_trials(broken, 10, seed=0)
+
+    @pytest.mark.parametrize("field", ["actions", "bits"])
+    def test_decode_mismatch_is_fatal(self, bundle, monkeypatch, field):
+        decode = ContextCodebook.decode_block
+
+        def corrupted(book, packed):
+            actions, consumed = decode(book, packed)
+            if field == "actions":
+                actions[3, -1] = (actions[3, -1] + 1) % book.num_actions
+            else:
+                consumed[3] += 1
+            return actions, consumed
+
+        monkeypatch.setattr(ContextCodebook, "decode_block", corrupted)
+        with pytest.raises(DecodeMismatchError, match="trial 3"):
+            run_trials(bundle, 10, seed=0)
 
     def test_manual_loop_matches_maps_and_mixture_law(self, bundle):
         # independent re-simulation: the literal argmin selection on each

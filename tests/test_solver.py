@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ratecost.solver
 from ratecost import CausalPolicy, SystemSpec
 from ratecost.instances import (
     bernoulli_source,
@@ -255,6 +256,15 @@ class TestBruteForce:
     def test_large_instance_rejected(self):
         with pytest.raises(InstanceTooLargeError):
             brute_force_rate_cost(drive_to_zero(2), 0.4, resolution=0.25)
+
+    def test_grid_over_default_cap_rejected_before_any_policy(self, monkeypatch):
+        # 501 grid points per row, two rows: 251 001 policies, about 21 s
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a grid policy was evaluated")
+
+        monkeypatch.setattr(ratecost.solver, "evaluate_joint", evaluated)
+        with pytest.raises(InstanceTooLargeError, match="251001"):
+            brute_force_rate_cost(asymmetric_one_shot(), 0.15, resolution=0.002)
 
     @pytest.mark.parametrize("case", ["two_action", "three_action"])
     def test_reported_point_matches_dict_oracles(self, case):
