@@ -26,7 +26,7 @@ from .scheme import (
     synthesize,
     verify_sandwich,
 )
-from .timeshare import InfeasibleBarycenterError
+from .timeshare import InfeasibleBarycenterError, InvariantError
 from .solver import (
     InfeasibleCostError,
     RateCostCurve,
@@ -178,19 +178,18 @@ def cmd_synth(args) -> int:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     options = SchemeOptions(
         epsilon=args.eps, gamma=args.gamma, seed=args.seed,
-        cloud_size=args.cloud_size, num_proposals=args.proposals,
-        solver=_solver_options(args),
+        cloud_size=args.cloud_size, solver=_solver_options(args),
     )
-    bundle = synthesize(spec, args.budget, options)
     try:
+        bundle = synthesize(spec, args.budget, options)
         report = run_trials(bundle, args.trials, seed=args.seed,
                             keep_per_trial=args.trials_csv)
-    except (DecodeMismatchError, CodingError) as err:
+    except (InvariantError, DecodeMismatchError, CodingError) as err:
         print(f"verification failed: {err}", file=sys.stderr)
         return EXIT_VERIFY
     ledger = verify_sandwich(report)
     payload = {
-        "schema_version": 2,
+        "schema_version": 3,
         "spec_path": os.path.abspath(args.spec),
         "budget_cost": args.budget,
         "epsilon": bundle.epsilon,
@@ -285,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_option(p, "--gamma", type=float, default=0.25)
     _add_option(p, "--trials", type=int, default=10000)
     _add_option(p, "--cloud-size", type=int, default=200)
-    _add_option(p, "--proposals", type=int, default=1024)
     p.add_argument("--trials-csv", action="store_true",
                    help="also write per-trial bits and costs (a switch; "
                         "it has no environment mirror)")

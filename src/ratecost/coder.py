@@ -27,11 +27,6 @@ import numpy as np
 
 from .system import entropy_bits
 
-# Fills the decoder's window past the end of a message: no codeword bit
-# equals it, so a codeword can never match across the end.
-_NO_BIT = 2
-
-
 class CodingError(ValueError):
     """Unknown symbol at encode time or malformed prefix at decode time."""
 
@@ -58,19 +53,37 @@ def _bit_text(bits: np.ndarray) -> str:
     return (np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
-def _match(lengths: np.ndarray, bits: np.ndarray, window: np.ndarray):
+def _bit_window(padded: np.ndarray, cursor: np.ndarray, width: int) -> np.ndarray:
+    """Per row, ``width`` bytes of the row's bit string from bit ``cursor``.
+
+    ``padded`` holds one byte per uint16 entry, (rows, bytes), with at
+    least ``width + 1`` zero bytes past every cursor's byte.  The bits are
+    shifted so that bit ``cursor`` is the MSB of the first byte.
+    """
+    start = padded[np.arange(len(cursor))[:, None],
+                   (cursor >> 3)[:, None] + np.arange(width + 1)]
+    shift = (cursor & 7).astype(np.uint16)[:, None]
+    return (start[:, :-1] << shift | start[:, 1:] >> (8 - shift)).astype(np.uint8)
+
+
+def _match(reach: np.ndarray, words: np.ndarray, window: np.ndarray,
+           room: np.ndarray):
     """Per row, the symbol whose codeword begins ``window``, and its length.
 
-    ``lengths`` is (rows, U), ``bits`` (rows, U, L) and ``window`` (rows, L).
-    Rows where no codeword matches get symbol -1 and length 0; in a prefix
-    code at most one codeword matches.
+    ``reach`` (rows, U) holds the codeword lengths, and more than any room
+    for symbols without a codeword.  ``words`` (rows, U, 2B) holds each
+    packed codeword followed by the packed mask of its bits, ``window``
+    (rows, B) the packed next bits and ``room`` (rows,) the number of bits
+    left, so a codeword cut off by the end does not match.  Rows where no
+    codeword matches get symbol -1 and length 0; in a prefix code at most
+    one codeword matches.
     """
-    span = np.arange(bits.shape[-1])
-    differs = (bits != window[:, None, :]) & (span < lengths[..., None])
-    hit = (lengths >= 0) & ~differs.any(axis=-1)
+    B = window.shape[1]
+    hit = (reach <= room[:, None]) \
+        & np.all(window[:, None, :] & words[..., B:] == words[..., :B], axis=-1)
     found = hit.any(axis=1)
     symbols = np.where(found, hit.argmax(axis=1), -1)
-    used = np.where(found, lengths[np.arange(len(symbols)), symbols], 0)
+    used = np.where(found, reach[np.arange(len(symbols)), symbols], 0)
     return symbols, used
 
 
@@ -264,16 +277,19 @@ class ContextCodebook:
         packed = np.asarray(packed, dtype=np.uint8)
         trials, U = packed.shape[0], self.num_actions
         capacity = 8 * packed.shape[1]
-        widest = max((b.shape[2] for b in self.bits), default=0)
-        stream = np.full((trials, capacity + widest), _NO_BIT, dtype=np.uint8)
-        stream[:, :capacity] = np.unpackbits(packed, axis=1)
+        widest = max((-(-b.shape[2] // 8) for b in self.bits), default=0)
+        padded = np.zeros((trials, packed.shape[1] + widest + 1), dtype=np.uint16)
+        padded[:, :packed.shape[1]] = packed
         actions = np.empty((trials, self.horizon), dtype=np.int64)
         cursor = np.zeros(trials, dtype=np.int64)
         ctx = np.zeros(trials, dtype=np.int64)
-        rows = np.arange(trials)[:, None]
         for t, (lengths, bits) in enumerate(zip(self.lengths, self.bits), start=1):
-            window = stream[rows, cursor[:, None] + np.arange(bits.shape[2])]
-            u, used = _match(lengths[ctx], bits[ctx], window)
+            reach = np.where(lengths < 0, capacity + 1, lengths)
+            care = np.arange(bits.shape[2]) < lengths[..., None]
+            words = np.concatenate([np.packbits(bits, axis=-1),
+                                    np.packbits(care, axis=-1)], axis=-1)
+            window = _bit_window(padded, cursor, words.shape[-1] // 2)
+            u, used = _match(reach[ctx], words[ctx], window, capacity - cursor)
             if np.any(u < 0):
                 i = int(np.argmax(u < 0))
                 raise CodingError(f"row {i} stage {t}: bit {cursor[i]} begins no "

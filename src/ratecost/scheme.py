@@ -1,13 +1,18 @@
 """End-to-end synthesis and simulation of the encoding-and-control loop.
 
 Synthesis: solve for a near-optimal causal policy at the cost budget,
-realize it stage by stage with per-context proposal tables, sample a cloud
-of full realizations with exact (rate, cost) coordinates, reduce the cloud
-to a binary time-sharing selector, and match conditional Shannon codebooks
-to the resulting mixture action law.  Every reported quantity of the final
-scheme (cost, codeword-length rate, entropies) is recomputed exactly from
-the realized deterministic policies, so the guarantees do not rest on the
-Monte-Carlo step.
+realize it stage by stage with exponential races (``sfrl``), sample a
+cloud of full realizations with exact (rate, cost) coordinates, reduce
+the cloud to a binary time-sharing selector, and match conditional
+Shannon codebooks to the resulting mixture action law.  The cloud is
+selected and evaluated in blocks: each stage's maps are one ``argmin``
+over the block's race draws, and each realization's exact coordinates
+come from one batched forward product over (block, (X*U)**n) trajectory
+entries, with at most ``spec.budget`` entries per block.  Only the two
+realizations the selector picks are kept.  Every reported quantity of the
+final scheme (cost, codeword-length rate, entropies) is recomputed
+exactly from the realized deterministic policies, so the guarantees do
+not rest on the Monte-Carlo step.
 
 Simulation runs trials in blocks of ``TRIAL_BLOCK`` as arrays: each
 block draws its selector uniforms and plant uniforms from two per-block
@@ -35,8 +40,9 @@ from .coder import (
 from .sfrl import (
     STREAM_DYNAMICS,
     STREAM_SELECTOR,
-    SfrlStage,
-    build_stage,
+    context_mass,
+    race_draws,
+    race_maps,
     stage_maps,
 )
 from .solver import (
@@ -46,15 +52,10 @@ from .solver import (
     solve_rate_cost,
     sweep_curve,
 )
-from .system import (
-    CausalPolicy,
-    SystemSpec,
-    average_cost,
-    entropy_bits,
-    evaluate_joint,
-)
+from .system import CausalPolicy, JointLaw, SystemSpec, evaluate_joint
 from .timeshare import (
     InfeasibleBarycenterError,
+    InvariantError,
     RealizationPoint,
     TimeShareSelector,
     caratheodory_reduce,
@@ -95,23 +96,22 @@ class SchemeOptions:
     epsilon: float = 0.1
     gamma: float = 0.25
     cloud_size: int = 200
-    num_proposals: int = 1024
     seed: int = 0
     max_attempts: int = 4
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        for name in ("cloud_size", "num_proposals", "max_attempts"):
+        for name in ("cloud_size", "max_attempts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)
 class Realization:
-    """One full draw of the per-stage tables and everything it induces."""
+    """One realization's race draws and everything they induce."""
 
     realization_id: int
-    stages: tuple[SfrlStage, ...]
+    draws: tuple[np.ndarray, ...]    # race draws, (U**(t-1), U) each
     maps: tuple[np.ndarray, ...]     # stage maps, (H, X) each
     policy: CausalPolicy
     action_law: np.ndarray
@@ -138,36 +138,82 @@ class SchemeBundle:
     cond_entropy_bits: float
     uncond_entropy_bits: float
     cloud_size: int
-    num_proposals: int
     seeds: dict
 
 
-def _onehot_policy(spec: SystemSpec, maps) -> CausalPolicy:
-    """Deterministic policy defined by realized stage maps; contexts the
-    realization can never reach keep uniform placeholder rows (mass zero)."""
-    U = spec.num_actions
-    return CausalPolicy(tuple(np.where(m[..., None] >= 0, np.eye(U)[m], 1.0 / U)
-                              for m in maps))
+def _onehot(maps: np.ndarray, num_actions: int) -> np.ndarray:
+    """Policy rows of stage maps: one-hot at the mapped action, uniform
+    placeholders on unmapped (-1) rows, which the realization never
+    reaches (mass zero)."""
+    return np.where(maps[..., None] >= 0, np.eye(num_actions)[maps],
+                    1.0 / num_actions)
 
 
-def realize(spec: SystemSpec, policy: CausalPolicy, law,
-            realization_id: int, seed: int, num_proposals: int) -> Realization:
-    """Draw one full realization and compute its exact coordinates."""
-    stages = tuple(
-        build_stage(t, law, policy, num_proposals, seed, realization_id)
-        for t in range(1, spec.horizon + 1)
-    )
-    maps = tuple(stage_maps(st) for st in stages)
-    onehot = _onehot_policy(spec, maps)
-    induced = evaluate_joint(spec, onehot)
-    action_law = induced.action_marginal()
-    point = RealizationPoint(
-        realization_id=realization_id,
-        rate=entropy_bits(action_law) / spec.horizon,
-        cost=average_cost(induced, spec),
-    )
-    return Realization(realization_id=realization_id, stages=stages, maps=maps,
-                       policy=onehot, action_law=action_law, point=point)
+def _exact_coordinates(spec: SystemSpec, maps):
+    """Exact action laws and (rate, cost) of a block of realizations.
+
+    ``maps[t-1]`` holds the block's stage-t maps, (R, H, X).  One forward
+    product over (R, (X*U)**n) entries, row for row the one
+    ``evaluate_joint`` computes for the realization's one-hot policy.
+    Returns the action laws (R, U**n), rates in bits per stage and average
+    stage costs, (R,) each.  Every reduction runs along one row, so a
+    realization's numbers do not depend on the block it was evaluated in.
+    """
+    n, X, U = spec.horizon, spec.num_states, spec.num_actions
+    R = maps[0].shape[0]
+    p = np.ones((R, 1))
+    cost = np.zeros(R)
+    for t, m in enumerate(maps, start=1):
+        kernel = spec.stage_kernel(t)[:, :, None]
+        joint = p[:, :, None, None] * kernel * _onehot(m, U)
+        cost += (joint * spec.cost).reshape(R, -1).sum(axis=1)
+        p = joint.reshape(R, -1)
+    # (R, x_1, u_1, ..., x_n, u_n) -> (R, u_1..u_n, x_1..x_n), summed over states
+    order = (0, *range(2, 2 * n + 1, 2), *range(1, 2 * n, 2))
+    actions = np.ascontiguousarray(p.reshape((R,) + (X, U) * n).transpose(order))
+    actions = actions.reshape(R, U ** n, X ** n).sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(actions > 0.0, np.log2(actions), 0.0)
+    return actions, -(actions * logs).sum(axis=1) / n, cost / n
+
+
+def realize_cloud(spec: SystemSpec, policy: CausalPolicy, law: JointLaw,
+                  seed: int, ids) -> list[RealizationPoint]:
+    """Exact (rate, cost) points of the realizations ``ids`` of ``policy``.
+
+    Realizations are selected and evaluated in blocks of
+    max(1, spec.budget // (X*U)**n), so no block's trajectory array holds
+    more than ``spec.budget`` entries.
+    """
+    n, X, U = spec.horizon, spec.num_states, spec.num_actions
+    ids = list(ids)
+    block = max(1, spec.budget // (X * U) ** n)
+    masses = [context_mass(law, t) for t in range(1, n + 1)]
+    points = []
+    for first in range(0, len(ids), block):
+        chunk = ids[first:first + block]
+        maps = [race_maps(t, policy.tables[t - 1], masses[t - 1], seed, chunk)
+                for t in range(1, n + 1)]
+        _, rates, costs = _exact_coordinates(spec, maps)
+        points += [RealizationPoint(realization_id=i, rate=float(r), cost=float(c))
+                   for i, r, c in zip(chunk, rates, costs)]
+    return points
+
+
+def build_realization(spec: SystemSpec, policy: CausalPolicy, law: JointLaw,
+                      seed: int, point: RealizationPoint) -> Realization:
+    """The full realization behind a cloud point: draws, maps, policy and
+    action law, recomputed from its race stream."""
+    n, U = spec.horizon, spec.num_actions
+    i = point.realization_id
+    draws = tuple(race_draws(seed, i, t, U) for t in range(1, n + 1))
+    maps = tuple(stage_maps(t, policy.tables[t - 1], context_mass(law, t),
+                            d[None])[0]
+                 for t, d in enumerate(draws, start=1))
+    actions, _, _ = _exact_coordinates(spec, [m[None] for m in maps])
+    return Realization(realization_id=i, draws=draws, maps=maps,
+                       policy=CausalPolicy(tuple(_onehot(m, U) for m in maps)),
+                       action_law=actions[0].reshape((U,) * n), point=point)
 
 
 def synthesize(spec: SystemSpec, budget_cost: float,
@@ -178,25 +224,21 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     cost lands above the budget (the solved policy typically sits exactly
     on the constraint), the solver is re-targeted two standard errors
     tighter and the cloud redrawn, up to ``max_attempts`` times; the final
-    scheme's cost is certified exactly regardless.
+    scheme's cost is certified exactly regardless.  A certified invariant
+    that fails raises ``InvariantError``.
     """
     opt = options or SchemeOptions()
     n = spec.horizon
     target = budget_cost
     attempt = 0
-    solution = None
-    realizations: list[Realization] = []
     sweep = sweep_curve(spec, opt.solver)[1]
     while True:
         solution = solve_rate_cost(spec, target, opt.solver, sweep=sweep)
         law = evaluate_joint(spec, solution.policy)
         base = attempt * opt.cloud_size
-        realizations = [
-            realize(spec, solution.policy, law, base + i, opt.seed,
-                    opt.num_proposals)
-            for i in range(opt.cloud_size)
-        ]
-        costs = np.array([r.point.cost for r in realizations])
+        points = realize_cloud(spec, solution.policy, law, opt.seed,
+                               range(base, base + opt.cloud_size))
+        costs = np.array([p.cost for p in points])
         if float(costs.mean()) <= budget_cost or opt.cloud_size == 1:
             break
         attempt += 1
@@ -210,20 +252,22 @@ def synthesize(spec: SystemSpec, budget_cost: float,
                      float(costs.mean()) - budget_cost, 1e-9)
         target = max(target - margin, min_expected_cost(spec))
 
-    points = [r.point for r in realizations]
     selector = caratheodory_reduce(
         points, np.full(len(points), 1.0 / len(points)),
         budget_cost, opt.epsilon,
     )
-    by_id = {r.realization_id: r for r in realizations}
-    re0, re1 = by_id[selector.index0], by_id[selector.index1]
+    by_id = {p.realization_id: p for p in points}
+    picked = {i: build_realization(spec, solution.policy, law, opt.seed, by_id[i])
+              for i in (selector.index0, selector.index1)}
+    re0, re1 = picked[selector.index0], picked[selector.index1]
     lam = selector.weight
     mixture_law = lam * re0.action_law + (1.0 - lam) * re1.action_law
     codebooks = build_codebooks(mixture_law)
     exact_rate = sum(expected_stage_lengths(codebooks, mixture_law)) / n
     exact_cost = selector.mix_cost
     if exact_cost > budget_cost:
-        raise AssertionError("certified mixture cost exceeds the budget")
+        raise InvariantError(f"certified mixture cost {exact_cost!r} exceeds "
+                             f"the budget {budget_cost!r}")
     cond_bits, uncond_bits = mixture_entropy(
         selector, re0.action_law, re1.action_law
     )
@@ -237,7 +281,7 @@ def synthesize(spec: SystemSpec, budget_cost: float,
         budget_cost=budget_cost, epsilon=opt.epsilon, gamma=opt.gamma,
         eps_ok=eps_condition(info_rate, opt.epsilon, opt.gamma),
         cond_entropy_bits=cond_bits, uncond_entropy_bits=uncond_bits,
-        cloud_size=opt.cloud_size, num_proposals=opt.num_proposals,
+        cloud_size=opt.cloud_size,
         seeds={"tables": opt.seed, "solver": opt.solver.seed,
                "attempts": attempt + 1},
     )

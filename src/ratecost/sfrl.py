@@ -1,19 +1,21 @@
-"""Per-stage strong functional representation via marked Poisson proposals.
+"""Per-stage strong functional representation as an exponential race.
 
-For stage t the target is the policy conditional p(u | x_{1..t}, u_{1..t-1})
-with context marginal q(u | u_{1..t-1}).  Each action-history context gets
-an independent proposal table: symbols drawn i.i.d. from q and strictly
-increasing unit-rate Poisson arrival times.  Selection picks the proposal
-minimizing  time_i * q(sym_i) / p(sym_i | history), ties to the smallest
-index, zero-probability conditionals weighted +inf.  The table collection
-plays the role of the stage's auxiliary randomness: it is drawn from
-dedicated seed streams that never touch state randomness, so independence
-from (states, past actions) holds by construction.
+For stage t the target is the policy conditional p(u | h, x) over flat
+(history, state) rows.  The Poisson functional representation of a finite
+alphabet needs only each symbol's first arrival: by thinning, the first
+arrival of symbol u in a unit-rate process marked i.i.d. from a marginal q
+is T_u ~ Exp(q(u)), independent across u, and the selection
+argmin_i T_i q(V_i) / p(V_i | h) equals argmin_u E_u / p(u | h) with
+E_u = q(u) T_u i.i.d. Exp(1).  The marginal cancels and nothing is
+truncated.
 
-Tables are truncated to a finite number of proposals.  A per-selection
-certificate (winner weight <= last arrival time * smallest possible ratio)
-verifies that no untruncated proposal could have won; the fraction of
-uncertified selections is reported as the truncation-failure bound.
+A stage's auxiliary randomness is therefore one Exp(1) per (action
+context, action).  ``race_draws`` reads it from the stream
+``SeedSequence((seed, STREAM_TABLES, realization_id, t))`` as a
+(U**(t-1), U) array over every context, so the layout does not depend on
+the law, and the draws never touch state randomness: independence from
+(states, past actions) holds by construction.  ``stage_maps`` turns a
+block of such draws into stage maps with one ``argmin``.
 """
 
 from __future__ import annotations
@@ -22,136 +24,62 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import CausalPolicy, JointLaw, entropy_bits, history_rows
+from .system import CausalPolicy, JointLaw, history_digits
 
 STREAM_TABLES = 1
 STREAM_DYNAMICS = 2
 STREAM_SELECTOR = 3
 
 
-class TruncationFailureError(RuntimeError):
-    """Every truncated proposal has an infinite weight for this history."""
+def race_draws(seed: int, realization_id: int, t: int,
+               num_actions: int) -> np.ndarray:
+    """Stage-t race draws of one realization: (U**(t-1), U) standard
+    exponentials, row-major over (action context, action)."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence((seed, STREAM_TABLES, realization_id, t)))
+    return rng.standard_exponential((num_actions ** (t - 1), num_actions))
 
 
-@dataclass(frozen=True, eq=False)
-class ProposalTable:
-    """Proposals for one context: i.i.d. symbols from the context marginal
-    and strictly increasing arrival times."""
-
-    symbols: np.ndarray
-    times: np.ndarray
-    marginal: np.ndarray
-
-    def __post_init__(self):
-        if self.symbols.shape != self.times.shape or self.symbols.ndim != 1:
-            raise ValueError("symbols and times must be equal-length vectors")
-        if np.any(np.diff(self.times) <= 0) or self.times[0] <= 0:
-            raise ValueError("arrival times must be strictly increasing and positive")
+def context_mass(law: JointLaw, t: int) -> np.ndarray:
+    """P(u_{1..t-1}) over the big-endian action contexts of stage t."""
+    if t == 1:
+        return np.ones(1)
+    return law.action_marginal(t - 1).reshape(-1)
 
 
-@dataclass(frozen=True, eq=False)
-class SfrlStage:
-    """One stage's realization: a proposal table per reachable context."""
-
-    t: int
-    tables: dict[int, ProposalTable]
-    conditional: np.ndarray        # policy table for this stage, (H, X, U)
-    context_mass: np.ndarray       # (U**(t-1),)
-    num_states: int
-    num_actions: int
-    num_proposals: int
-    seed: int
+def _row_contexts(num_states: int, num_actions: int, t: int) -> np.ndarray:
+    """The action context key of every flat stage-t history row."""
+    H = (num_states * num_actions) ** (t - 1)
+    _, us = history_digits(np.arange(H), num_states, num_actions, t - 1)
+    return us @ num_actions ** np.arange(t - 2, -1, -1, dtype=np.int64)
 
 
-def _context_rng(seed: int, sample_index: int, t: int, ctx: int):
-    return np.random.default_rng(
-        np.random.SeedSequence((seed, STREAM_TABLES, sample_index, t, ctx))
-    )
+def stage_maps(t: int, conditional: np.ndarray, mass: np.ndarray,
+               draws: np.ndarray) -> np.ndarray:
+    """Stage maps of a block of realizations in the policy-table layout.
 
-
-def _draw_tables(rng, marginal: np.ndarray, count: int, num_proposals: int):
-    """(symbols, times) arrays of shape (count, num_proposals); uniforms are
-    drawn before exponentials so the layout is part of the seed contract."""
-    cum = np.cumsum(marginal)
-    cum[-1] = 1.0
-    uniforms = rng.random((count, num_proposals))
-    symbols = np.searchsorted(cum, uniforms, side="right").astype(np.int64)
-    np.clip(symbols, 0, marginal.size - 1, out=symbols)
-    times = np.cumsum(rng.exponential(1.0, (count, num_proposals)), axis=1)
-    return symbols, times
-
-
-def _context_marginals(law: JointLaw, t: int):
-    """Context masses P(u_{1..t-1}) and the reachable contexts' marginals
-    q(u_t | u_{1..t-1}), as (mass vector, {context: q})."""
-    act = law.action_marginal(t)                 # (U,)*t
-    ctx_mass = act.sum(axis=-1).reshape(-1) if t > 1 else np.array([1.0])
-    flat = act.reshape(-1, law.num_actions)
-    return ctx_mass, {ctx: flat[ctx] / ctx_mass[ctx]
-                      for ctx in range(ctx_mass.size) if ctx_mass[ctx] > 0.0}
-
-
-def build_stage(t: int, law: JointLaw, policy: CausalPolicy,
-                num_proposals: int = 1024, seed: int = 0,
-                sample_index: int = 0) -> SfrlStage:
-    """Draw one stage realization matched to the law's context marginals.
-
-    Contexts with zero probability are skipped; selection is never queried
-    there.  Deterministic given (seed, sample_index).
+    ``conditional`` is the stage-t policy table (H, X, U), ``mass`` the
+    context masses (U**(t-1),) and ``draws`` the block's race draws
+    (R, U**(t-1), U).  Returns (R, H, X) int64: on row (h, x) the action
+    argmin_u draws[r, ctx(h), u] / p(u | h, x), weighted +inf where
+    p = 0, ties to the smallest action; -1 on rows of zero-mass contexts.
     """
-    U = policy.num_actions
-    if num_proposals < U:
-        raise ValueError("need at least one proposal slot per action symbol")
-    ctx_mass, marginals = _context_marginals(law, t)
-    tables: dict[int, ProposalTable] = {}
-    for ctx, q in marginals.items():
-        rng = _context_rng(seed, sample_index, t, ctx)
-        symbols, times = _draw_tables(rng, q, 1, num_proposals)
-        tables[ctx] = ProposalTable(symbols=symbols[0], times=times[0],
-                                    marginal=q)
-    return SfrlStage(t=t, tables=tables, conditional=policy.tables[t - 1],
-                     context_mass=ctx_mass, num_states=policy.num_states,
-                     num_actions=U, num_proposals=num_proposals, seed=seed)
-
-
-def _select_batch(tables_syms, tables_times, rows, marginal):
-    """Vectorized selection: symbols (nT, Xt) and certificates (nT, Xt)."""
+    _, X, U = conditional.shape
+    ctx = _row_contexts(X, U, t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(rows > 0.0, marginal[None, :] / rows, np.inf)  # (Xt, U)
-    # ratio gathered at each proposal symbol: (nT, Xt, M)
-    weights = tables_times[:, None, :] * np.take(ratio, tables_syms, axis=1).transpose(1, 0, 2)
-    k = np.argmin(weights, axis=2)
-    wmin = np.take_along_axis(weights, k[:, :, None], axis=2)[:, :, 0]
-    if not np.all(np.isfinite(wmin)):
-        raise TruncationFailureError("a history's conditional support is "
-                                     "disjoint from all proposals")
-    selected = np.take_along_axis(
-        np.broadcast_to(tables_syms[:, None, :], weights.shape),
-        k[:, :, None], axis=2,
-    )[:, :, 0]
-    support = marginal > 0.0
-    rmin = np.where(
-        np.any(np.isfinite(ratio[:, support]), axis=1),
-        np.min(np.where(np.isfinite(ratio[:, support]), ratio[:, support], np.inf),
-               axis=1),
-        np.inf,
-    )
-    certified = wmin <= tables_times[:, None, -1] * rmin[None, :]
-    return selected, certified
+        weights = np.where(conditional > 0.0,
+                           draws[:, ctx, None, :] / conditional, np.inf)
+    maps = np.argmin(weights, axis=-1)
+    maps[:, mass[ctx] <= 0.0, :] = -1
+    return maps
 
 
-def stage_maps(stage: SfrlStage) -> np.ndarray:
-    """The stage map in the policy-table layout: the selected action per flat
-    (history, state) row, shape (H, X); -1 on rows of contexts without a
-    table."""
-    X, U, t = stage.num_states, stage.num_actions, stage.t
-    out = np.full(stage.conditional.shape[:2], -1, dtype=np.int64)
-    for ctx, table in stage.tables.items():
-        h, x = history_rows(np.arange(X ** t), ctx, X, U, t)
-        selected, _ = _select_batch(table.symbols[None], table.times[None],
-                                    stage.conditional[h, x], table.marginal)
-        out[h, x] = selected[0]
-    return out
+def race_maps(t: int, conditional: np.ndarray, mass: np.ndarray, seed: int,
+              ids) -> np.ndarray:
+    """Stage maps (R, H, X) of the realizations ``ids`` at ``seed``."""
+    U = conditional.shape[2]
+    draws = np.stack([race_draws(seed, i, t, U) for i in ids])
+    return stage_maps(t, conditional, mass, draws)
 
 
 def _state_prefix(law: JointLaw, t: int) -> np.ndarray:
@@ -159,86 +87,56 @@ def _state_prefix(law: JointLaw, t: int) -> np.ndarray:
     return law.prefix_marginal(t).sum(axis=2 * t - 1).reshape(-1, law.num_states)
 
 
-def _state_history_weights(prefix: np.ndarray, h, x) -> np.ndarray:
-    """P(x_{1..t} | u_{1..t-1}=ctx) gathered at one context's rows ``(h, x)``."""
-    block = prefix[h, x]
-    mass = block.sum()
-    return block / mass if mass > 0 else block
+def _stage_entropies(t: int, law: JointLaw, maps: np.ndarray) -> np.ndarray:
+    """Exact H(U_t | U_{1..t-1}) in bits under each of the (R, H, X) maps.
 
-
-def stage_entropy_given_tables(stage: SfrlStage, law: JointLaw) -> float:
-    """Exact H(U_t | U_{1..t-1}, auxiliary = these tables) in bits.
-
-    For fixed tables the action is a deterministic function of the state
-    history, so per context the entropy is that of the pushforward of the
-    exact history law through the stage map.
+    With the draws fixed the action is a function of the state history, so
+    per context the entropy is that of the pushforward of the exact
+    history law through the map.
     """
-    X, U, t = stage.num_states, stage.num_actions, stage.t
-    maps = stage_maps(stage)
+    R, H, X = maps.shape
+    U = law.num_actions
+    C = U ** (t - 1)
     prefix = _state_prefix(law, t)
-    total = 0.0
-    for ctx in stage.tables:
-        mass = float(stage.context_mass[ctx])
-        if mass <= 0.0:
-            continue
-        h, x = history_rows(np.arange(X ** t), ctx, X, U, t)
-        w = _state_history_weights(prefix, h, x)
-        pushed = np.bincount(maps[h, x], weights=w, minlength=U)
-        total += mass * entropy_bits(pushed)
-    return total
+    ctx = np.broadcast_to(_row_contexts(X, U, t)[:, None], (H, X))
+    keep = prefix > 0.0
+    keys = (np.arange(R)[:, None] * C + ctx[keep]) * U + maps[:, keep]
+    pushed = np.bincount(
+        keys.ravel(), weights=np.broadcast_to(prefix[keep], keys.shape).ravel(),
+        minlength=R * C * U).reshape(R, C, U)
+    mass = pushed.sum(axis=2, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(pushed > 0.0, np.log2(pushed / mass), 0.0)
+    return -(pushed * logs).sum(axis=(1, 2))
 
 
-def _context_selections(t: int, law: JointLaw, policy: CausalPolicy,
-                        num_proposals: int, num_tables: int, seed: int,
-                        chunk: int):
-    """Stage-t selections under ``num_tables`` seeded table draws.
+def _cloud_maps(t: int, law: JointLaw, policy: CausalPolicy, num_tables: int,
+                seed: int, chunk: int):
+    """Stage-t maps of realizations 0..num_tables-1 in blocks of ``chunk``."""
+    mass = context_mass(law, t)
+    for first in range(0, num_tables, chunk):
+        yield race_maps(t, policy.tables[t - 1], mass, seed,
+                        range(first, min(first + chunk, num_tables)))
 
-    Yields ``(mass, rows, weights, batches)`` per reachable context in index
-    order: its mass, the conditional rows and weights of its state histories,
-    and a generator of ``(first table, selected, certified)`` over chunks of
-    tables drawn from the context's ``_context_rng(seed, 0, t, ctx)`` stream.
-    """
-    X, U = policy.num_states, policy.num_actions
-    ctx_mass, marginals = _context_marginals(law, t)
-    prefix = _state_prefix(law, t)
-    conditional = policy.tables[t - 1]
 
-    def batches(rng, q, rows):
-        for done in range(0, num_tables, chunk):
-            syms, times = _draw_tables(rng, q, min(chunk, num_tables - done),
-                                       num_proposals)
-            yield (done, *_select_batch(syms, times, rows, q))
-
-    for ctx, q in marginals.items():
-        h, x = history_rows(np.arange(X ** t), ctx, X, U, t)
-        rows = conditional[h, x]
-        yield (float(ctx_mass[ctx]), rows, _state_history_weights(prefix, h, x),
-               batches(_context_rng(seed, 0, t, ctx), q, rows))
+def stage_entropy_given_tables(t: int, law: JointLaw, policy: CausalPolicy,
+                               draws: np.ndarray) -> float:
+    """Exact H(U_t | U_{1..t-1}, auxiliary = these race draws) in bits."""
+    maps = stage_maps(t, policy.tables[t - 1], context_mass(law, t), draws[None])
+    return float(_stage_entropies(t, law, maps)[0])
 
 
 def estimate_stage_entropy(t: int, law: JointLaw, policy: CausalPolicy,
-                           num_proposals: int = 1024, num_tables: int = 1000,
-                           seed: int = 0, chunk: int = 512):
-    """Monte-Carlo estimate of H(U_t | U_{1..t-1}, Z_t) over seeded tables.
+                           num_tables: int = 1000, seed: int = 0,
+                           chunk: int = 512):
+    """Monte-Carlo estimate of H(U_t | U_{1..t-1}, Z_t) over race draws.
 
-    Returns (mean, standard error, per-table values).  Tables for all
-    contexts of one draw come from a single per-(seed, t, ctx) stream, so
-    the result is reproducible bit for bit for fixed arguments.
+    Draw j is realization j's stage-t race at ``seed``.  Returns (mean,
+    standard error, per-draw values), reproducible bit for bit.
     """
-    U = policy.num_actions
-    values = np.zeros(num_tables)
-    for mass, _, w, batches in _context_selections(
-            t, law, policy, num_proposals, num_tables, seed, chunk):
-        for done, selected, _ in batches:
-            take = selected.shape[0]
-            keys = (np.arange(take)[:, None] * U + selected).ravel()
-            counts = np.bincount(
-                keys, weights=np.broadcast_to(w, selected.shape).ravel(),
-                minlength=take * U,
-            ).reshape(take, U)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logs = np.where(counts > 0, np.log2(np.where(counts > 0, counts, 1.0)), 0.0)
-            values[done:done + take] += mass * (-(counts * logs).sum(axis=1))
+    values = np.concatenate([
+        _stage_entropies(t, law, maps)
+        for maps in _cloud_maps(t, law, policy, num_tables, seed, chunk)])
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(num_tables)) if num_tables > 1 else 0.0
     return mean, se, values
@@ -248,39 +146,28 @@ def estimate_stage_entropy(t: int, law: JointLaw, policy: CausalPolicy,
 class FidelityReport:
     max_tv: float
     mean_tv: float
-    truncation_failure_rate: float
     num_tables: int
-    num_proposals: int
 
 
 def conditional_fidelity(t: int, law: JointLaw, policy: CausalPolicy,
-                         num_proposals: int = 1024, num_tables: int = 10_000,
-                         seed: int = 0, chunk: int = 2000) -> FidelityReport:
-    """Total-variation distance between the table-averaged stage map output
-    and the exact conditional, per reachable (context, state history); the
-    reported figure is the worst pair.  Also reports the fraction of
-    selections whose truncation certificate failed.
+                         num_tables: int = 10_000, seed: int = 0,
+                         chunk: int = 2000) -> FidelityReport:
+    """Total-variation distance between the draw-averaged stage map output
+    and the exact conditional, per reachable (history, state) row; the
+    reported figure is the worst row.
     """
-    U = policy.num_actions
-    tvs = []
-    uncertified = 0
-    total_selections = 0
-    for _, rows, w, batches in _context_selections(
-            t, law, policy, num_proposals, num_tables, seed, chunk):
-        reachable = np.flatnonzero(w > 0)
-        counts = np.zeros((rows.shape[0], U))
-        for _, selected, certified in batches:
-            for xk in reachable:
-                counts[xk] += np.bincount(selected[:, xk], minlength=U)
-            uncertified += int((~certified[:, reachable]).sum())
-            total_selections += certified[:, reachable].size
-        emp = counts / num_tables
-        for xk in reachable:
-            tvs.append(0.5 * float(np.abs(emp[xk] - rows[xk]).sum()))
+    conditional = policy.tables[t - 1]
+    H, X, U = conditional.shape
+    counts = np.zeros(H * X * U)
+    for maps in _cloud_maps(t, law, policy, num_tables, seed, chunk):
+        reached = maps >= 0
+        rows = np.broadcast_to(np.arange(H * X).reshape(H, X), maps.shape)
+        counts += np.bincount(rows[reached] * U + maps[reached],
+                              minlength=H * X * U)
+    emp = counts.reshape(H, X, U) / num_tables
+    tv = 0.5 * np.abs(emp - conditional).sum(axis=2)[_state_prefix(law, t) > 0.0]
     return FidelityReport(
-        max_tv=max(tvs) if tvs else 0.0,
-        mean_tv=float(np.mean(tvs)) if tvs else 0.0,
-        truncation_failure_rate=uncertified / max(total_selections, 1),
+        max_tv=float(tv.max()) if tv.size else 0.0,
+        mean_tv=float(tv.mean()) if tv.size else 0.0,
         num_tables=num_tables,
-        num_proposals=num_proposals,
     )

@@ -1,6 +1,6 @@
 """Binary time sharing over auxiliary-randomness realizations.
 
-Each realization of the per-stage proposal tables induces a deterministic
+Each realization of the per-stage race draws induces a deterministic
 causal policy, hence an exact (rate, cost) pair: rate is the per-stage
 entropy of the realized action-sequence law and cost its average stage
 cost.  Given a weighted cloud of such points whose barycenter meets the
@@ -42,6 +42,10 @@ class InfeasibleBarycenterError(ValueError):
         msg = (f"cloud barycenter cost {barycenter_cost} exceeds budget "
                f"{budget_cost}; the upstream policy missed the cost constraint")
         super().__init__(msg + (f" ({detail})" if detail else ""))
+
+
+class InvariantError(RuntimeError):
+    """An exactly checked property of the synthesized scheme does not hold."""
 
 
 @dataclass(frozen=True)
@@ -263,7 +267,8 @@ def mixture_entropy(selector: TimeShareSelector, action_law0: np.ndarray,
     The conditional entropy given the selector bit is the weight-average of
     the two realized entropies; the unconditional one is the entropy of the
     mixed law.  Verifies unconditional <= conditional + 1 (one selector bit)
-    and >= conditional (concavity), within float tolerance.
+    and >= conditional (concavity), within float tolerance; raises
+    ``InvariantError`` otherwise.
     """
     lam = selector.weight
     cond = lam * entropy_bits(action_law0) + (1.0 - lam) * entropy_bits(action_law1)
@@ -271,7 +276,7 @@ def mixture_entropy(selector: TimeShareSelector, action_law0: np.ndarray,
         + (1.0 - lam) * np.asarray(action_law1, dtype=float)
     uncond = entropy_bits(mixed)
     if uncond > cond + 1.0 + 1e-9:
-        raise AssertionError("mixture entropy exceeds conditional entropy + 1 bit")
+        raise InvariantError("mixture entropy exceeds conditional entropy + 1 bit")
     if uncond < cond - 1e-9:
-        raise AssertionError("mixture entropy below conditional entropy")
+        raise InvariantError("mixture entropy below conditional entropy")
     return cond, uncond

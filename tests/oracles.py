@@ -68,15 +68,13 @@ def conditional_action_entropies_from_dict(law, n):
 
 
 def argmin_selection(symbols, times, marginal, conditional):
-    """Strong-functional-representation selection for one history, from
-    the definition: the proposal minimizing time * q(sym) / p(sym | history),
-    ties to the smallest index, weight +inf where p(sym | history) = 0.
+    """Strong-functional-representation selection for one history over a
+    proposal table, from the definition: the proposal minimizing
+    time * q(sym) / p(sym | history), ties to the smallest index, weight
+    +inf where p(sym | history) = 0.
 
-    Returns (symbol, proposal index, certified), where certified means the
-    winning weight is at most the last arrival time times the smallest
-    finite ratio q(u) / p(u) over the marginal's support, so that no
-    proposal past the truncation could have won.  Raises LookupError when
-    every proposal has an infinite weight.
+    Returns (symbol, proposal index).  Raises LookupError when every
+    proposal has an infinite weight.
     """
     best_k, best_w = None, math.inf
     for k, (sym, time) in enumerate(zip(symbols.tolist(), times.tolist())):
@@ -86,11 +84,21 @@ def argmin_selection(symbols, times, marginal, conditional):
             best_k, best_w = k, w
     if best_k is None:
         raise LookupError("every proposal has an infinite weight")
-    ratios = [float(marginal[u]) / float(conditional[u])
-              for u in range(len(marginal))
-              if marginal[u] > 0.0 and conditional[u] > 0.0]
-    certified = best_w <= times[-1] * min(ratios, default=math.inf)
-    return int(symbols[best_k]), best_k, bool(certified)
+    return int(symbols[best_k]), best_k
+
+
+def race_selection(draws, conditional):
+    """Exponential-race selection for one history, from the definition:
+    the action minimizing E_u / p(u | history), ties to the smallest
+    action, weight +inf where p(u | history) = 0."""
+    best_u, best_w = None, math.inf
+    for u, (e, p) in enumerate(zip(draws.tolist(), conditional.tolist())):
+        w = e / p if p > 0.0 else math.inf
+        if w < best_w:
+            best_u, best_w = u, w
+    if best_u is None:
+        raise LookupError("every action has an infinite weight")
+    return best_u
 
 
 def binary_entropy(p: float) -> float:

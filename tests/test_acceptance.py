@@ -131,12 +131,10 @@ def test_criterion_3_functional_representation_bound():
     for name, sp, pol, t in stage_instances:
         law = evaluate_joint(sp, pol)
         info_t = stage_information_terms(law)[t - 1]
-        mean, se, _ = estimate_stage_entropy(
-            t, law, pol, num_proposals=1024, num_tables=1000, seed=0)
+        mean, se, _ = estimate_stage_entropy(t, law, pol, num_tables=1000, seed=0)
         bound = info_t + math.log2(info_t + 3.4) + 1.0
         ent_ok = mean <= bound + 2.0 * se
-        fid = conditional_fidelity(t, law, pol, num_proposals=1024,
-                                   num_tables=20_000, seed=0)
+        fid = conditional_fidelity(t, law, pol, num_tables=20_000, seed=0)
         tv_ok = fid.max_tv <= 0.01
         ok &= ent_ok and tv_ok
         details.append(

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ratecost.cli
+import ratecost.scheme
 from ratecost.cli import (
     EXIT_INFEASIBLE,
     EXIT_NO_CONVERGENCE,
@@ -221,7 +222,7 @@ class TestSynthCommand:
     def run_synth(self, tmp_path, spec_path, tag, *extra):
         out = tmp_path / tag
         argv = ["synth", "--spec", spec_path, "--D", "0.4", "--out", str(out),
-                "--trials", "400", "--cloud-size", "40", "--proposals", "256",
+                "--trials", "400", "--cloud-size", "40",
                 "--restarts", "4", "--seed", "0", *extra]
         code = main(argv)
         return code, out
@@ -250,7 +251,7 @@ class TestSynthCommand:
         trials = TRIAL_BLOCK + 50     # more than one simulation block
         code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out",
                      str(outdir), "--trials", str(trials), "--cloud-size", "20",
-                     "--proposals", "128", "--restarts", "2", "--trials-csv"])
+                     "--restarts", "2", "--trials-csv"])
         assert code == EXIT_OK
         lines = (outdir / "trials.csv").read_text().splitlines()
         assert lines[0] == "trial,bits_per_stage,cost_per_stage"
@@ -296,14 +297,48 @@ class TestSynthCommand:
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out", str(out),
                      "--seed", "0", "--restarts", "1", "--cloud-size", "20",
-                     "--proposals", "128", "--trials", "200"])
+                     "--trials", "200"])
         assert code == EXIT_OK
         doc = json.loads((out / "result_bundle.json").read_text())
         del doc["spec_path"]
-        assert doc["seeds"]["attempts"] == 2
+        assert doc["seeds"]["attempts"] == 1
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "4b420d1d26cf51c2efb7f2d6840ee85ca734643c38ce877aca4b336b2cb41c97"
+            "70b20343b353cb85a9b895de6d267460ff341d847a7d4df4f6cc3ea7cd88ddf2"
+
+    def test_block_of_one_bundle_byte_identical(self, tmp_path):
+        # a spec whose trajectory budget equals its trajectory count makes
+        # the cloud evaluate one realization per block
+        spec_path = write_spec(tmp_path, controlled_doc())
+        _, out_a = self.run_synth(tmp_path, spec_path, "a")
+        write_spec(tmp_path, {**controlled_doc(), "budget": 16})
+        assert load_spec(spec_path).budget == 16
+        _, out_b = self.run_synth(tmp_path, spec_path, "b")
+        assert (out_a / "result_bundle.json").read_bytes() == \
+            (out_b / "result_bundle.json").read_bytes()
+
+    def test_invariant_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        reduce = ratecost.scheme.caratheodory_reduce
+
+        def overspent(points, weights, budget_cost, epsilon):
+            selector = reduce(points, weights, budget_cost, epsilon)
+            return dataclasses.replace(selector, mix_cost=budget_cost * 2)
+
+        monkeypatch.setattr(ratecost.scheme, "caratheodory_reduce", overspent)
+        spec_path = write_spec(tmp_path, controlled_doc())
+        code, out = self.run_synth(tmp_path, spec_path, "v")
+        assert code == EXIT_VERIFY
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["verification failed: certified mixture cost 0.8 exceeds "
+                       "the budget 0.4"]
+        assert not (out / "result_bundle.json").exists()
+
+    def test_proposals_option_is_gone(self, tmp_path):
+        spec_path = write_spec(tmp_path, controlled_doc())
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--spec", spec_path, "--D", "0.4", "--out",
+                  str(tmp_path), "--proposals", "128"])
+        assert exc.value.code == EXIT_SPEC
 
 
 class TestLqgCommand:

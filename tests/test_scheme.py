@@ -21,20 +21,28 @@ from ratecost.scheme import (
     TRIAL_BLOCK,
     DecodeMismatchError,
     SchemeOptions,
+    build_realization,
     eps_condition,
     log_gap_budget,
     per_coordinate_overhead,
+    realize_cloud,
     run_trials,
     synthesize,
     verify_sandwich,
 )
-from ratecost.solver import InfeasibleCostError, SolverOptions, min_expected_cost
+from ratecost.solver import (
+    InfeasibleCostError,
+    SolverOptions,
+    min_expected_cost,
+    solve_rate_cost,
+)
+from ratecost.system import average_cost, entropy_bits, evaluate_joint
+from ratecost.timeshare import InvariantError
 
-from oracles import argmin_selection
+from oracles import race_selection
 
 FAST = SchemeOptions(
     cloud_size=80,
-    num_proposals=512,
     solver=SolverOptions(restarts=4, max_iters=1200),
 )
 
@@ -135,20 +143,77 @@ class TestSynthesize:
         spec = noisy_actuator(3)
         budget = mid_curve_budget(spec)
         b = synthesize(spec, budget, SchemeOptions(
-            cloud_size=20, num_proposals=128, solver=SolverOptions(restarts=1)))
+            cloud_size=20, solver=SolverOptions(restarts=1)))
         assert b.seeds["attempts"] == 2
         assert b.exact_cost <= budget
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("field", ["cloud_size", "num_proposals", "max_attempts"])
+    @pytest.mark.parametrize("field", ["cloud_size", "max_attempts"])
     def test_nonpositive_counts_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             SchemeOptions(**{field: 0})
+
+    def test_mixture_cost_over_budget_raises_invariant_error(self, monkeypatch):
+        reduce = ratecost.scheme.caratheodory_reduce
+
+        def overspent(points, weights, budget_cost, epsilon):
+            selector = reduce(points, weights, budget_cost, epsilon)
+            return dataclasses.replace(selector, mix_cost=budget_cost + 1e-6)
+
+        monkeypatch.setattr(ratecost.scheme, "caratheodory_reduce", overspent)
+        spec = drive_to_zero(2)
+        with pytest.raises(InvariantError, match="exceeds the budget"):
+            synthesize(spec, mid_curve_budget(spec),
+                       dataclasses.replace(FAST, cloud_size=10))
 
     def test_infeasible_budget_propagates(self):
         spec = drive_to_zero(2)
         with pytest.raises(InfeasibleCostError):
             synthesize(spec, min_expected_cost(spec) / 2, FAST)
+
+
+class TestCloud:
+    @pytest.fixture(scope="class", params=["drive2", "noisy3", "sticky4"])
+    def solved(self, request):
+        spec = {"drive2": lambda: drive_to_zero(2),
+                "noisy3": lambda: noisy_actuator(3),
+                "sticky4": lambda: sticky_tracking(4)}[request.param]()
+        point = solve_rate_cost(spec, mid_curve_budget(spec),
+                                SolverOptions(restarts=1))
+        return spec, point.policy, evaluate_joint(spec, point.policy)
+
+    def test_batched_points_match_per_realization_evaluation(self, solved):
+        spec, policy, law = solved
+        points = realize_cloud(spec, policy, law, 3, range(40, 80))
+        assert [p.realization_id for p in points] == list(range(40, 80))
+        for p in points:
+            re = build_realization(spec, policy, law, 3, p)
+            induced = evaluate_joint(spec, re.policy)
+            assert abs(p.rate - entropy_bits(induced.action_marginal())
+                       / spec.horizon) <= 1e-12
+            assert abs(p.cost - average_cost(induced, spec)) <= 1e-12
+            np.testing.assert_allclose(re.action_law, induced.action_marginal(),
+                                       rtol=0, atol=1e-15)
+
+    def test_block_of_one_gives_identical_points(self, solved, monkeypatch):
+        # a trajectory budget equal to the trajectory count evaluates the
+        # cloud one realization at a time
+        spec, policy, law = solved
+        blocks = []
+        evaluate = ratecost.scheme._exact_coordinates
+
+        def recorded(spec, maps):
+            blocks.append(maps[0].shape[0])
+            return evaluate(spec, maps)
+
+        monkeypatch.setattr(ratecost.scheme, "_exact_coordinates", recorded)
+        single = dataclasses.replace(
+            spec, budget=(spec.num_states * spec.num_actions) ** spec.horizon)
+        one_by_one = realize_cloud(single, policy, law, 0, range(200))
+        assert blocks == [1] * 200
+        blocks.clear()
+        assert realize_cloud(spec, policy, law, 0, range(200)) == one_by_one
+        assert blocks == [200]
 
 
 class TestRunTrials:
@@ -190,7 +255,7 @@ class TestRunTrials:
     def test_monte_carlo_within_three_se_on_shipped_instances(self, make):
         spec = make()
         b = synthesize(spec, mid_curve_budget(spec), SchemeOptions(
-            cloud_size=40, num_proposals=256, solver=SolverOptions(restarts=1)))
+            cloud_size=40, solver=SolverOptions(restarts=1)))
         report = run_trials(b, 50_000, seed=4)
         assert abs(report.empirical_rate - b.exact_rate) \
             <= 3.0 * report.empirical_rate_se
@@ -235,8 +300,8 @@ class TestRunTrials:
             run_trials(bundle, 10, seed=0)
 
     def test_manual_loop_matches_maps_and_mixture_law(self, bundle):
-        # independent re-simulation: the literal argmin selection on each
-        # context's proposal table instead of the stage maps
+        # independent re-simulation: the literal race selection on each
+        # realization's stored draws instead of the stage maps
         spec = bundle.spec
         n, X, U = spec.horizon, spec.num_states, spec.num_actions
         rng = np.random.default_rng(99)
@@ -252,11 +317,9 @@ class TestRunTrials:
                 x = int(rng.choice(X, p=row / row.sum()))
                 key = (re.realization_id, t, hidx, x)
                 if key not in chosen:
-                    stage = re.stages[t - 1]
-                    table = stage.tables[uctx]
-                    chosen[key] = argmin_selection(
-                        table.symbols, table.times, table.marginal,
-                        stage.conditional[hidx, x])[0]
+                    chosen[key] = race_selection(
+                        re.draws[t - 1][uctx],
+                        bundle.solution.policy.tables[t - 1][hidx, x])
                     assert chosen[key] == re.maps[t - 1][hidx, x]
                 u = chosen[key]
                 uctx = uctx * U + u

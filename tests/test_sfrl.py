@@ -4,45 +4,43 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratecost import CausalPolicy, SystemSpec, evaluate_joint
-from ratecost.instances import drive_to_zero, symmetric_pair
+from ratecost.instances import (
+    drive_to_zero,
+    min_open_loop_cost,
+    noisy_actuator,
+    sticky_tracking,
+    symmetric_pair,
+)
 from ratecost.sfrl import (
-    ProposalTable,
-    SfrlStage,
-    TruncationFailureError,
-    _select_batch,
-    build_stage,
     conditional_fidelity,
+    context_mass,
     estimate_stage_entropy,
+    race_draws,
     stage_entropy_given_tables,
     stage_maps,
 )
-from ratecost.solver import SolverOptions, solve_rate_cost
+from ratecost.solver import SolverOptions, min_expected_cost, solve_rate_cost
 from ratecost.system import directed_information, history_rows, stage_information_terms
 
-from oracles import argmin_selection
+from oracles import argmin_selection, race_selection
 
 
-def crafted_stage(conditional_rows, marginal, times=None, symbols=None):
-    """Hand-built one-shot stage for exact selection tests."""
-    cond = np.asarray(conditional_rows, dtype=float)[None, :, :]  # (1, X, U)
-    marginal = np.asarray(marginal, dtype=float)
-    M = 8 if times is None else len(times)
-    times = np.arange(1.0, M + 1) if times is None else np.asarray(times, float)
-    symbols = (np.arange(M) % marginal.size if symbols is None
-               else np.asarray(symbols))
-    table = ProposalTable(symbols=symbols, times=times, marginal=marginal)
-    return SfrlStage(t=1, tables={0: table}, conditional=cond,
-                     context_mass=np.array([1.0]), num_states=cond.shape[1],
-                     num_actions=marginal.size, num_proposals=M, seed=0)
+def maps_for(t, law, policy, seed=0, ids=range(1)):
+    """Stage-t maps of the given realizations, (R, H, X)."""
+    draws = np.stack([race_draws(seed, i, t, policy.num_actions) for i in ids])
+    return stage_maps(t, policy.tables[t - 1], context_mass(law, t), draws)
 
 
-def oracle_for(stage, x):
-    """Reference selection for state x of a one-shot stage."""
-    table = stage.tables[0]
-    return argmin_selection(table.symbols, table.times, table.marginal,
-                            stage.conditional[0, x])
+def context_of(h, X, U, t):
+    """Action context key of flat history row h, decoded digit by digit."""
+    ctx = 0
+    for s in range(t - 1):
+        pair = h // (X * U) ** (t - 2 - s) % (X * U)
+        ctx = ctx * U + pair % U
+    return ctx
 
 
 class TestSelect:
@@ -52,82 +50,55 @@ class TestSelect:
         )
         policy = CausalPolicy.uniform(spec)
         law = evaluate_joint(spec, policy)
-        stage = build_stage(1, law, policy, num_proposals=4, seed=3)
-        assert all(np.all(t.symbols == 0) for t in stage.tables.values())
-        np.testing.assert_array_equal(stage_maps(stage), [[0, 0]])
-        assert oracle_for(stage, 0)[0] == 0 and oracle_for(stage, 1)[0] == 0
+        np.testing.assert_array_equal(maps_for(1, law, policy, seed=3), [[[0, 0]]])
 
     def test_conditional_equal_marginal_selects_first_proposal(self):
+        # p(u | x) = q(u) for every state: the race reduces to the first
+        # arrival T_u = E_u / q(u) of the marginal's Poisson process
         q = np.array([0.3, 0.7])
-        stage = crafted_stage([q, q], q)
-        maps = stage_maps(stage)
-        for x in (0, 1):
-            sym, k, certified = oracle_for(stage, x)
-            assert k == 0
-            assert sym == int(stage.tables[0].symbols[0]) == maps[0, x]
-            assert certified
+        conditional = np.array([[q, q]])
+        for draws in ([0.9, 0.5], [0.1, 0.5], [2.0, 3.0]):
+            e = np.array([[draws]])
+            first = int(np.argmin(np.array(draws) / q))
+            np.testing.assert_array_equal(
+                stage_maps(1, conditional, np.ones(1), e), [[[first, first]]])
 
     def test_point_mass_conditional_returns_atom(self):
-        marginal = np.array([0.5, 0.5])
-        rows = [[0.0, 1.0], [0.0, 1.0]]
-        stage = crafted_stage(rows, marginal, symbols=np.array([0, 1, 0, 1]),
-                              times=np.array([1.0, 2.0, 3.0, 4.0]))
-        sym, k, _ = oracle_for(stage, 0)
-        assert sym == 1 and k == 1  # first proposal carrying the atom
-        assert stage_maps(stage)[0, 0] == 1
-
-    def test_disjoint_support_raises_truncation_failure(self):
-        marginal = np.array([1.0, 0.0])
-        rows = [[0.0, 1.0], [0.0, 1.0]]  # conditional lives where q never proposes
-        stage = crafted_stage(rows, marginal, symbols=np.zeros(4, dtype=int),
-                              times=np.array([1.0, 2.0, 3.0, 4.0]))
-        with pytest.raises(TruncationFailureError):
-            stage_maps(stage)
-        with pytest.raises(LookupError):
-            oracle_for(stage, 0)
+        conditional = np.array([[[0.0, 1.0], [0.0, 1.0]]])
+        draws = np.array([[[1e-9, 50.0]]])   # the atom arrives last
+        np.testing.assert_array_equal(
+            stage_maps(1, conditional, np.ones(1), draws), [[[1, 1]]])
 
     def test_unreachable_context_rows_are_minus_one(self):
-        # action 0 at stage 1 always: stage-2 context u_1 = 1 has no table
+        # action 0 at stage 1 always: stage-2 context u_1 = 1 has no mass
         spec = drive_to_zero(2)
         policy = CausalPolicy.constant_action(spec, 0)
         law = evaluate_joint(spec, policy)
-        stage = build_stage(2, law, policy, num_proposals=16, seed=0)
-        assert set(stage.tables) == {0}
-        maps = stage_maps(stage)
-        assert maps.shape == (4, 2) and maps.dtype == np.int64
+        maps = maps_for(2, law, policy, ids=range(3))
+        assert maps.shape == (3, 4, 2) and maps.dtype == np.int64
         h, x = history_rows(np.arange(4), 1, 2, 2, 2)
-        assert np.all(maps[h, x] == -1)
+        assert np.all(maps[:, h, x] == -1)
         h, x = history_rows(np.arange(4), 0, 2, 2, 2)
-        assert np.all(maps[h, x] == 0)
+        assert np.all(maps[:, h, x] == 0)
 
-    @pytest.mark.parametrize("num_proposals", [3, 8, 64])
-    def test_maps_and_certificates_match_argmin_oracle(self, num_proposals):
-        # a random stage-2 policy on a three-action plant; short tables make
-        # some certificates fail
+    def test_maps_match_race_oracle(self):
+        # a random stage-2 policy on a three-action plant
         spec = SystemSpec.from_markov(
             [0.3, 0.7], np.full((2, 3, 2), 0.5), np.zeros((2, 3)), horizon=2)
-        rng = np.random.default_rng(num_proposals)
+        rng = np.random.default_rng(8)
         tabs = [rng.dirichlet(np.ones(3), size=(1, 2)),
                 rng.dirichlet(np.full(3, 0.4), size=(6, 2))]
         policy = CausalPolicy(tuple(tabs))
         law = evaluate_joint(spec, policy)
-        stage = build_stage(2, law, policy, num_proposals, seed=13)
-        maps = stage_maps(stage)
-        certificates = []
-        for ctx, table in stage.tables.items():
-            h, x = history_rows(np.arange(4), ctx, 2, 3, 2)
-            _, certified = _select_batch(table.symbols[None], table.times[None],
-                                         stage.conditional[h, x], table.marginal)
-            for row, (hk, xk) in enumerate(zip(h, x)):
-                sym, k, cert = argmin_selection(
-                    table.symbols, table.times, table.marginal,
-                    stage.conditional[hk, xk])
-                assert maps[hk, xk] == sym == table.symbols[k]
-                assert certified[0, row] == cert
-                certificates.append(cert)
-        assert len(certificates) == 12
-        if num_proposals == 3:
-            assert not all(certificates)
+        ids = range(5, 25)
+        maps = maps_for(2, law, policy, seed=13, ids=ids)
+        for r, i in enumerate(ids):
+            draws = race_draws(13, i, 2, 3)
+            for h in range(6):
+                for x in range(2):
+                    want = race_selection(draws[context_of(h, 2, 3, 2)],
+                                          policy.tables[1][h, x])
+                    assert maps[r, h, x] == want
 
     def test_state_ignoring_policy_map_ignores_state(self):
         spec = drive_to_zero(2)
@@ -135,69 +106,139 @@ class TestSelect:
         policy = CausalPolicy.state_ignoring(spec, rows)
         law = evaluate_joint(spec, policy)
         for t in (1, 2):
-            stage = build_stage(t, law, policy, 64, seed=11)
-            maps = stage_maps(stage)
-            for ctx in stage.tables:
+            maps = maps_for(t, law, policy, seed=11, ids=range(8))
+            for ctx in range(2 ** (t - 1)):
                 h, x = history_rows(np.arange(2 ** t), ctx, 2, 2, t)
-                assert np.all(maps[h, x] == maps[h[0], x[0]])
+                assert np.all(maps[:, h, x] == maps[:, h[:1], x[:1]])
+
+    @pytest.mark.parametrize("make", [lambda: drive_to_zero(2),
+                                      lambda: noisy_actuator(3),
+                                      lambda: sticky_tracking(4)],
+                             ids=["drive2", "noisy3", "sticky4"])
+    def test_poisson_tables_agree_with_race(self, make):
+        # The equivalence behind the race: on a proposal table drawn the
+        # Poisson way (symbols i.i.d. from q, cumulative Exp(1) arrival
+        # times), the full-table selection picks the same symbol as the race
+        # on E_u = q(u) * (first arrival time of u), infinite when u is absent.
+        spec = make()
+        dmin = min_expected_cost(spec)
+        d_open, _ = min_open_loop_cost(spec)
+        point = solve_rate_cost(spec, dmin + 0.5 * (d_open - dmin),
+                                SolverOptions(restarts=1))
+        law = evaluate_joint(spec, point.policy)
+        X, U = spec.num_states, spec.num_actions
+        rng = np.random.default_rng(2024)
+        rows = 0
+        for t in range(1, spec.horizon + 1):
+            act = law.action_marginal(t).reshape(-1, U)
+            for ctx in range(U ** (t - 1)):
+                mass = act[ctx].sum()
+                if mass <= 0.0:
+                    continue
+                q = act[ctx] / mass
+                cum = np.cumsum(q)
+                cum[-1] = 1.0
+                symbols = np.minimum(
+                    np.searchsorted(cum, rng.random(1024), side="right"), U - 1)
+                times = np.cumsum(rng.exponential(1.0, 1024))
+                first = np.full(U, np.inf)
+                for u in range(U):
+                    hits = np.flatnonzero(symbols == u)
+                    if hits.size:
+                        first[u] = q[u] * times[hits[0]]
+                h, x = history_rows(np.arange(X ** t), ctx, X, U, t)
+                for hk, xk in zip(h, x):
+                    row = point.policy.tables[t - 1][hk, xk]
+                    sym, _ = argmin_selection(symbols, times, q, row)
+                    assert sym == race_selection(first, row)
+                    rows += 1
+        assert rows == sum(int((context_mass(law, t) > 0).sum()) * X ** t
+                           for t in range(1, spec.horizon + 1))
+
+
+@st.composite
+def stage_cases(draw):
+    """A small random stage: X, U in {1, 2, 3}, t in {1, 2}, conditional
+    rows with zero entries, context masses with zeros, and draws from a
+    three-value set so that exact ties occur."""
+    X = draw(st.integers(1, 3))
+    U = draw(st.integers(1, 3))
+    t = draw(st.integers(1, 2))
+    H, C = (X * U) ** (t - 1), U ** (t - 1)
+    R = draw(st.integers(1, 4))
+    levels = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0])
+    raw = np.array(draw(st.lists(levels, min_size=H * X * U, max_size=H * X * U)),
+                   dtype=float).reshape(H, X, U)
+    raw[raw.sum(axis=2) == 0.0, 0] = 1.0
+    conditional = raw / raw.sum(axis=2, keepdims=True)
+    mass = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                  min_size=C, max_size=C)))
+    draws = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                   min_size=R * C * U, max_size=R * C * U)),
+                     dtype=float).reshape(R, C, U)
+    return t, conditional, mass, draws
+
+
+class TestRaceProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(stage_cases())
+    def test_block_maps_equal_race_oracle(self, case):
+        t, conditional, mass, draws = case
+        H, X, U = conditional.shape
+        maps = stage_maps(t, conditional, mass, draws)
+        assert maps.shape == (draws.shape[0], H, X)
+        for r in range(draws.shape[0]):
+            for h in range(H):
+                ctx = context_of(h, X, U, t)
+                for x in range(X):
+                    want = race_selection(draws[r, ctx], conditional[h, x]) \
+                        if mass[ctx] > 0.0 else -1
+                    assert maps[r, h, x] == want
 
 
 class TestIndependenceByConstruction:
     def test_tables_deterministic_given_seed(self):
-        spec, policy = symmetric_pair()
-        law = evaluate_joint(spec, policy)
-        a = build_stage(1, law, policy, 128, seed=7)
-        b = build_stage(1, law, policy, 128, seed=7)
-        np.testing.assert_array_equal(a.tables[0].symbols, b.tables[0].symbols)
-        np.testing.assert_array_equal(a.tables[0].times, b.tables[0].times)
+        a = race_draws(7, 3, 2, 2)
+        np.testing.assert_array_equal(a, race_draws(7, 3, 2, 2))
+        assert a.shape == (2, 2) and np.all(a > 0.0)
+        for other in (race_draws(8, 3, 2, 2), race_draws(7, 4, 2, 2),
+                      race_draws(7, 3, 1, 2)):
+            assert not np.array_equal(a.ravel()[:2], other.ravel()[:2])
 
     def test_tables_depend_only_on_action_marginals(self):
-        # two policies with identical action marginals but different
-        # state-conditionals must draw identical proposal tables
+        # the draws are keyed by (seed, realization, stage) alone, so two
+        # policies that differ by relabelling the states share them: the
+        # flipped policy's map is the state-flipped map
         spec, bsc_policy = symmetric_pair(0.11)
         flipped = CausalPolicy((bsc_policy.tables[0][:, ::-1, :],))
-        law_a = evaluate_joint(spec, bsc_policy)
-        law_b = evaluate_joint(spec, flipped)
-        a = build_stage(1, law_a, bsc_policy, 64, seed=5)
-        b = build_stage(1, law_b, flipped, 64, seed=5)
-        np.testing.assert_array_equal(a.tables[0].symbols, b.tables[0].symbols)
-        np.testing.assert_array_equal(a.tables[0].times, b.tables[0].times)
+        a = maps_for(1, evaluate_joint(spec, bsc_policy), bsc_policy, 5, range(40))
+        b = maps_for(1, evaluate_joint(spec, flipped), flipped, 5, range(40))
+        np.testing.assert_array_equal(b, a[:, :, ::-1])
+        assert len({tuple(m.ravel()) for m in a}) > 1
 
 
 class TestFidelity:
     def test_crossover_pair_tv_small_at_m256(self):
         spec, policy = symmetric_pair(0.11)
         law = evaluate_joint(spec, policy)
-        report = conditional_fidelity(1, law, policy, num_proposals=256,
-                                      num_tables=50_000, seed=42)
+        report = conditional_fidelity(1, law, policy, num_tables=50_000, seed=42)
         assert report.max_tv <= 0.02
 
     def test_crossover_pair_tv_one_percent_at_m1024(self):
         spec, policy = symmetric_pair(0.11)
         law = evaluate_joint(spec, policy)
-        report = conditional_fidelity(1, law, policy, num_proposals=1024,
-                                      num_tables=10_000, seed=42)
+        report = conditional_fidelity(1, law, policy, num_tables=10_000, seed=42)
         assert report.max_tv <= 0.01
-        assert report.truncation_failure_rate <= 1e-3
-
-    def test_tv_decreases_with_truncation_length(self):
-        spec, policy = symmetric_pair(0.25)
-        law = evaluate_joint(spec, policy)
-        coarse = conditional_fidelity(1, law, policy, num_proposals=4,
-                                      num_tables=4000, seed=9)
-        fine = conditional_fidelity(1, law, policy, num_proposals=512,
-                                    num_tables=4000, seed=9)
-        assert fine.max_tv <= coarse.max_tv + 1e-9
 
 
 class TestStageEntropy:
     def test_zero_for_state_ignoring_tables(self):
-        q = np.array([0.4, 0.6])
-        stage = crafted_stage([q, q], q)
         spec, _ = symmetric_pair()
-        law = evaluate_joint(spec, CausalPolicy.state_ignoring(
-            spec, [np.array([[0.4, 0.6]])]))
-        assert stage_entropy_given_tables(stage, law) == pytest.approx(0.0, abs=1e-12)
+        policy = CausalPolicy.state_ignoring(spec, [np.array([[0.4, 0.6]])])
+        law = evaluate_joint(spec, policy)
+        for i in range(5):
+            assert stage_entropy_given_tables(1, law, policy, race_draws(0, i, 1, 2)) \
+                == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_for_single_action(self):
         spec = SystemSpec.from_markov(
@@ -205,22 +246,20 @@ class TestStageEntropy:
         )
         policy = CausalPolicy.uniform(spec)
         law = evaluate_joint(spec, policy)
-        stage = build_stage(1, law, policy, num_proposals=4, seed=0)
-        assert stage_entropy_given_tables(stage, law) == 0.0
+        assert stage_entropy_given_tables(1, law, policy, race_draws(0, 0, 1, 1)) == 0.0
 
     def test_crossover_pair_entropy_bound(self):
         spec, policy = symmetric_pair(0.11)
         law = evaluate_joint(spec, policy)
         info = directed_information(law)
-        mean, se, values = estimate_stage_entropy(
-            1, law, policy, num_proposals=1024, num_tables=1000, seed=2
-        )
+        mean, se, values = estimate_stage_entropy(1, law, policy,
+                                                  num_tables=1000, seed=2)
         bound = info + math.log2(info + 3.4) + 1.0
         assert mean <= bound + 2.0 * se
-        # cross-check one explicit table against the batched estimator
-        stage = build_stage(1, law, policy, num_proposals=1024, seed=2)
-        exact_first = stage_entropy_given_tables(stage, law)
-        assert exact_first == pytest.approx(values[0], abs=1e-12)
+        # cross-check explicit draws against the batched estimator
+        for j in (0, 517, 999):
+            exact = stage_entropy_given_tables(1, law, policy, race_draws(2, j, 1, 2))
+            assert exact == pytest.approx(values[j], abs=1e-12)
 
     def test_summed_jensen_bound_multistage(self):
         spec = drive_to_zero(2)
@@ -230,9 +269,8 @@ class TestStageEntropy:
         n = spec.horizon
         total_mean, total_var = 0.0, 0.0
         for t in (1, 2):
-            mean, se, _ = estimate_stage_entropy(
-                t, law, point.policy, num_proposals=512, num_tables=600, seed=4
-            )
+            mean, se, _ = estimate_stage_entropy(t, law, point.policy,
+                                                 num_tables=600, seed=4)
             bound_t = info_terms[t - 1] + math.log2(info_terms[t - 1] + 3.4) + 1.0
             assert mean <= bound_t + 2.0 * se
             total_mean += mean

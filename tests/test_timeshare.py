@@ -11,6 +11,7 @@ from ratecost import CausalPolicy
 from ratecost.instances import drive_to_zero, sticky_tracking
 from ratecost.timeshare import (
     InfeasibleBarycenterError,
+    InvariantError,
     RealizationPoint,
     TimeShareSelector,
     caratheodory_reduce,
@@ -161,3 +162,14 @@ class TestMixtureEntropy:
         assert cond <= uncond <= cond + 1.0
         # the selector bit itself carries h(1/2) = 1 bit
         assert uncond == pytest.approx(cond + 1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("law0, law1, message", [
+        ([2.0, 0.0], [0.0, 2.0], "exceeds"),      # mass 2: conditional entropy -2
+        ([0.5, 0.5], [-0.5, -0.5], "below"),      # negative entries drop out
+    ])
+    def test_violated_bound_raises_invariant_error(self, law0, law1, message):
+        sel = TimeShareSelector(index0=0, index1=1, weight=0.5, mix_rate=0.0,
+                                mix_cost=0.0, barycenter_rate=0.0,
+                                barycenter_cost=0.0, case="interior")
+        with pytest.raises(InvariantError, match=message):
+            mixture_entropy(sel, np.array(law0), np.array(law1))
