@@ -100,6 +100,63 @@ class TestSelect:
                                           policy.tables[1][h, x])
                     assert maps[r, h, x] == want
 
+    @pytest.mark.parametrize("num_proposals", [3, 8, 64])
+    def test_maps_and_certificates_match_argmin_oracle(self, num_proposals):
+        # A random stage-2 policy on a three-action plant.  Per context a
+        # Poisson proposal table of the given length is drawn from the
+        # action marginal q; the race on E_u = q(u) * (first arrival of u),
+        # +inf when u is absent, must select what the argmin over the table
+        # selects.  A selection of weight w is certified when no later
+        # proposal can beat it: w <= T_K * min_u q(u) / p(u), with T_K the
+        # last arrival.  Certified selections must survive extending the
+        # table; short tables make some certificates fail.
+        spec = SystemSpec.from_markov(
+            [0.3, 0.7], np.full((2, 3, 2), 0.5), np.zeros((2, 3)), horizon=2)
+        rng = np.random.default_rng(num_proposals)
+        tabs = [rng.dirichlet(np.ones(3), size=(1, 2)),
+                rng.dirichlet(np.full(3, 0.4), size=(6, 2))]
+        policy = CausalPolicy(tuple(tabs))
+        law = evaluate_joint(spec, policy)
+        act = law.action_marginal(2).reshape(-1, 3)
+        short = np.full((1, 3, 3), np.inf)
+        long = np.full((1, 3, 3), np.inf)
+        tables = []
+        for ctx in range(3):
+            q = act[ctx] / act[ctx].sum()
+            cum = np.cumsum(q)
+            cum[-1] = 1.0
+            symbols = np.minimum(
+                np.searchsorted(cum, rng.random(num_proposals + 1024),
+                                side="right"), 2)
+            times = np.cumsum(rng.exponential(1.0, num_proposals + 1024))
+            for u in range(3):
+                hits = np.flatnonzero(symbols == u)
+                if hits.size:
+                    long[0, ctx, u] = q[u] * times[hits[0]]
+                    if hits[0] < num_proposals:
+                        short[0, ctx, u] = q[u] * times[hits[0]]
+            tables.append((q, symbols, times))
+        mass = context_mass(law, 2)
+        maps = stage_maps(2, policy.tables[1], mass, short)[0]
+        full = stage_maps(2, policy.tables[1], mass, long)[0]
+        certificates = []
+        for ctx, (q, symbols, times) in enumerate(tables):
+            h, x = history_rows(np.arange(4), ctx, 2, 3, 2)
+            for hk, xk in zip(h, x):
+                row = policy.tables[1][hk, xk]
+                sym, k = argmin_selection(symbols[:num_proposals],
+                                          times[:num_proposals], q, row)
+                assert maps[hk, xk] == sym == symbols[k]
+                assert full[hk, xk] == argmin_selection(symbols, times, q, row)[0]
+                weight = times[k] * q[sym] / row[sym]
+                cert = weight <= times[num_proposals - 1] * np.min(q / row)
+                if cert:
+                    assert full[hk, xk] == sym
+                certificates.append(cert)
+        assert len(certificates) == 12
+        if num_proposals == 3:
+            assert not all(certificates)
+
     def test_state_ignoring_policy_map_ignores_state(self):
         spec = drive_to_zero(2)
         rows = [np.array([[0.25, 0.75]]), np.array([[0.6, 0.4], [0.1, 0.9]])]
