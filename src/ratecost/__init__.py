@@ -10,6 +10,7 @@ from .system import (
     BudgetExceededError,
     CausalPolicy,
     DimensionMismatchError,
+    InvariantError,
     JointLaw,
     NormalizationError,
     SystemSpec,
@@ -25,6 +26,7 @@ __all__ = [
     "BudgetExceededError",
     "CausalPolicy",
     "DimensionMismatchError",
+    "InvariantError",
     "JointLaw",
     "NormalizationError",
     "SystemSpec",

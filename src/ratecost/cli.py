@@ -4,7 +4,8 @@ Every flag except the ``--trials-csv`` switch has an environment-variable
 mirror: RATECOST_ plus the flag name, upper-cased with dashes as
 underscores (flags win).  Outputs are written atomically (temp file then
 rename).  Exit codes: 0 success, 2 spec error or invalid option,
-3 infeasible budget, 4 solver non-convergence, 5 verification failure.
+3 infeasible budget, 4 solver non-convergence, 5 verification failure
+(an exactly checked invariant on any command, or a simulated round trip).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .scheme import (
     synthesize,
     verify_sandwich,
 )
-from .timeshare import InfeasibleBarycenterError, InvariantError
+from .timeshare import InfeasibleBarycenterError
 from .solver import (
     InfeasibleCostError,
     RateCostCurve,
@@ -35,7 +36,12 @@ from .solver import (
     sweep_curve,
 )
 from .specio import SpecFileError, load_spec
-from .system import BudgetExceededError, DimensionMismatchError, NormalizationError
+from .system import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    InvariantError,
+    NormalizationError,
+)
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -180,13 +186,9 @@ def cmd_synth(args) -> int:
         epsilon=args.eps, gamma=args.gamma, seed=args.seed,
         cloud_size=args.cloud_size, solver=_solver_options(args),
     )
-    try:
-        bundle = synthesize(spec, args.budget, options)
-        report = run_trials(bundle, args.trials, seed=args.seed,
-                            keep_per_trial=args.trials_csv)
-    except (InvariantError, DecodeMismatchError, CodingError) as err:
-        print(f"verification failed: {err}", file=sys.stderr)
-        return EXIT_VERIFY
+    bundle = synthesize(spec, args.budget, options)
+    report = run_trials(bundle, args.trials, seed=args.seed,
+                        keep_per_trial=args.trials_csv)
     ledger = verify_sandwich(report)
     payload = {
         "schema_version": 3,
@@ -316,6 +318,10 @@ def main(argv=None) -> int:
     except (InfeasibleCostError, InfeasibleBarycenterError) as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except (InvariantError, DecodeMismatchError, CodingError) as err:
+        # CodingError is a ValueError: caught here, before invalid options
+        print(f"verification failed: {err}", file=sys.stderr)
+        return EXIT_VERIFY
     except (SpecFileError, DimensionMismatchError, NormalizationError,
             BudgetExceededError, CurveDomainError, RiccatiError) as err:
         print(f"spec error: {err}", file=sys.stderr)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .system import entropy_bits
+from .system import InvariantError, entropy_bits
 
 class CodingError(ValueError):
     """Unknown symbol at encode time or malformed prefix at decode time."""
@@ -158,16 +158,16 @@ def shannon_code(pmf) -> ContextCode:
         kraft += Fraction(1, 2 ** ell)
         expected += exact[i] * ell
     if kraft > 1:
-        raise AssertionError(f"Kraft sum {kraft} exceeds 1")
+        raise InvariantError(f"Kraft sum {kraft} exceeds 1")
     for a in words.values():
         for b in words.values():
             if a is not b and len(a) <= len(b) and b.startswith(a) and a != b:
-                raise AssertionError("codeword set is not prefix-free")
+                raise InvariantError("codeword set is not prefix-free")
     pmf_float = tuple(float(exact.get(i, 0)) for i in range(len(probs)))
     ent = entropy_bits(pmf_float)
     exp_len = float(expected)
     if exp_len > ent + 1.0 + 1e-12:
-        raise AssertionError(f"expected length {exp_len} exceeds entropy+1 {ent + 1}")
+        raise InvariantError(f"expected length {exp_len} exceeds entropy+1 {ent + 1}")
     lengths = np.full(len(probs), -1, dtype=np.int64)
     bits = np.zeros((len(probs), max(len(w) for w in words.values())), dtype=np.uint8)
     for i, word in words.items():

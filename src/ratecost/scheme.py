@@ -52,10 +52,9 @@ from .solver import (
     solve_rate_cost,
     sweep_curve,
 )
-from .system import CausalPolicy, JointLaw, SystemSpec, evaluate_joint
+from .system import CausalPolicy, InvariantError, JointLaw, SystemSpec, evaluate_joint
 from .timeshare import (
     InfeasibleBarycenterError,
-    InvariantError,
     RealizationPoint,
     TimeShareSelector,
     caratheodory_reduce,
@@ -226,12 +225,17 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     tighter and the cloud redrawn, up to ``max_attempts`` times; the final
     scheme's cost is certified exactly regardless.  A certified invariant
     that fails raises ``InvariantError``.
+
+    The multiplier sweep is solved once, down to the first grid point whose
+    cost exceeds ``budget_cost``.  Re-targets only lower the target, so
+    that point stays the largest infeasible multiplier of every attempt
+    and each attempt's solve is the one a full sweep would give.
     """
     opt = options or SchemeOptions()
     n = spec.horizon
     target = budget_cost
     attempt = 0
-    sweep = sweep_curve(spec, opt.solver)[1]
+    sweep = sweep_curve(spec, opt.solver, until_cost=budget_cost)[1]
     while True:
         solution = solve_rate_cost(spec, target, opt.solver, sweep=sweep)
         law = evaluate_joint(spec, solution.policy)

@@ -40,7 +40,15 @@ as unreachable.
 
 A multiplier sweep plus bisection traces the lower convex envelope of
 (cost, rate) points and answers cost-budget queries, each solve
-warm-started from a neighbouring multiplier's marginals.
+warm-started from a neighbouring multiplier's marginals.  The sweep runs
+down the grid from the largest multiplier, and a query for one budget
+stops it at the first point above the budget.  That point is the largest
+infeasible multiplier, which brackets the bisection.  A Lagrangian
+minimizer's cost never falls as the multiplier falls, so the smaller
+multipliers are infeasible too, and the query reads no infeasible point
+but the bracketing one: it gives the answer the full sweep gives.  For the
+solver's certified near-minimizers this is checked rather than proved
+(``tests/test_solver.py``, five instances at eight budgets each).
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ import numpy as np
 
 from .system import (
     CausalPolicy,
+    InvariantError,
     SystemSpec,
     average_cost,
     directed_information,
@@ -157,10 +166,10 @@ class RateCostCurve:
     def validate(self, tol: float = 1e-6) -> None:
         for a, b in zip(self.points, self.points[1:]):
             if b.rate > a.rate + tol:
-                raise AssertionError("curve rate must be nonincreasing in cost")
+                raise InvariantError("curve rate must be nonincreasing in cost")
         for a, b, c in zip(self.points, self.points[1:], self.points[2:]):
             if _concave_turn(a, b, c, tol):
-                raise AssertionError("curve must be convex within tolerance")
+                raise InvariantError("curve must be convex within tolerance")
 
 
 def _log_normalize(logq: np.ndarray) -> np.ndarray:
@@ -382,20 +391,26 @@ def min_expected_cost(spec: SystemSpec) -> float:
     return _cost_dp(spec)[0]
 
 
-def sweep_curve(spec: SystemSpec, opts: SolverOptions | None = None
+def sweep_curve(spec: SystemSpec, opts: SolverOptions | None = None,
+                until_cost: float = math.inf
                 ) -> tuple[RateCostCurve, list[RateCostPoint]]:
     """Multiplier sweep over the configured grid; returns the envelope and
     the raw sweep points in grid order.
 
     The grid is solved in descending multiplier order, each solve
-    warm-started from the previous one.
+    warm-started from the previous one.  The sweep stops after the first
+    point whose cost exceeds ``until_cost`` and returns the points solved
+    so far; each has the warm start it has in the full sweep, so each is
+    the point the full sweep returns.
     """
     opts = opts or SolverOptions()
     solved: dict[float, RateCostPoint] = {}
     warm = None
     for mu in sorted(set(opts.mu_grid), reverse=True):
         warm = solved[mu] = solve_lagrangian(spec, mu, opts, warm=warm)
-    raw = [solved[mu] for mu in opts.mu_grid]
+        if warm.cost > until_cost:
+            break
+    raw = [solved[mu] for mu in opts.mu_grid if mu in solved]
     return RateCostCurve.from_points(raw), raw
 
 
@@ -404,10 +419,13 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
                     sweep: list[RateCostPoint] | None = None) -> RateCostPoint:
     """Minimum per-stage directed information with average cost <= budget.
 
-    Sweeps the multiplier grid, then bisects the bracketing multipliers
-    until the achieved cost is within ``bisect_cost_tol`` of the budget
-    (from below), each solve warm-started from the feasible bracket point
-    (the infeasible one while there is none).  The returned point is
+    Sweeps the multiplier grid down to the first point above the budget
+    (the points below it are infeasible and never read; see the module
+    docstring), then bisects the bracketing multipliers until the achieved
+    cost is within ``bisect_cost_tol`` of the budget (from below), each
+    solve warm-started from the feasible bracket point (the infeasible one
+    while there is none).  A given ``sweep`` may be the full one or one cut
+    at any budget at or above ``budget_cost``.  The returned point is
     feasible and carries the policy used downstream for synthesis; it is an
     epsilon-near-optimizer whose exact (rate, cost) are reported without
     any attainment claim.
@@ -416,7 +434,9 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
     dmin, greedy = _cost_dp(spec)
     if budget_cost < 0 or budget_cost < dmin - 1e-9:
         raise InfeasibleCostError(budget_cost, dmin)
-    pts = list(sweep) if sweep is not None else sweep_curve(spec, opts)[1]
+    if sweep is None:
+        sweep = sweep_curve(spec, opts, until_cost=budget_cost)[1]
+    pts = list(sweep)
     # feasibility anchor: solver iterates approach the minimum cost only
     # from above, so budget queries at the cost floor resolve to the
     # deterministic cost-minimizing policy

@@ -10,6 +10,7 @@ depend on the action column.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 
@@ -52,6 +53,16 @@ SPEC_SCHEMA = {
 }
 
 
+@functools.cache
+def _validator():
+    """The spec validator, built on first use and kept: ``jsonschema.validate``
+    checks the schema against its meta-schema on every call, which is most
+    of the cost of a load.  Built lazily so that importing costs nothing."""
+    cls = jsonschema.validators.validator_for(SPEC_SCHEMA)
+    cls.check_schema(SPEC_SCHEMA)
+    return cls(SPEC_SCHEMA)
+
+
 class SpecFileError(ValueError):
     """Malformed spec file; the message names the offending key."""
 
@@ -82,9 +93,8 @@ def _check_rows(rows: np.ndarray, key: str) -> np.ndarray:
 
 def parse_spec(doc: dict) -> SystemSpec:
     """Validate a parsed JSON document and build the system spec."""
-    try:
-        jsonschema.validate(doc, SPEC_SCHEMA)
-    except jsonschema.ValidationError as err:
+    err = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if err is not None:
         path = ".".join(str(p) for p in err.absolute_path) or "<root>"
         raise SpecFileError(f"{path}: {err.message}") from err
     n = doc["horizon"]

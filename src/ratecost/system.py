@@ -43,6 +43,10 @@ class NormalizationError(ValueError):
     """A probability row or table does not sum to one within tolerance."""
 
 
+class InvariantError(RuntimeError):
+    """An exactly checked property of a computed quantity does not hold."""
+
+
 def entropy_bits(p) -> float:
     """Shannon entropy of a pmf (any shape) in bits, with 0*log(0) = 0."""
     p = np.asarray(p, dtype=float).ravel()
@@ -387,7 +391,7 @@ def stage_information_terms(law: JointLaw) -> list[float]:
         log_ratio[bad] = np.log2(m1[bad]) + np.log2(a0) - np.log2(m0) - np.log2(a1)
         term = float((m1 * log_ratio)[mask].sum())
         if term < -1e-9:
-            raise AssertionError(f"stage information term {term} below -1e-9")
+            raise InvariantError(f"stage information term {term} below -1e-9")
         terms.append(max(term, 0.0))
     return terms
 
@@ -406,7 +410,7 @@ def conditional_action_entropies(law: JointLaw) -> list[float]:
         h = cur - prev
         cap = np.log2(law.num_actions)
         if h < -1e-9 or h > cap + 1e-9:
-            raise AssertionError(f"conditional action entropy {h} out of [0, {cap}]")
+            raise InvariantError(f"conditional action entropy {h} out of [0, {cap}]")
         out.append(min(max(h, 0.0), cap))
         prev = cur
     return out

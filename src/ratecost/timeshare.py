@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .system import SystemSpec, average_cost, entropy_bits, evaluate_joint
+from .system import InvariantError, entropy_bits
 
 
 class InfeasibleBarycenterError(ValueError):
@@ -42,10 +42,6 @@ class InfeasibleBarycenterError(ValueError):
         msg = (f"cloud barycenter cost {barycenter_cost} exceeds budget "
                f"{budget_cost}; the upstream policy missed the cost constraint")
         super().__init__(msg + (f" ({detail})" if detail else ""))
-
-
-class InvariantError(RuntimeError):
-    """An exactly checked property of the synthesized scheme does not hold."""
 
 
 @dataclass(frozen=True)
@@ -77,15 +73,6 @@ class TimeShareSelector:
     def __post_init__(self):
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError("weight must lie in [0, 1]")
-
-
-def evaluate_realization(spec: SystemSpec, policy, realization_id: int = 0
-                         ) -> RealizationPoint:
-    """Exact (rate, cost) of one realized (deterministic) policy."""
-    law = evaluate_joint(spec, policy)
-    rate = entropy_bits(law.action_marginal()) / spec.horizon
-    return RealizationPoint(realization_id=realization_id, rate=rate,
-                            cost=average_cost(law, spec))
 
 
 def _exact_mix(lam: float, a: float, b: float) -> Fraction:

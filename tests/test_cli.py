@@ -6,11 +6,15 @@ import json
 import math
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
 import ratecost.cli
+import ratecost.coder
 import ratecost.scheme
+import ratecost.solver
+from ratecost import InvariantError
 from ratecost.cli import (
     EXIT_INFEASIBLE,
     EXIT_NO_CONVERGENCE,
@@ -23,7 +27,8 @@ from ratecost.coder import CodingError
 from ratecost.instances import drive_to_zero, sticky_tracking
 from ratecost.scheme import TRIAL_BLOCK, DecodeMismatchError
 from ratecost.solver import RateCostCurve
-from ratecost.specio import SpecFileError, load_spec, parse_spec, spec_document
+from ratecost.specio import SPEC_SCHEMA, SpecFileError, load_spec, parse_spec, \
+    spec_document
 
 from oracles import binary_entropy
 
@@ -79,6 +84,22 @@ class TestSpecIO:
         with pytest.raises(SpecFileError) as err:
             parse_spec(doc)
         assert "horizon" in str(err.value)
+
+    @pytest.mark.parametrize("broken", [
+        {"horizon": 0},
+        {"states": "two"},
+        {"kernel": {"mode": "dense"}, "extra": 1},
+    ], ids=["minimum", "any-of", "enum-and-extra-key"])
+    def test_schema_message_matches_jsonschema_validate(self, broken):
+        # the validator is built once; its message must be the one
+        # jsonschema.validate raises
+        doc = {**bernoulli_doc(), **broken}
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(doc, SPEC_SCHEMA)
+        path = ".".join(str(p) for p in want.value.absolute_path) or "<root>"
+        with pytest.raises(SpecFileError) as got:
+            parse_spec(doc)
+        assert str(got.value) == f"{path}: {want.value.message}"
 
     def test_mild_denormalization_warns_and_renormalizes(self):
         # 5e-10 lies between the kernel tolerance and the renormalization limit
@@ -202,6 +223,22 @@ class TestSolveCommand:
             assert entry["iterations"] >= 1
             assert -1e-12 <= entry["gap"] <= 1e-9
 
+    @pytest.mark.parametrize("command", ["solve", "rd"])
+    def test_invariant_failure_exit_code(self, tmp_path, capsys, monkeypatch,
+                                         command):
+        def negative_term(law):
+            raise InvariantError("stage information term -0.001 below -1e-9")
+
+        monkeypatch.setattr(ratecost.solver, "directed_information", negative_term)
+        spec_path = write_spec(tmp_path, bernoulli_doc())
+        code = main([command, "--spec", spec_path, "--out", str(tmp_path / "o"),
+                     "--D", "0.1", "--restarts", "1"])
+        assert code == EXIT_VERIFY
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["verification failed: stage information term -0.001 "
+                       "below -1e-9"]
+        assert not (tmp_path / "o" / f"{command}.json").exists()
+
     def test_cost_floor_anchor_is_strict_json(self, tmp_path):
         # at the floor the query resolves to the greedy anchor, whose
         # multiplier is infinite; JSON has no literal for it
@@ -306,6 +343,23 @@ class TestSynthCommand:
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "70b20343b353cb85a9b895de6d267460ff341d847a7d4df4f6cc3ea7cd88ddf2"
 
+    def test_sticky4_bundle_digest_pinned(self, tmp_path):
+        # at its mid-curve budget the sweep stops at the eleventh of 22
+        # multipliers and the run re-targets once on the cut sweep; the
+        # digest is the one the full sweep gives
+        spec_path = write_spec(tmp_path, spec_document(sticky_tracking(4)))
+        out = tmp_path / "golden"
+        code = main(["synth", "--spec", spec_path, "--D", "0.25", "--out", str(out),
+                     "--seed", "0", "--restarts", "1", "--cloud-size", "20",
+                     "--trials", "200"])
+        assert code == EXIT_OK
+        doc = json.loads((out / "result_bundle.json").read_text())
+        del doc["spec_path"]
+        assert doc["seeds"]["attempts"] == 2
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "e7ac55f9f8d43aec47c68e35d96ea2dbcfdf72939d71d782c08615735e1938b5"
+
     def test_block_of_one_bundle_byte_identical(self, tmp_path):
         # a spec whose trajectory budget equals its trajectory count makes
         # the cloud evaluate one realization per block
@@ -331,6 +385,17 @@ class TestSynthCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["verification failed: certified mixture cost 0.8 exceeds "
                        "the budget 0.4"]
+        assert not (out / "result_bundle.json").exists()
+
+    def test_kraft_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ratecost.coder, "_ceil_neg_log2", lambda q: 0)
+        spec_path = write_spec(tmp_path, controlled_doc())
+        code, out = self.run_synth(tmp_path, spec_path, "k")
+        assert code == EXIT_VERIFY
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert err == ["verification failed: Kraft sum 2 exceeds 1"]
+        assert "Traceback" not in captured.out + captured.err
         assert not (out / "result_bundle.json").exists()
 
     def test_proposals_option_is_gone(self, tmp_path):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ratecost.coder
+from ratecost import InvariantError
 from ratecost.coder import (
     CodingError,
     build_codebooks,
@@ -88,6 +90,12 @@ class TestShannonCode:
         code = shannon_code([0.25, 0.25, 0.25, 0.25])
         ordered = sorted(code.words.items())
         assert [w for _, w in ordered] == ["00", "01", "10", "11"]
+
+    def test_kraft_violation_raises_invariant_error(self, monkeypatch):
+        # every word empty: the Kraft sum is the support size
+        monkeypatch.setattr(ratecost.coder, "_ceil_neg_log2", lambda q: 0)
+        with pytest.raises(InvariantError, match="Kraft sum 3 exceeds 1"):
+            shannon_code([0.5, 0.25, 0.25])
 
 
 class TestCodebooks:

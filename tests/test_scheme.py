@@ -8,7 +8,7 @@ import pytest
 
 import ratecost.scheme
 import ratecost.solver
-from ratecost import SystemSpec
+from ratecost import CausalPolicy, SystemSpec
 from ratecost.coder import CodingError, ContextCodebook, build_codebooks, \
     expected_stage_lengths
 from ratecost.instances import (
@@ -39,7 +39,7 @@ from ratecost.solver import (
 from ratecost.system import average_cost, entropy_bits, evaluate_joint
 from ratecost.timeshare import InvariantError
 
-from oracles import race_selection
+from oracles import average_cost_from_dict, enumerate_joint, race_selection
 
 FAST = SchemeOptions(
     cloud_size=80,
@@ -129,8 +129,8 @@ class TestSynthesize:
 
     def test_retarget_stays_at_or_above_cost_floor(self, monkeypatch):
         # the first cloud misses the budget and the margin would push the
-        # re-targeted solve below the cost floor; the sweep does not depend
-        # on the budget, so the re-target reuses it
+        # re-targeted solve below the cost floor; the sweep is cut at the
+        # caller's budget, which a re-target only lowers, so it is reused
         calls = []
         original = ratecost.solver.sweep_curve
 
@@ -170,6 +170,45 @@ class TestSynthesize:
         spec = drive_to_zero(2)
         with pytest.raises(InfeasibleCostError):
             synthesize(spec, min_expected_cost(spec) / 2, FAST)
+
+
+def exact_point(spec, policy):
+    """(rate, cost) of a deterministic policy through ``_exact_coordinates``,
+    its stage maps the argmax of the one-hot tables."""
+    maps = [tab.argmax(axis=2)[None] for tab in policy.tables]
+    _, rates, costs = ratecost.scheme._exact_coordinates(spec, maps)
+    return float(rates[0]), float(costs[0])
+
+
+class TestExactCoordinates:
+    def test_deterministic_dynamics_zero_rate(self):
+        spec = drive_to_zero(2, flip=1.0, initial_one=1.0)
+        policy = CausalPolicy.from_choices(spec, lambda t, xh, uh: xh[-1])
+        rate, _ = exact_point(spec, policy)
+        assert rate == pytest.approx(0.0, abs=1e-12)
+
+    def test_single_action_open_loop_cost(self):
+        spec = sticky_tracking(2)
+        rate, cost = exact_point(spec, CausalPolicy.constant_action(spec, 0))
+        assert rate == 0.0
+        # states are Bern(1/2) marginally at each stage; tracking cost 1/2
+        assert cost == pytest.approx(0.5, abs=1e-12)
+
+    def test_matches_enumeration_oracle(self):
+        spec = drive_to_zero(2, flip=0.9)
+        rng = np.random.default_rng(7)
+        policy = CausalPolicy.from_choices(
+            spec, lambda t, xh, uh: int(rng.integers(0, 2))
+        )
+        rate, cost = exact_point(spec, policy)
+        law_dict = enumerate_joint(spec, policy)
+        marg = {}
+        for (xs, us), p in law_dict.items():
+            marg[us] = marg.get(us, 0.0) + p
+        ent = -sum(p * math.log2(p) for p in marg.values() if p > 0) / 2
+        assert cost == pytest.approx(average_cost_from_dict(law_dict, spec.cost, 2),
+                                     abs=1e-13)
+        assert rate == pytest.approx(ent, abs=1e-13)
 
 
 class TestCloud:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import ratecost.solver
-from ratecost import CausalPolicy, SystemSpec
+from ratecost import CausalPolicy, InvariantError, SystemSpec
 from ratecost.instances import (
     bernoulli_source,
     drive_to_zero,
+    min_open_loop_cost,
     noisy_actuator,
     sticky_tracking,
 )
@@ -229,6 +230,73 @@ class TestSolveRateCost:
         assert double == pytest.approx(2.0 * single, abs=5e-3)
 
 
+BOUNDED_SPECS = {
+    "drive2": lambda: drive_to_zero(2),
+    "noisy3": lambda: noisy_actuator(3),
+    "sticky4": lambda: sticky_tracking(4),
+    "noisy4": lambda: noisy_actuator(4),
+    "bernoulli3": lambda: bernoulli_source(3, 0.3),
+}
+
+
+def same_point(a, b):
+    """Equal as floats and counts, with equal policy tables."""
+    return ((a.rate, a.cost, a.multiplier, a.objective, a.iterations, a.gap,
+             a.converged) == (b.rate, b.cost, b.multiplier, b.objective,
+                              b.iterations, b.gap, b.converged)
+            and all(np.array_equal(x, y)
+                    for x, y in zip(a.policy.tables, b.policy.tables, strict=True)))
+
+
+class TestBoundedSweep:
+    """A budget query on the sweep cut at the first point above the budget
+    gives the answer it gives on the full sweep."""
+
+    OPTS = SolverOptions(restarts=1)
+
+    @pytest.fixture(scope="class", params=sorted(BOUNDED_SPECS))
+    def swept(self, request):
+        spec = BOUNDED_SPECS[request.param]()
+        floor = min_expected_cost(spec)
+        d_open, _ = min_open_loop_cost(spec)
+        return spec, floor, d_open, sweep_curve(spec, self.OPTS)[1]
+
+    @pytest.mark.parametrize("share", [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.5])
+    def test_prefix_answer_equals_full_sweep_answer(self, swept, share):
+        spec, floor, d_open, full = swept
+        budget = floor + share * (d_open - floor)
+        prefix = sweep_curve(spec, self.OPTS, until_cost=budget)[1]
+        kept = {p.multiplier for p in prefix}
+        assert all(same_point(p, q) for p, q in zip(
+            prefix, [p for p in full if p.multiplier in kept], strict=True))
+        over = [p for p in prefix if p.cost > budget]
+        assert len(over) <= 1
+        if over:
+            assert over[0].multiplier == min(p.multiplier for p in prefix)
+        else:
+            assert len(prefix) == len(full)
+        a = solve_rate_cost(spec, budget, self.OPTS, sweep=full)
+        b = solve_rate_cost(spec, budget, self.OPTS)
+        assert same_point(a, b)
+
+    def test_mid_curve_sweep_stops_at_multiplier_one(self, monkeypatch):
+        spec = sticky_tracking(4)
+        budget = 0.5 * (min_expected_cost(spec) + min_open_loop_cost(spec)[0])
+        solves = []
+        original = ratecost.solver.solve_lagrangian
+
+        def counted(spec, mu, *args, **kwargs):
+            solves.append(mu)
+            return original(spec, mu, *args, **kwargs)
+
+        monkeypatch.setattr(ratecost.solver, "solve_lagrangian", counted)
+        _, raw = sweep_curve(spec, self.OPTS, until_cost=budget)
+        assert len(self.OPTS.mu_grid) == 22
+        assert solves == [2.0 ** k for k in range(10, -1, -1)]
+        assert [p.multiplier for p in raw] == solves[::-1]
+        assert raw[0].cost > budget >= raw[1].cost
+
+
 class TestBruteForce:
     def test_single_action_degenerate(self):
         spec = SystemSpec.from_markov(
@@ -291,6 +359,15 @@ class TestBruteForce:
 
 
 class TestRateCostCurve:
+    def test_validate_raises_invariant_error(self):
+        pol = CausalPolicy.uniform(drive_to_zero(1))
+        rising = RateCostCurve((
+            RateCostPoint(rate=0.2, cost=0.1, multiplier=2.0, policy=pol),
+            RateCostPoint(rate=0.5, cost=0.3, multiplier=1.0, policy=pol),
+        ))
+        with pytest.raises(InvariantError, match="nonincreasing"):
+            rising.validate()
+
     def test_envelope_drops_dominated_points(self):
         pol = CausalPolicy.uniform(drive_to_zero(1))
         pts = [

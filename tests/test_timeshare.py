@@ -1,21 +1,16 @@
 """Time sharing: realization points, Caratheodory reduction, mixture entropy."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratecost import CausalPolicy
-from ratecost.instances import drive_to_zero, sticky_tracking
 from ratecost.timeshare import (
     InfeasibleBarycenterError,
     InvariantError,
     RealizationPoint,
     TimeShareSelector,
     caratheodory_reduce,
-    evaluate_realization,
     mixture_entropy,
     selector_certificate,
 )
@@ -30,40 +25,6 @@ def cloud(pairs):
 def exact_ok(selector, points, budget, eps):
     by_id = {p.realization_id: p for p in points}
     return selector_certificate(selector, by_id, budget, eps)
-
-
-class TestEvaluateRealization:
-    def test_deterministic_dynamics_zero_rate(self):
-        spec = drive_to_zero(2, flip=1.0, initial_one=1.0)
-        policy = CausalPolicy.from_choices(spec, lambda t, xh, uh: xh[-1])
-        point = evaluate_realization(spec, policy)
-        assert point.rate == pytest.approx(0.0, abs=1e-12)
-
-    def test_single_action_open_loop_cost(self):
-        spec = sticky_tracking(2)
-        policy = CausalPolicy.constant_action(spec, 0)
-        point = evaluate_realization(spec, policy)
-        assert point.rate == 0.0
-        # states are Bern(1/2) marginally at each stage; tracking cost 1/2
-        assert point.cost == pytest.approx(0.5, abs=1e-12)
-
-    def test_matches_enumeration_oracle(self):
-        from oracles import average_cost_from_dict, enumerate_joint
-
-        spec = drive_to_zero(2, flip=0.9)
-        rng = np.random.default_rng(7)
-        policy = CausalPolicy.from_choices(
-            spec, lambda t, xh, uh: int(rng.integers(0, 2))
-        )
-        point = evaluate_realization(spec, policy, realization_id=7)
-        law_dict = enumerate_joint(spec, policy)
-        cost = average_cost_from_dict(law_dict, spec.cost, 2)
-        marg = {}
-        for (xs, us), p in law_dict.items():
-            marg[us] = marg.get(us, 0.0) + p
-        ent = -sum(p * math.log2(p) for p in marg.values() if p > 0) / 2
-        assert point.cost == pytest.approx(cost, abs=1e-13)
-        assert point.rate == pytest.approx(ent, abs=1e-13)
 
 
 class TestCaratheodoryReduce:
