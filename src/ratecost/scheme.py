@@ -228,8 +228,9 @@ def synthesize(spec: SystemSpec, budget_cost: float,
 
     The multiplier sweep is solved once, down to the first grid point whose
     cost exceeds ``budget_cost``.  Re-targets only lower the target, so
-    that point stays the largest infeasible multiplier of every attempt
-    and each attempt's solve is the one a full sweep would give.
+    that point stays infeasible in every attempt, and each attempt's
+    ``sweep`` also carries the points every earlier attempt's search
+    solved: they bracket the lower target at least as tightly as the grid.
     """
     opt = options or SchemeOptions()
     n = spec.horizon
@@ -237,7 +238,9 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     attempt = 0
     sweep = sweep_curve(spec, opt.solver, until_cost=budget_cost)[1]
     while True:
-        solution = solve_rate_cost(spec, target, opt.solver, sweep=sweep)
+        searched = []
+        solution = solve_rate_cost(spec, target, opt.solver, sweep=sweep,
+                                   searched=searched)
         law = evaluate_joint(spec, solution.policy)
         base = attempt * opt.cloud_size
         points = realize_cloud(spec, solution.policy, law, opt.seed,
@@ -255,6 +258,7 @@ def synthesize(spec: SystemSpec, budget_cost: float,
         margin = max(2.0 * spread / math.sqrt(opt.cloud_size),
                      float(costs.mean()) - budget_cost, 1e-9)
         target = max(target - margin, min_expected_cost(spec))
+        sweep = sweep + searched
 
     selector = caratheodory_reduce(
         points, np.full(len(points), 1.0 / len(points)),

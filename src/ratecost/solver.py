@@ -38,17 +38,25 @@ start moves to another multiplier (the floor moves the value by a
 2^-1000 share); contexts whose conditional probability underflows count
 as unreachable.
 
-A multiplier sweep plus bisection traces the lower convex envelope of
-(cost, rate) points and answers cost-budget queries, each solve
+A multiplier sweep plus a bracket search traces the lower convex envelope
+of (cost, rate) points and answers cost-budget queries, each solve
 warm-started from a neighbouring multiplier's marginals.  The sweep runs
 down the grid from the largest multiplier, and a query for one budget
 stops it at the first point above the budget.  That point is the largest
-infeasible multiplier, which brackets the bisection.  A Lagrangian
+infeasible multiplier, which brackets the search.  A Lagrangian
 minimizer's cost never falls as the multiplier falls, so the smaller
 multipliers are infeasible too, and the query reads no infeasible point
 but the bracketing one: it gives the answer the full sweep gives.  For the
 solver's certified near-minimizers this is checked rather than proved
 (``tests/test_solver.py``, five instances at eight budgets each).
+
+The search bisects the bracket.  It reads of each solved point only its multiplier and the side of
+the budget its cost falls on, so any solved point is a bracket candidate
+for any budget.  Synthesis re-targets reuse the points of earlier
+attempts' searches this way: a re-target only lowers the target, so every
+earlier infeasible point stays infeasible, and the bracket the reused
+points give lies inside the one the sweep alone gives, around multipliers
+the new search would otherwise solve again from the same warm starts.
 """
 
 from __future__ import annotations
@@ -191,12 +199,12 @@ def _floored(logq: np.ndarray) -> np.ndarray:
 @dataclass
 class _Map:
     """One Blahut-Arimoto map applied to a batch of chains, each field
-    batched over the chains: the input ``logq``, its image ``image``, the
-    proxy value V, the exact objective and certified gap of the policy
-    ``pis`` that V's backward pass produced."""
+    batched over the chains: the input ``logq``, its image ``image`` (both
+    stage-stacked), the proxy value V, the exact objective and certified gap
+    of the policy ``pis`` that V's backward pass produced."""
 
-    logq: list[np.ndarray]
-    image: list[np.ndarray]
+    logq: np.ndarray
+    image: np.ndarray
     value: np.ndarray
     objective: np.ndarray
     gap: np.ndarray
@@ -209,7 +217,10 @@ class _Chains:
     Stage s (0-based) arrays over (history, state, action) have shape
     (B, H, X, U) with H = (X*U)**s; reshaped to (B,) + (X, U)*(s+1) their
     axes interleave the history digits, so marginals q_s of shape
-    (B, U**s, U) broadcast against them as (B,) + (1, U)*(s+1).
+    (B, U**s, U) broadcast against them as (B,) + (1, U)*(s+1).  The
+    marginals of all stages are kept stacked, (B, sum_s U**s, U), rows
+    ``slices[s]`` holding stage s, so that every row-wise step of a map
+    runs once over all stages.
     """
 
     def __init__(self, spec: SystemSpec, mu: float):
@@ -217,6 +228,9 @@ class _Chains:
         self.kernels = [spec.stage_kernel(t)[None, :, :] for t in range(1, self.n + 1)]
         self.stage_cost = mu * spec.cost
         self.size = (self.X * self.U) ** self.n
+        bounds = np.cumsum([0] + [self.U ** s for s in range(self.n)])
+        self.slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self.rows = int(bounds[-1])
 
     def _full(self, s: int):
         return (-1,) + (self.X, self.U) * (s + 1)
@@ -224,13 +238,17 @@ class _Chains:
     def _ctx(self, s: int):
         return (-1,) + (1, self.U) * (s + 1)
 
+    def stage_sums(self, a: np.ndarray) -> np.ndarray:
+        """Sum over each stage's rows and actions, then over the stages."""
+        return sum(a[:, sl].sum(axis=(1, 2)) for sl in self.slices)
+
     def backward(self, logq):
         """Optimal policies for the marginals and the proxy value V(q)."""
-        B, (X, U) = logq[0].shape[0], (self.X, self.U)
+        B, (X, U) = logq.shape[0], (self.X, self.U)
         pis = [None] * self.n
         togo = np.zeros((B, self.size))
         for s in range(self.n - 1, -1, -1):
-            a = logq[s].reshape(self._ctx(s)) - togo.reshape(self._full(s))
+            a = logq[:, self.slices[s]].reshape(self._ctx(s)) - togo.reshape(self._full(s))
             a = a.reshape(B, -1, X, U) - self.stage_cost
             top = a.max(axis=3, keepdims=True)
             e = np.exp2(a - top)
@@ -240,15 +258,15 @@ class _Chains:
         return pis, togo[:, 0] / self.n
 
     def forward(self, pis):
-        """Marginals q'_s(u | ctx) induced by the policies, each (B, U**s, U);
-        rows of contexts the policies never reach are zero."""
+        """Stacked marginals q'_s(u | ctx) induced by the policies; rows of
+        contexts the policies never reach are zero."""
         B = pis[0].shape[0]
         cond = self.kernels[0][..., None]     # law of the states given the context
-        out = []
+        out = np.empty((B, self.rows, self.U))
         for s in range(self.n):
             joint = (cond * pis[s]).reshape(self._full(s))
             q = joint.sum(axis=tuple(range(1, 2 * s + 3, 2))).reshape(B, -1, self.U)
-            out.append(q)
+            out[:, self.slices[s]] = q
             if s + 1 < self.n:
                 mass = q.reshape(self._ctx(s))
                 cond = np.divide(joint, mass, out=np.zeros_like(joint), where=mass > 0.0)
@@ -259,19 +277,18 @@ class _Chains:
         pis, value = self.backward(logq)
         induced = self.forward(pis)
         B = value.shape[0]
+        reached = induced.sum(axis=2, keepdims=True) > 0.0
+        log_new = _log2(induced)
+        ratio = np.where(reached, log_new - logq, 0.0)
+        terms = (induced * np.where(induced > 0.0, ratio, 0.0)).sum(axis=2)
         reach = np.ones((B, 1))       # probability of each action context
         tree = np.zeros((B, 1))       # log2 A(u^s) / r(u^s) along the action tree
         divergence = np.zeros(B)      # D(A || r)
-        image = []
-        for s, q in enumerate(induced):
-            reached = q.sum(axis=2, keepdims=True) > 0.0
-            log_new = _log2(q)
-            ratio = np.where(reached, log_new - logq[s], 0.0)
-            terms = q * np.where(q > 0.0, ratio, 0.0)
-            divergence += (reach * terms.sum(axis=2)).sum(axis=1)
-            tree = (tree[:, :, None] + ratio).reshape(B, -1)
-            reach = (reach[:, :, None] * q).reshape(B, -1)
-            image.append(np.where(reached, _floored(log_new), logq[s]))
+        for sl in self.slices:
+            divergence += (reach * terms[:, sl]).sum(axis=1)
+            tree = (tree[:, :, None] + ratio[:, sl]).reshape(B, -1)
+            reach = (reach[:, :, None] * induced[:, sl]).reshape(B, -1)
+        image = np.where(reached, _floored(log_new), logq)
         objective = value - divergence / self.n
         gap = (tree.max(axis=1) - divergence) / self.n
         return _Map(logq, image, value, objective, gap, pis)
@@ -279,38 +296,34 @@ class _Chains:
 
 def _initial_marginals(chains: _Chains, opts: SolverOptions,
                        warm: RateCostPoint | None):
-    """log2 q per stage, (restarts, U**s, U): chain 0 from the marginals the
-    warm point's policy induces (uniform without one, and on contexts it
-    never reaches), the rest seeded Dirichlet draws."""
+    """Stacked log2 q, (restarts, sum_s U**s, U): chain 0 from the marginals
+    the warm point's policy induces (uniform without one, and on contexts
+    it never reaches), the rest seeded Dirichlet draws."""
     U = chains.U
-    start = None
+    q = np.empty((opts.restarts, chains.rows, U))
+    q[0] = 1.0 / U
     if warm is not None:
-        start = chains.forward([tab[None] for tab in warm.policy.tables])
-    logq = []
-    for t in range(1, chains.n + 1):
-        q = np.empty((opts.restarts, U ** (t - 1), U))
-        q[0] = 1.0 / U
-        if start is not None:
-            seen = start[t - 1][0].sum(axis=1) > 0.0
-            q[0][seen] = start[t - 1][0][seen]
+        start = chains.forward([tab[None] for tab in warm.policy.tables])[0]
+        seen = start.sum(axis=1) > 0.0
+        q[0][seen] = start[seen]
+    for t, sl in enumerate(chains.slices, start=1):
         for b in range(1, opts.restarts):
             rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 4, b, t)))
-            q[b] = rng.dirichlet(np.ones(U), size=U ** (t - 1))
-        logq.append(_floored(_log2(q)))
-    return logq
+            q[b, sl] = rng.dirichlet(np.ones(U), size=U ** (t - 1))
+    return _floored(_log2(q))
 
 
-def _extrapolate(q0, q1, q2, step_max):
-    """SQUAREM step on log q per chain: (points, step lengths alpha <= -1)."""
-    r = [b - a for a, b in zip(q0, q1)]
-    v = [c - 2.0 * b + a for a, b, c in zip(q0, q1, q2)]
-    rr = sum((x * x).sum(axis=(1, 2)) for x in r)
-    vv = sum((x * x).sum(axis=(1, 2)) for x in v)
+def _extrapolate(chains: _Chains, q0, q1, q2, step_max):
+    """SQUAREM step on stacked log q per chain: (points, step lengths
+    alpha <= -1)."""
+    r = q1 - q0
+    v = q2 - 2.0 * q1 + q0
+    rr = chains.stage_sums(r * r)
+    vv = chains.stage_sums(v * v)
     alpha = -np.sqrt(np.divide(rr, vv, out=np.ones_like(rr), where=vv > 0.0))
     alpha = np.clip(alpha, -step_max, -1.0)
     al = alpha[:, None, None]
-    points = [_floored(a - 2.0 * al * dr + al * al * dv) for a, dr, dv in zip(q0, r, v)]
-    return points, alpha
+    return _floored(q0 - 2.0 * al * r + al * al * v), alpha
 
 
 def solve_lagrangian(spec: SystemSpec, mu: float,
@@ -336,7 +349,7 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
         if gap <= opts.tol or maps + 3 > opts.max_iters:
             break
         one = chains.step(cur.image)
-        trial, alpha = _extrapolate(cur.logq, one.logq, one.image, step_max)
+        trial, alpha = _extrapolate(chains, cur.logq, one.logq, one.image, step_max)
         ext = chains.step(trial)
         maps += 2
         accept = ext.value <= one.value
@@ -347,8 +360,7 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
             cur = ext
         else:
             # the plain double step for the chains that rejected
-            keep = accept[:, None, None]
-            cur = chains.step([np.where(keep, a, b) for a, b in zip(trial, one.image)])
+            cur = chains.step(np.where(accept[:, None, None], trial, one.image))
             maps += 1
     return _exact_point(spec, CausalPolicy(tuple(pi[best] for pi in cur.pis)), mu,
                         converged=gap <= opts.tol,
@@ -416,16 +428,19 @@ def sweep_curve(spec: SystemSpec, opts: SolverOptions | None = None,
 
 def solve_rate_cost(spec: SystemSpec, budget_cost: float,
                     opts: SolverOptions | None = None,
-                    sweep: list[RateCostPoint] | None = None) -> RateCostPoint:
+                    sweep: list[RateCostPoint] | None = None, *,
+                    searched: list[RateCostPoint] | None = None) -> RateCostPoint:
     """Minimum per-stage directed information with average cost <= budget.
 
     Sweeps the multiplier grid down to the first point above the budget
     (the points below it are infeasible and never read; see the module
-    docstring), then bisects the bracketing multipliers until the achieved
-    cost is within ``bisect_cost_tol`` of the budget (from below), each
-    solve warm-started from the feasible bracket point (the infeasible one
-    while there is none).  A given ``sweep`` may be the full one or one cut
-    at any budget at or above ``budget_cost``.  The returned point is
+    docstring), then bisects the bracketing multipliers until the achieved cost is within ``bisect_cost_tol``
+    of the budget (from below), each solve warm-started from the feasible
+    bracket point (the infeasible one while there is none).  A given
+    ``sweep`` may be the full one or one cut at any budget at or above
+    ``budget_cost``, and may carry the points earlier searches solved; every
+    point in it is a bracket candidate.  When ``searched`` is given, every
+    point this search solves is appended to it.  The returned point is
     feasible and carries the policy used downstream for synthesis; it is an
     epsilon-near-optimizer whose exact (rate, cost) are reported without
     any attainment claim.
@@ -463,6 +478,8 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
                 break
             mid = 0.5 * (lo + hi)
             p = solve_lagrangian(spec, mid, opts, warm=hi_point or lo_point)
+            if searched is not None:
+                searched.append(p)
             if p.cost <= budget_cost:
                 hi, hi_point = mid, p
                 if best is None or p.rate < best.rate - 1e-15 or (
@@ -479,6 +496,8 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
         for _ in range(opts.max_bisect):
             mu *= 4.0
             p = solve_lagrangian(spec, mu, opts, warm=p)
+            if searched is not None:
+                searched.append(p)
             if p.cost <= budget_cost:
                 best = p
                 break
