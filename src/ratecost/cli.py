@@ -238,8 +238,14 @@ def cmd_synth(args) -> int:
                      ("cost", ledger.cost_ok)):
         print(f"{line}: {'pass' if ok else 'FAIL'}")
     if not bundle.solution.converged:
+        print(f"warning: solver failed to converge at the budget (certified gap "
+              f"{bundle.solution.gap!r})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    return EXIT_OK if ledger.passed else EXIT_VERIFY
+    if not ledger.passed:
+        print("verification failed: the sandwich ledger did not pass",
+              file=sys.stderr)
+        return EXIT_VERIFY
+    return EXIT_OK
 
 
 def cmd_lqg(args) -> int:

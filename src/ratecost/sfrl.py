@@ -66,7 +66,8 @@ def stage_maps(t: int, conditional: np.ndarray, mass: np.ndarray,
     """
     _, X, U = conditional.shape
     ctx = _row_contexts(X, U, t)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a draw over a subnormal probability overflows to +inf, its due weight
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         weights = np.where(conditional > 0.0,
                            draws[:, ctx, None, :] / conditional, np.inf)
     maps = np.argmin(weights, axis=-1)

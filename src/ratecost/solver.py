@@ -50,7 +50,18 @@ but the bracketing one: it gives the answer the full sweep gives.  For the
 solver's certified near-minimizers this is checked rather than proved
 (``tests/test_solver.py``, five instances at eight budgets each).
 
-The search bisects the bracket.  It reads of each solved point only its multiplier and the side of
+The search is safeguarded false position on cost(mu).  Each step
+interpolates linearly between the bracket's two points, aiming at the
+middle of the ``bisect_cost_tol`` window below the budget, with the
+Illinois weighting: the residual of an end that two steps in a row have
+kept is halved, so neither end stalls.  A step takes the midpoint instead
+while there is no feasible upper point, when the interpolated multiplier
+rounds onto an end, and once the solves left would only just collapse the
+bracket by halving it, so a cost that jumps across the budget still
+collapses the bracket within ``max_bisect`` solves.  The search stops on a
+feasible point within the window, or when the bracket has collapsed.
+
+The search reads of each solved point only its multiplier and the side of
 the budget its cost falls on, so any solved point is a bracket candidate
 for any budget.  Synthesis re-targets reuse the points of earlier
 attempts' searches this way: a re-target only lowers the target, so every
@@ -434,7 +445,8 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
 
     Sweeps the multiplier grid down to the first point above the budget
     (the points below it are infeasible and never read; see the module
-    docstring), then bisects the bracketing multipliers until the achieved cost is within ``bisect_cost_tol``
+    docstring), then searches the bracketing multipliers by safeguarded
+    false position until the achieved cost is within ``bisect_cost_tol``
     of the budget (from below), each solve warm-started from the feasible
     bracket point (the infeasible one while there is none).  A given
     ``sweep`` may be the full one or one cut at any budget at or above
@@ -473,20 +485,36 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
                        key=lambda p: p.multiplier, default=None)
         lo = lo_point.multiplier
         hi = hi_point.multiplier if hi_point else max(lo * 4.0, 1.0)
-        for _ in range(opts.max_bisect):
+        aim = budget_cost - 0.5 * opts.bisect_cost_tol
+        weight = {"lo": 1.0, "hi": 1.0}     # Illinois weights on the residuals
+        kept = None                          # the side the last step kept
+        for k in range(opts.max_bisect):
             if best is not None and budget_cost - best.cost <= opts.bisect_cost_tol:
                 break
-            mid = 0.5 * (lo + hi)
-            p = solve_lagrangian(spec, mid, opts, warm=hi_point or lo_point)
+            mu = 0.5 * (lo + hi)
+            # halvings that collapse the bracket, as ``hi`` can fall to ``lo``
+            halvings = math.ceil(math.log2((hi - lo) / (1e-12 * max(1.0, lo))))
+            if hi_point is not None and opts.max_bisect - k > halvings:
+                f_lo = weight["lo"] * (lo_point.cost - aim)
+                f_hi = weight["hi"] * (hi_point.cost - aim)
+                if f_lo > 0.0 > f_hi:
+                    mu = lo + f_lo / (f_lo - f_hi) * (hi - lo)
+                    if not lo < mu < hi:
+                        mu = 0.5 * (lo + hi)
+            p = solve_lagrangian(spec, mu, opts, warm=hi_point or lo_point)
             if searched is not None:
                 searched.append(p)
-            if p.cost <= budget_cost:
-                hi, hi_point = mid, p
+            side = "hi" if p.cost <= budget_cost else "lo"
+            if side == kept:
+                weight["hi" if side == "lo" else "lo"] *= 0.5
+            weight[side], kept = 1.0, side
+            if side == "hi":
+                hi, hi_point = mu, p
                 if best is None or p.rate < best.rate - 1e-15 or (
                         abs(p.rate - best.rate) <= 1e-15 and p.cost < best.cost):
                     best = p
             else:
-                lo, lo_point = mid, p
+                lo, lo_point = mu, p
             if hi - lo <= 1e-12 * max(1.0, hi):
                 break
     if best is None:

@@ -10,7 +10,8 @@ bits of rate relative to the barycenter.
 
 The construction: a case analysis on whether the barycenter cost is
 strictly inside the budget (with a delta-halving mixing step when it sits
-on the wrong side by a float hair), a Caratheodory reduction of the
+on the wrong side by a float hair, or, when no realization is strictly
+below the budget, the lowest-rate realization at it alone), a Caratheodory reduction of the
 barycenter's weight vector to at most three support points, and an
 extreme-point selection on the triangle cut by the feasibility rectangle
 (rate <= target, cost <= budget).  The selected point preserves the
@@ -132,6 +133,28 @@ def _caratheodory_support(coords: np.ndarray, weights: np.ndarray):
     return active, {i: w[i] / total for i in active}
 
 
+def _point_at_budget(points, r_bar: float, d_bar: float, budget_cost: float,
+                     epsilon_bits: float) -> TimeShareSelector:
+    """The one-point selector on the lowest-rate realization whose cost
+    equals the budget, when its rate is within epsilon of the barycenter's
+    (checked exactly); the mixing step has no room when no realization is
+    strictly below the budget."""
+    at = [p for p in points if p.cost <= budget_cost]
+    if at:
+        p = min(at, key=lambda p: p.rate)
+        if Fraction(p.rate) <= Fraction(r_bar) + Fraction(float(epsilon_bits)):
+            return TimeShareSelector(
+                index0=p.realization_id, index1=p.realization_id, weight=1.0,
+                mix_rate=p.rate, mix_cost=p.cost, barycenter_rate=r_bar,
+                barycenter_cost=d_bar, case="boundary-point",
+            )
+    raise InfeasibleBarycenterError(
+        d_bar, budget_cost,
+        "no realization strictly below the budget, and none at it within "
+        f"epsilon={epsilon_bits} of the barycenter rate",
+    )
+
+
 def caratheodory_reduce(points, weights, budget_cost: float, epsilon_bits: float,
                         infeas_tol: float = 1e-9) -> TimeShareSelector:
     """Reduce a weighted realization cloud to a binary time-sharing selector.
@@ -139,8 +162,9 @@ def caratheodory_reduce(points, weights, budget_cost: float, epsilon_bits: float
     Guarantees, exactly in rational arithmetic over the stored floats:
     mixture cost <= budget and mixture rate <= barycenter rate + epsilon.
     Raises InfeasibleBarycenterError when the barycenter cost exceeds the
-    budget beyond ``infeas_tol`` (or by any amount with no point strictly
-    below the budget).
+    budget beyond ``infeas_tol``, or by any amount when no point is strictly
+    below the budget and no point at it has a rate within epsilon of the
+    barycenter's.
     """
     points = list(points)
     w = np.asarray(weights, dtype=float)
@@ -165,9 +189,7 @@ def caratheodory_reduce(points, weights, budget_cost: float, epsilon_bits: float
         # is at most epsilon/2
         below = [i for i, p in enumerate(points) if p.cost < budget_cost]
         if not below:
-            raise InfeasibleBarycenterError(
-                d_bar, budget_cost, "no realization strictly below the budget"
-            )
+            return _point_at_budget(points, r_bar, d_bar, budget_cost, epsilon_bits)
         i0 = min(below, key=lambda i: (abs(points[i].rate - r_bar), i))
         r0, d0 = points[i0].rate, points[i0].cost
         delta = 0.1

@@ -1,20 +1,25 @@
 """CLI: spec files, exit codes, output formats, determinism."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
+import tempfile
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ratecost.cli
 import ratecost.coder
 import ratecost.scheme
 import ratecost.solver
-from ratecost import InvariantError
+from ratecost import InvariantError, SystemSpec
 from ratecost.cli import (
     EXIT_INFEASIBLE,
     EXIT_NO_CONVERGENCE,
@@ -24,7 +29,7 @@ from ratecost.cli import (
     main,
 )
 from ratecost.coder import CodingError
-from ratecost.instances import drive_to_zero, sticky_tracking
+from ratecost.instances import drive_to_zero, min_open_loop_cost, sticky_tracking
 from ratecost.scheme import TRIAL_BLOCK, DecodeMismatchError
 from ratecost.solver import RateCostCurve
 from ratecost.specio import SPEC_SCHEMA, SpecFileError, load_spec, parse_spec, \
@@ -315,6 +320,47 @@ class TestSynthCommand:
                      "--out", str(tmp_path), "--restarts", "2"])
         assert code == EXIT_INFEASIBLE
 
+    def test_unconverged_solution_exit_code(self, tmp_path, capsys, monkeypatch):
+        solve = ratecost.scheme.solve_rate_cost
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(solve(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(ratecost.scheme, "solve_rate_cost", unconverged)
+        spec_path = write_spec(tmp_path, controlled_doc())
+        code, out = self.run_synth(tmp_path, spec_path, "u")
+        assert code == EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: solver failed")
+        assert (out / "result_bundle.json").exists()
+
+    def test_failed_ledger_exit_code(self, tmp_path, capsys, monkeypatch):
+        verify = ratecost.cli.verify_sandwich
+
+        def failing(report):
+            return dataclasses.replace(verify(report), achievability_ok=False)
+
+        monkeypatch.setattr(ratecost.cli, "verify_sandwich", failing)
+        spec_path = write_spec(tmp_path, controlled_doc())
+        code, _ = self.run_synth(tmp_path, spec_path, "f")
+        assert code == EXIT_VERIFY
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["verification failed: the sandwich ledger did not pass"]
+
+    def test_budget_at_cost_floor_passes(self, tmp_path):
+        # drive2's DP floor is 0.30000000000000004; the cloud's points cost
+        # 0.3 or that, so none is strictly below the budget 0.3
+        spec_path = write_spec(tmp_path, controlled_doc())
+        assert ratecost.solver.min_expected_cost(load_spec(spec_path)) > 0.3
+        out = tmp_path / "floor"
+        code = main(["synth", "--spec", spec_path, "--D", "0.3", "--out", str(out),
+                     "--restarts", "1", "--trials", "200"])
+        assert code == EXIT_OK
+        doc = json.loads((out / "result_bundle.json").read_text())
+        assert doc["sandwich"]["passed"]
+        assert doc["selector"]["case"] == "boundary-point"
+        assert doc["exact"]["cost"] <= 0.3
+
     @pytest.mark.parametrize("flag", ["--trials", "--cloud-size", "--restarts"])
     def test_zero_count_option_rejected(self, tmp_path, capsys, flag):
         spec_path = write_spec(tmp_path, controlled_doc())
@@ -341,7 +387,7 @@ class TestSynthCommand:
         assert doc["seeds"]["attempts"] == 1
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "70b20343b353cb85a9b895de6d267460ff341d847a7d4df4f6cc3ea7cd88ddf2"
+            "031f37486b151039c831cdb3bf7b757f82c5f8944498ee0d00365993abd1f0cf"
 
     def test_sticky4_bundle_digest_pinned(self, tmp_path):
         # at its mid-curve budget the sweep stops at the eleventh of 22
@@ -358,7 +404,7 @@ class TestSynthCommand:
         assert doc["seeds"]["attempts"] == 2
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "e7ac55f9f8d43aec47c68e35d96ea2dbcfdf72939d71d782c08615735e1938b5"
+            "4c50b6a50aea2301237c8f5ce4dd332220e0a2856a17ee3638a854c3be6d9509"
 
     def test_block_of_one_bundle_byte_identical(self, tmp_path):
         # a spec whose trajectory budget equals its trajectory count makes
@@ -481,3 +527,49 @@ class TestEnvMirrors:
         args = build_parser().parse_args(["synth", "--spec", "unused.json",
                                           "--seed", "3"])
         assert args.seed == 3
+
+
+@st.composite
+def small_specs(draw):
+    """Markov specs with at most two states and actions and three stages;
+    probabilities and costs include 0 and 1."""
+    X, U = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 3))
+    unit = st.floats(0.0, 1.0)
+
+    def pmf():
+        p = draw(unit)
+        return [1.0 - p, p] if X == 2 else [1.0]
+
+    transition = [[pmf() for _ in range(U)] for _ in range(X)]
+    cost = [[draw(unit) for _ in range(U)] for _ in range(X)]
+    return SystemSpec.from_markov(pmf(), transition, cost, n)
+
+
+class TestSynthFuzz:
+    @given(spec=small_specs(), share=st.floats(0.0, 1.5),
+           cloud=st.sampled_from([1, 3]), seed=st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_passes_ledger_or_exits_with_one_line(self, spec, share, cloud, seed):
+        floor = ratecost.solver.min_expected_cost(spec)
+        budget = floor + share * (min_open_loop_cost(spec)[0] - floor)
+        with tempfile.TemporaryDirectory() as tmp:
+            spec_path = os.path.join(tmp, "spec.json")
+            with open(spec_path, "w") as fh:
+                json.dump(spec_document(spec), fh)
+            out = os.path.join(tmp, "out")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["synth", "--spec", spec_path, "--D", repr(budget),
+                             "--out", out, "--restarts", "1", "--seed", str(seed),
+                             "--cloud-size", str(cloud), "--trials", "30"])
+            if code == EXIT_OK:
+                with open(os.path.join(out, "result_bundle.json")) as fh:
+                    doc = json.load(fh)
+                assert doc["sandwich"]["passed"] and doc["exact"]["cost"] <= budget
+            else:
+                lines = err.getvalue().strip().splitlines()
+                assert code in (EXIT_SPEC, EXIT_INFEASIBLE, EXIT_NO_CONVERGENCE,
+                                EXIT_VERIFY), (code, lines)
+                assert len(lines) == 1 and "Traceback" not in lines[0]

@@ -148,6 +148,25 @@ class TestSynthesize:
         assert b.exact_cost <= budget
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("factory", [noisy_actuator, sticky_tracking],
+                             ids=["noisy3", "sticky4"])
+    def test_retarget_solves_no_multiplier_twice(self, monkeypatch, factory):
+        # a re-target brackets with the points earlier attempts solved, so
+        # it never repeats a (multiplier, warm start) solve
+        solves = []
+        original = ratecost.solver.solve_lagrangian
+
+        def counted(spec, mu, opts=None, warm=None):
+            solves.append((mu, None if warm is None else warm.multiplier))
+            return original(spec, mu, opts, warm)
+
+        monkeypatch.setattr(ratecost.solver, "solve_lagrangian", counted)
+        spec = factory(3 if factory is noisy_actuator else 4)
+        b = synthesize(spec, mid_curve_budget(spec),
+                       SchemeOptions(solver=SolverOptions(restarts=1)))
+        assert b.seeds["attempts"] == 2
+        assert len(solves) == len(set(solves))
+
     @pytest.mark.parametrize("field", ["cloud_size", "max_attempts"])
     def test_nonpositive_counts_rejected(self, field):
         with pytest.raises(ValueError, match=field):

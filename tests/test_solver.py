@@ -1,6 +1,7 @@
 """Rate-cost solver: Lagrangian optimizer, budget queries, brute-force oracle."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -205,6 +206,31 @@ class TestSolveRateCost:
             solve_rate_cost(spec, dmin / 4.0, FAST)
         assert err.value.minimum == pytest.approx(dmin, abs=1e-12)
 
+    def test_cost_step_collapses_bracket(self, monkeypatch):
+        # cost jumps across the budget at mu = 1.7, so no multiplier meets
+        # the window; the far side's large residual keeps plain false
+        # position on the feasible side, and the midpoint safeguard must
+        # collapse the bracket onto the jump within max_bisect solves
+        spec = drive_to_zero(2)
+        budget, jump = 0.4, 1.7
+        policy = CausalPolicy.uniform(spec)
+
+        def step(spec, mu, opts=None, warm=None):
+            cost = budget + 0.3 if mu < jump else budget - 1e-3
+            return RateCostPoint(rate=1.0 / (1.0 + mu), cost=cost,
+                                 multiplier=mu, policy=policy)
+
+        monkeypatch.setattr(ratecost.solver, "solve_lagrangian", step)
+        opts = SolverOptions(restarts=1)
+        searched = []
+        q = solve_rate_cost(spec, budget, opts, sweep=[step(spec, 1.0), step(spec, 2.0)],
+                            searched=searched)
+        assert len(searched) <= opts.max_bisect
+        assert q.cost <= budget
+        lo = max(p.multiplier for p in searched if p.cost > budget)
+        hi = min(p.multiplier for p in searched if p.cost <= budget)
+        assert lo < jump <= hi and hi - lo <= 1e-12 * max(1.0, hi)
+
     def test_rate_monotone_in_budget(self):
         spec = bernoulli_source(1, 0.3)
         _, raw = sweep_curve(spec, FAST)
@@ -248,6 +274,9 @@ def same_point(a, b):
                     for x, y in zip(a.policy.tables, b.policy.tables, strict=True)))
 
 
+SHARES = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.5]
+
+
 class TestBoundedSweep:
     """A budget query on the sweep cut at the first point above the budget
     gives the answer it gives on the full sweep."""
@@ -261,7 +290,7 @@ class TestBoundedSweep:
         d_open, _ = min_open_loop_cost(spec)
         return spec, floor, d_open, sweep_curve(spec, self.OPTS)[1]
 
-    @pytest.mark.parametrize("share", [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.5])
+    @pytest.mark.parametrize("share", SHARES)
     def test_prefix_answer_equals_full_sweep_answer(self, swept, share):
         spec, floor, d_open, full = swept
         budget = floor + share * (d_open - floor)
@@ -278,6 +307,44 @@ class TestBoundedSweep:
         a = solve_rate_cost(spec, budget, self.OPTS, sweep=full)
         b = solve_rate_cost(spec, budget, self.OPTS)
         assert same_point(a, b)
+
+    @pytest.mark.parametrize("share", SHARES)
+    def test_answer_in_window_unless_bracket_collapsed(self, swept, share):
+        spec, floor, d_open, full = swept
+        budget = floor + share * (d_open - floor)
+        searched = []
+        q = solve_rate_cost(spec, budget, self.OPTS, sweep=full, searched=searched)
+        assert q.converged and q.cost <= budget
+        assert len(searched) <= 5       # bisection took up to 11 on these
+        points = full + searched
+        over = [p.multiplier for p in points if p.cost > budget]
+        if not over:                    # nothing to bracket
+            assert not searched
+            return
+        lo = max(over)
+        hi = min((p.multiplier for p in points
+                  if p.cost <= budget and p.multiplier > lo), default=math.inf)
+        assert (budget - q.cost <= self.OPTS.bisect_cost_tol
+                or hi - lo <= 1e-12 * max(1.0, hi))
+
+    def test_mid_curve_query_search_solves(self, monkeypatch):
+        # after the cut sweep (2^10 ... 2^0), false position meets the
+        # window in four solves; the midpoint bisection took eight
+        spec = sticky_tracking(4)
+        budget = 0.5 * (min_expected_cost(spec) + min_open_loop_cost(spec)[0])
+        solves = []
+        original = ratecost.solver.solve_lagrangian
+
+        def counted(spec, mu, *args, **kwargs):
+            solves.append(mu)
+            return original(spec, mu, *args, **kwargs)
+
+        monkeypatch.setattr(ratecost.solver, "solve_lagrangian", counted)
+        q = solve_rate_cost(spec, budget, self.OPTS)
+        assert solves[:11] == [2.0 ** k for k in range(10, -1, -1)]
+        assert len(solves) == 11 + 4
+        assert all(1.0 < mu < 2.0 for mu in solves[11:])
+        assert 0.0 <= budget - q.cost <= self.OPTS.bisect_cost_tol
 
     def test_mid_curve_sweep_stops_at_multiplier_one(self, monkeypatch):
         spec = sticky_tracking(4)

@@ -59,6 +59,21 @@ class TestCaratheodoryReduce:
         assert sel.case == "boundary-mixed"
         assert exact_ok(sel, pts, 0.6, 0.05)
 
+    def test_point_at_budget_is_one_point_selector(self):
+        # no point strictly below the budget: the mixing step has no room,
+        # and the lowest-rate point at the budget is selected alone
+        pts = cloud([(0.5, 0.3 + 4e-10), (0.5, 0.3), (0.25, 0.3), (0.5, 0.3 + 4e-10)])
+        sel = caratheodory_reduce(pts, np.ones(4), budget_cost=0.3, epsilon_bits=0.1)
+        assert sel.case == "boundary-point"
+        assert (sel.index0, sel.index1, sel.weight) == (2, 2, 1.0)
+        assert (sel.mix_rate, sel.mix_cost) == (0.25, 0.3)
+        assert exact_ok(sel, pts, 0.3, 0.1)
+
+    def test_point_at_budget_above_rate_cap_raises(self):
+        pts = cloud([(1.0, 0.3), (0.0, 0.3 + 4e-10), (0.0, 0.3 + 4e-10)])
+        with pytest.raises(InfeasibleBarycenterError, match="none at it within"):
+            caratheodory_reduce(pts, np.ones(3), budget_cost=0.3, epsilon_bits=0.1)
+
     def test_colinear_cloud(self):
         pts = cloud([(r, 0.5 * r) for r in (0.2, 0.4, 0.6, 0.8, 1.0)])
         sel = caratheodory_reduce(pts, np.ones(5), budget_cost=0.35, epsilon_bits=0.01)
