@@ -61,13 +61,13 @@ bracket by halving it, so a cost that jumps across the budget still
 collapses the bracket within ``max_bisect`` solves.  The search stops on a
 feasible point within the window, or when the bracket has collapsed.
 
-The search reads of each solved point only its multiplier and the side of
-the budget its cost falls on, so any solved point is a bracket candidate
-for any budget.  Synthesis re-targets reuse the points of earlier
-attempts' searches this way: a re-target only lowers the target, so every
-earlier infeasible point stays infeasible, and the bracket the reused
-points give lies inside the one the sweep alone gives, around multipliers
-the new search would otherwise solve again from the same warm starts.
+The search reads of each solved point only its multiplier, exact cost and
+rate, so any solved point is a bracket candidate for any budget.
+Synthesis re-targets reuse the points of earlier attempts' searches this
+way: a re-target only lowers the target, so every earlier infeasible point
+stays infeasible, and the bracket the reused points give lies inside the
+one the sweep alone gives, around multipliers the new search would
+otherwise solve again from the same warm starts.
 """
 
 from __future__ import annotations
@@ -259,7 +259,8 @@ class _Chains:
         pis = [None] * self.n
         togo = np.zeros((B, self.size))
         for s in range(self.n - 1, -1, -1):
-            a = logq[:, self.slices[s]].reshape(self._ctx(s)) - togo.reshape(self._full(s))
+            a = (logq[:, self.slices[s]].reshape(self._ctx(s))
+                 - togo.reshape(self._full(s)))
             a = a.reshape(B, -1, X, U) - self.stage_cost
             top = a.max(axis=3, keepdims=True)
             e = np.exp2(a - top)
@@ -486,8 +487,8 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
         lo = lo_point.multiplier
         hi = hi_point.multiplier if hi_point else max(lo * 4.0, 1.0)
         aim = budget_cost - 0.5 * opts.bisect_cost_tol
-        weight = {"lo": 1.0, "hi": 1.0}     # Illinois weights on the residuals
-        kept = None                          # the side the last step kept
+        w_lo = w_hi = 1.0       # Illinois weights on the ends' residuals
+        kept = None             # the end the last step kept
         for k in range(opts.max_bisect):
             if best is not None and budget_cost - best.cost <= opts.bisect_cost_tol:
                 break
@@ -495,8 +496,8 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
             # halvings that collapse the bracket, as ``hi`` can fall to ``lo``
             halvings = math.ceil(math.log2((hi - lo) / (1e-12 * max(1.0, lo))))
             if hi_point is not None and opts.max_bisect - k > halvings:
-                f_lo = weight["lo"] * (lo_point.cost - aim)
-                f_hi = weight["hi"] * (hi_point.cost - aim)
+                f_lo = w_lo * (lo_point.cost - aim)
+                f_hi = w_hi * (hi_point.cost - aim)
                 if f_lo > 0.0 > f_hi:
                     mu = lo + f_lo / (f_lo - f_hi) * (hi - lo)
                     if not lo < mu < hi:
@@ -504,17 +505,17 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
             p = solve_lagrangian(spec, mu, opts, warm=hi_point or lo_point)
             if searched is not None:
                 searched.append(p)
-            side = "hi" if p.cost <= budget_cost else "lo"
-            if side == kept:
-                weight["hi" if side == "lo" else "lo"] *= 0.5
-            weight[side], kept = 1.0, side
-            if side == "hi":
-                hi, hi_point = mu, p
+            if p.cost <= budget_cost:
+                if kept == "lo":
+                    w_lo *= 0.5
+                hi, hi_point, w_hi, kept = mu, p, 1.0, "lo"
                 if best is None or p.rate < best.rate - 1e-15 or (
                         abs(p.rate - best.rate) <= 1e-15 and p.cost < best.cost):
                     best = p
             else:
-                lo, lo_point = mu, p
+                if kept == "hi":
+                    w_hi *= 0.5
+                lo, lo_point, w_lo, kept = mu, p, 1.0, "hi"
             if hi - lo <= 1e-12 * max(1.0, hi):
                 break
     if best is None:

@@ -11,12 +11,12 @@ bits of rate relative to the barycenter.
 The construction: a case analysis on whether the barycenter cost is
 strictly inside the budget (with a delta-halving mixing step when it sits
 on the wrong side by a float hair, or, when no realization is strictly
-below the budget, the lowest-rate realization at it alone), a Caratheodory reduction of the
-barycenter's weight vector to at most three support points, and an
-extreme-point selection on the triangle cut by the feasibility rectangle
-(rate <= target, cost <= budget).  The selected point preserves the
-target rate coordinate exactly and takes the lowest cost the triangle
-offers on that vertical line.
+below the budget, the lowest-rate realization at it alone), a
+Caratheodory reduction of the barycenter's weight vector to at most
+three support points, and an extreme-point selection on the triangle cut
+by the feasibility rectangle (rate <= target, cost <= budget).  The
+selected point preserves the target rate coordinate exactly and takes the
+lowest cost the triangle offers on that vertical line.
 
 Final feasibility (mixture cost <= budget, mixture rate <= barycenter
 rate + epsilon) is certified in exact rational arithmetic on the stored

@@ -151,20 +151,27 @@ class TestSynthesize:
     @pytest.mark.parametrize("factory", [noisy_actuator, sticky_tracking],
                              ids=["noisy3", "sticky4"])
     def test_retarget_solves_no_multiplier_twice(self, monkeypatch, factory):
-        # a re-target brackets with the points earlier attempts solved, so
-        # it never repeats a (multiplier, warm start) solve
-        solves = []
+        # a re-target brackets with every point solved before it, so it
+        # never repeats a (multiplier, warm start) solve
+        solves, candidates = [], []
         original = ratecost.solver.solve_lagrangian
+        query = ratecost.scheme.solve_rate_cost
 
         def counted(spec, mu, opts=None, warm=None):
             solves.append((mu, None if warm is None else warm.multiplier))
             return original(spec, mu, opts, warm)
 
+        def recorded(*args, sweep, **kwargs):
+            candidates.append((len(sweep), len(solves)))
+            return query(*args, sweep=sweep, **kwargs)
+
         monkeypatch.setattr(ratecost.solver, "solve_lagrangian", counted)
+        monkeypatch.setattr(ratecost.scheme, "solve_rate_cost", recorded)
         spec = factory(3 if factory is noisy_actuator else 4)
         b = synthesize(spec, mid_curve_budget(spec),
                        SchemeOptions(solver=SolverOptions(restarts=1)))
-        assert b.seeds["attempts"] == 2
+        assert b.seeds["attempts"] == 2 == len(candidates)
+        assert all(n_sweep == n_solved for n_sweep, n_solved in candidates)
         assert len(solves) == len(set(solves))
 
     @pytest.mark.parametrize("field", ["cloud_size", "max_attempts"])
