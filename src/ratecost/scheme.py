@@ -173,7 +173,9 @@ def _exact_coordinates(spec: SystemSpec, maps):
     actions = actions.reshape(R, U ** n, X ** n).sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(actions > 0.0, np.log2(actions), 0.0)
-    return actions, -(actions * logs).sum(axis=1) / n, cost / n
+    # a law summing to 1 + ulps can give an entropy of -1e-16: clamp at 0
+    entropies = np.maximum(-(actions * logs).sum(axis=1), 0.0)
+    return actions, entropies / n, cost / n
 
 
 def realize_cloud(spec: SystemSpec, policy: CausalPolicy, law: JointLaw,
@@ -219,12 +221,17 @@ def synthesize(spec: SystemSpec, budget_cost: float,
                options: SchemeOptions | None = None) -> SchemeBundle:
     """Build the full encoding-and-control scheme for one cost budget.
 
-    Deterministic given the option seeds.  If the sampled cloud's average
-    cost lands above the budget (the solved policy typically sits exactly
-    on the constraint), the solver is re-targeted two standard errors
-    tighter and the cloud redrawn, up to ``max_attempts`` times; the final
-    scheme's cost is certified exactly regardless.  A certified invariant
-    that fails raises ``InvariantError``.
+    Deterministic given the option seeds.  Each attempt's cloud goes to the
+    selector (``caratheodory_reduce``), the one judge of its feasibility.
+    When it raises ``InfeasibleBarycenterError`` (the solved policy
+    typically sits exactly on the constraint, so the cloud's average cost
+    often lands above the budget), the solver is re-targeted lower by the
+    larger of two standard errors of the cloud's cost and its mean's excess
+    over the budget (at least 1e-9, never below the cost floor) and the
+    cloud redrawn, up to ``max_attempts`` attempts in all; the last
+    attempt's error is raised.  The final scheme's cost is certified exactly
+    regardless.  A certified invariant that fails raises
+    ``InvariantError``.
 
     The multiplier sweep is solved once, down to the first grid point whose
     cost exceeds ``budget_cost``.  Re-targets only lower the target, so
@@ -245,25 +252,23 @@ def synthesize(spec: SystemSpec, budget_cost: float,
         base = attempt * opt.cloud_size
         points = realize_cloud(spec, solution.policy, law, opt.seed,
                                range(base, base + opt.cloud_size))
-        costs = np.array([p.cost for p in points])
-        if float(costs.mean()) <= budget_cost or opt.cloud_size == 1:
-            break
-        attempt += 1
-        if attempt >= opt.max_attempts:
-            raise InfeasibleBarycenterError(
-                float(costs.mean()), budget_cost,
-                f"cloud average still above budget after {attempt} attempts",
+        try:
+            selector = caratheodory_reduce(
+                points, np.full(len(points), 1.0 / len(points)),
+                budget_cost, opt.epsilon,
             )
+            break
+        except InfeasibleBarycenterError:
+            attempt += 1
+            if attempt >= opt.max_attempts:
+                raise
+        costs = np.array([p.cost for p in points])
         spread = float(costs.std(ddof=1)) if opt.cloud_size > 1 else 0.0
         margin = max(2.0 * spread / math.sqrt(opt.cloud_size),
                      float(costs.mean()) - budget_cost, 1e-9)
         target = max(target - margin, min_expected_cost(spec))
         sweep = sweep + searched
 
-    selector = caratheodory_reduce(
-        points, np.full(len(points), 1.0 / len(points)),
-        budget_cost, opt.epsilon,
-    )
     by_id = {p.realization_id: p for p in points}
     picked = {i: build_realization(spec, solution.policy, law, opt.seed, by_id[i])
               for i in (selector.index0, selector.index1)}

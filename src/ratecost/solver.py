@@ -86,6 +86,7 @@ from .system import (
     directed_information,
     evaluate_joint,
 )
+from .timeshare import lower_hull
 
 _LOG_FLOOR = -1000.0
 
@@ -150,15 +151,6 @@ class RateCostPoint:
             raise ValueError("rate and cost must be nonnegative")
 
 
-def _concave_turn(a: RateCostPoint, b: RateCostPoint, c: RateCostPoint,
-                  tol: float) -> bool:
-    """Whether the slope from b to c falls below the slope from a to b by
-    more than ``tol`` (cross-product test on points sorted by cost)."""
-    lhs = (b.rate - a.rate) * (c.cost - b.cost)
-    rhs = (c.rate - b.rate) * (b.cost - a.cost)
-    return lhs - rhs > tol * max(1.0, abs(c.cost - a.cost))
-
-
 @dataclass
 class RateCostCurve:
     """Operating points sorted by increasing cost along the lower envelope."""
@@ -175,20 +167,16 @@ class RateCostCurve:
                 continue
             pareto.append(p)
         # lower convex envelope: slopes must be nondecreasing within tol
-        hull: list[RateCostPoint] = []
-        for p in pareto:
-            while len(hull) >= 2 and _concave_turn(hull[-2], hull[-1], p, tol):
-                hull.pop()
-            hull.append(p)
-        return cls(tuple(hull))
+        hull = lower_hull([(p.cost, p.rate) for p in pareto], tol)
+        return cls(tuple(pareto[k] for k in hull))
 
     def validate(self, tol: float = 1e-6) -> None:
         for a, b in zip(self.points, self.points[1:]):
             if b.rate > a.rate + tol:
                 raise InvariantError("curve rate must be nonincreasing in cost")
-        for a, b, c in zip(self.points, self.points[1:], self.points[2:]):
-            if _concave_turn(a, b, c, tol):
-                raise InvariantError("curve must be convex within tolerance")
+        xy = [(p.cost, p.rate) for p in self.points]
+        if len(lower_hull(xy, tol)) < len(xy):
+            raise InvariantError("curve must be convex within tolerance")
 
 
 def _log_normalize(logq: np.ndarray) -> np.ndarray:
@@ -457,28 +445,27 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
     feasible and carries the policy used downstream for synthesis; it is an
     epsilon-near-optimizer whose exact (rate, cost) are reported without
     any attainment claim.
+
+    The greedy policy of the cost DP attains the minimum average cost.  It
+    is evaluated exactly before any solve and is always a candidate; a
+    budget below its exact cost raises ``InfeasibleCostError`` with that
+    cost as the minimum.
     """
     opts = opts or SolverOptions()
-    dmin, greedy = _cost_dp(spec)
-    if budget_cost < 0 or budget_cost < dmin - 1e-9:
-        raise InfeasibleCostError(budget_cost, dmin)
-    if sweep is None:
-        sweep = sweep_curve(spec, opts, until_cost=budget_cost)[1]
-    pts = list(sweep)
     # feasibility anchor: solver iterates approach the minimum cost only
     # from above, so budget queries at the cost floor resolve to the
     # deterministic cost-minimizing policy
-    anchor = _exact_point(spec, CausalPolicy(tuple(greedy)), math.inf)
-    if anchor.cost <= budget_cost:
-        pts.append(anchor)
+    anchor = _exact_point(spec, CausalPolicy(tuple(_cost_dp(spec)[1])), math.inf)
+    if budget_cost < anchor.cost:
+        raise InfeasibleCostError(budget_cost, anchor.cost)
+    if sweep is None:
+        sweep = sweep_curve(spec, opts, until_cost=budget_cost)[1]
+    pts = list(sweep) + [anchor]
     feasible = [p for p in pts if p.cost <= budget_cost]
     infeasible = [p for p in pts if p.cost > budget_cost]
-    if feasible:
-        best = min(feasible, key=lambda p: (p.rate, p.cost))
-    else:
-        best = None
+    best = min(feasible, key=lambda p: (p.rate, p.cost))
     # refine: bracket the budget between a too-costly and a feasible multiplier
-    if infeasible and (best is None or best.cost < budget_cost - opts.bisect_cost_tol):
+    if infeasible and best.cost < budget_cost - opts.bisect_cost_tol:
         lo_point = max((p for p in infeasible if math.isfinite(p.multiplier)),
                        key=lambda p: p.multiplier)
         hi_point = min((p for p in feasible if math.isfinite(p.multiplier)
@@ -490,7 +477,7 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
         w_lo = w_hi = 1.0       # Illinois weights on the ends' residuals
         kept = None             # the end the last step kept
         for k in range(opts.max_bisect):
-            if best is not None and budget_cost - best.cost <= opts.bisect_cost_tol:
+            if budget_cost - best.cost <= opts.bisect_cost_tol:
                 break
             mu = 0.5 * (lo + hi)
             # halvings that collapse the bracket, as ``hi`` can fall to ``lo``
@@ -509,7 +496,7 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
                 if kept == "lo":
                     w_lo *= 0.5
                 hi, hi_point, w_hi, kept = mu, p, 1.0, "lo"
-                if best is None or p.rate < best.rate - 1e-15 or (
+                if p.rate < best.rate - 1e-15 or (
                         abs(p.rate - best.rate) <= 1e-15 and p.cost < best.cost):
                     best = p
             else:
@@ -518,20 +505,6 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
                 lo, lo_point, w_lo, kept = mu, p, 1.0, "hi"
             if hi - lo <= 1e-12 * max(1.0, hi):
                 break
-    if best is None:
-        # budget sits between dmin and the costliest sweep point: push mu up
-        mu = max(opts.mu_grid) if opts.mu_grid else 1.0
-        p = None
-        for _ in range(opts.max_bisect):
-            mu *= 4.0
-            p = solve_lagrangian(spec, mu, opts, warm=p)
-            if searched is not None:
-                searched.append(p)
-            if p.cost <= budget_cost:
-                best = p
-                break
-        if best is None:
-            raise InfeasibleCostError(budget_cost, dmin)
     return best
 
 

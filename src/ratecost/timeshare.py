@@ -8,15 +8,19 @@ cost budget, the reduction returns two realizations and a Bernoulli weight
 whose mixture meets the budget exactly while giving away at most epsilon
 bits of rate relative to the barycenter.
 
-The construction: a case analysis on whether the barycenter cost is
-strictly inside the budget (with a delta-halving mixing step when it sits
-on the wrong side by a float hair, or, when no realization is strictly
-below the budget, the lowest-rate realization at it alone), a
-Caratheodory reduction of the barycenter's weight vector to at most
-three support points, and an extreme-point selection on the triangle cut
-by the feasibility rectangle (rate <= target, cost <= budget).  The
-selected point preserves the target rate coordinate exactly and takes the
-lowest cost the triangle offers on that vertical line.
+The construction: a case analysis fixes a target rate.  It is the
+barycenter's rate when the barycenter cost is within the budget; when the
+barycenter sits above the budget by a float hair it is the rate of the
+barycenter mixed toward a strictly cheaper realization down to the budget,
+and when no realization is strictly below the budget, the lowest-rate
+realization at it is selected alone.  The selector is then the cheapest
+mixture of two realizations at the target rate: the edge of the cloud's
+lower convex hull in (rate, cost) whose rate interval holds the target, or
+a hull vertex alone when the target is its rate.  The target lies in the
+cloud's convex hull at a cost within the budget, so the hull edge below it
+is within the budget too, and no Caratheodory triangle of the cloud
+crosses the target rate more cheaply.  ``lower_hull`` is also the
+rate-cost curve's envelope (``solver.RateCostCurve``).
 
 Final feasibility (mixture cost <= budget, mixture rate <= barycenter
 rate + epsilon) is certified in exact rational arithmetic on the stored
@@ -25,6 +29,7 @@ floats, nudging the stored weight by ulps when rounding demands it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,32 +112,6 @@ def _feasible_weight(lam0: float, pa, pb, rate_cap: Fraction, cost_cap: Fraction
     return None
 
 
-def _caratheodory_support(coords: np.ndarray, weights: np.ndarray):
-    """Reduce a convex combination in the plane to at most three support
-    points by iterated affine-dependence elimination."""
-    w = weights.astype(float).copy()
-    active = [int(i) for i in np.flatnonzero(w > 0.0)]
-    while len(active) > 3:
-        quad = active[:4]
-        A = np.vstack([np.ones(4), coords[quad, 0], coords[quad, 1]])
-        _, _, vh = np.linalg.svd(A)
-        mu = vh[-1]
-        mu = mu / np.abs(mu).max()
-        if mu.max() < 0.1:  # mixed signs with zero sum: flipping exposes them
-            mu = -mu
-        pos = mu > 1e-12
-        steps = w[quad][pos] / mu[pos]
-        t_star = steps.min()
-        kill_local = int(np.flatnonzero(pos)[int(np.argmin(steps))])
-        for j, i in enumerate(quad):
-            w[i] -= t_star * mu[j]
-        w[quad[kill_local]] = 0.0
-        np.clip(w, 0.0, None, out=w)
-        active = [i for i in active if w[i] > 0.0]
-    total = w[active].sum()
-    return active, {i: w[i] / total for i in active}
-
-
 def _point_at_budget(points, r_bar: float, d_bar: float, budget_cost: float,
                      epsilon_bits: float) -> TimeShareSelector:
     """The one-point selector on the lowest-rate realization whose cost
@@ -155,16 +134,45 @@ def _point_at_budget(points, r_bar: float, d_bar: float, budget_cost: float,
     )
 
 
+def lower_hull(xy, tol: float = 0.0) -> list[int]:
+    """Indices of the lower convex hull of ``xy``, a list of (x, y) pairs in
+    order of increasing x.
+
+    A stack pass: a point leaves the hull when the slope after it falls
+    below the slope before it by more than ``tol`` * max(1, x span of the
+    three points), by the cross-product test.  With ``tol`` 0, collinear
+    points stay.  A list whose every point stays has slopes that never fall
+    by more than ``tol`` between neighbours.
+    """
+    hull: list[int] = []
+    for k, (cx, cy) in enumerate(xy):
+        while len(hull) >= 2:
+            (ax, ay), (bx, by) = xy[hull[-2]], xy[hull[-1]]
+            lhs = (by - ay) * (cx - bx)
+            rhs = (cy - by) * (bx - ax)
+            if not lhs - rhs > tol * max(1.0, abs(cx - ax)):
+                break
+            hull.pop()
+        hull.append(k)
+    return hull
+
+
 def caratheodory_reduce(points, weights, budget_cost: float, epsilon_bits: float,
                         infeas_tol: float = 1e-9) -> TimeShareSelector:
     """Reduce a weighted realization cloud to a binary time-sharing selector.
 
+    The case analysis fixes the target rate r* and the case label; the
+    selector is the cloud's lower-hull edge or vertex at r* (see the module
+    docstring).  The name is kept from the Caratheodory reduction to three
+    support points that this lookup replaced: the hull is the cheapest
+    mixture at r*, so no such triangle crosses r* more cheaply.
+
     Guarantees, exactly in rational arithmetic over the stored floats:
     mixture cost <= budget and mixture rate <= barycenter rate + epsilon.
     Raises InfeasibleBarycenterError when the barycenter cost exceeds the
-    budget beyond ``infeas_tol``, or by any amount when no point is strictly
-    below the budget and no point at it has a rate within epsilon of the
-    barycenter's.
+    budget beyond ``infeas_tol``, when no point is strictly below the budget
+    and no point at it has a rate within epsilon of the barycenter's, or
+    when the mixture at r* misses a cap in exact arithmetic.
     """
     points = list(points)
     w = np.asarray(weights, dtype=float)
@@ -178,82 +186,54 @@ def caratheodory_reduce(points, weights, budget_cost: float, epsilon_bits: float
     if d_bar > budget_cost + infeas_tol:
         raise InfeasibleBarycenterError(d_bar, budget_cost)
 
-    coords = np.array([[p.rate, p.cost] for p in points])
     if d_bar <= budget_cost:
         case = "interior" if d_bar < budget_cost else "boundary"
         target_rate = r_bar
-        case_weights = w.copy()
     else:
         # barycenter sits a float hair above the budget: mix toward a
-        # strictly cheaper point, shrinking delta until the rate give-away
-        # is at most epsilon/2
+        # strictly cheaper point, down to the budget
         below = [i for i, p in enumerate(points) if p.cost < budget_cost]
         if not below:
             return _point_at_budget(points, r_bar, d_bar, budget_cost, epsilon_bits)
         i0 = min(below, key=lambda i: (abs(points[i].rate - r_bar), i))
         r0, d0 = points[i0].rate, points[i0].cost
-        delta = 0.1
-        while delta / (budget_cost - d0) * abs(r0 - r_bar) > epsilon_bits / 2.0:
-            delta /= 2.0
-            if delta < d_bar - budget_cost:
-                raise InfeasibleBarycenterError(
-                    d_bar, budget_cost,
-                    f"cannot shrink the mixing window below epsilon={epsilon_bits}",
-                )
         beta = (d_bar - budget_cost) / (d_bar - d0)
         case = "boundary-mixed"
         target_rate = (1.0 - beta) * r_bar + beta * r0
-        case_weights = (1.0 - beta) * w
-        case_weights[i0] += beta
 
-    support, sw = _caratheodory_support(coords, case_weights)
-    rate_cap = Fraction(r_bar) + Fraction(float(epsilon_bits))
-    cost_cap = Fraction(float(budget_cost))
-    # guard against drift: keep the vertical line inside the support's range
-    r_low = min(points[i].rate for i in support)
-    r_high = max(points[i].rate for i in support)
-    r_star = min(max(target_rate, r_low), r_high)
-
-    candidates = []  # (cost at crossing, i, j, lambda)
-    for ai in range(len(support)):
-        for bi in range(len(support)):
-            if ai == bi:
-                continue
-            i, j = support[ai], support[bi]
-            pa, pb = points[i], points[j]
-            if pa.rate == pb.rate:
-                if pa.rate == r_star:
-                    lam = 1.0 if pa.cost <= pb.cost else 0.0
-                    candidates.append((min(pa.cost, pb.cost), i, j, lam))
-                continue
-            lam = (r_star - pb.rate) / (pa.rate - pb.rate)
-            if -1e-12 <= lam <= 1.0 + 1e-12:
-                lam = min(max(lam, 0.0), 1.0)
-                cost = lam * pa.cost + (1.0 - lam) * pb.cost
-                candidates.append((cost, i, j, lam))
-    if len(support) == 1:
-        i = support[0]
-        candidates.append((points[i].cost, i, i, 1.0))
-
-    for cost, i, j, lam in sorted(candidates, key=lambda c: (c[0], c[1], c[2], c[3])):
-        pa, pb = points[i], points[j]
-        lam_ok = _feasible_weight(lam, pa, pb, rate_cap, cost_cap)
-        if lam_ok is None:
-            continue
-        if lam_ok == 0.0:  # canonical form: the used realization comes first
-            i, j, pa, pb, lam_ok = j, i, pb, pa, 1.0
-        if lam_ok == 1.0:
-            j, pb = i, pa
-        mix_rate = float(_exact_mix(lam_ok, pa.rate, pb.rate))
-        mix_cost = float(_exact_mix(lam_ok, pa.cost, pb.cost))
-        return TimeShareSelector(
-            index0=points[i].realization_id, index1=points[j].realization_id,
-            weight=lam_ok, mix_rate=mix_rate, mix_cost=mix_cost,
-            barycenter_rate=r_bar, barycenter_cost=d_bar, case=case,
+    # the cheapest point at each rate, in (rate, cost, index) order
+    cheapest: dict[float, RealizationPoint] = {}
+    for p in sorted(points, key=lambda p: (p.rate, p.cost)):
+        cheapest.setdefault(p.rate, p)
+    per_rate = list(cheapest.values())
+    hull = [per_rate[k] for k in lower_hull([(p.rate, p.cost) for p in per_rate])]
+    rates = [p.rate for p in hull]
+    # guard against drift: keep the vertical line inside the cloud's rate range
+    r_star = min(max(target_rate, rates[0]), rates[-1])
+    e = bisect.bisect_left(rates, r_star)
+    if rates[e] == r_star:
+        pa = pb = hull[e]
+        lam = 1.0
+    else:
+        pa, pb = hull[e - 1], hull[e]
+        lam = (r_star - pb.rate) / (pa.rate - pb.rate)
+    lam = _feasible_weight(lam, pa, pb,
+                           Fraction(r_bar) + Fraction(float(epsilon_bits)),
+                           Fraction(float(budget_cost)))
+    if lam is None:
+        raise InfeasibleBarycenterError(
+            d_bar, budget_cost,
+            "the cheapest two-point mixture at the target rate misses a cap",
         )
-    raise InfeasibleBarycenterError(
-        d_bar, budget_cost,
-        "no two-point mixture on the reduced support meets both caps",
+    if lam == 0.0:  # canonical form: the used realization comes first
+        pa, pb, lam = pb, pa, 1.0
+    if lam == 1.0:
+        pb = pa
+    return TimeShareSelector(
+        index0=pa.realization_id, index1=pb.realization_id, weight=lam,
+        mix_rate=float(_exact_mix(lam, pa.rate, pb.rate)),
+        mix_cost=float(_exact_mix(lam, pa.cost, pb.cost)),
+        barycenter_rate=r_bar, barycenter_cost=d_bar, case=case,
     )
 
 

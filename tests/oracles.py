@@ -276,6 +276,23 @@ def pair_search_rate(points, budget_cost, rate_cap, grid=1e-4):
     return best
 
 
+def cheapest_crossing_cost(points, rate):
+    """Exhaustive search for the cheapest two-point mixture at ``rate``: the
+    least cost at which any pair of (rate, cost) points, or any one point,
+    crosses the vertical line at ``rate``."""
+    best = math.inf
+    for ri, di in points:
+        for rj, dj in points:
+            if ri == rj == rate:
+                best = min(best, di, dj)
+            elif ri <= rate <= rj and ri < rj:
+                lam = (rj - rate) / (rj - ri)
+                best = min(best, lam * di + (1.0 - lam) * dj)
+    if best == math.inf:
+        raise ValueError("no pair of points straddles the rate")
+    return best
+
+
 def riccati_fixed_point(a, b, q, r, s0=None, iters=100000, tol=1e-14):
     """Fixed-point iteration s <- q + a^2 s - a^2 b^2 s^2 / (r + b^2 s)."""
     s = q if s0 is None else s0

@@ -361,6 +361,22 @@ class TestSynthCommand:
         assert doc["selector"]["case"] == "boundary-point"
         assert doc["exact"]["cost"] <= 0.3
 
+    def test_rounded_negative_realization_rate_passes(self, tmp_path):
+        # a realization's action law can sum to 1 + ulps, so its entropy
+        # rounds to about -1e-16; the rate is clamped at 0, not rejected
+        p = 0.11769803576672733
+        spec = SystemSpec.from_markov(
+            [p, 1.0 - p],
+            [[[1.0, 2.225073858507e-311]], [[0.19692350840861825, 0.8030764915913818]]],
+            [[0.0], [1.0]], 3)
+        spec_path = write_spec(tmp_path, spec_document(spec))
+        out = tmp_path / "clamped"
+        code = main(["synth", "--spec", spec_path, "--D", "1.0", "--out", str(out),
+                     "--restarts", "1", "--cloud-size", "3", "--trials", "30"])
+        assert code == EXIT_OK
+        doc = json.loads((out / "result_bundle.json").read_text())
+        assert doc["sandwich"]["passed"]
+
     @pytest.mark.parametrize("flag", ["--trials", "--cloud-size", "--restarts"])
     def test_zero_count_option_rejected(self, tmp_path, capsys, flag):
         spec_path = write_spec(tmp_path, controlled_doc())
@@ -375,7 +391,11 @@ class TestSynthCommand:
 
     def test_bundle_digest_pinned(self, tmp_path):
         # the bundle is a pure function of spec, budget, options and seed;
-        # this digest changes only with the seed contract or the numbers
+        # this digest changes only with the seed contract or the numbers.
+        # Re-recorded when the selector became the cloud's lower-hull edge:
+        # it now picks realizations (3, 0) for (2, 3), with the same
+        # coordinates and mixture cost but another action law, so the
+        # mixture codebook's rate is 1.25 bits/stage instead of 0.75
         spec_path = write_spec(tmp_path, controlled_doc())
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out", str(out),
@@ -387,12 +407,15 @@ class TestSynthCommand:
         assert doc["seeds"]["attempts"] == 1
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "031f37486b151039c831cdb3bf7b757f82c5f8944498ee0d00365993abd1f0cf"
+            "8365a9cb9bd30a41d7b4202a995e86cb47f0c7a46c710ad2e93c6726f132df78"
 
     def test_sticky4_bundle_digest_pinned(self, tmp_path):
         # at its mid-curve budget the sweep stops at the eleventh of 22
         # multipliers and the run re-targets once on the cut sweep; the
-        # digest is the one the full sweep gives
+        # digest is the one the full sweep gives.  Re-recorded when the
+        # selector became the cloud's lower-hull edge: the pair's second
+        # realization is 26 for 21, mixture cost 0.1485 -> 0.1456 and
+        # codeword rate 0.969 -> 0.852 bits/stage
         spec_path = write_spec(tmp_path, spec_document(sticky_tracking(4)))
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.25", "--out", str(out),
@@ -404,7 +427,7 @@ class TestSynthCommand:
         assert doc["seeds"]["attempts"] == 2
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "4c50b6a50aea2301237c8f5ce4dd332220e0a2856a17ee3638a854c3be6d9509"
+            "6323417263cf184b9efb08ba36b35d95f1fdd05a75ebbb6cdbb257c2ad9e5382"
 
     def test_block_of_one_bundle_byte_identical(self, tmp_path):
         # a spec whose trajectory budget equals its trajectory count makes
@@ -570,6 +593,7 @@ class TestSynthFuzz:
                 assert doc["sandwich"]["passed"] and doc["exact"]["cost"] <= budget
             else:
                 lines = err.getvalue().strip().splitlines()
-                assert code in (EXIT_SPEC, EXIT_INFEASIBLE, EXIT_NO_CONVERGENCE,
+                # a valid spec is never a usage error (exit 2)
+                assert code in (EXIT_INFEASIBLE, EXIT_NO_CONVERGENCE,
                                 EXIT_VERIFY), (code, lines)
                 assert len(lines) == 1 and "Traceback" not in lines[0]

@@ -406,11 +406,14 @@ class TestVerifySandwich:
         assert {type(v) for v in d.values()} <= {bool, float}
 
     def test_corrupted_codebooks_fail_achievability_only(self, bundle):
-        # rebuild the codebooks against an inverted law: likely actions get
-        # long words, inflating the exact rate past the logarithmic budget
+        # rebuild the codebooks against a law with all but 2**-40 of its mass
+        # on the least likely emitted sequence: every other sequence gets a
+        # word of about 40 bits, inflating the exact rate past the
+        # logarithmic budget
         law = bundle.mixture_action_law
-        tilted = np.where(law > 0, 1.0 / (law + 1e-9) ** 12, 0.0)
-        tilted /= tilted.sum()
+        least = np.unravel_index(np.argmin(np.where(law > 0, law, np.inf)), law.shape)
+        tilted = np.full(law.shape, 2.0 ** -40 / (law.size - 1))
+        tilted[least] = 1.0 - 2.0 ** -40
         bad_books = build_codebooks(tilted)
         bad_rate = sum(expected_stage_lengths(bad_books, law)) / bundle.spec.horizon
         corrupted = dataclasses.replace(

@@ -1,4 +1,4 @@
-"""Time sharing: realization points, Caratheodory reduction, mixture entropy."""
+"""Time sharing: realization points, the hull selector, mixture entropy."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from ratecost.timeshare import (
     selector_certificate,
 )
 
-from oracles import pair_mixture_target, pair_search_rate
+from oracles import cheapest_crossing_cost, pair_mixture_target, pair_search_rate
 
 
 def cloud(pairs):
@@ -27,6 +27,20 @@ def exact_ok(selector, points, budget, eps):
     return selector_certificate(selector, by_id, budget, eps)
 
 
+def assert_claim(pts, weights, budget, eps):
+    """The selector on the cloud, checked: both caps exactly, two members,
+    and no pair of members crossing the target rate more cheaply."""
+    sel = caratheodory_reduce(pts, weights, budget, eps)
+    assert exact_ok(sel, pts, budget, eps)
+    ids = {p.realization_id for p in pts}
+    assert sel.index0 in ids and sel.index1 in ids
+    coords = [(p.rate, p.cost) for p in pts]
+    target = pair_mixture_target(coords, np.divide(weights, np.sum(weights)),
+                                 budget, eps)
+    assert sel.mix_cost <= cheapest_crossing_cost(coords, target) + 1e-12
+    return sel
+
+
 class TestCaratheodoryReduce:
     def test_identical_points_collapse(self):
         pts = cloud([(0.8, 0.2)] * 5)
@@ -35,6 +49,11 @@ class TestCaratheodoryReduce:
         assert sel.weight == 1.0
         assert sel.mix_rate == pytest.approx(0.8, abs=0)
         assert exact_ok(sel, pts, 0.3, 0.01)
+        # all points at one rate: the cheapest, lowest index among ties, alone
+        pts = cloud([(0.5, 0.4), (0.5, 0.1), (0.5, 0.1), (0.5, 0.3)])
+        sel = assert_claim(pts, np.ones(4), 0.3, 0.01)
+        assert (sel.index0, sel.index1, sel.weight) == (1, 1, 1.0)
+        assert (sel.mix_rate, sel.mix_cost) == (0.5, 0.1)
 
     def test_two_point_symmetric_boundary(self):
         pts = cloud([(1.0, 0.5), (3.0, 1.5)])
@@ -76,9 +95,22 @@ class TestCaratheodoryReduce:
 
     def test_colinear_cloud(self):
         pts = cloud([(r, 0.5 * r) for r in (0.2, 0.4, 0.6, 0.8, 1.0)])
-        sel = caratheodory_reduce(pts, np.ones(5), budget_cost=0.35, epsilon_bits=0.01)
-        assert exact_ok(sel, pts, 0.35, 0.01)
+        sel = assert_claim(pts, np.ones(5), 0.35, 0.01)
         assert sel.mix_rate <= sel.barycenter_rate + 0.01 + 1e-15
+        # other degenerate hulls: (cloud, weights, budget, picked pair, cost)
+        for pairs, weights, budget, pair, mix_cost in [
+            # target rate 1.0 on the middle hull vertex: that point alone
+            ([(0.0, 1.0), (1.0, 0.2), (2.0, 0.0)], [1, 2, 1], 0.5, (1, 1), 0.2),
+            # equal-rate ends: the cheaper point at each end rate
+            ([(0.0, 0.9), (0.0, 0.7), (2.0, 0.1), (2.0, 0.3), (1.0, 0.8)],
+             np.ones(5), 0.6, (1, 2), 0.4),
+            # duplicate points: the first copy, the lower rate first
+            ([(0.2, 0.8), (0.2, 0.8), (1.0, 0.2), (1.0, 0.2), (0.6, 0.9)],
+             np.ones(5), 0.6, (0, 2), 0.5),
+        ]:
+            sel = assert_claim(cloud(pairs), weights, budget, 0.01)
+            assert (sel.index0, sel.index1) == pair
+            assert sel.mix_cost == pytest.approx(mix_cost, abs=1e-15)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60)
@@ -90,11 +122,7 @@ class TestCaratheodoryReduce:
         d_bar = float(np.dot(weights, [p.cost for p in pts]))
         budget = d_bar + abs(rng.normal()) * 0.1  # keep it feasible
         eps = 10.0 ** rng.uniform(-6, -1)
-        sel = caratheodory_reduce(pts, weights, budget, eps)
-        assert exact_ok(sel, pts, budget, eps)
-        # the mixture is a genuine two-point convex combination of members
-        ids = {p.realization_id for p in pts}
-        assert sel.index0 in ids and sel.index1 in ids
+        assert_claim(pts, weights, budget, eps)
 
     def test_matches_pair_search_oracle_on_seeded_cloud(self):
         rng = np.random.default_rng(50)
