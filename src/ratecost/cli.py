@@ -191,7 +191,7 @@ def cmd_synth(args) -> int:
                         keep_per_trial=args.trials_csv)
     ledger = verify_sandwich(report)
     payload = {
-        "schema_version": 3,
+        "schema_version": 4,
         "spec_path": os.path.abspath(args.spec),
         "budget_cost": args.budget,
         "epsilon": bundle.epsilon,

@@ -179,25 +179,26 @@ def _exact_coordinates(spec: SystemSpec, maps):
 
 
 def realize_cloud(spec: SystemSpec, policy: CausalPolicy, law: JointLaw,
-                  seed: int, ids) -> list[RealizationPoint]:
-    """Exact (rate, cost) points of the realizations ``ids`` of ``policy``.
+                  seed: int, first: int, count: int) -> list[RealizationPoint]:
+    """Exact (rate, cost) points of realizations first..first+count-1 of
+    ``policy``.
 
     Realizations are selected and evaluated in blocks of
     max(1, spec.budget // (X*U)**n), so no block's trajectory array holds
-    more than ``spec.budget`` entries.
+    more than ``spec.budget`` entries; each block draws each stage's race
+    from one generator.
     """
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
-    ids = list(ids)
     block = max(1, spec.budget // (X * U) ** n)
     masses = [context_mass(law, t) for t in range(1, n + 1)]
     points = []
-    for first in range(0, len(ids), block):
-        chunk = ids[first:first + block]
-        maps = [race_maps(t, policy.tables[t - 1], masses[t - 1], seed, chunk)
+    for start in range(first, first + count, block):
+        size = min(block, first + count - start)
+        maps = [race_maps(t, policy.tables[t - 1], masses[t - 1], seed, start, size)
                 for t in range(1, n + 1)]
         _, rates, costs = _exact_coordinates(spec, maps)
         points += [RealizationPoint(realization_id=i, rate=float(r), cost=float(c))
-                   for i, r, c in zip(chunk, rates, costs)]
+                   for i, r, c in zip(range(start, start + size), rates, costs)]
     return points
 
 
@@ -207,7 +208,7 @@ def build_realization(spec: SystemSpec, policy: CausalPolicy, law: JointLaw,
     action law, recomputed from its race stream."""
     n, U = spec.horizon, spec.num_actions
     i = point.realization_id
-    draws = tuple(race_draws(seed, i, t, U) for t in range(1, n + 1))
+    draws = tuple(race_draws(seed, t, U, i, 1)[0] for t in range(1, n + 1))
     maps = tuple(stage_maps(t, policy.tables[t - 1], context_mass(law, t),
                             d[None])[0]
                  for t, d in enumerate(draws, start=1))
@@ -249,9 +250,8 @@ def synthesize(spec: SystemSpec, budget_cost: float,
         solution = solve_rate_cost(spec, target, opt.solver, sweep=sweep,
                                    searched=searched)
         law = evaluate_joint(spec, solution.policy)
-        base = attempt * opt.cloud_size
         points = realize_cloud(spec, solution.policy, law, opt.seed,
-                               range(base, base + opt.cloud_size))
+                               attempt * opt.cloud_size, opt.cloud_size)
         try:
             selector = caratheodory_reduce(
                 points, np.full(len(points), 1.0 / len(points)),

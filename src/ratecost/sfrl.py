@@ -10,12 +10,21 @@ E_u = q(u) T_u i.i.d. Exp(1).  The marginal cancels and nothing is
 truncated.
 
 A stage's auxiliary randomness is therefore one Exp(1) per (action
-context, action).  ``race_draws`` reads it from the stream
-``SeedSequence((seed, STREAM_TABLES, realization_id, t))`` as a
-(U**(t-1), U) array over every context, so the layout does not depend on
-the law, and the draws never touch state randomness: independence from
-(states, past actions) holds by construction.  ``stage_maps`` turns a
-block of such draws into stage maps with one ``argmin``.
+context, action), U**t per realization at stage t.  Every realization's
+stage-t draws come from one stream, ``SeedSequence((seed, STREAM_TABLES,
+t))`` fed to ``PCG64``: realization r's (U**(t-1), U) array, row-major
+over every context, is the stream's 64-bit words [r * U**t, (r+1) * U**t),
+each taken by inversion, E = -log1p(-u) with u = (word >> 11) / 2**53,
+so 0 <= E <= 53 ln 2 < 37.  Inversion spends exactly one word per draw, so
+``race_draws`` reaches realization ``first`` with one ``advance`` and
+draws a block of realizations from one generator; a realization's draws
+do not depend on the block it is drawn in.  (This is the seed contract of
+``result_bundle.json`` version 4; version 3 gave each realization and
+stage its own stream, ``SeedSequence((seed, STREAM_TABLES, r, t))``.)  The
+layout does not depend on the law, and the draws never touch state
+randomness: independence from (states, past actions) holds by
+construction.  ``stage_maps`` turns a block of such draws into stage maps
+with one ``argmin``.
 """
 
 from __future__ import annotations
@@ -31,13 +40,17 @@ STREAM_DYNAMICS = 2
 STREAM_SELECTOR = 3
 
 
-def race_draws(seed: int, realization_id: int, t: int,
-               num_actions: int) -> np.ndarray:
-    """Stage-t race draws of one realization: (U**(t-1), U) standard
-    exponentials, row-major over (action context, action)."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence((seed, STREAM_TABLES, realization_id, t)))
-    return rng.standard_exponential((num_actions ** (t - 1), num_actions))
+def race_draws(seed: int, t: int, num_actions: int, first: int,
+               count: int) -> np.ndarray:
+    """Stage-t race draws of realizations first..first+count-1: (count,
+    U**(t-1), U) standard exponentials, row-major over (realization, action
+    context, action), from one generator on the stage's stream."""
+    contexts = num_actions ** (t - 1)
+    bits = np.random.PCG64(np.random.SeedSequence((seed, STREAM_TABLES, t)))
+    bits.advance(first * contexts * num_actions)
+    draws = np.random.Generator(bits).standard_exponential(
+        count * contexts * num_actions, method="inv")
+    return draws.reshape(count, contexts, num_actions)
 
 
 def context_mass(law: JointLaw, t: int) -> np.ndarray:
@@ -76,10 +89,10 @@ def stage_maps(t: int, conditional: np.ndarray, mass: np.ndarray,
 
 
 def race_maps(t: int, conditional: np.ndarray, mass: np.ndarray, seed: int,
-              ids) -> np.ndarray:
-    """Stage maps (R, H, X) of the realizations ``ids`` at ``seed``."""
-    U = conditional.shape[2]
-    draws = np.stack([race_draws(seed, i, t, U) for i in ids])
+              first: int, count: int) -> np.ndarray:
+    """Stage maps (count, H, X) of realizations first..first+count-1 at
+    ``seed``."""
+    draws = race_draws(seed, t, conditional.shape[2], first, count)
     return stage_maps(t, conditional, mass, draws)
 
 
@@ -116,8 +129,8 @@ def _cloud_maps(t: int, law: JointLaw, policy: CausalPolicy, num_tables: int,
     """Stage-t maps of realizations 0..num_tables-1 in blocks of ``chunk``."""
     mass = context_mass(law, t)
     for first in range(0, num_tables, chunk):
-        yield race_maps(t, policy.tables[t - 1], mass, seed,
-                        range(first, min(first + chunk, num_tables)))
+        yield race_maps(t, policy.tables[t - 1], mass, seed, first,
+                        min(chunk, num_tables - first))
 
 
 def stage_entropy_given_tables(t: int, law: JointLaw, policy: CausalPolicy,

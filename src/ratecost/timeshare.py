@@ -40,7 +40,9 @@ from .system import InvariantError, entropy_bits
 
 
 class InfeasibleBarycenterError(ValueError):
-    """The cloud's weighted average cost exceeds the budget."""
+    """The cloud admits no selector within the budget: its weighted average
+    cost exceeds the budget (this class), or the cheapest mixture at the
+    target rate misses a cap (``MixtureCapError``)."""
 
     def __init__(self, barycenter_cost: float, budget_cost: float, detail: str = ""):
         self.barycenter_cost = barycenter_cost
@@ -48,6 +50,19 @@ class InfeasibleBarycenterError(ValueError):
         msg = (f"cloud barycenter cost {barycenter_cost} exceeds budget "
                f"{budget_cost}; the upstream policy missed the cost constraint")
         super().__init__(msg + (f" ({detail})" if detail else ""))
+
+
+class MixtureCapError(InfeasibleBarycenterError):
+    """The barycenter passed the budget test, but no float weight puts the
+    cheapest two-point mixture at the target rate within both exact caps.
+    The message names the caps it misses at the hull weight."""
+
+    def __init__(self, barycenter_cost: float, budget_cost: float, missed: str):
+        self.barycenter_cost = barycenter_cost
+        self.budget_cost = budget_cost
+        ValueError.__init__(
+            self, f"the cheapest two-point mixture at the target rate misses "
+            f"{missed} (cloud barycenter cost {barycenter_cost!r})")
 
 
 @dataclass(frozen=True)
@@ -171,8 +186,10 @@ def caratheodory_reduce(points, weights, budget_cost: float, epsilon_bits: float
     mixture cost <= budget and mixture rate <= barycenter rate + epsilon.
     Raises InfeasibleBarycenterError when the barycenter cost exceeds the
     budget beyond ``infeas_tol``, when no point is strictly below the budget
-    and no point at it has a rate within epsilon of the barycenter's, or
-    when the mixture at r* misses a cap in exact arithmetic.
+    and no point at it has a rate within epsilon of the barycenter's, and
+    its subclass ``MixtureCapError``, naming the caps missed, when the
+    mixture at r* misses a cap in exact arithmetic (float weights can round
+    the barycenter to within the budget while every point is above it).
     """
     points = list(points)
     w = np.asarray(weights, dtype=float)
@@ -217,14 +234,22 @@ def caratheodory_reduce(points, weights, budget_cost: float, epsilon_bits: float
     else:
         pa, pb = hull[e - 1], hull[e]
         lam = (r_star - pb.rate) / (pa.rate - pb.rate)
-    lam = _feasible_weight(lam, pa, pb,
-                           Fraction(r_bar) + Fraction(float(epsilon_bits)),
-                           Fraction(float(budget_cost)))
-    if lam is None:
-        raise InfeasibleBarycenterError(
-            d_bar, budget_cost,
-            "the cheapest two-point mixture at the target rate misses a cap",
-        )
+    rate_cap = Fraction(r_bar) + Fraction(float(epsilon_bits))
+    cost_cap = Fraction(float(budget_cost))
+    feasible = _feasible_weight(lam, pa, pb, rate_cap, cost_cap)
+    if feasible is None:
+        mix_rate = _exact_mix(lam, pa.rate, pb.rate)
+        mix_cost = _exact_mix(lam, pa.cost, pb.cost)
+        missed = []
+        if mix_cost > cost_cap:
+            missed.append(f"the cost cap: its exact cost {float(mix_cost)!r} "
+                          f"exceeds the budget {budget_cost!r}")
+        if mix_rate > rate_cap:
+            missed.append(f"the rate cap: its exact rate {float(mix_rate)!r} "
+                          f"exceeds the barycenter rate + epsilon "
+                          f"{float(rate_cap)!r}")
+        raise MixtureCapError(d_bar, budget_cost, " and ".join(missed))
+    lam = feasible
     if lam == 0.0:  # canonical form: the used realization comes first
         pa, pb, lam = pb, pa, 1.0
     if lam == 1.0:

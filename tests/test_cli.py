@@ -280,6 +280,17 @@ class TestSynthCommand:
         want = f + math.log2(f + 3.4) + 2.0 + 0.5 + doc["gamma"]
         assert doc["bounds"]["rate_budget_bits"] == pytest.approx(want, abs=1e-12)
 
+    def test_bundle_schema_version(self, tmp_path):
+        # version 4: each stage's race draws come from one stream per
+        # (seed, stage) instead of one per (seed, realization, stage)
+        spec_path = write_spec(tmp_path, controlled_doc())
+        code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out",
+                     str(tmp_path / "v"), "--restarts", "1", "--cloud-size", "3",
+                     "--trials", "30"])
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "v" / "result_bundle.json").read_text())
+        assert doc["schema_version"] == 4
+
     def test_byte_identical_across_runs(self, tmp_path):
         spec_path = write_spec(tmp_path, controlled_doc())
         _, out_a = self.run_synth(tmp_path, spec_path, "a")
@@ -392,10 +403,9 @@ class TestSynthCommand:
     def test_bundle_digest_pinned(self, tmp_path):
         # the bundle is a pure function of spec, budget, options and seed;
         # this digest changes only with the seed contract or the numbers.
-        # Re-recorded when the selector became the cloud's lower-hull edge:
-        # it now picks realizations (3, 0) for (2, 3), with the same
-        # coordinates and mixture cost but another action law, so the
-        # mixture codebook's rate is 1.25 bits/stage instead of 0.75
+        # Re-recorded when each stage's race became one stream (schema 4):
+        # the cloud is new, so the pair is (0, 3) at weight 0.45 for (3, 0)
+        # at 0.5, mixture cost 0.4 -> 0.39, codeword rate 1.25 -> 1.1375
         spec_path = write_spec(tmp_path, controlled_doc())
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out", str(out),
@@ -407,15 +417,16 @@ class TestSynthCommand:
         assert doc["seeds"]["attempts"] == 1
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "8365a9cb9bd30a41d7b4202a995e86cb47f0c7a46c710ad2e93c6726f132df78"
+            "9dbe23d2a80ebec82aeeb72f2b04141e7d059ee5f851ea9d5faae422fd0eaf13"
 
     def test_sticky4_bundle_digest_pinned(self, tmp_path):
         # at its mid-curve budget the sweep stops at the eleventh of 22
         # multipliers and the run re-targets once on the cut sweep; the
-        # digest is the one the full sweep gives.  Re-recorded when the
-        # selector became the cloud's lower-hull edge: the pair's second
-        # realization is 26 for 21, mixture cost 0.1485 -> 0.1456 and
-        # codeword rate 0.969 -> 0.852 bits/stage
+        # digest is the one the full sweep gives.  Re-recorded when each
+        # stage's race became one stream (schema 4): the first cloud is new,
+        # so the re-target lands at mu 1.6145 for 1.5975, the pair is
+        # (28, 29) for (20, 26), mixture cost 0.1456 -> 0.1411 and codeword
+        # rate 0.852 -> 0.741 bits/stage
         spec_path = write_spec(tmp_path, spec_document(sticky_tracking(4)))
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.25", "--out", str(out),
@@ -427,7 +438,7 @@ class TestSynthCommand:
         assert doc["seeds"]["attempts"] == 2
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "6323417263cf184b9efb08ba36b35d95f1fdd05a75ebbb6cdbb257c2ad9e5382"
+            "2866b2d7d60c9f7a75d15e7c621437de779a6c1262dcfc12d3dfab29ba543d34"
 
     def test_block_of_one_bundle_byte_identical(self, tmp_path):
         # a spec whose trajectory budget equals its trajectory count makes

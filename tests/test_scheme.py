@@ -128,31 +128,41 @@ class TestSynthesize:
         assert a.selector == b.selector
 
     def test_retarget_stays_at_or_above_cost_floor(self, monkeypatch):
-        # the first cloud misses the budget and the margin would push the
-        # re-targeted solve below the cost floor; the sweep is cut at the
-        # caller's budget, which a re-target only lowers, so it is reused
-        calls = []
+        # at table seed 2 the first cloud misses the budget and the margin
+        # would push the re-targeted solve below the cost floor, so the
+        # target is clamped at the floor; the sweep is cut at the caller's
+        # budget, which a re-target only lowers, so it is reused
+        calls, targets = [], []
         original = ratecost.solver.sweep_curve
+        query = ratecost.scheme.solve_rate_cost
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
+        def recorded(spec, target, *args, **kwargs):
+            targets.append(target)
+            return query(spec, target, *args, **kwargs)
+
         monkeypatch.setattr(ratecost.scheme, "sweep_curve", counted)
         monkeypatch.setattr(ratecost.solver, "sweep_curve", counted)
+        monkeypatch.setattr(ratecost.scheme, "solve_rate_cost", recorded)
         spec = noisy_actuator(3)
         budget = mid_curve_budget(spec)
         b = synthesize(spec, budget, SchemeOptions(
-            cloud_size=20, solver=SolverOptions(restarts=1)))
+            cloud_size=20, seed=2, solver=SolverOptions(restarts=1)))
         assert b.seeds["attempts"] == 2
+        assert targets == [budget, min_expected_cost(spec)]
         assert b.exact_cost <= budget
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("factory", [noisy_actuator, sticky_tracking],
+    @pytest.mark.parametrize("factory, seed", [(noisy_actuator, 1),
+                                               (sticky_tracking, 0)],
                              ids=["noisy3", "sticky4"])
-    def test_retarget_solves_no_multiplier_twice(self, monkeypatch, factory):
+    def test_retarget_solves_no_multiplier_twice(self, monkeypatch, factory, seed):
         # a re-target brackets with every point solved before it, so it
-        # never repeats a (multiplier, warm start) solve
+        # never repeats a (multiplier, warm start) solve; each table seed is
+        # one at which the first cloud misses the budget
         solves, candidates = [], []
         original = ratecost.solver.solve_lagrangian
         query = ratecost.scheme.solve_rate_cost
@@ -169,7 +179,7 @@ class TestSynthesize:
         monkeypatch.setattr(ratecost.scheme, "solve_rate_cost", recorded)
         spec = factory(3 if factory is noisy_actuator else 4)
         b = synthesize(spec, mid_curve_budget(spec),
-                       SchemeOptions(solver=SolverOptions(restarts=1)))
+                       SchemeOptions(seed=seed, solver=SolverOptions(restarts=1)))
         assert b.seeds["attempts"] == 2 == len(candidates)
         assert all(n_sweep == n_solved for n_sweep, n_solved in candidates)
         assert len(solves) == len(set(solves))
@@ -249,7 +259,7 @@ class TestCloud:
 
     def test_batched_points_match_per_realization_evaluation(self, solved):
         spec, policy, law = solved
-        points = realize_cloud(spec, policy, law, 3, range(40, 80))
+        points = realize_cloud(spec, policy, law, 3, 40, 40)
         assert [p.realization_id for p in points] == list(range(40, 80))
         for p in points:
             re = build_realization(spec, policy, law, 3, p)
@@ -274,10 +284,10 @@ class TestCloud:
         monkeypatch.setattr(ratecost.scheme, "_exact_coordinates", recorded)
         single = dataclasses.replace(
             spec, budget=(spec.num_states * spec.num_actions) ** spec.horizon)
-        one_by_one = realize_cloud(single, policy, law, 0, range(200))
+        one_by_one = realize_cloud(single, policy, law, 0, 0, 200)
         assert blocks == [1] * 200
         blocks.clear()
-        assert realize_cloud(spec, policy, law, 0, range(200)) == one_by_one
+        assert realize_cloud(spec, policy, law, 0, 0, 200) == one_by_one
         assert blocks == [200]
 
 

@@ -15,6 +15,7 @@ from ratecost.instances import (
     symmetric_pair,
 )
 from ratecost.sfrl import (
+    STREAM_TABLES,
     conditional_fidelity,
     context_mass,
     estimate_stage_entropy,
@@ -28,9 +29,9 @@ from ratecost.system import directed_information, history_rows, stage_informatio
 from oracles import argmin_selection, race_selection
 
 
-def maps_for(t, law, policy, seed=0, ids=range(1)):
-    """Stage-t maps of the given realizations, (R, H, X)."""
-    draws = np.stack([race_draws(seed, i, t, policy.num_actions) for i in ids])
+def maps_for(t, law, policy, seed=0, first=0, count=1):
+    """Stage-t maps of realizations first..first+count-1, (count, H, X)."""
+    draws = race_draws(seed, t, policy.num_actions, first, count)
     return stage_maps(t, policy.tables[t - 1], context_mass(law, t), draws)
 
 
@@ -74,7 +75,7 @@ class TestSelect:
         spec = drive_to_zero(2)
         policy = CausalPolicy.constant_action(spec, 0)
         law = evaluate_joint(spec, policy)
-        maps = maps_for(2, law, policy, ids=range(3))
+        maps = maps_for(2, law, policy, count=3)
         assert maps.shape == (3, 4, 2) and maps.dtype == np.int64
         h, x = history_rows(np.arange(4), 1, 2, 2, 2)
         assert np.all(maps[:, h, x] == -1)
@@ -90,10 +91,9 @@ class TestSelect:
                 rng.dirichlet(np.full(3, 0.4), size=(6, 2))]
         policy = CausalPolicy(tuple(tabs))
         law = evaluate_joint(spec, policy)
-        ids = range(5, 25)
-        maps = maps_for(2, law, policy, seed=13, ids=ids)
-        for r, i in enumerate(ids):
-            draws = race_draws(13, i, 2, 3)
+        maps = maps_for(2, law, policy, seed=13, first=5, count=20)
+        for r, i in enumerate(range(5, 25)):
+            draws = race_draws(13, 2, 3, i, 1)[0]
             for h in range(6):
                 for x in range(2):
                     want = race_selection(draws[context_of(h, 2, 3, 2)],
@@ -163,7 +163,7 @@ class TestSelect:
         policy = CausalPolicy.state_ignoring(spec, rows)
         law = evaluate_joint(spec, policy)
         for t in (1, 2):
-            maps = maps_for(t, law, policy, seed=11, ids=range(8))
+            maps = maps_for(t, law, policy, seed=11, count=8)
             for ctx in range(2 ** (t - 1)):
                 h, x = history_rows(np.arange(2 ** t), ctx, 2, 2, t)
                 assert np.all(maps[:, h, x] == maps[:, h[:1], x[:1]])
@@ -253,13 +253,49 @@ class TestRaceProperty:
                     assert maps[r, h, x] == want
 
 
+class TestRaceStream:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63), t=st.integers(1, 3), U=st.integers(1, 3),
+           first=st.integers(0, 50), count=st.integers(1, 20), data=st.data())
+    def test_blocks_read_one_stream_per_stage(self, seed, t, U, first, count, data):
+        block = race_draws(seed, t, U, first, count)
+        assert block.shape == (count, U ** (t - 1), U)
+        # realization r is words [r * U**t, (r+1) * U**t) of the stage's
+        # stream, each taken by inversion (libm's log1p, as numpy's is)
+        words = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            (seed, STREAM_TABLES, t)))).random((first + count) * U ** t)
+        np.testing.assert_array_equal(
+            block.ravel(), [-math.log1p(-u) for u in words[first * U ** t:]])
+        for k in range(count):
+            np.testing.assert_array_equal(
+                block[k], race_draws(seed, t, U, first + k, 1)[0])
+        cuts = data.draw(st.sets(st.integers(0, count)))
+        edges = sorted(cuts | {0, count})
+        parts = [race_draws(seed, t, U, first + a, b - a)
+                 for a, b in zip(edges, edges[1:]) if b > a]
+        np.testing.assert_array_equal(np.concatenate(parts), block)
+        for other in (race_draws(seed + 1, t, U, first, count),
+                      race_draws(seed, t % 3 + 1, U, first, count)):
+            size = min(other.size, block.size)
+            assert not np.array_equal(other.ravel()[:size], block.ravel()[:size])
+
+    def test_draws_are_standard_exponential(self):
+        draws = race_draws(0, 2, 2, 0, 25_000).ravel()
+        n = draws.size
+        assert n == 100_000
+        assert 0.0 <= draws.min() and draws.max() < 37.0
+        assert abs(draws.mean() - 1.0) <= 4.0 / math.sqrt(n)
+        tail = math.exp(-1.0)
+        assert abs(np.mean(draws > 1.0) - tail) <= 4.0 * math.sqrt(tail * (1 - tail) / n)
+
+
 class TestIndependenceByConstruction:
     def test_tables_deterministic_given_seed(self):
-        a = race_draws(7, 3, 2, 2)
-        np.testing.assert_array_equal(a, race_draws(7, 3, 2, 2))
+        a = race_draws(7, 2, 2, 3, 1)[0]
+        np.testing.assert_array_equal(a, race_draws(7, 2, 2, 3, 1)[0])
         assert a.shape == (2, 2) and np.all(a > 0.0)
-        for other in (race_draws(8, 3, 2, 2), race_draws(7, 4, 2, 2),
-                      race_draws(7, 3, 1, 2)):
+        for other in (race_draws(8, 2, 2, 3, 1), race_draws(7, 2, 2, 4, 1),
+                      race_draws(7, 1, 2, 3, 1)):
             assert not np.array_equal(a.ravel()[:2], other.ravel()[:2])
 
     def test_tables_depend_only_on_action_marginals(self):
@@ -268,8 +304,8 @@ class TestIndependenceByConstruction:
         # flipped policy's map is the state-flipped map
         spec, bsc_policy = symmetric_pair(0.11)
         flipped = CausalPolicy((bsc_policy.tables[0][:, ::-1, :],))
-        a = maps_for(1, evaluate_joint(spec, bsc_policy), bsc_policy, 5, range(40))
-        b = maps_for(1, evaluate_joint(spec, flipped), flipped, 5, range(40))
+        a = maps_for(1, evaluate_joint(spec, bsc_policy), bsc_policy, 5, 0, 40)
+        b = maps_for(1, evaluate_joint(spec, flipped), flipped, 5, 0, 40)
         np.testing.assert_array_equal(b, a[:, :, ::-1])
         assert len({tuple(m.ravel()) for m in a}) > 1
 
@@ -294,7 +330,8 @@ class TestStageEntropy:
         policy = CausalPolicy.state_ignoring(spec, [np.array([[0.4, 0.6]])])
         law = evaluate_joint(spec, policy)
         for i in range(5):
-            assert stage_entropy_given_tables(1, law, policy, race_draws(0, i, 1, 2)) \
+            draws = race_draws(0, 1, 2, i, 1)[0]
+            assert stage_entropy_given_tables(1, law, policy, draws) \
                 == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_for_single_action(self):
@@ -303,7 +340,8 @@ class TestStageEntropy:
         )
         policy = CausalPolicy.uniform(spec)
         law = evaluate_joint(spec, policy)
-        assert stage_entropy_given_tables(1, law, policy, race_draws(0, 0, 1, 1)) == 0.0
+        draws = race_draws(0, 1, 1, 0, 1)[0]
+        assert stage_entropy_given_tables(1, law, policy, draws) == 0.0
 
     def test_crossover_pair_entropy_bound(self):
         spec, policy = symmetric_pair(0.11)
@@ -315,7 +353,8 @@ class TestStageEntropy:
         assert mean <= bound + 2.0 * se
         # cross-check explicit draws against the batched estimator
         for j in (0, 517, 999):
-            exact = stage_entropy_given_tables(1, law, policy, race_draws(2, j, 1, 2))
+            exact = stage_entropy_given_tables(1, law, policy,
+                                               race_draws(2, 1, 2, j, 1)[0])
             assert exact == pytest.approx(values[j], abs=1e-12)
 
     def test_summed_jensen_bound_multistage(self):

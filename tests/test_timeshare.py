@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ratecost.timeshare import (
     InfeasibleBarycenterError,
     InvariantError,
+    MixtureCapError,
     RealizationPoint,
     TimeShareSelector,
     caratheodory_reduce,
@@ -92,6 +93,24 @@ class TestCaratheodoryReduce:
         pts = cloud([(1.0, 0.3), (0.0, 0.3 + 4e-10), (0.0, 0.3 + 4e-10)])
         with pytest.raises(InfeasibleBarycenterError, match="none at it within"):
             caratheodory_reduce(pts, np.ones(3), budget_cost=0.3, epsilon_bits=0.1)
+
+    def test_rounded_barycenter_names_the_missed_cap(self):
+        # weights 1/3 round down, so three points an ulp above the budget
+        # have a float barycenter at the budget: the barycenter test passes
+        # and the mixture misses the cost cap, which the message must say
+        # rather than report the barycenter as exceeding the budget
+        budget = 0.21095807724453855
+        above = float(np.nextafter(budget, 1.0))
+        pts = cloud([(0.5, above)] * 3)
+        with pytest.raises(MixtureCapError) as err:
+            caratheodory_reduce(pts, np.full(3, 1.0 / 3.0), budget, 0.1)
+        assert isinstance(err.value, InfeasibleBarycenterError)
+        assert err.value.barycenter_cost == budget
+        message = str(err.value)
+        assert "exceeds budget" not in message
+        assert f"the cost cap: its exact cost {above!r} exceeds the budget " \
+            f"{budget!r}" in message
+        assert "rate cap" not in message
 
     def test_colinear_cloud(self):
         pts = cloud([(r, 0.5 * r) for r in (0.2, 0.4, 0.6, 0.8, 1.0)])
