@@ -10,14 +10,19 @@ that pi induces, so the optimum is the minimum over (pi, q) of the proxy
 
     L(pi, q) = E[ sum_t log2 pi_t(U_t|H_t,X_t) / q_t(U_t|U^{t-1}) + mu c(X_t,U_t) ].
 
+The maps run on stage rows (u^{t-1}, p_t), p_t = x_t for a Markov spec
+(kernel and cost read only (x_t, u_t)): for fixed q the soft-Bellman
+values below then read a history only through (u^{t-1}, x_t), so these
+X * U**(t-1) rows lose nothing against the (X*U)**(t-1) * X histories.
+Otherwise p_t is the state history x^t.
 One map takes q to the marginals induced by its best policy:
 
 - backward: an exact soft-Bellman pass in the log domain with a per-row
-  max shift gives pi_t(u|h,x) proportional to
-  q_t(u|ctx(h)) 2^-(mu c(x,u) + E V_{t+1}) and the proxy value
+  max shift gives pi_t(u|u^{t-1},p_t) proportional to
+  q_t(u|u^{t-1}) 2^-(mu c(x_t,u) + E V_{t+1}) and the proxy value
   V(q) = min_pi L(pi, q) / n;
-- forward: the law of the state history given the action context,
-  carried stage by stage, gives the marginals q' that pi induces.
+- forward: the law of the plant state given the action context, carried
+  stage by stage, gives the marginals q' that pi induces.
 
 V never increases from q to q'.  The map runs under SQUAREM extrapolation
 on log q (Varadhan & Roland, Scand. J. Stat. 2008) with V as the merit
@@ -79,12 +84,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .system import (
+    BudgetExceededError,
     CausalPolicy,
     InvariantError,
     SystemSpec,
     average_cost,
     directed_information,
     evaluate_joint,
+    history_rows,
 )
 from .timeshare import lower_hull
 
@@ -213,29 +220,59 @@ class _Map:
 class _Chains:
     """Forward-backward Blahut-Arimoto maps for one spec and multiplier.
 
-    Stage s (0-based) arrays over (history, state, action) have shape
-    (B, H, X, U) with H = (X*U)**s; reshaped to (B,) + (X, U)*(s+1) their
-    axes interleave the history digits, so marginals q_s of shape
-    (B, U**s, U) broadcast against them as (B,) + (1, U)*(s+1).  The
-    marginals of all stages are kept stacked, (B, sum_s U**s, U), rows
-    ``slices[s]`` holding stage s, so that every row-wise step of a map
-    runs once over all stages.
+    Stage s (0-based) has rows (u^s, p): U**s action contexts times P_s
+    plant states, P_s = X for a Markov spec (p = x_{s+1}) and X**(s+1)
+    otherwise (p = x^{s+1}).  Its arrays have shape (B, U**s, P_s, U), and
+    marginals q_s of shape (B, U**s, U) broadcast against them as
+    (B, U**s, 1, U).  ``steps[s]``, (1 or U**s, P_s, U, X), is the law of
+    x_{s+2} given a stage-s row and action.  The layouts differ in one
+    step: a Markov forward pass sums the plant-state axis out of the next
+    state's law, and the backward pass broadcasts the next stage's values
+    over it.  The marginals of all stages are kept stacked,
+    (B, sum_s U**s, U), rows ``slices[s]`` holding stage s, so that every
+    row-wise step of a map runs once over all stages.  ``restarts`` chains
+    over the spec's budget in (row, action) entries of the largest stage
+    raise ``BudgetExceededError`` before allocating.
     """
 
-    def __init__(self, spec: SystemSpec, mu: float):
-        self.n, self.X, self.U = spec.horizon, spec.num_states, spec.num_actions
-        self.kernels = [spec.stage_kernel(t)[None, :, :] for t in range(1, self.n + 1)]
-        self.stage_cost = mu * spec.cost
-        self.size = (self.X * self.U) ** self.n
-        bounds = np.cumsum([0] + [self.U ** s for s in range(self.n)])
+    def __init__(self, spec: SystemSpec, mu: float, restarts: int):
+        n, X, U = self.n, self.X, self.U = (spec.horizon, spec.num_states,
+                                            spec.num_actions)
+        self.markov = spec.markov is not None
+        self.plants = [X if self.markov else X ** (s + 1) for s in range(n)]
+        cells = restarts * U ** n * self.plants[-1]
+        if cells > spec.budget:
+            raise BudgetExceededError(f"solver working set {restarts} restarts "
+                                      f"(--restarts) x {cells // restarts} (row, action) "
+                                      f"entries exceeds budget {spec.budget}")
+        self.initial = spec.stage_kernel(1)[None]
+        self.steps = [spec.markov[1][None] if self.markov else
+                      spec.stage_kernel(s + 2)[self.full_rows(s + 1)[0][:, ::X]]
+                      .reshape(U ** s, U, -1, X).swapaxes(1, 2) for s in range(n - 1)]
+        self.costs = [mu * spec.cost[np.arange(P) % X] for P in self.plants]
+        bounds = np.cumsum([0] + [U ** s for s in range(n)])
         self.slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-        self.rows = int(bounds[-1])
+        self.contexts = int(bounds[-1])
 
-    def _full(self, s: int):
-        return (-1,) + (self.X, self.U) * (s + 1)
+    def full_rows(self, s: int):
+        """Full-history rows (h, x) of stage s by action context (axis 0)
+        and state-history key k (axis 1), which lies on plant state k % P_s."""
+        return history_rows(np.arange(self.X ** (s + 1)), np.arange(self.U ** s)[:, None],
+                            self.X, self.U, s + 1)
 
-    def _ctx(self, s: int):
-        return (-1,) + (1, self.U) * (s + 1)
+    def policy(self, pis) -> CausalPolicy:
+        """One chain's stage tables as full-history tables."""
+        tabs = [np.empty(((self.X * self.U) ** s, self.X, self.U)) for s in range(self.n)]
+        for s, pi in enumerate(pis):
+            h, x = self.full_rows(s)
+            tabs[s][h, x] = pi[:, np.arange(x.size) % self.plants[s]]
+        return CausalPolicy(tuple(tabs))
+
+    def tables(self, policy: CausalPolicy) -> list[np.ndarray]:
+        """A policy's tables on the chain rows (a Markov row reads the state
+        history (0, ..., 0, x))."""
+        rows = map(self.full_rows, range(self.n))
+        return [t[h[:, :P], x[:P]] for t, P, (h, x) in zip(policy.tables, self.plants, rows)]
 
     def stage_sums(self, a: np.ndarray) -> np.ndarray:
         """Sum over each stage's rows and actions, then over the stages."""
@@ -243,34 +280,37 @@ class _Chains:
 
     def backward(self, logq):
         """Optimal policies for the marginals and the proxy value V(q)."""
-        B, (X, U) = logq.shape[0], (self.X, self.U)
         pis = [None] * self.n
-        togo = np.zeros((B, self.size))
+        soft = None         # log2 sum_u 2^a on each row of the later stage
         for s in range(self.n - 1, -1, -1):
-            a = (logq[:, self.slices[s]].reshape(self._ctx(s))
-                 - togo.reshape(self._full(s)))
-            a = a.reshape(B, -1, X, U) - self.stage_cost
+            a = logq[:, self.slices[s], None, :] - self.costs[s]
+            if soft is not None:
+                after = soft.reshape(soft.shape[0], self.U ** s, self.U, -1, self.X)
+                a += (self.steps[s] * after.swapaxes(2, 3)).sum(axis=4)
             top = a.max(axis=3, keepdims=True)
             e = np.exp2(a - top)
             total = e.sum(axis=3, keepdims=True)
             pis[s] = e / total
-            togo = -(self.kernels[s] * (top + np.log2(total))[..., 0]).sum(axis=2)
-        return pis, togo[:, 0] / self.n
+            soft = (top + np.log2(total))[..., 0]
+        return pis, -(self.initial * soft).sum(axis=(1, 2)) / self.n
 
     def forward(self, pis):
         """Stacked marginals q'_s(u | ctx) induced by the policies; rows of
         contexts the policies never reach are zero."""
         B = pis[0].shape[0]
-        cond = self.kernels[0][..., None]     # law of the states given the context
-        out = np.empty((B, self.rows, self.U))
+        cond = self.initial     # law of the plant state given the context
+        out = np.empty((B, self.contexts, self.U))
         for s in range(self.n):
-            joint = (cond * pis[s]).reshape(self._full(s))
-            q = joint.sum(axis=tuple(range(1, 2 * s + 3, 2))).reshape(B, -1, self.U)
+            joint = cond[..., None] * pis[s]
+            q = joint.sum(axis=2)
             out[:, self.slices[s]] = q
             if s + 1 < self.n:
-                mass = q.reshape(self._ctx(s))
-                cond = np.divide(joint, mass, out=np.zeros_like(joint), where=mass > 0.0)
-                cond = (cond.reshape(B, -1, 1) * self.kernels[s + 1])[..., None]
+                mass = q[:, :, None, :]
+                given = np.divide(joint, mass, out=np.zeros_like(joint), where=mass > 0.0)
+                nxt = given[..., None] * self.steps[s]
+                if self.markov:
+                    nxt = nxt.sum(axis=2, keepdims=True)
+                cond = nxt.swapaxes(2, 3).reshape(B, self.U ** (s + 1), -1)
         return out
 
     def step(self, logq) -> _Map:
@@ -300,10 +340,10 @@ def _initial_marginals(chains: _Chains, opts: SolverOptions,
     the warm point's policy induces (uniform without one, and on contexts
     it never reaches), the rest seeded Dirichlet draws."""
     U = chains.U
-    q = np.empty((opts.restarts, chains.rows, U))
+    q = np.empty((opts.restarts, chains.contexts, U))
     q[0] = 1.0 / U
     if warm is not None:
-        start = chains.forward([tab[None] for tab in warm.policy.tables])[0]
+        start = chains.forward([tab[None] for tab in chains.tables(warm.policy)])[0]
         seen = start.sum(axis=1) > 0.0
         q[0][seen] = start[seen]
     for t, sl in enumerate(chains.slices, start=1):
@@ -339,7 +379,7 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
     if mu < 0:
         raise ValueError("multiplier must be nonnegative")
     opts = opts or SolverOptions()
-    chains = _Chains(spec, mu)
+    chains = _Chains(spec, mu, opts.restarts)
     cur = chains.step(_initial_marginals(chains, opts, warm))
     maps = 1
     step_max = np.ones(opts.restarts)
@@ -362,7 +402,7 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
             # the plain double step for the chains that rejected
             cur = chains.step(np.where(accept[:, None, None], trial, one.image))
             maps += 1
-    return _exact_point(spec, CausalPolicy(tuple(pi[best] for pi in cur.pis)), mu,
+    return _exact_point(spec, chains.policy(pi[best] for pi in cur.pis), mu,
                         converged=gap <= opts.tol,
                         objective=float(cur.objective[best]),
                         iterations=maps, gap=gap)

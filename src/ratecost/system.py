@@ -109,7 +109,7 @@ class SystemSpec:
     indices: shape ((X*U)**(t-1), X).  Stage 1 has a single (empty) history
     row, the initial state distribution.  ``markov`` carries the compact
     (initial, transition) pair when the spec was built in Markov mode; it
-    is redundant with ``kernels`` and used only for serialization.
+    is redundant with ``kernels``, and serialization and the solver read it.
     """
 
     horizon: int

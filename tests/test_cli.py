@@ -403,9 +403,9 @@ class TestSynthCommand:
     def test_bundle_digest_pinned(self, tmp_path):
         # the bundle is a pure function of spec, budget, options and seed;
         # this digest changes only with the seed contract or the numbers.
-        # Re-recorded when each stage's race became one stream (schema 4):
-        # the cloud is new, so the pair is (0, 3) at weight 0.45 for (3, 0)
-        # at 0.5, mixture cost 0.4 -> 0.39, codeword rate 1.25 -> 1.1375
+        # Re-recorded when the solver moved to (u^{t-1}, x_t) rows: the
+        # solver point moved by rounding only (mu by -2.2e-15, rate by
+        # -1.1e-16, cost by +1.1e-16); the cloud, pair and codes are unchanged
         spec_path = write_spec(tmp_path, controlled_doc())
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out", str(out),
@@ -417,16 +417,15 @@ class TestSynthCommand:
         assert doc["seeds"]["attempts"] == 1
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "9dbe23d2a80ebec82aeeb72f2b04141e7d059ee5f851ea9d5faae422fd0eaf13"
+            "f6870697f32d2f42a74c52552e7a6bc6396773cdfe528950c6551f756c1f5162"
 
     def test_sticky4_bundle_digest_pinned(self, tmp_path):
         # at its mid-curve budget the sweep stops at the eleventh of 22
         # multipliers and the run re-targets once on the cut sweep; the
-        # digest is the one the full sweep gives.  Re-recorded when each
-        # stage's race became one stream (schema 4): the first cloud is new,
-        # so the re-target lands at mu 1.6145 for 1.5975, the pair is
-        # (28, 29) for (20, 26), mixture cost 0.1456 -> 0.1411 and codeword
-        # rate 0.852 -> 0.741 bits/stage
+        # digest is the one the full sweep gives.  Re-recorded when the
+        # solver moved to (u^{t-1}, x_t) rows: the re-targeted solver point
+        # moved by rounding only (mu by +1.3e-10, rate by +1.0e-11, cost by
+        # -6.3e-12); the clouds, pair and codes are unchanged
         spec_path = write_spec(tmp_path, spec_document(sticky_tracking(4)))
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.25", "--out", str(out),
@@ -438,16 +437,17 @@ class TestSynthCommand:
         assert doc["seeds"]["attempts"] == 2
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "2866b2d7d60c9f7a75d15e7c621437de779a6c1262dcfc12d3dfab29ba543d34"
+            "6be89d5464d2873bf049d7799dfc632d3e7e4655761cf1a10d36178343d747d0"
 
     def test_block_of_one_bundle_byte_identical(self, tmp_path):
         # a spec whose trajectory budget equals its trajectory count makes
-        # the cloud evaluate one realization per block
+        # the cloud evaluate one realization per block; the budget also
+        # bounds the solver's chains, 2 of 8 (row, action) entries each
         spec_path = write_spec(tmp_path, controlled_doc())
-        _, out_a = self.run_synth(tmp_path, spec_path, "a")
+        _, out_a = self.run_synth(tmp_path, spec_path, "a", "--restarts", "2")
         write_spec(tmp_path, {**controlled_doc(), "budget": 16})
         assert load_spec(spec_path).budget == 16
-        _, out_b = self.run_synth(tmp_path, spec_path, "b")
+        _, out_b = self.run_synth(tmp_path, spec_path, "b", "--restarts", "2")
         assert (out_a / "result_bundle.json").read_bytes() == \
             (out_b / "result_bundle.json").read_bytes()
 
@@ -497,6 +497,18 @@ class TestLqgCommand:
         d, rate = lines[2].split(",")
         assert float(d) == 2.0
         assert float(rate) == pytest.approx(1.5, abs=1e-12)
+
+    def test_restarts_over_working_set_budget_exit(self, tmp_path, capsys):
+        # 10**15 chains of 8 floats cannot be allocated: numpy would raise
+        # MemoryError, so the one-line spec error shows the check came first
+        spec_path = write_spec(tmp_path, controlled_doc())
+        code = main(["solve", "--spec", spec_path, "--out", str(tmp_path / "o"),
+                     "--restarts", str(10 ** 15)])
+        assert code == EXIT_SPEC
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("spec error: ")
+        assert "--restarts" in err[0] and "budget" in err[0]
+        assert not (tmp_path / "o").exists()
 
     def test_memoryless_plant_zero_column(self, tmp_path):
         out = tmp_path / "lqg0"

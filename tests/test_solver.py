@@ -1,5 +1,6 @@
 """Rate-cost solver: Lagrangian optimizer, budget queries, brute-force oracle."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import ratecost.solver
-from ratecost import CausalPolicy, InvariantError, SystemSpec
+from ratecost import BudgetExceededError, CausalPolicy, InvariantError, SystemSpec
 from ratecost.instances import (
     bernoulli_source,
     drive_to_zero,
@@ -29,7 +30,12 @@ from ratecost.solver import (
     solve_rate_cost,
     sweep_curve,
 )
-from ratecost.system import average_cost, directed_information, evaluate_joint
+from ratecost.system import (
+    average_cost,
+    directed_information,
+    evaluate_joint,
+    history_digits,
+)
 
 from oracles import (
     average_cost_from_dict,
@@ -52,6 +58,25 @@ def asymmetric_one_shot(p1=0.35):
         cost=[[0.0, 1.0], [1.0, 0.0]],
         horizon=1,
     )
+
+
+def full_history_spec(horizon):
+    """The kernel of ``test_full_history_kernel_not_markov_realizable`` in
+    ``test_system.py``: stage 2 reads (x_1, u_1), so no Markov spec has it.
+    The 3-stage variant adds a stage-3 kernel that reads the whole history."""
+    kernels = (np.array([[0.3, 0.7]]),
+               np.array([[1.0, 0.0], [0.5, 0.5], [0.2, 0.8], [0.9, 0.1]]))
+    if horizon == 3:
+        kernels += (np.random.default_rng(7).dirichlet(np.ones(2), size=16),)
+    return SystemSpec(horizon=horizon, num_states=2, num_actions=2,
+                      cost=np.array([[0.0, 1.0], [1.0, 0.0]]), kernels=kernels)
+
+
+def without_markov(spec):
+    """The spec rebuilt from its full-history kernels alone."""
+    return SystemSpec(horizon=spec.horizon, num_states=spec.num_states,
+                      num_actions=spec.num_actions, cost=spec.cost,
+                      kernels=spec.kernels, budget=spec.budget)
 
 
 def induced_marginals(spec, policy):
@@ -81,8 +106,9 @@ def exact_objective(spec, policy, mu):
 
 
 class TestBlahutArimoto:
-    @pytest.mark.parametrize("spec", [drive_to_zero(2), noisy_actuator(3)],
-                             ids=["drive2", "noisy3"])
+    @pytest.mark.parametrize("spec", [drive_to_zero(2), noisy_actuator(3),
+                                      full_history_spec(2), full_history_spec(3)],
+                             ids=["drive2", "noisy3", "history2", "history3"])
     @pytest.mark.parametrize("mu", [0.25, 1.0, 4.0, 16.0])
     def test_objective_matches_marginal_oracle(self, spec, mu):
         point = solve_lagrangian(spec, mu, SolverOptions(restarts=1))
@@ -91,18 +117,22 @@ class TestBlahutArimoto:
         assert point.converged and point.gap <= 1e-9
         assert abs(point.objective - oracle) <= 1e-9
 
-    @pytest.mark.parametrize("spec", [noisy_actuator(2), sticky_tracking(2)],
-                             ids=["noisy2", "sticky2"])
-    def test_gap_certifies_a_lower_bound(self, spec, rng):
+    @pytest.mark.parametrize("spec, resolution, refine", [
+        (noisy_actuator(2), 0.05, 0.005), (sticky_tracking(2), 0.05, 0.005),
+        (full_history_spec(2), 0.05, 0.005), (full_history_spec(3), 0.5, 0.5)],
+        ids=["noisy2", "sticky2", "history2", "history3"])
+    def test_gap_certifies_a_lower_bound(self, spec, resolution, refine, rng):
         # one map from the uniform start is far from optimal; its lower bound
         # must still sit below every policy's objective and the grid oracle
+        # (any grid of marginals bounds the optimum from above; history3's
+        # seven marginals get a coarse one)
         mu = 1.0
         early = solve_lagrangian(spec, mu, SolverOptions(restarts=1, max_iters=1))
         lower = early.objective - early.gap
         assert not early.converged and early.gap > 1e-3
         assert early.objective == pytest.approx(
             exact_objective(spec, early.policy, mu), abs=1e-12)
-        grid = grid_marginal_search(spec, mu, resolution=0.05, refine=0.005)
+        grid = grid_marginal_search(spec, mu, resolution=resolution, refine=refine)
         assert lower <= grid
         X, U = spec.num_states, spec.num_actions
         for _ in range(200):
@@ -122,8 +152,9 @@ class TestBlahutArimoto:
             assert np.isfinite(point.rate) and point.rate >= 0.0
             assert point.cost == pytest.approx(min_expected_cost(spec), abs=1e-12)
 
-    @pytest.mark.parametrize("spec", [noisy_actuator(3), sticky_tracking(3)],
-                             ids=["noisy3", "sticky3"])
+    @pytest.mark.parametrize("spec", [noisy_actuator(3), sticky_tracking(3),
+                                      full_history_spec(3)],
+                             ids=["noisy3", "sticky3", "history3"])
     def test_warm_sweep_matches_cold_solves(self, spec):
         opts = SolverOptions(restarts=1)
         _, raw = sweep_curve(spec, opts)
@@ -137,6 +168,76 @@ class TestBlahutArimoto:
     def test_zero_counts_rejected(self, name):
         with pytest.raises(ValueError, match=f"{name} must be at least 1"):
             SolverOptions(**{name: 0})
+
+
+MARKOV_SPECS = {
+    "drive2": lambda: drive_to_zero(2),
+    "drive3": lambda: drive_to_zero(3),
+    "noisy3": lambda: noisy_actuator(3),
+    "noisy4": lambda: noisy_actuator(4),
+    "sticky4": lambda: sticky_tracking(4),
+    "sticky5": lambda: sticky_tracking(5),
+    "bernoulli3": lambda: bernoulli_source(3, 0.3),
+}
+
+
+@pytest.mark.parametrize("mu", [0.5, 2.0, 8.0])
+@pytest.mark.parametrize("name", sorted(MARKOV_SPECS))
+class TestMarkovRows:
+    """A Markov spec's solver on (u^{t-1}, x_t) rows against the same spec
+    rebuilt without ``markov``, whose solver runs on full histories."""
+
+    def test_one_step_matches_full_history(self, name, mu):
+        spec = MARKOV_SPECS[name]()
+        rows, full = (ratecost.solver._Chains(s, mu, 3)
+                      for s in (spec, without_markov(spec)))
+        assert rows.markov and not full.markov
+        # chain 0 uniform, chains 1 and 2 Dirichlet draws
+        logq = ratecost.solver._initial_marginals(rows, SolverOptions(restarts=3), None)
+        a, b = rows.step(logq), full.step(logq)
+        for field in ("value", "objective", "gap", "image"):
+            np.testing.assert_allclose(getattr(a, field), getattr(b, field),
+                                       rtol=0, atol=1e-12, err_msg=field)
+        for chain in range(3):
+            for x, y in zip(rows.policy(pi[chain] for pi in a.pis).tables,
+                            full.policy(pi[chain] for pi in b.pis).tables, strict=True):
+                np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
+
+    def test_solve_matches_full_history(self, name, mu):
+        spec = MARKOV_SPECS[name]()
+        opts = SolverOptions(restarts=1)
+        a = solve_lagrangian(spec, mu, opts)
+        b = solve_lagrangian(without_markov(spec), mu, opts)
+        assert a.converged and b.converged
+        assert abs(a.objective - b.objective) <= opts.tol
+        # the expanded tables repeat one row per (u^{t-1}, x_t)
+        X, U = spec.num_states, spec.num_actions
+        for t, tab in enumerate(a.policy.tables, start=1):
+            _, us = history_digits(np.arange(len(tab)), X, U, t - 1)
+            first = {}
+            for h, u_hist in enumerate(map(tuple, us.tolist())):
+                for x in range(X):
+                    row = first.setdefault((u_hist, x), tab[h, x])
+                    assert np.array_equal(tab[h, x], row)
+
+
+class TestWorkingSet:
+    """Chains times the largest stage's (row, action) entries must fit the
+    spec's budget; drive2's last stage has 2 * 2 rows of 2 actions."""
+
+    def test_restarts_at_budget_pass_and_one_more_refused(self):
+        spec = dataclasses.replace(drive_to_zero(2), budget=16)
+        assert solve_lagrangian(spec, 1.0, SolverOptions(restarts=2)).converged
+        with pytest.raises(BudgetExceededError, match="3 restarts .* exceeds budget 16"):
+            solve_lagrangian(spec, 1.0, SolverOptions(restarts=3))
+
+    def test_full_history_rows_count_every_history(self):
+        # one row per full history: (X*U)**3 = 64 entries at the last stage,
+        # so one chain fills the trajectory budget and two exceed it
+        spec = dataclasses.replace(full_history_spec(3), budget=64)
+        assert solve_lagrangian(spec, 1.0, SolverOptions(restarts=1)).converged
+        with pytest.raises(BudgetExceededError, match="x 64 .* exceeds budget 64"):
+            solve_lagrangian(spec, 1.0, SolverOptions(restarts=2))
 
 
 class TestSolveLagrangian:
