@@ -1,10 +1,12 @@
 """End-to-end synthesis and simulation of the encoding-and-control loop.
 
-Synthesis: solve for a near-optimal causal policy at the cost budget,
-realize it stage by stage with exponential races (``sfrl``), sample a
-cloud of full realizations with exact (rate, cost) coordinates, reduce
-the cloud to a binary time-sharing selector, and match conditional
-Shannon codebooks to the resulting mixture action law.  The cloud is
+Synthesis: solve once for a near-optimal causal policy at the cost
+budget, realize it stage by stage with exponential races (``sfrl``),
+sample a cloud of full realizations with exact (rate, cost) coordinates,
+add the cost floor's greedy policy as realization ``cloud_size`` (the
+cost-floor anchor, a zero-weight candidate), reduce the cloud to a binary
+time-sharing selector, and match conditional Shannon codebooks to the
+resulting mixture action law.  The cloud is
 selected and evaluated in blocks: each stage's maps are one ``argmin``
 over the block's race draws, and each realization's exact coordinates
 come from one batched forward product over (block, (X*U)**n) trajectory
@@ -48,9 +50,8 @@ from .sfrl import (
 from .solver import (
     RateCostPoint,
     SolverOptions,
-    min_expected_cost,
+    cost_floor_point,
     solve_rate_cost,
-    sweep_curve,
 )
 from .system import CausalPolicy, InvariantError, JointLaw, SystemSpec, evaluate_joint
 from .timeshare import (
@@ -96,13 +97,11 @@ class SchemeOptions:
     gamma: float = 0.25
     cloud_size: int = 200
     seed: int = 0
-    max_attempts: int = 4
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        for name in ("cloud_size", "max_attempts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.cloud_size < 1:
+            raise ValueError(f"cloud_size must be at least 1, got {self.cloud_size}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,55 +221,37 @@ def synthesize(spec: SystemSpec, budget_cost: float,
                options: SchemeOptions | None = None) -> SchemeBundle:
     """Build the full encoding-and-control scheme for one cost budget.
 
-    Deterministic given the option seeds.  Each attempt's cloud goes to the
-    selector (``caratheodory_reduce``), the one judge of its feasibility.
-    When it raises ``InfeasibleBarycenterError`` (the solved policy
-    typically sits exactly on the constraint, so the cloud's average cost
-    often lands above the budget), the solver is re-targeted lower by the
-    larger of two standard errors of the cloud's cost and its mean's excess
-    over the budget (at least 1e-9, never below the cost floor) and the
-    cloud redrawn, up to ``max_attempts`` attempts in all; the last
-    attempt's error is raised.  The final scheme's cost is certified exactly
-    regardless.  A certified invariant that fails raises
-    ``InvariantError``.
-
-    The multiplier sweep is solved once, down to the first grid point whose
-    cost exceeds ``budget_cost``.  Re-targets only lower the target, so
-    that point stays infeasible in every attempt, and each attempt's
-    ``sweep`` also carries the points every earlier attempt's search
-    solved: they bracket the lower target at least as tightly as the grid.
+    Deterministic given the option seeds.  The solver runs once, at the
+    budget.  Realizations 0 .. cloud_size-1 of the solved policy form the
+    cloud; realization ``cloud_size`` is the cost floor's greedy policy
+    (``solver.cost_floor_point``), a zero-weight candidate with exact
+    coordinates by the same path.  The selector (``caratheodory_reduce``)
+    picks the lowest-rate mixture of these within the budget.  When that
+    misses the rate cap, the greedy realization is selected alone and its
+    operating point becomes the solution (``seeds.attempts`` 2); when it
+    too is over the budget, ``InfeasibleBarycenterError`` is raised.  The
+    final scheme's cost is certified exactly regardless.  A certified
+    invariant that fails raises ``InvariantError``.
     """
     opt = options or SchemeOptions()
     n = spec.horizon
-    target = budget_cost
-    attempt = 0
-    sweep = sweep_curve(spec, opt.solver, until_cost=budget_cost)[1]
-    while True:
-        searched = []
-        solution = solve_rate_cost(spec, target, opt.solver, sweep=sweep,
-                                   searched=searched)
-        law = evaluate_joint(spec, solution.policy)
-        points = realize_cloud(spec, solution.policy, law, opt.seed,
-                               attempt * opt.cloud_size, opt.cloud_size)
-        try:
-            selector = caratheodory_reduce(
-                points, np.full(len(points), 1.0 / len(points)),
-                budget_cost, opt.epsilon,
-            )
-            break
-        except InfeasibleBarycenterError:
-            attempt += 1
-            if attempt >= opt.max_attempts:
-                raise
-        costs = np.array([p.cost for p in points])
-        spread = float(costs.std(ddof=1)) if opt.cloud_size > 1 else 0.0
-        margin = max(2.0 * spread / math.sqrt(opt.cloud_size),
-                     float(costs.mean()) - budget_cost, 1e-9)
-        target = max(target - margin, min_expected_cost(spec))
-        sweep = sweep + searched
+    anchor = cost_floor_point(spec)
+    solution = solve_rate_cost(spec, budget_cost, opt.solver, anchor=anchor)
+    # realizations 0 .. cloud_size-1 race the solved policy, cloud_size the floor's
+    sources = [(p, evaluate_joint(spec, p)) for p in (solution.policy, anchor.policy)]
+    points = realize_cloud(spec, *sources[0], opt.seed, 0, opt.cloud_size)
+    floor = realize_cloud(spec, *sources[1], opt.seed, opt.cloud_size, 1)
+    attempts = 1
+    try:
+        selector = caratheodory_reduce(points + floor, [1.0] * len(points) + [0.0],
+                                       budget_cost, opt.epsilon)
+    except InfeasibleBarycenterError:
+        attempts, solution = 2, anchor
+        selector = caratheodory_reduce(floor, [1.0], budget_cost, opt.epsilon)
 
-    by_id = {p.realization_id: p for p in points}
-    picked = {i: build_realization(spec, solution.policy, law, opt.seed, by_id[i])
+    by_id = {p.realization_id: p for p in points + floor}
+    picked = {i: build_realization(spec, *sources[i == opt.cloud_size], opt.seed,
+                                   by_id[i])
               for i in (selector.index0, selector.index1)}
     re0, re1 = picked[selector.index0], picked[selector.index1]
     lam = selector.weight
@@ -296,7 +277,7 @@ def synthesize(spec: SystemSpec, budget_cost: float,
         cond_entropy_bits=cond_bits, uncond_entropy_bits=uncond_bits,
         cloud_size=opt.cloud_size,
         seeds={"tables": opt.seed, "solver": opt.solver.seed,
-               "attempts": attempt + 1},
+               "attempts": attempts},
     )
 
 

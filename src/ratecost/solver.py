@@ -68,11 +68,6 @@ feasible point within the window, or when the bracket has collapsed.
 
 The search reads of each solved point only its multiplier, exact cost and
 rate, so any solved point is a bracket candidate for any budget.
-Synthesis re-targets reuse the points of earlier attempts' searches this
-way: a re-target only lowers the target, so every earlier infeasible point
-stays infeasible, and the bracket the reused points give lies inside the
-one the sweep alone gives, around multipliers the new search would
-otherwise solve again from the same warm starts.
 """
 
 from __future__ import annotations
@@ -443,6 +438,12 @@ def min_expected_cost(spec: SystemSpec) -> float:
     return _cost_dp(spec)[0]
 
 
+def cost_floor_point(spec: SystemSpec) -> RateCostPoint:
+    """The cost DP's greedy policy as an operating point, rate and cost
+    evaluated exactly; its multiplier is infinite."""
+    return _exact_point(spec, CausalPolicy(tuple(_cost_dp(spec)[1])), math.inf)
+
+
 def sweep_curve(spec: SystemSpec, opts: SolverOptions | None = None,
                 until_cost: float = math.inf
                 ) -> tuple[RateCostCurve, list[RateCostPoint]]:
@@ -469,7 +470,7 @@ def sweep_curve(spec: SystemSpec, opts: SolverOptions | None = None,
 def solve_rate_cost(spec: SystemSpec, budget_cost: float,
                     opts: SolverOptions | None = None,
                     sweep: list[RateCostPoint] | None = None, *,
-                    searched: list[RateCostPoint] | None = None) -> RateCostPoint:
+                    anchor: RateCostPoint | None = None) -> RateCostPoint:
     """Minimum per-stage directed information with average cost <= budget.
 
     Sweeps the multiplier grid down to the first point above the budget
@@ -479,15 +480,14 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
     of the budget (from below), each solve warm-started from the feasible
     bracket point (the infeasible one while there is none).  A given
     ``sweep`` may be the full one or one cut at any budget at or above
-    ``budget_cost``, and may carry the points earlier searches solved; every
-    point in it is a bracket candidate.  When ``searched`` is given, every
-    point this search solves is appended to it.  The returned point is
-    feasible and carries the policy used downstream for synthesis; it is an
-    epsilon-near-optimizer whose exact (rate, cost) are reported without
-    any attainment claim.
+    ``budget_cost``; every point in it is a bracket candidate.  The
+    returned point is feasible and carries the policy used downstream for
+    synthesis; it is an epsilon-near-optimizer whose exact (rate, cost) are
+    reported without any attainment claim.
 
     The greedy policy of the cost DP attains the minimum average cost.  It
-    is evaluated exactly before any solve and is always a candidate; a
+    is evaluated exactly before any solve (``anchor``, when given, is that
+    evaluation: ``cost_floor_point(spec)``) and is always a candidate; a
     budget below its exact cost raises ``InfeasibleCostError`` with that
     cost as the minimum.
     """
@@ -495,7 +495,8 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
     # feasibility anchor: solver iterates approach the minimum cost only
     # from above, so budget queries at the cost floor resolve to the
     # deterministic cost-minimizing policy
-    anchor = _exact_point(spec, CausalPolicy(tuple(_cost_dp(spec)[1])), math.inf)
+    if anchor is None:
+        anchor = cost_floor_point(spec)
     if budget_cost < anchor.cost:
         raise InfeasibleCostError(budget_cost, anchor.cost)
     if sweep is None:
@@ -530,8 +531,6 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
                     if not lo < mu < hi:
                         mu = 0.5 * (lo + hi)
             p = solve_lagrangian(spec, mu, opts, warm=hi_point or lo_point)
-            if searched is not None:
-                searched.append(p)
             if p.cost <= budget_cost:
                 if kept == "lo":
                     w_lo *= 0.5

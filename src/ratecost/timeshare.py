@@ -3,23 +3,21 @@
 Each realization of the per-stage race draws induces a deterministic
 causal policy, hence an exact (rate, cost) pair: rate is the per-stage
 entropy of the realized action-sequence law and cost its average stage
-cost.  Given a weighted cloud of such points whose barycenter meets the
-cost budget, the reduction returns two realizations and a Bernoulli weight
-whose mixture meets the budget exactly while giving away at most epsilon
-bits of rate relative to the barycenter.
+cost.  Given a weighted cloud of such points, the reduction returns two
+realizations and a Bernoulli weight: the lowest-rate two-point mixture
+whose cost is within the budget.
 
-The construction: a case analysis fixes a target rate.  It is the
-barycenter's rate when the barycenter cost is within the budget; when the
-barycenter sits above the budget by a float hair it is the rate of the
-barycenter mixed toward a strictly cheaper realization down to the budget,
-and when no realization is strictly below the budget, the lowest-rate
-realization at it is selected alone.  The selector is then the cheapest
-mixture of two realizations at the target rate: the edge of the cloud's
-lower convex hull in (rate, cost) whose rate interval holds the target, or
-a hull vertex alone when the target is its rate.  The target lies in the
-cloud's convex hull at a cost within the budget, so the hull edge below it
-is within the budget too, and no Caratheodory triangle of the cloud
-crosses the target rate more cheaply.  ``lower_hull`` is also the
+The construction is one lookup on the cloud's lower convex hull in
+(cost, rate), with the lowest-rate point standing for each cost.  The
+answer is the hull's lowest-rate vertex when its cost is within the
+budget, and otherwise the hull edge whose cost interval holds the budget,
+weighted so that the mixture sits on the budget.  Every mixture of cloud
+points lies on or above the hull, and the hull's rate falls with cost up
+to its lowest-rate vertex, so no pair of points mixes to a lower rate
+within the budget.  Zero-weight points are candidates too: synthesis
+adds the cost floor's greedy realization this way (``scheme``).  When the
+barycenter is within the budget it is itself a feasible mixture, so the
+answer's rate is at most the barycenter's.  ``lower_hull`` is also the
 rate-cost curve's envelope (``solver.RateCostCurve``).
 
 Final feasibility (mixture cost <= budget, mixture rate <= barycenter
@@ -40,29 +38,15 @@ from .system import InvariantError, entropy_bits
 
 
 class InfeasibleBarycenterError(ValueError):
-    """The cloud admits no selector within the budget: its weighted average
-    cost exceeds the budget (this class), or the cheapest mixture at the
-    target rate misses a cap (``MixtureCapError``)."""
-
-    def __init__(self, barycenter_cost: float, budget_cost: float, detail: str = ""):
-        self.barycenter_cost = barycenter_cost
-        self.budget_cost = budget_cost
-        msg = (f"cloud barycenter cost {barycenter_cost} exceeds budget "
-               f"{budget_cost}; the upstream policy missed the cost constraint")
-        super().__init__(msg + (f" ({detail})" if detail else ""))
-
-
-class MixtureCapError(InfeasibleBarycenterError):
-    """The barycenter passed the budget test, but no float weight puts the
-    cheapest two-point mixture at the target rate within both exact caps.
-    The message names the caps it misses at the hull weight."""
+    """The cloud admits no selector: no candidate is within the budget, or
+    the lowest-rate mixture within it misses the rate cap.  The message
+    names which, with the exact figure."""
 
     def __init__(self, barycenter_cost: float, budget_cost: float, missed: str):
         self.barycenter_cost = barycenter_cost
         self.budget_cost = budget_cost
-        ValueError.__init__(
-            self, f"the cheapest two-point mixture at the target rate misses "
-            f"{missed} (cloud barycenter cost {barycenter_cost!r})")
+        super().__init__(f"no two-point mixture of the cloud meets the selector "
+                         f"caps: {missed} (cloud barycenter cost {barycenter_cost!r})")
 
 
 @dataclass(frozen=True)
@@ -127,28 +111,6 @@ def _feasible_weight(lam0: float, pa, pb, rate_cap: Fraction, cost_cap: Fraction
     return None
 
 
-def _point_at_budget(points, r_bar: float, d_bar: float, budget_cost: float,
-                     epsilon_bits: float) -> TimeShareSelector:
-    """The one-point selector on the lowest-rate realization whose cost
-    equals the budget, when its rate is within epsilon of the barycenter's
-    (checked exactly); the mixing step has no room when no realization is
-    strictly below the budget."""
-    at = [p for p in points if p.cost <= budget_cost]
-    if at:
-        p = min(at, key=lambda p: p.rate)
-        if Fraction(p.rate) <= Fraction(r_bar) + Fraction(float(epsilon_bits)):
-            return TimeShareSelector(
-                index0=p.realization_id, index1=p.realization_id, weight=1.0,
-                mix_rate=p.rate, mix_cost=p.cost, barycenter_rate=r_bar,
-                barycenter_cost=d_bar, case="boundary-point",
-            )
-    raise InfeasibleBarycenterError(
-        d_bar, budget_cost,
-        "no realization strictly below the budget, and none at it within "
-        f"epsilon={epsilon_bits} of the barycenter rate",
-    )
-
-
 def lower_hull(xy, tol: float = 0.0) -> list[int]:
     """Indices of the lower convex hull of ``xy``, a list of (x, y) pairs in
     order of increasing x.
@@ -172,24 +134,21 @@ def lower_hull(xy, tol: float = 0.0) -> list[int]:
     return hull
 
 
-def caratheodory_reduce(points, weights, budget_cost: float, epsilon_bits: float,
-                        infeas_tol: float = 1e-9) -> TimeShareSelector:
+def caratheodory_reduce(points, weights, budget_cost: float,
+                        epsilon_bits: float) -> TimeShareSelector:
     """Reduce a weighted realization cloud to a binary time-sharing selector.
 
-    The case analysis fixes the target rate r* and the case label; the
-    selector is the cloud's lower-hull edge or vertex at r* (see the module
-    docstring).  The name is kept from the Caratheodory reduction to three
-    support points that this lookup replaced: the hull is the cheapest
-    mixture at r*, so no such triangle crosses r* more cheaply.
+    The selector is the lowest-rate two-point mixture within the budget,
+    read off the cloud's lower hull in (cost, rate) (see the module
+    docstring); among points of equal cost the lowest rate, then the first
+    listed, stands for them.  The name is kept from the Caratheodory
+    reduction to three support points that this lookup replaced.
 
     Guarantees, exactly in rational arithmetic over the stored floats:
     mixture cost <= budget and mixture rate <= barycenter rate + epsilon.
-    Raises InfeasibleBarycenterError when the barycenter cost exceeds the
-    budget beyond ``infeas_tol``, when no point is strictly below the budget
-    and no point at it has a rate within epsilon of the barycenter's, and
-    its subclass ``MixtureCapError``, naming the caps missed, when the
-    mixture at r* misses a cap in exact arithmetic (float weights can round
-    the barycenter to within the budget while every point is above it).
+    Raises InfeasibleBarycenterError naming the cheapest candidate's cost
+    when no candidate is within the budget, and naming the mixture's exact
+    rate when no float weight meets the rate cap.
     """
     points = list(points)
     w = np.asarray(weights, dtype=float)
@@ -200,64 +159,46 @@ def caratheodory_reduce(points, weights, budget_cost: float, epsilon_bits: float
     w = w / w.sum()
     r_bar = math.fsum(float(wi) * p.rate for wi, p in zip(w, points))
     d_bar = math.fsum(float(wi) * p.cost for wi, p in zip(w, points))
-    if d_bar > budget_cost + infeas_tol:
-        raise InfeasibleBarycenterError(d_bar, budget_cost)
 
-    if d_bar <= budget_cost:
-        case = "interior" if d_bar < budget_cost else "boundary"
-        target_rate = r_bar
-    else:
-        # barycenter sits a float hair above the budget: mix toward a
-        # strictly cheaper point, down to the budget
-        below = [i for i, p in enumerate(points) if p.cost < budget_cost]
-        if not below:
-            return _point_at_budget(points, r_bar, d_bar, budget_cost, epsilon_bits)
-        i0 = min(below, key=lambda i: (abs(points[i].rate - r_bar), i))
-        r0, d0 = points[i0].rate, points[i0].cost
-        beta = (d_bar - budget_cost) / (d_bar - d0)
-        case = "boundary-mixed"
-        target_rate = (1.0 - beta) * r_bar + beta * r0
-
-    # the cheapest point at each rate, in (rate, cost, index) order
-    cheapest: dict[float, RealizationPoint] = {}
-    for p in sorted(points, key=lambda p: (p.rate, p.cost)):
-        cheapest.setdefault(p.rate, p)
-    per_rate = list(cheapest.values())
-    hull = [per_rate[k] for k in lower_hull([(p.rate, p.cost) for p in per_rate])]
-    rates = [p.rate for p in hull]
-    # guard against drift: keep the vertical line inside the cloud's rate range
-    r_star = min(max(target_rate, rates[0]), rates[-1])
-    e = bisect.bisect_left(rates, r_star)
-    if rates[e] == r_star:
-        pa = pb = hull[e]
+    # the lowest-rate point at each cost, in (cost, rate) order
+    lowest: dict[float, RealizationPoint] = {}
+    for p in sorted(points, key=lambda p: (p.cost, p.rate)):
+        lowest.setdefault(p.cost, p)
+    per_cost = list(lowest.values())
+    hull = [per_cost[k] for k in lower_hull([(p.cost, p.rate) for p in per_cost])]
+    if hull[0].cost > budget_cost:
+        raise InfeasibleBarycenterError(
+            d_bar, budget_cost, f"no candidate within the budget {budget_cost!r}; "
+            f"the cheapest costs {hull[0].cost!r}")
+    low = min(hull, key=lambda p: p.rate)     # the cheapest among equal rates
+    if low.cost <= budget_cost:
+        pa = pb = low
         lam = 1.0
     else:
+        # the hull's rate falls from its cheapest vertex to ``low``
+        e = bisect.bisect_right([p.cost for p in hull], budget_cost)
         pa, pb = hull[e - 1], hull[e]
-        lam = (r_star - pb.rate) / (pa.rate - pb.rate)
+        lam = (pb.cost - budget_cost) / (pb.cost - pa.cost)
     rate_cap = Fraction(r_bar) + Fraction(float(epsilon_bits))
-    cost_cap = Fraction(float(budget_cost))
-    feasible = _feasible_weight(lam, pa, pb, rate_cap, cost_cap)
+    feasible = _feasible_weight(lam, pa, pb, rate_cap, Fraction(float(budget_cost)))
     if feasible is None:
-        mix_rate = _exact_mix(lam, pa.rate, pb.rate)
-        mix_cost = _exact_mix(lam, pa.cost, pb.cost)
-        missed = []
-        if mix_cost > cost_cap:
-            missed.append(f"the cost cap: its exact cost {float(mix_cost)!r} "
-                          f"exceeds the budget {budget_cost!r}")
-        if mix_rate > rate_cap:
-            missed.append(f"the rate cap: its exact rate {float(mix_rate)!r} "
-                          f"exceeds the barycenter rate + epsilon "
-                          f"{float(rate_cap)!r}")
-        raise MixtureCapError(d_bar, budget_cost, " and ".join(missed))
+        raise InfeasibleBarycenterError(
+            d_bar, budget_cost, "the rate cap: the lowest-rate mixture within the "
+            f"budget has exact rate {float(_exact_mix(lam, pa.rate, pb.rate))!r}, "
+            f"above the barycenter rate + epsilon {float(rate_cap)!r}")
     lam = feasible
     if lam == 0.0:  # canonical form: the used realization comes first
         pa, pb, lam = pb, pa, 1.0
     if lam == 1.0:
         pb = pa
+    mix_cost = float(_exact_mix(lam, pa.cost, pb.cost))
+    if pa is not pb:
+        case = "boundary-mixed"
+    else:
+        case = "interior" if mix_cost < budget_cost else "boundary"
     return TimeShareSelector(
         index0=pa.realization_id, index1=pb.realization_id, weight=lam,
-        mix_rate=float(_exact_mix(lam, pa.rate, pb.rate)),
-        mix_cost=float(_exact_mix(lam, pa.cost, pb.cost)),
+        mix_rate=float(_exact_mix(lam, pa.rate, pb.rate)), mix_cost=mix_cost,
         barycenter_rate=r_bar, barycenter_cost=d_bar, case=case,
     )
 

@@ -216,80 +216,23 @@ def grid_marginal_search(spec, mu, resolution=0.02, refine=0.002):
     return min(value, value_fine)
 
 
-def pair_mixture_target(points, weights, budget_cost, epsilon):
-    """Independent restatement of the time-sharing target coordinate.
-
-    Reproduces the case analysis (strict interior, boundary, boundary with
-    a below-budget point) from the raw cloud and returns the target rate
-    coordinate the selector must realize.
-    """
-    r_bar = math.fsum(w * p[0] for p, w in zip(points, weights))
-    d_bar = math.fsum(w * p[1] for p, w in zip(points, weights))
-    if d_bar <= budget_cost:
-        return r_bar
-    below = [(p, i) for i, (p, w) in enumerate(zip(points, weights)) if p[1] < budget_cost]
-    if not below:
-        raise ValueError("infeasible cloud")
-    (r0, d0), _ = min(below, key=lambda t: (abs(t[0][0] - r_bar), t[1]))
-    beta = (d_bar - budget_cost) / (d_bar - d0)
-    return (1.0 - beta) * r_bar + beta * r0
-
-
-def pair_search_rate(points, budget_cost, rate_cap, grid=1e-4):
-    """Exhaustive two-point mixture search: the best achievable rate not
-    exceeding ``rate_cap`` with mixture cost <= budget over all pairs.
-
-    The mixture rate is linear in lambda, so over each pair's feasible
-    lambda interval the maximum sits at an endpoint; scanning interval
-    endpoints (plus the nearest interior grid points, which are dominated)
-    is equivalent to scanning the full lambda grid.
-    """
-
-    def interval(a, b, cap, lo, hi):
-        # lambda*a + (1-lambda)*b <= cap
-        if a == b:
-            return (lo, hi) if b <= cap + 1e-15 else (1.0, 0.0)
-        bound = (cap - b) / (a - b)
-        if a > b:
-            return lo, min(hi, bound)
-        return max(lo, bound), hi
-
-    best = -math.inf
-    feasible = False
-    for i, (ri, di) in enumerate(points):
-        for j, (rj, dj) in enumerate(points):
-            lo, hi = interval(di, dj, budget_cost, 0.0, 1.0)
-            lo, hi = interval(ri, rj, rate_cap + 1e-12, lo, hi)
-            if lo > hi:
-                continue
-            cand = {lo, hi, grid * math.ceil(lo / grid), grid * math.floor(hi / grid)}
-            for lam in cand:
-                if not lo - 1e-15 <= lam <= hi + 1e-15:
-                    continue
-                r = lam * ri + (1.0 - lam) * rj
-                d = lam * di + (1.0 - lam) * dj
-                if d <= budget_cost + 1e-15 and r <= rate_cap + 1e-12:
-                    feasible = True
-                    best = max(best, r)
-    if not feasible:
-        raise ValueError("no feasible pair mixture")
-    return best
-
-
-def cheapest_crossing_cost(points, rate):
-    """Exhaustive search for the cheapest two-point mixture at ``rate``: the
-    least cost at which any pair of (rate, cost) points, or any one point,
-    crosses the vertical line at ``rate``."""
+def lowest_rate_at_budget(points, budget_cost):
+    """Exhaustive search for the lowest-rate mixture of at most two
+    (rate, cost) points whose cost is within the budget: every single point
+    within the budget, and every pair that straddles the budget, mixed onto
+    it.  (A pair wholly within the budget is never better than its
+    lower-rate end.)  Returns the rate; raises ValueError when no point is
+    within the budget."""
     best = math.inf
     for ri, di in points:
+        if di <= budget_cost:
+            best = min(best, ri)
         for rj, dj in points:
-            if ri == rj == rate:
-                best = min(best, di, dj)
-            elif ri <= rate <= rj and ri < rj:
-                lam = (rj - rate) / (rj - ri)
-                best = min(best, lam * di + (1.0 - lam) * dj)
+            if di < budget_cost < dj:
+                lam = (dj - budget_cost) / (dj - di)
+                best = min(best, lam * ri + (1.0 - lam) * rj)
     if best == math.inf:
-        raise ValueError("no pair of points straddles the rate")
+        raise ValueError("no point within the budget")
     return best
 
 

@@ -291,6 +291,24 @@ class TestSynthCommand:
         doc = json.loads((tmp_path / "v" / "result_bundle.json").read_text())
         assert doc["schema_version"] == 4
 
+    def test_small_cloud_falls_back_to_cost_floor_realization(self, tmp_path):
+        # the three realizations cost 0.5 at rate 0, over the budget; the only
+        # mixture within it uses realization 3, the cost floor's greedy
+        # policy (rate 0.5, cost 0.3), at rate 0.25, above the barycenter
+        # rate + epsilon, so realization 3 is selected alone and its
+        # operating point is the solver point
+        spec_path = write_spec(tmp_path, controlled_doc())
+        out = tmp_path / "anchor"
+        code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out", str(out),
+                     "--restarts", "1", "--cloud-size", "3", "--trials", "30"])
+        assert code == EXIT_OK
+        doc = json.loads((out / "result_bundle.json").read_text())
+        assert doc["seeds"]["attempts"] == 2
+        sel = doc["selector"]
+        assert (sel["realization0"], sel["realization1"], sel["weight"]) == (3, 3, 1.0)
+        assert doc["solver_point"]["mu"] is None
+        assert doc["sandwich"]["passed"]
+
     def test_byte_identical_across_runs(self, tmp_path):
         spec_path = write_spec(tmp_path, controlled_doc())
         _, out_a = self.run_synth(tmp_path, spec_path, "a")
@@ -360,7 +378,8 @@ class TestSynthCommand:
 
     def test_budget_at_cost_floor_passes(self, tmp_path):
         # drive2's DP floor is 0.30000000000000004; the cloud's points cost
-        # 0.3 or that, so none is strictly below the budget 0.3
+        # 0.3 or that, so none is strictly below the budget 0.3, and the
+        # lowest-rate point at 0.3 is selected alone
         spec_path = write_spec(tmp_path, controlled_doc())
         assert ratecost.solver.min_expected_cost(load_spec(spec_path)) > 0.3
         out = tmp_path / "floor"
@@ -369,7 +388,7 @@ class TestSynthCommand:
         assert code == EXIT_OK
         doc = json.loads((out / "result_bundle.json").read_text())
         assert doc["sandwich"]["passed"]
-        assert doc["selector"]["case"] == "boundary-point"
+        assert doc["selector"]["case"] == "boundary"
         assert doc["exact"]["cost"] <= 0.3
 
     def test_rounded_negative_realization_rate_passes(self, tmp_path):
@@ -403,9 +422,9 @@ class TestSynthCommand:
     def test_bundle_digest_pinned(self, tmp_path):
         # the bundle is a pure function of spec, budget, options and seed;
         # this digest changes only with the seed contract or the numbers.
-        # Re-recorded when the solver moved to (u^{t-1}, x_t) rows: the
-        # solver point moved by rounding only (mu by -2.2e-15, rate by
-        # -1.1e-16, cost by +1.1e-16); the cloud, pair and codes are unchanged
+        # Re-recorded when the selector became the lowest-rate mixture within
+        # the budget: the pair (3, 0) now mixes onto the budget (mix rate
+        # 0.275 -> 0.25, cost 0.39 -> 0.4); the solver point is unchanged
         spec_path = write_spec(tmp_path, controlled_doc())
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out", str(out),
@@ -417,15 +436,17 @@ class TestSynthCommand:
         assert doc["seeds"]["attempts"] == 1
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "f6870697f32d2f42a74c52552e7a6bc6396773cdfe528950c6551f756c1f5162"
+            "f8e35c90665a06868e3e7787f286a496a7718ee711788514ad6eef1fe53e13f7"
 
     def test_sticky4_bundle_digest_pinned(self, tmp_path):
         # at its mid-curve budget the sweep stops at the eleventh of 22
-        # multipliers and the run re-targets once on the cut sweep; the
-        # digest is the one the full sweep gives.  Re-recorded when the
-        # solver moved to (u^{t-1}, x_t) rows: the re-targeted solver point
-        # moved by rounding only (mu by +1.3e-10, rate by +1.0e-11, cost by
-        # -6.3e-12); the clouds, pair and codes are unchanged
+        # multipliers; the digest is the one the full sweep gives.  The
+        # cloud's barycenter costs more than the budget, and the selector
+        # mixes onto it in one attempt.  Re-recorded when the selector
+        # became the lowest-rate mixture within the budget: the run no
+        # longer solves again at a lower target (solver point mu 1.61 ->
+        # 1.16, rate 0.226 -> 0.135), and the mixture moved from rate 0.407
+        # at cost 0.141 to rate 0.230 at cost 0.25
         spec_path = write_spec(tmp_path, spec_document(sticky_tracking(4)))
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.25", "--out", str(out),
@@ -434,10 +455,11 @@ class TestSynthCommand:
         assert code == EXIT_OK
         doc = json.loads((out / "result_bundle.json").read_text())
         del doc["spec_path"]
-        assert doc["seeds"]["attempts"] == 2
+        assert doc["seeds"]["attempts"] == 1
+        assert doc["selector"]["case"] == "boundary-mixed"
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "6be89d5464d2873bf049d7799dfc632d3e7e4655761cf1a10d36178343d747d0"
+            "c30f2dba1d9a261668cf72223da6f6b8c14a9302b71ce61a02a72eaf65d4282d"
 
     def test_block_of_one_bundle_byte_identical(self, tmp_path):
         # a spec whose trajectory budget equals its trajectory count makes

@@ -47,6 +47,19 @@ FAST = SchemeOptions(
 )
 
 
+# a random 2x2 one-stage spec whose one-point cloud (synthesis seed 0, one
+# restart) is over the mid-curve budget and whose mixture with the cost
+# floor's greedy realization misses the rate cap
+FALLBACK_SPEC = SystemSpec.from_markov(
+    [0.3768128553139576, 0.6231871446860424],
+    [[[0.6422048032909298, 0.35779519670907023],
+      [0.42847016927023907, 0.5715298307297609]],
+     [[0.6781306089240579, 0.32186939107594215],
+      [0.4056999698003032, 0.5943000301996968]]],
+    [[0.33791122550713326, 0.39161900052816123],
+     [0.8902743520047923, 0.22715759353337972]], 1)
+
+
 def mid_curve_budget(spec):
     dmin = min_expected_cost(spec)
     d0, _ = min_open_loop_cost(spec)
@@ -127,43 +140,66 @@ class TestSynthesize:
         assert a.exact_cost == b.exact_cost
         assert a.selector == b.selector
 
-    def test_retarget_stays_at_or_above_cost_floor(self, monkeypatch):
-        # at table seed 2 the first cloud misses the budget and the margin
-        # would push the re-targeted solve below the cost floor, so the
-        # target is clamped at the floor; the sweep is cut at the caller's
-        # budget, which a re-target only lowers, so it is reused
-        calls, targets = [], []
-        original = ratecost.solver.sweep_curve
+    def test_one_solve_and_one_sweep_per_synthesis(self, monkeypatch):
+        # at table seed 2 the cloud's barycenter costs more than the budget;
+        # the solver still runs once, at the budget, and the selector mixes
+        # onto the budget
+        sweeps, queries = [], []
+        sweep = ratecost.solver.sweep_curve
         query = ratecost.scheme.solve_rate_cost
 
         def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            sweeps.append(args)
+            return sweep(*args, **kwargs)
 
         def recorded(spec, target, *args, **kwargs):
-            targets.append(target)
+            queries.append(target)
             return query(spec, target, *args, **kwargs)
 
-        monkeypatch.setattr(ratecost.scheme, "sweep_curve", counted)
         monkeypatch.setattr(ratecost.solver, "sweep_curve", counted)
         monkeypatch.setattr(ratecost.scheme, "solve_rate_cost", recorded)
         spec = noisy_actuator(3)
         budget = mid_curve_budget(spec)
         b = synthesize(spec, budget, SchemeOptions(
             cloud_size=20, seed=2, solver=SolverOptions(restarts=1)))
-        assert b.seeds["attempts"] == 2
-        assert targets == [budget, min_expected_cost(spec)]
+        assert b.seeds["attempts"] == 1
+        assert b.selector.barycenter_cost > budget
+        assert queries == [budget]
+        assert len(sweeps) == 1
         assert b.exact_cost <= budget
-        assert len(calls) == 1
+
+    def test_retarget_stays_at_or_above_cost_floor(self, monkeypatch):
+        # the one re-target left is the fallback to the cost floor's greedy
+        # realization; it is selected, not solved for, so no solve is asked
+        # for a target below the floor, and the scheme's cost sits on the
+        # floor, within the budget
+        targets = []
+        query = ratecost.scheme.solve_rate_cost
+
+        def recorded(spec, target, *args, **kwargs):
+            targets.append(target)
+            return query(spec, target, *args, **kwargs)
+
+        monkeypatch.setattr(ratecost.scheme, "solve_rate_cost", recorded)
+        spec = FALLBACK_SPEC
+        floor = min_expected_cost(spec)
+        budget = mid_curve_budget(spec)
+        b = synthesize(spec, budget, SchemeOptions(
+            cloud_size=1, seed=0, solver=SolverOptions(restarts=1)))
+        assert b.seeds["attempts"] == 2
+        assert targets == [budget]
+        assert b.solution.cost == pytest.approx(floor, abs=1e-12)
+        assert floor - 1e-12 <= b.exact_cost <= budget
 
     @pytest.mark.parametrize("factory, seed", [(noisy_actuator, 1),
                                                (sticky_tracking, 0)],
                              ids=["noisy3", "sticky4"])
     def test_retarget_solves_no_multiplier_twice(self, monkeypatch, factory, seed):
-        # a re-target brackets with every point solved before it, so it
-        # never repeats a (multiplier, warm start) solve; each table seed is
-        # one at which the first cloud misses the budget
-        solves, candidates = [], []
+        # each table seed is one at which the first cloud's barycenter costs
+        # more than the budget; synthesis still asks the solver once, and
+        # the sweep and the bracket search never repeat a (multiplier, warm
+        # start) solve
+        solves, queries = [], []
         original = ratecost.solver.solve_lagrangian
         query = ratecost.scheme.solve_rate_cost
 
@@ -171,20 +207,58 @@ class TestSynthesize:
             solves.append((mu, None if warm is None else warm.multiplier))
             return original(spec, mu, opts, warm)
 
-        def recorded(*args, sweep, **kwargs):
-            candidates.append((len(sweep), len(solves)))
-            return query(*args, sweep=sweep, **kwargs)
+        def recorded(spec, target, *args, **kwargs):
+            queries.append(target)
+            return query(spec, target, *args, **kwargs)
 
         monkeypatch.setattr(ratecost.solver, "solve_lagrangian", counted)
         monkeypatch.setattr(ratecost.scheme, "solve_rate_cost", recorded)
         spec = factory(3 if factory is noisy_actuator else 4)
-        b = synthesize(spec, mid_curve_budget(spec),
+        budget = mid_curve_budget(spec)
+        b = synthesize(spec, budget,
                        SchemeOptions(seed=seed, solver=SolverOptions(restarts=1)))
-        assert b.seeds["attempts"] == 2 == len(candidates)
-        assert all(n_sweep == n_solved for n_sweep, n_solved in candidates)
+        assert b.seeds["attempts"] == 1
+        assert b.selector.barycenter_cost > budget
+        assert queries == [budget]
+        assert solves
         assert len(solves) == len(set(solves))
 
-    @pytest.mark.parametrize("field", ["cloud_size", "max_attempts"])
+    def test_cost_floor_realization_joins_the_pair(self):
+        # realization cloud_size is the cost floor's greedy policy, raced on
+        # its own draws; here it mixes with a cloud point onto the budget
+        spec = sticky_tracking(3)
+        floor = min_expected_cost(spec)
+        budget = floor + 0.1 * (min_open_loop_cost(spec)[0] - floor)
+        b = synthesize(spec, budget, SchemeOptions(
+            cloud_size=3, seed=3, solver=SolverOptions(restarts=1)))
+        assert b.seeds["attempts"] == 1
+        assert (b.selector.index0, b.selector.index1) == (3, 0)
+        assert b.selector.case == "boundary-mixed"
+        assert 0.0 < b.selector.weight < 1.0
+        # a deterministic policy's directed information is its action entropy
+        anchor = ratecost.solver.cost_floor_point(spec)
+        point = b.realization0.point
+        assert point.rate == pytest.approx(anchor.rate, abs=1e-12)
+        assert point.cost == pytest.approx(anchor.cost, abs=1e-12)
+        assert b.exact_cost <= budget
+
+    def test_cost_floor_realization_is_the_fallback(self):
+        # a one-point cloud over the budget whose mixture with the cost
+        # floor's greedy realization misses the rate cap: the greedy
+        # realization is selected alone and its point is the solution
+        spec = FALLBACK_SPEC
+        budget = mid_curve_budget(spec)
+        b = synthesize(spec, budget, SchemeOptions(
+            cloud_size=1, seed=0, solver=SolverOptions(restarts=1)))
+        anchor = ratecost.solver.cost_floor_point(spec)
+        assert b.seeds["attempts"] == 2
+        assert (b.selector.index0, b.selector.index1, b.selector.weight) == (1, 1, 1.0)
+        assert (b.solution.rate, b.solution.cost, b.solution.multiplier) == \
+            (anchor.rate, anchor.cost, math.inf)
+        assert b.info_rate == anchor.rate
+        assert verify_sandwich(run_trials(b, 200, seed=0)).passed
+
+    @pytest.mark.parametrize("field", ["cloud_size"])
     def test_nonpositive_counts_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             SchemeOptions(**{field: 0})

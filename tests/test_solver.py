@@ -322,11 +322,15 @@ class TestSolveRateCost:
             return RateCostPoint(rate=0.1 * mu, cost=cost, multiplier=mu,
                                  policy=policy)
 
-        monkeypatch.setattr(ratecost.solver, "solve_lagrangian", step)
-        opts = SolverOptions(restarts=1)
         searched = []
-        q = solve_rate_cost(spec, budget, opts, sweep=[step(spec, 1.0), step(spec, 2.0)],
-                            searched=searched)
+
+        def counted(*args, **kwargs):
+            searched.append(step(*args, **kwargs))
+            return searched[-1]
+
+        monkeypatch.setattr(ratecost.solver, "solve_lagrangian", counted)
+        opts = SolverOptions(restarts=1)
+        q = solve_rate_cost(spec, budget, opts, sweep=[step(spec, 1.0), step(spec, 2.0)])
         assert len(searched) <= opts.max_bisect
         assert q.cost <= budget
         lo = max(p.multiplier for p in searched if p.cost > budget)
@@ -409,11 +413,19 @@ class TestBoundedSweep:
         assert same_point(a, b)
 
     @pytest.mark.parametrize("share", [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.5])
-    def test_answer_in_window_unless_bracket_collapsed(self, swept, share):
+    def test_answer_in_window_unless_bracket_collapsed(self, swept, share,
+                                                       monkeypatch):
         spec, floor, d_open, full = swept
         budget = floor + share * (d_open - floor)
         searched = []
-        q = solve_rate_cost(spec, budget, self.OPTS, sweep=full, searched=searched)
+        original = ratecost.solver.solve_lagrangian
+
+        def counted(*args, **kwargs):
+            searched.append(original(*args, **kwargs))
+            return searched[-1]
+
+        monkeypatch.setattr(ratecost.solver, "solve_lagrangian", counted)
+        q = solve_rate_cost(spec, budget, self.OPTS, sweep=full)
         assert q.converged and q.cost <= budget
         assert len(searched) <= 5       # bisection took up to 11 on these
         points = full + searched

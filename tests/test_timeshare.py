@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ratecost.timeshare import (
     InfeasibleBarycenterError,
     InvariantError,
-    MixtureCapError,
     RealizationPoint,
     TimeShareSelector,
     caratheodory_reduce,
@@ -16,7 +15,7 @@ from ratecost.timeshare import (
     selector_certificate,
 )
 
-from oracles import cheapest_crossing_cost, pair_mixture_target, pair_search_rate
+from oracles import lowest_rate_at_budget
 
 
 def cloud(pairs):
@@ -30,15 +29,13 @@ def exact_ok(selector, points, budget, eps):
 
 def assert_claim(pts, weights, budget, eps):
     """The selector on the cloud, checked: both caps exactly, two members,
-    and no pair of members crossing the target rate more cheaply."""
+    and the rate of the lowest-rate mixture within the budget."""
     sel = caratheodory_reduce(pts, weights, budget, eps)
     assert exact_ok(sel, pts, budget, eps)
     ids = {p.realization_id for p in pts}
     assert sel.index0 in ids and sel.index1 in ids
-    coords = [(p.rate, p.cost) for p in pts]
-    target = pair_mixture_target(coords, np.divide(weights, np.sum(weights)),
-                                 budget, eps)
-    assert sel.mix_cost <= cheapest_crossing_cost(coords, target) + 1e-12
+    oracle = lowest_rate_at_budget([(p.rate, p.cost) for p in pts], budget)
+    assert abs(sel.mix_rate - oracle) <= 1e-9
     return sel
 
 
@@ -55,77 +52,92 @@ class TestCaratheodoryReduce:
         sel = assert_claim(pts, np.ones(4), 0.3, 0.01)
         assert (sel.index0, sel.index1, sel.weight) == (1, 1, 1.0)
         assert (sel.mix_rate, sel.mix_cost) == (0.5, 0.1)
+        assert sel.case == "interior"
 
     def test_two_point_symmetric_boundary(self):
-        pts = cloud([(1.0, 0.5), (3.0, 1.5)])
+        pts = cloud([(3.0, 0.5), (1.0, 1.5)])
         sel = caratheodory_reduce(pts, [0.5, 0.5], budget_cost=1.0, epsilon_bits=0.01)
         assert sel.weight == pytest.approx(0.5, abs=1e-12)
         assert {sel.index0, sel.index1} == {0, 1}
         assert sel.mix_rate == pytest.approx(2.0, abs=1e-12)
         assert sel.mix_cost == pytest.approx(1.0, abs=1e-12)
+        assert sel.case == "boundary-mixed"
         assert exact_ok(sel, pts, 1.0, 0.01)
 
     def test_infeasible_barycenter_raises_with_payload(self):
         pts = cloud([(1.0, 2.0), (2.0, 3.0)])
-        with pytest.raises(InfeasibleBarycenterError) as err:
+        with pytest.raises(InfeasibleBarycenterError,
+                           match="no candidate within the budget 1.0; the "
+                                 "cheapest costs 2.0") as err:
             caratheodory_reduce(pts, [0.5, 0.5], budget_cost=1.0, epsilon_bits=0.1)
         assert err.value.barycenter_cost == pytest.approx(2.5)
 
-    def test_boundary_hair_engages_mixing_case(self):
-        # barycenter cost a hair above the budget, a strictly cheaper point exists
-        pts = cloud([(1.0, 0.4), (1.2, 0.8 + 4e-10)])
-        sel = caratheodory_reduce(pts, [0.5, 0.5], budget_cost=0.6, epsilon_bits=0.05,
-                                  infeas_tol=1e-9)
-        assert sel.case == "boundary-mixed"
-        assert exact_ok(sel, pts, 0.6, 0.05)
-
     def test_point_at_budget_is_one_point_selector(self):
-        # no point strictly below the budget: the mixing step has no room,
-        # and the lowest-rate point at the budget is selected alone
+        # the lowest-rate point costs exactly the budget: selected alone
         pts = cloud([(0.5, 0.3 + 4e-10), (0.5, 0.3), (0.25, 0.3), (0.5, 0.3 + 4e-10)])
         sel = caratheodory_reduce(pts, np.ones(4), budget_cost=0.3, epsilon_bits=0.1)
-        assert sel.case == "boundary-point"
+        assert sel.case == "boundary"
         assert (sel.index0, sel.index1, sel.weight) == (2, 2, 1.0)
         assert (sel.mix_rate, sel.mix_cost) == (0.25, 0.3)
         assert exact_ok(sel, pts, 0.3, 0.1)
 
     def test_point_at_budget_above_rate_cap_raises(self):
+        # the only mixture within the budget is the point at it, whose rate
+        # is above the barycenter rate + epsilon
         pts = cloud([(1.0, 0.3), (0.0, 0.3 + 4e-10), (0.0, 0.3 + 4e-10)])
-        with pytest.raises(InfeasibleBarycenterError, match="none at it within"):
+        with pytest.raises(InfeasibleBarycenterError,
+                           match="the rate cap: the lowest-rate mixture within "
+                                 "the budget has exact rate 1.0, above"):
             caratheodory_reduce(pts, np.ones(3), budget_cost=0.3, epsilon_bits=0.1)
+
+    def test_zero_weight_point_is_a_candidate(self):
+        # a zero-weight point moves no barycenter, and the lowest-rate
+        # mixture within the budget may use it
+        pts = cloud([(0.4, 0.6), (0.2, 0.8), (0.5, 0.1)])
+        sel = assert_claim(pts, [0.5, 0.5, 0.0], 0.5, 0.1)
+        assert sel.barycenter_rate == pytest.approx(0.3, abs=1e-15)
+        assert sel.barycenter_cost == pytest.approx(0.7, abs=1e-15)
+        assert (sel.index0, sel.index1) == (2, 1)
+        assert sel.weight == pytest.approx(3.0 / 7.0, abs=1e-15)
+        assert sel.case == "boundary-mixed"
 
     def test_rounded_barycenter_names_the_missed_cap(self):
         # weights 1/3 round down, so three points an ulp above the budget
-        # have a float barycenter at the budget: the barycenter test passes
-        # and the mixture misses the cost cap, which the message must say
-        # rather than report the barycenter as exceeding the budget
+        # have a float barycenter at the budget; no candidate is within the
+        # budget, and the message names the cheapest cost rather than report
+        # the barycenter as exceeding the budget
         budget = 0.21095807724453855
         above = float(np.nextafter(budget, 1.0))
         pts = cloud([(0.5, above)] * 3)
-        with pytest.raises(MixtureCapError) as err:
+        with pytest.raises(InfeasibleBarycenterError) as err:
             caratheodory_reduce(pts, np.full(3, 1.0 / 3.0), budget, 0.1)
-        assert isinstance(err.value, InfeasibleBarycenterError)
         assert err.value.barycenter_cost == budget
         message = str(err.value)
         assert "exceeds budget" not in message
-        assert f"the cost cap: its exact cost {above!r} exceeds the budget " \
-            f"{budget!r}" in message
+        assert f"no candidate within the budget {budget!r}; the cheapest costs " \
+            f"{above!r}" in message
         assert "rate cap" not in message
 
     def test_colinear_cloud(self):
         pts = cloud([(r, 0.5 * r) for r in (0.2, 0.4, 0.6, 0.8, 1.0)])
         sel = assert_claim(pts, np.ones(5), 0.35, 0.01)
         assert sel.mix_rate <= sel.barycenter_rate + 0.01 + 1e-15
+        # a rate falling with cost along a line: the edge onto the budget
+        pts = cloud([(1.0 - r, 0.5 * r) for r in (0.2, 0.4, 0.6, 0.8, 1.0)])
+        sel = assert_claim(pts, np.ones(5), 0.35, 0.01)
+        assert (sel.index0, sel.index1, sel.case) == (2, 3, "boundary-mixed")
         # other degenerate hulls: (cloud, weights, budget, picked pair, cost)
         for pairs, weights, budget, pair, mix_cost in [
-            # target rate 1.0 on the middle hull vertex: that point alone
-            ([(0.0, 1.0), (1.0, 0.2), (2.0, 0.0)], [1, 2, 1], 0.5, (1, 1), 0.2),
-            # equal-rate ends: the cheaper point at each end rate
+            # the lowest-rate vertex is over the budget: the edge into it
+            ([(0.0, 1.0), (1.0, 0.2), (2.0, 0.0)], [1, 2, 1], 0.5, (1, 0), 0.5),
+            # equal-rate vertices: the cheaper of them ends the edge
             ([(0.0, 0.9), (0.0, 0.7), (2.0, 0.1), (2.0, 0.3), (1.0, 0.8)],
-             np.ones(5), 0.6, (1, 2), 0.4),
-            # duplicate points: the first copy, the lower rate first
+             np.ones(5), 0.6, (2, 1), 0.6),
+            # duplicate points: the first copy
             ([(0.2, 0.8), (0.2, 0.8), (1.0, 0.2), (1.0, 0.2), (0.6, 0.9)],
-             np.ones(5), 0.6, (0, 2), 0.5),
+             np.ones(5), 0.6, (2, 0), 0.6),
+            # equal-cost points: the lower rate stands for them
+            ([(0.9, 0.5), (0.3, 0.5), (0.6, 0.2)], np.ones(3), 0.5, (1, 1), 0.5),
         ]:
             sel = assert_claim(cloud(pairs), weights, budget, 0.01)
             assert (sel.index0, sel.index1) == pair
@@ -150,9 +162,7 @@ class TestCaratheodoryReduce:
         budget = float(np.dot(weights, [p.cost for p in pts])) + 0.05
         eps = 0.01
         sel = caratheodory_reduce(pts, weights, budget, eps)
-        coord_pairs = [(p.rate, p.cost) for p in pts]
-        target = pair_mixture_target(coord_pairs, weights, budget, eps)
-        oracle = pair_search_rate(coord_pairs, budget, target)
+        oracle = lowest_rate_at_budget([(p.rate, p.cost) for p in pts], budget)
         assert sel.mix_rate == pytest.approx(oracle, abs=1e-9)
 
 
