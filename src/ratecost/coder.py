@@ -300,8 +300,7 @@ class ContextCodebook:
         return actions, cursor
 
 
-def build_codebooks(action_law: np.ndarray, num_actions: int | None = None
-                    ) -> ContextCodebook:
+def build_codebooks(action_law: np.ndarray) -> ContextCodebook:
     """Codes matched to the per-stage conditionals of an action-sequence law.
 
     ``action_law`` has axes (U,)*n and total mass 1.  Contexts with zero
@@ -309,7 +308,7 @@ def build_codebooks(action_law: np.ndarray, num_actions: int | None = None
     """
     law = np.asarray(action_law, dtype=float)
     n = law.ndim
-    U = law.shape[0] if num_actions is None else num_actions
+    U = law.shape[0]
     if law.shape != (U,) * n:
         raise ValueError(f"action law must have shape {(U,) * n}")
     stages = []

@@ -53,7 +53,14 @@ from .solver import (
     cost_floor_point,
     solve_rate_cost,
 )
-from .system import CausalPolicy, InvariantError, JointLaw, SystemSpec, evaluate_joint
+from .system import (
+    CausalPolicy,
+    InvariantError,
+    JointLaw,
+    SystemSpec,
+    evaluate_joint,
+    policy_rows,
+)
 from .timeshare import (
     InfeasibleBarycenterError,
     RealizationPoint,
@@ -110,7 +117,7 @@ class Realization:
 
     realization_id: int
     draws: tuple[np.ndarray, ...]    # race draws, (U**(t-1), U) each
-    maps: tuple[np.ndarray, ...]     # stage maps, (H, X) each
+    maps: tuple[np.ndarray, ...]     # stage maps, (U**(t-1), P_t) each
     policy: CausalPolicy
     action_law: np.ndarray
     point: RealizationPoint
@@ -150,8 +157,8 @@ def _onehot(maps: np.ndarray, num_actions: int) -> np.ndarray:
 def _exact_coordinates(spec: SystemSpec, maps):
     """Exact action laws and (rate, cost) of a block of realizations.
 
-    ``maps[t-1]`` holds the block's stage-t maps, (R, H, X).  One forward
-    product over (R, (X*U)**n) entries, row for row the one
+    ``maps[t-1]`` holds the block's stage-t maps, (R, U**(t-1), P_t).  One
+    forward product over (R, (X*U)**n) entries, row for row the one
     ``evaluate_joint`` computes for the realization's one-hot policy.
     Returns the action laws (R, U**n), rates in bits per stage and average
     stage costs, (R,) each.  Every reduction runs along one row, so a
@@ -163,7 +170,8 @@ def _exact_coordinates(spec: SystemSpec, maps):
     cost = np.zeros(R)
     for t, m in enumerate(maps, start=1):
         kernel = spec.stage_kernel(t)[:, :, None]
-        joint = p[:, :, None, None] * kernel * _onehot(m, U)
+        rows = policy_rows(X, U, t, m.shape[2])
+        joint = p[:, :, None, None] * kernel * _onehot(m.reshape(R, -1, X)[:, rows], U)
         cost += (joint * spec.cost).reshape(R, -1).sum(axis=1)
         p = joint.reshape(R, -1)
     # (R, x_1, u_1, ..., x_n, u_n) -> (R, u_1..u_n, x_1..x_n), summed over states
@@ -208,8 +216,7 @@ def build_realization(spec: SystemSpec, policy: CausalPolicy, law: JointLaw,
     n, U = spec.horizon, spec.num_actions
     i = point.realization_id
     draws = tuple(race_draws(seed, t, U, i, 1)[0] for t in range(1, n + 1))
-    maps = tuple(stage_maps(t, policy.tables[t - 1], context_mass(law, t),
-                            d[None])[0]
+    maps = tuple(stage_maps(policy.tables[t - 1], context_mass(law, t), d[None])[0]
                  for t, d in enumerate(draws, start=1))
     actions, _, _ = _exact_coordinates(spec, [m[None] for m in maps])
     return Realization(realization_id=i, draws=draws, maps=maps,
@@ -327,8 +334,12 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
     cum_kernels = [np.cumsum(spec.stage_kernel(t), axis=1)
                    for t in range(1, n + 1)]
-    maps = [np.stack(pair) for pair in zip(bundle.realization0.maps,
-                                           bundle.realization1.maps)]
+    # the two realizations' maps on the pair's larger plant rows (the
+    # cost-floor anchor's are x^t), each read at key(x^t) mod its own
+    maps = []
+    for pair in zip(bundle.realization0.maps, bundle.realization1.maps):
+        P = max(mp.shape[1] for mp in pair)
+        maps.append(np.stack([mp[:, np.arange(P) % mp.shape[1]] for mp in pair]))
     lam = bundle.selector.weight
     bits = np.empty(num_trials)
     costs = np.empty(num_trials)
@@ -341,22 +352,27 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
         which = (selector >= lam).astype(np.intp)
         actions = np.empty((m, n), dtype=np.int64)
         cost = np.zeros(m)
-        hidx = np.zeros(m, dtype=np.int64)
+        hidx = np.zeros(m, dtype=np.int64)      # flat kernel row
+        ctx = np.zeros(m, dtype=np.int64)       # key of u^{t-1}
+        key = np.zeros(m, dtype=np.int64)       # key of x^t
         for t in range(n):
             cum = cum_kernels[t][hidx]
             # right-side search: the count of cumulative entries <= the draw
             x = np.minimum((cum <= (uniforms[:, t] * cum[:, -1])[:, None]).sum(axis=1),
                            X - 1)
-            u = maps[t][which, hidx, x]
+            key = key * X + x
+            # the plant row key(x^t) mod P is x_t on Markov rows (P = X)
+            u = maps[t][which, ctx, x if maps[t].shape[2] == X else key]
             if np.any(u < 0):
                 i = int(np.argmax(u < 0))
                 raise CodingError(
                     f"trial {first + i} stage {t + 1}: realization "
-                    f"{which[i]}'s stage map has no action for history row "
-                    f"{hidx[i]}, state {x[i]}")
+                    f"{which[i]}'s stage map has no action for action context "
+                    f"{ctx[i]}, state history {key[i]}")
             actions[:, t] = u
             cost += spec.cost[x, u]
             hidx = (hidx * X + x) * U + u
+            ctx = ctx * U + u
         packed, written = bundle.codebooks.encode_block(actions)
         decoded, consumed = bundle.codebooks.decode_block(packed)
         wrong = np.any(decoded != actions, axis=1) | (consumed != written)

@@ -86,7 +86,7 @@ from .system import (
     average_cost,
     directed_information,
     evaluate_joint,
-    history_rows,
+    policy_rows,
 )
 from .timeshare import lower_hull
 
@@ -217,7 +217,9 @@ class _Chains:
 
     Stage s (0-based) has rows (u^s, p): U**s action contexts times P_s
     plant states, P_s = X for a Markov spec (p = x_{s+1}) and X**(s+1)
-    otherwise (p = x^{s+1}).  Its arrays have shape (B, U**s, P_s, U), and
+    otherwise (p = x^{s+1}).  These are the rows of ``CausalPolicy``
+    tables, so a chain's policies are its answer as they stand.  Its arrays
+    have shape (B, U**s, P_s, U), and
     marginals q_s of shape (B, U**s, U) broadcast against them as
     (B, U**s, 1, U).  ``steps[s]``, (1 or U**s, P_s, U, X), is the law of
     x_{s+2} given a stage-s row and action.  The layouts differ in one
@@ -241,33 +243,17 @@ class _Chains:
                                       f"(--restarts) x {cells // restarts} (row, action) "
                                       f"entries exceeds budget {spec.budget}")
         self.initial = spec.stage_kernel(1)[None]
+        # a full-history kernel's rows (x_1, u_1, ..., x_{s+1}, u_{s+1}) as
+        # (u^{s+1}, x^{s+1}), then the action u_{s+1} moved past x^{s+1}
         self.steps = [spec.markov[1][None] if self.markov else
-                      spec.stage_kernel(s + 2)[self.full_rows(s + 1)[0][:, ::X]]
-                      .reshape(U ** s, U, -1, X).swapaxes(1, 2) for s in range(n - 1)]
+                      spec.stage_kernel(s + 2).reshape((X, U) * (s + 1) + (X,))
+                      .transpose(*range(1, 2 * s + 2, 2), *range(0, 2 * s + 3, 2))
+                      .reshape(U ** s, U, X ** (s + 1), X).swapaxes(1, 2)
+                      for s in range(n - 1)]
         self.costs = [mu * spec.cost[np.arange(P) % X] for P in self.plants]
         bounds = np.cumsum([0] + [U ** s for s in range(n)])
         self.slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         self.contexts = int(bounds[-1])
-
-    def full_rows(self, s: int):
-        """Full-history rows (h, x) of stage s by action context (axis 0)
-        and state-history key k (axis 1), which lies on plant state k % P_s."""
-        return history_rows(np.arange(self.X ** (s + 1)), np.arange(self.U ** s)[:, None],
-                            self.X, self.U, s + 1)
-
-    def policy(self, pis) -> CausalPolicy:
-        """One chain's stage tables as full-history tables."""
-        tabs = [np.empty(((self.X * self.U) ** s, self.X, self.U)) for s in range(self.n)]
-        for s, pi in enumerate(pis):
-            h, x = self.full_rows(s)
-            tabs[s][h, x] = pi[:, np.arange(x.size) % self.plants[s]]
-        return CausalPolicy(tuple(tabs))
-
-    def tables(self, policy: CausalPolicy) -> list[np.ndarray]:
-        """A policy's tables on the chain rows (a Markov row reads the state
-        history (0, ..., 0, x))."""
-        rows = map(self.full_rows, range(self.n))
-        return [t[h[:, :P], x[:P]] for t, P, (h, x) in zip(policy.tables, self.plants, rows)]
 
     def stage_sums(self, a: np.ndarray) -> np.ndarray:
         """Sum over each stage's rows and actions, then over the stages."""
@@ -338,7 +324,10 @@ def _initial_marginals(chains: _Chains, opts: SolverOptions,
     q = np.empty((opts.restarts, chains.contexts, U))
     q[0] = 1.0 / U
     if warm is not None:
-        start = chains.forward([tab[None] for tab in chains.tables(warm.policy)])[0]
+        # the warm tables on the chain rows: a Markov row reads the state
+        # history (0, ..., 0, x)
+        tabs = [tab[None, :, :P] for tab, P in zip(warm.policy.tables, chains.plants)]
+        start = chains.forward(tabs)[0]
         seen = start.sum(axis=1) > 0.0
         q[0][seen] = start[seen]
     for t, sl in enumerate(chains.slices, start=1):
@@ -397,7 +386,7 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
             # the plain double step for the chains that rejected
             cur = chains.step(np.where(accept[:, None, None], trial, one.image))
             maps += 1
-    return _exact_point(spec, chains.policy(pi[best] for pi in cur.pis), mu,
+    return _exact_point(spec, CausalPolicy(tuple(pi[best] for pi in cur.pis)), mu,
                         converged=gap <= opts.tol,
                         objective=float(cur.objective[best]),
                         iterations=maps, gap=gap)
@@ -413,7 +402,8 @@ def _exact_point(spec: SystemSpec, policy: CausalPolicy, multiplier: float,
 
 
 def _cost_dp(spec: SystemSpec):
-    """Backward induction for the cost-only problem: (value, greedy tables)."""
+    """Backward induction for the cost-only problem: (value, greedy tables),
+    the tables on state-history rows (U**(t-1), X**t, U)."""
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
     v = None  # optimal cost-to-go over (history, state) rows of stage t
     tabs: list[np.ndarray] = [None] * n
@@ -425,8 +415,8 @@ def _cost_dp(spec: SystemSpec):
             ev = (spec.stage_kernel(t + 1) * v).sum(axis=1)
         stage_q = spec.cost[None, :, :] + ev.reshape(H, X, U)
         amin = stage_q.argmin(axis=2)
-        tab = np.zeros((H, X, U))
-        np.put_along_axis(tab, amin[:, :, None], 1.0, axis=2)
+        tab = np.empty((U ** (t - 1), X ** t, U))
+        tab.reshape(-1, X, U)[policy_rows(X, U, t, X ** t)] = np.eye(U)[amin]
         tabs[t - 1] = tab
         v = stage_q.min(axis=2)  # (H, X)
     value = float((spec.stage_kernel(1)[0] * v[0]).sum()) / n
@@ -562,7 +552,7 @@ def brute_force_rate_cost(spec: SystemSpec, budget_cost: float,
     lower cost.
     """
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
-    rows = [((X * U) ** (t - 1)) * X for t in range(1, n + 1)]
+    rows = [U ** (t - 1) * X ** t for t in range(1, n + 1)]
     n_params = sum(rows) * U
     if n_params > 12:
         raise InstanceTooLargeError(
@@ -582,8 +572,8 @@ def brute_force_rate_cost(spec: SystemSpec, budget_cost: float,
     min_cost_seen = math.inf
     bounds = np.cumsum([0] + rows)
     for combo in itertools.product(simplex, repeat=total_rows):
-        policy = CausalPolicy(tuple(np.reshape(combo[a:b], (-1, X, U))
-                                    for a, b in zip(bounds, bounds[1:])))
+        policy = CausalPolicy(tuple(np.reshape(combo[a:b], (U ** t, X ** (t + 1), U))
+                                    for t, (a, b) in enumerate(zip(bounds, bounds[1:]))))
         law = evaluate_joint(spec, policy)
         cost = average_cost(law, spec)
         min_cost_seen = min(min_cost_seen, cost)

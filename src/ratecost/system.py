@@ -3,17 +3,21 @@
 A system is a horizon-n sequence of state kernels over a finite state
 alphabet plus a nonnegative per-stage cost table.  A causal policy assigns
 one conditional pmf over actions to every observable history
-(x_1..x_t, u_1..u_{t-1}).  Together they induce a joint law over
-trajectories, from which average costs, conditional action entropies, and
-the causally conditioned information flow from states to actions are
-computed exactly by dense enumeration.
+(x_1..x_t, u_1..u_{t-1}), stored on rows (action context, plant row).
+Together they induce a joint law over trajectories, from which average
+costs, conditional action entropies, and the causally conditioned
+information flow from states to actions are computed exactly by dense
+enumeration.
 
 Trajectory indexing is stage-major big-endian: the flat index of
 (x_1,u_1,...,x_n,u_n) is built by repeated ``idx = (idx*X + x_t)*U + u_t``,
-so the length-t prefix of a trajectory is ``idx // (X*U)**(n-t)``.  State
-keys (x_1..x_t) and action contexts (u_1..u_{t-1}) are big-endian over X
-and U.  ``history_digits`` and ``history_rows`` are the only implementation
-of this convention; every other index is derived from them.
+so the length-t prefix of a trajectory is ``idx // (X*U)**(n-t)``.  Kernels
+and joint laws live on these flat (history, state) rows.  State keys
+(x_1..x_t) and action contexts (u_1..u_{t-1}) are big-endian over X and U;
+policies live on (context, plant row) rows, the plant row being the state
+key mod P_t.  ``history_digits`` and ``policy_rows`` are the only
+implementation of the flat convention: ``policy_rows`` carries every flat
+row to its policy row.
 
 All probabilities are 64-bit floats, all logarithms are base 2, and
 entropy terms use the convention 0*log(0) = 0.  Everything here is a pure
@@ -22,6 +26,8 @@ function of immutable inputs and is safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,20 +91,27 @@ def history_digits(index, num_states: int, num_actions: int, length: int):
     return pairs // num_actions, pairs % num_actions
 
 
-def history_rows(xkeys, ctx, num_states: int, num_actions: int, t: int):
-    """Flat stage-t rows ``(h, x_t)`` for state-history keys and a context.
+@functools.lru_cache(maxsize=None)
+def policy_rows(num_states: int, num_actions: int, t: int, plants: int) -> np.ndarray:
+    """Where each flat stage-t history h sits in a policy-layout array.
 
-    ``xkeys`` are big-endian keys of (x_1..x_t) over the states and ``ctx``
-    the big-endian key of (u_1..u_{t-1}) over the actions; the two
-    broadcast.  ``h`` is the flat index of (x_1,u_1,...,x_{t-1},u_{t-1}).
+    For a (U**(t-1), plants, ...) array viewed as (-1, X, ...), entry h of
+    the returned ((X*U)**(t-1),) integer array is the block of X rows that
+    flat rows (h, x_t) read: context key(u_1..u_{t-1}), plant rows
+    key(x_1..x_t) mod ``plants`` (X divides ``plants``, so x_t is the last
+    axis of the block).  ``a.reshape(-1, X, ...)[rows]`` gathers the
+    array onto the flat rows, and for ``plants`` = X**t, where each block
+    is read once, assigning to it scatters flat rows into the layout.
+    Cached, so the array is read-only.
     """
     X, U = num_states, num_actions
-    xs = np.asarray(xkeys, dtype=np.int64)[..., None] \
-        // X ** np.arange(t - 1, -1, -1, dtype=np.int64) % X
-    us = np.asarray(ctx, dtype=np.int64)[..., None] \
-        // U ** np.arange(t - 2, -1, -1, dtype=np.int64) % U
-    place = (X * U) ** np.arange(t - 2, -1, -1, dtype=np.int64)
-    return ((xs[..., :-1] * U + us) * place).sum(axis=-1), xs[..., -1]
+    xs, us = history_digits(np.arange((X * U) ** (t - 1)), X, U, t - 1)
+    ctx = us @ U ** np.arange(t - 2, -1, -1, dtype=np.int64)
+    keys = xs @ X ** np.arange(t - 2, -1, -1, dtype=np.int64)
+    blocks = plants // X
+    rows = ctx * blocks + keys % blocks
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +203,11 @@ class SystemSpec:
 class CausalPolicy:
     """Per-stage conditional action pmfs over observable histories.
 
-    ``tables[t-1]`` has shape ((X*U)**(t-1), X, U): the flat index of the
-    (x,u)-history through stage t-1, the current state, and the action.
+    ``tables[t-1]`` has shape (U**(t-1), P_t, U): the action context
+    (u_1..u_{t-1}), the plant row, and the action.  The plant row is x_t
+    (P_t = X, a Markov policy) or the state history x^t (P_t = X**t); the
+    history (x_1..x_t) reads row key(x_1..x_t) mod P_t, so both shapes are
+    looked up the same way.
     """
 
     tables: tuple[np.ndarray, ...]
@@ -199,14 +215,15 @@ class CausalPolicy:
     def __post_init__(self):
         if not self.tables:
             raise ValueError("policy needs at least one stage")
-        X, U = self.tables[0].shape[1], self.tables[0].shape[2]
+        X, U = self.tables[0].shape[1:]
         frozen = []
         for t, tab in enumerate(self.tables, start=1):
             tab = _frozen(tab)
-            want = ((X * U) ** (t - 1), X, U)
-            if tab.shape != want:
+            if (tab.ndim != 3 or tab.shape[::2] != (U ** (t - 1), U)
+                    or tab.shape[1] not in (X, X ** t)):
                 raise DimensionMismatchError(
-                    f"stage-{t} policy table must be shape {want}, got {tab.shape}"
+                    f"stage-{t} policy table must be shape ({U ** (t - 1)}, "
+                    f"{X} or {X ** t}, {U}), got {tab.shape}"
                 )
             _check_rows(tab, f"stage-{t} policy")
             frozen.append(tab)
@@ -227,21 +244,16 @@ class CausalPolicy:
     @classmethod
     def uniform(cls, spec: SystemSpec) -> "CausalPolicy":
         X, U = spec.num_states, spec.num_actions
-        tabs = [np.full(((X * U) ** (t - 1), X, U), 1.0 / U)
-                for t in range(1, spec.horizon + 1)]
-        return cls(tuple(tabs))
+        return cls(tuple(np.full((U ** (t - 1), X, U), 1.0 / U)
+                         for t in range(1, spec.horizon + 1)))
 
     @classmethod
     def constant_action(cls, spec: SystemSpec, action) -> "CausalPolicy":
         """Deterministic open-loop policy; ``action`` is an int or one per stage."""
         X, U = spec.num_states, spec.num_actions
         seq = [action] * spec.horizon if np.isscalar(action) else list(action)
-        tabs = []
-        for t in range(1, spec.horizon + 1):
-            tab = np.zeros(((X * U) ** (t - 1), X, U))
-            tab[:, :, int(seq[t - 1])] = 1.0
-            tabs.append(tab)
-        return cls(tuple(tabs))
+        return cls(tuple(np.broadcast_to(np.eye(U)[int(seq[t - 1])], (U ** (t - 1), X, U))
+                         for t in range(1, spec.horizon + 1)))
 
     @classmethod
     def state_ignoring(cls, spec: SystemSpec, stage_rows) -> "CausalPolicy":
@@ -250,16 +262,9 @@ class CausalPolicy:
         ``stage_rows[t-1]`` has shape (U**(t-1), U), indexed by the
         big-endian action history.
         """
-        X, U = spec.num_states, spec.num_actions
-        tabs = []
-        for t in range(1, spec.horizon + 1):
-            rows = np.asarray(stage_rows[t - 1], dtype=float)
-            ctx = np.arange(U ** (t - 1))[:, None]
-            h, x = history_rows(np.arange(X ** t), ctx, X, U, t)
-            tab = np.empty(((X * U) ** (t - 1), X, U))
-            tab[h, x] = rows[ctx]
-            tabs.append(tab)
-        return cls(tuple(tabs))
+        X = spec.num_states
+        return cls(tuple(np.repeat(np.asarray(rows, dtype=float)[:, None], X, axis=1)
+                         for rows in stage_rows))
 
     @classmethod
     def from_choices(cls, spec: SystemSpec, choose) -> "CausalPolicy":
@@ -270,12 +275,10 @@ class CausalPolicy:
         X, U = spec.num_states, spec.num_actions
         tabs = []
         for t in range(1, spec.horizon + 1):
-            xs, us = history_digits(np.arange((X * U) ** (t - 1)), X, U, t - 1)
-            tab = np.zeros((len(xs), X, U))
-            for h, (x_hist, u_hist) in enumerate(zip(xs.tolist(), us.tolist())):
-                for x in range(X):
-                    u = int(choose(t, tuple(x_hist) + (x,), tuple(u_hist)))
-                    tab[h, x, u] = 1.0
+            tab = np.zeros((U ** (t - 1), X ** t, U))
+            for c, u_hist in enumerate(itertools.product(range(U), repeat=t - 1)):
+                for k, x_hist in enumerate(itertools.product(range(X), repeat=t)):
+                    tab[c, k, int(choose(t, x_hist, u_hist))] = 1.0
             tabs.append(tab)
         return cls(tuple(tabs))
 
@@ -302,15 +305,6 @@ class JointLaw:
             raise NormalizationError(f"trajectory mass {mass!r} is not 1 within {MASS_TOL}")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
-
-    @property
-    def mass(self) -> float:
-        return float(self.probs.sum())
-
-    def table(self) -> np.ndarray:
-        """The law reshaped to interleaved axes (X,U,X,U,...)."""
-        X, U = self.num_states, self.num_actions
-        return self.probs.reshape((X, U) * self.horizon)
 
     def prefix_marginal(self, t: int) -> np.ndarray:
         """Marginal of (x_1,u_1,...,x_t,u_t), axes interleaved (X,U)*t."""
@@ -353,9 +347,9 @@ def evaluate_joint(spec: SystemSpec, policy: CausalPolicy) -> JointLaw:
         raise DimensionMismatchError("policy does not match system dimensions")
     X, U = spec.num_states, spec.num_actions
     p = np.ones(1)
-    for t in range(1, spec.horizon + 1):
-        k = spec.stage_kernel(t)          # (H, X)
-        pi = policy.tables[t - 1]         # (H, X, U)
+    for t, tab in enumerate(policy.tables, start=1):
+        k = spec.stage_kernel(t)                                # (H, X)
+        pi = tab.reshape(-1, X, U)[policy_rows(X, U, t, tab.shape[1])]  # (H, X, U)
         p = (p[:, None, None] * k[:, :, None] * pi).reshape(-1)
     return JointLaw(spec.horizon, X, U, p)
 

@@ -12,8 +12,22 @@ import math
 import numpy as np
 
 
+def big_endian_key(digits, base):
+    """The integer whose base-``base`` digits, most significant first,
+    are ``digits``."""
+    key = 0
+    for d in digits:
+        key = key * base + d
+    return key
+
+
 def enumerate_joint(spec, policy):
-    """Hand-rolled forward enumeration: {(x_seq, u_seq): prob}."""
+    """Hand-rolled forward enumeration: {(x_seq, u_seq): prob}.
+
+    The kernel row is the flat (x, u)-history index; the policy row is the
+    action context u^{t-1} and the plant row key(x^t) mod the table's plant
+    rows (x_t for a Markov table, x^t for a full-history one).
+    """
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
     out = {}
     for xs in itertools.product(range(X), repeat=n):
@@ -21,8 +35,10 @@ def enumerate_joint(spec, policy):
             p = 1.0
             hidx = 0
             for t in range(n):
+                tab = policy.tables[t]
+                plant = big_endian_key(xs[:t + 1], X) % tab.shape[1]
                 p *= spec.kernels[t][hidx, xs[t]]
-                p *= policy.tables[t][hidx, xs[t], us[t]]
+                p *= tab[big_endian_key(us[:t], U), plant, us[t]]
                 hidx = (hidx * X + xs[t]) * U + us[t]
             if p > 0.0:
                 out[(xs, us)] = p

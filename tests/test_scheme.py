@@ -241,6 +241,13 @@ class TestSynthesize:
         assert point.rate == pytest.approx(anchor.rate, abs=1e-12)
         assert point.cost == pytest.approx(anchor.cost, abs=1e-12)
         assert b.exact_cost <= budget
+        # the pair mixes plant rows, x^t for the greedy maps and x_t for the
+        # solved policy's; the simulation reads each on its own rows
+        assert [m.shape for m in b.realization0.maps] == [(1, 2), (2, 4), (4, 8)]
+        assert [m.shape for m in b.realization1.maps] == [(1, 2), (2, 2), (4, 2)]
+        report = run_trials(b, 20_000, seed=1)
+        assert abs(report.empirical_cost - b.exact_cost) <= 4.0 * report.empirical_cost_se
+        assert abs(report.empirical_rate - b.exact_rate) <= 4.0 * report.empirical_rate_se
 
     def test_cost_floor_realization_is_the_fallback(self):
         # a one-point cloud over the budget whose mixture with the cost
@@ -456,20 +463,22 @@ class TestRunTrials:
         rng = np.random.default_rng(99)
         counts = np.zeros(U ** n)
         trials = 4000
-        chosen = {}   # the oracle is deterministic: one call per history
+        chosen = {}   # the oracle is deterministic: one call per policy row
         for _ in range(trials):
             re = bundle.realization0 if rng.random() < bundle.selector.weight \
                 else bundle.realization1
-            hidx = uctx = 0
+            hidx = uctx = xkey = 0
             for t in range(1, n + 1):
                 row = spec.stage_kernel(t)[hidx]
                 x = int(rng.choice(X, p=row / row.sum()))
-                key = (re.realization_id, t, hidx, x)
+                xkey = xkey * X + x
+                table = bundle.solution.policy.tables[t - 1]
+                plant = xkey % table.shape[1]
+                key = (re.realization_id, t, uctx, plant)
                 if key not in chosen:
-                    chosen[key] = race_selection(
-                        re.draws[t - 1][uctx],
-                        bundle.solution.policy.tables[t - 1][hidx, x])
-                    assert chosen[key] == re.maps[t - 1][hidx, x]
+                    chosen[key] = race_selection(re.draws[t - 1][uctx],
+                                                 table[uctx, plant])
+                    assert chosen[key] == re.maps[t - 1][uctx, plant]
                 u = chosen[key]
                 uctx = uctx * U + u
                 hidx = (hidx * X + x) * U + u

@@ -24,24 +24,15 @@ from ratecost.sfrl import (
     stage_maps,
 )
 from ratecost.solver import SolverOptions, min_expected_cost, solve_rate_cost
-from ratecost.system import directed_information, history_rows, stage_information_terms
+from ratecost.system import directed_information, stage_information_terms
 
 from oracles import argmin_selection, race_selection
 
 
 def maps_for(t, law, policy, seed=0, first=0, count=1):
-    """Stage-t maps of realizations first..first+count-1, (count, H, X)."""
+    """Stage-t maps of realizations first..first+count-1, (count, U**(t-1), P)."""
     draws = race_draws(seed, t, policy.num_actions, first, count)
-    return stage_maps(t, policy.tables[t - 1], context_mass(law, t), draws)
-
-
-def context_of(h, X, U, t):
-    """Action context key of flat history row h, decoded digit by digit."""
-    ctx = 0
-    for s in range(t - 1):
-        pair = h // (X * U) ** (t - 2 - s) % (X * U)
-        ctx = ctx * U + pair % U
-    return ctx
+    return stage_maps(policy.tables[t - 1], context_mass(law, t), draws)
 
 
 class TestSelect:
@@ -62,13 +53,13 @@ class TestSelect:
             e = np.array([[draws]])
             first = int(np.argmin(np.array(draws) / q))
             np.testing.assert_array_equal(
-                stage_maps(1, conditional, np.ones(1), e), [[[first, first]]])
+                stage_maps(conditional, np.ones(1), e), [[[first, first]]])
 
     def test_point_mass_conditional_returns_atom(self):
         conditional = np.array([[[0.0, 1.0], [0.0, 1.0]]])
         draws = np.array([[[1e-9, 50.0]]])   # the atom arrives last
         np.testing.assert_array_equal(
-            stage_maps(1, conditional, np.ones(1), draws), [[[1, 1]]])
+            stage_maps(conditional, np.ones(1), draws), [[[1, 1]]])
 
     def test_unreachable_context_rows_are_minus_one(self):
         # action 0 at stage 1 always: stage-2 context u_1 = 1 has no mass
@@ -76,11 +67,9 @@ class TestSelect:
         policy = CausalPolicy.constant_action(spec, 0)
         law = evaluate_joint(spec, policy)
         maps = maps_for(2, law, policy, count=3)
-        assert maps.shape == (3, 4, 2) and maps.dtype == np.int64
-        h, x = history_rows(np.arange(4), 1, 2, 2, 2)
-        assert np.all(maps[:, h, x] == -1)
-        h, x = history_rows(np.arange(4), 0, 2, 2, 2)
-        assert np.all(maps[:, h, x] == 0)
+        assert maps.shape == (3, 2, 2) and maps.dtype == np.int64
+        assert np.all(maps[:, 1] == -1)
+        assert np.all(maps[:, 0] == 0)
 
     def test_maps_match_race_oracle(self):
         # a random stage-2 policy on a three-action plant
@@ -88,17 +77,16 @@ class TestSelect:
             [0.3, 0.7], np.full((2, 3, 2), 0.5), np.zeros((2, 3)), horizon=2)
         rng = np.random.default_rng(8)
         tabs = [rng.dirichlet(np.ones(3), size=(1, 2)),
-                rng.dirichlet(np.full(3, 0.4), size=(6, 2))]
+                rng.dirichlet(np.full(3, 0.4), size=(3, 4))]
         policy = CausalPolicy(tuple(tabs))
         law = evaluate_joint(spec, policy)
         maps = maps_for(2, law, policy, seed=13, first=5, count=20)
         for r, i in enumerate(range(5, 25)):
             draws = race_draws(13, 2, 3, i, 1)[0]
-            for h in range(6):
-                for x in range(2):
-                    want = race_selection(draws[context_of(h, 2, 3, 2)],
-                                          policy.tables[1][h, x])
-                    assert maps[r, h, x] == want
+            for ctx in range(3):
+                for row in range(4):
+                    want = race_selection(draws[ctx], policy.tables[1][ctx, row])
+                    assert maps[r, ctx, row] == want
 
     @pytest.mark.parametrize("num_proposals", [3, 8, 64])
     def test_maps_and_certificates_match_argmin_oracle(self, num_proposals):
@@ -114,7 +102,7 @@ class TestSelect:
             [0.3, 0.7], np.full((2, 3, 2), 0.5), np.zeros((2, 3)), horizon=2)
         rng = np.random.default_rng(num_proposals)
         tabs = [rng.dirichlet(np.ones(3), size=(1, 2)),
-                rng.dirichlet(np.full(3, 0.4), size=(6, 2))]
+                rng.dirichlet(np.full(3, 0.4), size=(3, 4))]
         policy = CausalPolicy(tuple(tabs))
         law = evaluate_joint(spec, policy)
         act = law.action_marginal(2).reshape(-1, 3)
@@ -137,21 +125,19 @@ class TestSelect:
                         short[0, ctx, u] = q[u] * times[hits[0]]
             tables.append((q, symbols, times))
         mass = context_mass(law, 2)
-        maps = stage_maps(2, policy.tables[1], mass, short)[0]
-        full = stage_maps(2, policy.tables[1], mass, long)[0]
+        maps = stage_maps(policy.tables[1], mass, short)[0]
+        full = stage_maps(policy.tables[1], mass, long)[0]
         certificates = []
         for ctx, (q, symbols, times) in enumerate(tables):
-            h, x = history_rows(np.arange(4), ctx, 2, 3, 2)
-            for hk, xk in zip(h, x):
-                row = policy.tables[1][hk, xk]
+            for p, row in enumerate(policy.tables[1][ctx]):
                 sym, k = argmin_selection(symbols[:num_proposals],
                                           times[:num_proposals], q, row)
-                assert maps[hk, xk] == sym == symbols[k]
-                assert full[hk, xk] == argmin_selection(symbols, times, q, row)[0]
+                assert maps[ctx, p] == sym == symbols[k]
+                assert full[ctx, p] == argmin_selection(symbols, times, q, row)[0]
                 weight = times[k] * q[sym] / row[sym]
                 cert = weight <= times[num_proposals - 1] * np.min(q / row)
                 if cert:
-                    assert full[hk, xk] == sym
+                    assert full[ctx, p] == sym
                 certificates.append(cert)
         assert len(certificates) == 12
         if num_proposals == 3:
@@ -164,9 +150,7 @@ class TestSelect:
         law = evaluate_joint(spec, policy)
         for t in (1, 2):
             maps = maps_for(t, law, policy, seed=11, count=8)
-            for ctx in range(2 ** (t - 1)):
-                h, x = history_rows(np.arange(2 ** t), ctx, 2, 2, t)
-                assert np.all(maps[:, h, x] == maps[:, h[:1], x[:1]])
+            assert np.all(maps == maps[:, :, :1])
 
     @pytest.mark.parametrize("make", [lambda: drive_to_zero(2),
                                       lambda: noisy_actuator(3),
@@ -203,29 +187,29 @@ class TestSelect:
                     hits = np.flatnonzero(symbols == u)
                     if hits.size:
                         first[u] = q[u] * times[hits[0]]
-                h, x = history_rows(np.arange(X ** t), ctx, X, U, t)
-                for hk, xk in zip(h, x):
-                    row = point.policy.tables[t - 1][hk, xk]
+                for row in point.policy.tables[t - 1][ctx]:
                     sym, _ = argmin_selection(symbols, times, q, row)
                     assert sym == race_selection(first, row)
                     rows += 1
-        assert rows == sum(int((context_mass(law, t) > 0).sum()) * X ** t
+        # the solved policy of these Markov specs has rows (u^{t-1}, x_t)
+        assert rows == sum(int((context_mass(law, t) > 0).sum()) * X
                            for t in range(1, spec.horizon + 1))
 
 
 @st.composite
 def stage_cases(draw):
-    """A small random stage: X, U in {1, 2, 3}, t in {1, 2}, conditional
-    rows with zero entries, context masses with zeros, and draws from a
-    three-value set so that exact ties occur."""
+    """A small random stage: X, U in {1, 2, 3}, t in {1, 2}, plant rows
+    x_t or x^t, conditional rows with zero entries, context masses with
+    zeros, and draws from a three-value set so that exact ties occur."""
     X = draw(st.integers(1, 3))
     U = draw(st.integers(1, 3))
     t = draw(st.integers(1, 2))
-    H, C = (X * U) ** (t - 1), U ** (t - 1)
+    C = U ** (t - 1)
+    P = draw(st.sampled_from([X, X ** t]))
     R = draw(st.integers(1, 4))
     levels = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0])
-    raw = np.array(draw(st.lists(levels, min_size=H * X * U, max_size=H * X * U)),
-                   dtype=float).reshape(H, X, U)
+    raw = np.array(draw(st.lists(levels, min_size=C * P * U, max_size=C * P * U)),
+                   dtype=float).reshape(C, P, U)
     raw[raw.sum(axis=2) == 0.0, 0] = 1.0
     conditional = raw / raw.sum(axis=2, keepdims=True)
     mass = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
@@ -233,24 +217,23 @@ def stage_cases(draw):
     draws = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
                                    min_size=R * C * U, max_size=R * C * U)),
                      dtype=float).reshape(R, C, U)
-    return t, conditional, mass, draws
+    return conditional, mass, draws
 
 
 class TestRaceProperty:
     @settings(max_examples=200, deadline=None)
     @given(stage_cases())
     def test_block_maps_equal_race_oracle(self, case):
-        t, conditional, mass, draws = case
-        H, X, U = conditional.shape
-        maps = stage_maps(t, conditional, mass, draws)
-        assert maps.shape == (draws.shape[0], H, X)
+        conditional, mass, draws = case
+        C, P, _ = conditional.shape
+        maps = stage_maps(conditional, mass, draws)
+        assert maps.shape == (draws.shape[0], C, P)
         for r in range(draws.shape[0]):
-            for h in range(H):
-                ctx = context_of(h, X, U, t)
-                for x in range(X):
-                    want = race_selection(draws[r, ctx], conditional[h, x]) \
+            for ctx in range(C):
+                for p in range(P):
+                    want = race_selection(draws[r, ctx], conditional[ctx, p]) \
                         if mass[ctx] > 0.0 else -1
-                    assert maps[r, h, x] == want
+                    assert maps[r, ctx, p] == want
 
 
 class TestRaceStream:

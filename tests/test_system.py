@@ -20,7 +20,7 @@ from ratecost import (
     stage_information_terms,
 )
 from ratecost.instances import drive_to_zero, sticky_tracking, xor_reference
-from ratecost.system import history_digits, history_rows
+from ratecost.system import history_digits, policy_rows
 
 from oracles import (
     average_cost_from_dict,
@@ -38,11 +38,28 @@ def random_spec(rng, n=2, X=2, U=2):
 
 
 def random_policy(rng, spec):
+    """A random full-history policy: rows (u^{t-1}, x^t)."""
     tabs = []
     X, U = spec.num_states, spec.num_actions
     for t in range(1, spec.horizon + 1):
-        tabs.append(rng.dirichlet(np.ones(U), size=((X * U) ** (t - 1), X)))
+        tabs.append(rng.dirichlet(np.ones(U), size=(U ** (t - 1), X ** t)))
     return CausalPolicy(tuple(tabs))
+
+
+def full_history_spec():
+    """A stage-2 kernel that depends on the full pair history, including
+    x_1, so no Markov spec has it."""
+    stage2 = np.array([
+        [1.0, 0.0],   # (x1=0, u1=0)
+        [0.5, 0.5],   # (x1=0, u1=1)
+        [0.2, 0.8],   # (x1=1, u1=0)
+        [0.9, 0.1],   # (x1=1, u1=1)
+    ])
+    return SystemSpec(
+        horizon=2, num_states=2, num_actions=2,
+        cost=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        kernels=(np.array([[0.3, 0.7]]), stage2),
+    )
 
 
 class TestEvaluateJoint:
@@ -78,6 +95,39 @@ class TestEvaluateJoint:
         spec = drive_to_zero(1)
         with pytest.raises(NormalizationError):
             CausalPolicy((np.full((1, 2, 2), 0.4),))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (2, 8, 2), (4, 2, 2), (1, 4, 2),
+                                       (4, 4, 2), (2, 2, 3), (2, 2)])
+    def test_table_shape_must_be_contexts_by_plant_rows(self, shape):
+        # stage 2 of X = U = 2: 2 action contexts, 2 (x_t) or 4 (x^t)
+        # plant rows; (4, 2, 2) has a row per flat (history, state) pair,
+        # the kernels' layout, which a policy table must not take
+        first = np.full((1, 2, 2), 0.5)
+        with pytest.raises(DimensionMismatchError, match="stage-2 policy table"):
+            CausalPolicy((first, np.full(shape, 1.0 / shape[-1])))
+
+    def test_plant_rows_of_either_shape_accepted(self):
+        for P in (2, 4):
+            policy = CausalPolicy((np.full((1, 2, 2), 0.5), np.full((2, P, 2), 0.5)))
+            assert (policy.num_states, policy.num_actions) == (2, 2)
+
+    def test_markov_rows_on_full_history_kernel_match_oracle(self, rng):
+        # x_t rows on a spec whose kernel reads (x_1, u_1): the Markov rows
+        # restrict the policy, not the plant
+        spec = full_history_spec()
+        markov = CausalPolicy(tuple(rng.dirichlet(np.ones(2), size=(2 ** (t - 1), 2))
+                                    for t in (1, 2)))
+        law = evaluate_joint(spec, markov)
+        oracle = enumerate_joint(spec, markov)
+        got = {(xs, us): p for xs, us, p in law.trajectories()}
+        assert set(got) == set(oracle)
+        for key, want in oracle.items():
+            assert got[key] == pytest.approx(want, abs=1e-14)
+        # the same policy on x^t rows, each history reading row key % X
+        expanded = CausalPolicy(tuple(tab[:, np.arange(2 ** t) % 2]
+                                      for t, tab in enumerate(markov.tables, start=1)))
+        assert expanded.tables[1].shape == (2, 4, 2)
+        np.testing.assert_array_equal(evaluate_joint(spec, expanded).probs, law.probs)
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
@@ -184,21 +234,20 @@ class TestHistoryIndex:
         assert xs.tolist() == [list(h[0::2]) for h in histories]
         assert us.tolist() == [list(h[1::2]) for h in histories]
 
-        flat = {h: i for i, h in enumerate(histories)}
-        x_paths = list(itertools.product(range(X), repeat=t))
-        contexts = list(itertools.product(range(U), repeat=t - 1))
-        h, x = history_rows(np.arange(len(x_paths)),
-                            np.arange(len(contexts))[:, None], X, U, t)
-        want_h = [[flat[tuple(v for pair in zip(xp[:-1], ctx) for v in pair)]
-                   for xp in x_paths] for ctx in contexts]
-        assert h.tolist() == want_h
-        assert x.tolist() == [xp[-1] for xp in x_paths]
-
-        # decoding the encoded rows gives back the two histories
-        dx, du = history_digits(h, X, U, t - 1)
-        for c, ctx in enumerate(contexts):
-            assert du[c].tolist() == [list(ctx)] * len(x_paths)
-            assert dx[c].tolist() == [list(xp[:-1]) for xp in x_paths]
+        # flat row (h, x) reads context u^{t-1} and plant row key(x^t) mod P
+        contexts = {c: i for i, c in enumerate(itertools.product(range(U), repeat=t - 1))}
+        x_paths = {p: i for i, p in enumerate(itertools.product(range(X), repeat=t))}
+        for plants in (X, X ** t):
+            cells = np.arange(U ** (t - 1) * plants).reshape(-1, plants)
+            rows = policy_rows(X, U, t, plants)
+            assert rows.shape == (len(histories),)
+            flat = cells.reshape(-1, X)[rows]
+            for h, hist in enumerate(histories):
+                for x in range(X):
+                    want = (contexts[hist[1::2]], x_paths[hist[0::2] + (x,)] % plants)
+                    assert divmod(int(flat[h, x]), plants) == want
+        # on state-history rows each block is read once
+        assert sorted(policy_rows(X, U, t, X ** t).tolist()) == list(range(len(histories)))
 
 
 class TestInvariants:
@@ -218,7 +267,7 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
         spec = random_spec(rng, n=2)
         base = random_policy(rng, spec)
-        alt_stage = rng.dirichlet(np.ones(2), size=(4, 2))
+        alt_stage = rng.dirichlet(np.ones(2), size=(2, 4))
         mixed_tables = list(base.tables)
         mixed_tables[1] = alpha * base.tables[1] + (1 - alpha) * alt_stage
         alt_tables = list(base.tables)
@@ -264,18 +313,7 @@ class TestInvariants:
             np.testing.assert_allclose(half[:, 0, :], half[:, 1, :], atol=0)
 
     def test_full_history_kernel_not_markov_realizable(self):
-        # stage-2 kernel depends on the full pair history, including x_1
-        stage2 = np.array([
-            [1.0, 0.0],   # (x1=0, u1=0)
-            [0.5, 0.5],   # (x1=0, u1=1)
-            [0.2, 0.8],   # (x1=1, u1=0)
-            [0.9, 0.1],   # (x1=1, u1=1)
-        ])
-        spec = SystemSpec(
-            horizon=2, num_states=2, num_actions=2,
-            cost=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            kernels=(np.array([[0.3, 0.7]]), stage2),
-        )
+        spec = full_history_spec()
         policy = CausalPolicy.from_choices(spec, lambda t, xh, uh: xh[-1])
         law = evaluate_joint(spec, policy)
         oracle = enumerate_joint(spec, policy)
