@@ -32,6 +32,7 @@ from .solver import (
     InfeasibleCostError,
     RateCostCurve,
     SolverOptions,
+    cost_floor_point,
     solve_rate_cost,
     sweep_curve,
 )
@@ -147,8 +148,9 @@ def cmd_solve(args, require_source: bool) -> int:
     grid = _parse_grid(args.d_grid) if args.d_grid else []
     if args.budget is not None:
         grid.append(args.budget)
+    anchor = cost_floor_point(spec) if grid else None
     for d in grid:
-        point = solve_rate_cost(spec, d, opts, sweep=raw)
+        point = solve_rate_cost(spec, d, opts, sweep=raw, anchor=anchor)
         requested.append({
             "D": d,
             "rate_bits": point.rate,

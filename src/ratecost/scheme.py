@@ -334,12 +334,9 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
     cum_kernels = [np.cumsum(spec.stage_kernel(t), axis=1)
                    for t in range(1, n + 1)]
-    # the two realizations' maps on the pair's larger plant rows (the
-    # cost-floor anchor's are x^t), each read at key(x^t) mod its own
-    maps = []
-    for pair in zip(bundle.realization0.maps, bundle.realization1.maps):
-        P = max(mp.shape[1] for mp in pair)
-        maps.append(np.stack([mp[:, np.arange(P) % mp.shape[1]] for mp in pair]))
+    # the solved policy and the cost-floor anchor share the solver's rows
+    maps = [np.stack(pair) for pair in zip(bundle.realization0.maps,
+                                           bundle.realization1.maps)]
     lam = bundle.selector.weight
     bits = np.empty(num_trials)
     costs = np.empty(num_trials)

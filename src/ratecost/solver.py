@@ -68,6 +68,20 @@ feasible point within the window, or when the bracket has collapsed.
 
 The search reads of each solved point only its multiplier, exact cost and
 rate, so any solved point is a bracket candidate for any budget.
+
+Exact operating points.  Every point this module reports (a solve's
+answer and the cost floor's greedy policy) has its policy on the chain
+rows, and its rate and cost come from one forward pass over those rows,
+not from the (X*U)**n trajectory law.  The stage-t term of the directed
+information is I(X^t; U_t | U^{t-1}) = H(U_t | U^{t-1}) - H(U_t | U^{t-1},
+X^t), and the policy reads X^t only through its plant row p_t, so the term
+is E log2 pi_t(U_t | U^{t-1}, P_t) / P(U_t | U^{t-1}): it needs only the
+law of (u^{t-1}, p_t, u_t), each row's mass times pi_t.  For a Markov spec
+the kernel also reads x^t only through x_t, so the mass of a stage-(t+1)
+row (u^t, x_{t+1}) is a sum over x_t of stage-t masses times the kernel,
+and the x_t rows carry the exact term from stage to stage.  The stage cost
+reads only (x_t, u_t).  ``evaluate_joint`` and ``directed_information`` on
+the trajectory law stay the oracle.
 """
 
 from __future__ import annotations
@@ -79,9 +93,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .system import (
+    MASS_TOL,
     BudgetExceededError,
     CausalPolicy,
     InvariantError,
+    NormalizationError,
     SystemSpec,
     average_cost,
     directed_information,
@@ -134,6 +150,10 @@ class SolverOptions:
 class RateCostPoint:
     """One operating point: exact rate/cost of the returned causal policy.
 
+    Points the solver produces have their policy on the solver's rows
+    (see ``_Chains``), and their rate and cost come from the exact row pass
+    (``_Chains.operating_point``).
+
     ``iterations`` counts the Blahut-Arimoto maps and ``gap`` is the
     certified optimality gap of the Lagrangian objective (NaN for points
     not produced by ``solve_lagrangian``).
@@ -179,6 +199,13 @@ class RateCostCurve:
         xy = [(p.cost, p.rate) for p in self.points]
         if len(lower_hull(xy, tol)) < len(xy):
             raise InvariantError("curve must be convex within tolerance")
+
+
+def _plants(spec: SystemSpec) -> list[int]:
+    """Plant rows P_t of stages t = 1..n: X for a Markov spec (p_t = x_t),
+    X**t otherwise (p_t = x^t)."""
+    X = spec.num_states
+    return [X if spec.markov is not None else X ** t for t in range(1, spec.horizon + 1)]
 
 
 def _log_normalize(logq: np.ndarray) -> np.ndarray:
@@ -229,14 +256,16 @@ class _Chains:
     (B, sum_s U**s, U), rows ``slices[s]`` holding stage s, so that every
     row-wise step of a map runs once over all stages.  ``restarts`` chains
     over the spec's budget in (row, action) entries of the largest stage
-    raise ``BudgetExceededError`` before allocating.
+    raise ``BudgetExceededError`` before allocating.  ``stage_costs[s]``,
+    (P_s, U), is the stage cost on the stage-s rows and ``costs[s]`` the
+    same times the multiplier.
     """
 
     def __init__(self, spec: SystemSpec, mu: float, restarts: int):
         n, X, U = self.n, self.X, self.U = (spec.horizon, spec.num_states,
                                             spec.num_actions)
         self.markov = spec.markov is not None
-        self.plants = [X if self.markov else X ** (s + 1) for s in range(n)]
+        self.plants = _plants(spec)
         cells = restarts * U ** n * self.plants[-1]
         if cells > spec.budget:
             raise BudgetExceededError(f"solver working set {restarts} restarts "
@@ -250,7 +279,8 @@ class _Chains:
                       .transpose(*range(1, 2 * s + 2, 2), *range(0, 2 * s + 3, 2))
                       .reshape(U ** s, U, X ** (s + 1), X).swapaxes(1, 2)
                       for s in range(n - 1)]
-        self.costs = [mu * spec.cost[np.arange(P) % X] for P in self.plants]
+        self.stage_costs = [spec.cost[np.arange(P) % X] for P in self.plants]
+        self.costs = [mu * c for c in self.stage_costs]
         bounds = np.cumsum([0] + [U ** s for s in range(n)])
         self.slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         self.contexts = int(bounds[-1])
@@ -293,6 +323,42 @@ class _Chains:
                     nxt = nxt.sum(axis=2, keepdims=True)
                 cond = nxt.swapaxes(2, 3).reshape(B, self.U ** (s + 1), -1)
         return out
+
+    def operating_point(self, tables) -> tuple[float, float]:
+        """Exact (rate, cost) per stage of one policy, ``tables[s]`` of shape
+        (U**s, P_s, U) on the chain rows.
+
+        One forward pass carries the mass P(u^s, p) of each stage-s row.
+        With J = P(u^s, p, u) the stage cost is sum J c and the stage
+        information sum_{J>0} J log2 pi P(u^s) / P(u^s, u), its three logs
+        taken apart so that nothing underflows (module docstring).  Checks
+        what ``JointLaw`` and ``stage_information_terms`` check: the total
+        mass within ``MASS_TOL`` and every stage term above -1e-9; a term
+        in (-1e-9, 0) counts as 0.
+        """
+        mass = self.initial[0]
+        rate = cost = 0.0
+        for s, pi in enumerate(tables):
+            joint = mass[..., None] * pi
+            cost += float((joint * self.stage_costs[s]).sum())
+            pair = joint.sum(axis=1, keepdims=True)     # P(u^s, u)
+            context = pair.sum(axis=2, keepdims=True)  # P(u^s)
+            held = joint > 0.0
+            logs = [np.log2(np.broadcast_to(a, joint.shape)[held])
+                    for a in (pi, context, pair)]
+            term = float((joint[held] * (logs[0] + logs[1] - logs[2])).sum())
+            if term < -1e-9:
+                raise InvariantError(f"stage information term {term} below -1e-9")
+            rate += max(term, 0.0)
+            if s + 1 < self.n:
+                nxt = joint[..., None] * self.steps[s]
+                if self.markov:
+                    nxt = nxt.sum(axis=1, keepdims=True)
+                mass = nxt.swapaxes(1, 2).reshape(self.U ** (s + 1), -1)
+        total = float(joint.sum())
+        if abs(total - 1.0) > MASS_TOL:
+            raise NormalizationError(f"trajectory mass {total!r} is not 1 within {MASS_TOL}")
+        return rate / self.n, cost / self.n
 
     def step(self, logq) -> _Map:
         pis, value = self.backward(logq)
@@ -358,7 +424,8 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
     Runs ``opts.restarts`` Blahut-Arimoto chains, chain 0 from the marginals
     that ``warm``'s policy induces, and returns the chain with the lowest
     exact objective (ties to the lowest index).  The reported rate and cost
-    are re-evaluated exactly through the system model on its policy.
+    are that chain's policy's, evaluated exactly by the row pass
+    (``_Chains.operating_point``).
     """
     if mu < 0:
         raise ValueError("multiplier must be nonnegative")
@@ -386,25 +453,31 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
             # the plain double step for the chains that rejected
             cur = chains.step(np.where(accept[:, None, None], trial, one.image))
             maps += 1
-    return _exact_point(spec, CausalPolicy(tuple(pi[best] for pi in cur.pis)), mu,
+    return _exact_point(chains, CausalPolicy(tuple(pi[best] for pi in cur.pis)), mu,
                         converged=gap <= opts.tol,
                         objective=float(cur.objective[best]),
                         iterations=maps, gap=gap)
 
 
-def _exact_point(spec: SystemSpec, policy: CausalPolicy, multiplier: float,
+def _exact_point(chains: _Chains, policy: CausalPolicy, multiplier: float,
                  **record) -> RateCostPoint:
-    """The policy's operating point, rate and cost evaluated exactly."""
-    law = evaluate_joint(spec, policy)
-    return RateCostPoint(rate=directed_information(law) / spec.horizon,
-                         cost=average_cost(law, spec), multiplier=multiplier,
+    """The operating point of a policy on the chain rows, its rate and cost
+    from the exact row pass."""
+    rate, cost = chains.operating_point(policy.tables)
+    return RateCostPoint(rate=rate, cost=cost, multiplier=multiplier,
                          policy=policy, **record)
 
 
 def _cost_dp(spec: SystemSpec):
-    """Backward induction for the cost-only problem: (value, greedy tables),
-    the tables on state-history rows (U**(t-1), X**t, U)."""
+    """Backward induction for the cost-only problem: (value, greedy tables).
+
+    The induction runs on the flat (history, state) rows; the greedy tables
+    are on the solver's rows (U**(t-1), P_t, U) (``_plants``).  For a Markov
+    spec every flat row that shares (u^{t-1}, x_t) has a bit-identical
+    cost-to-go row, so folding them onto one x_t row loses nothing.
+    """
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
+    plants = _plants(spec)
     v = None  # optimal cost-to-go over (history, state) rows of stage t
     tabs: list[np.ndarray] = [None] * n
     for t in range(n, 0, -1):
@@ -415,8 +488,9 @@ def _cost_dp(spec: SystemSpec):
             ev = (spec.stage_kernel(t + 1) * v).sum(axis=1)
         stage_q = spec.cost[None, :, :] + ev.reshape(H, X, U)
         amin = stage_q.argmin(axis=2)
-        tab = np.empty((U ** (t - 1), X ** t, U))
-        tab.reshape(-1, X, U)[policy_rows(X, U, t, X ** t)] = np.eye(U)[amin]
+        P = plants[t - 1]
+        tab = np.empty((U ** (t - 1), P, U))
+        tab.reshape(-1, X, U)[policy_rows(X, U, t, P)] = np.eye(U)[amin]
         tabs[t - 1] = tab
         v = stage_q.min(axis=2)  # (H, X)
     value = float((spec.stage_kernel(1)[0] * v[0]).sum()) / n
@@ -429,9 +503,11 @@ def min_expected_cost(spec: SystemSpec) -> float:
 
 
 def cost_floor_point(spec: SystemSpec) -> RateCostPoint:
-    """The cost DP's greedy policy as an operating point, rate and cost
-    evaluated exactly; its multiplier is infinite."""
-    return _exact_point(spec, CausalPolicy(tuple(_cost_dp(spec)[1])), math.inf)
+    """The cost DP's greedy policy as an operating point on the solver's
+    rows, rate and cost from the same exact row pass as a solve's answer;
+    its multiplier is infinite."""
+    chains = _Chains(spec, 0.0, 1)      # the multiplier scales no pass used here
+    return _exact_point(chains, CausalPolicy(tuple(_cost_dp(spec)[1])), math.inf)
 
 
 def sweep_curve(spec: SystemSpec, opts: SolverOptions | None = None,

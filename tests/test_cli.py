@@ -19,7 +19,7 @@ import ratecost.cli
 import ratecost.coder
 import ratecost.scheme
 import ratecost.solver
-from ratecost import InvariantError, SystemSpec
+from ratecost import SystemSpec
 from ratecost.cli import (
     EXIT_INFEASIBLE,
     EXIT_NO_CONVERGENCE,
@@ -228,20 +228,41 @@ class TestSolveCommand:
             assert entry["iterations"] >= 1
             assert -1e-12 <= entry["gap"] <= 1e-9
 
+    def test_cost_floor_evaluated_once_for_every_budget(self, tmp_path, monkeypatch):
+        cost_dp = ratecost.solver._cost_dp
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return cost_dp(spec)
+
+        monkeypatch.setattr(ratecost.solver, "_cost_dp", counted)
+        spec_path = write_spec(tmp_path, controlled_doc())
+        code = main(["solve", "--spec", spec_path, "--out", str(tmp_path),
+                     "--d-grid", "0.35,0.4,0.45", "--restarts", "1"])
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("command", ["solve", "rd"])
     def test_invariant_failure_exit_code(self, tmp_path, capsys, monkeypatch,
                                          command):
-        def negative_term(law):
-            raise InvariantError("stage information term -0.001 below -1e-9")
+        # the row pass's own check fails: a first stage scaled to total 1/4
+        # has term (I_1 - 2) / 4 < 0, since I_1 <= log2 |U| = 1
+        exact = ratecost.solver._Chains.operating_point
 
-        monkeypatch.setattr(ratecost.solver, "directed_information", negative_term)
+        def quartered_first_stage(chains, tables):
+            return exact(chains, (tables[0] / 4.0,) + tuple(tables[1:]))
+
+        monkeypatch.setattr(ratecost.solver._Chains, "operating_point",
+                            quartered_first_stage)
         spec_path = write_spec(tmp_path, bernoulli_doc())
         code = main([command, "--spec", spec_path, "--out", str(tmp_path / "o"),
                      "--D", "0.1", "--restarts", "1"])
         assert code == EXIT_VERIFY
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["verification failed: stage information term -0.001 "
-                       "below -1e-9"]
+        assert len(err) == 1
+        assert err[0].startswith("verification failed: stage information term -")
+        assert err[0].endswith(" below -1e-9")
         assert not (tmp_path / "o" / f"{command}.json").exists()
 
     def test_cost_floor_anchor_is_strict_json(self, tmp_path):
@@ -424,7 +445,9 @@ class TestSynthCommand:
         # this digest changes only with the seed contract or the numbers.
         # Re-recorded when the selector became the lowest-rate mixture within
         # the budget: the pair (3, 0) now mixes onto the budget (mix rate
-        # 0.275 -> 0.25, cost 0.39 -> 0.4); the solver point is unchanged
+        # 0.275 -> 0.25, cost 0.39 -> 0.4); the solver point is unchanged.
+        # Re-recorded when the solver's rate and cost came from the row pass:
+        # solver_point.rate_bits and info_rate 0.09447817537519092 -> ...096
         spec_path = write_spec(tmp_path, controlled_doc())
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out", str(out),
@@ -436,7 +459,7 @@ class TestSynthCommand:
         assert doc["seeds"]["attempts"] == 1
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "f8e35c90665a06868e3e7787f286a496a7718ee711788514ad6eef1fe53e13f7"
+            "9329f8c89a2ef752fed35749707e9c2ea7109aa565968fe50fd0ca46686e81c5"
 
     def test_sticky4_bundle_digest_pinned(self, tmp_path):
         # at its mid-curve budget the sweep stops at the eleventh of 22
@@ -446,7 +469,10 @@ class TestSynthCommand:
         # became the lowest-rate mixture within the budget: the run no
         # longer solves again at a lower target (solver point mu 1.61 ->
         # 1.16, rate 0.226 -> 0.135), and the mixture moved from rate 0.407
-        # at cost 0.141 to rate 0.230 at cost 0.25
+        # at cost 0.141 to rate 0.230 at cost 0.25.  Re-recorded when the
+        # solver's rate and cost came from the row pass: solver_point.rate_bits
+        # and info_rate 0.135424622112165 -> 0.13542462211216486, its cost
+        # 0.24994983063143716 -> ...728, converse_margin by the same 1.4e-16
         spec_path = write_spec(tmp_path, spec_document(sticky_tracking(4)))
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.25", "--out", str(out),
@@ -459,7 +485,7 @@ class TestSynthCommand:
         assert doc["selector"]["case"] == "boundary-mixed"
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "c30f2dba1d9a261668cf72223da6f6b8c14a9302b71ce61a02a72eaf65d4282d"
+            "f949edbf6d35245905241f86ba2b869aa2740d12c20145bb8d196d2ca33fb946"
 
     def test_block_of_one_bundle_byte_identical(self, tmp_path):
         # a spec whose trajectory budget equals its trajectory count makes

@@ -241,10 +241,10 @@ class TestSynthesize:
         assert point.rate == pytest.approx(anchor.rate, abs=1e-12)
         assert point.cost == pytest.approx(anchor.cost, abs=1e-12)
         assert b.exact_cost <= budget
-        # the pair mixes plant rows, x^t for the greedy maps and x_t for the
-        # solved policy's; the simulation reads each on its own rows
-        assert [m.shape for m in b.realization0.maps] == [(1, 2), (2, 4), (4, 8)]
-        assert [m.shape for m in b.realization1.maps] == [(1, 2), (2, 2), (4, 2)]
+        # the greedy maps and the solved policy's are both on the solver's
+        # (u^{t-1}, x_t) rows
+        for realization in (b.realization0, b.realization1):
+            assert [m.shape for m in realization.maps] == [(1, 2), (2, 2), (4, 2)]
         report = run_trials(b, 20_000, seed=1)
         assert abs(report.empirical_cost - b.exact_cost) <= 4.0 * report.empirical_cost_se
         assert abs(report.empirical_rate - b.exact_rate) <= 4.0 * report.empirical_rate_se

@@ -32,7 +32,12 @@ from ratecost.solver import (
     solve_rate_cost,
     sweep_curve,
 )
-from ratecost.system import average_cost, directed_information, evaluate_joint
+from ratecost.system import (
+    NormalizationError,
+    average_cost,
+    directed_information,
+    evaluate_joint,
+)
 
 from oracles import (
     average_cost_from_dict,
@@ -222,6 +227,78 @@ def test_noisy6_answer_has_markov_rows():
     assert [tab.shape for tab in point.policy.tables] == \
         [(2 ** s, 2, 2) for s in range(6)]
     assert point.policy.tables[5].shape == (32, 2, 2)
+
+
+ROW_PASS_SPECS = {
+    "drive2": lambda: drive_to_zero(2),
+    "noisy3": lambda: noisy_actuator(3),
+    "sticky4": lambda: sticky_tracking(4),
+    "noisy6": lambda: noisy_actuator(6),
+    "bernoulli3": lambda: bernoulli_source(3, 0.3),
+    "history2": lambda: full_history_spec(2),
+    "history3": lambda: full_history_spec(3),
+}
+
+
+class TestRowPass:
+    """Operating points from the forward pass on the chain rows against the
+    trajectory law's ``directed_information`` and ``average_cost``."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_PASS_SPECS))
+    def test_points_match_trajectory_law(self, name):
+        spec = ROW_PASS_SPECS[name]()
+        _, raw = sweep_curve(spec, SolverOptions(restarts=1))
+        chains = ratecost.solver._Chains(spec, 0.0, 1)
+        for p in raw + [ratecost.solver.cost_floor_point(spec)]:
+            law = evaluate_joint(spec, p.policy)
+            assert abs(p.rate - directed_information(law) / spec.horizon) <= 1e-12
+            assert abs(p.cost - average_cost(law, spec)) <= 1e-12
+            # zero entries (the anchor is one-hot) raise no warning
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert chains.operating_point(p.policy.tables) == (p.rate, p.cost)
+
+    def test_solve_loop_never_builds_the_trajectory_law(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the solve loop reached the trajectory law")
+
+        spec = noisy_actuator(6)
+        floor = min_expected_cost(spec)
+        open_loop, _ = min_open_loop_cost(spec)
+        monkeypatch.setattr(ratecost.solver, "evaluate_joint", refused)
+        monkeypatch.setattr(ratecost.solver, "directed_information", refused)
+        opts = SolverOptions(restarts=1)
+        _, raw = sweep_curve(spec, opts)
+        for share in (0.25, 0.5, 0.75):
+            q = solve_rate_cost(spec, floor + share * (open_loop - floor), opts, sweep=raw)
+            assert q.rate >= 0.0
+
+    def test_mass_off_one_raises_normalization_error(self):
+        spec = noisy_actuator(3)
+        chains = ratecost.solver._Chains(spec, 0.0, 1)
+        tables = CausalPolicy.uniform(spec).tables
+        with pytest.raises(NormalizationError, match="trajectory mass"):
+            chains.operating_point(tables[:2] + (tables[2] * (1.0 + 1e-8),))
+
+    def test_negative_stage_term_raises_invariant_error(self):
+        # a first stage scaled to total 1/4 has term (I_1 - 2) / 4 = -1/2
+        spec = noisy_actuator(3)
+        chains = ratecost.solver._Chains(spec, 0.0, 1)
+        tables = CausalPolicy.uniform(spec).tables
+        with pytest.raises(InvariantError, match="stage information term -0.5 "):
+            chains.operating_point((tables[0] / 4.0,) + tables[1:])
+
+    @pytest.mark.parametrize("name", sorted(MARKOV_SPECS))
+    def test_greedy_tables_fold_onto_markov_rows(self, name):
+        # the anchor's x_t rows, read at key % X, are the greedy tables the
+        # cost DP gives on the spec's full-history twin
+        spec = MARKOV_SPECS[name]()
+        X = spec.num_states
+        folded = ratecost.solver.cost_floor_point(spec).policy.tables
+        full = ratecost.solver._cost_dp(without_markov(spec))[1]
+        for t, (a, b) in enumerate(zip(folded, full, strict=True), start=1):
+            assert a.shape[1] == X and b.shape[1] == X ** t
+            assert np.array_equal(a[:, np.arange(X ** t) % X], b)
 
 
 class TestWorkingSet:
