@@ -38,6 +38,11 @@ per n) and applying data processing to the first divergence leaves
 sequential problem.  The difference of the two is the gap, computed on
 the action tree.  A solve stops when the best objective over its chains
 is within ``tol`` of the best lower bound, and reports that difference.
+Only the iterates the loop keeps are certified: the first point, an
+accepted extrapolation and the fallback double step.  The plain map of an
+iteration feeds only the extrapolation and a rejected extrapolation only
+the comparison of V, so neither gets a certificate, and a rejected one no
+floored image either.
 log2 q is floored at -1000 so that every action stays in play when a warm
 start moves to another multiplier (the floor moves the value by a
 2^-1000 share); contexts whose conditional probability underflows count
@@ -86,6 +91,7 @@ the trajectory law stay the oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -210,8 +216,8 @@ def _plants(spec: SystemSpec) -> list[int]:
 
 def _log_normalize(logq: np.ndarray) -> np.ndarray:
     """Rows of log2 q shifted so that each sums to one."""
-    top = logq.max(axis=-1, keepdims=True)
-    return logq - top - np.log2(np.exp2(logq - top).sum(axis=-1, keepdims=True))
+    top = np.maximum.reduce(logq, axis=-1, keepdims=True)
+    return logq - top - np.log2(np.add.reduce(np.exp2(logq - top), axis=-1, keepdims=True))
 
 
 def _log2(q: np.ndarray) -> np.ndarray:
@@ -227,16 +233,26 @@ def _floored(logq: np.ndarray) -> np.ndarray:
 @dataclass
 class _Map:
     """One Blahut-Arimoto map applied to a batch of chains, each field
-    batched over the chains: the input ``logq``, its image ``image`` (both
-    stage-stacked), the proxy value V, the exact objective and certified gap
-    of the policy ``pis`` that V's backward pass produced."""
+    batched over the chains: the input ``logq`` (stage-stacked), the
+    policies ``pis`` of V's backward pass, the marginals ``induced`` that
+    they induce, and the proxy value V.  The solve loop reads V of every
+    map; the floored image only of the maps it steps from, and the
+    certificate only of the maps it keeps (``_Kept``)."""
 
     logq: np.ndarray
-    image: np.ndarray
+    pis: list[np.ndarray]
+    induced: np.ndarray
     value: np.ndarray
+
+
+@dataclass
+class _Kept(_Map):
+    """A map the solve loop keeps: its floored image, and the exact
+    objective and certified gap of its policies."""
+
+    image: np.ndarray
     objective: np.ndarray
     gap: np.ndarray
-    pis: list[np.ndarray]
 
 
 class _Chains:
@@ -259,6 +275,14 @@ class _Chains:
     raise ``BudgetExceededError`` before allocating.  ``stage_costs[s]``,
     (P_s, U), is the stage cost on the stage-s rows and ``costs[s]`` the
     same times the multiplier.
+
+    ``step`` is the map alone.  ``image`` floors the induced marginals of a
+    map the loop steps from, and ``certify`` adds the certificate
+    (objective and gap) for a map it keeps: the first point, an accepted
+    extrapolation and the fallback double step, never the plain map of an
+    iteration nor a rejected extrapolation.  Every per-stage reduction
+    calls the ufunc's ``reduce`` directly: at these sizes a map costs its
+    numpy calls, not its arithmetic.
     """
 
     def __init__(self, spec: SystemSpec, mu: float, restarts: int):
@@ -287,7 +311,7 @@ class _Chains:
 
     def stage_sums(self, a: np.ndarray) -> np.ndarray:
         """Sum over each stage's rows and actions, then over the stages."""
-        return sum(a[:, sl].sum(axis=(1, 2)) for sl in self.slices)
+        return sum(np.add.reduce(a[:, sl], axis=(1, 2)) for sl in self.slices)
 
     def backward(self, logq):
         """Optimal policies for the marginals and the proxy value V(q)."""
@@ -297,13 +321,13 @@ class _Chains:
             a = logq[:, self.slices[s], None, :] - self.costs[s]
             if soft is not None:
                 after = soft.reshape(soft.shape[0], self.U ** s, self.U, -1, self.X)
-                a += (self.steps[s] * after.swapaxes(2, 3)).sum(axis=4)
-            top = a.max(axis=3, keepdims=True)
+                a += np.add.reduce(self.steps[s] * after.swapaxes(2, 3), axis=4)
+            top = np.maximum.reduce(a, axis=3, keepdims=True)
             e = np.exp2(a - top)
-            total = e.sum(axis=3, keepdims=True)
+            total = np.add.reduce(e, axis=3, keepdims=True)
             pis[s] = e / total
             soft = (top + np.log2(total))[..., 0]
-        return pis, -(self.initial * soft).sum(axis=(1, 2)) / self.n
+        return pis, -np.add.reduce(self.initial * soft, axis=(1, 2)) / self.n
 
     def forward(self, pis):
         """Stacked marginals q'_s(u | ctx) induced by the policies; rows of
@@ -313,14 +337,13 @@ class _Chains:
         out = np.empty((B, self.contexts, self.U))
         for s in range(self.n):
             joint = cond[..., None] * pis[s]
-            q = joint.sum(axis=2)
-            out[:, self.slices[s]] = q
+            q = np.add.reduce(joint, axis=2, out=out[:, self.slices[s]])
             if s + 1 < self.n:
                 mass = q[:, :, None, :]
-                given = np.divide(joint, mass, out=np.zeros_like(joint), where=mass > 0.0)
+                given = np.divide(joint, mass, out=np.zeros(joint.shape), where=mass > 0.0)
                 nxt = given[..., None] * self.steps[s]
                 if self.markov:
-                    nxt = nxt.sum(axis=2, keepdims=True)
+                    nxt = np.add.reduce(nxt, axis=2, keepdims=True)
                 cond = nxt.swapaxes(2, 3).reshape(B, self.U ** (s + 1), -1)
         return out
 
@@ -331,7 +354,8 @@ class _Chains:
         One forward pass carries the mass P(u^s, p) of each stage-s row.
         With J = P(u^s, p, u) the stage cost is sum J c and the stage
         information sum_{J>0} J log2 pi P(u^s) / P(u^s, u), its three logs
-        taken apart so that nothing underflows (module docstring).  Checks
+        taken apart so that nothing underflows (module docstring): each on
+        its whole array, the summands then read where J > 0.  Checks
         what ``JointLaw`` and ``stage_information_terms`` check: the total
         mass within ``MASS_TOL`` and every stage term above -1e-9; a term
         in (-1e-9, 0) counts as 0.
@@ -340,45 +364,78 @@ class _Chains:
         rate = cost = 0.0
         for s, pi in enumerate(tables):
             joint = mass[..., None] * pi
-            cost += float((joint * self.stage_costs[s]).sum())
-            pair = joint.sum(axis=1, keepdims=True)     # P(u^s, u)
-            context = pair.sum(axis=2, keepdims=True)  # P(u^s)
-            held = joint > 0.0
-            logs = [np.log2(np.broadcast_to(a, joint.shape)[held])
-                    for a in (pi, context, pair)]
-            term = float((joint[held] * (logs[0] + logs[1] - logs[2])).sum())
+            cost += float(np.add.reduce(joint * self.stage_costs[s], axis=None))
+            pair = np.add.reduce(joint, axis=1, keepdims=True)       # P(u^s, u)
+            context = np.add.reduce(pair, axis=2, keepdims=True)     # P(u^s)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                summands = joint * (np.log2(pi) + np.log2(context) - np.log2(pair))
+            term = float(np.add.reduce(summands[joint > 0.0]))
             if term < -1e-9:
                 raise InvariantError(f"stage information term {term} below -1e-9")
             rate += max(term, 0.0)
             if s + 1 < self.n:
                 nxt = joint[..., None] * self.steps[s]
                 if self.markov:
-                    nxt = nxt.sum(axis=1, keepdims=True)
+                    nxt = np.add.reduce(nxt, axis=1, keepdims=True)
                 mass = nxt.swapaxes(1, 2).reshape(self.U ** (s + 1), -1)
-        total = float(joint.sum())
+        total = float(np.add.reduce(joint, axis=None))
         if abs(total - 1.0) > MASS_TOL:
             raise NormalizationError(f"trajectory mass {total!r} is not 1 within {MASS_TOL}")
         return rate / self.n, cost / self.n
 
     def step(self, logq) -> _Map:
+        """The map: the policies for ``logq``, their value V and the
+        marginals they induce."""
         pis, value = self.backward(logq)
-        induced = self.forward(pis)
-        B = value.shape[0]
-        reached = induced.sum(axis=2, keepdims=True) > 0.0
-        log_new = _log2(induced)
-        ratio = np.where(reached, log_new - logq, 0.0)
-        terms = (induced * np.where(induced > 0.0, ratio, 0.0)).sum(axis=2)
+        return _Map(logq, pis, self.forward(pis), value)
+
+    def _logs(self, m: _Map):
+        """Where the induced marginals are reached, and their log2."""
+        return np.add.reduce(m.induced, axis=2, keepdims=True) > 0.0, _log2(m.induced)
+
+    def image(self, m: _Map) -> np.ndarray:
+        """The floored log2 of the induced marginals, the input kept on
+        contexts the policies never reach."""
+        reached, log_new = self._logs(m)
+        return np.where(reached, _floored(log_new), m.logq)
+
+    def certify(self, m: _Map) -> _Kept:
+        """The map with its image, objective V - D(A || r) / n and gap
+        (log2 max A / r - D(A || r)) / n (module docstring)."""
+        reached, log_new = self._logs(m)
+        induced = m.induced
+        B = m.value.shape[0]
+        ratio = np.where(reached, log_new - m.logq, 0.0)
+        terms = np.add.reduce(induced * np.where(induced > 0.0, ratio, 0.0), axis=2)
         reach = np.ones((B, 1))       # probability of each action context
         tree = np.zeros((B, 1))       # log2 A(u^s) / r(u^s) along the action tree
         divergence = np.zeros(B)      # D(A || r)
-        for sl in self.slices:
-            divergence += (reach * terms[:, sl]).sum(axis=1)
+        for s, sl in enumerate(self.slices):
+            divergence += np.add.reduce(reach * terms[:, sl], axis=1)
             tree = (tree[:, :, None] + ratio[:, sl]).reshape(B, -1)
-            reach = (reach[:, :, None] * induced[:, sl]).reshape(B, -1)
-        image = np.where(reached, _floored(log_new), logq)
-        objective = value - divergence / self.n
-        gap = (tree.max(axis=1) - divergence) / self.n
-        return _Map(logq, image, value, objective, gap, pis)
+            if s + 1 < self.n:
+                reach = (reach[:, :, None] * induced[:, sl]).reshape(B, -1)
+        return _Kept(m.logq, m.pis, induced, m.value,
+                     image=np.where(reached, _floored(log_new), m.logq),
+                     objective=m.value - divergence / self.n,
+                     gap=(np.maximum.reduce(tree, axis=1) - divergence) / self.n)
+
+
+@functools.lru_cache(maxsize=4)
+def _dirichlet_starts(seed: int, restarts: int, U: int, n: int) -> np.ndarray:
+    """The seeded Dirichlet marginals of chains 1.. as stacked q,
+    (restarts - 1, sum_s U**s, U), stage t of chain b drawn from the
+    stream (seed, 4, b, t).  Cached, so the array is read-only."""
+    q = np.empty((restarts - 1, sum(U ** s for s in range(n)), U))
+    start = 0
+    for t in range(1, n + 1):
+        rows = slice(start, start + U ** (t - 1))
+        for b in range(1, restarts):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, 4, b, t)))
+            q[b - 1, rows] = rng.dirichlet(np.ones(U), size=U ** (t - 1))
+        start = rows.stop
+    q.setflags(write=False)
+    return q
 
 
 def _initial_marginals(chains: _Chains, opts: SolverOptions,
@@ -394,12 +451,9 @@ def _initial_marginals(chains: _Chains, opts: SolverOptions,
         # history (0, ..., 0, x)
         tabs = [tab[None, :, :P] for tab, P in zip(warm.policy.tables, chains.plants)]
         start = chains.forward(tabs)[0]
-        seen = start.sum(axis=1) > 0.0
+        seen = np.add.reduce(start, axis=1) > 0.0
         q[0][seen] = start[seen]
-    for t, sl in enumerate(chains.slices, start=1):
-        for b in range(1, opts.restarts):
-            rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 4, b, t)))
-            q[b, sl] = rng.dirichlet(np.ones(U), size=U ** (t - 1))
+    q[1:] = _dirichlet_starts(opts.seed, opts.restarts, U, chains.n)
     return _floored(_log2(q))
 
 
@@ -431,7 +485,7 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
         raise ValueError("multiplier must be nonnegative")
     opts = opts or SolverOptions()
     chains = _Chains(spec, mu, opts.restarts)
-    cur = chains.step(_initial_marginals(chains, opts, warm))
+    cur = chains.certify(chains.step(_initial_marginals(chains, opts, warm)))
     maps = 1
     step_max = np.ones(opts.restarts)
     while True:
@@ -440,7 +494,8 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
         if gap <= opts.tol or maps + 3 > opts.max_iters:
             break
         one = chains.step(cur.image)
-        trial, alpha = _extrapolate(chains, cur.logq, one.logq, one.image, step_max)
+        one_image = chains.image(one)
+        trial, alpha = _extrapolate(chains, cur.logq, one.logq, one_image, step_max)
         ext = chains.step(trial)
         maps += 2
         accept = ext.value <= one.value
@@ -448,10 +503,11 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
         step_max = np.where(accept, np.where(at_cap, 4.0 * step_max, step_max),
                             np.maximum(1.0, step_max / 4.0))
         if accept.all():
-            cur = ext
+            cur = chains.certify(ext)
         else:
             # the plain double step for the chains that rejected
-            cur = chains.step(np.where(accept[:, None, None], trial, one.image))
+            cur = chains.certify(chains.step(np.where(accept[:, None, None], trial,
+                                                      one_image)))
             maps += 1
     return _exact_point(chains, CausalPolicy(tuple(pi[best] for pi in cur.pis)), mu,
                         converged=gap <= opts.tol,
@@ -471,29 +527,35 @@ def _exact_point(chains: _Chains, policy: CausalPolicy, multiplier: float,
 def _cost_dp(spec: SystemSpec):
     """Backward induction for the cost-only problem: (value, greedy tables).
 
-    The induction runs on the flat (history, state) rows; the greedy tables
-    are on the solver's rows (U**(t-1), P_t, U) (``_plants``).  For a Markov
-    spec every flat row that shares (u^{t-1}, x_t) has a bit-identical
-    cost-to-go row, so folding them onto one x_t row loses nothing.
+    The greedy tables are on the solver's rows (U**(t-1), P_t, U)
+    (``_plants``).  For a Markov spec the cost-to-go of a history reads
+    only x_t, so the induction runs on the X state rows and each greedy row
+    serves every action context; a full-history spec runs it on the flat
+    (history, state) rows.  Either way each expected cost-to-go is the same
+    length-X sum of the same products, so both give the same numbers.
     """
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
     plants = _plants(spec)
-    v = None  # optimal cost-to-go over (history, state) rows of stage t
+    v = None  # optimal cost-to-go over the stage-t rows: (X,) or (history, state)
     tabs: list[np.ndarray] = [None] * n
     for t in range(n, 0, -1):
-        H = (X * U) ** (t - 1)
-        if t == n:
-            ev = np.zeros(H * X * U)
+        if spec.markov is not None:
+            ev = 0.0 if t == n else np.add.reduce(spec.markov[1] * v, axis=2)
+            stage_q = spec.cost + ev
+            tabs[t - 1] = np.broadcast_to(np.eye(U)[stage_q.argmin(axis=1)],
+                                          (U ** (t - 1), X, U))
+            v = np.minimum.reduce(stage_q, axis=1)      # (X,)
         else:
-            ev = (spec.stage_kernel(t + 1) * v).sum(axis=1)
-        stage_q = spec.cost[None, :, :] + ev.reshape(H, X, U)
-        amin = stage_q.argmin(axis=2)
-        P = plants[t - 1]
-        tab = np.empty((U ** (t - 1), P, U))
-        tab.reshape(-1, X, U)[policy_rows(X, U, t, P)] = np.eye(U)[amin]
-        tabs[t - 1] = tab
-        v = stage_q.min(axis=2)  # (H, X)
-    value = float((spec.stage_kernel(1)[0] * v[0]).sum()) / n
+            H = (X * U) ** (t - 1)
+            ev = (np.zeros(H * X * U) if t == n
+                  else (spec.stage_kernel(t + 1) * v).sum(axis=1))
+            stage_q = spec.cost[None, :, :] + ev.reshape(H, X, U)
+            P = plants[t - 1]
+            tab = np.empty((U ** (t - 1), P, U))
+            tab.reshape(-1, X, U)[policy_rows(X, U, t, P)] = np.eye(U)[stage_q.argmin(axis=2)]
+            tabs[t - 1] = tab
+            v = stage_q.min(axis=2)                     # (H, X)
+    value = float((spec.stage_kernel(1)[0] * v.reshape(-1)).sum()) / n
     return value, tabs
 
 

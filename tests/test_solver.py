@@ -1,6 +1,7 @@
 """Rate-cost solver: Lagrangian optimizer, budget queries, brute-force oracle."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -19,6 +20,7 @@ from ratecost.instances import (
     noisy_actuator,
     sticky_tracking,
 )
+from ratecost.scheme import SchemeOptions, synthesize
 from ratecost.solver import (
     InfeasibleCostError,
     InstanceTooLargeError,
@@ -196,7 +198,7 @@ class TestMarkovRows:
         assert rows.markov and not full.markov
         # chain 0 uniform, chains 1 and 2 Dirichlet draws
         logq = ratecost.solver._initial_marginals(rows, SolverOptions(restarts=3), None)
-        a, b = rows.step(logq), full.step(logq)
+        a, b = rows.certify(rows.step(logq)), full.certify(full.step(logq))
         for field in ("value", "objective", "gap", "image"):
             np.testing.assert_allclose(getattr(a, field), getattr(b, field),
                                        rtol=0, atol=1e-12, err_msg=field)
@@ -299,6 +301,111 @@ class TestRowPass:
         for t, (a, b) in enumerate(zip(folded, full, strict=True), start=1):
             assert a.shape[1] == X and b.shape[1] == X ** t
             assert np.array_equal(a[:, np.arange(X ** t) % X], b)
+
+
+def point_repr(p):
+    """Every field of a point as its repr, the policy tables as nested lists."""
+    return repr(tuple(repr(tuple(tab.tolist() for tab in p.policy.tables))
+                      if f.name == "policy" else repr(getattr(p, f.name))
+                      for f in dataclasses.fields(p)))
+
+
+@pytest.fixture(scope="module")
+def noisy6_run():
+    """The one-restart sweep of noisy_actuator(6) and its 25/50/75% queries,
+    with the RuntimeWarnings they raise."""
+    spec = noisy_actuator(6)
+    opts = SolverOptions(restarts=1)
+    floor = min_expected_cost(spec)
+    open_loop, _ = min_open_loop_cost(spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        _, raw = sweep_curve(spec, opts)
+        points = raw + [solve_rate_cost(spec, floor + share * (open_loop - floor), opts,
+                                        sweep=raw) for share in (0.25, 0.5, 0.75)]
+    return points, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestLeanLoop:
+    """The solve loop certifies only the iterates it keeps, and every number
+    it keeps comes from the same arithmetic as when each map was certified."""
+
+    def test_noisy6_points_digest_pinned(self, noisy6_run):
+        digest = hashlib.sha256()
+        for p in noisy6_run[0]:
+            digest.update(point_repr(p).encode())
+        assert digest.hexdigest() == \
+            "49e31573ed71f263b8a9f173a4bd2de1b93c444e930465fe97b2fbcd1b71ac60"
+
+    def test_sweep_queries_and_synthesis_warning_free(self, noisy6_run):
+        # the row pass takes its logs of zero masses on whole arrays
+        assert noisy6_run[1] == []
+        spec = sticky_tracking(4)
+        budget = 0.5 * (min_expected_cost(spec) + min_open_loop_cost(spec)[0])
+        options = SchemeOptions(cloud_size=20, solver=SolverOptions(restarts=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert synthesize(spec, budget, options).solution.cost <= budget
+
+    def test_certificates_only_for_kept_iterates(self, monkeypatch):
+        # four chains, so that some iterations fall back to the double step
+        spec, opts = sticky_tracking(4), SolverOptions(restarts=4)
+        chains = ratecost.solver._Chains
+        step, image, certify = chains.step, chains.image, chains.certify
+        extrapolate = ratecost.solver._extrapolate
+        imaged, certified, iterations = [], [], []
+
+        def counted_image(self, m):
+            imaged.append(m)
+            return image(self, m)
+
+        def counted_certify(self, m):
+            certified.append(m)
+            return certify(self, m)
+
+        def counted_extrapolate(*args):
+            iterations.append(None)
+            return extrapolate(*args)
+
+        monkeypatch.setattr(chains, "image", counted_image)
+        monkeypatch.setattr(chains, "certify", counted_certify)
+        monkeypatch.setattr(ratecost.solver, "_extrapolate", counted_extrapolate)
+        _, lean = sweep_curve(spec, opts)
+        # one certificate for the first point and one per iteration; the
+        # plain map of each iteration is floored, never certified
+        assert len(certified) == len(lean) + len(iterations)
+        assert len(imaged) == len(iterations)
+        assert not any(m is k for m in imaged for k in certified)
+        # maps: the first, two per iteration and one per fallback
+        assert sum(p.iterations for p in lean) > len(lean) + 2 * len(iterations)
+
+        monkeypatch.setattr(chains, "step", lambda self, logq: certify(self, step(self, logq)))
+        _, eager = sweep_curve(spec, opts)
+        assert [(p.objective, p.gap, p.converged, p.iterations) for p in lean] == \
+            [(p.objective, p.gap, p.converged, p.iterations) for p in eager]
+
+
+def test_dirichlet_starts_are_the_seeded_streams():
+    # drawn once per (seed, restarts, U, n), each stage of each chain from
+    # its own (seed, 4, b, t) stream
+    chains = ratecost.solver._Chains(noisy_actuator(3), 1.0, 3)
+    opts = SolverOptions(restarts=3, seed=5)
+    logq = ratecost.solver._initial_marginals(chains, opts, None)
+    for b in (1, 2):
+        for t, sl in enumerate(chains.slices, start=1):
+            rng = np.random.default_rng(np.random.SeedSequence((5, 4, b, t)))
+            draw = rng.dirichlet(np.ones(2), size=2 ** (t - 1))
+            assert np.array_equal(logq[b, sl], ratecost.solver._floored(np.log2(draw)))
+    assert np.array_equal(ratecost.solver._initial_marginals(chains, opts, None), logq)
+
+
+@pytest.mark.parametrize("name", sorted(MARKOV_SPECS))
+def test_markov_cost_dp_equals_full_history_twin(name):
+    # the induction on X state rows sums the same products in the same
+    # order as the flat (history, state) rows of the full-history twin
+    spec = MARKOV_SPECS[name]()
+    assert ratecost.solver._cost_dp(spec)[0] == \
+        ratecost.solver._cost_dp(without_markov(spec))[0]
 
 
 class TestWorkingSet:
