@@ -6,12 +6,14 @@ sample a cloud of full realizations with exact (rate, cost) coordinates,
 add the cost floor's greedy policy as realization ``cloud_size`` (the
 cost-floor anchor, a zero-weight candidate), reduce the cloud to a binary
 time-sharing selector, and match conditional Shannon codebooks to the
-resulting mixture action law.  The cloud is
-selected and evaluated in blocks: each stage's maps are one ``argmin``
-over the block's race draws, and each realization's exact coordinates
-come from one batched forward product over (block, (X*U)**n) trajectory
-entries, with at most ``spec.budget`` entries per block.  Only the two
-realizations the selector picks are kept.  Every reported quantity of the
+resulting mixture action law.  The cloud is selected and evaluated in
+blocks: each stage's maps are one ``argmin`` over the block's race draws,
+and the block's exact coordinates come from one batched row pass
+(``solver._Chains.operating_point``) on the one-hot tables of its maps,
+with at most ``spec.budget`` entries in any of its arrays.  The same pass
+gives the races' context masses and the kept realizations' action laws,
+so synthesis builds no trajectory law.  Only the two realizations the
+selector picks are kept.  Every reported quantity of the
 final scheme (cost, codeword-length rate, entropies) is recomputed
 exactly from the realized deterministic policies, so the guarantees do
 not rest on the Monte-Carlo step.
@@ -42,7 +44,6 @@ from .coder import (
 from .sfrl import (
     STREAM_DYNAMICS,
     STREAM_SELECTOR,
-    context_mass,
     race_draws,
     race_maps,
     stage_maps,
@@ -50,16 +51,14 @@ from .sfrl import (
 from .solver import (
     RateCostPoint,
     SolverOptions,
+    _Chains,
     cost_floor_point,
     solve_rate_cost,
 )
 from .system import (
     CausalPolicy,
     InvariantError,
-    JointLaw,
     SystemSpec,
-    evaluate_joint,
-    policy_rows,
 )
 from .timeshare import (
     InfeasibleBarycenterError,
@@ -109,6 +108,10 @@ class SchemeOptions:
     def __post_init__(self):
         if self.cloud_size < 1:
             raise ValueError(f"cloud_size must be at least 1, got {self.cloud_size}")
+        for name in ("epsilon", "gamma"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,73 +157,52 @@ def _onehot(maps: np.ndarray, num_actions: int) -> np.ndarray:
                     1.0 / num_actions)
 
 
-def _exact_coordinates(spec: SystemSpec, maps):
-    """Exact action laws and (rate, cost) of a block of realizations.
-
-    ``maps[t-1]`` holds the block's stage-t maps, (R, U**(t-1), P_t).  One
-    forward product over (R, (X*U)**n) entries, row for row the one
-    ``evaluate_joint`` computes for the realization's one-hot policy.
-    Returns the action laws (R, U**n), rates in bits per stage and average
-    stage costs, (R,) each.  Every reduction runs along one row, so a
-    realization's numbers do not depend on the block it was evaluated in.
-    """
-    n, X, U = spec.horizon, spec.num_states, spec.num_actions
-    R = maps[0].shape[0]
-    p = np.ones((R, 1))
-    cost = np.zeros(R)
-    for t, m in enumerate(maps, start=1):
-        kernel = spec.stage_kernel(t)[:, :, None]
-        rows = policy_rows(X, U, t, m.shape[2])
-        joint = p[:, :, None, None] * kernel * _onehot(m.reshape(R, -1, X)[:, rows], U)
-        cost += (joint * spec.cost).reshape(R, -1).sum(axis=1)
-        p = joint.reshape(R, -1)
-    # (R, x_1, u_1, ..., x_n, u_n) -> (R, u_1..u_n, x_1..x_n), summed over states
-    order = (0, *range(2, 2 * n + 1, 2), *range(1, 2 * n, 2))
-    actions = np.ascontiguousarray(p.reshape((R,) + (X, U) * n).transpose(order))
-    actions = actions.reshape(R, U ** n, X ** n).sum(axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(actions > 0.0, np.log2(actions), 0.0)
-    # a law summing to 1 + ulps can give an entropy of -1e-16: clamp at 0
-    entropies = np.maximum(-(actions * logs).sum(axis=1), 0.0)
-    return actions, entropies / n, cost / n
+def _row_pass(spec: SystemSpec, policy: CausalPolicy):
+    """The exact row pass of ``spec``, and the context masses P(u^{t-1}) of
+    ``policy`` that it gives, (U**(t-1),) for each stage t."""
+    rows = _Chains(spec, 0.0, 1)
+    return rows, [m[0] for m in rows.operating_point([tab[None] for tab in policy.tables])[2]]
 
 
-def realize_cloud(spec: SystemSpec, policy: CausalPolicy, law: JointLaw,
-                  seed: int, first: int, count: int) -> list[RealizationPoint]:
+def realize_cloud(spec: SystemSpec, policy: CausalPolicy, seed: int,
+                  first: int, count: int) -> list[RealizationPoint]:
     """Exact (rate, cost) points of realizations first..first+count-1 of
     ``policy``.
 
     Realizations are selected and evaluated in blocks of
-    max(1, spec.budget // (X*U)**n), so no block's trajectory array holds
-    more than ``spec.budget`` entries; each block draws each stage's race
-    from one generator.
+    max(1, spec.budget // width), the row budget the solver checks
+    (``_Chains.width``), so no block's arrays hold more than
+    ``spec.budget`` entries; each block draws each stage's race from one
+    generator and runs one exact row pass (``_Chains.operating_point``) on
+    the one-hot tables of its maps.
     """
-    n, X, U = spec.horizon, spec.num_states, spec.num_actions
-    block = max(1, spec.budget // (X * U) ** n)
-    masses = [context_mass(law, t) for t in range(1, n + 1)]
+    n, U = spec.horizon, spec.num_actions
+    rows, masses = _row_pass(spec, policy)
+    block = max(1, spec.budget // rows.width)
     points = []
     for start in range(first, first + count, block):
         size = min(block, first + count - start)
         maps = [race_maps(t, policy.tables[t - 1], masses[t - 1], seed, start, size)
                 for t in range(1, n + 1)]
-        _, rates, costs = _exact_coordinates(spec, maps)
+        rates, costs, _, _ = rows.operating_point([_onehot(m, U) for m in maps])
         points += [RealizationPoint(realization_id=i, rate=float(r), cost=float(c))
                    for i, r, c in zip(range(start, start + size), rates, costs)]
     return points
 
 
-def build_realization(spec: SystemSpec, policy: CausalPolicy, law: JointLaw,
-                      seed: int, point: RealizationPoint) -> Realization:
+def build_realization(spec: SystemSpec, policy: CausalPolicy, seed: int,
+                      point: RealizationPoint) -> Realization:
     """The full realization behind a cloud point: draws, maps, policy and
     action law, recomputed from its race stream."""
     n, U = spec.horizon, spec.num_actions
     i = point.realization_id
+    rows, masses = _row_pass(spec, policy)
     draws = tuple(race_draws(seed, t, U, i, 1)[0] for t in range(1, n + 1))
-    maps = tuple(stage_maps(policy.tables[t - 1], context_mass(law, t), d[None])[0]
-                 for t, d in enumerate(draws, start=1))
-    actions, _, _ = _exact_coordinates(spec, [m[None] for m in maps])
-    return Realization(realization_id=i, draws=draws, maps=maps,
-                       policy=CausalPolicy(tuple(_onehot(m, U) for m in maps)),
+    maps = tuple(stage_maps(tab, mass, d[None])[0]
+                 for tab, mass, d in zip(policy.tables, masses, draws))
+    realized = CausalPolicy(tuple(_onehot(m, U) for m in maps))
+    actions = rows.operating_point([tab[None] for tab in realized.tables])[3]
+    return Realization(realization_id=i, draws=draws, maps=maps, policy=realized,
                        action_law=actions[0].reshape((U,) * n), point=point)
 
 
@@ -231,8 +213,9 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     Deterministic given the option seeds.  The solver runs once, at the
     budget.  Realizations 0 .. cloud_size-1 of the solved policy form the
     cloud; realization ``cloud_size`` is the cost floor's greedy policy
-    (``solver.cost_floor_point``), a zero-weight candidate with exact
-    coordinates by the same path.  The selector (``caratheodory_reduce``)
+    (``solver.cost_floor_point``), a zero-weight candidate whose exact
+    coordinates come from the same row pass as the anchor's, so they equal
+    the anchor's bit for bit.  The selector (``caratheodory_reduce``)
     picks the lowest-rate mixture of these within the budget.  When that
     misses the rate cap, the greedy realization is selected alone and its
     operating point becomes the solution (``seeds.attempts`` 2); when it
@@ -245,9 +228,8 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     anchor = cost_floor_point(spec)
     solution = solve_rate_cost(spec, budget_cost, opt.solver, anchor=anchor)
     # realizations 0 .. cloud_size-1 race the solved policy, cloud_size the floor's
-    sources = [(p, evaluate_joint(spec, p)) for p in (solution.policy, anchor.policy)]
-    points = realize_cloud(spec, *sources[0], opt.seed, 0, opt.cloud_size)
-    floor = realize_cloud(spec, *sources[1], opt.seed, opt.cloud_size, 1)
+    points = realize_cloud(spec, solution.policy, opt.seed, 0, opt.cloud_size)
+    floor = realize_cloud(spec, anchor.policy, opt.seed, opt.cloud_size, 1)
     attempts = 1
     try:
         selector = caratheodory_reduce(points + floor, [1.0] * len(points) + [0.0],
@@ -257,8 +239,8 @@ def synthesize(spec: SystemSpec, budget_cost: float,
         selector = caratheodory_reduce(floor, [1.0], budget_cost, opt.epsilon)
 
     by_id = {p.realization_id: p for p in points + floor}
-    picked = {i: build_realization(spec, *sources[i == opt.cloud_size], opt.seed,
-                                   by_id[i])
+    picked = {i: build_realization(spec, anchor.policy if i == opt.cloud_size
+                                   else solution.policy, opt.seed, by_id[i])
               for i in (selector.index0, selector.index1)}
     re0, re1 = picked[selector.index0], picked[selector.index1]
     lam = selector.weight

@@ -77,7 +77,9 @@ rate, so any solved point is a bracket candidate for any budget.
 Exact operating points.  Every point this module reports (a solve's
 answer and the cost floor's greedy policy) has its policy on the chain
 rows, and its rate and cost come from one forward pass over those rows,
-not from the (X*U)**n trajectory law.  The stage-t term of the directed
+not from the (X*U)**n trajectory law; ``scheme`` runs the same pass,
+batched over policies, for the cloud's points, the races' context masses
+and the realized action laws.  The stage-t term of the directed
 information is I(X^t; U_t | U^{t-1}) = H(U_t | U^{t-1}) - H(U_t | U^{t-1},
 X^t), and the policy reads X^t only through its plant row p_t, so the term
 is E log2 pi_t(U_t | U^{t-1}, P_t) / P(U_t | U^{t-1}): it needs only the
@@ -270,9 +272,10 @@ class _Chains:
     state's law, and the backward pass broadcasts the next stage's values
     over it.  The marginals of all stages are kept stacked,
     (B, sum_s U**s, U), rows ``slices[s]`` holding stage s, so that every
-    row-wise step of a map runs once over all stages.  ``restarts`` chains
-    over the spec's budget in (row, action) entries of the largest stage
-    raise ``BudgetExceededError`` before allocating.  ``stage_costs[s]``,
+    row-wise step of a map runs once over all stages.  ``width`` counts the
+    entries of the largest array a map or the row pass makes per chain or
+    policy; ``restarts`` chains over the spec's budget in these raise
+    ``BudgetExceededError`` before allocating.  ``stage_costs[s]``,
     (P_s, U), is the stage cost on the stage-s rows and ``costs[s]`` the
     same times the multiplier.
 
@@ -290,11 +293,14 @@ class _Chains:
                                             spec.num_actions)
         self.markov = spec.markov is not None
         self.plants = _plants(spec)
-        cells = restarts * U ** n * self.plants[-1]
-        if cells > spec.budget:
+        # the last stage's (row, action) entries, or the (row, action, next
+        # state) entries of the stage before, X / U times more on Markov rows
+        self.width = U ** (n - 1) * max(U * self.plants[-1],
+                                        X * self.plants[-2] if n > 1 else 0)
+        if restarts * self.width > spec.budget:
             raise BudgetExceededError(f"solver working set {restarts} restarts "
-                                      f"(--restarts) x {cells // restarts} (row, action) "
-                                      f"entries exceeds budget {spec.budget}")
+                                      f"(--restarts) x {self.width} entries exceeds "
+                                      f"budget {spec.budget}")
         self.initial = spec.stage_kernel(1)[None]
         # a full-history kernel's rows (x_1, u_1, ..., x_{s+1}, u_{s+1}) as
         # (u^{s+1}, x^{s+1}), then the action u_{s+1} moved past x^{s+1}
@@ -347,41 +353,51 @@ class _Chains:
                 cond = nxt.swapaxes(2, 3).reshape(B, self.U ** (s + 1), -1)
         return out
 
-    def operating_point(self, tables) -> tuple[float, float]:
-        """Exact (rate, cost) per stage of one policy, ``tables[s]`` of shape
-        (U**s, P_s, U) on the chain rows.
+    def operating_point(self, tables):
+        """Exact rates and costs per stage of B policies, ``tables[s]`` of
+        shape (B, U**s, P_s, U) on the chain rows.
 
         One forward pass carries the mass P(u^s, p) of each stage-s row.
         With J = P(u^s, p, u) the stage cost is sum J c and the stage
         information sum_{J>0} J log2 pi P(u^s) / P(u^s, u), its three logs
         taken apart so that nothing underflows (module docstring): each on
-        its whole array, the summands then read where J > 0.  Checks
-        what ``JointLaw`` and ``stage_information_terms`` check: the total
-        mass within ``MASS_TOL`` and every stage term above -1e-9; a term
-        in (-1e-9, 0) counts as 0.
+        its whole array, the summands zeroed where J = 0.  Returns the rates
+        and costs, (B,) each, the context masses P(u^s) of every stage,
+        (B, U**s) each, and the last stage's pair mass P(u^{n-1}, u_n),
+        (B, U**(n-1), U): the action law.  Every reduction runs along one
+        policy's entries, so a policy's numbers do not depend on the batch
+        it is evaluated in.  Checks what ``JointLaw`` and
+        ``stage_information_terms`` check: the total mass within
+        ``MASS_TOL`` and every stage term above -1e-9; a term in (-1e-9, 0)
+        counts as 0.
         """
-        mass = self.initial[0]
-        rate = cost = 0.0
-        for s, pi in enumerate(tables):
-            joint = mass[..., None] * pi
-            cost += float(np.add.reduce(joint * self.stage_costs[s], axis=None))
-            pair = np.add.reduce(joint, axis=1, keepdims=True)       # P(u^s, u)
-            context = np.add.reduce(pair, axis=2, keepdims=True)     # P(u^s)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                summands = joint * (np.log2(pi) + np.log2(context) - np.log2(pair))
-            term = float(np.add.reduce(summands[joint > 0.0]))
-            if term < -1e-9:
-                raise InvariantError(f"stage information term {term} below -1e-9")
-            rate += max(term, 0.0)
-            if s + 1 < self.n:
-                nxt = joint[..., None] * self.steps[s]
-                if self.markov:
-                    nxt = np.add.reduce(nxt, axis=1, keepdims=True)
-                mass = nxt.swapaxes(1, 2).reshape(self.U ** (s + 1), -1)
-        total = float(np.add.reduce(joint, axis=None))
-        if abs(total - 1.0) > MASS_TOL:
-            raise NormalizationError(f"trajectory mass {total!r} is not 1 within {MASS_TOL}")
-        return rate / self.n, cost / self.n
+        B = tables[0].shape[0]
+        mass = self.initial
+        rate, cost, contexts = np.zeros(B), np.zeros(B), []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s, pi in enumerate(tables):
+                joint = mass[..., None] * pi
+                cost += np.add.reduce((joint * self.stage_costs[s]).reshape(B, -1), axis=1)
+                pair = np.add.reduce(joint, axis=2, keepdims=True)       # P(u^s, u)
+                context = np.add.reduce(pair, axis=3, keepdims=True)     # P(u^s)
+                contexts.append(context.reshape(B, -1))
+                summands = np.where(joint > 0.0, joint * (
+                    np.log2(pi) + np.log2(context) - np.log2(pair)), 0.0)
+                term = np.add.reduce(summands.reshape(B, -1), axis=1)
+                low = float(np.minimum.reduce(term))
+                if low < -1e-9:
+                    raise InvariantError(f"stage information term {low} below -1e-9")
+                rate += np.maximum(term, 0.0)
+                if s + 1 < self.n:
+                    nxt = joint[..., None] * self.steps[s]
+                    if self.markov:
+                        nxt = np.add.reduce(nxt, axis=2, keepdims=True)
+                    mass = nxt.swapaxes(2, 3).reshape(B, self.U ** (s + 1), -1)
+        total = np.add.reduce(joint.reshape(B, -1), axis=1)
+        worst = float(total[np.abs(total - 1.0).argmax()])
+        if abs(worst - 1.0) > MASS_TOL:
+            raise NormalizationError(f"trajectory mass {worst!r} is not 1 within {MASS_TOL}")
+        return rate / self.n, cost / self.n, contexts, pair[:, :, 0]
 
     def step(self, logq) -> _Map:
         """The map: the policies for ``logq``, their value V and the
@@ -519,9 +535,9 @@ def _exact_point(chains: _Chains, policy: CausalPolicy, multiplier: float,
                  **record) -> RateCostPoint:
     """The operating point of a policy on the chain rows, its rate and cost
     from the exact row pass."""
-    rate, cost = chains.operating_point(policy.tables)
-    return RateCostPoint(rate=rate, cost=cost, multiplier=multiplier,
-                         policy=policy, **record)
+    rate, cost, _, _ = chains.operating_point([tab[None] for tab in policy.tables])
+    return RateCostPoint(rate=float(rate[0]), cost=float(cost[0]),
+                         multiplier=multiplier, policy=policy, **record)
 
 
 def _cost_dp(spec: SystemSpec):
@@ -619,6 +635,8 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
     budget below its exact cost raises ``InfeasibleCostError`` with that
     cost as the minimum.
     """
+    if not math.isfinite(budget_cost):
+        raise ValueError(f"cost budget must be finite, got {budget_cost!r}")
     opts = opts or SolverOptions()
     # feasibility anchor: solver iterates approach the minimum cost only
     # from above, so budget queries at the cost floor resolve to the

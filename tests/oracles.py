@@ -2,6 +2,9 @@
 
 Everything here is deliberately written the slow, literal way (dicts,
 nested loops, defining sums) so it shares no code path with the package.
+Two spec builders that several test modules share live here too: a
+full-history spec no Markov spec can express, and a Markov spec's
+full-history twin.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import math
 
 import numpy as np
 
+from ratecost import SystemSpec
+
 
 def big_endian_key(digits, base):
     """The integer whose base-``base`` digits, most significant first,
@@ -19,6 +24,25 @@ def big_endian_key(digits, base):
     for d in digits:
         key = key * base + d
     return key
+
+
+def full_history_spec(horizon):
+    """The kernel of ``test_full_history_kernel_not_markov_realizable`` in
+    ``test_system.py``: stage 2 reads (x_1, u_1), so no Markov spec has it.
+    The 3-stage variant adds a stage-3 kernel that reads the whole history."""
+    kernels = (np.array([[0.3, 0.7]]),
+               np.array([[1.0, 0.0], [0.5, 0.5], [0.2, 0.8], [0.9, 0.1]]))
+    if horizon == 3:
+        kernels += (np.random.default_rng(7).dirichlet(np.ones(2), size=16),)
+    return SystemSpec(horizon=horizon, num_states=2, num_actions=2,
+                      cost=np.array([[0.0, 1.0], [1.0, 0.0]]), kernels=kernels)
+
+
+def without_markov(spec):
+    """The spec rebuilt from its full-history kernels alone."""
+    return SystemSpec(horizon=spec.horizon, num_states=spec.num_states,
+                      num_actions=spec.num_actions, cost=spec.cost,
+                      kernels=spec.kernels, budget=spec.budget)
 
 
 def enumerate_joint(spec, policy):

@@ -428,17 +428,38 @@ class TestSynthCommand:
         doc = json.loads((out / "result_bundle.json").read_text())
         assert doc["sandwich"]["passed"]
 
-    @pytest.mark.parametrize("flag", ["--trials", "--cloud-size", "--restarts"])
-    def test_zero_count_option_rejected(self, tmp_path, capsys, flag):
+    # a zero count, a non-finite budget, or a non-finite or negative slack
+    # is an invalid option before any output is written
+    @pytest.mark.parametrize("argv, reason", [
+        pytest.param(["synth", "--D", "0.4", "--trials", "0"], "at least 1",
+                     id="--trials"),
+        pytest.param(["synth", "--D", "0.4", "--cloud-size", "0"], "at least 1",
+                     id="--cloud-size"),
+        pytest.param(["synth", "--D", "0.4", "--restarts", "0"], "at least 1",
+                     id="--restarts"),
+        pytest.param(["synth", "--D", "inf"], "cost budget must be finite, got inf",
+                     id="synth --D inf"),
+        pytest.param(["synth", "--D", "1e400"], "cost budget must be finite, got inf",
+                     id="synth --D 1e400"),
+        pytest.param(["synth", "--D", "nan"], "cost budget must be finite, got nan",
+                     id="synth --D nan"),
+        pytest.param(["solve", "--D", "inf"], "cost budget must be finite, got inf",
+                     id="solve --D inf"),
+        pytest.param(["synth", "--D", "0.4", "--gamma", "nan"],
+                     "gamma must be finite and nonnegative, got nan", id="--gamma nan"),
+        pytest.param(["synth", "--D", "0.4", "--eps", "-1"],
+                     "epsilon must be finite and nonnegative, got -1.0", id="--eps -1"),
+    ])
+    def test_zero_count_option_rejected(self, tmp_path, capsys, argv, reason):
         spec_path = write_spec(tmp_path, controlled_doc())
         out = tmp_path / "o"
-        code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out",
-                     str(out), "--restarts", "1", flag, "0"])
+        code = main([argv[0], "--spec", spec_path, "--out", str(out),
+                     "--restarts", "1", *argv[1:]])
         assert code == EXIT_SPEC
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "at least 1" in err[0]
+        assert len(err) == 1 and reason in err[0]
         assert err[0].startswith("invalid option: ")
-        assert not (out / "result_bundle.json").exists()
+        assert not out.exists()
 
     def test_bundle_digest_pinned(self, tmp_path):
         # the bundle is a pure function of spec, budget, options and seed;
@@ -488,9 +509,9 @@ class TestSynthCommand:
             "f949edbf6d35245905241f86ba2b869aa2740d12c20145bb8d196d2ca33fb946"
 
     def test_block_of_one_bundle_byte_identical(self, tmp_path):
-        # a spec whose trajectory budget equals its trajectory count makes
-        # the cloud evaluate one realization per block; the budget also
-        # bounds the solver's chains, 2 of 8 (row, action) entries each
+        # a budget of 16 entries makes the cloud evaluate two realizations
+        # per block, 8 stage-2 (row, action) entries each, against 40 at the
+        # default budget; it also bounds the solver's chains, 2 of 8 entries
         spec_path = write_spec(tmp_path, controlled_doc())
         _, out_a = self.run_synth(tmp_path, spec_path, "a", "--restarts", "2")
         write_spec(tmp_path, {**controlled_doc(), "budget": 16})

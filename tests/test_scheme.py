@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from ratecost.scheme import (
     TRIAL_BLOCK,
     DecodeMismatchError,
     SchemeOptions,
+    _onehot,
     build_realization,
     eps_condition,
     log_gap_budget,
@@ -36,10 +39,16 @@ from ratecost.solver import (
     min_expected_cost,
     solve_rate_cost,
 )
-from ratecost.system import average_cost, entropy_bits, evaluate_joint
+from ratecost.system import JointLaw, average_cost, entropy_bits, evaluate_joint
 from ratecost.timeshare import InvariantError
 
-from oracles import average_cost_from_dict, enumerate_joint, race_selection
+from oracles import (
+    average_cost_from_dict,
+    enumerate_joint,
+    full_history_spec,
+    race_selection,
+    without_markov,
+)
 
 FAST = SchemeOptions(
     cloud_size=80,
@@ -290,18 +299,21 @@ class TestSynthesize:
 
 
 def exact_point(spec, policy):
-    """(rate, cost) of a deterministic policy through ``_exact_coordinates``,
-    its stage maps the argmax of the one-hot tables."""
-    maps = [tab.argmax(axis=2)[None] for tab in policy.tables]
-    _, rates, costs = ratecost.scheme._exact_coordinates(spec, maps)
+    """(rate, cost) of a deterministic policy through the batched row pass on
+    the one-hot tables of its stage maps, the argmax of its tables."""
+    tables = [_onehot(tab.argmax(axis=2)[None], spec.num_actions)
+              for tab in policy.tables]
+    rates, costs, _, _ = ratecost.solver._Chains(spec, 0.0, 1).operating_point(tables)
     return float(rates[0]), float(costs[0])
 
 
 class TestExactCoordinates:
+    # ``from_choices`` tables read the state history, so they run on the
+    # spec's full-history twin
     def test_deterministic_dynamics_zero_rate(self):
         spec = drive_to_zero(2, flip=1.0, initial_one=1.0)
         policy = CausalPolicy.from_choices(spec, lambda t, xh, uh: xh[-1])
-        rate, _ = exact_point(spec, policy)
+        rate, _ = exact_point(without_markov(spec), policy)
         assert rate == pytest.approx(0.0, abs=1e-12)
 
     def test_single_action_open_loop_cost(self):
@@ -317,7 +329,7 @@ class TestExactCoordinates:
         policy = CausalPolicy.from_choices(
             spec, lambda t, xh, uh: int(rng.integers(0, 2))
         )
-        rate, cost = exact_point(spec, policy)
+        rate, cost = exact_point(without_markov(spec), policy)
         law_dict = enumerate_joint(spec, policy)
         marg = {}
         for (xs, us), p in law_dict.items():
@@ -329,21 +341,22 @@ class TestExactCoordinates:
 
 
 class TestCloud:
-    @pytest.fixture(scope="class", params=["drive2", "noisy3", "sticky4"])
+    @pytest.fixture(scope="class", params=["drive2", "noisy3", "sticky4", "history3"])
     def solved(self, request):
         spec = {"drive2": lambda: drive_to_zero(2),
                 "noisy3": lambda: noisy_actuator(3),
-                "sticky4": lambda: sticky_tracking(4)}[request.param]()
+                "sticky4": lambda: sticky_tracking(4),
+                "history3": lambda: full_history_spec(3)}[request.param]()
         point = solve_rate_cost(spec, mid_curve_budget(spec),
                                 SolverOptions(restarts=1))
-        return spec, point.policy, evaluate_joint(spec, point.policy)
+        return spec, point.policy
 
     def test_batched_points_match_per_realization_evaluation(self, solved):
-        spec, policy, law = solved
-        points = realize_cloud(spec, policy, law, 3, 40, 40)
+        spec, policy = solved
+        points = realize_cloud(spec, policy, 3, 40, 40)
         assert [p.realization_id for p in points] == list(range(40, 80))
         for p in points:
-            re = build_realization(spec, policy, law, 3, p)
+            re = build_realization(spec, policy, 3, p)
             induced = evaluate_joint(spec, re.policy)
             assert abs(p.rate - entropy_bits(induced.action_marginal())
                        / spec.horizon) <= 1e-12
@@ -351,25 +364,81 @@ class TestCloud:
             np.testing.assert_allclose(re.action_law, induced.action_marginal(),
                                        rtol=0, atol=1e-15)
 
-    def test_block_of_one_gives_identical_points(self, solved, monkeypatch):
-        # a trajectory budget equal to the trajectory count evaluates the
-        # cloud one realization at a time
-        spec, policy, law = solved
-        blocks = []
-        evaluate = ratecost.scheme._exact_coordinates
+    def test_block_of_one_gives_identical_points(self, solved):
+        # one realization per call gives the points of one block of 200
+        spec, policy = solved
+        one_by_one = [p for i in range(200) for p in realize_cloud(spec, policy, 0, i, 1)]
+        assert realize_cloud(spec, policy, 0, 0, 200) == one_by_one
 
-        def recorded(spec, maps):
-            blocks.append(maps[0].shape[0])
-            return evaluate(spec, maps)
+    def test_batch_gives_the_numbers_of_single_passes(self, solved):
+        # random policies, half of them one-hot: every output of a batch of 8
+        # equals, bit for bit, that of the policy's own pass
+        spec, policy = solved
+        U = spec.num_actions
+        rows = ratecost.solver._Chains(spec, 0.0, 1)
+        rng = np.random.default_rng(5)
+        tables = [np.concatenate([rng.dirichlet(np.ones(U), size=(4,) + tab.shape[:2]),
+                                  np.eye(U)[rng.integers(U, size=(4,) + tab.shape[:2])]])
+                  for tab in policy.tables]
+        rates, costs, contexts, pairs = rows.operating_point(tables)
+        for b in range(8):
+            rate, cost, context, pair = rows.operating_point([t[b:b + 1] for t in tables])
+            assert (rate[0], cost[0]) == (rates[b], costs[b])
+            for one, batch in zip(context, contexts, strict=True):
+                np.testing.assert_array_equal(one[0], batch[b])
+            np.testing.assert_array_equal(pair[0], pairs[b])
 
-        monkeypatch.setattr(ratecost.scheme, "_exact_coordinates", recorded)
-        single = dataclasses.replace(
-            spec, budget=(spec.num_states * spec.num_actions) ** spec.horizon)
-        one_by_one = realize_cloud(single, policy, law, 0, 0, 200)
-        assert blocks == [1] * 200
-        blocks.clear()
-        assert realize_cloud(spec, policy, law, 0, 0, 200) == one_by_one
-        assert blocks == [200]
+
+def test_cloud_blocks_count_the_largest_array_of_the_pass():
+    # with X > U the pass's largest array per policy is the (row, action,
+    # next state) one of the stage before the last, X / U times the last
+    # stage's (row, action) entries; the block counts it
+    rng = np.random.default_rng(1)
+    X, U = 40, 2
+    spec = SystemSpec.from_markov(rng.dirichlet(np.ones(X)),
+                                  rng.dirichlet(np.ones(X), size=(X, U)),
+                                  rng.random((X, U)), 2, budget=20_000)
+    anchor = ratecost.solver.cost_floor_point(spec)
+    tracemalloc.start()
+    try:
+        realize_cloud(spec, anchor.policy, 0, 0, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * spec.budget
+
+
+def test_synthesis_and_trials_build_no_trajectory_law(monkeypatch):
+    spec = noisy_actuator(6)
+    budget = mid_curve_budget(spec)      # the open-loop cost reads the law
+
+    def refused(law):
+        raise AssertionError("a trajectory law was built")
+
+    monkeypatch.setattr(JointLaw, "__post_init__", refused)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        b = synthesize(spec, budget, SchemeOptions(solver=SolverOptions(restarts=1)))
+        report = run_trials(b, 2000, seed=0)
+    assert b.exact_cost <= budget
+    assert report.trials == 2000
+
+
+def test_budget_at_anchor_cost_is_feasible_on_random_panel():
+    # the cost floor's greedy realization and the anchor come from the same
+    # row pass, so a budget at the anchor's cost admits the realization
+    rng = np.random.default_rng(0)
+    opts = SchemeOptions(cloud_size=20, solver=SolverOptions(restarts=1))
+    for i in range(300):
+        n = int(rng.integers(1, 4))
+        spec = SystemSpec.from_markov(rng.dirichlet(np.ones(2)),
+                                      rng.dirichlet(np.ones(2), size=(2, 2)),
+                                      rng.random((2, 2)), n)
+        anchor = ratecost.solver.cost_floor_point(spec)
+        floor, = realize_cloud(spec, anchor.policy, opts.seed, opts.cloud_size, 1)
+        assert floor.cost == anchor.cost, i
+        b = synthesize(spec, anchor.cost, opts)
+        assert b.exact_cost <= anchor.cost, i
 
 
 class TestRunTrials:

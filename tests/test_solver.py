@@ -47,8 +47,10 @@ from oracles import (
     blahut_arimoto_rate,
     directed_information_from_dict,
     enumerate_joint,
+    full_history_spec,
     grid_marginal_search,
     lagrangian_value_given_marginals,
+    without_markov,
 )
 
 FAST = SolverOptions(restarts=4, max_iters=1500)
@@ -62,25 +64,6 @@ def asymmetric_one_shot(p1=0.35):
         cost=[[0.0, 1.0], [1.0, 0.0]],
         horizon=1,
     )
-
-
-def full_history_spec(horizon):
-    """The kernel of ``test_full_history_kernel_not_markov_realizable`` in
-    ``test_system.py``: stage 2 reads (x_1, u_1), so no Markov spec has it.
-    The 3-stage variant adds a stage-3 kernel that reads the whole history."""
-    kernels = (np.array([[0.3, 0.7]]),
-               np.array([[1.0, 0.0], [0.5, 0.5], [0.2, 0.8], [0.9, 0.1]]))
-    if horizon == 3:
-        kernels += (np.random.default_rng(7).dirichlet(np.ones(2), size=16),)
-    return SystemSpec(horizon=horizon, num_states=2, num_actions=2,
-                      cost=np.array([[0.0, 1.0], [1.0, 0.0]]), kernels=kernels)
-
-
-def without_markov(spec):
-    """The spec rebuilt from its full-history kernels alone."""
-    return SystemSpec(horizon=spec.horizon, num_states=spec.num_states,
-                      num_actions=spec.num_actions, cost=spec.cost,
-                      kernels=spec.kernels, budget=spec.budget)
 
 
 def induced_marginals(spec, policy):
@@ -255,10 +238,13 @@ class TestRowPass:
             law = evaluate_joint(spec, p.policy)
             assert abs(p.rate - directed_information(law) / spec.horizon) <= 1e-12
             assert abs(p.cost - average_cost(law, spec)) <= 1e-12
-            # zero entries (the anchor is one-hot) raise no warning
+            # a fresh single-policy pass repeats the stored point; zero
+            # entries (the anchor is one-hot) raise no warning
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                assert chains.operating_point(p.policy.tables) == (p.rate, p.cost)
+                rate, cost, _, _ = chains.operating_point(
+                    [tab[None] for tab in p.policy.tables])
+            assert (rate[0], cost[0]) == (p.rate, p.cost)
 
     def test_solve_loop_never_builds_the_trajectory_law(self, monkeypatch):
         def refused(*args, **kwargs):
@@ -278,17 +264,17 @@ class TestRowPass:
     def test_mass_off_one_raises_normalization_error(self):
         spec = noisy_actuator(3)
         chains = ratecost.solver._Chains(spec, 0.0, 1)
-        tables = CausalPolicy.uniform(spec).tables
+        tables = [tab[None] for tab in CausalPolicy.uniform(spec).tables]
         with pytest.raises(NormalizationError, match="trajectory mass"):
-            chains.operating_point(tables[:2] + (tables[2] * (1.0 + 1e-8),))
+            chains.operating_point(tables[:2] + [tables[2] * (1.0 + 1e-8)])
 
     def test_negative_stage_term_raises_invariant_error(self):
         # a first stage scaled to total 1/4 has term (I_1 - 2) / 4 = -1/2
         spec = noisy_actuator(3)
         chains = ratecost.solver._Chains(spec, 0.0, 1)
-        tables = CausalPolicy.uniform(spec).tables
+        tables = [tab[None] for tab in CausalPolicy.uniform(spec).tables]
         with pytest.raises(InvariantError, match="stage information term -0.5 "):
-            chains.operating_point((tables[0] / 4.0,) + tables[1:])
+            chains.operating_point([tables[0] / 4.0] + tables[1:])
 
     @pytest.mark.parametrize("name", sorted(MARKOV_SPECS))
     def test_greedy_tables_fold_onto_markov_rows(self, name):
@@ -409,8 +395,9 @@ def test_markov_cost_dp_equals_full_history_twin(name):
 
 
 class TestWorkingSet:
-    """Chains times the largest stage's (row, action) entries must fit the
-    spec's budget; drive2's last stage has 2 * 2 rows of 2 actions."""
+    """Chains times the entries of the largest array a map makes per chain
+    must fit the spec's budget; drive2's last stage has 2 * 2 rows of 2
+    actions."""
 
     def test_restarts_at_budget_pass_and_one_more_refused(self):
         spec = dataclasses.replace(drive_to_zero(2), budget=16)
@@ -425,6 +412,18 @@ class TestWorkingSet:
         assert solve_lagrangian(spec, 1.0, SolverOptions(restarts=1)).converged
         with pytest.raises(BudgetExceededError, match="x 64 .* exceeds budget 64"):
             solve_lagrangian(spec, 1.0, SolverOptions(restarts=2))
+
+    def test_markov_rows_count_the_next_state_axis(self):
+        # X = 40 > U = 2: the stage-1 (row, action, next state) array has
+        # 40 * 2 * 40 = 3200 entries per chain, 20 times the 160 (row,
+        # action) entries of stage 2
+        rng = np.random.default_rng(1)
+        spec = SystemSpec.from_markov(rng.dirichlet(np.ones(40)),
+                                      rng.dirichlet(np.ones(40), size=(40, 2)),
+                                      rng.random((40, 2)), 2, budget=20_000)
+        solve_lagrangian(spec, 1.0, SolverOptions(restarts=6, max_iters=5))
+        with pytest.raises(BudgetExceededError, match="7 restarts .* x 3200 entries"):
+            solve_lagrangian(spec, 1.0, SolverOptions(restarts=7))
 
 
 class TestSolveLagrangian:
