@@ -23,6 +23,7 @@ from .coder import CodingError
 from .scheme import (
     DecodeMismatchError,
     SchemeOptions,
+    check_trial_count,
     run_trials,
     synthesize,
     verify_sandwich,
@@ -182,8 +183,7 @@ def cmd_synth(args) -> int:
     spec = load_spec(args.spec)
     if args.budget is None:
         raise ValueError("synth requires --D (or RATECOST_D)")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    check_trial_count(args.trials, spec.budget, "--trials")
     options = SchemeOptions(
         epsilon=args.eps, gamma=args.gamma, seed=args.seed,
         cloud_size=args.cloud_size, solver=_solver_options(args),

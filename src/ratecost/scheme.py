@@ -56,6 +56,7 @@ from .solver import (
     solve_rate_cost,
 )
 from .system import (
+    DEFAULT_BUDGET,
     CausalPolicy,
     InvariantError,
     SystemSpec,
@@ -108,6 +109,8 @@ class SchemeOptions:
     def __post_init__(self):
         if self.cloud_size < 1:
             raise ValueError(f"cloud_size must be at least 1, got {self.cloud_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for name in ("epsilon", "gamma"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, "
@@ -157,17 +160,22 @@ def _onehot(maps: np.ndarray, num_actions: int) -> np.ndarray:
                     1.0 / num_actions)
 
 
-def _row_pass(spec: SystemSpec, policy: CausalPolicy):
-    """The exact row pass of ``spec``, and the context masses P(u^{t-1}) of
-    ``policy`` that it gives, (U**(t-1),) for each stage t."""
-    rows = _Chains(spec, 0.0, 1)
-    return rows, [m[0] for m in rows.operating_point([tab[None] for tab in policy.tables])[2]]
+class RowPass:
+    """A policy's exact row pass on ``spec``'s rows (``solver._Chains``):
+    the rows, and the policy's context masses P(u^{t-1}), (U**(t-1),) for
+    each stage t, which its races read.  One per realized policy."""
+
+    def __init__(self, spec: SystemSpec, policy: CausalPolicy):
+        self.spec, self.policy = spec, policy
+        self.rows = _Chains(spec, 0.0, 1)
+        contexts = self.rows.operating_point([tab[None] for tab in policy.tables])[2]
+        self.masses = [m[0] for m in contexts]
 
 
-def realize_cloud(spec: SystemSpec, policy: CausalPolicy, seed: int,
-                  first: int, count: int) -> list[RealizationPoint]:
+def realize_cloud(race: RowPass, seed: int, first: int,
+                  count: int) -> list[RealizationPoint]:
     """Exact (rate, cost) points of realizations first..first+count-1 of
-    ``policy``.
+    ``race.policy``.
 
     Realizations are selected and evaluated in blocks of
     max(1, spec.budget // width), the row budget the solver checks
@@ -176,32 +184,29 @@ def realize_cloud(spec: SystemSpec, policy: CausalPolicy, seed: int,
     generator and runs one exact row pass (``_Chains.operating_point``) on
     the one-hot tables of its maps.
     """
-    n, U = spec.horizon, spec.num_actions
-    rows, masses = _row_pass(spec, policy)
-    block = max(1, spec.budget // rows.width)
+    rows = race.rows
+    block = max(1, race.spec.budget // rows.width)
     points = []
     for start in range(first, first + count, block):
         size = min(block, first + count - start)
-        maps = [race_maps(t, policy.tables[t - 1], masses[t - 1], seed, start, size)
-                for t in range(1, n + 1)]
-        rates, costs, _, _ = rows.operating_point([_onehot(m, U) for m in maps])
+        maps = [race_maps(t, race.policy.tables[t - 1], race.masses[t - 1], seed,
+                          start, size) for t in range(1, rows.n + 1)]
+        rates, costs, _, _ = rows.operating_point([_onehot(m, rows.U) for m in maps])
         points += [RealizationPoint(realization_id=i, rate=float(r), cost=float(c))
                    for i, r, c in zip(range(start, start + size), rates, costs)]
     return points
 
 
-def build_realization(spec: SystemSpec, policy: CausalPolicy, seed: int,
-                      point: RealizationPoint) -> Realization:
-    """The full realization behind a cloud point: draws, maps, policy and
-    action law, recomputed from its race stream."""
-    n, U = spec.horizon, spec.num_actions
+def build_realization(race: RowPass, seed: int, point: RealizationPoint) -> Realization:
+    """The full realization behind a cloud point of ``race.policy``: draws,
+    maps, policy and action law, recomputed from its race stream."""
+    n, U = race.rows.n, race.rows.U
     i = point.realization_id
-    rows, masses = _row_pass(spec, policy)
     draws = tuple(race_draws(seed, t, U, i, 1)[0] for t in range(1, n + 1))
     maps = tuple(stage_maps(tab, mass, d[None])[0]
-                 for tab, mass, d in zip(policy.tables, masses, draws))
+                 for tab, mass, d in zip(race.policy.tables, race.masses, draws))
     realized = CausalPolicy(tuple(_onehot(m, U) for m in maps))
-    actions = rows.operating_point([tab[None] for tab in realized.tables])[3]
+    actions = race.rows.operating_point([tab[None] for tab in realized.tables])[3]
     return Realization(realization_id=i, draws=draws, maps=maps, policy=realized,
                        action_law=actions[0].reshape((U,) * n), point=point)
 
@@ -228,8 +233,9 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     anchor = cost_floor_point(spec)
     solution = solve_rate_cost(spec, budget_cost, opt.solver, anchor=anchor)
     # realizations 0 .. cloud_size-1 race the solved policy, cloud_size the floor's
-    points = realize_cloud(spec, solution.policy, opt.seed, 0, opt.cloud_size)
-    floor = realize_cloud(spec, anchor.policy, opt.seed, opt.cloud_size, 1)
+    solved, floored = RowPass(spec, solution.policy), RowPass(spec, anchor.policy)
+    points = realize_cloud(solved, opt.seed, 0, opt.cloud_size)
+    floor = realize_cloud(floored, opt.seed, opt.cloud_size, 1)
     attempts = 1
     try:
         selector = caratheodory_reduce(points + floor, [1.0] * len(points) + [0.0],
@@ -239,8 +245,8 @@ def synthesize(spec: SystemSpec, budget_cost: float,
         selector = caratheodory_reduce(floor, [1.0], budget_cost, opt.epsilon)
 
     by_id = {p.realization_id: p for p in points + floor}
-    picked = {i: build_realization(spec, anchor.policy if i == opt.cloud_size
-                                   else solution.policy, opt.seed, by_id[i])
+    picked = {i: build_realization(floored if i == opt.cloud_size else solved,
+                                   opt.seed, by_id[i])
               for i in (selector.index0, selector.index1)}
     re0, re1 = picked[selector.index0], picked[selector.index1]
     lam = selector.weight
@@ -297,6 +303,19 @@ class SimulationReport:
                 if not f.name.startswith("per_trial_")}
 
 
+def check_trial_count(num_trials: int, budget: int, name: str = "num_trials") -> None:
+    """Refuse a trial count below 1, or one whose two per-trial arrays (bits
+    and costs) would hold more entries than ``budget`` or, when larger,
+    ``DEFAULT_BUDGET``: a spec's budget raises the cap on trials but does not
+    lower it.  ``name`` is the option the message names."""
+    if num_trials < 1:
+        raise ValueError(f"{name} must be at least 1, got {num_trials}")
+    cap = max(budget, DEFAULT_BUDGET)
+    if 2 * num_trials > cap:
+        raise ValueError(f"{name} {num_trials} needs {2 * num_trials} per-trial "
+                         f"entries, over the budget {cap}")
+
+
 def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
                keep_per_trial: bool = False) -> SimulationReport:
     """Simulate the closed loop in blocks of ``TRIAL_BLOCK`` trials.
@@ -306,16 +325,26 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
     STREAM_SELECTOR, block))`` and (m, n) plant uniforms, row-major, from
     ``SeedSequence((seed, STREAM_DYNAMICS, block))``; a trial takes
     realization 0 when its selector uniform is below the selector weight.
+    The plant runs on the solver's rows (``solver._Chains``): x_{t+1} is
+    drawn from the law of the trial's (context, plant row, action).
     A stage-map entry of -1 reached by a trial raises ``CodingError``; a
     decoded action or bit count that differs from the encoded one raises
-    ``DecodeMismatchError``.  Both are fatal by design.
+    ``DecodeMismatchError``.  Both are fatal by design.  A trial count
+    that ``check_trial_count`` refuses for the spec's budget, or a negative
+    seed, raises ``ValueError`` before any trial runs.
     """
-    if num_trials < 1:
-        raise ValueError(f"num_trials must be at least 1, got {num_trials}")
     spec = bundle.spec
+    check_trial_count(num_trials, spec.budget)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
-    cum_kernels = [np.cumsum(spec.stage_kernel(t), axis=1)
-                   for t in range(1, n + 1)]
+    # the cumulated laws of x_1 and of x_{t+1} given the flat (context,
+    # plant row, action) row of the solver's stage-t rows, a Markov step
+    # spread over the contexts
+    rows = _Chains(spec, 0.0, 1)
+    cums = [np.cumsum(rows.initial[0], axis=1)] + [
+        np.cumsum(np.broadcast_to(step, (U ** s,) + step.shape[1:]), axis=3).reshape(-1, X)
+        for s, step in enumerate(rows.steps)]
     # the solved policy and the cost-floor anchor share the solver's rows
     maps = [np.stack(pair) for pair in zip(bundle.realization0.maps,
                                            bundle.realization1.maps)]
@@ -331,26 +360,25 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
         which = (selector >= lam).astype(np.intp)
         actions = np.empty((m, n), dtype=np.int64)
         cost = np.zeros(m)
-        hidx = np.zeros(m, dtype=np.int64)      # flat kernel row
         ctx = np.zeros(m, dtype=np.int64)       # key of u^{t-1}
-        key = np.zeros(m, dtype=np.int64)       # key of x^t
+        plant = np.zeros(m, dtype=np.int64)     # plant row of the stage
+        row = np.zeros(m, dtype=np.int64)       # row of the law of x_t
         for t in range(n):
-            cum = cum_kernels[t][hidx]
+            cum = cums[t].take(row, axis=0)
             # right-side search: the count of cumulative entries <= the draw
             x = np.minimum((cum <= (uniforms[:, t] * cum[:, -1])[:, None]).sum(axis=1),
                            X - 1)
-            key = key * X + x
-            # the plant row key(x^t) mod P is x_t on Markov rows (P = X)
-            u = maps[t][which, ctx, x if maps[t].shape[2] == X else key]
+            plant = plant * rows.grow + x
+            u = maps[t][which, ctx, plant]
             if np.any(u < 0):
                 i = int(np.argmax(u < 0))
                 raise CodingError(
                     f"trial {first + i} stage {t + 1}: realization "
                     f"{which[i]}'s stage map has no action for action context "
-                    f"{ctx[i]}, state history {key[i]}")
+                    f"{ctx[i]}, plant row {plant[i]}")
             actions[:, t] = u
             cost += spec.cost[x, u]
-            hidx = (hidx * X + x) * U + u
+            row = (ctx * rows.plants[t] + plant) * U + u
             ctx = ctx * U + u
         packed, written = bundle.codebooks.encode_block(actions)
         decoded, consumed = bundle.codebooks.decode_block(packed)

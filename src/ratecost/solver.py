@@ -110,7 +110,6 @@ from .system import (
     average_cost,
     directed_information,
     evaluate_joint,
-    policy_rows,
 )
 from .timeshare import lower_hull
 
@@ -152,6 +151,8 @@ class SolverOptions:
         for name in ("restarts", "max_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -209,13 +210,6 @@ class RateCostCurve:
             raise InvariantError("curve must be convex within tolerance")
 
 
-def _plants(spec: SystemSpec) -> list[int]:
-    """Plant rows P_t of stages t = 1..n: X for a Markov spec (p_t = x_t),
-    X**t otherwise (p_t = x^t)."""
-    X = spec.num_states
-    return [X if spec.markov is not None else X ** t for t in range(1, spec.horizon + 1)]
-
-
 def _log_normalize(logq: np.ndarray) -> np.ndarray:
     """Rows of log2 q shifted so that each sums to one."""
     top = np.maximum.reduce(logq, axis=-1, keepdims=True)
@@ -269,15 +263,17 @@ class _Chains:
     (B, U**s, 1, U).  ``steps[s]``, (1 or U**s, P_s, U, X), is the law of
     x_{s+2} given a stage-s row and action.  The layouts differ in one
     step: a Markov forward pass sums the plant-state axis out of the next
-    state's law, and the backward pass broadcasts the next stage's values
-    over it.  The marginals of all stages are kept stacked,
-    (B, sum_s U**s, U), rows ``slices[s]`` holding stage s, so that every
-    row-wise step of a map runs once over all stages.  ``width`` counts the
-    entries of the largest array a map or the row pass makes per chain or
-    policy; ``restarts`` chains over the spec's budget in these raise
-    ``BudgetExceededError`` before allocating.  ``stage_costs[s]``,
-    (P_s, U), is the stage cost on the stage-s rows and ``costs[s]`` the
-    same times the multiplier.
+    state's law (``push``), and the backward pass broadcasts the next
+    stage's values over it (``expect``).  A stage's plant row p grows into
+    the next stage's as p * ``grow`` + x_{s+2}: ``grow`` is X on
+    state-history rows and 0 on Markov rows.  The marginals of all stages
+    are kept stacked, (B, sum_s U**s, U), rows ``slices[s]`` holding stage
+    s, so that every row-wise step of a map runs once over all stages.
+    ``width`` counts the entries of the largest array a map or the row pass
+    makes per chain or policy; ``restarts`` chains over the spec's budget
+    in these raise ``BudgetExceededError`` before allocating.
+    ``stage_costs[s]``, (P_s, U), is the stage cost on the stage-s rows and
+    ``costs[s]`` the same times the multiplier.
 
     ``step`` is the map alone.  ``image`` floors the induced marginals of a
     map the loop steps from, and ``certify`` adds the certificate
@@ -292,7 +288,8 @@ class _Chains:
         n, X, U = self.n, self.X, self.U = (spec.horizon, spec.num_states,
                                             spec.num_actions)
         self.markov = spec.markov is not None
-        self.plants = _plants(spec)
+        self.grow = 0 if self.markov else X
+        self.plants = [X if self.markov else X ** (s + 1) for s in range(n)]
         # the last stage's (row, action) entries, or the (row, action, next
         # state) entries of the stage before, X / U times more on Markov rows
         self.width = U ** (n - 1) * max(U * self.plants[-1],
@@ -319,6 +316,20 @@ class _Chains:
         """Sum over each stage's rows and actions, then over the stages."""
         return sum(np.add.reduce(a[:, sl], axis=(1, 2)) for sl in self.slices)
 
+    def expect(self, s: int, v: np.ndarray) -> np.ndarray:
+        """E v(next row) for every stage-s row and action, (B, U**s, P_s, U),
+        of values ``v`` on the stage-(s+1) rows, (B, U**(s+1), P_{s+1})."""
+        after = v.reshape(v.shape[0], self.U ** s, self.U, -1, self.X)
+        return np.add.reduce(self.steps[s] * after.swapaxes(2, 3), axis=4)
+
+    def push(self, s: int, w: np.ndarray) -> np.ndarray:
+        """Weights ``w`` on the stage-s (row, action) entries, (B, U**s, P_s,
+        U), carried onto the stage-(s+1) rows, (B, U**(s+1), P_{s+1})."""
+        nxt = w[..., None] * self.steps[s]
+        if self.markov:
+            nxt = np.add.reduce(nxt, axis=2, keepdims=True)
+        return nxt.swapaxes(2, 3).reshape(w.shape[0], self.U ** (s + 1), -1)
+
     def backward(self, logq):
         """Optimal policies for the marginals and the proxy value V(q)."""
         pis = [None] * self.n
@@ -326,8 +337,7 @@ class _Chains:
         for s in range(self.n - 1, -1, -1):
             a = logq[:, self.slices[s], None, :] - self.costs[s]
             if soft is not None:
-                after = soft.reshape(soft.shape[0], self.U ** s, self.U, -1, self.X)
-                a += np.add.reduce(self.steps[s] * after.swapaxes(2, 3), axis=4)
+                a += self.expect(s, soft)
             top = np.maximum.reduce(a, axis=3, keepdims=True)
             e = np.exp2(a - top)
             total = np.add.reduce(e, axis=3, keepdims=True)
@@ -347,10 +357,7 @@ class _Chains:
             if s + 1 < self.n:
                 mass = q[:, :, None, :]
                 given = np.divide(joint, mass, out=np.zeros(joint.shape), where=mass > 0.0)
-                nxt = given[..., None] * self.steps[s]
-                if self.markov:
-                    nxt = np.add.reduce(nxt, axis=2, keepdims=True)
-                cond = nxt.swapaxes(2, 3).reshape(B, self.U ** (s + 1), -1)
+                cond = self.push(s, given)
         return out
 
     def operating_point(self, tables):
@@ -389,10 +396,7 @@ class _Chains:
                     raise InvariantError(f"stage information term {low} below -1e-9")
                 rate += np.maximum(term, 0.0)
                 if s + 1 < self.n:
-                    nxt = joint[..., None] * self.steps[s]
-                    if self.markov:
-                        nxt = np.add.reduce(nxt, axis=2, keepdims=True)
-                    mass = nxt.swapaxes(2, 3).reshape(B, self.U ** (s + 1), -1)
+                    mass = self.push(s, joint)
         total = np.add.reduce(joint.reshape(B, -1), axis=1)
         worst = float(total[np.abs(total - 1.0).argmax()])
         if abs(worst - 1.0) > MASS_TOL:
@@ -541,38 +545,25 @@ def _exact_point(chains: _Chains, policy: CausalPolicy, multiplier: float,
 
 
 def _cost_dp(spec: SystemSpec):
-    """Backward induction for the cost-only problem: (value, greedy tables).
-
-    The greedy tables are on the solver's rows (U**(t-1), P_t, U)
-    (``_plants``).  For a Markov spec the cost-to-go of a history reads
-    only x_t, so the induction runs on the X state rows and each greedy row
-    serves every action context; a full-history spec runs it on the flat
-    (history, state) rows.  Either way each expected cost-to-go is the same
-    length-X sum of the same products, so both give the same numbers.
-    """
-    n, X, U = spec.horizon, spec.num_states, spec.num_actions
-    plants = _plants(spec)
-    v = None  # optimal cost-to-go over the stage-t rows: (X,) or (history, state)
+    """Backward induction for the cost-only problem on the solver's rows:
+    (value, greedy tables, the rows).  ``_Chains.backward`` with a hard
+    minimum over the actions and the stage costs alone.  Each expected
+    cost-to-go is the same length-X sum of the same products on a Markov
+    spec's rows as on its full-history twin's, so both give the same
+    numbers."""
+    chains = _Chains(spec, 0.0, 1)
+    n, U = chains.n, chains.U
+    v = None        # optimal cost-to-go on the stage-s rows, (1, U**s, P_s)
     tabs: list[np.ndarray] = [None] * n
-    for t in range(n, 0, -1):
-        if spec.markov is not None:
-            ev = 0.0 if t == n else np.add.reduce(spec.markov[1] * v, axis=2)
-            stage_q = spec.cost + ev
-            tabs[t - 1] = np.broadcast_to(np.eye(U)[stage_q.argmin(axis=1)],
-                                          (U ** (t - 1), X, U))
-            v = np.minimum.reduce(stage_q, axis=1)      # (X,)
-        else:
-            H = (X * U) ** (t - 1)
-            ev = (np.zeros(H * X * U) if t == n
-                  else (spec.stage_kernel(t + 1) * v).sum(axis=1))
-            stage_q = spec.cost[None, :, :] + ev.reshape(H, X, U)
-            P = plants[t - 1]
-            tab = np.empty((U ** (t - 1), P, U))
-            tab.reshape(-1, X, U)[policy_rows(X, U, t, P)] = np.eye(U)[stage_q.argmin(axis=2)]
-            tabs[t - 1] = tab
-            v = stage_q.min(axis=2)                     # (H, X)
-    value = float((spec.stage_kernel(1)[0] * v.reshape(-1)).sum()) / n
-    return value, tabs
+    for s in range(n - 1, -1, -1):
+        cost = chains.stage_costs[s]
+        stage_q = np.broadcast_to(cost, (1, U ** s) + cost.shape)
+        if v is not None:
+            stage_q = stage_q + chains.expect(s, v)
+        tabs[s] = np.eye(U)[stage_q[0].argmin(axis=2)]
+        v = np.minimum.reduce(stage_q, axis=3)
+    value = float(np.add.reduce(chains.initial * v, axis=(1, 2))[0]) / n
+    return value, tabs, chains
 
 
 def min_expected_cost(spec: SystemSpec) -> float:
@@ -584,8 +575,8 @@ def cost_floor_point(spec: SystemSpec) -> RateCostPoint:
     """The cost DP's greedy policy as an operating point on the solver's
     rows, rate and cost from the same exact row pass as a solve's answer;
     its multiplier is infinite."""
-    chains = _Chains(spec, 0.0, 1)      # the multiplier scales no pass used here
-    return _exact_point(chains, CausalPolicy(tuple(_cost_dp(spec)[1])), math.inf)
+    _, tabs, chains = _cost_dp(spec)
+    return _exact_point(chains, CausalPolicy(tuple(tabs)), math.inf)
 
 
 def sweep_curve(spec: SystemSpec, opts: SolverOptions | None = None,

@@ -11,13 +11,14 @@ enumeration.
 
 Trajectory indexing is stage-major big-endian: the flat index of
 (x_1,u_1,...,x_n,u_n) is built by repeated ``idx = (idx*X + x_t)*U + u_t``,
-so the length-t prefix of a trajectory is ``idx // (X*U)**(n-t)``.  Kernels
-and joint laws live on these flat (history, state) rows.  State keys
-(x_1..x_t) and action contexts (u_1..u_{t-1}) are big-endian over X and U;
-policies live on (context, plant row) rows, the plant row being the state
-key mod P_t.  ``history_digits`` and ``policy_rows`` are the only
-implementation of the flat convention: ``policy_rows`` carries every flat
-row to its policy row.
+so the length-t prefix of a trajectory is ``idx // (X*U)**(n-t)``.  Joint
+laws and full-history kernels live on these flat (history, state) rows; a
+Markov spec holds only its (initial, transition) pair, and ``stage_kernel``
+derives its flat rows on demand for the oracle.  State keys (x_1..x_t) and
+action contexts (u_1..u_{t-1}) are big-endian over X and U; policies live
+on (context, plant row) rows, the plant row being the state key mod P_t.
+``history_digits`` and ``policy_rows`` are the only implementation of the
+flat convention: ``policy_rows`` carries every flat row to its policy row.
 
 All probabilities are 64-bit floats, all logarithms are base 2, and
 entropy terms use the convention 0*log(0) = 0.  Everything here is a pure
@@ -100,9 +101,7 @@ def policy_rows(num_states: int, num_actions: int, t: int, plants: int) -> np.nd
     flat rows (h, x_t) read: context key(u_1..u_{t-1}), plant rows
     key(x_1..x_t) mod ``plants`` (X divides ``plants``, so x_t is the last
     axis of the block).  ``a.reshape(-1, X, ...)[rows]`` gathers the
-    array onto the flat rows, and for ``plants`` = X**t, where each block
-    is read once, assigning to it scatters flat rows into the layout.
-    Cached, so the array is read-only.
+    array onto the flat rows.  Cached, so the array is read-only.
     """
     X, U = num_states, num_actions
     xs, us = history_digits(np.arange((X * U) ** (t - 1)), X, U, t - 1)
@@ -118,11 +117,13 @@ def policy_rows(num_states: int, num_actions: int, t: int, plants: int) -> np.nd
 class SystemSpec:
     """A finite-alphabet controlled system over a fixed horizon.
 
-    ``kernels[t-1]`` is the stage-t state kernel laid out over flat history
-    indices: shape ((X*U)**(t-1), X).  Stage 1 has a single (empty) history
-    row, the initial state distribution.  ``markov`` carries the compact
-    (initial, transition) pair when the spec was built in Markov mode; it
-    is redundant with ``kernels``, and serialization and the solver read it.
+    A Markov spec (``from_markov``) holds only ``markov`` = (initial,
+    transition), shapes (X,) and (X, U, X).  Otherwise ``kernels[t-1]`` is
+    the stage-t state kernel over flat history indices, shape
+    ((X*U)**(t-1), X), stage 1's one row the initial distribution;
+    ``stage_kernel`` gives either kind's kernels on these rows.  ``budget``
+    caps the entries of the arrays the computations on the spec allocate,
+    each checked before it is allocated (README, spec files).
     """
 
     horizon: int
@@ -138,48 +139,43 @@ class SystemSpec:
         n, X, U = self.horizon, self.num_states, self.num_actions
         if n < 1 or X < 1 or U < 1:
             raise ValueError("horizon and alphabet sizes must be positive")
-        if (X * U) ** n > self.budget:
-            raise BudgetExceededError(
-                f"(|X|*|U|)**n = {(X * U) ** n} exceeds budget {self.budget}; "
-                "raise the budget explicitly for larger desk-scale instances"
-            )
         cost = _frozen(self.cost)
         if cost.shape != (X, U):
             raise DimensionMismatchError(f"cost table must be shape {(X, U)}")
         if np.any(cost < 0) or not np.all(np.isfinite(cost)):
             raise ValueError("cost entries must be nonnegative and finite")
         object.__setattr__(self, "cost", cost)
-        if len(self.kernels) != n:
+        if self.markov is not None:
+            if self.kernels:
+                raise DimensionMismatchError("a Markov spec holds no flat kernels")
+            checks = [("initial distribution", self.markov[0], (X,)),
+                      ("transition", self.markov[1], (X, U, X))]
+        elif len(self.kernels) != n:
             raise DimensionMismatchError("need one state kernel per stage")
+        else:
+            checks = [(f"stage-{t} kernel", k, ((X * U) ** (t - 1), X))
+                      for t, k in enumerate(self.kernels, start=1)]
         frozen = []
-        for t, k in enumerate(self.kernels, start=1):
+        for what, k, want in checks:
             k = _frozen(k)
-            want = ((X * U) ** (t - 1), X)
             if k.shape != want:
                 raise DimensionMismatchError(
-                    f"stage-{t} kernel must be shape {want}, got {k.shape}"
-                )
-            _check_rows(k, f"stage-{t} kernel")
+                    f"{what} must be shape {want}, got {k.shape}")
+            _check_rows(k, what)
             frozen.append(k)
-        object.__setattr__(self, "kernels", tuple(frozen))
+        object.__setattr__(self, "kernels" if self.markov is None else "markov",
+                           tuple(frozen))
 
     @classmethod
     def from_markov(cls, initial, transition, cost, horizon,
                     budget=DEFAULT_BUDGET, source_mode=False) -> "SystemSpec":
         """Build a spec whose stage-t kernel depends only on (x_{t-1}, u_{t-1})."""
-        initial = np.asarray(initial, dtype=float)
         transition = np.asarray(transition, dtype=float)
-        X = initial.shape[0]
-        if transition.shape[:1] != (X,) or transition.shape[2:] != (X,):
+        if transition.ndim != 3:
             raise DimensionMismatchError("transition must be shape (X, U, X)")
-        U = transition.shape[1]
-        kernels = [initial[None, :]]
-        for t in range(2, horizon + 1):
-            xs, us = history_digits(np.arange((X * U) ** (t - 1)), X, U, t - 1)
-            kernels.append(transition[xs[:, -1], us[:, -1], :])
-        return cls(horizon=horizon, num_states=X, num_actions=U,
-                   cost=np.asarray(cost, dtype=float), kernels=tuple(kernels),
-                   budget=budget, markov=(_frozen(initial), _frozen(transition)),
+        return cls(horizon=horizon, num_states=transition.shape[0],
+                   num_actions=transition.shape[1], cost=np.asarray(cost, dtype=float),
+                   kernels=(), budget=budget, markov=(initial, transition),
                    source_mode=source_mode)
 
     @classmethod
@@ -195,8 +191,15 @@ class SystemSpec:
                                budget=budget, source_mode=True)
 
     def stage_kernel(self, t: int) -> np.ndarray:
-        """State kernel at stage t (1-indexed), rows over flat histories."""
-        return self.kernels[t - 1]
+        """State kernel at stage t (1-indexed), rows over flat histories; a
+        Markov spec's are derived on each call, row h reading the transition
+        row of its last pair (x_{t-1}, u_{t-1}), h mod X*U."""
+        if self.markov is None:
+            return self.kernels[t - 1]
+        initial, transition = self.markov
+        XU = self.num_states * self.num_actions
+        return initial[None] if t == 1 else \
+            np.tile(transition.reshape(XU, -1), (XU ** (t - 2), 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,6 +349,10 @@ def evaluate_joint(spec: SystemSpec, policy: CausalPolicy) -> JointLaw:
             or policy.num_actions != spec.num_actions):
         raise DimensionMismatchError("policy does not match system dimensions")
     X, U = spec.num_states, spec.num_actions
+    if (X * U) ** spec.horizon > spec.budget:
+        raise BudgetExceededError(
+            f"trajectory law of (|X|*|U|)**n = {(X * U) ** spec.horizon} entries "
+            f"exceeds budget {spec.budget}; raise the budget for larger instances")
     p = np.ones(1)
     for t, tab in enumerate(policy.tables, start=1):
         k = spec.stage_kernel(t)                                # (H, X)

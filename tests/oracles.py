@@ -42,7 +42,9 @@ def without_markov(spec):
     """The spec rebuilt from its full-history kernels alone."""
     return SystemSpec(horizon=spec.horizon, num_states=spec.num_states,
                       num_actions=spec.num_actions, cost=spec.cost,
-                      kernels=spec.kernels, budget=spec.budget)
+                      kernels=tuple(spec.stage_kernel(t)
+                                    for t in range(1, spec.horizon + 1)),
+                      budget=spec.budget)
 
 
 def enumerate_joint(spec, policy):
@@ -53,6 +55,7 @@ def enumerate_joint(spec, policy):
     rows (x_t for a Markov table, x^t for a full-history one).
     """
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
+    kernels = [spec.stage_kernel(t) for t in range(1, n + 1)]
     out = {}
     for xs in itertools.product(range(X), repeat=n):
         for us in itertools.product(range(U), repeat=n):
@@ -61,7 +64,7 @@ def enumerate_joint(spec, policy):
             for t in range(n):
                 tab = policy.tables[t]
                 plant = big_endian_key(xs[:t + 1], X) % tab.shape[1]
-                p *= spec.kernels[t][hidx, xs[t]]
+                p *= kernels[t][hidx, xs[t]]
                 p *= tab[big_endian_key(us[:t], U), plant, us[t]]
                 hidx = (hidx * X + xs[t]) * U + us[t]
             if p > 0.0:
@@ -193,10 +196,11 @@ def lagrangian_value_given_marginals(spec, q_stages, mu):
     Returns the optimal value (1/n)(information-proxy + mu * total cost).
     """
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
+    kernels = [spec.stage_kernel(t) for t in range(1, n + 1)]
 
     def value(t, x_hist, u_hist, hidx):
         # expected cost-to-go entering stage t before x_t is drawn
-        krow = spec.kernels[t - 1][hidx]
+        krow = kernels[t - 1][hidx]
         total = 0.0
         for x in range(X):
             if krow[x] == 0.0:

@@ -428,8 +428,9 @@ class TestSynthCommand:
         doc = json.loads((out / "result_bundle.json").read_text())
         assert doc["sandwich"]["passed"]
 
-    # a zero count, a non-finite budget, or a non-finite or negative slack
-    # is an invalid option before any output is written
+    # a zero or oversized count, a negative seed, a non-finite budget, or a
+    # non-finite or negative slack is an invalid option before any output
+    # is written
     @pytest.mark.parametrize("argv, reason", [
         pytest.param(["synth", "--D", "0.4", "--trials", "0"], "at least 1",
                      id="--trials"),
@@ -449,6 +450,11 @@ class TestSynthCommand:
                      "gamma must be finite and nonnegative, got nan", id="--gamma nan"),
         pytest.param(["synth", "--D", "0.4", "--eps", "-1"],
                      "epsilon must be finite and nonnegative, got -1.0", id="--eps -1"),
+        pytest.param(["synth", "--D", "0.4", "--trials", "10000000000000"],
+                     "--trials 10000000000000 needs 20000000000000 per-trial entries, "
+                     "over the budget 10000000", id="--trials 1e13"),
+        pytest.param(["synth", "--D", "0.4", "--seed", "-1"],
+                     "seed must be nonnegative, got -1", id="--seed -1"),
     ])
     def test_zero_count_option_rejected(self, tmp_path, capsys, argv, reason):
         spec_path = write_spec(tmp_path, controlled_doc())

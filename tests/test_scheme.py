@@ -10,7 +10,7 @@ import pytest
 
 import ratecost.scheme
 import ratecost.solver
-from ratecost import CausalPolicy, SystemSpec
+from ratecost import BudgetExceededError, CausalPolicy, SystemSpec
 from ratecost.coder import CodingError, ContextCodebook, build_codebooks, \
     expected_stage_lengths
 from ratecost.instances import (
@@ -22,6 +22,7 @@ from ratecost.instances import (
 from ratecost.scheme import (
     TRIAL_BLOCK,
     DecodeMismatchError,
+    RowPass,
     SchemeOptions,
     _onehot,
     build_realization,
@@ -152,10 +153,16 @@ class TestSynthesize:
     def test_one_solve_and_one_sweep_per_synthesis(self, monkeypatch):
         # at table seed 2 the cloud's barycenter costs more than the budget;
         # the solver still runs once, at the budget, and the selector mixes
-        # onto the budget
-        sweeps, queries = [], []
+        # onto the budget.  One row pass serves each realized policy (the
+        # solved one and the cost floor's), its cloud and its realizations
+        sweeps, queries, passes = [], [], []
         sweep = ratecost.solver.sweep_curve
         query = ratecost.scheme.solve_rate_cost
+
+        class CountedPass(RowPass):
+            def __init__(self, spec, policy):
+                passes.append(policy)
+                super().__init__(spec, policy)
 
         def counted(*args, **kwargs):
             sweeps.append(args)
@@ -167,6 +174,7 @@ class TestSynthesize:
 
         monkeypatch.setattr(ratecost.solver, "sweep_curve", counted)
         monkeypatch.setattr(ratecost.scheme, "solve_rate_cost", recorded)
+        monkeypatch.setattr(ratecost.scheme, "RowPass", CountedPass)
         spec = noisy_actuator(3)
         budget = mid_curve_budget(spec)
         b = synthesize(spec, budget, SchemeOptions(
@@ -175,6 +183,7 @@ class TestSynthesize:
         assert b.selector.barycenter_cost > budget
         assert queries == [budget]
         assert len(sweeps) == 1
+        assert len(passes) == 2
         assert b.exact_cost <= budget
 
     def test_retarget_stays_at_or_above_cost_floor(self, monkeypatch):
@@ -353,10 +362,11 @@ class TestCloud:
 
     def test_batched_points_match_per_realization_evaluation(self, solved):
         spec, policy = solved
-        points = realize_cloud(spec, policy, 3, 40, 40)
+        race = RowPass(spec, policy)
+        points = realize_cloud(race, 3, 40, 40)
         assert [p.realization_id for p in points] == list(range(40, 80))
         for p in points:
-            re = build_realization(spec, policy, 3, p)
+            re = build_realization(race, 3, p)
             induced = evaluate_joint(spec, re.policy)
             assert abs(p.rate - entropy_bits(induced.action_marginal())
                        / spec.horizon) <= 1e-12
@@ -366,9 +376,9 @@ class TestCloud:
 
     def test_block_of_one_gives_identical_points(self, solved):
         # one realization per call gives the points of one block of 200
-        spec, policy = solved
-        one_by_one = [p for i in range(200) for p in realize_cloud(spec, policy, 0, i, 1)]
-        assert realize_cloud(spec, policy, 0, 0, 200) == one_by_one
+        race = RowPass(*solved)
+        one_by_one = [p for i in range(200) for p in realize_cloud(race, 0, i, 1)]
+        assert realize_cloud(race, 0, 0, 200) == one_by_one
 
     def test_batch_gives_the_numbers_of_single_passes(self, solved):
         # random policies, half of them one-hot: every output of a batch of 8
@@ -401,7 +411,7 @@ def test_cloud_blocks_count_the_largest_array_of_the_pass():
     anchor = ratecost.solver.cost_floor_point(spec)
     tracemalloc.start()
     try:
-        realize_cloud(spec, anchor.policy, 0, 0, 200)
+        realize_cloud(RowPass(spec, anchor.policy), 0, 0, 200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -409,19 +419,39 @@ def test_cloud_blocks_count_the_largest_array_of_the_pass():
 
 
 def test_synthesis_and_trials_build_no_trajectory_law(monkeypatch):
+    # nor the flat kernel rows past stage 1, which only the oracle reads
     spec = noisy_actuator(6)
     budget = mid_curve_budget(spec)      # the open-loop cost reads the law
+    stage_kernel = SystemSpec.stage_kernel
 
     def refused(law):
         raise AssertionError("a trajectory law was built")
 
+    def first_stage_only(spec, t):
+        if t >= 2:
+            raise AssertionError(f"the flat stage-{t} kernel was read")
+        return stage_kernel(spec, t)
+
     monkeypatch.setattr(JointLaw, "__post_init__", refused)
+    monkeypatch.setattr(SystemSpec, "stage_kernel", first_stage_only)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         b = synthesize(spec, budget, SchemeOptions(solver=SolverOptions(restarts=1)))
         report = run_trials(b, 2000, seed=0)
     assert b.exact_cost <= budget
     assert report.trials == 2000
+
+
+def test_long_horizon_synthesizes_without_the_trajectory_law():
+    # (X*U)**12 = 16.8M trajectory entries exceed the default budget, so
+    # the oracle refuses the law; synthesis and simulation run on the rows
+    spec = noisy_actuator(12)
+    with pytest.raises(BudgetExceededError):
+        evaluate_joint(spec, CausalPolicy.uniform(spec))
+    budget = min_expected_cost(spec) + 0.001
+    b = synthesize(spec, budget, SchemeOptions(
+        cloud_size=20, solver=SolverOptions(restarts=1)))
+    assert verify_sandwich(run_trials(b, 2000, seed=0)).passed
 
 
 def test_budget_at_anchor_cost_is_feasible_on_random_panel():
@@ -435,7 +465,8 @@ def test_budget_at_anchor_cost_is_feasible_on_random_panel():
                                       rng.dirichlet(np.ones(2), size=(2, 2)),
                                       rng.random((2, 2)), n)
         anchor = ratecost.solver.cost_floor_point(spec)
-        floor, = realize_cloud(spec, anchor.policy, opts.seed, opts.cloud_size, 1)
+        floor, = realize_cloud(RowPass(spec, anchor.policy), opts.seed,
+                               opts.cloud_size, 1)
         assert floor.cost == anchor.cost, i
         b = synthesize(spec, anchor.cost, opts)
         assert b.exact_cost <= anchor.cost, i
@@ -478,14 +509,21 @@ class TestRunTrials:
                                       lambda: sticky_tracking(4)],
                              ids=["drive2", "noisy3", "sticky4"])
     def test_monte_carlo_within_three_se_on_shipped_instances(self, make):
+        # the full-history twin samples its plant on x^t rows: the same
+        # trials, bit for bit, as the Markov spec's x_t rows
         spec = make()
-        b = synthesize(spec, mid_curve_budget(spec), SchemeOptions(
-            cloud_size=40, solver=SolverOptions(restarts=1)))
-        report = run_trials(b, 50_000, seed=4)
+        budget = mid_curve_budget(spec)
+        opts = SchemeOptions(cloud_size=40, solver=SolverOptions(restarts=1))
+        b = synthesize(spec, budget, opts)
+        report = run_trials(b, 50_000, seed=4, keep_per_trial=True)
         assert abs(report.empirical_rate - b.exact_rate) \
             <= 3.0 * report.empirical_rate_se
         assert abs(report.empirical_cost - b.exact_cost) \
             <= 3.0 * report.empirical_cost_se
+        twin = run_trials(synthesize(without_markov(spec), budget, opts), 50_000,
+                          seed=4, keep_per_trial=True)
+        np.testing.assert_array_equal(twin.per_trial_bits, report.per_trial_bits)
+        np.testing.assert_array_equal(twin.per_trial_costs, report.per_trial_costs)
 
     def test_shorter_run_is_a_prefix(self, bundle):
         longer = run_trials(bundle, 2 * TRIAL_BLOCK + 100, seed=6, keep_per_trial=True)

@@ -387,8 +387,9 @@ def test_dirichlet_starts_are_the_seeded_streams():
 
 @pytest.mark.parametrize("name", sorted(MARKOV_SPECS))
 def test_markov_cost_dp_equals_full_history_twin(name):
-    # the induction on X state rows sums the same products in the same
-    # order as the flat (history, state) rows of the full-history twin
+    # on the Markov rows (u^{t-1}, x_t) and on the twin's state-history rows
+    # (u^{t-1}, x^t), the one backward pass sums the same products in the
+    # same order
     spec = MARKOV_SPECS[name]()
     assert ratecost.solver._cost_dp(spec)[0] == \
         ratecost.solver._cost_dp(without_markov(spec))[0]

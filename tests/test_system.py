@@ -130,11 +130,14 @@ class TestEvaluateJoint:
         np.testing.assert_array_equal(evaluate_joint(spec, expanded).probs, law.probs)
 
     def test_budget_enforced(self):
-        with pytest.raises(BudgetExceededError):
-            SystemSpec.from_markov(
-                [0.5, 0.5], np.full((2, 2, 2), 0.5), np.zeros((2, 2)),
-                horizon=4, budget=100,
-            )
+        # a Markov spec holds only (initial, transition), so it builds; the
+        # trajectory law's 4**4 entries are refused before any is allocated
+        spec = SystemSpec.from_markov(
+            [0.5, 0.5], np.full((2, 2, 2), 0.5), np.zeros((2, 2)),
+            horizon=4, budget=100,
+        )
+        with pytest.raises(BudgetExceededError, match="256 entries exceeds budget 100"):
+            evaluate_joint(spec, CausalPolicy.uniform(spec))
 
 
 class TestAverageCost:
@@ -300,7 +303,8 @@ class TestInvariants:
                     for x2 in range(X):
                         h2 = (x1 * U) + u1
                         open_loop[x1, x2] += (
-                            pu * spec.kernels[0][0, x1] * spec.kernels[1][h2, x2]
+                            pu * spec.stage_kernel(1)[0, x1]
+                            * spec.stage_kernel(2)[h2, x2]
                         )
         np.testing.assert_allclose(law.state_marginal(), open_loop, atol=1e-14)
 
