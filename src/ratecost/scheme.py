@@ -338,37 +338,43 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
-    # the cumulated laws of x_1 and of x_{t+1} given the flat (context,
-    # plant row, action) row of the solver's stage-t rows, a Markov step
-    # spread over the contexts
     rows = _Chains(spec, 0.0, 1)
-    cums = [np.cumsum(rows.initial[0], axis=1)] + [
-        np.cumsum(np.broadcast_to(step, (U ** s,) + step.shape[1:]), axis=3).reshape(-1, X)
-        for s, step in enumerate(rows.steps)]
+    # state-major: column r of cums[t] is the cumulated law of x_{t+1} given
+    # the flat (context, plant row, action) row r of the solver's stage-t
+    # rows, a Markov step spread over the contexts; x_1 has one row
+    cums = [np.ascontiguousarray(cum.T) for cum in
+            [np.cumsum(rows.initial[0], axis=1)] + [
+                np.cumsum(np.broadcast_to(step, (U ** s,) + step.shape[1:]),
+                          axis=3).reshape(-1, X)
+                for s, step in enumerate(rows.steps)]]
     # the solved policy and the cost-floor anchor share the solver's rows
     maps = [np.stack(pair) for pair in zip(bundle.realization0.maps,
                                            bundle.realization1.maps)]
     lam = bundle.selector.weight
     bits = np.empty(num_trials)
     costs = np.empty(num_trials)
+    # one set of block arrays per call; a short last block uses their heads
+    size = min(TRIAL_BLOCK, num_trials)
+    buffers = (np.empty(size), np.empty((size, n)),
+               np.empty((size, n), dtype=np.int64), np.empty(size),
+               *(np.empty(size, dtype=np.int64) for _ in range(3)))
     for block, first in enumerate(range(0, num_trials, TRIAL_BLOCK)):
         m = min(TRIAL_BLOCK, num_trials - first)
-        selector = np.random.default_rng(
-            np.random.SeedSequence((seed, STREAM_SELECTOR, block))).random(m)
-        uniforms = np.random.default_rng(
-            np.random.SeedSequence((seed, STREAM_DYNAMICS, block))).random((m, n))
+        selector, uniforms, actions, cost, ctx, plant, row = (b[:m] for b in buffers)
+        np.random.default_rng(
+            np.random.SeedSequence((seed, STREAM_SELECTOR, block))).random(out=selector)
+        np.random.default_rng(
+            np.random.SeedSequence((seed, STREAM_DYNAMICS, block))).random(out=uniforms)
         which = (selector >= lam).astype(np.intp)
-        actions = np.empty((m, n), dtype=np.int64)
-        cost = np.zeros(m)
-        ctx = np.zeros(m, dtype=np.int64)       # key of u^{t-1}
-        plant = np.zeros(m, dtype=np.int64)     # plant row of the stage
-        row = np.zeros(m, dtype=np.int64)       # row of the law of x_t
+        for zeroed in (cost, ctx, plant, row):
+            zeroed.fill(0)
         for t in range(n):
-            cum = cums[t].take(row, axis=0)
+            cum = cums[t].take(row, axis=1)
             # right-side search: the count of cumulative entries <= the draw
-            x = np.minimum((cum <= (uniforms[:, t] * cum[:, -1])[:, None]).sum(axis=1),
-                           X - 1)
-            plant = plant * rows.grow + x
+            x = np.minimum(np.add.reduce(cum <= uniforms[:, t] * cum[-1], axis=0,
+                                         dtype=np.intp), X - 1)
+            plant *= rows.grow      # the plant row of the stage: key of x_t or x^t
+            plant += x
             u = maps[t][which, ctx, plant]
             if np.any(u < 0):
                 i = int(np.argmax(u < 0))
@@ -378,8 +384,12 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
                     f"{ctx[i]}, plant row {plant[i]}")
             actions[:, t] = u
             cost += spec.cost[x, u]
-            row = (ctx * rows.plants[t] + plant) * U + u
-            ctx = ctx * U + u
+            np.multiply(ctx, rows.plants[t], out=row)   # the row of the law of x_{t+1}
+            row += plant
+            row *= U
+            row += u
+            ctx *= U                # key of u^t
+            ctx += u
         packed, written = bundle.codebooks.encode_block(actions)
         decoded, consumed = bundle.codebooks.decode_block(packed)
         wrong = np.any(decoded != actions, axis=1) | (consumed != written)

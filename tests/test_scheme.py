@@ -1,6 +1,7 @@
 """Closed-loop scheme: synthesis, simulation, and the sandwich ledger."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -503,6 +504,31 @@ class TestRunTrials:
         report = run_trials(bundle, 50, seed=2, keep_per_trial=True)
         assert report.per_trial_bits.shape == (50,)
         assert report.per_trial_costs.shape == (50,)
+
+    def test_rate_zero_bundle_runs(self):
+        # above its open-loop cost noisy_actuator(3) needs no information:
+        # every codeword is empty, so each block packs to zero-width rows
+        spec = noisy_actuator(3)
+        b = synthesize(spec, min_open_loop_cost(spec)[0] + 0.01,
+                       dataclasses.replace(FAST, cloud_size=20))
+        assert b.exact_rate == 0.0
+        assert all(bits.shape[2] == 0 for bits in b.codebooks.bits)
+        report = run_trials(b, TRIAL_BLOCK + 10, seed=0, keep_per_trial=True)
+        np.testing.assert_array_equal(report.per_trial_bits, 0.0)
+        assert report.empirical_rate == 0.0 and report.mc_cost_consistent
+
+    def test_sticky4_trial_stream_digest_pinned(self):
+        # the per-trial bits and costs of 10 000 trials, two full blocks and
+        # a short one, on the sticky4 mid-curve bundle the simulate
+        # benchmark times; pins the streams, the plant sampler and the coder
+        spec = sticky_tracking(4)
+        b = synthesize(spec, mid_curve_budget(spec),
+                       SchemeOptions(seed=0, solver=SolverOptions(seed=0, restarts=1)))
+        report = run_trials(b, 10_000, seed=1, keep_per_trial=True)
+        digest = hashlib.sha256(report.per_trial_bits.tobytes()
+                                + report.per_trial_costs.tobytes())
+        assert digest.hexdigest() == \
+            "f526c1ad99460f8a62535e76fcb07f6670eb986aa9f0d984a64b94a2d5c8b1fa"
 
     @pytest.mark.parametrize("make", [lambda: drive_to_zero(2),
                                       lambda: noisy_actuator(3),
