@@ -15,10 +15,8 @@ symbol has no codeword) and a row of bits, most significant first.  The
 scalar ``encode``/``decode`` and the block coder read the same tables.  A
 block message is one zero-padded, MSB-first byte row per trial (the layout
 of ``pack_bits``), and the block decoder reads only those bytes and the
-codebook.  A block codes each distinct message once: the block coder groups
-its rows by their exact bytes, codes one row per group and copies the result
-to every row of the group, so a low-rate block of a few distinct action
-sequences costs a few codings plus one sort.
+codebook.  The block coder codes one message per input row and groups none;
+``scheme.run_trials`` passes it each distinct message of a block once.
 """
 
 from __future__ import annotations
@@ -54,22 +52,6 @@ def _text_bits(text: str) -> np.ndarray:
 
 def _bit_text(bits: np.ndarray) -> str:
     return (np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes().decode("ascii")
-
-
-def _distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows of a 2-D array by their exact bytes.
-
-    Returns ``(first, inverse)``: the index of each distinct row's first
-    occurrence, in sorted byte order, and per row the index of its
-    distinct row, so that ``block[first][inverse]`` equals ``block``.
-    """
-    block = np.ascontiguousarray(block)
-    width = block.dtype.itemsize * block.shape[1]
-    # zero-width rows have no bytes to view as void, and are all equal
-    keys = block.view(np.dtype((np.void, width))).ravel() if width \
-        else np.zeros(len(block), dtype=np.uint8)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse
 
 
 def _bit_window(padded: np.ndarray, cursor: np.ndarray, width: int) -> np.ndarray:
@@ -272,45 +254,41 @@ class ContextCodebook:
 
         Returns ``(packed, written)``: a (trials, bytes) uint8 array whose
         row holds the trial's codewords back to back, MSB first and zero
-        padded, and the number of bits written per trial.  Each distinct
-        row is encoded once.  A symbol without a codeword in its context
-        raises ``CodingError`` naming the first such row, in the caller's
-        order, at the first stage where any row has one.
+        padded, and the number of bits written per trial.  A symbol without
+        a codeword in its context raises ``CodingError`` naming the first
+        such row at the first stage where any row has one.
         """
         actions = np.asarray(actions, dtype=np.int64)
         if actions.ndim != 2 or actions.shape[1] != self.horizon:
             raise ValueError(f"actions must have shape (trials, {self.horizon})")
-        first, inverse = _distinct_rows(actions)
-        distinct, U = actions[first], self.num_actions
-        stream = np.zeros((len(first), sum(b.shape[2] for b in self.bits)),
-                          dtype=np.uint8)
-        cursor = np.zeros(len(first), dtype=np.int64)
-        ctx = np.zeros(len(first), dtype=np.int64)
+        trials, U = actions.shape[0], self.num_actions
+        stream = np.zeros((trials, sum(b.shape[2] for b in self.bits)), dtype=np.uint8)
+        cursor = np.zeros(trials, dtype=np.int64)
+        ctx = np.zeros(trials, dtype=np.int64)
         for t, (lengths, bits) in enumerate(zip(self.lengths, self.bits), start=1):
-            u = distinct[:, t - 1]
+            u = actions[:, t - 1]
             known = (u >= 0) & (u < U)
             length = np.where(known, lengths[ctx, np.where(known, u, 0)], -1)
             if np.any(length < 0):
-                i = int(first[length < 0].min())
-                raise CodingError(f"row {i} stage {t}: symbol {u[inverse[i]]} has "
-                                  f"no codeword in context {ctx[inverse[i]]}")
+                i = int(np.argmax(length < 0))
+                raise CodingError(f"row {i} stage {t}: symbol {u[i]} has no "
+                                  f"codeword in context {ctx[i]}")
             rows, cols = np.nonzero(np.arange(bits.shape[2]) < length[:, None])
             stream[rows, cursor[rows] + cols] = bits[ctx[rows], u[rows], cols]
             cursor += length
             ctx = ctx * U + u
-        return np.packbits(stream, axis=1)[inverse], cursor[inverse]
+        return np.packbits(stream, axis=1), cursor
 
     def decode_block(self, packed) -> tuple[np.ndarray, np.ndarray]:
         """Decode one message per byte row of ``packed`` (trials, bytes).
 
-        Walks each distinct row's bit cursor stage by stage, matching the
-        codewords of the context decoded so far.  Returns ``(actions,
-        consumed)``: (trials, horizon) symbols and the bits read per trial.
-        Bits that begin no codeword of their context, including a codeword
-        cut off by the end of the row, raise ``CodingError`` naming the
-        first such row, in the caller's order, at the first stage where any
-        row has them.  Anything but a 2-D integer array of bytes 0..255
-        raises ``ValueError``.
+        Walks each row's bit cursor stage by stage, matching the codewords
+        of the context decoded so far.  Returns ``(actions, consumed)``:
+        (trials, horizon) symbols and the bits read per trial.  Bits that
+        begin no codeword of their context, including a codeword cut off
+        by the end of the row, raise ``CodingError`` naming the first such
+        row at the first stage where any row has them.  Anything but a 2-D
+        integer array of bytes 0..255 raises ``ValueError``.
         """
         packed = np.asarray(packed)
         if packed.ndim != 2 or packed.dtype.kind not in "iu" \
@@ -318,12 +296,11 @@ class ContextCodebook:
             raise ValueError("packed must be a (trials, bytes) integer array "
                              "of values in 0..255")
         packed = packed.astype(np.uint8, copy=False)
-        first, inverse = _distinct_rows(packed)
-        trials, U = len(first), self.num_actions
+        trials, U = packed.shape[0], self.num_actions
         capacity = 8 * packed.shape[1]
         widest = max((w.shape[2] // 2 for w in self.words), default=0)
         padded = np.zeros((trials, packed.shape[1] + widest + 1), dtype=np.uint16)
-        padded[:, :packed.shape[1]] = packed[first]
+        padded[:, :packed.shape[1]] = packed
         actions = np.empty((trials, self.horizon), dtype=np.int64)
         cursor = np.zeros(trials, dtype=np.int64)
         ctx = np.zeros(trials, dtype=np.int64)
@@ -331,13 +308,13 @@ class ContextCodebook:
             window = _bit_window(padded, cursor, words.shape[-1] // 2)
             u, used = _match(reach[ctx], words[ctx], window, capacity - cursor)
             if np.any(u < 0):
-                i = int(first[u < 0].min())
-                raise CodingError(f"row {i} stage {t}: bit {cursor[inverse[i]]} "
-                                  f"begins no codeword of context {ctx[inverse[i]]}")
+                i = int(np.argmax(u < 0))
+                raise CodingError(f"row {i} stage {t}: bit {cursor[i]} begins no "
+                                  f"codeword of context {ctx[i]}")
             actions[:, t - 1] = u
             cursor += used
             ctx = ctx * U + u
-        return actions[inverse], cursor[inverse]
+        return actions, cursor
 
 
 def build_codebooks(action_law: np.ndarray) -> ContextCodebook:

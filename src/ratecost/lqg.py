@@ -40,6 +40,9 @@ class ScalarLqgSpec:
     input_weight: float
 
     def __post_init__(self):
+        for name in ("a", "b", "noise_var", "state_weight", "input_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.noise_var <= 0:
             raise ValueError("noise variance must be positive")
         if self.state_weight < 0 or self.input_weight < 0:
@@ -55,8 +58,9 @@ class LqgDerived:
     cost_floor: float
 
     def __post_init__(self):
-        if self.s < 0 or self.cost_floor < 0:
-            raise ValueError("Riccati solution and cost floor must be nonnegative")
+        if not (0 <= self.s < math.inf and 0 <= self.cost_floor < math.inf):
+            raise ValueError("Riccati solution and cost floor must be finite "
+                             "and nonnegative")
 
 
 def riccati_solve(spec: ScalarLqgSpec) -> LqgDerived:
@@ -89,13 +93,15 @@ def riccati_solve(spec: ScalarLqgSpec) -> LqgDerived:
     denom = r + b * b * s
     m = (b * b * s * s / denom) if denom > 0 else 0.0
     residual = abs(s - (q + a * a * s - a * a * m))
-    if residual > RICCATI_TOL * max(1.0, abs(s), q):
+    if not residual <= RICCATI_TOL * max(1.0, abs(s), q):    # NaN on overflow
         raise RiccatiError(f"fixed-point residual {residual} exceeds {RICCATI_TOL}")
     return LqgDerived(s=s, sensitivity=m, cost_floor=spec.noise_var * s)
 
 
 def min_rate_at_cost(spec: ScalarLqgSpec, derived: LqgDerived, cost: float) -> float:
-    """Steady-state minimum rate in bits at an average cost above the floor."""
+    """Steady-state minimum rate in bits at a finite cost above the floor."""
+    if not math.isfinite(cost):
+        raise ValueError(f"cost level must be finite, got {cost!r}")
     if cost <= derived.cost_floor:
         raise CurveDomainError(cost, derived.cost_floor)
     if spec.a == 0.0:
@@ -106,9 +112,6 @@ def min_rate_at_cost(spec: ScalarLqgSpec, derived: LqgDerived, cost: float) -> f
 
 def rate_cost_curve(spec: ScalarLqgSpec, derived: LqgDerived, cost_grid
                     ) -> list[tuple[float, float]]:
-    """Evaluate the closed form on a grid of cost levels (all above the floor)."""
-    grid = [float(d) for d in cost_grid]
-    for d in grid:
-        if d <= derived.cost_floor:
-            raise CurveDomainError(d, derived.cost_floor)
-    return [(d, min_rate_at_cost(spec, derived, d)) for d in grid]
+    """Evaluate the closed form on a grid of cost levels (all finite and
+    above the floor); the first level that is not raises."""
+    return [(d, min_rate_at_cost(spec, derived, d)) for d in map(float, cost_grid)]

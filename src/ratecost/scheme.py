@@ -10,22 +10,23 @@ resulting mixture action law.  The cloud is selected and evaluated in
 blocks: each stage's maps are one ``argmin`` over the block's race draws,
 and the block's exact coordinates come from one batched row pass
 (``solver._Chains.operating_point``) on the one-hot tables of its maps,
-with at most ``spec.budget`` entries in any of its arrays.  The same pass
-gives the races' context masses and the kept realizations' action laws,
-so synthesis builds no trajectory law.  Only the two realizations the
-selector picks are kept.  Every reported quantity of the
-final scheme (cost, codeword-length rate, entropies) is recomputed
-exactly from the realized deterministic policies, so the guarantees do
-not rest on the Monte-Carlo step.
+holding about ``spec.budget`` entries at once.  The same pass gives the
+races' context masses and the kept realizations' action laws, so
+synthesis builds no trajectory law.  Only the two realizations the
+selector picks are kept.  Every reported quantity of the final scheme
+(cost, codeword-length rate, entropies) is recomputed exactly from the
+realized deterministic policies, so the guarantees do not rest on the
+Monte-Carlo step.
 
 Simulation runs trials in blocks of ``TRIAL_BLOCK`` as arrays: each
 block draws its selector uniforms and plant uniforms from two per-block
 streams, runs the plant forward, looks the actions up in the realized
-stage maps, encodes every trial's actions into one packed byte row,
-decodes the rows from those bytes alone, checks the round trip, and
-applies the actions.  Streams are keyed by (seed, stream, block), so a
-run is reproducible and a shorter run is a prefix of a longer one.  The
-selector bit is never transmitted; rate counts codeword bits only.
+stage maps and applies them.  It then encodes each distinct action
+sequence once into a packed byte row, decodes the rows from those bytes
+alone and checks the round trip.  Streams are keyed by (seed, stream,
+block), so a run is reproducible and a shorter run is a prefix of a
+longer one.  The selector bit is never transmitted; rate counts codeword
+bits only.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ from .timeshare import (
 )
 
 
+# The largest cloud ``SchemeOptions`` accepts: at about half a kilobyte per
+# realization's point, the cloud stays near 50 MB whatever the spec.
+MAX_CLOUD_SIZE = 100_000
+
 # Trials per simulation block.  Part of the seed contract: the block index
 # keys the random streams, so another size draws other numbers.
 TRIAL_BLOCK = 4096
@@ -107,8 +112,9 @@ class SchemeOptions:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if self.cloud_size < 1:
-            raise ValueError(f"cloud_size must be at least 1, got {self.cloud_size}")
+        if not 1 <= self.cloud_size <= MAX_CLOUD_SIZE:
+            raise ValueError(f"cloud_size must be at least 1 and at most "
+                             f"{MAX_CLOUD_SIZE}, got {self.cloud_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for name in ("epsilon", "gamma"):
@@ -177,21 +183,25 @@ def realize_cloud(race: RowPass, seed: int, first: int,
     """Exact (rate, cost) points of realizations first..first+count-1 of
     ``race.policy``.
 
-    Realizations are selected and evaluated in blocks of
-    max(1, spec.budget // width), the row budget the solver checks
-    (``_Chains.width``), so no block's arrays hold more than
-    ``spec.budget`` entries; each block draws each stage's race from one
-    generator and runs one exact row pass (``_Chains.operating_point``) on
-    the one-hot tables of its maps.
+    Realizations are selected and evaluated in blocks of max(1,
+    spec.budget // live), ``live`` the row pass's live set per realization:
+    every stage's one-hot table, plus eight arrays of the row budget the
+    solver checks (``_Chains.width``) at its last stage (mass, joint, pair
+    and context masses, the previous stage's summands and three
+    temporaries).  Each block draws each stage's race from one generator
+    and runs one exact row pass (``_Chains.operating_point``) on the
+    one-hot tables of its maps.
     """
     rows = race.rows
-    block = max(1, race.spec.budget // rows.width)
+    live = sum(tab.size for tab in race.policy.tables) + 8 * rows.width
+    block = max(1, race.spec.budget // live)
     points = []
     for start in range(first, first + count, block):
         size = min(block, first + count - start)
-        maps = [race_maps(t, race.policy.tables[t - 1], race.masses[t - 1], seed,
-                          start, size) for t in range(1, rows.n + 1)]
-        rates, costs, _, _ = rows.operating_point([_onehot(m, rows.U) for m in maps])
+        tables = [_onehot(race_maps(t, race.policy.tables[t - 1], race.masses[t - 1],
+                                    seed, start, size), rows.U)
+                  for t in range(1, rows.n + 1)]
+        rates, costs, _, _ = rows.operating_point(tables)
         points += [RealizationPoint(realization_id=i, rate=float(r), cost=float(c))
                    for i, r, c in zip(range(start, start + size), rates, costs)]
     return points
@@ -327,11 +337,14 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
     realization 0 when its selector uniform is below the selector weight.
     The plant runs on the solver's rows (``solver._Chains``): x_{t+1} is
     drawn from the law of the trial's (context, plant row, action).
-    A stage-map entry of -1 reached by a trial raises ``CodingError``; a
+    The coder gets a block's distinct action sequences in ascending index
+    order, and a ``CodingError`` it raises names one of those rows.  A
+    stage-map entry of -1 reached by a trial raises ``CodingError``; a
     decoded action or bit count that differs from the encoded one raises
-    ``DecodeMismatchError``.  Both are fatal by design.  A trial count
-    that ``check_trial_count`` refuses for the spec's budget, or a negative
-    seed, raises ``ValueError`` before any trial runs.
+    ``DecodeMismatchError``.  Both name the first trial that fails, and
+    all are fatal by design.  A trial count that ``check_trial_count``
+    refuses for the spec's budget, or a negative seed, raises
+    ``ValueError`` before any trial runs.
     """
     spec = bundle.spec
     check_trial_count(num_trials, spec.budget)
@@ -390,16 +403,20 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
             row += u
             ctx *= U                # key of u^t
             ctx += u
-        packed, written = bundle.codebooks.encode_block(actions)
+        # ctx is each trial's action-sequence index: code each sequence once
+        _, once, inverse = np.unique(ctx, return_index=True, return_inverse=True)
+        sent = actions[once]
+        packed, written = bundle.codebooks.encode_block(sent)
         decoded, consumed = bundle.codebooks.decode_block(packed)
-        wrong = np.any(decoded != actions, axis=1) | (consumed != written)
+        wrong = np.any(decoded != sent, axis=1) | (consumed != written)
         if np.any(wrong):
-            i = int(np.argmax(wrong))
+            i = int(once[wrong].min())
+            j = inverse[i]
             raise DecodeMismatchError(
-                f"trial {first + i}: encoded {actions[i].tolist()} in "
-                f"{written[i]} bits, decoded {decoded[i].tolist()} from "
-                f"{consumed[i]} bits")
-        bits[first:first + m] = written / n
+                f"trial {first + i}: encoded {sent[j].tolist()} in "
+                f"{written[j]} bits, decoded {decoded[j].tolist()} from "
+                f"{consumed[j]} bits")
+        bits[first:first + m] = written[inverse] / n
         costs[first:first + m] = cost / n
     emp_rate = float(bits.mean())
     emp_cost = float(costs.mean())

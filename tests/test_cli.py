@@ -436,6 +436,9 @@ class TestSynthCommand:
                      id="--trials"),
         pytest.param(["synth", "--D", "0.4", "--cloud-size", "0"], "at least 1",
                      id="--cloud-size"),
+        pytest.param(["synth", "--D", "0.4", "--cloud-size", "100000000"],
+                     "cloud_size must be at least 1 and at most 100000, got 100000000",
+                     id="--cloud-size 1e8"),
         pytest.param(["synth", "--D", "0.4", "--restarts", "0"], "at least 1",
                      id="--restarts"),
         pytest.param(["synth", "--D", "inf"], "cost budget must be finite, got inf",
@@ -592,6 +595,23 @@ class TestLqgCommand:
         assert code == EXIT_OK
         lines = (out / "lqg_curve.csv").read_text().splitlines()[2:]
         assert all(float(row.split(",")[1]) == 0.0 for row in lines)
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["--a", "nan"], "invalid option: a must be finite, got nan"),
+        (["--sigma2", "inf"], "invalid option: noise_var must be finite, got inf"),
+        (["--a", "1e308"], "spec error: fixed-point residual nan"),
+        (["--a", "1e308", "--r", "1"], "spec error: fixed-point residual nan"),
+        (["--d-grid", "nan"], "invalid option: cost level must be finite, got nan"),
+        (["--d-grid", "2.0,inf"], "invalid option: cost level must be finite, got inf"),
+    ])
+    def test_non_finite_input_rejected(self, tmp_path, capsys, argv, reason):
+        out = tmp_path / "lqg"
+        code = main(["lqg", "--a", "2", "--b", "1", "--d-grid", "2.0",
+                     "--out", str(out), *argv])
+        assert code == EXIT_SPEC
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(reason)
+        assert not out.exists()
 
     def test_grid_at_floor_rejected_names_floor(self, tmp_path, capsys):
         code = main(["lqg", "--a", "2", "--b", "1", "--q", "1", "--r", "0",

@@ -123,3 +123,8 @@ class TestCurve:
     def test_derived_validation(self):
         with pytest.raises(ValueError):
             LqgDerived(s=-1.0, sensitivity=0.0, cost_floor=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                LqgDerived(s=bad, sensitivity=0.0, cost_floor=1.0)
+            with pytest.raises(ValueError, match="finite"):
+                LqgDerived(s=1.0, sensitivity=0.0, cost_floor=bad)

@@ -400,15 +400,26 @@ class TestCloud:
             np.testing.assert_array_equal(pair[0], pairs[b])
 
 
-def test_cloud_blocks_count_the_largest_array_of_the_pass():
+def _random_40x2():
+    rng = np.random.default_rng(1)
+    X, U = 40, 2
+    return SystemSpec.from_markov(rng.dirichlet(np.ones(X)),
+                                  rng.dirichlet(np.ones(X), size=(X, U)),
+                                  rng.random((X, U)), 2, budget=20_000)
+
+
+@pytest.mark.parametrize("make", [
     # with X > U the pass's largest array per policy is the (row, action,
     # next state) one of the stage before the last, X / U times the last
     # stage's (row, action) entries; the block counts it
-    rng = np.random.default_rng(1)
-    X, U = 40, 2
-    spec = SystemSpec.from_markov(rng.dirichlet(np.ones(X)),
-                                  rng.dirichlet(np.ones(X), size=(X, U)),
-                                  rng.random((X, U)), 2, budget=20_000)
+    pytest.param(_random_40x2, id="random40x2"),
+    # a long horizon: the one-hot tables of all stages and the last stage's
+    # temporaries are alive at once, over 9 budgets when a block counted only
+    # the largest array
+    pytest.param(lambda: dataclasses.replace(noisy_actuator(10), budget=200_000),
+                 id="noisy10")])
+def test_cloud_blocks_count_the_largest_array_of_the_pass(make):
+    spec = make()
     anchor = ratecost.solver.cost_floor_point(spec)
     tracemalloc.start()
     try:
@@ -530,6 +541,20 @@ class TestRunTrials:
         assert digest.hexdigest() == \
             "f526c1ad99460f8a62535e76fcb07f6670eb986aa9f0d984a64b94a2d5c8b1fa"
 
+    def test_sticky8_high_rate_trial_stream_digest_pinned(self):
+        # 95-111 distinct action sequences per block: sticky_tracking(8) at
+        # a tenth of the way from its cost floor 0.0 to its open-loop cost
+        # 0.5000000000000001, hard-coded because the open-loop search takes
+        # about a second at n = 8
+        spec = sticky_tracking(8)
+        b = synthesize(spec, 0.05000000000000002,
+                       SchemeOptions(seed=0, solver=SolverOptions(seed=0, restarts=1)))
+        report = run_trials(b, 10_000, seed=1, keep_per_trial=True)
+        digest = hashlib.sha256(report.per_trial_bits.tobytes()
+                                + report.per_trial_costs.tobytes())
+        assert digest.hexdigest() == \
+            "5f01828335dca44d2ccdc31324ab483cf44daee63c01a664c6cdf45ce53b96d1"
+
     @pytest.mark.parametrize("make", [lambda: drive_to_zero(2),
                                       lambda: noisy_actuator(3),
                                       lambda: sticky_tracking(4)],
@@ -574,19 +599,60 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("field", ["actions", "bits"])
     def test_decode_mismatch_is_fatal(self, bundle, monkeypatch, field):
-        decode = ContextCodebook.decode_block
+        # the loop codes each distinct action sequence once; corrupting the
+        # decode of distinct row 1 must name the first trial that carries
+        # its message.  A run is a prefix of any longer one, so that trial
+        # is the last of the shortest run whose block sends the message.
+        encode, decode = ContextCodebook.encode_block, ContextCodebook.decode_block
+        sent = []
+
+        def spied(book, actions):
+            sent.append(actions.tolist())
+            return encode(book, actions)
+
+        def sends(trials, message):
+            run_trials(bundle, trials, seed=0)
+            return message in sent[-1]
+
+        monkeypatch.setattr(ContextCodebook, "encode_block", spied)
+        run_trials(bundle, 10, seed=0)
+        message = sent[-1][1]
+        trial = next(k - 1 for k in range(1, 11) if sends(k, message))
+        assert trial > 1        # the trial is not the distinct row's own index
 
         def corrupted(book, packed):
             actions, consumed = decode(book, packed)
             if field == "actions":
-                actions[3, -1] = (actions[3, -1] + 1) % book.num_actions
+                actions[1, -1] = (actions[1, -1] + 1) % book.num_actions
             else:
-                consumed[3] += 1
+                consumed[1] += 1
             return actions, consumed
 
         monkeypatch.setattr(ContextCodebook, "decode_block", corrupted)
-        with pytest.raises(DecodeMismatchError, match="trial 3"):
+        with pytest.raises(DecodeMismatchError, match=f"trial {trial}: "):
             run_trials(bundle, 10, seed=0)
+
+    def test_coder_sees_each_distinct_sequence_once_per_block(self, monkeypatch):
+        # a sticky4 mid-curve block of 4096 trials sends 2 distinct action
+        # sequences; the coder gets those 2 rows, not one row per trial
+        spec = sticky_tracking(4)
+        b = synthesize(spec, mid_curve_budget(spec),
+                       SchemeOptions(seed=0, solver=SolverOptions(seed=0, restarts=1)))
+        encode, decode = ContextCodebook.encode_block, ContextCodebook.decode_block
+        coded = []
+
+        def spied_encode(book, actions):
+            coded.append(("encode", len(actions), len(np.unique(actions, axis=0))))
+            return encode(book, actions)
+
+        def spied_decode(book, packed):
+            coded.append(("decode", len(packed), len(np.unique(packed, axis=0))))
+            return decode(book, packed)
+
+        monkeypatch.setattr(ContextCodebook, "encode_block", spied_encode)
+        monkeypatch.setattr(ContextCodebook, "decode_block", spied_decode)
+        run_trials(b, 10_000, seed=1)
+        assert coded == [(side, 2, 2) for _ in range(3) for side in ("encode", "decode")]
 
     def test_manual_loop_matches_maps_and_mixture_law(self, bundle):
         # independent re-simulation: the literal race selection on each
