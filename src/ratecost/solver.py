@@ -71,8 +71,18 @@ bracket by halving it, so a cost that jumps across the budget still
 collapses the bracket within ``max_bisect`` solves.  The search stops on a
 feasible point within the window, or when the bracket has collapsed.
 
-The search reads of each solved point only its multiplier, exact cost and
-rate, so any solved point is a bracket candidate for any budget.
+A bracket point steers the search only by the side of the budget its cost
+falls on, so it is solved to a certified gap of 1e-6 bits per stage
+(``_BRACKET_GAP``, or ``tol`` when that is looser), not to ``tol``.  Only
+a candidate answer is solved to ``tol``: a feasible point within the
+window, or the feasible end left when the bracket collapses or the solves
+run out.  When its gap is above ``tol`` it is solved again at the same
+multiplier with the given options, warm-started from the loose point, and
+that solve stands in its place (unconverged, like any solve, if it runs
+out of ``max_iters``).  Loose points serve only as bracket ends and warm
+starts.  The sweep's points are the curve and are solved to ``tol``.  The
+search reads of each solved point only its multiplier, exact cost and
+rate, so any sweep point is a bracket candidate for any budget.
 
 Exact operating points.  Every point this module reports (a solve's
 answer and the cost floor's greedy policy) has its policy on the chain
@@ -96,7 +106,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,6 +124,8 @@ from .system import (
 from .timeshare import lower_hull
 
 _LOG_FLOOR = -1000.0
+# certified gap, bits per stage, of the bracket-search solves (module docstring)
+_BRACKET_GAP = 1e-6
 
 
 class InfeasibleCostError(ValueError):
@@ -529,19 +541,20 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
             cur = chains.certify(chains.step(np.where(accept[:, None, None], trial,
                                                       one_image)))
             maps += 1
-    return _exact_point(chains, CausalPolicy(tuple(pi[best] for pi in cur.pis)), mu,
+    return _exact_point(chains, [pi[best] for pi in cur.pis], mu,
                         converged=gap <= opts.tol,
                         objective=float(cur.objective[best]),
                         iterations=maps, gap=gap)
 
 
-def _exact_point(chains: _Chains, policy: CausalPolicy, multiplier: float,
+def _exact_point(chains: _Chains, tables, multiplier: float,
                  **record) -> RateCostPoint:
-    """The operating point of a policy on the chain rows, its rate and cost
-    from the exact row pass."""
-    rate, cost, _, _ = chains.operating_point([tab[None] for tab in policy.tables])
-    return RateCostPoint(rate=float(rate[0]), cost=float(cost[0]),
-                         multiplier=multiplier, policy=policy, **record)
+    """The operating point of the policy with these tables on the chain
+    rows, its rate and cost from the exact row pass.  The tables' rows are
+    normalized by construction, so the policy skips the row check."""
+    rate, cost, _, _ = chains.operating_point([tab[None] for tab in tables])
+    return RateCostPoint(rate=float(rate[0]), cost=float(cost[0]), multiplier=multiplier,
+                         policy=CausalPolicy._from_normalized(tables), **record)
 
 
 def _cost_dp(spec: SystemSpec):
@@ -576,7 +589,7 @@ def cost_floor_point(spec: SystemSpec) -> RateCostPoint:
     rows, rate and cost from the same exact row pass as a solve's answer;
     its multiplier is infinite."""
     _, tabs, chains = _cost_dp(spec)
-    return _exact_point(chains, CausalPolicy(tuple(tabs)), math.inf)
+    return _exact_point(chains, tabs, math.inf)
 
 
 def sweep_curve(spec: SystemSpec, opts: SolverOptions | None = None,
@@ -613,7 +626,10 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
     docstring), then searches the bracketing multipliers by safeguarded
     false position until the achieved cost is within ``bisect_cost_tol``
     of the budget (from below), each solve warm-started from the feasible
-    bracket point (the infeasible one while there is none).  A given
+    bracket point (the infeasible one while there is none).  The bracket
+    solves certify a gap of at most 1e-6 bits per stage; the answer, when
+    the search supplies it, is solved to ``opts.tol`` (module docstring),
+    so its ``iterations`` count that last solve's maps alone.  A given
     ``sweep`` may be the full one or one cut at any budget at or above
     ``budget_cost``; every point in it is a bracket candidate.  The
     returned point is feasible and carries the policy used downstream for
@@ -654,6 +670,8 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
         aim = budget_cost - 0.5 * opts.bisect_cost_tol
         w_lo = w_hi = 1.0       # Illinois weights on the ends' residuals
         kept = None             # the end the last step kept
+        loose = replace(opts, tol=max(opts.tol, _BRACKET_GAP))
+        open_end = None         # a loose feasible end not yet solved to ``tol``
         for k in range(opts.max_bisect):
             if budget_cost - best.cost <= opts.bisect_cost_tol:
                 break
@@ -667,13 +685,17 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
                     mu = lo + f_lo / (f_lo - f_hi) * (hi - lo)
                     if not lo < mu < hi:
                         mu = 0.5 * (lo + hi)
-            p = solve_lagrangian(spec, mu, opts, warm=hi_point or lo_point)
+            p = solve_lagrangian(spec, mu, loose, warm=hi_point or lo_point)
+            final = not p.gap > opts.tol
+            if not final and 0.0 <= budget_cost - p.cost <= opts.bisect_cost_tol:
+                # a candidate answer: solved again to ``tol`` from its marginals
+                p, final = solve_lagrangian(spec, mu, opts, warm=p), True
             if p.cost <= budget_cost:
                 if kept == "lo":
                     w_lo *= 0.5
                 hi, hi_point, w_hi, kept = mu, p, 1.0, "lo"
-                if p.rate < best.rate - 1e-15 or (
-                        abs(p.rate - best.rate) <= 1e-15 and p.cost < best.cost):
+                open_end = None if final else p
+                if final and _lower_rate(p, best):
                     best = p
             else:
                 if kept == "hi":
@@ -681,7 +703,18 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
                 lo, lo_point, w_lo, kept = mu, p, 1.0, "hi"
             if hi - lo <= 1e-12 * max(1.0, hi):
                 break
+        if open_end is not None:
+            # the bracket collapsed or the solves ran out on a loose feasible end
+            p = solve_lagrangian(spec, open_end.multiplier, opts, warm=open_end)
+            if p.cost <= budget_cost and _lower_rate(p, best):
+                best = p
     return best
+
+
+def _lower_rate(p: RateCostPoint, best: RateCostPoint) -> bool:
+    """``p`` has a lower rate than ``best``, or the same rate at a lower cost."""
+    return p.rate < best.rate - 1e-15 or (abs(p.rate - best.rate) <= 1e-15
+                                          and p.cost < best.cost)
 
 
 def brute_force_rate_cost(spec: SystemSpec, budget_cost: float,

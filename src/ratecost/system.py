@@ -232,6 +232,14 @@ class CausalPolicy:
             frozen.append(tab)
         object.__setattr__(self, "tables", tuple(frozen))
 
+    @classmethod
+    def _from_normalized(cls, tables) -> "CausalPolicy":
+        """Read-only copies of tables whose rows the caller has just
+        normalized, without the shape and row checks of the constructor."""
+        policy = object.__new__(cls)
+        object.__setattr__(policy, "tables", tuple(_frozen(tab) for tab in tables))
+        return policy
+
     @property
     def horizon(self) -> int:
         return len(self.tables)

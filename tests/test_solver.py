@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ratecost.solver
+import ratecost.system
 from ratecost import BudgetExceededError, CausalPolicy, InvariantError, SystemSpec
 from ratecost.instances import (
     bernoulli_source,
@@ -299,29 +300,73 @@ def point_repr(p):
 @pytest.fixture(scope="module")
 def noisy6_run():
     """The one-restart sweep of noisy_actuator(6) and its 25/50/75% queries,
-    with the RuntimeWarnings they raise."""
+    with the RuntimeWarnings they raise and the three budgets."""
     spec = noisy_actuator(6)
     opts = SolverOptions(restarts=1)
     floor = min_expected_cost(spec)
     open_loop, _ = min_open_loop_cost(spec)
+    budgets = [floor + share * (open_loop - floor) for share in (0.25, 0.5, 0.75)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         _, raw = sweep_curve(spec, opts)
-        points = raw + [solve_rate_cost(spec, floor + share * (open_loop - floor), opts,
-                                        sweep=raw) for share in (0.25, 0.5, 0.75)]
-    return points, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        points = raw + [solve_rate_cost(spec, budget, opts, sweep=raw)
+                        for budget in budgets]
+    return points, [w for w in caught if issubclass(w.category, RuntimeWarning)], budgets
 
 
 class TestLeanLoop:
     """The solve loop certifies only the iterates it keeps, and every number
     it keeps comes from the same arithmetic as when each map was certified."""
 
+    def test_noisy6_sweep_digest_pinned(self, noisy6_run):
+        # the 22 sweep points alone: the bracket search's schedule leaves
+        # them as they were
+        digest = hashlib.sha256()
+        for p in noisy6_run[0][:22]:
+            digest.update(point_repr(p).encode())
+        assert digest.hexdigest() == \
+            "d82f5f21199c0c12710f4fddd7dfd39aefd175b44a05f8c6e961b26a27314568"
+
     def test_noisy6_points_digest_pinned(self, noisy6_run):
+        # Re-recorded when the bracket search ran at a loose gap and only
+        # the answer was solved to ``tol``: the sweep is unchanged; the
+        # three answers moved in multiplier by at most 9.7e-5 (12.154611662
+        # -> 12.154515166), rate by at most 8.3e-7, cost by at most 7e-8,
+        # and their maps went from 13/28/15 to 8/13/5
         digest = hashlib.sha256()
         for p in noisy6_run[0]:
             digest.update(point_repr(p).encode())
         assert digest.hexdigest() == \
-            "49e31573ed71f263b8a9f173a4bd2de1b93c444e930465fe97b2fbcd1b71ac60"
+            "576cfa3681a5b0be6b1dba41a9bca21c694afcaeec5f7e70fda0c33448d9be30"
+
+    def test_noisy6_answers_meet_the_benchmark_reference(self, noisy6_run):
+        # the benchmark's own check of its curve workload (perfbench/
+        # workloads.py, QUERY_RATE_TOL = 2e-3), so that a drift fails here
+        reference = json.loads(REFERENCE.read_text())["curve"]["queries"]
+        answers = noisy6_run[0][22:]
+        for budget, q, want in zip(noisy6_run[2], answers, reference, strict=True):
+            assert budget == want["budget"]
+            assert q.cost <= budget
+            assert q.rate <= want["rate"] + 2e-3
+            assert q.converged
+
+    def test_noisy6_queries_maps(self, noisy6_run):
+        # the three queries on the full sweep: 167 maps when every bracket
+        # solve ran to ``tol``, 115 with loose bracket solves
+        points, _, budgets = noisy6_run
+        solves = []
+        original = ratecost.solver.solve_lagrangian
+
+        def counted(*args, **kwargs):
+            solves.append(original(*args, **kwargs))
+            return solves[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ratecost.solver, "solve_lagrangian", counted)
+            for budget in budgets:
+                solve_rate_cost(noisy_actuator(6), budget, SolverOptions(restarts=1),
+                                sweep=points[:22])
+        assert sum(p.iterations for p in solves) <= 130
 
     def test_sweep_queries_and_synthesis_warning_free(self, noisy6_run):
         # the row pass takes its logs of zero masses on whole arrays
@@ -463,6 +508,26 @@ class TestSolveLagrangian:
     def test_negative_multiplier_rejected(self):
         with pytest.raises(ValueError):
             solve_lagrangian(drive_to_zero(1), -0.5, FAST)
+
+    def test_answer_policy_skips_the_row_check_and_is_read_only(self, monkeypatch):
+        spec, checked = sticky_tracking(3), []
+        check_rows = ratecost.system._check_rows
+        monkeypatch.setattr(ratecost.system, "_check_rows",
+                            lambda rows, what: checked.append(what) or check_rows(rows, what))
+        point = solve_lagrangian(spec, 1.0, FAST)
+        floor = ratecost.solver.cost_floor_point(spec)
+        assert checked == []
+        for policy in (point.policy, floor.policy):
+            public = CausalPolicy(policy.tables)
+            assert len(checked) == spec.horizon
+            checked.clear()
+            for tab, ref in zip(policy.tables, public.tables, strict=True):
+                assert not tab.flags.writeable
+                assert np.array_equal(tab, ref)
+        bad = point.policy.tables[1].copy()
+        bad[0, 0] *= 0.9
+        with pytest.raises(NormalizationError, match="stage-2 policy"):
+            CausalPolicy((point.policy.tables[0], bad, point.policy.tables[2]))
 
 
 class TestSolveRateCost:
@@ -628,22 +693,53 @@ class TestBoundedSweep:
 
     def test_mid_curve_query_search_solves(self, monkeypatch):
         # after the cut sweep (2^10 ... 2^0), false position meets the
-        # window in four solves; the midpoint bisection took eight
+        # window in four solves at the bracket gap (the midpoint bisection
+        # took eight), and the fourth, the answer, is solved again to tol
         spec = sticky_tracking(4)
         budget = 0.5 * (min_expected_cost(spec) + min_open_loop_cost(spec)[0])
         solves = []
         original = ratecost.solver.solve_lagrangian
 
-        def counted(spec, mu, *args, **kwargs):
-            solves.append(mu)
-            return original(spec, mu, *args, **kwargs)
+        def counted(spec, mu, opts, *args, **kwargs):
+            solves.append((mu, opts.tol))
+            return original(spec, mu, opts, *args, **kwargs)
 
         monkeypatch.setattr(ratecost.solver, "solve_lagrangian", counted)
         q = solve_rate_cost(spec, budget, self.OPTS)
-        assert solves[:11] == [2.0 ** k for k in range(10, -1, -1)]
-        assert len(solves) == 11 + 4
-        assert all(1.0 < mu < 2.0 for mu in solves[11:])
+        tol, loose = self.OPTS.tol, ratecost.solver._BRACKET_GAP
+        assert solves[:11] == [(2.0 ** k, tol) for k in range(10, -1, -1)]
+        assert len(solves) == 11 + 4 + 1
+        assert all(1.0 < mu < 2.0 and gap == loose for mu, gap in solves[11:15])
+        assert solves[15] == (solves[14][0], tol) == (q.multiplier, tol)
         assert 0.0 <= budget - q.cost <= self.OPTS.bisect_cost_tol
+
+    @pytest.mark.parametrize("share", [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.5])
+    def test_answer_is_solved_to_tol_from_its_loose_point(self, swept, share,
+                                                          monkeypatch):
+        # the bracket solves stop at the bracket gap; an answer from the
+        # search is the solve to ``tol`` warm-started from its loose point.
+        # Every answer on this panel met ``tol`` when all solves ran to it
+        spec, floor, d_open, full = swept
+        budget = floor + share * (d_open - floor)
+        loose = []
+        original = ratecost.solver.solve_lagrangian
+
+        def counted(spec, mu, opts, warm=None):
+            p = original(spec, mu, opts, warm)
+            if opts.tol > self.OPTS.tol:
+                loose.append(p)
+            return p
+
+        monkeypatch.setattr(ratecost.solver, "solve_lagrangian", counted)
+        q = solve_rate_cost(spec, budget, self.OPTS, sweep=full)
+        monkeypatch.undo()
+        assert not q.gap > self.OPTS.tol
+        start = [p for p in loose if p.multiplier == q.multiplier]
+        if start and start[-1].gap > self.OPTS.tol:
+            again = solve_lagrangian(spec, q.multiplier, self.OPTS, warm=start[-1])
+            assert same_point(q, again)
+        else:
+            assert q in start or q in full or math.isinf(q.multiplier)
 
     def test_mid_curve_sweep_stops_at_multiplier_one(self, monkeypatch):
         spec = sticky_tracking(4)
