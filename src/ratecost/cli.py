@@ -142,13 +142,17 @@ def cmd_solve(args, require_source: bool) -> int:
         raise SpecFileError(
             "the rd command needs a source-mode spec (kernel ignoring actions)"
         )
+    grid = _parse_grid(args.d_grid) if args.d_grid else []
+    if args.budget is not None:
+        grid.append(args.budget)
+    for d in grid:
+        # refused before the sweep, not after it by the first budget solve
+        if not math.isfinite(d):
+            raise ValueError(f"cost budget must be finite, got {d!r}")
     prefix = "rd" if require_source else "solve"
     opts = _solver_options(args)
     curve, raw = sweep_curve(spec, opts)
     requested = []
-    grid = _parse_grid(args.d_grid) if args.d_grid else []
-    if args.budget is not None:
-        grid.append(args.budget)
     anchor = cost_floor_point(spec) if grid else None
     for d in grid:
         point = solve_rate_cost(spec, d, opts, sweep=raw, anchor=anchor)

@@ -118,6 +118,7 @@ from .system import (
     NormalizationError,
     SystemSpec,
     average_cost,
+    count_text,
     directed_information,
     evaluate_joint,
 )
@@ -308,8 +309,8 @@ class _Chains:
                                         X * self.plants[-2] if n > 1 else 0)
         if restarts * self.width > spec.budget:
             raise BudgetExceededError(f"solver working set {restarts} restarts "
-                                      f"(--restarts) x {self.width} entries exceeds "
-                                      f"budget {spec.budget}")
+                                      f"(--restarts) x {count_text(self.width)} "
+                                      f"entries exceeds budget {spec.budget}")
         self.initial = spec.stage_kernel(1)[None]
         # a full-history kernel's rows (x_1, u_1, ..., x_{s+1}, u_{s+1}) as
         # (u^{s+1}, x^{s+1}), then the action u_{s+1} moved past x^{s+1}

@@ -1,4 +1,12 @@
-"""JSON system-spec files: schema validation, normalization policy, loading.
+"""JSON system-spec files: the document check, normalization policy, loading.
+
+``parse_spec`` checks a document in one pass and refuses it with a
+``SpecFileError`` whose message starts with the offending key: a missing or
+unknown top-level key; a ``horizon``, ``budget``, ``states`` or ``actions``
+that is not an integer >= 1 (the alphabets may also list their symbols),
+where an integral number such as ``2.0`` counts and a boolean does not; a
+``name``, ``mode`` or ``kernel`` entry of the wrong type or value; and an
+array that is not a rectangular nested list of numbers of the right shape.
 
 Probability rows that sum to one within ``system.KERNEL_ROW_TOL`` (1e-12),
 the tolerance ``SystemSpec`` itself enforces, are accepted as-is; rows off
@@ -10,67 +18,44 @@ depend on the action column.
 
 from __future__ import annotations
 
-import functools
 import json
 import warnings
 
-import jsonschema
 import numpy as np
 
 from .system import DEFAULT_BUDGET, KERNEL_ROW_TOL, SystemSpec
 
 RENORM_TOL = 1e-6
 
-SPEC_SCHEMA = {
-    "type": "object",
-    "required": ["horizon", "states", "actions", "kernel", "cost"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string"},
-        "horizon": {"type": "integer", "minimum": 1},
-        "states": {
-            "anyOf": [{"type": "integer", "minimum": 1},
-                      {"type": "array", "minItems": 1}],
-        },
-        "actions": {
-            "anyOf": [{"type": "integer", "minimum": 1},
-                      {"type": "array", "minItems": 1}],
-        },
-        "mode": {"enum": ["source", "controlled"]},
-        "budget": {"type": "integer", "minimum": 1},
-        "kernel": {
-            "type": "object",
-            "required": ["mode"],
-            "properties": {
-                "mode": {"enum": ["markov", "full-history"]},
-                "initial": {"type": "array"},
-                "transition": {"type": "array"},
-                "stages": {"type": "array"},
-            },
-        },
-        "cost": {"type": "array"},
-    },
-}
-
-
-@functools.cache
-def _validator():
-    """The spec validator, built on first use and kept: ``jsonschema.validate``
-    checks the schema against its meta-schema on every call, which is most
-    of the cost of a load.  Built lazily so that importing costs nothing."""
-    cls = jsonschema.validators.validator_for(SPEC_SCHEMA)
-    cls.check_schema(SPEC_SCHEMA)
-    return cls(SPEC_SCHEMA)
+_REQUIRED = ("horizon", "states", "actions", "kernel", "cost")
+_KEYS = _REQUIRED + ("name", "mode", "budget")
 
 
 class SpecFileError(ValueError):
     """Malformed spec file; the message names the offending key."""
 
 
-def _alphabet_size(value, key: str) -> int:
-    if isinstance(value, int):
-        return value
-    return len(value)
+def _count(value, key: str, alphabet: bool = False) -> int:
+    """An integer >= 1: an int or an integral float, never a boolean.  An
+    alphabet may instead be the non-empty list of its symbols."""
+    if alphabet and isinstance(value, list) and value:
+        return len(value)
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and value >= 1 and (isinstance(value, int) or value.is_integer())):
+        return int(value)
+    kind = " or a non-empty list" if alphabet else ""
+    raise SpecFileError(f"{key}: expected an integer >= 1{kind}, got {value!r}")
+
+
+def _array(value, key: str) -> np.ndarray:
+    """``value`` as a float array, refused under ``key`` unless it is a
+    rectangular nested list of numbers."""
+    if isinstance(value, list):
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise SpecFileError(f"{key}: expected a rectangular array of numbers")
 
 
 def _check_rows(rows: np.ndarray, key: str) -> np.ndarray:
@@ -92,31 +77,44 @@ def _check_rows(rows: np.ndarray, key: str) -> np.ndarray:
 
 
 def parse_spec(doc: dict) -> SystemSpec:
-    """Validate a parsed JSON document and build the system spec."""
-    err = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
-    if err is not None:
-        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise SpecFileError(f"{path}: {err.message}") from err
-    n = doc["horizon"]
-    X = _alphabet_size(doc["states"], "states")
-    U = _alphabet_size(doc["actions"], "actions")
+    """Check a parsed JSON document and build the system spec."""
+    for key in _REQUIRED:
+        if key not in doc:
+            raise SpecFileError(f"{key}: required key missing")
+    for key in doc:
+        if key not in _KEYS:
+            raise SpecFileError(f"{key}: unknown key")
+    if not isinstance(doc.get("name", ""), str):
+        raise SpecFileError("name: expected a string")
+    if doc.get("mode", "controlled") not in ("source", "controlled"):
+        raise SpecFileError('mode: expected "source" or "controlled"')
+    n = _count(doc["horizon"], "horizon")
+    X = _count(doc["states"], "states", alphabet=True)
+    U = _count(doc["actions"], "actions", alphabet=True)
+    budget = _count(doc.get("budget", DEFAULT_BUDGET), "budget")
     source = doc.get("mode") == "source"
-    budget = doc.get("budget", DEFAULT_BUDGET)
-    cost = np.asarray(doc["cost"], dtype=float)
+    kernel = doc["kernel"]
+    if not isinstance(kernel, dict):
+        raise SpecFileError("kernel: expected an object")
+    mode = kernel.get("mode")
+    if mode not in ("markov", "full-history"):
+        raise SpecFileError('kernel.mode: expected "markov" or "full-history"')
+    for key in ("initial", "transition", "stages"):
+        if not isinstance(kernel.get(key, []), list):
+            raise SpecFileError(f"kernel.{key}: expected an array")
+    cost = _array(doc["cost"], "cost")
     if cost.shape != (X, U):
         raise SpecFileError(f"cost: expected shape {(X, U)}, got {cost.shape}")
     if np.any(cost < 0) or not np.all(np.isfinite(cost)):
         raise SpecFileError("cost: entries must be nonnegative and finite")
-    kernel = doc["kernel"]
-    mode = kernel["mode"]
     if mode == "markov":
         if "initial" not in kernel or "transition" not in kernel:
             raise SpecFileError("kernel: markov mode needs 'initial' and 'transition'")
-        initial = _check_rows(np.asarray(kernel["initial"], dtype=float)[None, :],
+        initial = _check_rows(_array(kernel["initial"], "kernel.initial")[None, :],
                               "kernel.initial")[0]
         if initial.shape != (X,):
             raise SpecFileError(f"kernel.initial: expected length {X}")
-        transition = np.asarray(kernel["transition"], dtype=float)
+        transition = _array(kernel["transition"], "kernel.transition")
         if source and transition.shape == (X, X):
             transition = np.repeat(transition[:, None, :], U, axis=1)
         if transition.shape != (X, U, X):
@@ -139,13 +137,12 @@ def parse_spec(doc: dict) -> SystemSpec:
         raise SpecFileError(f"kernel.stages: expected {n} stages, got {len(stages)}")
     kernels = []
     for t, stage in enumerate(stages, start=1):
-        arr = np.asarray(stage, dtype=float)
+        key = f"kernel.stages[{t - 1}]"
+        arr = _array(stage, key)
         want = ((X * U) ** (t - 1), X)
         if arr.shape != want:
-            raise SpecFileError(
-                f"kernel.stages[{t - 1}]: expected shape {want}, got {arr.shape}"
-            )
-        kernels.append(_check_rows(arr, f"kernel.stages[{t - 1}]"))
+            raise SpecFileError(f"{key}: expected shape {want}, got {arr.shape}")
+        kernels.append(_check_rows(arr, key))
     return SystemSpec(horizon=n, num_states=X, num_actions=U, cost=cost,
                       kernels=tuple(kernels), budget=budget, source_mode=source)
 
@@ -156,9 +153,10 @@ def load_spec(path: str) -> SystemSpec:
             doc = json.load(fh)
     except OSError as err:
         raise SpecFileError(f"cannot read spec file {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise SpecFileError(f"{path}: invalid JSON at line {err.lineno} "
-                            f"column {err.colno}: {err.msg}") from err
+    except (ValueError, RecursionError) as err:
+        # bad syntax (the message gives line and column), text that is not
+        # UTF-8, an integer of over 4300 digits, arrays nested past recursion
+        raise SpecFileError(f"{path}: invalid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise SpecFileError(f"{path}: top level must be a JSON object")
     return parse_spec(doc)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,12 @@ DEFAULT_BUDGET = 10_000_000
 
 class BudgetExceededError(ValueError):
     """Trajectory enumeration would exceed the configured entry budget."""
+
+
+def count_text(count: int) -> str:
+    """An entry count for a message: in full up to 15 digits, beyond that as
+    ``~10**k`` (Python refuses to print an int of over 4300 digits)."""
+    return str(count) if count < 10 ** 15 else f"~10**{math.log10(count):.0f}"
 
 
 class DimensionMismatchError(ValueError):
@@ -359,8 +366,8 @@ def evaluate_joint(spec: SystemSpec, policy: CausalPolicy) -> JointLaw:
     X, U = spec.num_states, spec.num_actions
     if (X * U) ** spec.horizon > spec.budget:
         raise BudgetExceededError(
-            f"trajectory law of (|X|*|U|)**n = {(X * U) ** spec.horizon} entries "
-            f"exceeds budget {spec.budget}; raise the budget for larger instances")
+            f"trajectory law of (|X|*|U|)**n = {count_text((X * U) ** spec.horizon)} "
+            f"entries exceeds budget {spec.budget}; raise the budget for larger instances")
     p = np.ones(1)
     for t, tab in enumerate(policy.tables, start=1):
         k = spec.stage_kernel(t)                                # (H, X)

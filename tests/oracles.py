@@ -4,7 +4,8 @@ Everything here is deliberately written the slow, literal way (dicts,
 nested loops, defining sums) so it shares no code path with the package.
 Two spec builders that several test modules share live here too: a
 full-history spec no Markov spec can express, and a Markov spec's
-full-history twin.
+full-history twin.  ``SPEC_SCHEMA`` is the JSON Schema of a spec file's
+structure, the reference ``parse_spec``'s own checks are held to.
 """
 
 from __future__ import annotations
@@ -15,6 +16,38 @@ import math
 import numpy as np
 
 from ratecost import SystemSpec
+
+
+SPEC_SCHEMA = {
+    "type": "object",
+    "required": ["horizon", "states", "actions", "kernel", "cost"],
+    "additionalProperties": False,
+    "properties": {
+        "name": {"type": "string"},
+        "horizon": {"type": "integer", "minimum": 1},
+        "states": {
+            "anyOf": [{"type": "integer", "minimum": 1},
+                      {"type": "array", "minItems": 1}],
+        },
+        "actions": {
+            "anyOf": [{"type": "integer", "minimum": 1},
+                      {"type": "array", "minItems": 1}],
+        },
+        "mode": {"enum": ["source", "controlled"]},
+        "budget": {"type": "integer", "minimum": 1},
+        "kernel": {
+            "type": "object",
+            "required": ["mode"],
+            "properties": {
+                "mode": {"enum": ["markov", "full-history"]},
+                "initial": {"type": "array"},
+                "transition": {"type": "array"},
+                "stages": {"type": "array"},
+            },
+        },
+        "cost": {"type": "array"},
+    },
+}
 
 
 def big_endian_key(digits, base):

@@ -1,6 +1,7 @@
 """System model: joint-law enumeration, costs, and information accounting."""
 
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from ratecost import (
     evaluate_joint,
     stage_information_terms,
 )
-from ratecost.instances import drive_to_zero, sticky_tracking, xor_reference
+from ratecost.instances import drive_to_zero, noisy_actuator, sticky_tracking, \
+    xor_reference
 from ratecost.system import history_digits, policy_rows
 
 from oracles import (
@@ -138,6 +140,15 @@ class TestEvaluateJoint:
         )
         with pytest.raises(BudgetExceededError, match="256 entries exceeds budget 100"):
             evaluate_joint(spec, CausalPolicy.uniform(spec))
+
+    def test_budget_refusal_prints_at_any_horizon(self):
+        # 4**20000 has 12042 digits, more than Python converts an int to; only
+        # the dimensions are read before the refusal, so a stand-in policy does
+        spec = noisy_actuator(20000)
+        policy = types.SimpleNamespace(horizon=20000, num_states=2, num_actions=2)
+        with pytest.raises(BudgetExceededError,
+                           match=r"= ~10\*\*12041 entries exceeds budget 10000000"):
+            evaluate_joint(spec, policy)
 
 
 class TestAverageCost:
