@@ -27,7 +27,11 @@ One map takes q to the marginals induced by its best policy:
 V never increases from q to q'.  The map runs under SQUAREM extrapolation
 on log q (Varadhan & Roland, Scand. J. Stat. 2008) with V as the merit
 function: an extrapolated point that does not lower V is replaced by the
-plain double step.
+plain double step.  Each action-context row takes its own step length,
+no longer than the chain's: the marginals of actions the optimum never
+plays fall about a bit per map, so their rows would call for ever longer
+steps, which on a chain-wide step overshoot the rows already near their
+fixed point.
 
 Certificate.  Let r = prod_t q_t and A = prod_t q'_t be the action-sequence
 laws.  The policy pi has exact objective V(q) - D(A || r) / n, and every
@@ -50,7 +54,9 @@ as unreachable.
 
 A multiplier sweep plus a bracket search traces the lower convex envelope
 of (cost, rate) points and answers cost-budget queries, each solve
-warm-started from a neighbouring multiplier's marginals.  The sweep runs
+warm-started from a neighbouring multiplier's marginals.  A solved point
+carries those marginals and its chains' arrays to its successor, which
+rebuilds only the multiplier's costs.  The sweep runs
 down the grid from the largest multiplier, and a query for one budget
 stops it at the first point above the budget.  That point is the largest
 infeasible multiplier, which brackets the search.  A Lagrangian
@@ -103,10 +109,11 @@ the trajectory law stay the oracle.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -178,7 +185,9 @@ class RateCostPoint:
 
     ``iterations`` counts the Blahut-Arimoto maps and ``gap`` is the
     certified optimality gap of the Lagrangian objective (NaN for points
-    not produced by ``solve_lagrangian``).
+    not produced by ``solve_lagrangian``).  A point from
+    ``solve_lagrangian`` also carries, for a solve warm-started from it,
+    the stacked marginals its policy induces and its ``_Chains``.
     """
 
     rate: float
@@ -189,6 +198,8 @@ class RateCostPoint:
     objective: float = math.nan
     iterations: int = 0
     gap: float = math.nan
+    _carry: tuple[np.ndarray, _Chains] | None = field(default=None, repr=False,
+                                                      compare=False)
 
     def __post_init__(self):
         if self.rate < -1e-12 or self.cost < -1e-12:
@@ -286,7 +297,8 @@ class _Chains:
     makes per chain or policy; ``restarts`` chains over the spec's budget
     in these raise ``BudgetExceededError`` before allocating.
     ``stage_costs[s]``, (P_s, U), is the stage cost on the stage-s rows and
-    ``costs[s]`` the same times the multiplier.
+    ``costs[s]`` the same times the multiplier; ``at`` gives the chains of
+    the same ``spec`` and ``restarts`` at another multiplier.
 
     ``step`` is the map alone.  ``image`` floors the induced marginals of a
     map the loop steps from, and ``certify`` adds the certificate
@@ -298,6 +310,7 @@ class _Chains:
     """
 
     def __init__(self, spec: SystemSpec, mu: float, restarts: int):
+        self.spec, self.restarts = spec, restarts
         n, X, U = self.n, self.X, self.U = (spec.horizon, spec.num_states,
                                             spec.num_actions)
         self.markov = spec.markov is not None
@@ -325,9 +338,11 @@ class _Chains:
         self.slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         self.contexts = int(bounds[-1])
 
-    def stage_sums(self, a: np.ndarray) -> np.ndarray:
-        """Sum over each stage's rows and actions, then over the stages."""
-        return sum(np.add.reduce(a[:, sl], axis=(1, 2)) for sl in self.slices)
+    def at(self, mu: float) -> "_Chains":
+        """The same chains at another multiplier: only ``costs`` are new."""
+        other = copy.copy(self)
+        other.costs = [mu * c for c in self.stage_costs]
+        return other
 
     def expect(self, s: int, v: np.ndarray) -> np.ndarray:
         """E v(next row) for every stage-s row and action, (B, U**s, P_s, U),
@@ -475,31 +490,48 @@ def _initial_marginals(chains: _Chains, opts: SolverOptions,
                        warm: RateCostPoint | None):
     """Stacked log2 q, (restarts, sum_s U**s, U): chain 0 from the marginals
     the warm point's policy induces (uniform without one, and on contexts
-    it never reaches), the rest seeded Dirichlet draws."""
+    it never reaches), the rest seeded Dirichlet draws.  A warm point that
+    a solve of the same spec returned carries its marginals; any other
+    gets a forward pass."""
     U = chains.U
     q = np.empty((opts.restarts, chains.contexts, U))
     q[0] = 1.0 / U
     if warm is not None:
-        # the warm tables on the chain rows: a Markov row reads the state
-        # history (0, ..., 0, x)
-        tabs = [tab[None, :, :P] for tab, P in zip(warm.policy.tables, chains.plants)]
-        start = chains.forward(tabs)[0]
+        if warm._carry is not None and warm._carry[1].spec is chains.spec:
+            start = warm._carry[0]
+        else:
+            # the warm tables on the chain rows: a Markov row reads the
+            # state history (0, ..., 0, x)
+            tabs = [tab[None, :, :P] for tab, P in zip(warm.policy.tables, chains.plants)]
+            start = chains.forward(tabs)[0]
         seen = np.add.reduce(start, axis=1) > 0.0
         q[0][seen] = start[seen]
     q[1:] = _dirichlet_starts(opts.seed, opts.restarts, U, chains.n)
     return _floored(_log2(q))
 
 
-def _extrapolate(chains: _Chains, q0, q1, q2, step_max):
-    """SQUAREM step on stacked log q per chain: (points, step lengths
-    alpha <= -1)."""
+def _ratio(rr: np.ndarray, vv: np.ndarray) -> np.ndarray:
+    """SQUAREM's step length -sqrt(r.r / v.v), -1 where v.v = 0."""
+    return -np.sqrt(np.divide(rr, vv, out=np.ones_like(rr), where=vv > 0.0))
+
+
+def _extrapolate(q0, q1, q2, step_max):
+    """SQUAREM step on stacked log q, (B, contexts, U), with one step length
+    per action-context row: (points, step lengths, (B, contexts)).
+
+    With r = q1 - q0 and v = q2 - 2 q1 + q0, row k of chain b takes
+    alpha_k = clip(-sqrt(r_k.r_k / v_k.v_k), max(alpha_b, -step_max_b), -1),
+    alpha_b the same ratio over all the chain's rows: no row steps further
+    than the chain, nor than the chain's cap.  A row with v_k = 0 takes -1;
+    a row the policies never reached has r_k = v_k = 0 and stays put."""
     r = q1 - q0
     v = q2 - 2.0 * q1 + q0
-    rr = chains.stage_sums(r * r)
-    vv = chains.stage_sums(v * v)
-    alpha = -np.sqrt(np.divide(rr, vv, out=np.ones_like(rr), where=vv > 0.0))
-    alpha = np.clip(alpha, -step_max, -1.0)
-    al = alpha[:, None, None]
+    rr = np.add.reduce(r * r, axis=2)
+    vv = np.add.reduce(v * v, axis=2)
+    chain = _ratio(np.add.reduce(rr, axis=1), np.add.reduce(vv, axis=1))
+    floor = np.maximum(chain, -step_max)[:, None]
+    alpha = np.minimum(np.maximum(_ratio(rr, vv), floor), -1.0)
+    al = alpha[:, :, None]
     return _floored(q0 - 2.0 * al * r + al * al * v), alpha
 
 
@@ -512,12 +544,18 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
     that ``warm``'s policy induces, and returns the chain with the lowest
     exact objective (ties to the lowest index).  The reported rate and cost
     are that chain's policy's, evaluated exactly by the row pass
-    (``_Chains.operating_point``).
+    (``_Chains.operating_point``).  The point carries the marginals and the
+    chains for a solve warm-started from it; that solve reuses the chains
+    when it has the same ``spec`` object and ``restarts``.
     """
     if mu < 0:
         raise ValueError("multiplier must be nonnegative")
     opts = opts or SolverOptions()
-    chains = _Chains(spec, mu, opts.restarts)
+    carry = warm._carry if warm is not None else None
+    if carry and carry[1].spec is spec and carry[1].restarts == opts.restarts:
+        chains = carry[1].at(mu)
+    else:
+        chains = _Chains(spec, mu, opts.restarts)
     cur = chains.certify(chains.step(_initial_marginals(chains, opts, warm)))
     maps = 1
     step_max = np.ones(opts.restarts)
@@ -528,11 +566,11 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
             break
         one = chains.step(cur.image)
         one_image = chains.image(one)
-        trial, alpha = _extrapolate(chains, cur.logq, one.logq, one_image, step_max)
+        trial, alpha = _extrapolate(cur.logq, one.logq, one_image, step_max)
         ext = chains.step(trial)
         maps += 2
         accept = ext.value <= one.value
-        at_cap = alpha == -step_max
+        at_cap = np.logical_or.reduce(alpha == -step_max[:, None], axis=1)
         step_max = np.where(accept, np.where(at_cap, 4.0 * step_max, step_max),
                             np.maximum(1.0, step_max / 4.0))
         if accept.all():
@@ -545,7 +583,8 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
     return _exact_point(chains, [pi[best] for pi in cur.pis], mu,
                         converged=gap <= opts.tol,
                         objective=float(cur.objective[best]),
-                        iterations=maps, gap=gap)
+                        iterations=maps, gap=gap,
+                        _carry=(cur.induced[best].copy(), chains))
 
 
 def _exact_point(chains: _Chains, tables, multiplier: float,

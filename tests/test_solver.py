@@ -291,10 +291,11 @@ class TestRowPass:
 
 
 def point_repr(p):
-    """Every field of a point as its repr, the policy tables as nested lists."""
+    """Every field of a point's repr as its repr, the policy tables as
+    nested lists."""
     return repr(tuple(repr(tuple(tab.tolist() for tab in p.policy.tables))
                       if f.name == "policy" else repr(getattr(p, f.name))
-                      for f in dataclasses.fields(p)))
+                      for f in dataclasses.fields(p) if f.repr))
 
 
 @pytest.fixture(scope="module")
@@ -314,30 +315,59 @@ def noisy6_run():
     return points, [w for w in caught if issubclass(w.category, RuntimeWarning)], budgets
 
 
+def maps_of(task):
+    """Blahut-Arimoto maps summed over the solves that ``task()`` runs."""
+    solves = []
+    original = ratecost.solver.solve_lagrangian
+
+    def counted(*args, **kwargs):
+        solves.append(original(*args, **kwargs))
+        return solves[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratecost.solver, "solve_lagrangian", counted)
+        task()
+    return sum(p.iterations for p in solves)
+
+
+def noisy6_queries(sweep, budgets):
+    return [solve_rate_cost(noisy_actuator(6), budget, SolverOptions(restarts=1),
+                            sweep=sweep) for budget in budgets]
+
+
 class TestLeanLoop:
     """The solve loop certifies only the iterates it keeps, and every number
     it keeps comes from the same arithmetic as when each map was certified."""
 
     def test_noisy6_sweep_digest_pinned(self, noisy6_run):
         # the 22 sweep points alone: the bracket search's schedule leaves
-        # them as they were
+        # them as they were.  Re-recorded when SQUAREM took one step per
+        # action-context row: the multipliers and objectives are unchanged,
+        # 16 rates moved by at most 3.4e-10, 2 costs by at most 2.1e-11,
+        # 3 gaps by at most 4.7e-10 and the tables by at most 3.4e-9; every
+        # point converged, and the maps of mu = 2^4 and 2^5 went 16/6 -> 7/5
         digest = hashlib.sha256()
         for p in noisy6_run[0][:22]:
             digest.update(point_repr(p).encode())
         assert digest.hexdigest() == \
-            "d82f5f21199c0c12710f4fddd7dfd39aefd175b44a05f8c6e961b26a27314568"
+            "3016eabbcdd50ea25f5d7e97c333b8018abc549e7d1f1480cefd4cadc36c0e62"
 
     def test_noisy6_points_digest_pinned(self, noisy6_run):
         # Re-recorded when the bracket search ran at a loose gap and only
         # the answer was solved to ``tol``: the sweep is unchanged; the
         # three answers moved in multiplier by at most 9.7e-5 (12.154611662
         # -> 12.154515166), rate by at most 8.3e-7, cost by at most 7e-8,
-        # and their maps went from 13/28/15 to 8/13/5
+        # and their maps went from 13/28/15 to 8/13/5.  Re-recorded when
+        # SQUAREM took one step per action-context row: besides the sweep
+        # (above), the answers moved in multiplier by at most 2.8e-5
+        # (12.154515166 -> 12.154487376), rate by at most 2.5e-7 (0.0382211
+        # -> 0.0382208), cost by at most 2e-8, and their maps went from
+        # 8/13/5 to 5/5/5; all three still converge
         digest = hashlib.sha256()
         for p in noisy6_run[0]:
             digest.update(point_repr(p).encode())
         assert digest.hexdigest() == \
-            "576cfa3681a5b0be6b1dba41a9bca21c694afcaeec5f7e70fda0c33448d9be30"
+            "bba4127cb59f83d229e4939a90cef18f57355bb81bbe4ce6110dad53a0d88954"
 
     def test_noisy6_answers_meet_the_benchmark_reference(self, noisy6_run):
         # the benchmark's own check of its curve workload (perfbench/
@@ -352,21 +382,17 @@ class TestLeanLoop:
 
     def test_noisy6_queries_maps(self, noisy6_run):
         # the three queries on the full sweep: 167 maps when every bracket
-        # solve ran to ``tol``, 115 with loose bracket solves
+        # solve ran to ``tol``, 115 with loose bracket solves, 51 with a
+        # SQUAREM step per action-context row
         points, _, budgets = noisy6_run
-        solves = []
-        original = ratecost.solver.solve_lagrangian
+        assert maps_of(lambda: noisy6_queries(points[:22], budgets)) <= 60
 
-        def counted(*args, **kwargs):
-            solves.append(original(*args, **kwargs))
-            return solves[-1]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ratecost.solver, "solve_lagrangian", counted)
-            for budget in budgets:
-                solve_rate_cost(noisy_actuator(6), budget, SolverOptions(restarts=1),
-                                sweep=points[:22])
-        assert sum(p.iterations for p in solves) <= 130
+    def test_noisy6_task_maps(self, noisy6_run):
+        # the benchmark's curve task, the sweep and the three queries: 171
+        # maps with one SQUAREM step per chain, 97 with one per row
+        points, _, budgets = noisy6_run
+        sweep = sum(p.iterations for p in points[:22])
+        assert sweep + maps_of(lambda: noisy6_queries(points[:22], budgets)) <= 110
 
     def test_sweep_queries_and_synthesis_warning_free(self, noisy6_run):
         # the row pass takes its logs of zero masses on whole arrays
@@ -414,6 +440,87 @@ class TestLeanLoop:
         _, eager = sweep_curve(spec, opts)
         assert [(p.objective, p.gap, p.converged, p.iterations) for p in lean] == \
             [(p.objective, p.gap, p.converged, p.iterations) for p in eager]
+
+
+@pytest.mark.parametrize("name, restarts, bound", [
+    ("noisy3", 1, 70), ("sticky4", 1, 185), ("drive2", 8, 13)])
+def test_mid_curve_query_maps(name, restarts, bound):
+    # one mid-curve query with its cut sweep; one SQUAREM step per chain ->
+    # per row: noisy3 126 -> 61, sticky4 205 -> 171, drive2 at the default
+    # eight restarts 13 -> 13
+    spec = BOUNDED_SPECS[name]()
+    budget = 0.5 * (min_expected_cost(spec) + min_open_loop_cost(spec)[0])
+    maps = maps_of(lambda: solve_rate_cost(spec, budget, SolverOptions(restarts=restarts)))
+    assert maps == bound if name == "drive2" else maps <= bound
+
+
+def test_extrapolate_steps_each_row_within_the_chain_step():
+    # rows: an action the optimum never plays, its log-marginal falling a
+    # bit per map (r stays put; v is the played action's small curvature);
+    # a row converging geometrically at rate 1/2 (its own step -2); a row
+    # the policies never reached; a row drifting exactly linearly (v = 0)
+    def unplayed(log):
+        return np.log2(1.0 - np.exp2(log)), log
+
+    q0 = np.array([[unplayed(-10.0), (-0.5, -1.5), (-1.0, -1.0), (-2.0, -3.0)]] * 2)
+    q1 = np.array([[unplayed(-11.0), (-0.75, -1.5), (-1.0, -1.0), (-3.0, -4.0)]] * 2)
+    q2 = np.array([[unplayed(-12.0), (-0.875, -1.5), (-1.0, -1.0), (-4.0, -5.0)]] * 2)
+    # two chains: chain 0 at cap 4, chain 1 at cap 16, beyond its own ratio
+    step_max = np.array([4.0, 16.0])
+    points, alpha = ratecost.solver._extrapolate(q0, q1, q2, step_max)
+    r, v = q1 - q0, q2 - 2.0 * q1 + q0
+    chain = -np.sqrt((r * r).sum(axis=(1, 2)) / (v * v).sum(axis=(1, 2)))
+    assert -16.0 < chain[1] < -4.0
+    capped = np.maximum(chain, -step_max)
+    np.testing.assert_allclose(alpha[:, 0], capped, rtol=1e-14)
+    np.testing.assert_array_equal(alpha[:, 1], [-2.0, -2.0])
+    np.testing.assert_array_equal(alpha[:, 3], [-1.0, -1.0])
+    assert np.all(alpha >= capped[:, None]) and np.all(alpha <= -1.0)
+    np.testing.assert_array_equal(points[:, 2], q0[:, 2])
+
+
+class TestCarry:
+    """A solved point hands a solve warm-started from it the marginals its
+    policy induces and its chains."""
+
+    @pytest.mark.parametrize("restarts", [1, 4])
+    @pytest.mark.parametrize("markov", [True, False])
+    def test_carried_marginals_are_the_forward_pass(self, markov, restarts):
+        spec = sticky_tracking(4) if markov else without_markov(sticky_tracking(4))
+        _, raw = sweep_curve(spec, SolverOptions(restarts=restarts))
+        for p in raw:
+            marginals, chains = p._carry
+            assert chains.spec is spec and chains.markov == markov
+            tables = [tab[None] for tab in p.policy.tables]
+            assert np.array_equal(marginals, chains.forward(tables)[0])
+
+    def test_chains_built_once_per_sweep(self, monkeypatch):
+        built = []
+        init = ratecost.solver._Chains.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(ratecost.solver._Chains, "__init__", counted)
+        _, raw = sweep_curve(noisy_actuator(3), SolverOptions(restarts=4))
+        assert len(raw) == 22 and len(built) == 1
+
+    def test_carry_leaves_every_point_bit_identical(self, monkeypatch):
+        # the same sweep and query with each point's carry dropped, so that
+        # every solve builds its chains and runs the warm forward pass
+        spec, opts = sticky_tracking(4), SolverOptions(restarts=4)
+        budget = 0.5 * (min_expected_cost(spec) + min_open_loop_cost(spec)[0])
+
+        def run():
+            _, raw = sweep_curve(spec, opts)
+            return raw + [solve_rate_cost(spec, budget, opts, sweep=raw)]
+
+        carried = run()
+        original = ratecost.solver.solve_lagrangian
+        monkeypatch.setattr(ratecost.solver, "solve_lagrangian", lambda *args, **kwargs:
+                            dataclasses.replace(original(*args, **kwargs), _carry=None))
+        assert all(same_point(a, b) for a, b in zip(carried, run(), strict=True))
 
 
 def test_dirichlet_starts_are_the_seeded_streams():
