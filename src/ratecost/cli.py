@@ -101,6 +101,17 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
+    """Write each named text into ``out_dir``, made if missing.  A directory
+    that cannot be made or written is an invalid ``--out`` (exit 2)."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in files.items():
+            _write_atomic(os.path.join(out_dir, name), text)
+    except OSError as err:
+        raise ValueError(f"--out {out_dir}: {err.strerror or err}") from err
+
+
 def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
@@ -162,10 +173,6 @@ def cmd_solve(args, require_source: bool) -> int:
             "achieved_cost": point.cost,
             **_solver_record(point),
         })
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    _write_atomic(os.path.join(out_dir, f"{prefix}_curve.csv"),
-                  "\n".join(_curve_rows(curve)) + "\n")
     payload = {
         "schema_version": 1,
         "spec_path": os.path.abspath(args.spec),
@@ -174,7 +181,8 @@ def cmd_solve(args, require_source: bool) -> int:
                   for p in curve.points],
         "requested": requested,
     }
-    _write_atomic(os.path.join(out_dir, f"{prefix}.json"), _json_text(payload))
+    _write_outputs(args.out, {f"{prefix}_curve.csv": "\n".join(_curve_rows(curve)) + "\n",
+                              f"{prefix}.json": _json_text(payload)})
     # the answer is the requested points, or the curve when none was asked for
     answer = requested or payload["curve"]
     if not all(p["converged"] for p in answer):
@@ -230,15 +238,14 @@ def cmd_synth(args) -> int:
         "simulation": report.as_dict(),
         "sandwich": ledger.as_dict(),
     }
-    os.makedirs(args.out, exist_ok=True)
-    _write_atomic(os.path.join(args.out, "result_bundle.json"),
-                  _json_text(payload))
+    files = {"result_bundle.json": _json_text(payload)}
     if args.trials_csv:
         rows = ["trial,bits_per_stage,cost_per_stage"]
         for i, (b, c) in enumerate(zip(report.per_trial_bits,
                                        report.per_trial_costs)):
             rows.append(f"{i},{b!r},{c!r}")
-        _write_atomic(os.path.join(args.out, "trials.csv"), "\n".join(rows) + "\n")
+        files["trials.csv"] = "\n".join(rows) + "\n"
+    _write_outputs(args.out, files)
     for line, ok in (("converse", ledger.converse_ok),
                      ("achievability", ledger.achievability_ok),
                      ("cost", ledger.cost_ok)):
@@ -266,8 +273,7 @@ def cmd_lqg(args) -> int:
         "D,rate_bits",
     ]
     rows += [f"{d!r},{rate!r}" for d, rate in points]
-    os.makedirs(args.out, exist_ok=True)
-    _write_atomic(os.path.join(args.out, "lqg_curve.csv"), "\n".join(rows) + "\n")
+    _write_outputs(args.out, {"lqg_curve.csv": "\n".join(rows) + "\n"})
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ time-sharing selector, and match conditional Shannon codebooks to the
 resulting mixture action law.  The cloud is selected and evaluated in
 blocks: each stage's maps are one ``argmin`` over the block's race draws,
 and the block's exact coordinates come from one batched row pass
-(``solver._Chains.operating_point``) on the one-hot tables of its maps,
+(``Rows.operating_point``) on the one-hot tables of its maps,
 holding about ``spec.budget`` entries at once.  The same pass gives the
 races' context masses and the kept realizations' action laws, so
 synthesis builds no trajectory law.  Only the two realizations the
@@ -52,7 +52,6 @@ from .sfrl import (
 from .solver import (
     RateCostPoint,
     SolverOptions,
-    _Chains,
     cost_floor_point,
     solve_rate_cost,
 )
@@ -167,14 +166,12 @@ def _onehot(maps: np.ndarray, num_actions: int) -> np.ndarray:
 
 
 class RowPass:
-    """A policy's exact row pass on ``spec``'s rows (``solver._Chains``):
-    the rows, and the policy's context masses P(u^{t-1}), (U**(t-1),) for
-    each stage t, which its races read.  One per realized policy."""
+    """A policy's exact row pass on ``spec.rows``: its context masses
+    P(u^{t-1}), (U**(t-1),) per stage t, which its races read."""
 
     def __init__(self, spec: SystemSpec, policy: CausalPolicy):
         self.spec, self.policy = spec, policy
-        self.rows = _Chains(spec, 0.0, 1)
-        contexts = self.rows.operating_point([tab[None] for tab in policy.tables])[2]
+        contexts = spec.rows.operating_point([tab[None] for tab in policy.tables])[2]
         self.masses = [m[0] for m in contexts]
 
 
@@ -186,13 +183,13 @@ def realize_cloud(race: RowPass, seed: int, first: int,
     Realizations are selected and evaluated in blocks of max(1,
     spec.budget // live), ``live`` the row pass's live set per realization:
     every stage's one-hot table, plus eight arrays of the row budget the
-    solver checks (``_Chains.width``) at its last stage (mass, joint, pair
+    solver checks (``Rows.width``) at its last stage (mass, joint, pair
     and context masses, the previous stage's summands and three
     temporaries).  Each block draws each stage's race from one generator
-    and runs one exact row pass (``_Chains.operating_point``) on the
+    and runs one exact row pass (``Rows.operating_point``) on the
     one-hot tables of its maps.
     """
-    rows = race.rows
+    rows = race.spec.rows
     live = sum(tab.size for tab in race.policy.tables) + 8 * rows.width
     block = max(1, race.spec.budget // live)
     points = []
@@ -210,13 +207,13 @@ def realize_cloud(race: RowPass, seed: int, first: int,
 def build_realization(race: RowPass, seed: int, point: RealizationPoint) -> Realization:
     """The full realization behind a cloud point of ``race.policy``: draws,
     maps, policy and action law, recomputed from its race stream."""
-    n, U = race.rows.n, race.rows.U
+    n, U = race.spec.horizon, race.spec.num_actions
     i = point.realization_id
     draws = tuple(race_draws(seed, t, U, i, 1)[0] for t in range(1, n + 1))
     maps = tuple(stage_maps(tab, mass, d[None])[0]
                  for tab, mass, d in zip(race.policy.tables, race.masses, draws))
     realized = CausalPolicy(tuple(_onehot(m, U) for m in maps))
-    actions = race.rows.operating_point([tab[None] for tab in realized.tables])[3]
+    actions = race.spec.rows.operating_point([tab[None] for tab in realized.tables])[3]
     return Realization(realization_id=i, draws=draws, maps=maps, policy=realized,
                        action_law=actions[0].reshape((U,) * n), point=point)
 
@@ -335,7 +332,7 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
     STREAM_SELECTOR, block))`` and (m, n) plant uniforms, row-major, from
     ``SeedSequence((seed, STREAM_DYNAMICS, block))``; a trial takes
     realization 0 when its selector uniform is below the selector weight.
-    The plant runs on the solver's rows (``solver._Chains``): x_{t+1} is
+    The plant runs on the spec's rows (``SystemSpec.rows``): x_{t+1} is
     drawn from the law of the trial's (context, plant row, action).
     The coder gets a block's distinct action sequences in ascending index
     order, and a ``CodingError`` it raises names one of those rows.  A
@@ -351,7 +348,7 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
-    rows = _Chains(spec, 0.0, 1)
+    rows = spec.rows
     # state-major: column r of cums[t] is the cumulated law of x_{t+1} given
     # the flat (context, plant row, action) row r of the solver's stage-t
     # rows, a Markov step spread over the contexts; x_1 has one row

@@ -55,8 +55,8 @@ as unreachable.
 A multiplier sweep plus a bracket search traces the lower convex envelope
 of (cost, rate) points and answers cost-budget queries, each solve
 warm-started from a neighbouring multiplier's marginals.  A solved point
-carries those marginals and its chains' arrays to its successor, which
-rebuilds only the multiplier's costs.  The sweep runs
+carries those marginals to its successor, whose chains read the same
+rows (``SystemSpec.rows``) at their own multiplier.  The sweep runs
 down the grid from the largest multiplier, and a query for one budget
 stops it at the first point above the budget.  That point is the largest
 infeasible multiplier, which brackets the search.  A Lagrangian
@@ -91,7 +91,7 @@ search reads of each solved point only its multiplier, exact cost and
 rate, so any sweep point is a bracket candidate for any budget.
 
 Exact operating points.  Every point this module reports (a solve's
-answer and the cost floor's greedy policy) has its policy on the chain
+answer and the cost floor's greedy policy) has its policy on the spec's
 rows, and its rate and cost come from one forward pass over those rows,
 not from the (X*U)**n trajectory law; ``scheme`` runs the same pass,
 batched over policies, for the cloud's points, the races' context masses
@@ -109,7 +109,6 @@ the trajectory law stay the oracle.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -118,14 +117,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .system import (
-    MASS_TOL,
-    BudgetExceededError,
     CausalPolicy,
     InvariantError,
-    NormalizationError,
+    Rows,
     SystemSpec,
     average_cost,
-    count_text,
     directed_information,
     evaluate_joint,
 )
@@ -179,15 +175,15 @@ class SolverOptions:
 class RateCostPoint:
     """One operating point: exact rate/cost of the returned causal policy.
 
-    Points the solver produces have their policy on the solver's rows
-    (see ``_Chains``), and their rate and cost come from the exact row pass
-    (``_Chains.operating_point``).
+    Points the solver produces have their policy on the spec's rows
+    (``SystemSpec.rows``), and their rate and cost come from the exact row
+    pass (``Rows.operating_point``).
 
     ``iterations`` counts the Blahut-Arimoto maps and ``gap`` is the
     certified optimality gap of the Lagrangian objective (NaN for points
     not produced by ``solve_lagrangian``).  A point from
     ``solve_lagrangian`` also carries, for a solve warm-started from it,
-    the stacked marginals its policy induces and its ``_Chains``.
+    its rows and the stacked marginals its policy induces on them.
     """
 
     rate: float
@@ -198,8 +194,8 @@ class RateCostPoint:
     objective: float = math.nan
     iterations: int = 0
     gap: float = math.nan
-    _carry: tuple[np.ndarray, _Chains] | None = field(default=None, repr=False,
-                                                      compare=False)
+    _carry: tuple[Rows, np.ndarray] | None = field(default=None, repr=False,
+                                                   compare=False)
 
     def __post_init__(self):
         if self.rate < -1e-12 or self.cost < -1e-12:
@@ -276,166 +272,37 @@ class _Kept(_Map):
 
 
 class _Chains:
-    """Forward-backward Blahut-Arimoto maps for one spec and multiplier.
+    """Forward-backward Blahut-Arimoto maps on ``rows`` (``system.Rows``) at
+    one multiplier, ``costs[s]`` the multiplier times ``rows.stage_costs[s]``:
+    ``step`` is the map alone, ``image`` floors its induced marginals and
+    ``certify`` adds the certificate of a map the loop keeps (module
+    docstring)."""
 
-    Stage s (0-based) has rows (u^s, p): U**s action contexts times P_s
-    plant states, P_s = X for a Markov spec (p = x_{s+1}) and X**(s+1)
-    otherwise (p = x^{s+1}).  These are the rows of ``CausalPolicy``
-    tables, so a chain's policies are its answer as they stand.  Its arrays
-    have shape (B, U**s, P_s, U), and
-    marginals q_s of shape (B, U**s, U) broadcast against them as
-    (B, U**s, 1, U).  ``steps[s]``, (1 or U**s, P_s, U, X), is the law of
-    x_{s+2} given a stage-s row and action.  The layouts differ in one
-    step: a Markov forward pass sums the plant-state axis out of the next
-    state's law (``push``), and the backward pass broadcasts the next
-    stage's values over it (``expect``).  A stage's plant row p grows into
-    the next stage's as p * ``grow`` + x_{s+2}: ``grow`` is X on
-    state-history rows and 0 on Markov rows.  The marginals of all stages
-    are kept stacked, (B, sum_s U**s, U), rows ``slices[s]`` holding stage
-    s, so that every row-wise step of a map runs once over all stages.
-    ``width`` counts the entries of the largest array a map or the row pass
-    makes per chain or policy; ``restarts`` chains over the spec's budget
-    in these raise ``BudgetExceededError`` before allocating.
-    ``stage_costs[s]``, (P_s, U), is the stage cost on the stage-s rows and
-    ``costs[s]`` the same times the multiplier; ``at`` gives the chains of
-    the same ``spec`` and ``restarts`` at another multiplier.
-
-    ``step`` is the map alone.  ``image`` floors the induced marginals of a
-    map the loop steps from, and ``certify`` adds the certificate
-    (objective and gap) for a map it keeps: the first point, an accepted
-    extrapolation and the fallback double step, never the plain map of an
-    iteration nor a rejected extrapolation.  Every per-stage reduction
-    calls the ufunc's ``reduce`` directly: at these sizes a map costs its
-    numpy calls, not its arithmetic.
-    """
-
-    def __init__(self, spec: SystemSpec, mu: float, restarts: int):
-        self.spec, self.restarts = spec, restarts
-        n, X, U = self.n, self.X, self.U = (spec.horizon, spec.num_states,
-                                            spec.num_actions)
-        self.markov = spec.markov is not None
-        self.grow = 0 if self.markov else X
-        self.plants = [X if self.markov else X ** (s + 1) for s in range(n)]
-        # the last stage's (row, action) entries, or the (row, action, next
-        # state) entries of the stage before, X / U times more on Markov rows
-        self.width = U ** (n - 1) * max(U * self.plants[-1],
-                                        X * self.plants[-2] if n > 1 else 0)
-        if restarts * self.width > spec.budget:
-            raise BudgetExceededError(f"solver working set {restarts} restarts "
-                                      f"(--restarts) x {count_text(self.width)} "
-                                      f"entries exceeds budget {spec.budget}")
-        self.initial = spec.stage_kernel(1)[None]
-        # a full-history kernel's rows (x_1, u_1, ..., x_{s+1}, u_{s+1}) as
-        # (u^{s+1}, x^{s+1}), then the action u_{s+1} moved past x^{s+1}
-        self.steps = [spec.markov[1][None] if self.markov else
-                      spec.stage_kernel(s + 2).reshape((X, U) * (s + 1) + (X,))
-                      .transpose(*range(1, 2 * s + 2, 2), *range(0, 2 * s + 3, 2))
-                      .reshape(U ** s, U, X ** (s + 1), X).swapaxes(1, 2)
-                      for s in range(n - 1)]
-        self.stage_costs = [spec.cost[np.arange(P) % X] for P in self.plants]
-        self.costs = [mu * c for c in self.stage_costs]
-        bounds = np.cumsum([0] + [U ** s for s in range(n)])
-        self.slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-        self.contexts = int(bounds[-1])
-
-    def at(self, mu: float) -> "_Chains":
-        """The same chains at another multiplier: only ``costs`` are new."""
-        other = copy.copy(self)
-        other.costs = [mu * c for c in self.stage_costs]
-        return other
-
-    def expect(self, s: int, v: np.ndarray) -> np.ndarray:
-        """E v(next row) for every stage-s row and action, (B, U**s, P_s, U),
-        of values ``v`` on the stage-(s+1) rows, (B, U**(s+1), P_{s+1})."""
-        after = v.reshape(v.shape[0], self.U ** s, self.U, -1, self.X)
-        return np.add.reduce(self.steps[s] * after.swapaxes(2, 3), axis=4)
-
-    def push(self, s: int, w: np.ndarray) -> np.ndarray:
-        """Weights ``w`` on the stage-s (row, action) entries, (B, U**s, P_s,
-        U), carried onto the stage-(s+1) rows, (B, U**(s+1), P_{s+1})."""
-        nxt = w[..., None] * self.steps[s]
-        if self.markov:
-            nxt = np.add.reduce(nxt, axis=2, keepdims=True)
-        return nxt.swapaxes(2, 3).reshape(w.shape[0], self.U ** (s + 1), -1)
+    def __init__(self, rows: Rows, mu: float):
+        self.rows = rows
+        self.costs = [mu * c for c in rows.stage_costs]
 
     def backward(self, logq):
         """Optimal policies for the marginals and the proxy value V(q)."""
-        pis = [None] * self.n
+        rows = self.rows
+        pis = [None] * rows.n
         soft = None         # log2 sum_u 2^a on each row of the later stage
-        for s in range(self.n - 1, -1, -1):
-            a = logq[:, self.slices[s], None, :] - self.costs[s]
+        for s in range(rows.n - 1, -1, -1):
+            a = logq[:, rows.slices[s], None, :] - self.costs[s]
             if soft is not None:
-                a += self.expect(s, soft)
+                a += rows.expect(s, soft)
             top = np.maximum.reduce(a, axis=3, keepdims=True)
             e = np.exp2(a - top)
             total = np.add.reduce(e, axis=3, keepdims=True)
             pis[s] = e / total
             soft = (top + np.log2(total))[..., 0]
-        return pis, -np.add.reduce(self.initial * soft, axis=(1, 2)) / self.n
-
-    def forward(self, pis):
-        """Stacked marginals q'_s(u | ctx) induced by the policies; rows of
-        contexts the policies never reach are zero."""
-        B = pis[0].shape[0]
-        cond = self.initial     # law of the plant state given the context
-        out = np.empty((B, self.contexts, self.U))
-        for s in range(self.n):
-            joint = cond[..., None] * pis[s]
-            q = np.add.reduce(joint, axis=2, out=out[:, self.slices[s]])
-            if s + 1 < self.n:
-                mass = q[:, :, None, :]
-                given = np.divide(joint, mass, out=np.zeros(joint.shape), where=mass > 0.0)
-                cond = self.push(s, given)
-        return out
-
-    def operating_point(self, tables):
-        """Exact rates and costs per stage of B policies, ``tables[s]`` of
-        shape (B, U**s, P_s, U) on the chain rows.
-
-        One forward pass carries the mass P(u^s, p) of each stage-s row.
-        With J = P(u^s, p, u) the stage cost is sum J c and the stage
-        information sum_{J>0} J log2 pi P(u^s) / P(u^s, u), its three logs
-        taken apart so that nothing underflows (module docstring): each on
-        its whole array, the summands zeroed where J = 0.  Returns the rates
-        and costs, (B,) each, the context masses P(u^s) of every stage,
-        (B, U**s) each, and the last stage's pair mass P(u^{n-1}, u_n),
-        (B, U**(n-1), U): the action law.  Every reduction runs along one
-        policy's entries, so a policy's numbers do not depend on the batch
-        it is evaluated in.  Checks what ``JointLaw`` and
-        ``stage_information_terms`` check: the total mass within
-        ``MASS_TOL`` and every stage term above -1e-9; a term in (-1e-9, 0)
-        counts as 0.
-        """
-        B = tables[0].shape[0]
-        mass = self.initial
-        rate, cost, contexts = np.zeros(B), np.zeros(B), []
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for s, pi in enumerate(tables):
-                joint = mass[..., None] * pi
-                cost += np.add.reduce((joint * self.stage_costs[s]).reshape(B, -1), axis=1)
-                pair = np.add.reduce(joint, axis=2, keepdims=True)       # P(u^s, u)
-                context = np.add.reduce(pair, axis=3, keepdims=True)     # P(u^s)
-                contexts.append(context.reshape(B, -1))
-                summands = np.where(joint > 0.0, joint * (
-                    np.log2(pi) + np.log2(context) - np.log2(pair)), 0.0)
-                term = np.add.reduce(summands.reshape(B, -1), axis=1)
-                low = float(np.minimum.reduce(term))
-                if low < -1e-9:
-                    raise InvariantError(f"stage information term {low} below -1e-9")
-                rate += np.maximum(term, 0.0)
-                if s + 1 < self.n:
-                    mass = self.push(s, joint)
-        total = np.add.reduce(joint.reshape(B, -1), axis=1)
-        worst = float(total[np.abs(total - 1.0).argmax()])
-        if abs(worst - 1.0) > MASS_TOL:
-            raise NormalizationError(f"trajectory mass {worst!r} is not 1 within {MASS_TOL}")
-        return rate / self.n, cost / self.n, contexts, pair[:, :, 0]
+        return pis, -np.add.reduce(rows.initial * soft, axis=(1, 2)) / rows.n
 
     def step(self, logq) -> _Map:
         """The map: the policies for ``logq``, their value V and the
         marginals they induce."""
         pis, value = self.backward(logq)
-        return _Map(logq, pis, self.forward(pis), value)
+        return _Map(logq, pis, self.rows.forward(pis), value)
 
     def _logs(self, m: _Map):
         """Where the induced marginals are reached, and their log2."""
@@ -451,22 +318,22 @@ class _Chains:
         """The map with its image, objective V - D(A || r) / n and gap
         (log2 max A / r - D(A || r)) / n (module docstring)."""
         reached, log_new = self._logs(m)
-        induced = m.induced
+        induced, n = m.induced, self.rows.n
         B = m.value.shape[0]
         ratio = np.where(reached, log_new - m.logq, 0.0)
         terms = np.add.reduce(induced * np.where(induced > 0.0, ratio, 0.0), axis=2)
         reach = np.ones((B, 1))       # probability of each action context
         tree = np.zeros((B, 1))       # log2 A(u^s) / r(u^s) along the action tree
         divergence = np.zeros(B)      # D(A || r)
-        for s, sl in enumerate(self.slices):
+        for s, sl in enumerate(self.rows.slices):
             divergence += np.add.reduce(reach * terms[:, sl], axis=1)
             tree = (tree[:, :, None] + ratio[:, sl]).reshape(B, -1)
-            if s + 1 < self.n:
+            if s + 1 < n:
                 reach = (reach[:, :, None] * induced[:, sl]).reshape(B, -1)
         return _Kept(m.logq, m.pis, induced, m.value,
                      image=np.where(reached, _floored(log_new), m.logq),
-                     objective=m.value - divergence / self.n,
-                     gap=(np.maximum.reduce(tree, axis=1) - divergence) / self.n)
+                     objective=m.value - divergence / n,
+                     gap=(np.maximum.reduce(tree, axis=1) - divergence) / n)
 
 
 @functools.lru_cache(maxsize=4)
@@ -486,27 +353,27 @@ def _dirichlet_starts(seed: int, restarts: int, U: int, n: int) -> np.ndarray:
     return q
 
 
-def _initial_marginals(chains: _Chains, opts: SolverOptions,
+def _initial_marginals(rows: Rows, opts: SolverOptions,
                        warm: RateCostPoint | None):
     """Stacked log2 q, (restarts, sum_s U**s, U): chain 0 from the marginals
     the warm point's policy induces (uniform without one, and on contexts
     it never reaches), the rest seeded Dirichlet draws.  A warm point that
-    a solve of the same spec returned carries its marginals; any other
+    a solve on the same ``rows`` returned carries its marginals; any other
     gets a forward pass."""
-    U = chains.U
-    q = np.empty((opts.restarts, chains.contexts, U))
+    U = rows.U
+    q = np.empty((opts.restarts, rows.contexts, U))
     q[0] = 1.0 / U
     if warm is not None:
-        if warm._carry is not None and warm._carry[1].spec is chains.spec:
-            start = warm._carry[0]
+        if warm._carry is not None and warm._carry[0] is rows:
+            start = warm._carry[1]
         else:
-            # the warm tables on the chain rows: a Markov row reads the
-            # state history (0, ..., 0, x)
-            tabs = [tab[None, :, :P] for tab, P in zip(warm.policy.tables, chains.plants)]
-            start = chains.forward(tabs)[0]
+            # the warm tables on the rows: a Markov row reads the state
+            # history (0, ..., 0, x)
+            tabs = [tab[None, :, :P] for tab, P in zip(warm.policy.tables, rows.plants)]
+            start = rows.forward(tabs)[0]
         seen = np.add.reduce(start, axis=1) > 0.0
         q[0][seen] = start[seen]
-    q[1:] = _dirichlet_starts(opts.seed, opts.restarts, U, chains.n)
+    q[1:] = _dirichlet_starts(opts.seed, opts.restarts, U, rows.n)
     return _floored(_log2(q))
 
 
@@ -544,19 +411,17 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
     that ``warm``'s policy induces, and returns the chain with the lowest
     exact objective (ties to the lowest index).  The reported rate and cost
     are that chain's policy's, evaluated exactly by the row pass
-    (``_Chains.operating_point``).  The point carries the marginals and the
-    chains for a solve warm-started from it; that solve reuses the chains
-    when it has the same ``spec`` object and ``restarts``.
+    (``Rows.operating_point``).  The point carries the marginals its policy
+    induces, which a solve warm-started from it on the same ``spec.rows``
+    reuses.  Chains over the budget raise ``BudgetExceededError`` first.
     """
     if mu < 0:
         raise ValueError("multiplier must be nonnegative")
     opts = opts or SolverOptions()
-    carry = warm._carry if warm is not None else None
-    if carry and carry[1].spec is spec and carry[1].restarts == opts.restarts:
-        chains = carry[1].at(mu)
-    else:
-        chains = _Chains(spec, mu, opts.restarts)
-    cur = chains.certify(chains.step(_initial_marginals(chains, opts, warm)))
+    rows = spec.rows
+    rows.check(opts.restarts)
+    chains = _Chains(rows, mu)
+    cur = chains.certify(chains.step(_initial_marginals(rows, opts, warm)))
     maps = 1
     step_max = np.ones(opts.restarts)
     while True:
@@ -580,43 +445,40 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
             cur = chains.certify(chains.step(np.where(accept[:, None, None], trial,
                                                       one_image)))
             maps += 1
-    return _exact_point(chains, [pi[best] for pi in cur.pis], mu,
+    return _exact_point(rows, [pi[best] for pi in cur.pis], mu,
                         converged=gap <= opts.tol,
                         objective=float(cur.objective[best]),
                         iterations=maps, gap=gap,
-                        _carry=(cur.induced[best].copy(), chains))
+                        _carry=(rows, cur.induced[best].copy()))
 
 
-def _exact_point(chains: _Chains, tables, multiplier: float,
-                 **record) -> RateCostPoint:
-    """The operating point of the policy with these tables on the chain
-    rows, its rate and cost from the exact row pass.  The tables' rows are
+def _exact_point(rows: Rows, tables, multiplier: float, **record) -> RateCostPoint:
+    """The operating point of the policy with these tables on ``rows``, its
+    rate and cost from the exact row pass.  The tables' rows are
     normalized by construction, so the policy skips the row check."""
-    rate, cost, _, _ = chains.operating_point([tab[None] for tab in tables])
+    rate, cost, _, _ = rows.operating_point([tab[None] for tab in tables])
     return RateCostPoint(rate=float(rate[0]), cost=float(cost[0]), multiplier=multiplier,
                          policy=CausalPolicy._from_normalized(tables), **record)
 
 
 def _cost_dp(spec: SystemSpec):
     """Backward induction for the cost-only problem on the solver's rows:
-    (value, greedy tables, the rows).  ``_Chains.backward`` with a hard
-    minimum over the actions and the stage costs alone.  Each expected
-    cost-to-go is the same length-X sum of the same products on a Markov
-    spec's rows as on its full-history twin's, so both give the same
-    numbers."""
-    chains = _Chains(spec, 0.0, 1)
-    n, U = chains.n, chains.U
+    (value, greedy tables).  ``_Chains.backward`` with a hard minimum over
+    the actions and the stage costs alone.  Each expected cost-to-go is the
+    same length-X sum of the same products on a Markov spec's rows as on
+    its full-history twin's, so both give the same numbers."""
+    rows = spec.rows
+    n, U = rows.n, rows.U
     v = None        # optimal cost-to-go on the stage-s rows, (1, U**s, P_s)
     tabs: list[np.ndarray] = [None] * n
     for s in range(n - 1, -1, -1):
-        cost = chains.stage_costs[s]
+        cost = rows.stage_costs[s]
         stage_q = np.broadcast_to(cost, (1, U ** s) + cost.shape)
         if v is not None:
-            stage_q = stage_q + chains.expect(s, v)
+            stage_q = stage_q + rows.expect(s, v)
         tabs[s] = np.eye(U)[stage_q[0].argmin(axis=2)]
         v = np.minimum.reduce(stage_q, axis=3)
-    value = float(np.add.reduce(chains.initial * v, axis=(1, 2))[0]) / n
-    return value, tabs, chains
+    return float(np.add.reduce(rows.initial * v, axis=(1, 2))[0]) / n, tabs
 
 
 def min_expected_cost(spec: SystemSpec) -> float:
@@ -628,8 +490,7 @@ def cost_floor_point(spec: SystemSpec) -> RateCostPoint:
     """The cost DP's greedy policy as an operating point on the solver's
     rows, rate and cost from the same exact row pass as a solve's answer;
     its multiplier is infinite."""
-    _, tabs, chains = _cost_dp(spec)
-    return _exact_point(chains, tabs, math.inf)
+    return _exact_point(spec.rows, _cost_dp(spec)[1], math.inf)
 
 
 def sweep_curve(spec: SystemSpec, opts: SolverOptions | None = None,

@@ -12,8 +12,8 @@ Probability rows that sum to one within ``system.KERNEL_ROW_TOL`` (1e-12),
 the tolerance ``SystemSpec`` itself enforces, are accepted as-is; rows off
 by up to ``RENORM_TOL`` (1e-6) are renormalized with a warning; anything
 worse is rejected.  ``mode: "source"`` declares an uncontrolled kernel: a (X, X)
-transition is broadcast over actions, and a (X, U, X) transition must not
-depend on the action column.
+transition is broadcast over actions, and a (X, U, X) transition or a
+full-history stage kernel must not depend on any past action.
 """
 
 from __future__ import annotations
@@ -76,6 +76,14 @@ def _check_rows(rows: np.ndarray, key: str) -> np.ndarray:
     )
 
 
+def _check_source(kernel: np.ndarray, key: str, k: int, X: int, U: int) -> None:
+    """Refuse a source-mode kernel whose rows, over the histories (x_1, u_1,
+    ..., x_k, u_k), change with any of the actions."""
+    rows = kernel.reshape((X, U) * k + (X,))
+    if not np.allclose(rows, rows[(slice(None), slice(0, 1)) * k], atol=1e-12):
+        raise SpecFileError(f"{key}: source mode requires action-independent rows")
+
+
 def parse_spec(doc: dict) -> SystemSpec:
     """Check a parsed JSON document and build the system spec."""
     for key in _REQUIRED:
@@ -122,11 +130,8 @@ def parse_spec(doc: dict) -> SystemSpec:
                 f"kernel.transition: expected shape {(X, U, X)} "
                 f"(or {(X, X)} in source mode), got {transition.shape}"
             )
-        if source and not np.allclose(
-                transition, transition[:, :1, :], atol=1e-12):
-            raise SpecFileError(
-                "kernel.transition: source mode requires action-independent rows"
-            )
+        if source:
+            _check_source(transition, "kernel.transition", 1, X, U)
         transition = _check_rows(transition, "kernel.transition")
         return SystemSpec.from_markov(initial, transition, cost, n,
                                       budget=budget, source_mode=source)
@@ -142,6 +147,8 @@ def parse_spec(doc: dict) -> SystemSpec:
         want = ((X * U) ** (t - 1), X)
         if arr.shape != want:
             raise SpecFileError(f"{key}: expected shape {want}, got {arr.shape}")
+        if source:
+            _check_source(arr, key, t - 1, X, U)
         kernels.append(_check_rows(arr, key))
     return SystemSpec(horizon=n, num_states=X, num_actions=U, cost=cost,
                       kernels=tuple(kernels), budget=budget, source_mode=source)

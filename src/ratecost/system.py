@@ -20,9 +20,13 @@ on (context, plant row) rows, the plant row being the state key mod P_t.
 ``history_digits`` and ``policy_rows`` are the only implementation of the
 flat convention: ``policy_rows`` carries every flat row to its policy row.
 
+``Rows`` holds the layout of the policy rows and the exact passes over
+them; ``SystemSpec.rows`` builds it once per spec object, on first use.
+
 All probabilities are 64-bit floats, all logarithms are base 2, and
 entropy terms use the convention 0*log(0) = 0.  Everything here is a pure
-function of immutable inputs and is safe to call concurrently.
+function of immutable inputs and is safe to call concurrently; two first
+uses of ``SystemSpec.rows`` that race build equal rows, and either is kept.
 """
 
 from __future__ import annotations
@@ -207,6 +211,140 @@ class SystemSpec:
         XU = self.num_states * self.num_actions
         return initial[None] if t == 1 else \
             np.tile(transition.reshape(XU, -1), (XU ** (t - 2), 1))
+
+    @functools.cached_property
+    def rows(self) -> Rows:
+        """The spec's ``Rows``, built on first use and kept."""
+        return Rows(self)
+
+
+class Rows:
+    """A spec's policy rows and the exact passes that read only them.
+
+    Stage s (0-based) has rows (u^s, p): U**s action contexts times P_s =
+    ``plants[s]`` plant states, X for a Markov spec (p = x_{s+1}) and
+    X**(s+1) otherwise (p = x^{s+1}): the rows of ``CausalPolicy`` tables.
+    Arrays on them are batched over B chains or policies, (B, U**s, P_s,
+    U), and marginals q_s, (B, U**s, U), broadcast as (B, U**s, 1, U);
+    stacked over the stages they are (B, ``contexts``, U), stage s in rows
+    ``slices[s]``.  ``steps[s]``, (1 or U**s, P_s, U, X), is the law of
+    x_{s+2} given a stage-s row and action.  A Markov forward pass sums the
+    plant-state axis out of the next state's law (``push``), and a backward
+    pass broadcasts the next stage's values over it (``expect``).  Plant
+    row p grows into the next stage's as p * ``grow`` + x_{s+2} (``grow``
+    X on state-history rows, 0 on Markov rows); ``stage_costs[s]``, (P_s,
+    U), is the stage cost on the stage-s rows.  ``width`` counts the entries
+    of the largest array a map or the row pass makes per chain or policy;
+    ``check`` refuses a batch over the spec's budget, as the rows do one
+    before they build anything.  Their arrays are read-only.  Every
+    per-stage reduction calls the ufunc's ``reduce`` directly: at these
+    sizes a pass costs its numpy calls, not its arithmetic.
+    """
+
+    def __init__(self, spec: SystemSpec):
+        n, X, U = self.n, self.X, self.U = (spec.horizon, spec.num_states,
+                                            spec.num_actions)
+        self.markov, self.budget = spec.markov is not None, spec.budget
+        self.grow = 0 if self.markov else X
+        self.plants = [X if self.markov else X ** (s + 1) for s in range(n)]
+        # the last stage's (row, action) entries, or the (row, action, next
+        # state) entries of the stage before, X / U times more on Markov rows
+        self.width = U ** (n - 1) * max(U * self.plants[-1],
+                                        X * self.plants[-2] if n > 1 else 0)
+        self.check(1)
+        self.initial = spec.stage_kernel(1)[None]
+        # a full-history kernel's rows (x_1, u_1, ..., x_{s+1}, u_{s+1}) as
+        # (u^{s+1}, x^{s+1}), then the action u_{s+1} moved past x^{s+1}
+        self.steps = [spec.markov[1][None] if self.markov else
+                      spec.stage_kernel(s + 2).reshape((X, U) * (s + 1) + (X,))
+                      .transpose(*range(1, 2 * s + 2, 2), *range(0, 2 * s + 3, 2))
+                      .reshape(U ** s, U, X ** (s + 1), X).swapaxes(1, 2)
+                      for s in range(n - 1)]
+        self.stage_costs = [spec.cost[np.arange(P) % X] for P in self.plants]
+        for shared in self.steps + self.stage_costs:
+            shared.setflags(write=False)
+        bounds = np.cumsum([0] + [U ** s for s in range(n)])
+        self.slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self.contexts = int(bounds[-1])
+
+    def check(self, restarts: int) -> None:
+        """Refuse ``restarts`` chains of ``width`` entries over the budget."""
+        if restarts * self.width > self.budget:
+            raise BudgetExceededError(f"solver working set {restarts} restarts "
+                                      f"(--restarts) x {count_text(self.width)} "
+                                      f"entries exceeds budget {self.budget}")
+
+    def expect(self, s: int, v: np.ndarray) -> np.ndarray:
+        """E v(next row) for every stage-s row and action, (B, U**s, P_s, U),
+        of values ``v`` on the stage-(s+1) rows, (B, U**(s+1), P_{s+1})."""
+        after = v.reshape(v.shape[0], self.U ** s, self.U, -1, self.X)
+        return np.add.reduce(self.steps[s] * after.swapaxes(2, 3), axis=4)
+
+    def push(self, s: int, w: np.ndarray) -> np.ndarray:
+        """Weights ``w`` on the stage-s (row, action) entries, (B, U**s, P_s,
+        U), carried onto the stage-(s+1) rows, (B, U**(s+1), P_{s+1})."""
+        nxt = w[..., None] * self.steps[s]
+        if self.markov:
+            nxt = np.add.reduce(nxt, axis=2, keepdims=True)
+        return nxt.swapaxes(2, 3).reshape(w.shape[0], self.U ** (s + 1), -1)
+
+    def forward(self, pis):
+        """Stacked marginals q'_s(u | ctx) induced by the policies; rows of
+        contexts the policies never reach are zero."""
+        B = pis[0].shape[0]
+        cond = self.initial     # law of the plant state given the context
+        out = np.empty((B, self.contexts, self.U))
+        for s in range(self.n):
+            joint = cond[..., None] * pis[s]
+            q = np.add.reduce(joint, axis=2, out=out[:, self.slices[s]])
+            if s + 1 < self.n:
+                mass = q[:, :, None, :]
+                given = np.divide(joint, mass, out=np.zeros(joint.shape), where=mass > 0.0)
+                cond = self.push(s, given)
+        return out
+
+    def operating_point(self, tables):
+        """Exact rates and costs per stage of B policies, ``tables[s]`` of
+        shape (B, U**s, P_s, U) on the rows.
+
+        One forward pass carries the mass P(u^s, p) of each stage-s row.
+        With J = P(u^s, p, u) the stage cost is sum J c and the stage
+        information sum_{J>0} J log2 pi P(u^s) / P(u^s, u), its three logs
+        taken apart so that nothing underflows (``solver`` module
+        docstring): each on its whole array, the summands zeroed where J =
+        0.  Returns the rates and costs, (B,) each, the context masses
+        P(u^s) of every stage, (B, U**s) each, and the last stage's pair
+        mass P(u^{n-1}, u_n), (B, U**(n-1), U): the action law.  Every
+        reduction runs along one policy's entries, so a policy's numbers do
+        not depend on the batch it is evaluated in.  Checks what
+        ``JointLaw`` and ``stage_information_terms`` check: the total mass
+        within ``MASS_TOL`` and every stage term above -1e-9; a term in
+        (-1e-9, 0) counts as 0.
+        """
+        B = tables[0].shape[0]
+        mass = self.initial
+        rate, cost, contexts = np.zeros(B), np.zeros(B), []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for s, pi in enumerate(tables):
+                joint = mass[..., None] * pi
+                cost += np.add.reduce((joint * self.stage_costs[s]).reshape(B, -1), axis=1)
+                pair = np.add.reduce(joint, axis=2, keepdims=True)       # P(u^s, u)
+                context = np.add.reduce(pair, axis=3, keepdims=True)     # P(u^s)
+                contexts.append(context.reshape(B, -1))
+                summands = np.where(joint > 0.0, joint * (
+                    np.log2(pi) + np.log2(context) - np.log2(pair)), 0.0)
+                term = np.add.reduce(summands.reshape(B, -1), axis=1)
+                low = float(np.minimum.reduce(term))
+                if low < -1e-9:
+                    raise InvariantError(f"stage information term {low} below -1e-9")
+                rate += np.maximum(term, 0.0)
+                if s + 1 < self.n:
+                    mass = self.push(s, joint)
+        total = np.add.reduce(joint.reshape(B, -1), axis=1)
+        worst = float(total[np.abs(total - 1.0).argmax()])
+        if abs(worst - 1.0) > MASS_TOL:
+            raise NormalizationError(f"trajectory mass {worst!r} is not 1 within {MASS_TOL}")
+        return rate / self.n, cost / self.n, contexts, pair[:, :, 0]
 
 
 @dataclass(frozen=True, eq=False)

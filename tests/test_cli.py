@@ -23,6 +23,7 @@ import ratecost.cli
 import ratecost.coder
 import ratecost.scheme
 import ratecost.solver
+import ratecost.system
 from ratecost import SystemSpec
 from ratecost.cli import (
     EXIT_INFEASIBLE,
@@ -128,13 +129,19 @@ class TestSpecIO:
             parse_spec(doc)
 
     def test_source_mode_with_controlled_kernel_rejected(self):
-        doc = bernoulli_doc()
-        doc["kernel"]["transition"] = [
+        markov = bernoulli_doc()
+        markov["kernel"]["transition"] = [
             [[0.8, 0.2], [0.5, 0.5]],
             [[0.8, 0.2], [0.5, 0.5]],
         ]
-        with pytest.raises(SpecFileError, match="action-independent"):
-            parse_spec(doc)
+        # its full-history twin reads u_1 at stage 2: x_2 = u_1
+        history = {**bernoulli_doc(), "kernel": {
+            "mode": "full-history",
+            "stages": [[[0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]]}}
+        for doc, key in ((markov, "kernel.transition"), (history, r"kernel.stages\[1\]")):
+            with pytest.raises(SpecFileError,
+                               match=f"^{key}: source mode requires action-independent rows$"):
+                parse_spec(doc)
 
     def test_full_history_mode(self):
         doc = {
@@ -478,12 +485,12 @@ class TestSolveCommand:
                                          command):
         # the row pass's own check fails: a first stage scaled to total 1/4
         # has term (I_1 - 2) / 4 < 0, since I_1 <= log2 |U| = 1
-        exact = ratecost.solver._Chains.operating_point
+        exact = ratecost.system.Rows.operating_point
 
         def quartered_first_stage(chains, tables):
             return exact(chains, (tables[0] / 4.0,) + tuple(tables[1:]))
 
-        monkeypatch.setattr(ratecost.solver._Chains, "operating_point",
+        monkeypatch.setattr(ratecost.system.Rows, "operating_point",
                             quartered_first_stage)
         spec_path = write_spec(tmp_path, bernoulli_doc())
         code = main([command, "--spec", spec_path, "--out", str(tmp_path / "o"),
@@ -806,6 +813,27 @@ class TestSynthCommand:
             main(["synth", "--spec", spec_path, "--D", "0.4", "--out",
                   str(tmp_path), "--proposals", "128"])
         assert exc.value.code == EXIT_SPEC
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["solve", "synth", "lqg"])
+def test_out_that_cannot_be_a_directory_exits_on_one_line(tmp_path, capsys, command,
+                                                          under):
+    # an existing file (FileExistsError) or a path under one (NotADirectoryError)
+    spec_path = write_spec(tmp_path, controlled_doc())
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if under else afile
+    argv = {"solve": ["solve", "--spec", spec_path, "--D", "0.4", "--restarts", "1"],
+            "synth": ["synth", "--spec", spec_path, "--D", "0.4", "--trials", "400",
+                      "--cloud-size", "40", "--restarts", "4"],
+            "lqg": ["lqg", "--a", "2", "--b", "1", "--d-grid", "2.0"]}[command]
+    before = sorted(tmp_path.iterdir())
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == EXIT_SPEC
+    assert len(err) == 1 and err[0].startswith(f"invalid option: --out {out}: ")
+    assert sorted(tmp_path.iterdir()) == before and afile.read_text() == "kept\n"
 
 
 class TestLqgCommand:

@@ -313,7 +313,7 @@ def exact_point(spec, policy):
     the one-hot tables of its stage maps, the argmax of its tables."""
     tables = [_onehot(tab.argmax(axis=2)[None], spec.num_actions)
               for tab in policy.tables]
-    rates, costs, _, _ = ratecost.solver._Chains(spec, 0.0, 1).operating_point(tables)
+    rates, costs, _, _ = spec.rows.operating_point(tables)
     return float(rates[0]), float(costs[0])
 
 
@@ -386,7 +386,7 @@ class TestCloud:
         # equals, bit for bit, that of the policy's own pass
         spec, policy = solved
         U = spec.num_actions
-        rows = ratecost.solver._Chains(spec, 0.0, 1)
+        rows = spec.rows
         rng = np.random.default_rng(5)
         tables = [np.concatenate([rng.dirichlet(np.ones(U), size=(4,) + tab.shape[:2]),
                                   np.eye(U)[rng.integers(U, size=(4,) + tab.shape[:2])]])

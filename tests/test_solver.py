@@ -21,7 +21,7 @@ from ratecost.instances import (
     noisy_actuator,
     sticky_tracking,
 )
-from ratecost.scheme import SchemeOptions, synthesize
+from ratecost.scheme import SchemeOptions, run_trials, synthesize
 from ratecost.solver import (
     InfeasibleCostError,
     InstanceTooLargeError,
@@ -177,11 +177,11 @@ class TestMarkovRows:
 
     def test_one_step_matches_full_history(self, name, mu):
         spec = MARKOV_SPECS[name]()
-        rows, full = (ratecost.solver._Chains(s, mu, 3)
+        rows, full = (ratecost.solver._Chains(s.rows, mu)
                       for s in (spec, without_markov(spec)))
-        assert rows.markov and not full.markov
+        assert rows.rows.markov and not full.rows.markov
         # chain 0 uniform, chains 1 and 2 Dirichlet draws
-        logq = ratecost.solver._initial_marginals(rows, SolverOptions(restarts=3), None)
+        logq = ratecost.solver._initial_marginals(rows.rows, SolverOptions(restarts=3), None)
         a, b = rows.certify(rows.step(logq)), full.certify(full.step(logq))
         for field in ("value", "objective", "gap", "image"):
             np.testing.assert_allclose(getattr(a, field), getattr(b, field),
@@ -234,7 +234,7 @@ class TestRowPass:
     def test_points_match_trajectory_law(self, name):
         spec = ROW_PASS_SPECS[name]()
         _, raw = sweep_curve(spec, SolverOptions(restarts=1))
-        chains = ratecost.solver._Chains(spec, 0.0, 1)
+        chains = spec.rows
         for p in raw + [ratecost.solver.cost_floor_point(spec)]:
             law = evaluate_joint(spec, p.policy)
             assert abs(p.rate - directed_information(law) / spec.horizon) <= 1e-12
@@ -264,7 +264,7 @@ class TestRowPass:
 
     def test_mass_off_one_raises_normalization_error(self):
         spec = noisy_actuator(3)
-        chains = ratecost.solver._Chains(spec, 0.0, 1)
+        chains = spec.rows
         tables = [tab[None] for tab in CausalPolicy.uniform(spec).tables]
         with pytest.raises(NormalizationError, match="trajectory mass"):
             chains.operating_point(tables[:2] + [tables[2] * (1.0 + 1e-8)])
@@ -272,7 +272,7 @@ class TestRowPass:
     def test_negative_stage_term_raises_invariant_error(self):
         # a first stage scaled to total 1/4 has term (I_1 - 2) / 4 = -1/2
         spec = noisy_actuator(3)
-        chains = ratecost.solver._Chains(spec, 0.0, 1)
+        chains = spec.rows
         tables = [tab[None] for tab in CausalPolicy.uniform(spec).tables]
         with pytest.raises(InvariantError, match="stage information term -0.5 "):
             chains.operating_point([tables[0] / 4.0] + tables[1:])
@@ -481,7 +481,7 @@ def test_extrapolate_steps_each_row_within_the_chain_step():
 
 class TestCarry:
     """A solved point hands a solve warm-started from it the marginals its
-    policy induces and its chains."""
+    policy induces and the rows they live on."""
 
     @pytest.mark.parametrize("restarts", [1, 4])
     @pytest.mark.parametrize("markov", [True, False])
@@ -489,26 +489,14 @@ class TestCarry:
         spec = sticky_tracking(4) if markov else without_markov(sticky_tracking(4))
         _, raw = sweep_curve(spec, SolverOptions(restarts=restarts))
         for p in raw:
-            marginals, chains = p._carry
-            assert chains.spec is spec and chains.markov == markov
+            rows, marginals = p._carry
+            assert rows is spec.rows and rows.markov == markov
             tables = [tab[None] for tab in p.policy.tables]
-            assert np.array_equal(marginals, chains.forward(tables)[0])
-
-    def test_chains_built_once_per_sweep(self, monkeypatch):
-        built = []
-        init = ratecost.solver._Chains.__init__
-
-        def counted(self, *args):
-            built.append(args)
-            init(self, *args)
-
-        monkeypatch.setattr(ratecost.solver._Chains, "__init__", counted)
-        _, raw = sweep_curve(noisy_actuator(3), SolverOptions(restarts=4))
-        assert len(raw) == 22 and len(built) == 1
+            assert np.array_equal(marginals, rows.forward(tables)[0])
 
     def test_carry_leaves_every_point_bit_identical(self, monkeypatch):
         # the same sweep and query with each point's carry dropped, so that
-        # every solve builds its chains and runs the warm forward pass
+        # every solve runs the warm forward pass
         spec, opts = sticky_tracking(4), SolverOptions(restarts=4)
         budget = 0.5 * (min_expected_cost(spec) + min_open_loop_cost(spec)[0])
 
@@ -523,10 +511,43 @@ class TestCarry:
         assert all(same_point(a, b) for a, b in zip(carried, run(), strict=True))
 
 
+class TestRows:
+    """One ``Rows`` per spec object, built on first use."""
+
+    def test_built_once_per_spec_across_the_pipeline(self, monkeypatch):
+        built = []
+        init = ratecost.system.Rows.__init__
+
+        def counted(self, spec):
+            built.append(spec)
+            init(self, spec)
+
+        monkeypatch.setattr(ratecost.system.Rows, "__init__", counted)
+        spec, opts = sticky_tracking(4), SolverOptions(restarts=4)
+        floor = min_expected_cost(spec)
+        open_loop = min_open_loop_cost(spec)[0]
+        _, raw = sweep_curve(spec, opts)
+        assert len(raw) == 22
+        for share in (0.25, 0.5, 0.75):
+            solve_rate_cost(spec, floor + share * (open_loop - floor), opts, sweep=raw)
+        bundle = synthesize(spec, 0.5 * (floor + open_loop),
+                            SchemeOptions(cloud_size=20, solver=opts))
+        run_trials(bundle, 100)
+        assert built == [spec]
+
+    def test_cache_never_carries_a_budget_across_specs(self):
+        spec = sticky_tracking(4)
+        smaller = dataclasses.replace(spec, budget=spec.rows.width - 1)
+        for use in (lambda: smaller.rows, lambda: min_expected_cost(smaller),
+                    lambda: synthesize(smaller, 0.5, SchemeOptions(solver=FAST))):
+            with pytest.raises(BudgetExceededError, match="solver working set"):
+                use()
+
+
 def test_dirichlet_starts_are_the_seeded_streams():
     # drawn once per (seed, restarts, U, n), each stage of each chain from
     # its own (seed, 4, b, t) stream
-    chains = ratecost.solver._Chains(noisy_actuator(3), 1.0, 3)
+    chains = noisy_actuator(3).rows
     opts = SolverOptions(restarts=3, seed=5)
     logq = ratecost.solver._initial_marginals(chains, opts, None)
     for b in (1, 2):
