@@ -11,6 +11,7 @@ rename).  Exit codes: 0 success, 2 spec error or invalid option,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -99,6 +100,19 @@ def _write_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _check_out(out_dir: str) -> None:
+    """Refuse, by stat alone and before any work, an ``--out`` that is a file
+    or lies under one: the nearest of ``out_dir`` and its parents that
+    exists must be a directory.  What only the write can find, such as
+    permissions or a full disk, is left to ``_write_outputs``."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)    # the root exists, so this ends
+    if not os.path.isdir(path):
+        reason = errno.EEXIST if path == os.path.abspath(out_dir) else errno.ENOTDIR
+        raise ValueError(f"--out {out_dir}: {os.strerror(reason)}")
 
 
 def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
@@ -324,6 +338,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         if args.command == "solve":
             return cmd_solve(args, require_source=False)
         if args.command == "rd":

@@ -21,12 +21,13 @@ Monte-Carlo step.
 Simulation runs trials in blocks of ``TRIAL_BLOCK`` as arrays: each
 block draws its selector uniforms and plant uniforms from two per-block
 streams, runs the plant forward, looks the actions up in the realized
-stage maps and applies them.  It then encodes each distinct action
-sequence once into a packed byte row, decodes the rows from those bytes
-alone and checks the round trip.  Streams are keyed by (seed, stream,
-block), so a run is reproducible and a shorter run is a prefix of a
-longer one.  The selector bit is never transmitted; rate counts codeword
-bits only.
+stage maps and applies them.  It then encodes each action sequence the
+run has not sent before into a packed byte row, decodes the rows from
+those bytes alone, checks the round trip and keeps the bit counts in a
+run-wide table, so each sequence is coded once per run.  Streams are
+keyed by (seed, stream, block), so a run is reproducible and a shorter
+run is a prefix of a longer one.  The selector bit is never transmitted;
+rate counts codeword bits only.
 """
 
 from __future__ import annotations
@@ -334,8 +335,10 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
     realization 0 when its selector uniform is below the selector weight.
     The plant runs on the spec's rows (``SystemSpec.rows``): x_{t+1} is
     drawn from the law of the trial's (context, plant row, action).
-    The coder gets a block's distinct action sequences in ascending index
-    order, and a ``CodingError`` it raises names one of those rows.  A
+    The coder gets the action sequences the run has not sent before, in
+    ascending index order, once per block that sends any, and a
+    ``CodingError`` it raises names one of those rows; every trial reads
+    its bit count from a table of U**n entries, at most ``Rows.width``.  A
     stage-map entry of -1 reached by a trial raises ``CodingError``; a
     decoded action or bit count that differs from the encoded one raises
     ``DecodeMismatchError``.  Both name the first trial that fails, and
@@ -350,27 +353,29 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
     n, X, U = spec.horizon, spec.num_states, spec.num_actions
     rows = spec.rows
     # state-major: column r of cums[t] is the cumulated law of x_{t+1} given
-    # the flat (context, plant row, action) row r of the solver's stage-t
-    # rows, a Markov step spread over the contexts; x_1 has one row
-    cums = [np.ascontiguousarray(cum.T) for cum in
-            [np.cumsum(rows.initial[0], axis=1)] + [
-                np.cumsum(np.broadcast_to(step, (U ** s,) + step.shape[1:]),
-                          axis=3).reshape(-1, X)
-                for s, step in enumerate(rows.steps)]]
-    # the solved policy and the cost-floor anchor share the solver's rows
-    maps = [np.stack(pair) for pair in zip(bundle.realization0.maps,
-                                           bundle.realization1.maps)]
+    # row r = (context * strides[t] + plant row) * U + action of the stage's
+    # step as stored: stride 0 on Markov rows' shared step; x_1 has one row
+    cums = [np.ascontiguousarray(cum.reshape(-1, X).T) for cum in
+            [np.cumsum(rows.initial[0], axis=1)]
+            + [np.cumsum(step, axis=3) for step in rows.steps]]
+    strides = [0 if rows.markov else P for P in rows.plants]
+    # the solved policy and the cost-floor anchor share the solver's rows:
+    # entry (which * U**t + context) * P_t + plant row of the flat stage map
+    maps = [np.stack(pair).reshape(-1) for pair in zip(bundle.realization0.maps,
+                                                       bundle.realization1.maps)]
+    cost_of = spec.cost.reshape(-1)     # entry x * U + u
+    # codeword bits of each action sequence the run has sent, -1 until then
+    lengths = np.full(U ** n, -1, dtype=np.int64)
     lam = bundle.selector.weight
     bits = np.empty(num_trials)
     costs = np.empty(num_trials)
     # one set of block arrays per call; a short last block uses their heads
     size = min(TRIAL_BLOCK, num_trials)
-    buffers = (np.empty(size), np.empty((size, n)),
-               np.empty((size, n), dtype=np.int64), np.empty(size),
-               *(np.empty(size, dtype=np.int64) for _ in range(3)))
+    buffers = (np.empty(size), np.empty((size, n)), np.empty(size),
+               *(np.empty(size, dtype=np.int64) for _ in range(4)))
     for block, first in enumerate(range(0, num_trials, TRIAL_BLOCK)):
         m = min(TRIAL_BLOCK, num_trials - first)
-        selector, uniforms, actions, cost, ctx, plant, row = (b[:m] for b in buffers)
+        selector, uniforms, cost, ctx, plant, row, key = (b[:m] for b in buffers)
         np.random.default_rng(
             np.random.SeedSequence((seed, STREAM_SELECTOR, block))).random(out=selector)
         np.random.default_rng(
@@ -385,35 +390,44 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
                                          dtype=np.intp), X - 1)
             plant *= rows.grow      # the plant row of the stage: key of x_t or x^t
             plant += x
-            u = maps[t][which, ctx, plant]
-            if np.any(u < 0):
+            np.multiply(which, U ** t, out=key)
+            key += ctx
+            key *= rows.plants[t]
+            key += plant
+            u = maps[t].take(key)
+            if u.min() < 0:
                 i = int(np.argmax(u < 0))
                 raise CodingError(
                     f"trial {first + i} stage {t + 1}: realization "
                     f"{which[i]}'s stage map has no action for action context "
                     f"{ctx[i]}, plant row {plant[i]}")
-            actions[:, t] = u
-            cost += spec.cost[x, u]
-            np.multiply(ctx, rows.plants[t], out=row)   # the row of the law of x_{t+1}
+            x *= U
+            x += u
+            cost += cost_of.take(x)
+            np.multiply(ctx, strides[t], out=row)   # the row of the law of x_{t+1}
             row += plant
             row *= U
             row += u
             ctx *= U                # key of u^t
             ctx += u
-        # ctx is each trial's action-sequence index: code each sequence once
-        _, once, inverse = np.unique(ctx, return_index=True, return_inverse=True)
-        sent = actions[once]
-        packed, written = bundle.codebooks.encode_block(sent)
-        decoded, consumed = bundle.codebooks.decode_block(packed)
-        wrong = np.any(decoded != sent, axis=1) | (consumed != written)
-        if np.any(wrong):
-            i = int(once[wrong].min())
-            j = inverse[i]
-            raise DecodeMismatchError(
-                f"trial {first + i}: encoded {sent[j].tolist()} in "
-                f"{written[j]} bits, decoded {decoded[j].tolist()} from "
-                f"{consumed[j]} bits")
-        bits[first:first + m] = written[inverse] / n
+        # ctx is each trial's action-sequence index: code the run's fresh ones,
+        # deduplicated by hand because np.unique imports numpy.ma on first use
+        fresh = np.sort(ctx[lengths.take(ctx) < 0])
+        fresh = fresh[np.diff(fresh, prepend=-1) > 0]
+        if fresh.size:
+            sent = fresh[:, None] // U ** np.arange(n - 1, -1, -1) % U
+            packed, written = bundle.codebooks.encode_block(sent)
+            decoded, consumed = bundle.codebooks.decode_block(packed)
+            wrong = np.any(decoded != sent, axis=1) | (consumed != written)
+            if np.any(wrong):
+                i = int(np.argmax(np.isin(ctx, fresh[wrong])))
+                j = int(np.searchsorted(fresh, ctx[i]))
+                raise DecodeMismatchError(
+                    f"trial {first + i}: encoded {sent[j].tolist()} in "
+                    f"{written[j]} bits, decoded {decoded[j].tolist()} from "
+                    f"{consumed[j]} bits")
+            lengths[fresh] = written
+        bits[first:first + m] = lengths.take(ctx) / n
         costs[first:first + m] = cost / n
     emp_rate = float(bits.mean())
     emp_cost = float(costs.mean())

@@ -836,6 +836,30 @@ def test_out_that_cannot_be_a_directory_exits_on_one_line(tmp_path, capsys, comm
     assert sorted(tmp_path.iterdir()) == before and afile.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "synth", "lqg"])
+def test_out_under_a_file_is_refused_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                       command):
+    def reached(*args, **kwargs):
+        raise AssertionError("the work began before --out was checked")
+
+    for module, name in ((ratecost.cli, "sweep_curve"),
+                         (ratecost.cli, "solve_rate_cost"),
+                         (ratecost.scheme, "solve_rate_cost"),
+                         (ratecost.cli, "riccati_solve")):
+        monkeypatch.setattr(module, name, reached)
+    spec_path = write_spec(tmp_path, controlled_doc())
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" / "deeper"
+    argv = {"solve": ["solve", "--spec", spec_path, "--D", "0.4"],
+            "synth": ["synth", "--spec", spec_path, "--D", "0.4"],
+            "lqg": ["lqg", "--a", "2", "--b", "1", "--d-grid", "2.0"]}[command]
+    code = main(argv + ["--out", str(out)])
+    assert code == EXIT_SPEC
+    assert capsys.readouterr().err.splitlines() == \
+        [f"invalid option: --out {out}: Not a directory"]
+
+
 class TestLqgCommand:
     def test_worked_point_row(self, tmp_path):
         out = tmp_path / "lqg"

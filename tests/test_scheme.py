@@ -35,6 +35,7 @@ from ratecost.scheme import (
     synthesize,
     verify_sandwich,
 )
+from ratecost.sfrl import STREAM_DYNAMICS, STREAM_SELECTOR
 from ratecost.solver import (
     InfeasibleCostError,
     SolverOptions,
@@ -484,6 +485,57 @@ def test_budget_at_anchor_cost_is_feasible_on_random_panel():
         assert b.exact_cost <= anchor.cost, i
 
 
+def sequence_index(actions, num_actions):
+    """Big-endian index of each row of ``actions`` (trials, horizon)."""
+    return np.asarray(actions) @ num_actions ** np.arange(actions.shape[1] - 1, -1, -1)
+
+
+def sequence_digits(index, horizon, num_actions):
+    """The action rows of big-endian sequence indices: ``sequence_index``'s
+    inverse."""
+    return np.asarray(index)[:, None] // num_actions ** np.arange(horizon - 1, -1, -1) \
+        % num_actions
+
+
+def trial_sequences(bundle, num_trials, seed):
+    """Each trial's action-sequence index and cost per stage, re-simulated
+    from the streams ``run_trials`` documents on the flat full-history
+    kernel rows."""
+    spec = bundle.spec
+    n, X, U = spec.horizon, spec.num_states, spec.num_actions
+    sequences, costs = [], []
+    for block, first in enumerate(range(0, num_trials, TRIAL_BLOCK)):
+        m = min(TRIAL_BLOCK, num_trials - first)
+        which = np.random.default_rng(np.random.SeedSequence(
+            (seed, STREAM_SELECTOR, block))).random(m) >= bundle.selector.weight
+        draws = np.random.default_rng(np.random.SeedSequence(
+            (seed, STREAM_DYNAMICS, block))).random((m, n))
+        history = context = plant = np.zeros(m, dtype=np.int64)
+        cost = np.zeros(m)
+        for t in range(1, n + 1):
+            cum = np.cumsum(spec.stage_kernel(t)[history], axis=1)
+            x = np.minimum((cum <= draws[:, t - 1, None] * cum[:, -1:]).sum(axis=1),
+                           X - 1)
+            plant = plant * X + x
+            maps0, maps1 = (re.maps[t - 1] for re in (bundle.realization0,
+                                                      bundle.realization1))
+            row = plant % maps0.shape[1]        # x_t on Markov maps, x^t otherwise
+            u = np.where(which, maps1[context, row], maps0[context, row])
+            cost += spec.cost[x, u]
+            history = (history * X + x) * U + u
+            context = context * U + u
+        sequences.append(context)
+        costs.append(cost / n)
+    return np.concatenate(sequences), np.concatenate(costs)
+
+
+@pytest.fixture(scope="module")
+def sticky8():
+    # the high-rate bundle of test_sticky8_high_rate_trial_stream_digest_pinned
+    return synthesize(sticky_tracking(8), 0.05000000000000002,
+                      SchemeOptions(seed=0, solver=SolverOptions(seed=0, restarts=1)))
+
+
 class TestRunTrials:
     def test_deterministic_loop_zero_variance(self):
         spec = drive_to_zero(2, flip=1.0, initial_one=1.0)
@@ -632,9 +684,34 @@ class TestRunTrials:
         with pytest.raises(DecodeMismatchError, match=f"trial {trial}: "):
             run_trials(bundle, 10, seed=0)
 
-    def test_coder_sees_each_distinct_sequence_once_per_block(self, monkeypatch):
-        # a sticky4 mid-curve block of 4096 trials sends 2 distinct action
-        # sequences; the coder gets those 2 rows, not one row per trial
+    def test_sticky4_full_history_rows_give_the_pinned_trial_stream(self):
+        # full-history rows sample x_{t+1} from per-context steps, Markov
+        # rows from one step for every context: the same trials, bit for bit
+        spec = sticky_tracking(4)
+        b = synthesize(without_markov(spec), mid_curve_budget(spec),
+                       SchemeOptions(seed=0, solver=SolverOptions(seed=0, restarts=1)))
+        assert not b.spec.rows.markov
+        report = run_trials(b, 10_000, seed=1, keep_per_trial=True)
+        digest = hashlib.sha256(report.per_trial_bits.tobytes()
+                                + report.per_trial_costs.tobytes())
+        assert digest.hexdigest() == \
+            "f526c1ad99460f8a62535e76fcb07f6670eb986aa9f0d984a64b94a2d5c8b1fa"
+
+    def test_full_history_trials_match_the_flat_kernel_rows(self):
+        # stage 3 of full_history_spec(3) reads the whole history, so the
+        # law of x_3 depends on the action context, unlike on any Markov twin
+        spec = full_history_spec(3)
+        b = synthesize(spec, mid_curve_budget(spec), FAST)
+        report = run_trials(b, TRIAL_BLOCK + 100, seed=2, keep_per_trial=True)
+        sent, costs = trial_sequences(b, TRIAL_BLOCK + 100, seed=2)
+        np.testing.assert_array_equal(report.per_trial_costs, costs)
+        written = b.codebooks.encode_block(sequence_digits(sent, 3, 2))[1]
+        np.testing.assert_array_equal(report.per_trial_bits, written / 3)
+
+    def test_coder_sees_each_distinct_sequence_once_per_run(self, monkeypatch):
+        # a sticky4 mid-curve run of 10 000 trials, three blocks, sends 2
+        # distinct action sequences, all in block 0: the coder gets those 2
+        # rows once, and the later blocks read their lengths from the table
         spec = sticky_tracking(4)
         b = synthesize(spec, mid_curve_budget(spec),
                        SchemeOptions(seed=0, solver=SolverOptions(seed=0, restarts=1)))
@@ -652,7 +729,60 @@ class TestRunTrials:
         monkeypatch.setattr(ContextCodebook, "encode_block", spied_encode)
         monkeypatch.setattr(ContextCodebook, "decode_block", spied_decode)
         run_trials(b, 10_000, seed=1)
-        assert coded == [(side, 2, 2) for _ in range(3) for side in ("encode", "decode")]
+        assert coded == [("encode", 2, 2), ("decode", 2, 2)]
+
+    def test_high_rate_run_codes_every_sent_sequence_once(self, sticky8, monkeypatch):
+        # blocks 1 and 2 send sequences block 0 did not: each is coded once,
+        # in the block that first sends it, in ascending index order
+        encode = ContextCodebook.encode_block
+        calls = []
+
+        def spied(book, actions):
+            calls.append(sequence_index(actions, book.num_actions))
+            return encode(book, actions)
+
+        monkeypatch.setattr(ContextCodebook, "encode_block", spied)
+        report = run_trials(sticky8, 10_000, seed=1, keep_per_trial=True)
+        assert len(calls) == 3
+        assert all(np.all(np.diff(c) > 0) for c in calls)
+        coded = np.concatenate(calls)
+        assert len(coded) == len(np.unique(coded))
+        sent, _ = trial_sequences(sticky8, 10_000, seed=1)
+        np.testing.assert_array_equal(np.sort(coded), np.unique(sent))
+        first = [np.unique(sent[k:k + TRIAL_BLOCK]) for k in (0, TRIAL_BLOCK)]
+        np.testing.assert_array_equal(calls[0], first[0])
+        np.testing.assert_array_equal(calls[1], np.setdiff1d(first[1], first[0]))
+        # the table's lengths are the coder's: bits per trial of its sequence
+        lengths = dict(zip(coded.tolist(), np.concatenate(
+            [encode(sticky8.codebooks, sequence_digits(c, 8, 2))[1] for c in calls])))
+        np.testing.assert_array_equal(report.per_trial_bits * 8,
+                                      [lengths[i] for i in sent.tolist()])
+
+    def test_decode_mismatch_after_block_zero_names_the_first_sender(self, sticky8,
+                                                                     monkeypatch):
+        # corrupt the decode of the first sequence block 1 sends fresh: the
+        # error names that sequence's first trial by its index in the run
+        encode, decode = ContextCodebook.encode_block, ContextCodebook.decode_block
+        sent = []
+
+        def spied(book, actions):
+            sent.append(sequence_index(actions, book.num_actions))
+            return encode(book, actions)
+
+        def corrupted(book, packed):
+            actions, consumed = decode(book, packed)
+            if len(sent) == 2:
+                actions[0, -1] = (actions[0, -1] + 1) % book.num_actions
+            return actions, consumed
+
+        monkeypatch.setattr(ContextCodebook, "encode_block", spied)
+        monkeypatch.setattr(ContextCodebook, "decode_block", corrupted)
+        sequences, _ = trial_sequences(sticky8, 10_000, seed=1)
+        with pytest.raises(DecodeMismatchError) as err:
+            run_trials(sticky8, 10_000, seed=1)
+        trial = int(np.argmax(sequences == sent[1][0]))
+        assert trial >= TRIAL_BLOCK
+        assert str(err.value).startswith(f"trial {trial}: encoded ")
 
     def test_manual_loop_matches_maps_and_mixture_law(self, bundle):
         # independent re-simulation: the literal race selection on each
