@@ -37,7 +37,6 @@ def main():
     ap.add_argument("--D", type=float, default=None,
                     help="cost budget; defaults to the middle of the curve")
     ap.add_argument("--eps", type=float, default=0.1)
-    ap.add_argument("--gamma", type=float, default=0.25)
     ap.add_argument("--trials", type=int, default=20000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
@@ -54,23 +53,23 @@ def main():
     print(f"budget D={budget:.6f}")
 
     bundle = synthesize(spec, budget, SchemeOptions(
-        epsilon=args.eps, gamma=args.gamma, seed=args.seed,
+        epsilon=args.eps, seed=args.seed,
         solver=SolverOptions(seed=args.seed)))
-    print(f"\nsolver: info rate {bundle.info_rate:.6f} bits/stage at cost "
-          f"{bundle.solution.cost:.6f} (mu={bundle.solution.multiplier:.4g})")
+    print(f"\nsolver: F in [{bundle.solution.rate_lower:.6f}, {bundle.solution.rate:.6f}] "
+          f"bits/stage, upper end at cost {bundle.solution.cost:.6f} "
+          f"(mu={bundle.solution.multiplier:.4g})")
     print(f"selector: realizations ({bundle.selector.index0}, "
           f"{bundle.selector.index1}) weight {bundle.selector.weight:.4f} "
           f"case {bundle.selector.case}")
     print(f"exact scheme: rate {bundle.exact_rate:.6f} bits/stage, "
           f"cost {bundle.exact_cost:.6f}")
-    print(f"rate budget: {bundle.rate_budget_value:.6f} "
-          f"(eps condition ok: {bundle.eps_ok})")
+    print(f"rate budget: {bundle.rate_budget_value:.6f}")
 
     report = run_trials(bundle, args.trials, seed=args.seed)
     print(f"\n{args.trials} trials: rate {report.empirical_rate:.4f} "
           f"+/- {report.empirical_rate_se:.4f}, cost "
           f"{report.empirical_cost:.4f} +/- {report.empirical_cost_se:.4f}")
-    ledger = verify_sandwich(report)
+    ledger = verify_sandwich(bundle, report)
     print("\nsandwich ledger:")
     print(json.dumps(ledger.as_dict(), indent=2, sort_keys=True))
     return 0 if ledger.passed else 1

@@ -184,11 +184,12 @@ def cmd_solve(args, require_source: bool) -> int:
         requested.append({
             "D": d,
             "rate_bits": point.rate,
+            "rate_lower_bits": point.rate_lower,
             "achieved_cost": point.cost,
             **_solver_record(point),
         })
     payload = {
-        "schema_version": 1,
+        "schema_version": 2,
         "spec_path": os.path.abspath(args.spec),
         "seed": args.seed,
         "curve": [{"D": p.cost, "rate_bits": p.rate, **_solver_record(p)}
@@ -211,20 +212,18 @@ def cmd_synth(args) -> int:
         raise ValueError("synth requires --D (or RATECOST_D)")
     check_trial_count(args.trials, spec.budget, "--trials")
     options = SchemeOptions(
-        epsilon=args.eps, gamma=args.gamma, seed=args.seed,
+        epsilon=args.eps, seed=args.seed,
         cloud_size=args.cloud_size, solver=_solver_options(args),
     )
     bundle = synthesize(spec, args.budget, options)
     report = run_trials(bundle, args.trials, seed=args.seed,
                         keep_per_trial=args.trials_csv)
-    ledger = verify_sandwich(report)
+    ledger = verify_sandwich(bundle, report)
     payload = {
-        "schema_version": 4,
+        "schema_version": 5,
         "spec_path": os.path.abspath(args.spec),
         "budget_cost": args.budget,
         "epsilon": bundle.epsilon,
-        "gamma": bundle.gamma,
-        "eps_condition_ok": bundle.eps_ok,
         "seeds": report.seeds,
         "solver_point": {
             "rate_bits": bundle.solution.rate,
@@ -246,7 +245,8 @@ def cmd_synth(args) -> int:
         },
         "exact": {"rate_bits": bundle.exact_rate, "cost": bundle.exact_cost},
         "bounds": {
-            "info_rate_bits": bundle.info_rate,
+            "info_rate_bits": bundle.solution.rate,
+            "info_rate_lower_bits": bundle.solution.rate_lower,
             "rate_budget_bits": bundle.rate_budget_value,
         },
         "simulation": report.as_dict(),
@@ -315,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize and simulate a full scheme")
     common(p)
     _add_option(p, "--eps", type=float, default=0.1)
-    _add_option(p, "--gamma", type=float, default=0.25)
     _add_option(p, "--trials", type=int, default=10000)
     _add_option(p, "--cloud-size", type=int, default=200)
     p.add_argument("--trials-csv", action="store_true",

@@ -16,7 +16,9 @@ synthesis builds no trajectory law.  Only the two realizations the
 selector picks are kept.  Every reported quantity of the final scheme
 (cost, codeword-length rate, entropies) is recomputed exactly from the
 realized deterministic policies, so the guarantees do not rest on the
-Monte-Carlo step.
+Monte-Carlo step.  The ledger (``verify_sandwich``) checks the paper's
+sandwich on those values as written, with no slack; ``epsilon`` is only
+the selector's rate cap (``timeshare``).
 
 Simulation runs trials in blocks of ``TRIAL_BLOCK`` as arrays: each
 block draws its selector uniforms and plant uniforms from two per-block
@@ -33,7 +35,7 @@ rate counts codeword bits only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -84,16 +86,9 @@ class DecodeMismatchError(RuntimeError):
     """The controller decoded a different action than the encoder selected."""
 
 
-def log_gap_budget(info_rate: float, horizon: int, gamma: float) -> float:
-    """The achievable-rate budget: info rate plus the logarithmic gap."""
-    return info_rate + math.log2(info_rate + 3.4) + 2.0 + 1.0 / horizon + gamma
-
-
-def eps_condition(info_rate: float, epsilon: float, gamma: float) -> bool:
-    """Whether the epsilon slack fits inside gamma for this info rate."""
-    lhs = 2.0 * epsilon + math.log2(info_rate + epsilon + 3.4) \
-        - math.log2(info_rate + 3.4)
-    return lhs <= gamma
+def log_gap_budget(info_rate: float, horizon: int) -> float:
+    """The paper's rate bound F + log2(F + 3.4) + 2 + 1/n at F = info_rate."""
+    return info_rate + math.log2(info_rate + 3.4) + 2.0 + 1.0 / horizon
 
 
 def per_coordinate_overhead(per_coord_info_rate: float, k: int, horizon: int
@@ -106,7 +101,6 @@ def per_coordinate_overhead(per_coord_info_rate: float, k: int, horizon: int
 @dataclass
 class SchemeOptions:
     epsilon: float = 0.1
-    gamma: float = 0.25
     cloud_size: int = 200
     seed: int = 0
     solver: SolverOptions = field(default_factory=SolverOptions)
@@ -117,10 +111,9 @@ class SchemeOptions:
                              f"{MAX_CLOUD_SIZE}, got {self.cloud_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        for name in ("epsilon", "gamma"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, "
-                                 f"got {getattr(self, name)!r}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and nonnegative, "
+                             f"got {self.epsilon!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,12 +139,9 @@ class SchemeBundle:
     mixture_action_law: np.ndarray
     exact_rate: float
     exact_cost: float
-    info_rate: float
     rate_budget_value: float
     budget_cost: float
     epsilon: float
-    gamma: float
-    eps_ok: bool
     cond_entropy_bits: float
     uncond_entropy_bits: float
     cloud_size: int
@@ -231,10 +221,11 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     the anchor's bit for bit.  The selector (``caratheodory_reduce``)
     picks the lowest-rate mixture of these within the budget.  When that
     misses the rate cap, the greedy realization is selected alone and its
-    operating point becomes the solution (``seeds.attempts`` 2); when it
-    too is over the budget, ``InfeasibleBarycenterError`` is raised.  The
-    final scheme's cost is certified exactly regardless.  A certified
-    invariant that fails raises ``InvariantError``.
+    operating point, with the query's ``rate_lower``, becomes the solution
+    (``seeds.attempts`` 2); when it too is over the budget,
+    ``InfeasibleBarycenterError`` is raised.  The final scheme's cost is
+    certified exactly regardless.  A certified invariant that fails raises
+    ``InvariantError``.
     """
     opt = options or SchemeOptions()
     n = spec.horizon
@@ -249,7 +240,7 @@ def synthesize(spec: SystemSpec, budget_cost: float,
         selector = caratheodory_reduce(points + floor, [1.0] * len(points) + [0.0],
                                        budget_cost, opt.epsilon)
     except InfeasibleBarycenterError:
-        attempts, solution = 2, anchor
+        attempts, solution = 2, replace(anchor, rate_lower=solution.rate_lower)
         selector = caratheodory_reduce(floor, [1.0], budget_cost, opt.epsilon)
 
     by_id = {p.realization_id: p for p in points + floor}
@@ -268,15 +259,13 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     cond_bits, uncond_bits = mixture_entropy(
         selector, re0.action_law, re1.action_law
     )
-    info_rate = solution.rate
     return SchemeBundle(
         spec=spec, solution=solution, realization0=re0, realization1=re1,
         selector=selector, codebooks=codebooks,
         mixture_action_law=mixture_law, exact_rate=exact_rate,
-        exact_cost=exact_cost, info_rate=info_rate,
-        rate_budget_value=log_gap_budget(info_rate, n, opt.gamma),
-        budget_cost=budget_cost, epsilon=opt.epsilon, gamma=opt.gamma,
-        eps_ok=eps_condition(info_rate, opt.epsilon, opt.gamma),
+        exact_cost=exact_cost,
+        rate_budget_value=log_gap_budget(solution.rate_lower, n),
+        budget_cost=budget_cost, epsilon=opt.epsilon,
         cond_entropy_bits=cond_bits, uncond_entropy_bits=uncond_bits,
         cloud_size=opt.cloud_size,
         seeds={"tables": opt.seed, "solver": opt.solver.seed,
@@ -293,12 +282,6 @@ class SimulationReport:
     empirical_cost_se: float
     exact_rate: float
     exact_cost: float
-    info_rate: float
-    rate_budget_value: float
-    budget_cost: float
-    epsilon: float
-    gamma: float
-    eps_ok: bool
     seeds: dict
     mc_rate_consistent: bool
     mc_cost_consistent: bool
@@ -438,10 +421,6 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
         empirical_rate=emp_rate, empirical_rate_se=rate_se,
         empirical_cost=emp_cost, empirical_cost_se=cost_se,
         exact_rate=bundle.exact_rate, exact_cost=bundle.exact_cost,
-        info_rate=bundle.info_rate,
-        rate_budget_value=bundle.rate_budget_value,
-        budget_cost=bundle.budget_cost, epsilon=bundle.epsilon,
-        gamma=bundle.gamma, eps_ok=bundle.eps_ok,
         seeds={**bundle.seeds, "trials": seed},
         mc_rate_consistent=bool(abs(bundle.exact_rate - emp_rate) <= 3.0 * rate_se
                                 or num_trials == 1 or rate_se == 0.0),
@@ -472,19 +451,19 @@ class SandwichLedger:
                 "passed": self.passed}
 
 
-def verify_sandwich(report: SimulationReport,
-                    converse_tol: float = 1e-3,
-                    cost_tol: float = 1e-9) -> SandwichLedger:
-    """Check both rate inequalities and the cost constraint on exact values."""
-    converse_margin = float(report.exact_rate - report.info_rate)
-    achievability_margin = float(report.rate_budget_value - report.exact_rate)
-    cost_margin = float(report.budget_cost - report.exact_cost)
+def verify_sandwich(bundle: SchemeBundle, report: SimulationReport) -> SandwichLedger:
+    """The paper's sandwich on the bundle's exact values, with no tolerance:
+    F_lower = ``solution.rate_lower`` <= rate <= ``rate_budget_value`` and
+    cost <= budget.  ``report`` gives only its Monte-Carlo flags."""
+    converse_margin = float(bundle.exact_rate - bundle.solution.rate_lower)
+    achievability_margin = float(bundle.rate_budget_value - bundle.exact_rate)
+    cost_margin = float(bundle.budget_cost - bundle.exact_cost)
     return SandwichLedger(
-        converse_ok=bool(converse_margin >= -converse_tol),
+        converse_ok=bool(converse_margin >= 0.0),
         converse_margin=converse_margin,
         achievability_ok=bool(achievability_margin >= 0.0),
         achievability_margin=achievability_margin,
-        cost_ok=bool(cost_margin >= -cost_tol),
+        cost_ok=bool(cost_margin >= 0.0),
         cost_margin=cost_margin,
         mc_rate_consistent=report.mc_rate_consistent,
         mc_cost_consistent=report.mc_cost_consistent,

@@ -42,6 +42,9 @@ per n) and applying data processing to the first divergence leaves
 sequential problem.  The difference of the two is the gap, computed on
 the action tree.  A solve stops when the best objective over its chains
 is within ``tol`` of the best lower bound, and reports that difference.
+By weak duality the bound reaches F_n(D) itself: a policy within the
+budget D has rate + mu cost >= objective - gap, so its rate is at least
+objective - gap - mu D, at any multiplier and at any gap.
 Only the iterates the loop keeps are certified: the first point, an
 accepted extrapolation and the fallback double step.  The plain map of an
 iteration feeds only the extrapolation and a rejected extrapolation only
@@ -130,6 +133,10 @@ from .timeshare import lower_hull
 _LOG_FLOOR = -1000.0
 # certified gap, bits per stage, of the bracket-search solves (module docstring)
 _BRACKET_GAP = 1e-6
+# share of |objective| + mu D taken off each dual bound (``solve_rate_cost``):
+# where F_n(D) = 0 its terms can cancel to ulps above the exact rate 0, as at
+# noisy_actuator(3)'s open-loop D: mu = 2, gap 0, objective - 2 D = 2.2e-16
+_DUAL_ROUNDOFF = 2.0 ** -40
 
 
 class InfeasibleCostError(ValueError):
@@ -181,7 +188,10 @@ class RateCostPoint:
 
     ``iterations`` counts the Blahut-Arimoto maps and ``gap`` is the
     certified optimality gap of the Lagrangian objective (NaN for points
-    not produced by ``solve_lagrangian``).  A point from
+    not produced by ``solve_lagrangian``).  ``rate_lower`` is a certified
+    lower bound on F_n(D) at the budget D of the ``solve_rate_cost`` query
+    that returned the point (NaN on other points); equality ignores it.
+    A point from
     ``solve_lagrangian`` also carries, for a solve warm-started from it,
     its rows and the stacked marginals its policy induces on them.
     """
@@ -194,6 +204,7 @@ class RateCostPoint:
     objective: float = math.nan
     iterations: int = 0
     gap: float = math.nan
+    rate_lower: float = field(default=math.nan, compare=False)
     _carry: tuple[Rows, np.ndarray] | None = field(default=None, repr=False,
                                                    compare=False)
 
@@ -535,7 +546,10 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
     ``budget_cost``; every point in it is a bracket candidate.  The
     returned point is feasible and carries the policy used downstream for
     synthesis; it is an epsilon-near-optimizer whose exact (rate, cost) are
-    reported without any attainment claim.
+    reported without any attainment claim.  Its rate is an upper estimate
+    of F_n(D); its ``rate_lower``, at least 0, is the largest dual bound
+    (module docstring) over the solved points it read, less
+    ``_DUAL_ROUNDOFF``'s allowance.
 
     The greedy policy of the cost DP attains the minimum average cost.  It
     is evaluated exactly before any solve (``anchor``, when given, is that
@@ -555,7 +569,7 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
         raise InfeasibleCostError(budget_cost, anchor.cost)
     if sweep is None:
         sweep = sweep_curve(spec, opts, until_cost=budget_cost)[1]
-    pts = list(sweep) + [anchor]
+    pts = list(sweep) + [anchor]    # every point the query reads, solves included
     feasible = [p for p in pts if p.cost <= budget_cost]
     infeasible = [p for p in pts if p.cost > budget_cost]
     best = min(feasible, key=lambda p: (p.rate, p.cost))
@@ -587,10 +601,12 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
                     if not lo < mu < hi:
                         mu = 0.5 * (lo + hi)
             p = solve_lagrangian(spec, mu, loose, warm=hi_point or lo_point)
+            pts.append(p)
             final = not p.gap > opts.tol
             if not final and 0.0 <= budget_cost - p.cost <= opts.bisect_cost_tol:
                 # a candidate answer: solved again to ``tol`` from its marginals
                 p, final = solve_lagrangian(spec, mu, opts, warm=p), True
+                pts.append(p)
             if p.cost <= budget_cost:
                 if kept == "lo":
                     w_lo *= 0.5
@@ -607,9 +623,13 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
         if open_end is not None:
             # the bracket collapsed or the solves ran out on a loose feasible end
             p = solve_lagrangian(spec, open_end.multiplier, opts, warm=open_end)
+            pts.append(p)
             if p.cost <= budget_cost and _lower_rate(p, best):
                 best = p
-    return best
+    lower = [p.objective - p.gap - p.multiplier * budget_cost
+             - _DUAL_ROUNDOFF * (abs(p.objective) + p.multiplier * budget_cost)
+             for p in pts if math.isfinite(p.gap)]
+    return replace(best, rate_lower=max([0.0] + lower))
 
 
 def _lower_rate(p: RateCostPoint, best: RateCostPoint) -> bool:

@@ -23,6 +23,8 @@ rate-cost curve's envelope (``solver.RateCostCurve``).
 Final feasibility (mixture cost <= budget, mixture rate <= barycenter
 rate + epsilon) is certified in exact rational arithmetic on the stored
 floats, nudging the stored weight by ulps when rounding demands it.
+epsilon is the selector's own rate cap, which decides when synthesis falls
+back to the cost floor; the sandwich ledger's bounds do not carry it.
 """
 
 from __future__ import annotations

@@ -71,14 +71,17 @@ def test_criterion_1_sandwich_bound():
     for name, spec in specs:
         budget = mid_curve_budget(spec)
         bundle = synthesize(spec, budget, SchemeOptions(
-            gamma=0.25, epsilon=0.1, seed=0, solver=SOLVER))
-        ledger = verify_sandwich(run_trials(bundle, 2000, seed=0))
-        cost_ok = bundle.exact_cost <= budget + 1e-9
-        lower_ok = bundle.exact_rate >= bundle.info_rate - 1e-3
-        upper_ok = bundle.exact_rate <= bundle.rate_budget_value
+            epsilon=0.1, seed=0, solver=SOLVER))
+        ledger = verify_sandwich(bundle, run_trials(bundle, 2000, seed=0))
+        # the paper's sandwich as written, at the certified lower end of F
+        f = bundle.solution.rate_lower
+        cost_ok = bundle.exact_cost <= budget
+        lower_ok = f <= bundle.solution.rate and bundle.exact_rate >= f
+        upper_ok = bundle.exact_rate <= f + math.log2(f + 3.4) + 2.0 + 1.0 / spec.horizon
         ok &= cost_ok and lower_ok and upper_ok and ledger.passed
         details.append(
-            f"{name}: F={bundle.info_rate:.4f} <= rate={bundle.exact_rate:.4f} "
+            f"{name}: F in [{f:.4f}, {bundle.solution.rate:.4f}], "
+            f"F_lower <= rate={bundle.exact_rate:.4f} "
             f"<= {bundle.rate_budget_value:.4f}, cost {bundle.exact_cost:.4f} "
             f"<= D={budget:.4f}"
         )
@@ -101,6 +104,7 @@ def test_criterion_2_solver_oracle_equivalence():
         solved = solve_rate_cost(spec, budget, SOLVER)
         gap = abs(solved.rate - grid.rate)
         ok &= gap <= max(1e-3, grid_slack(0.01))
+        ok &= solved.rate_lower <= grid.rate + grid_slack(0.01)
         details.append(f"{name}: |solve-grid|={gap:.2e}")
         ba = blahut_arimoto_rate(init, cost, budget)
         ok &= abs(solved.rate - ba) <= 1e-3
@@ -113,6 +117,7 @@ def test_criterion_2_solver_oracle_equivalence():
         want = binary_entropy(p) - binary_entropy(d)
         gap = abs(point.rate - want)
         ok &= gap <= 2e-3 and point.cost <= d + 1e-12
+        ok &= point.rate_lower - 1e-12 <= want <= point.rate + 1e-12
         details.append(f"rdf p={p}: |solve-analytic|={gap:.2e}")
     report(2, "solver oracle equivalence", ok, "; ".join(details))
 

@@ -464,6 +464,11 @@ class TestSolveCommand:
         for entry in doc["curve"] + doc["requested"]:
             assert entry["iterations"] >= 1
             assert -1e-12 <= entry["gap"] <= 1e-9
+        assert doc["schema_version"] == 2
+        entry = doc["requested"][0]
+        assert 0.0 <= entry["rate_lower_bits"] <= entry["rate_bits"]
+        assert entry["rate_bits"] - entry["rate_lower_bits"] < 1e-3
+        assert all("rate_lower_bits" not in p for p in doc["curve"])
 
     def test_cost_floor_evaluated_once_for_every_budget(self, tmp_path, monkeypatch):
         cost_dp = ratecost.solver._cost_dp
@@ -534,20 +539,28 @@ class TestSynthCommand:
         doc = json.loads((out / "result_bundle.json").read_text())
         assert doc["sandwich"]["passed"]
         assert doc["exact"]["cost"] <= 0.4
-        f = doc["bounds"]["info_rate_bits"]
-        want = f + math.log2(f + 3.4) + 2.0 + 0.5 + doc["gamma"]
+        f = doc["bounds"]["info_rate_lower_bits"]
+        assert 0.0 <= f <= doc["bounds"]["info_rate_bits"]
+        assert f <= doc["exact"]["rate_bits"]
+        want = f + math.log2(f + 3.4) + 2.0 + 0.5
         assert doc["bounds"]["rate_budget_bits"] == pytest.approx(want, abs=1e-12)
 
     def test_bundle_schema_version(self, tmp_path):
-        # version 4: each stage's race draws come from one stream per
-        # (seed, stage) instead of one per (seed, realization, stage)
+        # version 5: the bounds carry the certified lower bound on F and the
+        # paper's rate bound at it; gamma, the epsilon condition and the
+        # copies of bundle values in the simulation block are gone
         spec_path = write_spec(tmp_path, controlled_doc())
         code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out",
                      str(tmp_path / "v"), "--restarts", "1", "--cloud-size", "3",
                      "--trials", "30"])
         assert code == EXIT_OK
         doc = json.loads((tmp_path / "v" / "result_bundle.json").read_text())
-        assert doc["schema_version"] == 4
+        assert doc["schema_version"] == 5
+        assert "gamma" not in doc and "eps_condition_ok" not in doc
+        assert set(doc["simulation"]) == {
+            "trials", "empirical_rate", "empirical_rate_se", "empirical_cost",
+            "empirical_cost_se", "exact_rate", "exact_cost", "seeds",
+            "mc_rate_consistent", "mc_cost_consistent"}
 
     def test_small_cloud_falls_back_to_cost_floor_realization(self, tmp_path):
         # the three realizations cost 0.5 at rate 0, over the budget; the only
@@ -624,8 +637,8 @@ class TestSynthCommand:
     def test_failed_ledger_exit_code(self, tmp_path, capsys, monkeypatch):
         verify = ratecost.cli.verify_sandwich
 
-        def failing(report):
-            return dataclasses.replace(verify(report), achievability_ok=False)
+        def failing(bundle, report):
+            return dataclasses.replace(verify(bundle, report), achievability_ok=False)
 
         monkeypatch.setattr(ratecost.cli, "verify_sandwich", failing)
         spec_path = write_spec(tmp_path, controlled_doc())
@@ -686,8 +699,6 @@ class TestSynthCommand:
                      id="synth --D nan"),
         pytest.param(["solve", "--D", "inf"], "cost budget must be finite, got inf",
                      id="solve --D inf"),
-        pytest.param(["synth", "--D", "0.4", "--gamma", "nan"],
-                     "gamma must be finite and nonnegative, got nan", id="--gamma nan"),
         pytest.param(["synth", "--D", "0.4", "--eps", "-1"],
                      "epsilon must be finite and nonnegative, got -1.0", id="--eps -1"),
         pytest.param(["synth", "--D", "0.4", "--trials", "10000000000000"],
@@ -714,7 +725,14 @@ class TestSynthCommand:
         # the budget: the pair (3, 0) now mixes onto the budget (mix rate
         # 0.275 -> 0.25, cost 0.39 -> 0.4); the solver point is unchanged.
         # Re-recorded when the solver's rate and cost came from the row pass:
-        # solver_point.rate_bits and info_rate 0.09447817537519092 -> ...096
+        # solver_point.rate_bits and info_rate 0.09447817537519092 -> ...096.
+        # Re-recorded when the ledger checked the paper's bound at the
+        # certified lower bound on F: bounds.info_rate_lower_bits
+        # 0.09436089568930468 was added, rate_budget_bits 4.649555211804132
+        # -> 4.399389512396595 (no gamma, F_lower), the achievability margin
+        # by the same and the converse margin by +1.2e-4; gamma,
+        # eps_condition_ok and the simulation block's copies of bundle values
+        # were removed; every other value is unchanged
         spec_path = write_spec(tmp_path, controlled_doc())
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out", str(out),
@@ -726,7 +744,7 @@ class TestSynthCommand:
         assert doc["seeds"]["attempts"] == 1
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "9329f8c89a2ef752fed35749707e9c2ea7109aa565968fe50fd0ca46686e81c5"
+            "820054749d7e47e7de0e939b95d3e0b005264e72f85adeb04d85804ef124c21e"
 
     def test_sticky4_bundle_digest_pinned(self, tmp_path):
         # at its mid-curve budget the sweep stops at the eleventh of 22
@@ -753,7 +771,13 @@ class TestSynthCommand:
         # 0.24994993848231786 -> 0.24994986623222004, the rate budget and
         # achievability margin by 1.2e-7 and the converse margin by 8.4e-8;
         # the selector, the exact rate and cost, the entropies and the
-        # trials are unchanged
+        # trials are unchanged.  Re-recorded when the ledger checked the
+        # paper's bound at the certified lower bound on F:
+        # bounds.info_rate_lower_bits 0.13536642137348287 was added,
+        # rate_budget_bits 4.457308064263119 -> 4.207226171599791, the
+        # achievability margin by the same and the converse margin by
+        # +5.8e-5; gamma, eps_condition_ok and the simulation block's copies
+        # of bundle values were removed; every other value is unchanged
         spec_path = write_spec(tmp_path, spec_document(sticky_tracking(4)))
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.25", "--out", str(out),
@@ -766,7 +790,7 @@ class TestSynthCommand:
         assert doc["selector"]["case"] == "boundary-mixed"
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "f55795f5c99a46d152abc22637579d38b7c1b28a18e3d805070c90876b5ea302"
+            "df5d0845f057c050d886ef95d910b41b2d222f0ceaee1bd0f26baab2b05ddf4d"
 
     def test_block_of_one_bundle_byte_identical(self, tmp_path):
         # a budget of 16 entries makes the cloud evaluate two realizations
@@ -813,6 +837,16 @@ class TestSynthCommand:
             main(["synth", "--spec", spec_path, "--D", "0.4", "--out",
                   str(tmp_path), "--proposals", "128"])
         assert exc.value.code == EXIT_SPEC
+
+    def test_gamma_option_is_gone(self, tmp_path, capsys):
+        # the ledger checks the paper's bound as written, with no slack term
+        spec_path = write_spec(tmp_path, controlled_doc())
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--spec", spec_path, "--D", "0.4", "--out",
+                  str(tmp_path / "o"), "--gamma", "0.25"])
+        assert exc.value.code == EXIT_SPEC
+        assert "unrecognized arguments: --gamma 0.25" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])

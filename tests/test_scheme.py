@@ -15,6 +15,7 @@ from ratecost import BudgetExceededError, CausalPolicy, SystemSpec
 from ratecost.coder import CodingError, ContextCodebook, build_codebooks, \
     expected_stage_lengths
 from ratecost.instances import (
+    bernoulli_source,
     drive_to_zero,
     min_open_loop_cost,
     noisy_actuator,
@@ -27,7 +28,6 @@ from ratecost.scheme import (
     SchemeOptions,
     _onehot,
     build_realization,
-    eps_condition,
     log_gap_budget,
     per_coordinate_overhead,
     realize_cloud,
@@ -47,6 +47,7 @@ from ratecost.timeshare import InvariantError
 
 from oracles import (
     average_cost_from_dict,
+    binary_entropy,
     enumerate_joint,
     full_history_spec,
     race_selection,
@@ -108,7 +109,7 @@ class TestSynthesize:
             horizon=2,
         )
         b = synthesize(spec, 0.0, dataclasses.replace(FAST, cloud_size=20))
-        assert b.info_rate == pytest.approx(0.0, abs=1e-9)
+        assert b.solution.rate == pytest.approx(0.0, abs=1e-9)
         assert b.exact_rate <= 1.0 + 1.0 / spec.horizon
 
     def test_budget_at_cost_floor(self):
@@ -121,10 +122,11 @@ class TestSynthesize:
         assert bundle.exact_cost <= bundle.budget_cost
 
     def test_rate_budget_relation_recorded(self, bundle):
-        f = bundle.info_rate
-        want = f + math.log2(f + 3.4) + 2.0 + 0.5 + bundle.gamma
+        # the paper's bound at the certified lower end of F_n(D), no slack
+        f = bundle.solution.rate_lower
+        assert 0.0 <= f <= bundle.solution.rate
+        want = f + math.log2(f + 3.4) + 2.0 + 0.5
         assert bundle.rate_budget_value == pytest.approx(want, abs=1e-12)
-        assert bundle.eps_ok
 
     def test_summed_code_lengths_bounded_by_total_entropy(self, bundle):
         from ratecost import entropy_bits
@@ -282,8 +284,10 @@ class TestSynthesize:
         assert (b.selector.index0, b.selector.index1, b.selector.weight) == (1, 1, 1.0)
         assert (b.solution.rate, b.solution.cost, b.solution.multiplier) == \
             (anchor.rate, anchor.cost, math.inf)
-        assert b.info_rate == anchor.rate
-        assert verify_sandwich(run_trials(b, 200, seed=0)).passed
+        # the solution keeps the query's lower bound on F_n at the budget
+        solved = solve_rate_cost(spec, budget, SolverOptions(restarts=1))
+        assert b.solution.rate_lower == solved.rate_lower <= solved.rate
+        assert verify_sandwich(b, run_trials(b, 200, seed=0)).passed
 
     @pytest.mark.parametrize("field", ["cloud_size"])
     def test_nonpositive_counts_rejected(self, field):
@@ -464,7 +468,7 @@ def test_long_horizon_synthesizes_without_the_trajectory_law():
     budget = min_expected_cost(spec) + 0.001
     b = synthesize(spec, budget, SchemeOptions(
         cloud_size=20, solver=SolverOptions(restarts=1)))
-    assert verify_sandwich(run_trials(b, 2000, seed=0)).passed
+    assert verify_sandwich(b, run_trials(b, 2000, seed=0)).passed
 
 
 def test_budget_at_anchor_cost_is_feasible_on_random_panel():
@@ -554,10 +558,10 @@ class TestRunTrials:
         assert abs(report.empirical_cost - report.exact_cost) \
             <= 3.0 * report.empirical_cost_se + 1e-12
 
-    def test_empirical_rate_within_sandwich(self, big_report):
+    def test_empirical_rate_within_sandwich(self, bundle, big_report):
         report = big_report
-        assert report.empirical_rate <= report.rate_budget_value
-        assert report.empirical_rate >= report.info_rate - 3 * report.empirical_rate_se
+        assert report.empirical_rate <= bundle.rate_budget_value
+        assert report.empirical_rate >= bundle.solution.rate_lower - 3 * report.empirical_rate_se
 
     def test_zero_trials_rejected(self, bundle):
         with pytest.raises(ValueError, match="num_trials"):
@@ -817,13 +821,56 @@ class TestRunTrials:
         assert tv <= 0.05
 
 
+# the certified-interval panel; F_n(D) has a closed form on the last two:
+# h(p) - h(D) for the Bernoulli(p) source and 1 - h(D) for sticky_tracking(1),
+# each 0 from its open-loop cost (p and 1/2) on
+PANEL = {
+    "drive2": lambda: drive_to_zero(2),
+    "noisy3": lambda: noisy_actuator(3),
+    "sticky4": lambda: sticky_tracking(4),
+    "noisy6": lambda: noisy_actuator(6),
+    "sticky1": lambda: sticky_tracking(1),
+    "bernoulli2": lambda: bernoulli_source(2, 0.2),
+}
+ANALYTIC = {
+    "sticky1": lambda d: 1.0 - binary_entropy(min(d, 0.5)),
+    "bernoulli2": lambda d: binary_entropy(0.2) - binary_entropy(min(d, 0.2)),
+}
+
+
+class TestCertifiedInterval:
+    """[F_lower, F_upper] brackets F_n(D), and the ledger's three checks
+    pass with no tolerance, from a quarter of the way from the cost floor
+    to the open-loop cost to a fifth past it.  At the open-loop cost itself
+    (share 1, that cost exactly) F_n(D) = 0 and the scheme's rate is 0, so
+    the converse check holds only through F_lower's round-off allowance
+    (noisy3: the dual bound is 2.2e-16 without it)."""
+
+    @pytest.mark.parametrize("share", [0.25, 0.5, 0.75, 1.0, 1.2])
+    @pytest.mark.parametrize("name", sorted(PANEL))
+    def test_interval_brackets_and_ledger_passes(self, name, share):
+        spec = PANEL[name]()
+        floor = min_expected_cost(spec)
+        open_loop, _ = min_open_loop_cost(spec)
+        budget = open_loop if share == 1.0 else floor + share * (open_loop - floor)
+        b = synthesize(spec, budget, SchemeOptions(
+            cloud_size=200, seed=0, solver=SolverOptions(restarts=1)))
+        lower, upper = b.solution.rate_lower, b.solution.rate
+        assert 0.0 <= lower <= upper
+        assert b.exact_rate >= lower
+        assert verify_sandwich(b, run_trials(b, 2000, seed=0)).passed
+        if name in ANALYTIC:
+            assert lower - 1e-12 <= ANALYTIC[name](budget) <= upper + 1e-12
+
+
 class TestVerifySandwich:
     def test_ledger_passes_on_shipped_instance(self, bundle):
         report = run_trials(bundle, 5000, seed=5)
-        ledger = verify_sandwich(report)
+        ledger = verify_sandwich(bundle, report)
         assert ledger.passed
-        assert ledger.converse_margin >= -1e-3
+        assert ledger.converse_margin >= 0.0
         assert ledger.achievability_margin >= 0.0
+        assert ledger.cost_margin >= 0.0
         d = ledger.as_dict()
         assert {type(v) for v in d.values()} <= {bool, float}
 
@@ -842,7 +889,7 @@ class TestVerifySandwich:
             bundle, codebooks=bad_books, exact_rate=bad_rate
         )
         report = run_trials(corrupted, 500, seed=7)
-        ledger = verify_sandwich(report)
+        ledger = verify_sandwich(corrupted, report)
         assert not ledger.achievability_ok
         assert ledger.converse_ok
         assert not ledger.passed
@@ -850,13 +897,9 @@ class TestVerifySandwich:
 
 class TestBoundArithmetic:
     def test_log_gap_budget_value(self):
-        assert log_gap_budget(0.0, 2, 0.0) == pytest.approx(
+        assert log_gap_budget(0.0, 2) == pytest.approx(
             math.log2(3.4) + 2.5, abs=1e-12
         )
-
-    def test_eps_condition_monotone(self):
-        assert eps_condition(0.5, 0.1, 0.25)
-        assert not eps_condition(0.5, 1.0, 0.25)
 
     def test_per_coordinate_overhead_decreasing(self):
         vals = [per_coordinate_overhead(0.25, k, 2) for k in (1, 2, 4, 8)]

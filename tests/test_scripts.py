@@ -1,4 +1,5 @@
-"""Smoke runs of the example scripts at small settings."""
+"""Smoke runs of the example scripts at small settings, and of the README's
+library tour."""
 
 import os
 import pathlib
@@ -9,7 +10,8 @@ import pytest
 
 import ratecost
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 # small settings per script; "{tmp}" is replaced by the test's directory
 ARGS = {
@@ -34,3 +36,15 @@ def test_script_runs(tmp_path, name):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_tour_runs(capsys):
+    # the README's Library tour block, run as written, so that the
+    # documented API cannot drift from the package
+    tour = (ROOT / "README.md").read_text().split("## Library tour", 1)[1]
+    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    lower, upper = map(float, lines[0].split())
+    assert 0.0 <= lower <= upper
+    assert "'passed': True" in lines[-1]

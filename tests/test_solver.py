@@ -345,12 +345,14 @@ class TestLeanLoop:
         # action-context row: the multipliers and objectives are unchanged,
         # 16 rates moved by at most 3.4e-10, 2 costs by at most 2.1e-11,
         # 3 gaps by at most 4.7e-10 and the tables by at most 3.4e-9; every
-        # point converged, and the maps of mu = 2^4 and 2^5 went 16/6 -> 7/5
+        # point converged, and the maps of mu = 2^4 and 2^5 went 16/6 -> 7/5.
+        # Re-recorded when points gained ``rate_lower``: each sweep point's
+        # repr gained rate_lower=nan, and nothing else changed
         digest = hashlib.sha256()
         for p in noisy6_run[0][:22]:
             digest.update(point_repr(p).encode())
         assert digest.hexdigest() == \
-            "3016eabbcdd50ea25f5d7e97c333b8018abc549e7d1f1480cefd4cadc36c0e62"
+            "df2eed1fecfb994266ef3e410992b08228bbc41ea3c51cb99d3089f45757dc35"
 
     def test_noisy6_points_digest_pinned(self, noisy6_run):
         # Re-recorded when the bracket search ran at a loose gap and only
@@ -362,12 +364,16 @@ class TestLeanLoop:
         # (above), the answers moved in multiplier by at most 2.8e-5
         # (12.154515166 -> 12.154487376), rate by at most 2.5e-7 (0.0382211
         # -> 0.0382208), cost by at most 2e-8, and their maps went from
-        # 8/13/5 to 5/5/5; all three still converge
+        # 8/13/5 to 5/5/5; all three still converge.  Re-recorded when
+        # points gained ``rate_lower``: NaN on the sweep points, and on the
+        # three answers 0.0631753569661019, 0.03758630885374278 and
+        # 0.017070412360830123, 1.5e-3, 6.3e-4 and 4.9e-4 under their rates;
+        # nothing else changed
         digest = hashlib.sha256()
         for p in noisy6_run[0]:
             digest.update(point_repr(p).encode())
         assert digest.hexdigest() == \
-            "bba4127cb59f83d229e4939a90cef18f57355bb81bbe4ce6110dad53a0d88954"
+            "e545f5fd4472aa7e030850a9c06e025ef7b38c42f9a8830c459a4bcab4f84a30"
 
     def test_noisy6_answers_meet_the_benchmark_reference(self, noisy6_run):
         # the benchmark's own check of its curve workload (perfbench/
