@@ -16,7 +16,8 @@ scalar ``encode``/``decode`` and the block coder read the same tables.  A
 block message is one zero-padded, MSB-first byte row per trial (the layout
 of ``pack_bits``), and the block decoder reads only those bytes and the
 codebook.  The block coder codes one message per input row and groups none;
-``scheme.run_trials`` passes it each distinct message of a run once.
+``scheme.code_sequences`` passes it each sequence a codebook can code once,
+at synthesis.
 """
 
 from __future__ import annotations

@@ -20,16 +20,18 @@ Monte-Carlo step.  The ledger (``verify_sandwich``) checks the paper's
 sandwich on those values as written, with no slack; ``epsilon`` is only
 the selector's rate cap (``timeshare``).
 
-Simulation runs trials in blocks of ``TRIAL_BLOCK`` as arrays: each
-block draws its selector uniforms and plant uniforms from two per-block
-streams, runs the plant forward, looks the actions up in the realized
-stage maps and applies them.  It then encodes each action sequence the
-run has not sent before into a packed byte row, decodes the rows from
-those bytes alone, checks the round trip and keeps the bit counts in a
-run-wide table, so each sequence is coded once per run.  Streams are
-keyed by (seed, stream, block), so a run is reproducible and a shorter
-run is a prefix of a longer one.  The selector bit is never transmitted;
-rate counts codeword bits only.
+Synthesis also encodes and decodes every action sequence of positive
+mixture mass once, the exact set the codebooks code, and keeps the bit
+counts in a read-only table (``SchemeBundle.sequence_bits``); a round
+trip that differs fails synthesis.  Simulation runs trials in blocks of
+``TRIAL_BLOCK`` as arrays: each block draws its selector uniforms and
+plant uniforms from two per-block streams, and each trial walks per-key
+tables built from the two realized stage maps, one integer key per trial
+and stage: the stage cost, the law of the next plant state and the next
+key, then the sequence's bits.  The trial loop makes no coder call.
+Streams are keyed by (seed, stream, block), so a run is reproducible and
+a shorter run is a prefix of a longer one.  The selector bit is never
+transmitted; rate counts codeword bits only.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ TRIAL_BLOCK = 4096
 
 
 class DecodeMismatchError(RuntimeError):
-    """The controller decoded a different action than the encoder selected."""
+    """The decoder read a different action sequence or bit count than the
+    encoder wrote."""
 
 
 def log_gap_budget(info_rate: float, horizon: int) -> float:
@@ -136,6 +139,7 @@ class SchemeBundle:
     realization1: Realization
     selector: TimeShareSelector
     codebooks: ContextCodebook
+    sequence_bits: np.ndarray   # (U**n,) int64 by sequence index, -1 off the law
     mixture_action_law: np.ndarray
     exact_rate: float
     exact_cost: float
@@ -209,6 +213,36 @@ def build_realization(race: RowPass, seed: int, point: RealizationPoint) -> Real
                        action_law=actions[0].reshape((U,) * n), point=point)
 
 
+def code_sequences(codebooks: ContextCodebook, action_law: np.ndarray) -> np.ndarray:
+    """Codeword bits of every action sequence by big-endian index, (U**n,)
+    int64 and read-only, -1 where ``action_law`` has no mass.
+
+    The positive-mass sequences are exactly those the codebooks code.  Each
+    is encoded and decoded once, ``TRIAL_BLOCK`` per coder call, and the
+    decoder reads only the packed bytes; a decoded action or bit count that
+    differs from the encoded one raises ``DecodeMismatchError`` naming the
+    sequence.
+    """
+    n, U = codebooks.horizon, codebooks.num_actions
+    bits = np.full(U ** n, -1, dtype=np.int64)
+    sent = np.flatnonzero(np.asarray(action_law).reshape(-1) > 0.0)
+    for start in range(0, sent.size, TRIAL_BLOCK):
+        index = sent[start:start + TRIAL_BLOCK]
+        actions = index[:, None] // U ** np.arange(n - 1, -1, -1) % U
+        packed, written = codebooks.encode_block(actions)
+        decoded, consumed = codebooks.decode_block(packed)
+        wrong = np.any(decoded != actions, axis=1) | (consumed != written)
+        if np.any(wrong):
+            j = int(np.argmax(wrong))
+            raise DecodeMismatchError(
+                f"sequence {index[j]}: encoded {actions[j].tolist()} in "
+                f"{written[j]} bits, decoded {decoded[j].tolist()} from "
+                f"{consumed[j]} bits")
+        bits[index] = written
+    bits.setflags(write=False)
+    return bits
+
+
 def synthesize(spec: SystemSpec, budget_cost: float,
                options: SchemeOptions | None = None) -> SchemeBundle:
     """Build the full encoding-and-control scheme for one cost budget.
@@ -225,7 +259,8 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     (``seeds.attempts`` 2); when it too is over the budget,
     ``InfeasibleBarycenterError`` is raised.  The final scheme's cost is
     certified exactly regardless.  A certified invariant that fails raises
-    ``InvariantError``.
+    ``InvariantError``, and a codeword round trip that differs
+    ``DecodeMismatchError`` (``code_sequences``).
     """
     opt = options or SchemeOptions()
     n = spec.horizon
@@ -251,6 +286,7 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     lam = selector.weight
     mixture_law = lam * re0.action_law + (1.0 - lam) * re1.action_law
     codebooks = build_codebooks(mixture_law)
+    sequence_bits = code_sequences(codebooks, mixture_law)
     exact_rate = sum(expected_stage_lengths(codebooks, mixture_law)) / n
     exact_cost = selector.mix_cost
     if exact_cost > budget_cost:
@@ -261,7 +297,7 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     )
     return SchemeBundle(
         spec=spec, solution=solution, realization0=re0, realization1=re1,
-        selector=selector, codebooks=codebooks,
+        selector=selector, codebooks=codebooks, sequence_bits=sequence_bits,
         mixture_action_law=mixture_law, exact_rate=exact_rate,
         exact_cost=exact_cost,
         rate_budget_value=log_gap_budget(solution.rate_lower, n),
@@ -318,14 +354,16 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
     realization 0 when its selector uniform is below the selector weight.
     The plant runs on the spec's rows (``SystemSpec.rows``): x_{t+1} is
     drawn from the law of the trial's (context, plant row, action).
-    The coder gets the action sequences the run has not sent before, in
-    ascending index order, once per block that sends any, and a
-    ``CodingError`` it raises names one of those rows; every trial reads
-    its bit count from a table of U**n entries, at most ``Rows.width``.  A
-    stage-map entry of -1 reached by a trial raises ``CodingError``; a
-    decoded action or bit count that differs from the encoded one raises
-    ``DecodeMismatchError``.  Both name the first trial that fails, and
-    all are fatal by design.  A trial count that ``check_trial_count``
+    A trial's stage-t state is one integer key, (which * U**(t-1) +
+    context) * P_t + plant row, the index of the flat stage maps.  Each
+    call builds per-key tables from the two realizations' maps: the stage
+    cost, the cumulated law of x_{t+1} and the next key less x_{t+1}, and
+    at the last stage the sequence's bits (``SchemeBundle.sequence_bits``).
+    Each table has at most 2 * ``Rows.width`` entries.  The loop makes no
+    coder call: synthesis coded every sequence the bundle can send.  A
+    stage-map entry of -1 reached by a trial, or a sequence without a
+    codeword, raises ``CodingError`` naming the first trial that reaches
+    it; both are fatal by design.  A trial count that ``check_trial_count``
     refuses for the spec's budget, or a negative seed, raises
     ``ValueError`` before any trial runs.
     """
@@ -347,70 +385,59 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
     maps = [np.stack(pair).reshape(-1) for pair in zip(bundle.realization0.maps,
                                                        bundle.realization1.maps)]
     cost_of = spec.cost.reshape(-1)     # entry x * U + u
-    # codeword bits of each action sequence the run has sent, -1 until then
-    lengths = np.full(U ** n, -1, dtype=np.int64)
+    # per stage and key: the stage cost, the law of the next plant state, and
+    # the next key less that state (the sequence's bits at the last stage);
+    # -1 where the map has no action
+    stage_costs, laws, nexts = [], [], []
+    for t, (mapped, P) in enumerate(zip(maps, rows.plants)):
+        plant, rest = np.divmod(np.arange(mapped.size), P)[::-1]
+        u = np.maximum(mapped, 0)
+        stage_costs.append(cost_of.take(plant % X * U + u))
+        if t + 1 < n:
+            laws.append(cums[t + 1].take((rest % U ** t * strides[t] + plant) * U + u,
+                                         axis=1))
+            after = (rest * U + u) * rows.plants[t + 1] + plant * rows.grow
+        else:
+            after = bundle.sequence_bits.take(rest % U ** t * U + u)
+        nexts.append(np.where(mapped < 0, -1, after))
     lam = bundle.selector.weight
     bits = np.empty(num_trials)
     costs = np.empty(num_trials)
     # one set of block arrays per call; a short last block uses their heads
     size = min(TRIAL_BLOCK, num_trials)
     buffers = (np.empty(size), np.empty((size, n)), np.empty(size),
-               *(np.empty(size, dtype=np.int64) for _ in range(4)))
+               np.empty(size, dtype=np.int64))
     for block, first in enumerate(range(0, num_trials, TRIAL_BLOCK)):
         m = min(TRIAL_BLOCK, num_trials - first)
-        selector, uniforms, cost, ctx, plant, row, key = (b[:m] for b in buffers)
+        selector, uniforms, cost, key = (b[:m] for b in buffers)
         np.random.default_rng(
             np.random.SeedSequence((seed, STREAM_SELECTOR, block))).random(out=selector)
         np.random.default_rng(
             np.random.SeedSequence((seed, STREAM_DYNAMICS, block))).random(out=uniforms)
-        which = (selector >= lam).astype(np.intp)
-        for zeroed in (cost, ctx, plant, row):
-            zeroed.fill(0)
+        np.multiply(selector >= lam, rows.plants[0], out=key)
+        cost.fill(0)
+        cum = cums[0]
         for t in range(n):
-            cum = cums[t].take(row, axis=1)
             # right-side search: the count of cumulative entries <= the draw
-            x = np.minimum(np.add.reduce(cum <= uniforms[:, t] * cum[-1], axis=0,
-                                         dtype=np.intp), X - 1)
-            plant *= rows.grow      # the plant row of the stage: key of x_t or x^t
-            plant += x
-            np.multiply(which, U ** t, out=key)
-            key += ctx
-            key *= rows.plants[t]
-            key += plant
-            u = maps[t].take(key)
-            if u.min() < 0:
-                i = int(np.argmax(u < 0))
+            key += np.minimum(np.add.reduce(cum <= uniforms[:, t] * cum[-1], axis=0,
+                                            dtype=np.intp), X - 1)
+            after = nexts[t].take(key)
+            if after.min() < 0:
+                i = int(np.argmax(after < 0))
+                rest, plant = divmod(int(key[i]), rows.plants[t])
+                which, ctx = divmod(rest, U ** t)
+                if maps[t][key[i]] >= 0:
+                    raise CodingError(f"trial {first + i}: action sequence "
+                                      f"{ctx * U + maps[t][key[i]]} has no codeword")
                 raise CodingError(
                     f"trial {first + i} stage {t + 1}: realization "
-                    f"{which[i]}'s stage map has no action for action context "
-                    f"{ctx[i]}, plant row {plant[i]}")
-            x *= U
-            x += u
-            cost += cost_of.take(x)
-            np.multiply(ctx, strides[t], out=row)   # the row of the law of x_{t+1}
-            row += plant
-            row *= U
-            row += u
-            ctx *= U                # key of u^t
-            ctx += u
-        # ctx is each trial's action-sequence index: code the run's fresh ones,
-        # deduplicated by hand because np.unique imports numpy.ma on first use
-        fresh = np.sort(ctx[lengths.take(ctx) < 0])
-        fresh = fresh[np.diff(fresh, prepend=-1) > 0]
-        if fresh.size:
-            sent = fresh[:, None] // U ** np.arange(n - 1, -1, -1) % U
-            packed, written = bundle.codebooks.encode_block(sent)
-            decoded, consumed = bundle.codebooks.decode_block(packed)
-            wrong = np.any(decoded != sent, axis=1) | (consumed != written)
-            if np.any(wrong):
-                i = int(np.argmax(np.isin(ctx, fresh[wrong])))
-                j = int(np.searchsorted(fresh, ctx[i]))
-                raise DecodeMismatchError(
-                    f"trial {first + i}: encoded {sent[j].tolist()} in "
-                    f"{written[j]} bits, decoded {decoded[j].tolist()} from "
-                    f"{consumed[j]} bits")
-            lengths[fresh] = written
-        bits[first:first + m] = lengths.take(ctx) / n
+                    f"{which}'s stage map has no action for action context "
+                    f"{ctx}, plant row {plant}")
+            cost += stage_costs[t].take(key)
+            if t + 1 < n:
+                cum = laws[t].take(key, axis=1)
+                key[:] = after
+        bits[first:first + m] = after / n
         costs[first:first + m] = cost / n
     emp_rate = float(bits.mean())
     emp_cost = float(costs.mean())

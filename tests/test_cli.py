@@ -33,7 +33,7 @@ from ratecost.cli import (
     EXIT_VERIFY,
     main,
 )
-from ratecost.coder import CodingError
+from ratecost.coder import CodingError, ContextCodebook
 from ratecost.instances import (
     bernoulli_source,
     drive_to_zero,
@@ -612,6 +612,23 @@ class TestSynthCommand:
         assert code == EXIT_VERIFY
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["verification failed: trial 7 stage 2: encoded 1, decoded 0"]
+        assert not (out / "result_bundle.json").exists()
+
+    def test_decode_mismatch_in_synthesis_exit_code(self, tmp_path, capsys,
+                                                    monkeypatch):
+        decode = ContextCodebook.decode_block
+
+        def corrupted(book, packed):
+            actions, consumed = decode(book, packed)
+            consumed[0] += 1
+            return actions, consumed
+
+        monkeypatch.setattr(ContextCodebook, "decode_block", corrupted)
+        spec_path = write_spec(tmp_path, controlled_doc())
+        code, out = self.run_synth(tmp_path, spec_path, "m")
+        assert code == EXIT_VERIFY
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("verification failed: sequence ")
         assert not (out / "result_bundle.json").exists()
 
     def test_infeasible_budget_exit(self, tmp_path):

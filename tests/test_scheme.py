@@ -533,10 +533,51 @@ def trial_sequences(bundle, num_trials, seed):
     return np.concatenate(sequences), np.concatenate(costs)
 
 
+# sticky_tracking(8)'s open-loop cost, hard-coded because the open-loop
+# search takes about a second at n = 8; its cost floor is 0.0
+STICKY8_OPEN_LOOP = 0.5000000000000001
+
+# sha256 of the per-trial bits and costs of run_trials(b, 10 000, seed=1)
+STICKY4_TRIALS = "f526c1ad99460f8a62535e76fcb07f6670eb986aa9f0d984a64b94a2d5c8b1fa"
+STICKY8_TRIALS = "5f01828335dca44d2ccdc31324ab483cf44daee63c01a664c6cdf45ce53b96d1"
+
+
+def trial_digest(bundle):
+    report = run_trials(bundle, 10_000, seed=1, keep_per_trial=True)
+    return hashlib.sha256(report.per_trial_bits.tobytes()
+                          + report.per_trial_costs.tobytes()).hexdigest()
+
+
+def corrupt_decode(monkeypatch, index, field):
+    """Make ``decode_block`` misread the message of action sequence
+    ``index``: its last action (``field`` "actions") or its bit count."""
+    decode = ContextCodebook.decode_block
+
+    def corrupted(book, packed):
+        actions, consumed = decode(book, packed)
+        for row in np.flatnonzero(sequence_index(actions, book.num_actions) == index):
+            if field == "actions":
+                actions[row, -1] = (actions[row, -1] + 1) % book.num_actions
+            else:
+                consumed[row] += 1
+        return actions, consumed
+
+    monkeypatch.setattr(ContextCodebook, "decode_block", corrupted)
+
+
+@pytest.fixture(scope="module")
+def sticky4():
+    # the mid-curve bundle the simulate benchmark times
+    spec = sticky_tracking(4)
+    return synthesize(spec, mid_curve_budget(spec),
+                      SchemeOptions(seed=0, solver=SolverOptions(seed=0, restarts=1)))
+
+
 @pytest.fixture(scope="module")
 def sticky8():
-    # the high-rate bundle of test_sticky8_high_rate_trial_stream_digest_pinned
-    return synthesize(sticky_tracking(8), 0.05000000000000002,
+    # 95-111 distinct action sequences per block: sticky_tracking(8) a tenth
+    # of the way from its cost floor to its open-loop cost
+    return synthesize(sticky_tracking(8), 0.1 * STICKY8_OPEN_LOOP,
                       SchemeOptions(seed=0, solver=SolverOptions(seed=0, restarts=1)))
 
 
@@ -584,32 +625,36 @@ class TestRunTrials:
         np.testing.assert_array_equal(report.per_trial_bits, 0.0)
         assert report.empirical_rate == 0.0 and report.mc_cost_consistent
 
-    def test_sticky4_trial_stream_digest_pinned(self):
+    def test_sticky4_trial_stream_digest_pinned(self, sticky4):
         # the per-trial bits and costs of 10 000 trials, two full blocks and
         # a short one, on the sticky4 mid-curve bundle the simulate
         # benchmark times; pins the streams, the plant sampler and the coder
-        spec = sticky_tracking(4)
-        b = synthesize(spec, mid_curve_budget(spec),
-                       SchemeOptions(seed=0, solver=SolverOptions(seed=0, restarts=1)))
-        report = run_trials(b, 10_000, seed=1, keep_per_trial=True)
-        digest = hashlib.sha256(report.per_trial_bits.tobytes()
-                                + report.per_trial_costs.tobytes())
-        assert digest.hexdigest() == \
-            "f526c1ad99460f8a62535e76fcb07f6670eb986aa9f0d984a64b94a2d5c8b1fa"
+        assert trial_digest(sticky4) == STICKY4_TRIALS
 
-    def test_sticky8_high_rate_trial_stream_digest_pinned(self):
-        # 95-111 distinct action sequences per block: sticky_tracking(8) at
-        # a tenth of the way from its cost floor 0.0 to its open-loop cost
-        # 0.5000000000000001, hard-coded because the open-loop search takes
-        # about a second at n = 8
-        spec = sticky_tracking(8)
-        b = synthesize(spec, 0.05000000000000002,
-                       SchemeOptions(seed=0, solver=SolverOptions(seed=0, restarts=1)))
-        report = run_trials(b, 10_000, seed=1, keep_per_trial=True)
-        digest = hashlib.sha256(report.per_trial_bits.tobytes()
-                                + report.per_trial_costs.tobytes())
-        assert digest.hexdigest() == \
-            "5f01828335dca44d2ccdc31324ab483cf44daee63c01a664c6cdf45ce53b96d1"
+    def test_sticky8_high_rate_trial_stream_digest_pinned(self, sticky8):
+        assert trial_digest(sticky8) == STICKY8_TRIALS
+
+    def test_trial_loop_makes_no_coder_call(self, sticky4, sticky8, monkeypatch):
+        # synthesis coded every sequence the bundles can send: with every
+        # coder entry point refusing, the pinned trial streams still come out
+        def refused(*args, **kwargs):
+            raise AssertionError("run_trials called the coder")
+
+        for name in ("encode_block", "decode_block", "encode", "decode"):
+            monkeypatch.setattr(ContextCodebook, name, refused)
+        assert trial_digest(sticky4) == STICKY4_TRIALS
+        assert trial_digest(sticky8) == STICKY8_TRIALS
+
+    def test_sequence_without_codeword_names_the_trial(self, bundle):
+        # a bit table that lost the first trial's sequence: the walk reaches
+        # -1 at the last stage and names that trial and its sequence
+        sent, _ = trial_sequences(bundle, 10, seed=0)
+        bits = bundle.sequence_bits.copy()
+        bits[sent[3]] = -1
+        first = int(np.argmax(sent == sent[3]))
+        with pytest.raises(CodingError,
+                           match=f"^trial {first}: action sequence {sent[3]} has no codeword"):
+            run_trials(dataclasses.replace(bundle, sequence_bits=bits), 10, seed=0)
 
     @pytest.mark.parametrize("make", [lambda: drive_to_zero(2),
                                       lambda: noisy_actuator(3),
@@ -653,41 +698,6 @@ class TestRunTrials:
         with pytest.raises(CodingError, match="trial 0 stage 1"):
             run_trials(broken, 10, seed=0)
 
-    @pytest.mark.parametrize("field", ["actions", "bits"])
-    def test_decode_mismatch_is_fatal(self, bundle, monkeypatch, field):
-        # the loop codes each distinct action sequence once; corrupting the
-        # decode of distinct row 1 must name the first trial that carries
-        # its message.  A run is a prefix of any longer one, so that trial
-        # is the last of the shortest run whose block sends the message.
-        encode, decode = ContextCodebook.encode_block, ContextCodebook.decode_block
-        sent = []
-
-        def spied(book, actions):
-            sent.append(actions.tolist())
-            return encode(book, actions)
-
-        def sends(trials, message):
-            run_trials(bundle, trials, seed=0)
-            return message in sent[-1]
-
-        monkeypatch.setattr(ContextCodebook, "encode_block", spied)
-        run_trials(bundle, 10, seed=0)
-        message = sent[-1][1]
-        trial = next(k - 1 for k in range(1, 11) if sends(k, message))
-        assert trial > 1        # the trial is not the distinct row's own index
-
-        def corrupted(book, packed):
-            actions, consumed = decode(book, packed)
-            if field == "actions":
-                actions[1, -1] = (actions[1, -1] + 1) % book.num_actions
-            else:
-                consumed[1] += 1
-            return actions, consumed
-
-        monkeypatch.setattr(ContextCodebook, "decode_block", corrupted)
-        with pytest.raises(DecodeMismatchError, match=f"trial {trial}: "):
-            run_trials(bundle, 10, seed=0)
-
     def test_sticky4_full_history_rows_give_the_pinned_trial_stream(self):
         # full-history rows sample x_{t+1} from per-context steps, Markov
         # rows from one step for every context: the same trials, bit for bit
@@ -695,11 +705,7 @@ class TestRunTrials:
         b = synthesize(without_markov(spec), mid_curve_budget(spec),
                        SchemeOptions(seed=0, solver=SolverOptions(seed=0, restarts=1)))
         assert not b.spec.rows.markov
-        report = run_trials(b, 10_000, seed=1, keep_per_trial=True)
-        digest = hashlib.sha256(report.per_trial_bits.tobytes()
-                                + report.per_trial_costs.tobytes())
-        assert digest.hexdigest() == \
-            "f526c1ad99460f8a62535e76fcb07f6670eb986aa9f0d984a64b94a2d5c8b1fa"
+        assert trial_digest(b) == STICKY4_TRIALS
 
     def test_full_history_trials_match_the_flat_kernel_rows(self):
         # stage 3 of full_history_spec(3) reads the whole history, so the
@@ -711,82 +717,6 @@ class TestRunTrials:
         np.testing.assert_array_equal(report.per_trial_costs, costs)
         written = b.codebooks.encode_block(sequence_digits(sent, 3, 2))[1]
         np.testing.assert_array_equal(report.per_trial_bits, written / 3)
-
-    def test_coder_sees_each_distinct_sequence_once_per_run(self, monkeypatch):
-        # a sticky4 mid-curve run of 10 000 trials, three blocks, sends 2
-        # distinct action sequences, all in block 0: the coder gets those 2
-        # rows once, and the later blocks read their lengths from the table
-        spec = sticky_tracking(4)
-        b = synthesize(spec, mid_curve_budget(spec),
-                       SchemeOptions(seed=0, solver=SolverOptions(seed=0, restarts=1)))
-        encode, decode = ContextCodebook.encode_block, ContextCodebook.decode_block
-        coded = []
-
-        def spied_encode(book, actions):
-            coded.append(("encode", len(actions), len(np.unique(actions, axis=0))))
-            return encode(book, actions)
-
-        def spied_decode(book, packed):
-            coded.append(("decode", len(packed), len(np.unique(packed, axis=0))))
-            return decode(book, packed)
-
-        monkeypatch.setattr(ContextCodebook, "encode_block", spied_encode)
-        monkeypatch.setattr(ContextCodebook, "decode_block", spied_decode)
-        run_trials(b, 10_000, seed=1)
-        assert coded == [("encode", 2, 2), ("decode", 2, 2)]
-
-    def test_high_rate_run_codes_every_sent_sequence_once(self, sticky8, monkeypatch):
-        # blocks 1 and 2 send sequences block 0 did not: each is coded once,
-        # in the block that first sends it, in ascending index order
-        encode = ContextCodebook.encode_block
-        calls = []
-
-        def spied(book, actions):
-            calls.append(sequence_index(actions, book.num_actions))
-            return encode(book, actions)
-
-        monkeypatch.setattr(ContextCodebook, "encode_block", spied)
-        report = run_trials(sticky8, 10_000, seed=1, keep_per_trial=True)
-        assert len(calls) == 3
-        assert all(np.all(np.diff(c) > 0) for c in calls)
-        coded = np.concatenate(calls)
-        assert len(coded) == len(np.unique(coded))
-        sent, _ = trial_sequences(sticky8, 10_000, seed=1)
-        np.testing.assert_array_equal(np.sort(coded), np.unique(sent))
-        first = [np.unique(sent[k:k + TRIAL_BLOCK]) for k in (0, TRIAL_BLOCK)]
-        np.testing.assert_array_equal(calls[0], first[0])
-        np.testing.assert_array_equal(calls[1], np.setdiff1d(first[1], first[0]))
-        # the table's lengths are the coder's: bits per trial of its sequence
-        lengths = dict(zip(coded.tolist(), np.concatenate(
-            [encode(sticky8.codebooks, sequence_digits(c, 8, 2))[1] for c in calls])))
-        np.testing.assert_array_equal(report.per_trial_bits * 8,
-                                      [lengths[i] for i in sent.tolist()])
-
-    def test_decode_mismatch_after_block_zero_names_the_first_sender(self, sticky8,
-                                                                     monkeypatch):
-        # corrupt the decode of the first sequence block 1 sends fresh: the
-        # error names that sequence's first trial by its index in the run
-        encode, decode = ContextCodebook.encode_block, ContextCodebook.decode_block
-        sent = []
-
-        def spied(book, actions):
-            sent.append(sequence_index(actions, book.num_actions))
-            return encode(book, actions)
-
-        def corrupted(book, packed):
-            actions, consumed = decode(book, packed)
-            if len(sent) == 2:
-                actions[0, -1] = (actions[0, -1] + 1) % book.num_actions
-            return actions, consumed
-
-        monkeypatch.setattr(ContextCodebook, "encode_block", spied)
-        monkeypatch.setattr(ContextCodebook, "decode_block", corrupted)
-        sequences, _ = trial_sequences(sticky8, 10_000, seed=1)
-        with pytest.raises(DecodeMismatchError) as err:
-            run_trials(sticky8, 10_000, seed=1)
-        trial = int(np.argmax(sequences == sent[1][0]))
-        assert trial >= TRIAL_BLOCK
-        assert str(err.value).startswith(f"trial {trial}: encoded ")
 
     def test_manual_loop_matches_maps_and_mixture_law(self, bundle):
         # independent re-simulation: the literal race selection on each
@@ -819,6 +749,102 @@ class TestRunTrials:
         tv = 0.5 * np.abs(counts / trials
                           - bundle.mixture_action_law.reshape(-1)).sum()
         assert tv <= 0.05
+
+
+# the bit-table oracle panel, each at a tenth and half of the way from its
+# cost floor to its open-loop cost
+CODED = {
+    "drive2": lambda: drive_to_zero(2),
+    "noisy3": lambda: noisy_actuator(3),
+    "sticky4": lambda: sticky_tracking(4),
+    "sticky8": lambda: sticky_tracking(8),
+    "full3": lambda: full_history_spec(3),
+}
+
+
+class TestSequenceCoding:
+    """Synthesis encodes and decodes every sequence of positive mixture
+    mass once; the trial loop reads the bit table it leaves."""
+
+    @pytest.mark.parametrize("share", [0.1, 0.5])
+    @pytest.mark.parametrize("name", sorted(CODED))
+    def test_bit_table_matches_the_per_symbol_coder(self, name, share):
+        spec = CODED[name]()
+        floor = min_expected_cost(spec)
+        open_loop = STICKY8_OPEN_LOOP if name == "sticky8" else min_open_loop_cost(spec)[0]
+        b = synthesize(spec, floor + share * (open_loop - floor), SchemeOptions(
+            cloud_size=50, seed=0, solver=SolverOptions(restarts=1)))
+        n, U = spec.horizon, spec.num_actions
+        law, bits = b.mixture_action_law.reshape(-1), b.sequence_bits
+        assert bits.shape == (U ** n,) and not bits.flags.writeable
+        for index, actions in enumerate(sequence_digits(np.arange(U ** n), n, U).tolist()):
+            want = sum(len(b.codebooks.encode(t + 1, actions[:t], actions[t]))
+                       for t in range(n)) if law[index] > 0 else -1
+            assert bits[index] == want, (index, actions)
+        assert abs(float(law @ bits) / n - b.exact_rate) <= 1e-12
+
+    def test_synthesis_codes_each_positive_mass_sequence_once(self, monkeypatch):
+        encode, decode = ContextCodebook.encode_block, ContextCodebook.decode_block
+        encoded, decoded = [], []
+
+        def spied_encode(book, actions):
+            encoded.append(sequence_index(actions, book.num_actions))
+            return encode(book, actions)
+
+        def spied_decode(book, packed):
+            actions, consumed = decode(book, packed)
+            decoded.append(sequence_index(actions, book.num_actions))
+            return actions, consumed
+
+        monkeypatch.setattr(ContextCodebook, "encode_block", spied_encode)
+        monkeypatch.setattr(ContextCodebook, "decode_block", spied_decode)
+        b = synthesize(sticky_tracking(8), 0.1 * STICKY8_OPEN_LOOP, SchemeOptions(
+            cloud_size=50, seed=0, solver=SolverOptions(restarts=1)))
+        positive = np.flatnonzero(b.mixture_action_law.reshape(-1) > 0)
+        assert len(positive) == 147
+        np.testing.assert_array_equal(np.concatenate(encoded), positive)
+        np.testing.assert_array_equal(np.concatenate(decoded), positive)
+
+    def test_more_sequences_than_a_block_are_each_coded_once(self, monkeypatch):
+        # 2**13 equally likely sequences, coded TRIAL_BLOCK at a time
+        law = np.full((2,) * 13, 2.0 ** -13)
+        book = build_codebooks(law)
+        encode = ContextCodebook.encode_block
+        calls = []
+
+        def spied(self, actions):
+            calls.append(sequence_index(actions, 2))
+            return encode(self, actions)
+
+        monkeypatch.setattr(ContextCodebook, "encode_block", spied)
+        bits = ratecost.scheme.code_sequences(book, law)
+        np.testing.assert_array_equal(bits, 13)
+        assert [len(c) for c in calls] == [TRIAL_BLOCK, TRIAL_BLOCK]
+        np.testing.assert_array_equal(np.concatenate(calls), np.arange(2 ** 13))
+
+    @pytest.mark.parametrize("field", ["actions", "bits"])
+    def test_decode_mismatch_fails_synthesis(self, bundle, monkeypatch, field):
+        index = int(np.flatnonzero(bundle.sequence_bits >= 0)[1])
+        corrupt_decode(monkeypatch, index, field)
+        with pytest.raises(DecodeMismatchError, match=f"^sequence {index}: encoded "):
+            synthesize(bundle.spec, bundle.budget_cost, FAST)
+
+    def test_exhaustive_check_catches_a_sequence_no_trial_sends(self, monkeypatch):
+        # the lightest of the 147 sequences has mass 1.41e-5: a 10 000-trial
+        # run leaves it unsent with probability 0.87, and this one does, so
+        # only the synthesis-time round trip sees its decode fail
+        spec, budget = sticky_tracking(8), 0.1 * STICKY8_OPEN_LOOP
+        opts = SchemeOptions(cloud_size=50, seed=0, solver=SolverOptions(restarts=1))
+        clean = synthesize(spec, budget, opts)
+        law = np.where(clean.sequence_bits >= 0, clean.mixture_action_law.reshape(-1),
+                       np.inf)
+        lightest = int(np.argmin(law))
+        assert law[lightest] == pytest.approx(1.41e-5, rel=1e-2)
+        sent, _ = trial_sequences(clean, 10_000, seed=1)
+        assert lightest not in sent
+        corrupt_decode(monkeypatch, lightest, "actions")
+        with pytest.raises(DecodeMismatchError, match=f"^sequence {lightest}: "):
+            synthesize(spec, budget, opts)
 
 
 # the certified-interval panel; F_n(D) has a closed form on the last two:
