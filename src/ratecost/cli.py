@@ -220,7 +220,7 @@ def cmd_synth(args) -> int:
                         keep_per_trial=args.trials_csv)
     ledger = verify_sandwich(bundle, report)
     payload = {
-        "schema_version": 5,
+        "schema_version": 6,
         "spec_path": os.path.abspath(args.spec),
         "budget_cost": args.budget,
         "epsilon": bundle.epsilon,
@@ -245,7 +245,6 @@ def cmd_synth(args) -> int:
         },
         "exact": {"rate_bits": bundle.exact_rate, "cost": bundle.exact_cost},
         "bounds": {
-            "info_rate_bits": bundle.solution.rate,
             "info_rate_lower_bits": bundle.solution.rate_lower,
             "rate_budget_bits": bundle.rate_budget_value,
         },

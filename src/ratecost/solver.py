@@ -133,9 +133,10 @@ from .timeshare import lower_hull
 _LOG_FLOOR = -1000.0
 # certified gap, bits per stage, of the bracket-search solves (module docstring)
 _BRACKET_GAP = 1e-6
-# share of |objective| + mu D taken off each dual bound (``solve_rate_cost``):
+# share of |objective| + mu D + 1 taken off each dual bound (``solve_rate_cost``):
 # where F_n(D) = 0 its terms can cancel to ulps above the exact rate 0, as at
-# noisy_actuator(3)'s open-loop D: mu = 2, gap 0, objective - 2 D = 2.2e-16
+# noisy_actuator(3)'s open-loop D: mu = 2, gap 0, objective - 2 D = 2.2e-16;
+# the 1 covers bounds at small mu, whose exact rates carry their own ulps
 _DUAL_ROUNDOFF = 2.0 ** -40
 
 
@@ -627,7 +628,7 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
             if p.cost <= budget_cost and _lower_rate(p, best):
                 best = p
     lower = [p.objective - p.gap - p.multiplier * budget_cost
-             - _DUAL_ROUNDOFF * (abs(p.objective) + p.multiplier * budget_cost)
+             - _DUAL_ROUNDOFF * (abs(p.objective) + p.multiplier * budget_cost + 1.0)
              for p in pts if math.isfinite(p.gap)]
     return replace(best, rate_lower=max([0.0] + lower))
 

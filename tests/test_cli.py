@@ -45,7 +45,7 @@ from ratecost.scheme import TRIAL_BLOCK, DecodeMismatchError
 from ratecost.solver import RateCostCurve
 from ratecost.specio import SpecFileError, load_spec, parse_spec, spec_document
 
-from oracles import SPEC_SCHEMA, binary_entropy, without_markov
+from oracles import SPEC_SCHEMA, binary_entropy, random_markov_panel, without_markov
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -540,7 +540,7 @@ class TestSynthCommand:
         assert doc["sandwich"]["passed"]
         assert doc["exact"]["cost"] <= 0.4
         f = doc["bounds"]["info_rate_lower_bits"]
-        assert 0.0 <= f <= doc["bounds"]["info_rate_bits"]
+        assert 0.0 <= f <= doc["solver_point"]["rate_bits"]
         assert f <= doc["exact"]["rate_bits"]
         want = f + math.log2(f + 3.4) + 2.0 + 0.5
         assert doc["bounds"]["rate_budget_bits"] == pytest.approx(want, abs=1e-12)
@@ -548,15 +548,17 @@ class TestSynthCommand:
     def test_bundle_schema_version(self, tmp_path):
         # version 5: the bounds carry the certified lower bound on F and the
         # paper's rate bound at it; gamma, the epsilon condition and the
-        # copies of bundle values in the simulation block are gone
+        # copies of bundle values in the simulation block are gone.  Version
+        # 6: the solver's rate is solver_point.rate_bits alone
         spec_path = write_spec(tmp_path, controlled_doc())
         code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out",
                      str(tmp_path / "v"), "--restarts", "1", "--cloud-size", "3",
                      "--trials", "30"])
         assert code == EXIT_OK
         doc = json.loads((tmp_path / "v" / "result_bundle.json").read_text())
-        assert doc["schema_version"] == 5
+        assert doc["schema_version"] == 6
         assert "gamma" not in doc and "eps_condition_ok" not in doc
+        assert set(doc["bounds"]) == {"info_rate_lower_bits", "rate_budget_bits"}
         assert set(doc["simulation"]) == {
             "trials", "empirical_rate", "empirical_rate_se", "empirical_cost",
             "empirical_cost_se", "exact_rate", "exact_cost", "seeds",
@@ -679,6 +681,21 @@ class TestSynthCommand:
         assert doc["selector"]["case"] == "boundary"
         assert doc["exact"]["cost"] <= 0.3
 
+    @pytest.mark.parametrize("restarts", ["1", "8"])
+    def test_panel_spec_112_at_its_floor_passes(self, tmp_path, restarts):
+        # the dual bound at a small multiplier sat ulps above the scheme's
+        # exact rate until the round-off allowance gained its absolute term
+        spec = random_markov_panel()[112]
+        assert ratecost.solver.min_expected_cost(spec) == 0.019354344530502006
+        spec_path = write_spec(tmp_path, spec_document(spec))
+        out = tmp_path / "s112"
+        code = main(["synth", "--spec", spec_path, "--D", "0.019354344530502006",
+                     "--out", str(out), "--cloud-size", "20", "--trials", "200",
+                     "--restarts", restarts])
+        assert code == EXIT_OK
+        doc = json.loads((out / "result_bundle.json").read_text())
+        assert doc["sandwich"]["converse_margin"] >= 0.0
+
     def test_rounded_negative_realization_rate_passes(self, tmp_path):
         # a realization's action law can sum to 1 + ulps, so its entropy
         # rounds to about -1e-16; the rate is clamped at 0, not rejected
@@ -749,7 +766,12 @@ class TestSynthCommand:
         # -> 4.399389512396595 (no gamma, F_lower), the achievability margin
         # by the same and the converse margin by +1.2e-4; gamma,
         # eps_condition_ok and the simulation block's copies of bundle values
-        # were removed; every other value is unchanged
+        # were removed; every other value is unchanged.  Re-recorded when
+        # F_lower's round-off allowance gained its absolute term and the
+        # bounds lost their copy of the solver's rate: info_rate_lower_bits
+        # 0.09436089568930468 -> 0.09436089568839519, rate_budget_bits and
+        # the achievability margin by -1.3e-12, the converse margin by
+        # +9.1e-13, bounds.info_rate_bits removed, schema_version 5 -> 6
         spec_path = write_spec(tmp_path, controlled_doc())
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out", str(out),
@@ -761,7 +783,7 @@ class TestSynthCommand:
         assert doc["seeds"]["attempts"] == 1
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "820054749d7e47e7de0e939b95d3e0b005264e72f85adeb04d85804ef124c21e"
+            "a120ab46fe8cf62ae31a4fa4459da06526cbd10348bd0c6872be996aae69088d"
 
     def test_sticky4_bundle_digest_pinned(self, tmp_path):
         # at its mid-curve budget the sweep stops at the eleventh of 22
@@ -794,7 +816,13 @@ class TestSynthCommand:
         # rate_budget_bits 4.457308064263119 -> 4.207226171599791, the
         # achievability margin by the same and the converse margin by
         # +5.8e-5; gamma, eps_condition_ok and the simulation block's copies
-        # of bundle values were removed; every other value is unchanged
+        # of bundle values were removed; every other value is unchanged.
+        # Re-recorded when F_lower's round-off allowance gained its absolute
+        # term and the bounds lost their copy of the solver's rate:
+        # info_rate_lower_bits 0.13536642137348287 -> 0.13536642137257338,
+        # rate_budget_bits and the achievability margin by -1.3e-12, the
+        # converse margin by +9.1e-13, bounds.info_rate_bits removed,
+        # schema_version 5 -> 6
         spec_path = write_spec(tmp_path, spec_document(sticky_tracking(4)))
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.25", "--out", str(out),
@@ -807,7 +835,7 @@ class TestSynthCommand:
         assert doc["selector"]["case"] == "boundary-mixed"
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "df5d0845f057c050d886ef95d910b41b2d222f0ceaee1bd0f26baab2b05ddf4d"
+            "8bca09eb15bd12ceac526d06b87725a3360c35c9102aa2a6c407d16467f77353"
 
     def test_block_of_one_bundle_byte_identical(self, tmp_path):
         # a budget of 16 entries makes the cloud evaluate two realizations

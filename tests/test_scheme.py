@@ -51,6 +51,7 @@ from oracles import (
     enumerate_joint,
     full_history_spec,
     race_selection,
+    random_markov_panel,
     without_markov,
 )
 
@@ -474,13 +475,8 @@ def test_long_horizon_synthesizes_without_the_trajectory_law():
 def test_budget_at_anchor_cost_is_feasible_on_random_panel():
     # the cost floor's greedy realization and the anchor come from the same
     # row pass, so a budget at the anchor's cost admits the realization
-    rng = np.random.default_rng(0)
     opts = SchemeOptions(cloud_size=20, solver=SolverOptions(restarts=1))
-    for i in range(300):
-        n = int(rng.integers(1, 4))
-        spec = SystemSpec.from_markov(rng.dirichlet(np.ones(2)),
-                                      rng.dirichlet(np.ones(2), size=(2, 2)),
-                                      rng.random((2, 2)), n)
+    for i, spec in enumerate(random_markov_panel()):
         anchor = ratecost.solver.cost_floor_point(spec)
         floor, = realize_cloud(RowPass(spec, anchor.policy), opts.seed,
                                opts.cloud_size, 1)
