@@ -133,13 +133,17 @@ class Realization:
 
 @dataclass(eq=False)
 class SchemeBundle:
+    """A synthesized scheme.  ``sequence_bits`` is derived on construction
+    (``code_sequences`` on the codebooks and the mixture law), so a bundle
+    rebuilt by ``dataclasses.replace`` codes its sequences again."""
+
     spec: SystemSpec
     solution: RateCostPoint
     realization0: Realization
     realization1: Realization
     selector: TimeShareSelector
     codebooks: ContextCodebook
-    sequence_bits: np.ndarray   # (U**n,) int64 by sequence index, -1 off the law
+    sequence_bits: np.ndarray = field(init=False, repr=False)
     mixture_action_law: np.ndarray
     exact_rate: float
     exact_cost: float
@@ -150,6 +154,9 @@ class SchemeBundle:
     uncond_entropy_bits: float
     cloud_size: int
     seeds: dict
+
+    def __post_init__(self):
+        self.sequence_bits = code_sequences(self.codebooks, self.mixture_action_law)
 
 
 def _onehot(maps: np.ndarray, num_actions: int) -> np.ndarray:
@@ -286,7 +293,6 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     lam = selector.weight
     mixture_law = lam * re0.action_law + (1.0 - lam) * re1.action_law
     codebooks = build_codebooks(mixture_law)
-    sequence_bits = code_sequences(codebooks, mixture_law)
     exact_rate = sum(expected_stage_lengths(codebooks, mixture_law)) / n
     exact_cost = selector.mix_cost
     if exact_cost > budget_cost:
@@ -297,7 +303,7 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     )
     return SchemeBundle(
         spec=spec, solution=solution, realization0=re0, realization1=re1,
-        selector=selector, codebooks=codebooks, sequence_bits=sequence_bits,
+        selector=selector, codebooks=codebooks,
         mixture_action_law=mixture_law, exact_rate=exact_rate,
         exact_cost=exact_cost,
         rate_budget_value=log_gap_budget(solution.rate_lower, n),

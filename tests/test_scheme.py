@@ -642,15 +642,18 @@ class TestRunTrials:
         assert trial_digest(sticky8) == STICKY8_TRIALS
 
     def test_sequence_without_codeword_names_the_trial(self, bundle):
-        # a bit table that lost the first trial's sequence: the walk reaches
-        # -1 at the last stage and names that trial and its sequence
+        # a law that gives a sent sequence no mass leaves it without a bit
+        # count: the walk reaches -1 at the last stage and names the first
+        # trial that sends it
         sent, _ = trial_sequences(bundle, 10, seed=0)
-        bits = bundle.sequence_bits.copy()
-        bits[sent[3]] = -1
+        law = bundle.mixture_action_law.copy()
+        law.flat[sent[3]] = 0.0
+        broken = dataclasses.replace(bundle, mixture_action_law=law)
+        assert broken.sequence_bits[sent[3]] == -1
         first = int(np.argmax(sent == sent[3]))
         with pytest.raises(CodingError,
                            match=f"^trial {first}: action sequence {sent[3]} has no codeword"):
-            run_trials(dataclasses.replace(bundle, sequence_bits=bits), 10, seed=0)
+            run_trials(broken, 10, seed=0)
 
     @pytest.mark.parametrize("make", [lambda: drive_to_zero(2),
                                       lambda: noisy_actuator(3),
