@@ -232,7 +232,7 @@ def code_sequences(codebooks: ContextCodebook, action_law: np.ndarray) -> np.nda
     """
     n, U = codebooks.horizon, codebooks.num_actions
     bits = np.full(U ** n, -1, dtype=np.int64)
-    sent = np.flatnonzero(np.asarray(action_law).reshape(-1) > 0.0)
+    sent = np.flatnonzero(action_law.reshape(-1) > 0.0)
     for start in range(0, sent.size, TRIAL_BLOCK):
         index = sent[start:start + TRIAL_BLOCK]
         actions = index[:, None] // U ** np.arange(n - 1, -1, -1) % U

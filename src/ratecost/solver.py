@@ -136,7 +136,8 @@ _BRACKET_GAP = 1e-6
 # share of |objective| + mu D + 1 taken off each dual bound (``solve_rate_cost``):
 # where F_n(D) = 0 its terms can cancel to ulps above the exact rate 0, as at
 # noisy_actuator(3)'s open-loop D: mu = 2, gap 0, objective - 2 D = 2.2e-16;
-# the 1 covers bounds at small mu, whose exact rates carry their own ulps
+# the 1 covers objective - gap's absolute float error, about 8e-17 at small
+# mu on a 2x2 spec where both are exactly 0
 _DUAL_ROUNDOFF = 2.0 ** -40
 
 
