@@ -1,11 +1,9 @@
 """Command-line surface: solve, synth, lqg, and rd pipelines.
 
-Every flag except the ``--trials-csv`` switch has an environment-variable
-mirror: RATECOST_ plus the flag name, upper-cased with dashes as
-underscores (flags win).  Outputs are written atomically (temp file then
-rename).  Exit codes: 0 success, 2 spec error or invalid option,
-3 infeasible budget, 4 solver non-convergence, 5 verification failure
-(an exactly checked invariant on any command, or a simulated round trip).
+Outputs are written atomically (temp file then rename).  Exit codes:
+0 success, 2 spec error or invalid option, 3 infeasible budget, 4 solver
+non-convergence, 5 verification failure (an exactly checked invariant on
+any command, or a simulated round trip).
 """
 
 from __future__ import annotations
@@ -51,42 +49,6 @@ EXIT_SPEC = 2
 EXIT_INFEASIBLE = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_VERIFY = 5
-
-
-class _MirrorText(str):
-    """An environment mirror's raw value, kept as the option's default."""
-
-
-def _mirror_type(convert, name: str):
-    """``convert`` for an option whose default is the mirror ``name``: a
-    malformed mirror value is reported under the variable's name."""
-    def parse(text):
-        try:
-            return convert(text)
-        except ValueError:
-            if isinstance(text, _MirrorText):
-                raise argparse.ArgumentTypeError(
-                    f"invalid {convert.__name__} value {str(text)!r} "
-                    f"in environment variable {name}") from None
-            raise
-    parse.__name__ = convert.__name__
-    return parse
-
-
-def _add_option(parser, flag: str, **kwargs) -> None:
-    """Add ``flag`` with its environment mirror RATECOST_<FLAG> (``--d-grid``
-    reads RATECOST_D_GRID).  A set, non-empty mirror becomes the option's
-    default and makes it optional; argparse converts it with ``type`` only
-    when the flag is absent, so a flag overrides a malformed mirror, and a
-    malformed mirror is a usage error (exit 2) that names the variable."""
-    name = "RATECOST_" + flag.lstrip("-").replace("-", "_").upper()
-    value = os.environ.get(name)
-    if value:
-        kwargs.update(default=value, required=False)
-        if "type" in kwargs:
-            kwargs.update(default=_MirrorText(value),
-                          type=_mirror_type(kwargs["type"], name))
-    parser.add_argument(flag, **kwargs)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -170,15 +132,17 @@ def cmd_solve(args, require_source: bool) -> int:
     grid = _parse_grid(args.d_grid) if args.d_grid else []
     if args.budget is not None:
         grid.append(args.budget)
+    anchor = cost_floor_point(spec) if grid else None
     for d in grid:
         # refused before the sweep, not after it by the first budget solve
         if not math.isfinite(d):
             raise ValueError(f"cost budget must be finite, got {d!r}")
+        if d < anchor.cost:
+            raise InfeasibleCostError(d, anchor.cost)
     prefix = "rd" if require_source else "solve"
     opts = _solver_options(args)
     curve, raw = sweep_curve(spec, opts)
     requested = []
-    anchor = cost_floor_point(spec) if grid else None
     for d in grid:
         point = solve_rate_cost(spec, d, opts, sweep=raw, anchor=anchor)
         requested.append({
@@ -209,7 +173,7 @@ def cmd_solve(args, require_source: bool) -> int:
 def cmd_synth(args) -> int:
     spec = load_spec(args.spec)
     if args.budget is None:
-        raise ValueError("synth requires --D (or RATECOST_D)")
+        raise ValueError("synth requires --D")
     check_trial_count(args.trials, spec.budget, "--trials")
     options = SchemeOptions(
         epsilon=args.eps, seed=args.seed,
@@ -277,8 +241,10 @@ def cmd_synth(args) -> int:
 def cmd_lqg(args) -> int:
     spec = ScalarLqgSpec(a=args.a, b=args.b, noise_var=args.sigma2,
                          state_weight=args.q, input_weight=args.r)
-    derived = riccati_solve(spec)
     grid = _parse_grid(args.d_grid)
+    if not grid:
+        raise ValueError(f"--d-grid {args.d_grid!r} holds no cost level")
+    derived = riccati_solve(spec)
     points = rate_cost_curve(spec, derived, grid)
     rows = [
         f"# s={derived.s!r}, m={derived.sensitivity!r}, "
@@ -299,42 +265,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        _add_option(p, "--spec", required=True, help="path to a JSON system spec")
-        _add_option(p, "--D", dest="budget", type=float, help="average cost budget")
-        _add_option(p, "--seed", type=int, default=0)
-        _add_option(p, "--out", default=".", help="output directory")
-        _add_option(p, "--restarts", type=int, default=8)
+        p.add_argument("--spec", required=True, help="path to a JSON system spec")
+        p.add_argument("--D", dest="budget", type=float, help="average cost budget")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--restarts", type=int, default=SolverOptions.restarts)
 
     for name, help_text in (("solve", "trace the rate-cost curve"),
                             ("rd", "sequential source-coding mode")):
         p = sub.add_parser(name, help=help_text)
         common(p)
-        _add_option(p, "--d-grid", help="comma-separated cost budgets")
+        p.add_argument("--d-grid", help="comma-separated cost budgets")
 
     p = sub.add_parser("synth", help="synthesize and simulate a full scheme")
     common(p)
-    _add_option(p, "--eps", type=float, default=0.1)
-    _add_option(p, "--trials", type=int, default=10000)
-    _add_option(p, "--cloud-size", type=int, default=200)
+    p.add_argument("--eps", type=float, default=SchemeOptions.epsilon)
+    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--cloud-size", type=int, default=SchemeOptions.cloud_size)
     p.add_argument("--trials-csv", action="store_true",
-                   help="also write per-trial bits and costs (a switch; "
-                        "it has no environment mirror)")
+                   help="also write per-trial bits and costs")
 
     p = sub.add_parser("lqg", help="scalar LQG closed-form curve")
-    _add_option(p, "--a", type=float, required=True)
-    _add_option(p, "--b", type=float, required=True)
-    _add_option(p, "--q", type=float, default=1.0)
-    _add_option(p, "--r", type=float, default=0.0)
-    _add_option(p, "--sigma2", type=float, default=1.0)
-    _add_option(p, "--d-grid", required=True,
-                help="comma-separated cost levels, all above D_min")
-    _add_option(p, "--out", default=".")
+    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--q", type=float, default=1.0)
+    p.add_argument("--r", type=float, default=0.0)
+    p.add_argument("--sigma2", type=float, default=1.0)
+    p.add_argument("--d-grid", required=True,
+                   help="comma-separated cost levels, all above D_min")
+    p.add_argument("--out", default=".")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_out(args.out)
         if args.command == "solve":
@@ -343,9 +307,7 @@ def main(argv=None) -> int:
             return cmd_solve(args, require_source=True)
         if args.command == "synth":
             return cmd_synth(args)
-        if args.command == "lqg":
-            return cmd_lqg(args)
-        parser.error(f"unknown command {args.command}")
+        return cmd_lqg(args)    # the subparsers are required: lqg is left
     except (InfeasibleCostError, InfeasibleBarycenterError) as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -360,7 +322,6 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"invalid option: {err}", file=sys.stderr)
         return EXIT_SPEC
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -117,10 +117,8 @@ class ContextCode:
 
     lengths: np.ndarray
     bits: np.ndarray
-    pmf: tuple[float, ...]
     expected_length: float
     entropy: float
-    kraft_sum: float
 
     @property
     def words(self) -> dict[int, str]:
@@ -175,9 +173,8 @@ def shannon_code(pmf) -> ContextCode:
     for i, word in words.items():
         lengths[i] = len(word)
         bits[i, :len(word)] = _text_bits(word)
-    return ContextCode(lengths=lengths, bits=bits, pmf=pmf_float,
-                       expected_length=exp_len, entropy=ent,
-                       kraft_sum=float(kraft))
+    return ContextCode(lengths=lengths, bits=bits, expected_length=exp_len,
+                       entropy=ent)
 
 
 @dataclass(frozen=True, eq=False)

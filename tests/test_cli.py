@@ -31,6 +31,7 @@ from ratecost.cli import (
     EXIT_OK,
     EXIT_SPEC,
     EXIT_VERIFY,
+    build_parser,
     main,
 )
 from ratecost.coder import CodingError, ContextCodebook
@@ -41,8 +42,8 @@ from ratecost.instances import (
     noisy_actuator,
     sticky_tracking,
 )
-from ratecost.scheme import TRIAL_BLOCK, DecodeMismatchError
-from ratecost.solver import RateCostCurve
+from ratecost.scheme import TRIAL_BLOCK, DecodeMismatchError, SchemeOptions
+from ratecost.solver import RateCostCurve, SolverOptions
 from ratecost.specio import SpecFileError, load_spec, parse_spec, spec_document
 
 from oracles import SPEC_SCHEMA, binary_entropy, random_markov_panel, without_markov
@@ -429,6 +430,27 @@ class TestSolveCommand:
         code = main(["solve", "--spec", spec_path, "--out", str(tmp_path),
                      "--D", "0.01", "--restarts", "2"])
         assert code == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["solve", "--D", "0.01"], controlled_doc),
+        (["solve", "--d-grid", "0.4,0.01"], controlled_doc),
+        (["rd", "--d-grid", "0.1,-0.5"], bernoulli_doc),
+    ], ids=["solve-D", "solve-grid", "rd-grid"])
+    def test_infeasible_budget_refused_before_any_solve(self, tmp_path, monkeypatch,
+                                                        capsys, argv, doc):
+        def reached(*args, **kwargs):
+            raise AssertionError("a solve began before the budget was checked")
+
+        for name in ("sweep_curve", "solve_rate_cost"):
+            monkeypatch.setattr(ratecost.cli, name, reached)
+        spec_path = write_spec(tmp_path, doc())
+        out = tmp_path / "o"
+        code = main([*argv, "--spec", spec_path, "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_INFEASIBLE
+        assert len(err) == 1 and err[0].startswith(
+            f"infeasible: cost budget {argv[-1].split(',')[-1]} infeasible; ")
+        assert not out.exists()
 
     def test_unrequested_unconverged_point_keeps_exit_zero(self, tmp_path,
                                                             monkeypatch):
@@ -988,6 +1010,16 @@ class TestLqgCommand:
         assert len(err) == 1 and err[0].startswith(reason)
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["", ","])
+    def test_empty_grid_rejected(self, tmp_path, capsys, grid):
+        out = tmp_path / "lqg"
+        code = main(["lqg", "--a", "2", "--b", "1", "--d-grid", grid,
+                     "--out", str(out)])
+        assert code == EXIT_SPEC
+        assert capsys.readouterr().err.splitlines() == \
+            [f"invalid option: --d-grid {grid!r} holds no cost level"]
+        assert not out.exists()
+
     def test_grid_at_floor_rejected_names_floor(self, tmp_path, capsys):
         code = main(["lqg", "--a", "2", "--b", "1", "--q", "1", "--r", "0",
                      "--sigma2", "1", "--d-grid", "2.0,1.0", "--out", str(tmp_path)])
@@ -996,53 +1028,22 @@ class TestLqgCommand:
         assert "D_min" in err or "floor" in err
 
 
-class TestEnvMirrors:
-    def test_env_provides_defaults(self, tmp_path, monkeypatch):
-        spec_path = write_spec(tmp_path, bernoulli_doc())
-        monkeypatch.setenv("RATECOST_SPEC", spec_path)
-        monkeypatch.setenv("RATECOST_OUT", str(tmp_path / "envout"))
-        monkeypatch.setenv("RATECOST_D", "0.1")
-        monkeypatch.setenv("RATECOST_RESTARTS", "2")
-        # parser defaults are read at build time, so reimport the builder
-        from ratecost.cli import build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(["solve"])
-        assert args.spec == spec_path
-        assert args.budget == 0.1
-        assert args.restarts == 2
-
-    @pytest.mark.parametrize("name,value,argv", [
-        ("SEED", "abc", ["synth", "--spec", "unused.json"]),
-        ("TRIALS", "1.5", ["synth", "--spec", "unused.json"]),
-        ("D", "low", ["solve", "--spec", "unused.json"]),
-        ("RESTARTS", "two", ["rd", "--spec", "unused.json"]),
-        ("A", "zz", ["lqg", "--b", "1", "--d-grid", "2.0"]),
-        ("SIGMA2", "1,0", ["lqg", "--a", "2", "--b", "1", "--d-grid", "2.0"]),
-    ])
-    def test_malformed_env_value_is_usage_error(self, monkeypatch, capsys,
-                                                name, value, argv):
-        monkeypatch.setenv("RATECOST_" + name, value)
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == EXIT_SPEC
-        assert repr(value) in capsys.readouterr().err
-
-    def test_malformed_env_error_names_the_variable(self, monkeypatch, capsys):
-        monkeypatch.setenv("RATECOST_SEED", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["synth", "--spec", "unused.json"])
-        assert exc.value.code == EXIT_SPEC
-        err = capsys.readouterr().err.strip().splitlines()[-1]
-        assert "RATECOST_SEED" in err and "'abc'" in err
-
-    def test_flag_overrides_malformed_env_value(self, monkeypatch):
-        monkeypatch.setenv("RATECOST_SEED", "abc")
-        from ratecost.cli import build_parser
-
-        args = build_parser().parse_args(["synth", "--spec", "unused.json",
-                                          "--seed", "3"])
-        assert args.seed == 3
+class TestNoEnvironment:
+    def test_parser_reads_no_environment(self, tmp_path, monkeypatch, capsys):
+        spec_path = write_spec(tmp_path, controlled_doc())
+        for name, value in (("SPEC", spec_path), ("D", "0.1"), ("SEED", "abc"),
+                            ("GAMMA", "1"), ("SEEED", "3")):
+            monkeypatch.setenv("RATECOST_" + name, value)
+        args = build_parser().parse_args(["synth", "--spec", spec_path])
+        assert (args.budget, args.seed, args.out, args.restarts, args.eps,
+                args.trials, args.cloud_size, args.trials_csv) == \
+            (None, 0, ".", SolverOptions.restarts, SchemeOptions.epsilon, 10000,
+             SchemeOptions.cloud_size, False)
+        code = main(["synth", "--spec", spec_path, "--out", str(tmp_path / "o")])
+        assert code == EXIT_SPEC
+        assert capsys.readouterr().err.splitlines() == \
+            ["invalid option: synth requires --D"]
+        assert not (tmp_path / "o").exists()
 
 
 @st.composite
