@@ -126,7 +126,6 @@ class Realization:
     realization_id: int
     draws: tuple[np.ndarray, ...]    # race draws, (U**(t-1), U) each
     maps: tuple[np.ndarray, ...]     # stage maps, (U**(t-1), P_t) each
-    policy: CausalPolicy
     action_law: np.ndarray
     point: RealizationPoint
 
@@ -208,15 +207,14 @@ def realize_cloud(race: RowPass, seed: int, first: int,
 
 def build_realization(race: RowPass, seed: int, point: RealizationPoint) -> Realization:
     """The full realization behind a cloud point of ``race.policy``: draws,
-    maps, policy and action law, recomputed from its race stream."""
+    maps and action law, recomputed from its race stream."""
     n, U = race.spec.horizon, race.spec.num_actions
     i = point.realization_id
     draws = tuple(race_draws(seed, t, U, i, 1)[0] for t in range(1, n + 1))
     maps = tuple(stage_maps(tab, mass, d[None])[0]
                  for tab, mass, d in zip(race.policy.tables, race.masses, draws))
-    realized = CausalPolicy(tuple(_onehot(m, U) for m in maps))
-    actions = race.spec.rows.operating_point([tab[None] for tab in realized.tables])[3]
-    return Realization(realization_id=i, draws=draws, maps=maps, policy=realized,
+    actions = race.spec.rows.operating_point([_onehot(m, U)[None] for m in maps])[3]
+    return Realization(realization_id=i, draws=draws, maps=maps,
                        action_law=actions[0].reshape((U,) * n), point=point)
 
 
@@ -224,28 +222,41 @@ def code_sequences(codebooks: ContextCodebook, action_law: np.ndarray) -> np.nda
     """Codeword bits of every action sequence by big-endian index, (U**n,)
     int64 and read-only, -1 where ``action_law`` has no mass.
 
-    The positive-mass sequences are exactly those the codebooks code.  Each
-    is encoded and decoded once, ``TRIAL_BLOCK`` per coder call, and the
-    decoder reads only the packed bytes; a decoded action or bit count that
-    differs from the encoded one raises ``DecodeMismatchError`` naming the
-    sequence.
+    The positive-mass sequences are exactly those the codebooks code.  Each,
+    in index order, is encoded once into one message, a codeword per stage
+    from the code of its context, and decoded once from that message alone,
+    stage by stage.  A decoded action or bit count that differs from the
+    encoded one, or a decoded context without a code, raises
+    ``DecodeMismatchError`` naming the sequence; a sequence the codebooks
+    cannot code (a bundle rebuilt with another law) raises ``CodingError``.
     """
     n, U = codebooks.horizon, codebooks.num_actions
+    stages = codebooks.stages
     bits = np.full(U ** n, -1, dtype=np.int64)
     sent = np.flatnonzero(action_law.reshape(-1) > 0.0)
-    for start in range(0, sent.size, TRIAL_BLOCK):
-        index = sent[start:start + TRIAL_BLOCK]
-        actions = index[:, None] // U ** np.arange(n - 1, -1, -1) % U
-        packed, written = codebooks.encode_block(actions)
-        decoded, consumed = codebooks.decode_block(packed)
-        wrong = np.any(decoded != actions, axis=1) | (consumed != written)
-        if np.any(wrong):
-            j = int(np.argmax(wrong))
+    # per sequence and stage t: the action u_t and the index of its context
+    actions = (sent[:, None] // U ** np.arange(n - 1, -1, -1) % U).tolist()
+    contexts = (sent[:, None] // U ** np.arange(n, 0, -1)).tolist()
+    for index, acts, ctxs in zip(sent.tolist(), actions, contexts):
+        try:
+            message = "".join(codes[c].encode(u)
+                              for codes, c, u in zip(stages, ctxs, acts))
+        except (KeyError, CodingError):
+            raise CodingError(f"sequence {index}: the codebooks cannot code "
+                              f"{acts}") from None
+        decoded, cursor, ctx = [], 0, 0
+        for codes in stages:
+            if ctx not in codes:
+                break   # a misread action; the short decode mismatches below
+            u, used = codes[ctx].decode(message, cursor)
+            decoded.append(u)
+            cursor += used
+            ctx = ctx * U + u
+        if decoded != acts or cursor != len(message):
             raise DecodeMismatchError(
-                f"sequence {index[j]}: encoded {actions[j].tolist()} in "
-                f"{written[j]} bits, decoded {decoded[j].tolist()} from "
-                f"{consumed[j]} bits")
-        bits[index] = written
+                f"sequence {index}: encoded {acts} in {len(message)} bits, "
+                f"decoded {decoded} from {cursor} bits")
+        bits[index] = cursor
     bits.setflags(write=False)
     return bits
 

@@ -34,7 +34,7 @@ from ratecost.cli import (
     build_parser,
     main,
 )
-from ratecost.coder import CodingError, ContextCodebook
+from ratecost.coder import CodingError, ContextCode
 from ratecost.instances import (
     bernoulli_source,
     drive_to_zero,
@@ -640,19 +640,40 @@ class TestSynthCommand:
 
     def test_decode_mismatch_in_synthesis_exit_code(self, tmp_path, capsys,
                                                     monkeypatch):
-        decode = ContextCodebook.decode_block
+        # the decoder reads one bit too many at the last stage (call 2 of
+        # the horizon-2 spec) of the first sent sequence
+        decode, calls = ContextCode.decode, []
 
-        def corrupted(book, packed):
-            actions, consumed = decode(book, packed)
-            consumed[0] += 1
-            return actions, consumed
+        def corrupted(code, bits, start=0):
+            symbol, used = decode(code, bits, start)
+            calls.append(start)
+            return symbol, used + (len(calls) == 2)
 
-        monkeypatch.setattr(ContextCodebook, "decode_block", corrupted)
+        monkeypatch.setattr(ContextCode, "decode", corrupted)
         spec_path = write_spec(tmp_path, controlled_doc())
         code, out = self.run_synth(tmp_path, spec_path, "m")
         assert code == EXIT_VERIFY
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("verification failed: sequence ")
+        assert not (out / "result_bundle.json").exists()
+
+    def test_first_action_misread_into_a_context_without_code_exit_code(
+            self, tmp_path, capsys, monkeypatch):
+        # at D = 0.5 the scheme sends only [1, 1]; a first action misread as
+        # 0 leaves the decoder in a stage-2 context that has no code
+        decode = ContextCode.decode
+
+        def misread(code, bits, start=0):
+            symbol, used = decode(code, bits, start)
+            return 1 - symbol, used
+
+        monkeypatch.setattr(ContextCode, "decode", misread)
+        spec_path = write_spec(tmp_path, controlled_doc())
+        code, out = self.run_synth(tmp_path, spec_path, "f", "--D", "0.5")
+        assert code == EXIT_VERIFY
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["verification failed: sequence 3: encoded [1, 1] in 0 bits, "
+                       "decoded [0] from 0 bits"]
         assert not (out / "result_bundle.json").exists()
 
     def test_infeasible_budget_exit(self, tmp_path):

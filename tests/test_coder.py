@@ -14,9 +14,7 @@ from ratecost.coder import (
     CodingError,
     build_codebooks,
     expected_stage_lengths,
-    pack_bits,
     shannon_code,
-    unpack_bits,
 )
 
 
@@ -97,6 +95,13 @@ class TestShannonCode:
         with pytest.raises(InvariantError, match="Kraft sum 3 exceeds 1"):
             shannon_code([0.5, 0.25, 0.25])
 
+    def test_shared_codeword_raises_invariant_error(self, monkeypatch):
+        # every word two bits long: symbols 2 and 3 both get "11", with a
+        # Kraft sum of exactly 1 and E[len] = 2 <= H + 1
+        monkeypatch.setattr(ratecost.coder, "_ceil_neg_log2", lambda q: 2)
+        with pytest.raises(InvariantError, match="not prefix-free"):
+            shannon_code([0.6, 0.2, 0.1, 0.1])
+
 
 class TestCodebooks:
     @staticmethod
@@ -164,175 +169,3 @@ class TestCodebooks:
         code = shannon_code([0.7, 0.0, 0.3])
         with pytest.raises(CodingError):
             code.encode(1)
-
-
-class TestBlockCoding:
-    @staticmethod
-    def book_and_sequences():
-        # stage 1 has codewords of 1, 9 and 10 bits (the long ones cross a
-        # byte boundary); after action 2 the next action is certain, so
-        # that context's code is the empty point-mass codeword
-        first = np.array([0.996, 0.003, 0.001])
-        second = np.array([[0.5, 0.25, 0.25], [0.1, 0.1, 0.8], [0.0, 0.0, 1.0]])
-        third = np.array([0.45, 0.45, 0.1])
-        law = first[:, None, None] * second[:, :, None] * third
-        book = build_codebooks(law)
-        seqs = np.argwhere(law > 0)     # every positive-probability sequence
-        return book, seqs
-
-    def test_block_matches_scalar_for_every_codeword(self):
-        book, seqs = self.book_and_sequences()
-        n, U = book.horizon, book.num_actions
-        packed, written = book.encode_block(seqs)
-        decoded, consumed = book.decode_block(packed)
-        np.testing.assert_array_equal(decoded, seqs)
-        np.testing.assert_array_equal(consumed, written)
-        covered, crossing, empty = set(), 0, 0
-        for row, seq in enumerate(seqs.tolist()):
-            words = [book.encode(t, seq[:t - 1], seq[t - 1]) for t in range(1, n + 1)]
-            message = "".join(words)
-            assert written[row] == len(message)
-            assert packed[row].tobytes() == \
-                pack_bits(message).ljust(packed.shape[1], b"\0")
-            text = unpack_bits(packed[row].tobytes(), len(message))
-            pos = ctx = 0
-            for t, word in enumerate(words, start=1):
-                assert book.decode(t, seq[:t - 1], text, pos) == (seq[t - 1], len(word))
-                covered.add((t, ctx, seq[t - 1]))
-                crossing += len(word) > 0 and pos // 8 != (pos + len(word) - 1) // 8
-                empty += word == ""
-                pos += len(word)
-                ctx = ctx * U + seq[t - 1]
-        assert covered == {(t, int(ctx), int(sym))
-                           for t, lengths in enumerate(book.lengths, start=1)
-                           for ctx, sym in np.argwhere(lengths >= 0)}
-        assert crossing > 0 and empty > 0
-
-    def test_block_encode_rejects_symbols_without_codeword(self):
-        book, seqs = self.book_and_sequences()
-        for bad in (-1, 3):     # -1 must not wrap to the last symbol
-            rows = seqs[:4].copy()
-            rows[2, 1] = bad
-            with pytest.raises(CodingError, match="row 2 stage 2"):
-                book.encode_block(rows)
-        # after action 2 only action 2 has a codeword
-        with pytest.raises(CodingError, match="row 0 stage 2"):
-            book.encode_block([[2, 0, 0]])
-
-    @pytest.mark.parametrize("row,stage", [
-        ([0b10000000], 1),  # no stage-1 codeword begins with 10
-        ([0b11111110], 1),  # a 9-bit stage-1 codeword cut off by the row's end
-        ([], 1),            # an empty row holds not even the 1-bit codeword "0"
-        ([0b00100000], 3),  # stage 1 "0", stage 2 "0", then no stage-3 word "10"
-    ])
-    def test_block_decode_rejects_bits_without_codeword(self, row, stage):
-        book, _ = self.book_and_sequences()
-        with pytest.raises(CodingError, match=f"row 0 stage {stage}"):
-            book.decode_block(np.array([row], dtype=np.uint8).reshape(1, -1))
-
-
-    def test_repeated_rows_code_like_single_rows(self, rng):
-        book, seqs = self.book_and_sequences()
-        block = rng.permutation(np.repeat(seqs, rng.integers(1, 5, len(seqs)), axis=0))
-        packed, written = book.encode_block(block)
-        decoded, consumed = book.decode_block(packed)
-        assert packed.shape[0] == len(block) > len(seqs)
-        for row, seq in enumerate(block):
-            alone, bits = book.encode_block(seq[None])
-            np.testing.assert_array_equal(packed[row], alone[0])
-            assert written[row] == bits[0] == consumed[row]
-            np.testing.assert_array_equal(decoded[row], book.decode_block(alone)[0][0])
-            np.testing.assert_array_equal(decoded[row], seq)
-
-    def test_encode_error_names_first_failing_row_in_callers_order(self):
-        # after action 2 only action 2 has a codeword, so rows 2, 4 and 6
-        # fail at stage 2; row 4 sorts before rows 2 and 6
-        book, seqs = self.book_and_sequences()
-        block = seqs[:8].copy()
-        block[[2, 6]] = [2, 1, 0]
-        block[4] = [2, 0, 0]
-        with pytest.raises(CodingError, match="row 2 stage 2"):
-            book.encode_block(block)
-
-    def test_decode_error_names_first_failing_row_in_callers_order(self):
-        # no stage-1 codeword begins with 10 or 11000: rows 2, 4 and 6 fail
-        # at stage 1, and row 4's bytes sort before those of rows 2 and 6
-        book, seqs = self.book_and_sequences()
-        packed, _ = book.encode_block(seqs[:8])
-        packed[[2, 6]] = 0
-        packed[[2, 6], 0] = 0b11000000
-        packed[4] = 0
-        packed[4, 0] = 0b10000000
-        with pytest.raises(CodingError, match="row 2 stage 1"):
-            book.decode_block(packed)
-
-    @staticmethod
-    def point_mass_book():
-        law = np.zeros((2, 2, 2))
-        law[1, 0, 1] = 1.0
-        return build_codebooks(law)
-
-    def test_point_mass_codebook_codes_zero_width_rows(self):
-        book = self.point_mass_book()
-        packed, written = book.encode_block(np.tile([1, 0, 1], (5, 1)))
-        assert packed.shape == (5, 0)
-        np.testing.assert_array_equal(written, 0)
-        decoded, consumed = book.decode_block(packed)
-        np.testing.assert_array_equal(decoded, np.tile([1, 0, 1], (5, 1)))
-        np.testing.assert_array_equal(consumed, 0)
-
-    @pytest.mark.parametrize("point_mass", [False, True])
-    def test_zero_row_block(self, point_mass):
-        book = self.point_mass_book() if point_mass else self.book_and_sequences()[0]
-        packed, written = book.encode_block(np.zeros((0, book.horizon), dtype=np.int64))
-        assert packed.shape[0] == 0 and written.shape == (0,)
-        decoded, consumed = book.decode_block(packed)
-        assert decoded.shape == (0, book.horizon) and consumed.shape == (0,)
-
-    @pytest.mark.parametrize("packed", [
-        np.zeros(4, dtype=np.uint8),            # one row without its row axis
-        np.zeros((2, 1, 1), dtype=np.uint8),
-        np.array([[0, 300]]),                   # not a byte
-        np.array([[-1]]),
-        np.zeros((2, 1)),                       # floats, not bytes
-    ], ids=["1-D", "3-D", "300", "negative", "float"])
-    def test_block_decode_rejects_non_byte_rows(self, packed):
-        book, _ = self.book_and_sequences()
-        with pytest.raises(ValueError, match="0..255"):
-            book.decode_block(packed)
-
-    @given(data=st.data())
-    @settings(max_examples=60)
-    def test_block_roundtrip_with_repeats(self, data):
-        U = data.draw(st.integers(1, 3))
-        n = data.draw(st.integers(1, 3))
-        weights = data.draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 1.0]),
-                                     min_size=U ** n, max_size=U ** n)
-                            .filter(lambda w: sum(w) > 0))
-        law = np.reshape(weights, (U,) * n) / sum(weights)
-        book = build_codebooks(law)
-        support = np.argwhere(law > 0)
-        picks = data.draw(st.lists(st.integers(0, len(support) - 1), max_size=12))
-        block = support[picks].reshape(-1, n)
-        packed, written = book.encode_block(block)
-        decoded, consumed = book.decode_block(packed)
-        np.testing.assert_array_equal(decoded, block)
-        np.testing.assert_array_equal(consumed, written)
-        for row, seq in enumerate(block.tolist()):
-            message = "".join(book.encode(t, seq[:t - 1], seq[t - 1])
-                              for t in range(1, n + 1))
-            assert written[row] == len(message)
-            assert packed[row].tobytes() == \
-                pack_bits(message).ljust(packed.shape[1], b"\0")
-
-
-class TestBitPacking:
-    @given(bits=st.text(alphabet="01", max_size=64))
-    @settings(max_examples=80)
-    def test_pack_unpack_roundtrip(self, bits):
-        assert unpack_bits(pack_bits(bits), len(bits)) == bits
-
-    def test_padding_is_zero_and_excluded(self):
-        data = pack_bits("101")
-        assert data == bytes([0b10100000])
-        assert unpack_bits(data, 3) == "101"

@@ -8,12 +8,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ratecost.scheme
 import ratecost.solver
 from ratecost import BudgetExceededError, CausalPolicy, SystemSpec
-from ratecost.coder import CodingError, ContextCodebook, build_codebooks, \
-    expected_stage_lengths
+from ratecost.coder import CodingError, ContextCode, ContextCodebook, \
+    build_codebooks, expected_stage_lengths
 from ratecost.instances import (
     bernoulli_source,
     drive_to_zero,
@@ -374,7 +376,8 @@ class TestCloud:
         assert [p.realization_id for p in points] == list(range(40, 80))
         for p in points:
             re = build_realization(race, 3, p)
-            induced = evaluate_joint(spec, re.policy)
+            realized = CausalPolicy(tuple(_onehot(m, spec.num_actions) for m in re.maps))
+            induced = evaluate_joint(spec, realized)
             assert abs(p.rate - entropy_bits(induced.action_marginal())
                        / spec.horizon) <= 1e-12
             assert abs(p.cost - average_cost(induced, spec)) <= 1e-12
@@ -485,14 +488,8 @@ def test_budget_at_anchor_cost_is_feasible_on_random_panel():
         assert b.exact_cost <= anchor.cost, i
 
 
-def sequence_index(actions, num_actions):
-    """Big-endian index of each row of ``actions`` (trials, horizon)."""
-    return np.asarray(actions) @ num_actions ** np.arange(actions.shape[1] - 1, -1, -1)
-
-
 def sequence_digits(index, horizon, num_actions):
-    """The action rows of big-endian sequence indices: ``sequence_index``'s
-    inverse."""
+    """The action rows (sequences, horizon) of big-endian sequence indices."""
     return np.asarray(index)[:, None] // num_actions ** np.arange(horizon - 1, -1, -1) \
         % num_actions
 
@@ -544,21 +541,59 @@ def trial_digest(bundle):
                           + report.per_trial_costs.tobytes()).hexdigest()
 
 
-def corrupt_decode(monkeypatch, index, field):
-    """Make ``decode_block`` misread the message of action sequence
-    ``index``: its last action (``field`` "actions") or its bit count."""
-    decode = ContextCodebook.decode_block
+def corrupt_decode(monkeypatch, bundle, index, field):
+    """Make ``ContextCode.decode`` misread the last stage of the message of
+    ``bundle``'s action sequence ``index``: its action (``field`` "actions")
+    or its bit count.  Synthesis decodes the sent sequences in index order,
+    one call per stage, so that is call n * (k + 1) for the k-th of them."""
+    n, U = bundle.spec.horizon, bundle.spec.num_actions
+    call = n * (np.flatnonzero(bundle.sequence_bits >= 0).tolist().index(index) + 1)
+    decode, calls = ContextCode.decode, []
 
-    def corrupted(book, packed):
-        actions, consumed = decode(book, packed)
-        for row in np.flatnonzero(sequence_index(actions, book.num_actions) == index):
-            if field == "actions":
-                actions[row, -1] = (actions[row, -1] + 1) % book.num_actions
-            else:
-                consumed[row] += 1
-        return actions, consumed
+    def corrupted(code, bits, start=0):
+        symbol, used = decode(code, bits, start)
+        calls.append(start)
+        if len(calls) == call and field == "actions":
+            symbol = (symbol + 1) % U
+        elif len(calls) == call:
+            used += 1
+        return symbol, used
 
-    monkeypatch.setattr(ContextCodebook, "decode_block", corrupted)
+    monkeypatch.setattr(ContextCode, "decode", corrupted)
+
+
+def spy_coder(monkeypatch):
+    """Record every ``ContextCode`` encode and decode call as (code, symbol)."""
+    encode, decode = ContextCode.encode, ContextCode.decode
+    calls = {"encode": [], "decode": []}
+
+    def spied_encode(code, symbol):
+        calls["encode"].append((code, symbol))
+        return encode(code, symbol)
+
+    def spied_decode(code, bits, start=0):
+        symbol, used = decode(code, bits, start)
+        calls["decode"].append((code, symbol))
+        return symbol, used
+
+    monkeypatch.setattr(ContextCode, "encode", spied_encode)
+    monkeypatch.setattr(ContextCode, "decode", spied_decode)
+    return calls
+
+
+def coded_sequences(book, calls):
+    """The sequence index of each run of ``book.horizon`` spied calls, each
+    call checked to use the code of the context its run selects so far."""
+    n, U = book.horizon, book.num_actions
+    assert len(calls) % n == 0
+    sequences = []
+    for first in range(0, len(calls), n):
+        ctx = 0
+        for codes, (code, symbol) in zip(book.stages, calls[first:first + n]):
+            assert code is codes[ctx]
+            ctx = ctx * U + symbol
+        sequences.append(ctx)
+    return sequences
 
 
 @pytest.fixture(scope="module")
@@ -611,12 +646,13 @@ class TestRunTrials:
 
     def test_rate_zero_bundle_runs(self):
         # above its open-loop cost noisy_actuator(3) needs no information:
-        # every codeword is empty, so each block packs to zero-width rows
+        # every codeword is empty, so every message is
         spec = noisy_actuator(3)
         b = synthesize(spec, min_open_loop_cost(spec)[0] + 0.01,
                        dataclasses.replace(FAST, cloud_size=20))
         assert b.exact_rate == 0.0
-        assert all(bits.shape[2] == 0 for bits in b.codebooks.bits)
+        assert all(word == "" for codes in b.codebooks.stages
+                   for code in codes.values() for word in code.words.values())
         report = run_trials(b, TRIAL_BLOCK + 10, seed=0, keep_per_trial=True)
         np.testing.assert_array_equal(report.per_trial_bits, 0.0)
         assert report.empirical_rate == 0.0 and report.mc_cost_consistent
@@ -636,8 +672,9 @@ class TestRunTrials:
         def refused(*args, **kwargs):
             raise AssertionError("run_trials called the coder")
 
-        for name in ("encode_block", "decode_block", "encode", "decode"):
-            monkeypatch.setattr(ContextCodebook, name, refused)
+        for owner in (ContextCode, ContextCodebook):
+            for name in ("encode", "decode"):
+                monkeypatch.setattr(owner, name, refused)
         assert trial_digest(sticky4) == STICKY4_TRIALS
         assert trial_digest(sticky8) == STICKY8_TRIALS
 
@@ -714,8 +751,7 @@ class TestRunTrials:
         report = run_trials(b, TRIAL_BLOCK + 100, seed=2, keep_per_trial=True)
         sent, costs = trial_sequences(b, TRIAL_BLOCK + 100, seed=2)
         np.testing.assert_array_equal(report.per_trial_costs, costs)
-        written = b.codebooks.encode_block(sequence_digits(sent, 3, 2))[1]
-        np.testing.assert_array_equal(report.per_trial_bits, written / 3)
+        np.testing.assert_array_equal(report.per_trial_bits, b.sequence_bits[sent] / 3)
 
     def test_manual_loop_matches_maps_and_mixture_law(self, bundle):
         # independent re-simulation: the literal race selection on each
@@ -783,48 +819,57 @@ class TestSequenceCoding:
         assert abs(float(law @ bits) / n - b.exact_rate) <= 1e-12
 
     def test_synthesis_codes_each_positive_mass_sequence_once(self, monkeypatch):
-        encode, decode = ContextCodebook.encode_block, ContextCodebook.decode_block
-        encoded, decoded = [], []
-
-        def spied_encode(book, actions):
-            encoded.append(sequence_index(actions, book.num_actions))
-            return encode(book, actions)
-
-        def spied_decode(book, packed):
-            actions, consumed = decode(book, packed)
-            decoded.append(sequence_index(actions, book.num_actions))
-            return actions, consumed
-
-        monkeypatch.setattr(ContextCodebook, "encode_block", spied_encode)
-        monkeypatch.setattr(ContextCodebook, "decode_block", spied_decode)
+        calls = spy_coder(monkeypatch)
         b = synthesize(sticky_tracking(8), 0.1 * STICKY8_OPEN_LOOP, SchemeOptions(
             cloud_size=50, seed=0, solver=SolverOptions(restarts=1)))
         positive = np.flatnonzero(b.mixture_action_law.reshape(-1) > 0)
         assert len(positive) == 147
-        np.testing.assert_array_equal(np.concatenate(encoded), positive)
-        np.testing.assert_array_equal(np.concatenate(decoded), positive)
+        assert coded_sequences(b.codebooks, calls["encode"]) == positive.tolist()
+        assert coded_sequences(b.codebooks, calls["decode"]) == positive.tolist()
 
     def test_more_sequences_than_a_block_are_each_coded_once(self, monkeypatch):
-        # 2**13 equally likely sequences, coded TRIAL_BLOCK at a time
+        # 2**13 equally likely sequences, more than a trial block holds
         law = np.full((2,) * 13, 2.0 ** -13)
         book = build_codebooks(law)
-        encode = ContextCodebook.encode_block
-        calls = []
-
-        def spied(self, actions):
-            calls.append(sequence_index(actions, 2))
-            return encode(self, actions)
-
-        monkeypatch.setattr(ContextCodebook, "encode_block", spied)
+        calls = spy_coder(monkeypatch)
         bits = ratecost.scheme.code_sequences(book, law)
         np.testing.assert_array_equal(bits, 13)
-        assert [len(c) for c in calls] == [TRIAL_BLOCK, TRIAL_BLOCK]
-        np.testing.assert_array_equal(np.concatenate(calls), np.arange(2 ** 13))
+        assert coded_sequences(book, calls["encode"]) == list(range(2 ** 13))
+        assert coded_sequences(book, calls["decode"]) == list(range(2 ** 13))
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_random_laws_code_each_sent_sequence(self, data):
+        # every positive-mass sequence gets the bits of its per-symbol
+        # codewords, every other one -1
+        U = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 3))
+        weights = data.draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+                                     min_size=U ** n, max_size=U ** n)
+                            .filter(lambda w: sum(w) > 0))
+        law = np.reshape(weights, (U,) * n) / sum(weights)
+        book = build_codebooks(law)
+        bits = ratecost.scheme.code_sequences(book, law)
+        for index, actions in enumerate(sequence_digits(np.arange(U ** n), n, U).tolist()):
+            want = sum(len(book.encode(t + 1, actions[:t], actions[t]))
+                       for t in range(n)) if law.flat[index] > 0 else -1
+            assert bits[index] == want, (index, actions)
+
+    @pytest.mark.parametrize("books, sequence", [
+        ([[0.5, 0.5], [0.0, 0.0]], r"3: the codebooks cannot code \[1, 1\]"),
+        ([[1.0, 0.0], [0.0, 0.0]], r"1: the codebooks cannot code \[0, 1\]"),
+    ], ids=["no-context-code", "no-codeword"])
+    def test_sequence_the_codebooks_cannot_code_raises(self, books, sequence):
+        # codebooks of another law: the first has no stage-2 code after
+        # action 1, the second no codeword for action 1 after action 0
+        law = np.array([[0.5, 0.2], [0.0, 0.3]])
+        with pytest.raises(CodingError, match=f"^sequence {sequence}$"):
+            ratecost.scheme.code_sequences(build_codebooks(np.array(books)), law)
 
     @pytest.mark.parametrize("field", ["actions", "bits"])
     def test_decode_mismatch_fails_synthesis(self, bundle, monkeypatch, field):
         index = int(np.flatnonzero(bundle.sequence_bits >= 0)[1])
-        corrupt_decode(monkeypatch, index, field)
+        corrupt_decode(monkeypatch, bundle, index, field)
         with pytest.raises(DecodeMismatchError, match=f"^sequence {index}: encoded "):
             synthesize(bundle.spec, bundle.budget_cost, FAST)
 
@@ -841,7 +886,7 @@ class TestSequenceCoding:
         assert law[lightest] == pytest.approx(1.41e-5, rel=1e-2)
         sent, _ = trial_sequences(clean, 10_000, seed=1)
         assert lightest not in sent
-        corrupt_decode(monkeypatch, lightest, "actions")
+        corrupt_decode(monkeypatch, clean, lightest, "actions")
         with pytest.raises(DecodeMismatchError, match=f"^sequence {lightest}: "):
             synthesize(spec, budget, opts)
 
