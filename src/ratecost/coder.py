@@ -10,13 +10,16 @@ guarantees  sum 2^-len <= 1  and  E[len] <= H + 1  hold exactly.
 A context whose pmf is a point mass gets the empty codeword (length 0):
 the decoder knows the context and consumes nothing.
 
-Each context's code holds its codewords as '0'/'1' strings, one per symbol
-of positive probability.  A message is the concatenation of one codeword
-per stage, each from the code of the context the earlier actions select;
-the decoder reads it back from the message alone, stage by stage, taking
-the one codeword of the context decoded so far that the remaining bits
-begin with.  ``scheme.code_sequences`` codes each sequence a codebook can
-send this way once, at synthesis.
+``build_codebooks`` gives, per stage, the code of each action-history
+context of positive mass; each code holds its codewords as '0'/'1'
+strings, one per symbol of positive probability.  A message is the
+concatenation of one codeword per stage, each from the code of the
+context the earlier actions select; the decoder reads it back from the
+message alone, stage by stage, taking the one codeword of the context
+decoded so far that the remaining bits begin with.
+``scheme.code_sequences`` codes each sequence the codebooks can send this
+way once, at synthesis, and the scheme's exact rate is read off the bit
+table it leaves.
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ class ContextCode:
     """
 
     words: dict[int, str]
-    expected_length: float
-    entropy: float
 
     def encode(self, symbol: int) -> str:
         if symbol not in self.words:
@@ -94,55 +95,19 @@ def shannon_code(pmf) -> ContextCode:
     for a, word in words.items():
         if any(b != a and other.startswith(word) for b, other in words.items()):
             raise InvariantError("codeword set is not prefix-free")
-    pmf_float = tuple(float(exact.get(i, 0)) for i in range(len(probs)))
-    ent = entropy_bits(pmf_float)
     exp_len = float(expected)
+    ent = entropy_bits(tuple(float(exact.get(i, 0)) for i in range(len(probs))))
     if exp_len > ent + 1.0 + 1e-12:
         raise InvariantError(f"expected length {exp_len} exceeds entropy+1 {ent + 1}")
-    return ContextCode(words=words, expected_length=exp_len, entropy=ent)
+    return ContextCode(words=words)
 
 
-@dataclass(frozen=True, eq=False)
-class ContextCodebook:
-    """Per stage and per action-history context, a matched Shannon code.
-
-    ``stages[t-1]`` maps the big-endian context index to its code; only
-    contexts of positive mass have one.
-    """
-
-    horizon: int
-    num_actions: int
-    stages: tuple[dict[int, ContextCode], ...]
-
-    def _context(self, t: int, u_hist) -> int:
-        """Big-endian index of the action history ``u_hist`` at stage t."""
-        u_hist = tuple(int(u) for u in u_hist)
-        ctx = 0
-        for u in u_hist:
-            ctx = ctx * self.num_actions + u
-        if not (1 <= t <= self.horizon and len(u_hist) == t - 1
-                and all(0 <= u < self.num_actions for u in u_hist)
-                and ctx in self.stages[t - 1]):
-            raise CodingError(
-                f"stage {t} context {u_hist} is unreachable and has no code"
-            )
-        return ctx
-
-    def code(self, t: int, u_hist) -> ContextCode:
-        return self.stages[t - 1][self._context(t, u_hist)]
-
-    def encode(self, t: int, u_hist, symbol: int) -> str:
-        return self.code(t, u_hist).encode(symbol)
-
-    def decode(self, t: int, u_hist, bits: str, start: int = 0) -> tuple[int, int]:
-        return self.code(t, u_hist).decode(bits, start)
-
-
-def build_codebooks(action_law: np.ndarray) -> ContextCodebook:
+def build_codebooks(action_law: np.ndarray) -> tuple[dict[int, ContextCode], ...]:
     """Codes matched to the per-stage conditionals of an action-sequence law.
 
-    ``action_law`` has axes (U,)*n and total mass 1.  Contexts with zero
-    mass are skipped.
+    ``action_law`` has axes (U,)*n and total mass 1.  Entry t-1 maps the
+    big-endian index of each action history u^{t-1} of positive mass to the
+    Shannon code of P(u_t | u^{t-1}); contexts with zero mass have no code.
     """
     law = np.asarray(action_law, dtype=float)
     n = law.ndim
@@ -151,33 +116,7 @@ def build_codebooks(action_law: np.ndarray) -> ContextCodebook:
         raise ValueError(f"action law must have shape {(U,) * n}")
     stages = []
     for t in range(1, n + 1):
-        marg = law.reshape((U,) * n).sum(axis=tuple(range(t, n))) if t < n else law
-        flat = marg.reshape(U ** (t - 1), U)
-        ctx_codes: dict[int, ContextCode] = {}
-        for ctx in range(U ** (t - 1)):
-            row = flat[ctx]
-            mass = row.sum()
-            if mass <= 0.0:
-                continue
-            ctx_codes[ctx] = shannon_code(row)
-        stages.append(ctx_codes)
-    return ContextCodebook(horizon=n, num_actions=U, stages=tuple(stages))
-
-
-def expected_stage_lengths(codebook: ContextCodebook, action_law: np.ndarray
-                           ) -> list[float]:
-    """E[len(B_t)] per stage under the action law, exactly."""
-    law = np.asarray(action_law, dtype=float)
-    n, U = codebook.horizon, codebook.num_actions
-    out = []
-    for t in range(1, n + 1):
-        marg = law.sum(axis=tuple(range(t, n))) if t < n else law
-        flat = marg.reshape(U ** (t - 1), U)
-        total = 0.0
-        for ctx, code in codebook.stages[t - 1].items():
-            row = flat[ctx]
-            for sym, word in code.words.items():
-                total += float(row[sym]) * len(word)
-        out.append(total)
-    return out
-
+        flat = law.sum(axis=tuple(range(t, n))).reshape(U ** (t - 1), U)
+        stages.append({ctx: shannon_code(row) for ctx, row in enumerate(flat)
+                       if row.sum() > 0.0})
+    return tuple(stages)

@@ -23,15 +23,17 @@ the selector's rate cap (``timeshare``).
 Synthesis also encodes and decodes every action sequence of positive
 mixture mass once, the exact set the codebooks code, and keeps the bit
 counts in a read-only table (``SchemeBundle.sequence_bits``); a round
-trip that differs fails synthesis.  Simulation runs trials in blocks of
-``TRIAL_BLOCK`` as arrays: each block draws its selector uniforms and
-plant uniforms from two per-block streams, and each trial walks per-key
-tables built from the two realized stage maps, one integer key per trial
-and stage: the stage cost, the law of the next plant state and the next
-key, then the sequence's bits.  The trial loop makes no coder call.
-Streams are keyed by (seed, stream, block), so a run is reproducible and
-a shorter run is a prefix of a longer one.  The selector bit is never
-transmitted; rate counts codeword bits only.
+trip that differs fails synthesis.  The exact rate is read off that
+table: sum(P(u^n) * bits(u^n)) / n, summed in integers and rounded once.
+Simulation runs trials in blocks of ``TRIAL_BLOCK`` as arrays: each block
+draws its selector uniforms and plant uniforms from two per-block
+streams, and each trial walks per-key tables built from the two realized
+stage maps, one integer key per trial and stage: the stage cost, the law
+of the next plant state and the next key, then the sequence's bits.  The
+trial loop makes no coder call.  Streams are keyed by (seed, stream,
+block), so a run is reproducible and a shorter run is a prefix of a
+longer one.  The selector bit is never transmitted; rate counts codeword
+bits only.
 """
 
 from __future__ import annotations
@@ -41,19 +43,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .coder import (
-    CodingError,
-    ContextCodebook,
-    build_codebooks,
-    expected_stage_lengths,
-)
-from .sfrl import (
-    STREAM_DYNAMICS,
-    STREAM_SELECTOR,
-    race_draws,
-    race_maps,
-    stage_maps,
-)
+from .coder import CodingError, ContextCode, build_codebooks
+from .sfrl import STREAM_DYNAMICS, STREAM_SELECTOR, race_maps
 from .solver import (
     RateCostPoint,
     SolverOptions,
@@ -121,10 +112,9 @@ class SchemeOptions:
 
 @dataclass(frozen=True, eq=False)
 class Realization:
-    """One realization's race draws and everything they induce."""
+    """One realization's stage maps and everything they induce."""
 
     realization_id: int
-    draws: tuple[np.ndarray, ...]    # race draws, (U**(t-1), U) each
     maps: tuple[np.ndarray, ...]     # stage maps, (U**(t-1), P_t) each
     action_law: np.ndarray
     point: RealizationPoint
@@ -132,19 +122,22 @@ class Realization:
 
 @dataclass(eq=False)
 class SchemeBundle:
-    """A synthesized scheme.  ``sequence_bits`` is derived on construction
-    (``code_sequences`` on the codebooks and the mixture law), so a bundle
-    rebuilt by ``dataclasses.replace`` codes its sequences again."""
+    """A synthesized scheme.  ``sequence_bits`` and ``exact_rate`` are
+    derived on construction: ``code_sequences`` on the codebooks and the
+    mixture law, then the rate sum(P(u^n) * bits(u^n)) / n over the sent
+    sequences, summed exactly and rounded once.  A bundle rebuilt by
+    ``dataclasses.replace`` codes its sequences again and reads its rate off
+    its own bit table."""
 
     spec: SystemSpec
     solution: RateCostPoint
     realization0: Realization
     realization1: Realization
     selector: TimeShareSelector
-    codebooks: ContextCodebook
+    codebooks: tuple[dict[int, ContextCode], ...]
     sequence_bits: np.ndarray = field(init=False, repr=False)
     mixture_action_law: np.ndarray
-    exact_rate: float
+    exact_rate: float = field(init=False)
     exact_cost: float
     rate_budget_value: float
     budget_cost: float
@@ -155,7 +148,16 @@ class SchemeBundle:
     seeds: dict
 
     def __post_init__(self):
-        self.sequence_bits = code_sequences(self.codebooks, self.mixture_action_law)
+        law = self.mixture_action_law
+        bits = self.sequence_bits = code_sequences(self.codebooks, law)
+        # each float mass is m / d with d a power of two: over the largest d
+        # every term is an integer, so the sum is exact
+        sent = np.flatnonzero(bits >= 0)
+        ratios = [p.as_integer_ratio() for p in law.reshape(-1)[sent].tolist()]
+        scale = max(d for _, d in ratios)
+        total = sum(m * (scale // d) * b
+                    for (m, d), b in zip(ratios, bits[sent].tolist()))
+        self.exact_rate = total / (scale * law.ndim)
 
 
 def _onehot(maps: np.ndarray, num_actions: int) -> np.ndarray:
@@ -206,19 +208,20 @@ def realize_cloud(race: RowPass, seed: int, first: int,
 
 
 def build_realization(race: RowPass, seed: int, point: RealizationPoint) -> Realization:
-    """The full realization behind a cloud point of ``race.policy``: draws,
-    maps and action law, recomputed from its race stream."""
+    """The full realization behind a cloud point of ``race.policy``: maps
+    and action law, recomputed from its race stream as ``realize_cloud``
+    maps it."""
     n, U = race.spec.horizon, race.spec.num_actions
     i = point.realization_id
-    draws = tuple(race_draws(seed, t, U, i, 1)[0] for t in range(1, n + 1))
-    maps = tuple(stage_maps(tab, mass, d[None])[0]
-                 for tab, mass, d in zip(race.policy.tables, race.masses, draws))
+    maps = tuple(race_maps(t, tab, mass, seed, i, 1)[0] for t, tab, mass
+                 in zip(range(1, n + 1), race.policy.tables, race.masses))
     actions = race.spec.rows.operating_point([_onehot(m, U)[None] for m in maps])[3]
-    return Realization(realization_id=i, draws=draws, maps=maps,
+    return Realization(realization_id=i, maps=maps,
                        action_law=actions[0].reshape((U,) * n), point=point)
 
 
-def code_sequences(codebooks: ContextCodebook, action_law: np.ndarray) -> np.ndarray:
+def code_sequences(codebooks: tuple[dict[int, ContextCode], ...],
+                   action_law: np.ndarray) -> np.ndarray:
     """Codeword bits of every action sequence by big-endian index, (U**n,)
     int64 and read-only, -1 where ``action_law`` has no mass.
 
@@ -230,8 +233,7 @@ def code_sequences(codebooks: ContextCodebook, action_law: np.ndarray) -> np.nda
     ``DecodeMismatchError`` naming the sequence; a sequence the codebooks
     cannot code (a bundle rebuilt with another law) raises ``CodingError``.
     """
-    n, U = codebooks.horizon, codebooks.num_actions
-    stages = codebooks.stages
+    n, U = action_law.ndim, action_law.shape[0]
     bits = np.full(U ** n, -1, dtype=np.int64)
     sent = np.flatnonzero(action_law.reshape(-1) > 0.0)
     # per sequence and stage t: the action u_t and the index of its context
@@ -240,12 +242,12 @@ def code_sequences(codebooks: ContextCodebook, action_law: np.ndarray) -> np.nda
     for index, acts, ctxs in zip(sent.tolist(), actions, contexts):
         try:
             message = "".join(codes[c].encode(u)
-                              for codes, c, u in zip(stages, ctxs, acts))
+                              for codes, c, u in zip(codebooks, ctxs, acts))
         except (KeyError, CodingError):
             raise CodingError(f"sequence {index}: the codebooks cannot code "
                               f"{acts}") from None
         decoded, cursor, ctx = [], 0, 0
-        for codes in stages:
+        for codes in codebooks:
             if ctx not in codes:
                 break   # a misread action; the short decode mismatches below
             u, used = codes[ctx].decode(message, cursor)
@@ -304,7 +306,6 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     lam = selector.weight
     mixture_law = lam * re0.action_law + (1.0 - lam) * re1.action_law
     codebooks = build_codebooks(mixture_law)
-    exact_rate = sum(expected_stage_lengths(codebooks, mixture_law)) / n
     exact_cost = selector.mix_cost
     if exact_cost > budget_cost:
         raise InvariantError(f"certified mixture cost {exact_cost!r} exceeds "
@@ -315,8 +316,7 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     return SchemeBundle(
         spec=spec, solution=solution, realization0=re0, realization1=re1,
         selector=selector, codebooks=codebooks,
-        mixture_action_law=mixture_law, exact_rate=exact_rate,
-        exact_cost=exact_cost,
+        mixture_action_law=mixture_law, exact_cost=exact_cost,
         rate_budget_value=log_gap_budget(solution.rate_lower, n),
         budget_cost=budget_cost, epsilon=opt.epsilon,
         cond_entropy_bits=cond_bits, uncond_entropy_bits=uncond_bits,

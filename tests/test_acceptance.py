@@ -200,13 +200,18 @@ def test_criterion_5_coding_guarantees():
                         SchemeOptions(seed=0, solver=SOLVER))
     book = bundle.codebooks
     law = bundle.mixture_action_law
-    U, n = book.num_actions, book.horizon
+    U, n = law.shape[0], law.ndim
     kraft_ok = length_ok = True
-    for stage in book.stages:
-        for code in stage.values():
+    for t, codes in enumerate(book, start=1):
+        # each context's row of the law: P(u^{t-1}, u_t)
+        rows = law.sum(axis=tuple(range(t, n))).reshape(U ** (t - 1), U)
+        for ctx, code in codes.items():
             kraft = sum(Fraction(1, 2 ** len(w)) for w in code.words.values())
             kraft_ok &= kraft <= 1
-            length_ok &= code.expected_length <= code.entropy + 1.0 + 1e-12
+            q = rows[ctx] / rows[ctx].sum()
+            mean = sum(q[sym] * len(w) for sym, w in code.words.items())
+            h = -sum(p * math.log2(p) for p in q if p > 0)
+            length_ok &= mean <= h + 1.0 + 1e-12
     rng = np.random.default_rng(5)
     flat = law.reshape(-1)
     seq_ids = rng.choice(flat.size, p=flat / flat.sum(), size=34_000)
@@ -222,17 +227,21 @@ def test_criterion_5_coding_guarantees():
             rem //= U
         seq = tuple(reversed(digits))
         seqs.append(seq)
-        for t in range(1, n + 1):
-            stream.append(book.encode(t, seq[:t - 1], seq[t - 1]))
+        ctx = 0
+        for codes, u in zip(book, seq):
+            stream.append(codes[ctx].encode(u))
             encoded_actions += 1
+            ctx = ctx * U + u
     blob = "".join(stream)
     pos = 0
     for seq in seqs:
-        for t in range(1, n + 1):
-            sym, used = book.decode(t, seq[:t - 1], blob, pos)
+        ctx = 0
+        for codes, u in zip(book, seq):
+            sym, used = codes[ctx].decode(blob, pos)
             pos += used
-            if sym != seq[t - 1]:
+            if sym != u:
                 mismatches += 1
+            ctx = ctx * U + u
     ok = kraft_ok and length_ok and mismatches == 0 and pos == len(blob) \
         and encoded_actions >= 10 ** 5 * 0.68 - 1  # 34k sequences x 2 stages
     report(5, "coding guarantees", ok,
@@ -246,17 +255,17 @@ def test_criterion_5b_bulk_roundtrip_hundred_thousand():
     law = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
     book = build_codebooks(law)
     seqs = rng.integers(0, 2, size=(34_000, 3))
-    blob = "".join(
-        book.encode(t, tuple(row[: t - 1]), int(row[t - 1]))
-        for row in seqs for t in (1, 2, 3)
-    )
+    # stage t's context is the big-endian index of the first t-1 actions
+    contexts = [(0, a, 2 * a + b) for a, b, _ in seqs.tolist()]
+    blob = "".join(codes[c].encode(u) for row, ctxs in zip(seqs.tolist(), contexts)
+                   for codes, c, u in zip(book, ctxs, row))
     pos = 0
     bad = 0
-    for row in seqs:
-        for t in (1, 2, 3):
-            sym, used = book.decode(t, tuple(row[: t - 1]), blob, pos)
+    for row, ctxs in zip(seqs.tolist(), contexts):
+        for codes, c, u in zip(book, ctxs, row):
+            sym, used = codes[c].decode(blob, pos)
             pos += used
-            bad += sym != int(row[t - 1])
+            bad += sym != u
     ok = bad == 0 and pos == len(blob) and seqs.size >= 100_000
     report(5, "bulk round trip", ok,
            f"{seqs.size} encoded actions, {bad} mismatches")
