@@ -144,7 +144,7 @@ def cmd_solve(args, require_source: bool) -> int:
     curve, raw = sweep_curve(spec, opts)
     requested = []
     for d in grid:
-        point = solve_rate_cost(spec, d, opts, sweep=raw, anchor=anchor)
+        point = solve_rate_cost(spec, d, opts, sweep=raw)
         requested.append({
             "D": d,
             "rate_bits": point.rate,

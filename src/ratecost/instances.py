@@ -108,6 +108,21 @@ def xor_reference(horizon: int = 2, flip: float = 0.9):
     return spec, policy
 
 
+def random_markov_panel(count: int = 300) -> list[SystemSpec]:
+    """The first ``count`` random 2x2 Markov specs of ``default_rng(0)``.
+    Spec i, counting from 0, draws in order: n = integers(1, 4), the
+    initial law dirichlet(ones(2)), the transition dirichlet(ones(2),
+    size=(2, 2)) and the cost uniform(0, 1, (2, 2))."""
+    rng = np.random.default_rng(0)
+    specs = []
+    for _ in range(count):
+        n = int(rng.integers(1, 4))
+        specs.append(SystemSpec.from_markov(rng.dirichlet(np.ones(2)),
+                                            rng.dirichlet(np.ones(2), size=(2, 2)),
+                                            rng.uniform(0, 1, (2, 2)), n))
+    return specs
+
+
 def min_open_loop_cost(spec: SystemSpec) -> tuple[float, tuple[int, ...]]:
     """Best average cost over deterministic open-loop action sequences.
 

@@ -183,18 +183,13 @@ def realize_cloud(race: RowPass, seed: int, first: int,
     """Exact (rate, cost) points of realizations first..first+count-1 of
     ``race.policy``.
 
-    Realizations are selected and evaluated in blocks of max(1,
-    spec.budget // live), ``live`` the row pass's live set per realization:
-    every stage's one-hot table, plus eight arrays of the row budget the
-    solver checks (``Rows.width``) at its last stage (mass, joint, pair
-    and context masses, the previous stage's summands and three
-    temporaries).  Each block draws each stage's race from one generator
-    and runs one exact row pass (``Rows.operating_point``) on the
-    one-hot tables of its maps.
+    Realizations are selected and evaluated in blocks of ``Rows.block``
+    realizations, each with its one-hot tables.  Each block draws each
+    stage's race from one generator and runs one exact row pass
+    (``Rows.operating_point``) on the one-hot tables of its maps.
     """
     rows = race.spec.rows
-    live = sum(tab.size for tab in race.policy.tables) + 8 * rows.width
-    block = max(1, race.spec.budget // live)
+    block = rows.block(sum(tab.size for tab in race.policy.tables))
     points = []
     for start in range(first, first + count, block):
         size = min(block, first + count - start)
@@ -285,7 +280,7 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     opt = options or SchemeOptions()
     n = spec.horizon
     anchor = cost_floor_point(spec)
-    solution = solve_rate_cost(spec, budget_cost, opt.solver, anchor=anchor)
+    solution = solve_rate_cost(spec, budget_cost, opt.solver)
     # realizations 0 .. cloud_size-1 race the solved policy, cloud_size the floor's
     solved, floored = RowPass(spec, solution.policy), RowPass(spec, anchor.policy)
     points = realize_cloud(solved, opt.seed, 0, opt.cloud_size)

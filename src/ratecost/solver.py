@@ -69,9 +69,12 @@ but the bracketing one: it gives the answer the full sweep gives.  For the
 solver's certified near-minimizers this is checked rather than proved
 (``tests/test_solver.py``, five instances at eight budgets each).
 
-The search is safeguarded false position on cost(mu).  Each step
-interpolates linearly between the bracket's two points, aiming at the
-middle of the ``bisect_cost_tol`` window below the budget, with the
+The search is safeguarded false position on cost(mu), aiming at the middle
+of the ``bisect_cost_tol`` window below the budget.  Each bracket end is a
+supporting line of slope -mu on the convex curve R(c) (Blahut, IEEE
+Trans. IT 1972), so the first step goes to mu = -R'(aim) on the ends'
+cubic Hermite interpolant when that lies strictly inside the bracket.
+Otherwise a step interpolates cost linearly between the ends, with the
 Illinois weighting: the residual of an end that two steps in a row have
 kept is halved, so neither end stalls.  A step takes the midpoint instead
 while there is no feasible upper point, when the interpolated multiplier
@@ -93,21 +96,28 @@ starts.  The sweep's points are the curve and are solved to ``tol``.  The
 search reads of each solved point only its multiplier, exact cost and
 rate, so any sweep point is a bracket candidate for any budget.
 
-Exact operating points.  Every point this module reports (a solve's
-answer and the cost floor's greedy policy) has its policy on the spec's
-rows, and its rate and cost come from one forward pass over those rows,
-not from the (X*U)**n trajectory law; ``scheme`` runs the same pass,
-batched over policies, for the cloud's points, the races' context masses
-and the realized action laws.  The stage-t term of the directed
-information is I(X^t; U_t | U^{t-1}) = H(U_t | U^{t-1}) - H(U_t | U^{t-1},
-X^t), and the policy reads X^t only through its plant row p_t, so the term
-is E log2 pi_t(U_t | U^{t-1}, P_t) / P(U_t | U^{t-1}): it needs only the
-law of (u^{t-1}, p_t, u_t), each row's mass times pi_t.  For a Markov spec
-the kernel also reads x^t only through x_t, so the mass of a stage-(t+1)
-row (u^t, x_{t+1}) is a sum over x_t of stage-t masses times the kernel,
-and the x_t rows carry the exact term from stage to stage.  The stage cost
-reads only (x_t, u_t).  ``evaluate_joint`` and ``directed_information`` on
-the trajectory law stay the oracle.
+Exact operating points.  Every point this module reports (a solve's answer
+and the cost floor's greedy policy) has its policy on the spec's rows, and
+its rate and cost come from one forward pass over those rows, not from the
+(X*U)**n trajectory law; ``scheme`` runs the same pass, batched over
+policies, for the cloud's points, the races' context masses and the
+realized action laws.  A point's pass waits until its rate or cost is
+read.  A sweep reads a cost at once only from a point that might stop it:
+rate >= 0, so a point whose objective is at most mu * ``until_cost`` (less
+``_DUAL_ROUNDOFF``'s allowance) costs at most ``until_cost``.  The rest,
+all of a full sweep's, run at its end in stacked passes of ``Rows.block``
+policies, each number the one a pass of its own gives.  The cost DP and
+its greedy point run once per spec's rows (``Rows.floor``).  The stage-t
+term of the directed information is I(X^t; U_t | U^{t-1}) = H(U_t |
+U^{t-1}) - H(U_t | U^{t-1}, X^t), and the policy reads X^t only through
+its plant row p_t, so the term is E log2 pi_t(U_t | U^{t-1}, P_t) / P(U_t
+| U^{t-1}): it needs only the law of (u^{t-1}, p_t, u_t), each row's mass
+times pi_t.  For a Markov spec the kernel also reads x^t only through x_t,
+so the mass of a stage-(t+1) row (u^t, x_{t+1}) is a sum over x_t of
+stage-t masses times the kernel, and the x_t rows carry the exact term
+from stage to stage.  The stage cost reads only (x_t, u_t).
+``evaluate_joint`` and ``directed_information`` on the trajectory law
+stay the oracle.
 """
 
 from __future__ import annotations
@@ -133,7 +143,8 @@ from .timeshare import lower_hull
 _LOG_FLOOR = -1000.0
 # certified gap, bits per stage, of the bracket-search solves (module docstring)
 _BRACKET_GAP = 1e-6
-# share of |objective| + mu D + 1 taken off each dual bound (``solve_rate_cost``):
+# share of |objective| + mu D + 1 taken off each dual bound (``solve_rate_cost``)
+# and off mu D in the sweep's test that a point's cost is within D (``sweep_curve``):
 # where F_n(D) = 0 its terms can cancel to ulps above the exact rate 0, as at
 # noisy_actuator(3)'s open-loop D: mu = 2, gap 0, objective - 2 D = 2.2e-16;
 # the 1 covers objective - gap's absolute float error, about 8e-17 at small
@@ -192,10 +203,11 @@ class RateCostPoint:
     certified optimality gap of the Lagrangian objective (NaN for points
     not produced by ``solve_lagrangian``).  ``rate_lower`` is a certified
     lower bound on F_n(D) at the budget D of the ``solve_rate_cost`` query
-    that returned the point (NaN on other points); equality ignores it.
-    A point from
-    ``solve_lagrangian`` also carries, for a solve warm-started from it,
-    its rows and the stacked marginals its policy induces on them.
+    that returned the point (NaN on other points); equality ignores it.  A
+    point from ``solve_lagrangian`` also carries, for a solve warm-started
+    from it, its rows and its best chain's floored log2 marginals on them.
+    The solver's points run their exact pass when ``rate`` or ``cost`` is
+    first read, or together with others (``_exact_passes``).
     """
 
     rate: float
@@ -209,10 +221,18 @@ class RateCostPoint:
     rate_lower: float = field(default=math.nan, compare=False)
     _carry: tuple[Rows, np.ndarray] | None = field(default=None, repr=False,
                                                    compare=False)
+    _pending: Rows | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rate < -1e-12 or self.cost < -1e-12:
             raise ValueError("rate and cost must be nonnegative")
+
+    def __getattr__(self, name):
+        # reached only for the rate and cost of a point whose pass waits
+        if name in ("rate", "cost") and self._pending is not None:
+            _exact_passes([self])
+            return getattr(self, name)
+        raise AttributeError(name)
 
 
 @dataclass
@@ -351,8 +371,8 @@ class _Chains:
 
 @functools.lru_cache(maxsize=4)
 def _dirichlet_starts(seed: int, restarts: int, U: int, n: int) -> np.ndarray:
-    """The seeded Dirichlet marginals of chains 1.. as stacked q,
-    (restarts - 1, sum_s U**s, U), stage t of chain b drawn from the
+    """The seeded Dirichlet marginals of chains 1.. as stacked floored log2
+    q, (restarts - 1, sum_s U**s, U), stage t of chain b drawn from the
     stream (seed, 4, b, t).  Cached, so the array is read-only."""
     q = np.empty((restarts - 1, sum(U ** s for s in range(n)), U))
     start = 0
@@ -362,32 +382,40 @@ def _dirichlet_starts(seed: int, restarts: int, U: int, n: int) -> np.ndarray:
             rng = np.random.default_rng(np.random.SeedSequence((seed, 4, b, t)))
             q[b - 1, rows] = rng.dirichlet(np.ones(U), size=U ** (t - 1))
         start = rows.stop
-    q.setflags(write=False)
-    return q
+    logq = _floored(_log2(q))
+    logq.setflags(write=False)
+    return logq
+
+
+@functools.lru_cache(maxsize=4)
+def _uniform_row(U: int) -> np.ndarray:
+    """The floored log2 of the uniform marginal row, (U,).  Read-only."""
+    row = _floored(_log2(np.full(U, 1.0 / U)))
+    row.setflags(write=False)
+    return row
 
 
 def _initial_marginals(rows: Rows, opts: SolverOptions,
                        warm: RateCostPoint | None):
-    """Stacked log2 q, (restarts, sum_s U**s, U): chain 0 from the marginals
-    the warm point's policy induces (uniform without one, and on contexts
-    it never reaches), the rest seeded Dirichlet draws.  A warm point that
-    a solve on the same ``rows`` returned carries its marginals; any other
-    gets a forward pass."""
-    U = rows.U
-    q = np.empty((opts.restarts, rows.contexts, U))
-    q[0] = 1.0 / U
-    if warm is not None:
-        if warm._carry is not None and warm._carry[0] is rows:
-            start = warm._carry[1]
-        else:
-            # the warm tables on the rows: a Markov row reads the state
-            # history (0, ..., 0, x)
-            tabs = [tab[None, :, :P] for tab, P in zip(warm.policy.tables, rows.plants)]
-            start = rows.forward(tabs)[0]
-        seen = np.add.reduce(start, axis=1) > 0.0
-        q[0][seen] = start[seen]
-    q[1:] = _dirichlet_starts(opts.seed, opts.restarts, U, rows.n)
-    return _floored(_log2(q))
+    """Stacked log2 q, (restarts, sum_s U**s, U), floored: chain 0 from the
+    marginals the warm point's policy induces (uniform without one, and on
+    contexts it never reaches), the rest seeded Dirichlet draws.  A warm
+    point that a solve on the same ``rows`` returned carries chain 0's
+    rows; any other gets a forward pass."""
+    logq = np.empty((opts.restarts, rows.contexts, rows.U))
+    if warm is not None and warm._carry is not None and warm._carry[0] is rows:
+        logq[0] = warm._carry[1]
+    elif warm is not None:
+        # the warm tables on the rows: a Markov row reads the state
+        # history (0, ..., 0, x)
+        tabs = [tab[None, :, :P] for tab, P in zip(warm.policy.tables, rows.plants)]
+        start = rows.forward(tabs)[0]
+        seen = np.add.reduce(start, axis=1, keepdims=True) > 0.0
+        logq[0] = np.where(seen, _floored(_log2(start)), _uniform_row(rows.U))
+    else:
+        logq[0] = _uniform_row(rows.U)
+    logq[1:] = _dirichlet_starts(opts.seed, opts.restarts, rows.U, rows.n)
+    return logq
 
 
 def _ratio(rr: np.ndarray, vv: np.ndarray) -> np.ndarray:
@@ -424,9 +452,10 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
     that ``warm``'s policy induces, and returns the chain with the lowest
     exact objective (ties to the lowest index).  The reported rate and cost
     are that chain's policy's, evaluated exactly by the row pass
-    (``Rows.operating_point``).  The point carries the marginals its policy
-    induces, which a solve warm-started from it on the same ``spec.rows``
-    reuses.  Chains over the budget raise ``BudgetExceededError`` first.
+    (``Rows.operating_point``) when first read.  The point carries the
+    floored log2 marginals its policy induces, which a solve warm-started
+    from it on the same ``spec.rows`` reuses.  Chains over the budget raise
+    ``BudgetExceededError`` first.
     """
     if mu < 0:
         raise ValueError("multiplier must be nonnegative")
@@ -458,20 +487,42 @@ def solve_lagrangian(spec: SystemSpec, mu: float,
             cur = chains.certify(chains.step(np.where(accept[:, None, None], trial,
                                                       one_image)))
             maps += 1
+    # the last certificate's image on the rows the best chain reaches
+    reached = np.add.reduce(cur.induced[best], axis=1, keepdims=True) > 0.0
     return _exact_point(rows, [pi[best] for pi in cur.pis], mu,
                         converged=gap <= opts.tol,
                         objective=float(cur.objective[best]),
                         iterations=maps, gap=gap,
-                        _carry=(rows, cur.induced[best].copy()))
+                        _carry=(rows, np.where(reached, cur.image[best],
+                                               _uniform_row(rows.U))))
 
 
 def _exact_point(rows: Rows, tables, multiplier: float, **record) -> RateCostPoint:
     """The operating point of the policy with these tables on ``rows``, its
-    rate and cost from the exact row pass.  The tables' rows are
-    normalized by construction, so the policy skips the row check."""
-    rate, cost, _, _ = rows.operating_point([tab[None] for tab in tables])
-    return RateCostPoint(rate=float(rate[0]), cost=float(cost[0]), multiplier=multiplier,
-                         policy=CausalPolicy._from_normalized(tables), **record)
+    rate and cost left to the exact row pass (``_exact_passes``).  The
+    tables' rows are normalized by construction, so the policy skips the
+    row check."""
+    point = RateCostPoint(0.0, 0.0, multiplier, CausalPolicy._from_normalized(tables),
+                          _pending=rows, **record)
+    del point.rate, point.cost      # so that reading them reaches ``__getattr__``
+    return point
+
+
+def _exact_passes(points) -> None:
+    """Rate and cost of the points, on one ``Rows``, whose pass waits: their
+    tables stacked into passes of ``Rows.block`` policies.  The pass reduces
+    along one policy's entries only, so the numbers do not depend on the
+    batch."""
+    waiting = [p for p in points if p._pending is not None]
+    while waiting:
+        rows = waiting[0]._pending
+        batch = waiting[:rows.block(sum(tab.size for tab in waiting[0].policy.tables))]
+        del waiting[:len(batch)]
+        rate, cost, _, _ = rows.operating_point(
+            [np.stack(tabs) for tabs in zip(*(p.policy.tables for p in batch))])
+        for p, r, c in zip(batch, rate.tolist(), cost.tolist()):
+            p.rate, p.cost, p._pending = r, c, None
+            p.__post_init__()
 
 
 def _cost_dp(spec: SystemSpec):
@@ -494,16 +545,25 @@ def _cost_dp(spec: SystemSpec):
     return float(np.add.reduce(rows.initial * v, axis=(1, 2))[0]) / n, tabs
 
 
+def _floor(spec: SystemSpec) -> tuple[float, RateCostPoint]:
+    """The cost DP's minimum and greedy point, kept on ``spec.rows``."""
+    rows = spec.rows
+    if rows.floor is None:
+        value, tables = _cost_dp(spec)
+        rows.floor = value, _exact_point(rows, tables, math.inf)
+    return rows.floor
+
+
 def min_expected_cost(spec: SystemSpec) -> float:
     """Exact minimum average cost over all causal policies."""
-    return _cost_dp(spec)[0]
+    return _floor(spec)[0]
 
 
 def cost_floor_point(spec: SystemSpec) -> RateCostPoint:
     """The cost DP's greedy policy as an operating point on the solver's
     rows, rate and cost from the same exact row pass as a solve's answer;
-    its multiplier is infinite."""
-    return _exact_point(spec.rows, _cost_dp(spec)[1], math.inf)
+    its multiplier is infinite.  One point per spec's rows, shared."""
+    return _floor(spec)[1]
 
 
 def sweep_curve(spec: SystemSpec, opts: SolverOptions | None = None,
@@ -516,23 +576,30 @@ def sweep_curve(spec: SystemSpec, opts: SolverOptions | None = None,
     warm-started from the previous one.  The sweep stops after the first
     point whose cost exceeds ``until_cost`` and returns the points solved
     so far; each has the warm start it has in the full sweep, so each is
-    the point the full sweep returns.
+    the point the full sweep returns.  A point's exact pass runs at once
+    only when its objective leaves its cost in doubt; the rest run
+    together at the end (module docstring).
     """
     opts = opts or SolverOptions()
     solved: dict[float, RateCostPoint] = {}
     warm = None
     for mu in sorted(set(opts.mu_grid), reverse=True):
         warm = solved[mu] = solve_lagrangian(spec, mu, opts, warm=warm)
-        if warm.cost > until_cost:
+        # rate >= 0, so only an objective above mu * until_cost leaves the
+        # cost in doubt
+        room = mu * until_cost
+        doubt = not warm.objective <= room - _DUAL_ROUNDOFF * (abs(warm.objective)
+                                                               + room + 1.0)
+        if until_cost < math.inf and doubt and warm.cost > until_cost:
             break
     raw = [solved[mu] for mu in opts.mu_grid if mu in solved]
+    _exact_passes(raw)
     return RateCostCurve.from_points(raw), raw
 
 
 def solve_rate_cost(spec: SystemSpec, budget_cost: float,
                     opts: SolverOptions | None = None,
-                    sweep: list[RateCostPoint] | None = None, *,
-                    anchor: RateCostPoint | None = None) -> RateCostPoint:
+                    sweep: list[RateCostPoint] | None = None) -> RateCostPoint:
     """Minimum per-stage directed information with average cost <= budget.
 
     Sweeps the multiplier grid down to the first point above the budget
@@ -554,10 +621,9 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
     ``_DUAL_ROUNDOFF``'s allowance.
 
     The greedy policy of the cost DP attains the minimum average cost.  It
-    is evaluated exactly before any solve (``anchor``, when given, is that
-    evaluation: ``cost_floor_point(spec)``) and is always a candidate; a
-    budget below its exact cost raises ``InfeasibleCostError`` with that
-    cost as the minimum.
+    is evaluated exactly before any solve, once per spec's rows
+    (``cost_floor_point``), and is always a candidate; a budget below its
+    exact cost raises ``InfeasibleCostError`` with that cost as the minimum.
     """
     if not math.isfinite(budget_cost):
         raise ValueError(f"cost budget must be finite, got {budget_cost!r}")
@@ -565,8 +631,7 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
     # feasibility anchor: solver iterates approach the minimum cost only
     # from above, so budget queries at the cost floor resolve to the
     # deterministic cost-minimizing policy
-    if anchor is None:
-        anchor = cost_floor_point(spec)
+    anchor = cost_floor_point(spec)
     if budget_cost < anchor.cost:
         raise InfeasibleCostError(budget_cost, anchor.cost)
     if sweep is None:
@@ -598,7 +663,10 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
             if hi_point is not None and opts.max_bisect - k > halvings:
                 f_lo = w_lo * (lo_point.cost - aim)
                 f_hi = w_hi * (hi_point.cost - aim)
-                if f_lo > 0.0 > f_hi:
+                slope = _hermite_slope(hi_point, lo_point, aim) if k == 0 else math.nan
+                if lo < slope < hi:
+                    mu = slope
+                elif f_lo > 0.0 > f_hi:
                     mu = lo + f_lo / (f_lo - f_hi) * (hi - lo)
                     if not lo < mu < hi:
                         mu = 0.5 * (lo + hi)
@@ -632,6 +700,15 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
              - _DUAL_ROUNDOFF * (abs(p.objective) + p.multiplier * budget_cost + 1.0)
              for p in pts if math.isfinite(p.gap)]
     return replace(best, rate_lower=max([0.0] + lower))
+
+
+def _hermite_slope(a: RateCostPoint, b: RateCostPoint, cost: float) -> float:
+    """-R'(cost) of the cubic Hermite interpolant of the rate R(c) through
+    points ``a`` and ``b``, with slopes -multiplier at each."""
+    h = b.cost - a.cost
+    t = (cost - a.cost) / h
+    return (6.0 * t * (1.0 - t) * (a.rate - b.rate) / h
+            + (1.0 - t) * (1.0 - 3.0 * t) * a.multiplier + t * (3.0 * t - 2.0) * b.multiplier)
 
 
 def _lower_rate(p: RateCostPoint, best: RateCostPoint) -> bool:

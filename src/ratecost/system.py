@@ -26,7 +26,8 @@ them; ``SystemSpec.rows`` builds it once per spec object, on first use.
 All probabilities are 64-bit floats, all logarithms are base 2, and
 entropy terms use the convention 0*log(0) = 0.  Everything here is a pure
 function of immutable inputs and is safe to call concurrently; two first
-uses of ``SystemSpec.rows`` that race build equal rows, and either is kept.
+uses of ``SystemSpec.rows`` (or ``Rows.floor``) that race build equal
+values, and either is kept.
 """
 
 from __future__ import annotations
@@ -236,9 +237,11 @@ class Rows:
     U), is the stage cost on the stage-s rows.  ``width`` counts the entries
     of the largest array a map or the row pass makes per chain or policy;
     ``check`` refuses a batch over the spec's budget, as the rows do one
-    before they build anything.  Their arrays are read-only.  Every
-    per-stage reduction calls the ufunc's ``reduce`` directly: at these
-    sizes a pass costs its numpy calls, not its arithmetic.
+    before they build anything, and ``block`` sizes the row pass's
+    batches.  Their arrays are read-only; ``floor`` is filled once, on
+    first use.  Every per-stage reduction calls the ufunc's ``reduce``
+    directly: at these sizes a pass costs its numpy calls, not its
+    arithmetic.
     """
 
     def __init__(self, spec: SystemSpec):
@@ -266,6 +269,7 @@ class Rows:
         bounds = np.cumsum([0] + [U ** s for s in range(n)])
         self.slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         self.contexts = int(bounds[-1])
+        self.floor = None   # the cost floor on these rows, kept by ``solver``
 
     def check(self, restarts: int) -> None:
         """Refuse ``restarts`` chains of ``width`` entries over the budget."""
@@ -273,6 +277,13 @@ class Rows:
             raise BudgetExceededError(f"solver working set {restarts} restarts "
                                       f"(--restarts) x {count_text(self.width)} "
                                       f"entries exceeds budget {self.budget}")
+
+    def block(self, tables: int) -> int:
+        """Policies per row pass within the budget, each with ``tables``
+        entries of tables.  Beyond them the pass keeps at most 4.6 arrays of
+        ``width`` entries alive per policy (tracemalloc; sticky_tracking(9),
+        dense tables), counted as 5."""
+        return max(1, self.budget // (tables + 5 * self.width))
 
     def expect(self, s: int, v: np.ndarray) -> np.ndarray:
         """E v(next row) for every stage-s row and action, (B, U**s, P_s, U),
@@ -311,15 +322,16 @@ class Rows:
         With J = P(u^s, p, u) the stage cost is sum J c and the stage
         information sum_{J>0} J log2 pi P(u^s) / P(u^s, u), its three logs
         taken apart so that nothing underflows (``solver`` module
-        docstring): each on its whole array, the summands zeroed where J =
-        0.  Returns the rates and costs, (B,) each, the context masses
-        P(u^s) of every stage, (B, U**s) each, and the last stage's pair
-        mass P(u^{n-1}, u_n), (B, U**(n-1), U): the action law.  Every
-        reduction runs along one policy's entries, so a policy's numbers do
-        not depend on the batch it is evaluated in.  Checks what
-        ``JointLaw`` and ``stage_information_terms`` check: the total mass
-        within ``MASS_TOL`` and every stage term above -1e-9; a term in
-        (-1e-9, 0) counts as 0.
+        docstring): each on its whole array, summed in place, the summands
+        zeroed where J = 0; a stage drops its arrays before the next builds
+        its own (``block``).  Returns the rates and costs, (B,) each, the
+        context masses P(u^s) of every stage, (B, U**s) each, and the last
+        stage's pair mass P(u^{n-1}, u_n), (B, U**(n-1), U): the action
+        law.  Every reduction runs along one policy's entries, so a
+        policy's numbers do not depend on the batch it is evaluated in.
+        Checks what ``JointLaw`` and ``stage_information_terms`` check: the
+        total mass within ``MASS_TOL`` and every stage term above -1e-9; a
+        term in (-1e-9, 0) counts as 0.
         """
         B = tables[0].shape[0]
         mass = self.initial
@@ -327,19 +339,25 @@ class Rows:
         with np.errstate(divide="ignore", invalid="ignore"):
             for s, pi in enumerate(tables):
                 joint = mass[..., None] * pi
+                del mass
                 cost += np.add.reduce((joint * self.stage_costs[s]).reshape(B, -1), axis=1)
                 pair = np.add.reduce(joint, axis=2, keepdims=True)       # P(u^s, u)
                 context = np.add.reduce(pair, axis=3, keepdims=True)     # P(u^s)
                 contexts.append(context.reshape(B, -1))
-                summands = np.where(joint > 0.0, joint * (
-                    np.log2(pi) + np.log2(context) - np.log2(pair)), 0.0)
+                summands = np.log2(pi)
+                summands += np.log2(context)
+                summands -= np.log2(pair)
+                summands *= joint
+                np.copyto(summands, 0.0, where=~(joint > 0.0))
                 term = np.add.reduce(summands.reshape(B, -1), axis=1)
+                del summands
                 low = float(np.minimum.reduce(term))
                 if low < -1e-9:
                     raise InvariantError(f"stage information term {low} below -1e-9")
                 rate += np.maximum(term, 0.0)
                 if s + 1 < self.n:
                     mass = self.push(s, joint)
+                    del joint, pair
         total = np.add.reduce(joint.reshape(B, -1), axis=1)
         worst = float(total[np.abs(total - 1.0).argmax()])
         if abs(worst - 1.0) > MASS_TOL:

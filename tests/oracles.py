@@ -2,9 +2,9 @@
 
 Everything here is deliberately written the slow, literal way (dicts,
 nested loops, defining sums) so it shares no code path with the package.
-Three spec builders that several test modules share live here too: a
-full-history spec no Markov spec can express, a Markov spec's
-full-history twin, and a seeded panel of random 2x2 Markov specs.  ``SPEC_SCHEMA`` is the JSON Schema of a spec file's
+Two spec builders that several test modules share live here too: a
+full-history spec no Markov spec can express and a Markov spec's
+full-history twin.  ``SPEC_SCHEMA`` is the JSON Schema of a spec file's
 structure, the reference ``parse_spec``'s own checks are held to.
 """
 
@@ -69,21 +69,6 @@ def full_history_spec(horizon):
         kernels += (np.random.default_rng(7).dirichlet(np.ones(2), size=16),)
     return SystemSpec(horizon=horizon, num_states=2, num_actions=2,
                       cost=np.array([[0.0, 1.0], [1.0, 0.0]]), kernels=kernels)
-
-
-def random_markov_panel(count=300):
-    """The first ``count`` random 2x2 Markov specs of ``default_rng(0)``.
-    Spec i, counting from 0, draws in order: n = integers(1, 4), the
-    initial law dirichlet(ones(2)), the transition dirichlet(ones(2),
-    size=(2, 2)) and the cost uniform(0, 1, (2, 2))."""
-    rng = np.random.default_rng(0)
-    specs = []
-    for _ in range(count):
-        n = int(rng.integers(1, 4))
-        specs.append(SystemSpec.from_markov(rng.dirichlet(np.ones(2)),
-                                            rng.dirichlet(np.ones(2), size=(2, 2)),
-                                            rng.uniform(0, 1, (2, 2)), n))
-    return specs
 
 
 def without_markov(spec):

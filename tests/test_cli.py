@@ -40,13 +40,14 @@ from ratecost.instances import (
     drive_to_zero,
     min_open_loop_cost,
     noisy_actuator,
+    random_markov_panel,
     sticky_tracking,
 )
 from ratecost.scheme import TRIAL_BLOCK, DecodeMismatchError, SchemeOptions
 from ratecost.solver import RateCostCurve, SolverOptions
 from ratecost.specio import SpecFileError, load_spec, parse_spec, spec_document
 
-from oracles import SPEC_SCHEMA, binary_entropy, random_markov_panel, without_markov
+from oracles import SPEC_SCHEMA, binary_entropy, without_markov
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -814,7 +815,15 @@ class TestSynthCommand:
         # bounds lost their copy of the solver's rate: info_rate_lower_bits
         # 0.09436089568930468 -> 0.09436089568839519, rate_budget_bits and
         # the achievability margin by -1.3e-12, the converse margin by
-        # +9.1e-13, bounds.info_rate_bits removed, schema_version 5 -> 6
+        # +9.1e-13, bounds.info_rate_bits removed, schema_version 5 -> 6.
+        # Re-recorded when the search's first step took the slope of the
+        # bracket ends' cubic Hermite interpolant: solver_point mu
+        # 1.9826257527436986 -> 1.9827131014668995, rate_bits
+        # 0.09447817537519096 -> 0.09448537495198156, cost
+        # 0.39994084628216126 -> 0.39993721502790724, info_rate_lower_bits
+        # 0.09436089568839519 -> 0.09436089036280006, rate_budget_bits and
+        # the achievability margin by -7.5e-9, the converse margin by
+        # +5.3e-9; the selector, the realizations and the trials are unchanged
         spec_path = write_spec(tmp_path, controlled_doc())
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.4", "--out", str(out),
@@ -826,7 +835,7 @@ class TestSynthCommand:
         assert doc["seeds"]["attempts"] == 1
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "a120ab46fe8cf62ae31a4fa4459da06526cbd10348bd0c6872be996aae69088d"
+            "f57fca0afe2cbae0776261ce3daccbb86c3d4bfae97b6f6bc44b905eff67fe01"
 
     def test_sticky4_bundle_digest_pinned(self, tmp_path):
         # at its mid-curve budget the sweep stops at the eleventh of 22
@@ -865,7 +874,14 @@ class TestSynthCommand:
         # info_rate_lower_bits 0.13536642137348287 -> 0.13536642137257338,
         # rate_budget_bits and the achievability margin by -1.3e-12, the
         # converse margin by +9.1e-13, bounds.info_rate_bits removed,
-        # schema_version 5 -> 6
+        # schema_version 5 -> 6.  Re-recorded when the search's first step
+        # took the slope of the bracket ends' cubic Hermite interpolant:
+        # solver_point mu 1.1600762019680764 -> 1.160079216120311, rate_bits
+        # 0.1354245808125402 -> 0.1354251609052989, cost 0.24994986623222004
+        # -> 0.24994936618575422, info_rate_lower_bits 0.13536642137257338 ->
+        # 0.13536642135391447, rate_budget_bits and the achievability margin
+        # by -2.6e-11, the converse margin by +1.9e-11; the selector, the
+        # realizations and the trials are unchanged
         spec_path = write_spec(tmp_path, spec_document(sticky_tracking(4)))
         out = tmp_path / "golden"
         code = main(["synth", "--spec", spec_path, "--D", "0.25", "--out", str(out),
@@ -878,7 +894,7 @@ class TestSynthCommand:
         assert doc["selector"]["case"] == "boundary-mixed"
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "8bca09eb15bd12ceac526d06b87725a3360c35c9102aa2a6c407d16467f77353"
+            "92b22ebc5e7edc4df9b621e872a4d50219c8978f254338b99043e1cf959e3214"
 
     def test_block_of_one_bundle_byte_identical(self, tmp_path):
         # a budget of 16 entries makes the cloud evaluate two realizations

@@ -21,6 +21,7 @@ from ratecost.instances import (
     drive_to_zero,
     min_open_loop_cost,
     noisy_actuator,
+    random_markov_panel,
     sticky_tracking,
 )
 from ratecost.scheme import (
@@ -53,7 +54,6 @@ from oracles import (
     enumerate_joint,
     full_history_spec,
     race_selection,
-    random_markov_panel,
     without_markov,
 )
 

@@ -1,6 +1,7 @@
 """Smoke runs of the example scripts at small settings, and of the README's
 library tour."""
 
+import csv
 import os
 import pathlib
 import subprocess
@@ -16,6 +17,7 @@ SCRIPTS = ROOT / "scripts"
 # small settings per script; "{tmp}" is replaced by the test's directory
 ARGS = {
     "make_example_specs.py": ["--out", "{tmp}/specs"],
+    "run_query_panel.py": ["--random", "2", "--out", "{tmp}/panel.csv"],
     "run_rd_tradeoff.py": ["--points", "3", "--out", "{tmp}/rd.csv"],
     "run_sandwich_demo.py": ["--trials", "500"],
 }
@@ -36,6 +38,16 @@ def test_script_runs(tmp_path, name):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
+    if name == "run_query_panel.py":
+        # eight shipped specs at eight shares and two random ones at three,
+        # every query answered or refused below the floor, none unconverged
+        with open(tmp_path / "panel.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8 * 8 + 2 * 3
+        assert {r["outcome"] for r in rows} <= {"ok", "infeasible"}
+        assert all(r["converged"] == "True" for r in rows if r["outcome"] == "ok")
+        assert done.stdout.startswith("queries 70 ")
+        assert " unconverged 0 " in done.stdout
 
 
 def test_readme_library_tour_runs(capsys):

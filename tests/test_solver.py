@@ -19,6 +19,7 @@ from ratecost.instances import (
     drive_to_zero,
     min_open_loop_cost,
     noisy_actuator,
+    random_markov_panel,
     sticky_tracking,
 )
 from ratecost.scheme import SchemeOptions, run_trials, synthesize
@@ -51,7 +52,6 @@ from oracles import (
     full_history_spec,
     grid_marginal_search,
     lagrangian_value_given_marginals,
-    random_markov_panel,
     without_markov,
 )
 
@@ -372,12 +372,20 @@ class TestLeanLoop:
         # nothing else changed.  Re-recorded when the round-off allowance
         # gained its absolute term: the three rate_lower values fell by
         # 9.1e-13 (to 0.0631753569651924, 0.03758630885283328 and
-        # 0.017070412359920628); nothing else changed
+        # 0.017070412359920628); nothing else changed.  Re-recorded when the
+        # search's first step took the slope of the cubic Hermite
+        # interpolant of the bracket ends: the sweep is unchanged; the three
+        # answers' multipliers 15.8719/12.1545/9.9798 -> 15.8101/12.2056/
+        # 9.9827, rates 0.064719/0.038221/0.017556 -> 0.064368/0.038662/
+        # 0.017586 (up by at most 4.4e-4, under mu * bisect_cost_tol), costs
+        # by at most 3.6e-5, rate_lower 0.0631754/0.0375863/0.0170704 ->
+        # 0.0631807/0.0375826/0.0170703, maps 5/5/5 -> 5/5/7, the tables by
+        # at most 4.7e-3; all three still converge
         digest = hashlib.sha256()
         for p in noisy6_run[0]:
             digest.update(point_repr(p).encode())
         assert digest.hexdigest() == \
-            "e7baf61fc381e3d9d0c0d69b974cb4c6e93f65943baf4def788a884b920bff58"
+            "eb5a21e0e711525d62d8d339b99e6af709c0d4fbb55ac4eda869f7abc2f525f2"
 
     def test_noisy6_answers_meet_the_benchmark_reference(self, noisy6_run):
         # the benchmark's own check of its curve workload (perfbench/
@@ -453,11 +461,12 @@ class TestLeanLoop:
 
 
 @pytest.mark.parametrize("name, restarts, bound", [
-    ("noisy3", 1, 70), ("sticky4", 1, 185), ("drive2", 8, 13)])
+    ("noisy3", 1, 70), ("sticky4", 1, 185), ("drive2", 8, 12)])
 def test_mid_curve_query_maps(name, restarts, bound):
     # one mid-curve query with its cut sweep; one SQUAREM step per chain ->
     # per row: noisy3 126 -> 61, sticky4 205 -> 171, drive2 at the default
-    # eight restarts 13 -> 13
+    # eight restarts 13 -> 13; the first search step on the bracket ends'
+    # slopes: drive2 13 -> 12 (two search solves fewer)
     spec = BOUNDED_SPECS[name]()
     budget = 0.5 * (min_expected_cost(spec) + min_open_loop_cost(spec)[0])
     maps = maps_of(lambda: solve_rate_cost(spec, budget, SolverOptions(restarts=restarts)))
@@ -490,19 +499,25 @@ def test_extrapolate_steps_each_row_within_the_chain_step():
 
 
 class TestCarry:
-    """A solved point hands a solve warm-started from it the marginals its
-    policy induces and the rows they live on."""
+    """A solved point hands a solve warm-started from it the floored log2
+    marginals its policy induces and the rows they live on."""
 
     @pytest.mark.parametrize("restarts", [1, 4])
     @pytest.mark.parametrize("markov", [True, False])
     def test_carried_marginals_are_the_forward_pass(self, markov, restarts):
+        # the best chain's rows of the last certificate's image are the
+        # floored log2 of the forward pass on every reached context, and
+        # the floored uniform row on the others
+        solver = ratecost.solver
         spec = sticky_tracking(4) if markov else without_markov(sticky_tracking(4))
         _, raw = sweep_curve(spec, SolverOptions(restarts=restarts))
         for p in raw:
-            rows, marginals = p._carry
+            rows, logq = p._carry
             assert rows is spec.rows and rows.markov == markov
-            tables = [tab[None] for tab in p.policy.tables]
-            assert np.array_equal(marginals, rows.forward(tables)[0])
+            induced = rows.forward([tab[None] for tab in p.policy.tables])[0]
+            reached = induced.sum(axis=1, keepdims=True) > 0.0
+            assert np.array_equal(logq, np.where(reached, solver._floored(
+                solver._log2(induced)), solver._uniform_row(rows.U)))
 
     def test_carry_leaves_every_point_bit_identical(self, monkeypatch):
         # the same sweep and query with each point's carry dropped, so that
@@ -519,6 +534,83 @@ class TestCarry:
         monkeypatch.setattr(ratecost.solver, "solve_lagrangian", lambda *args, **kwargs:
                             dataclasses.replace(original(*args, **kwargs), _carry=None))
         assert all(same_point(a, b) for a, b in zip(carried, run(), strict=True))
+
+
+class TestExactPasses:
+    """A sweep runs its points' exact passes together, in blocks within the
+    budget, and the cost floor runs once per spec."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Events ("solve", mu) and ("pass", batch size) in call order."""
+        events = []
+        solve = ratecost.solver.solve_lagrangian
+        exact = ratecost.system.Rows.operating_point
+
+        def counted_solve(spec, mu, *args, **kwargs):
+            events.append(("solve", mu))
+            return solve(spec, mu, *args, **kwargs)
+
+        def counted_pass(rows, tables):
+            events.append(("pass", tables[0].shape[0]))
+            return exact(rows, tables)
+
+        monkeypatch.setattr(ratecost.solver, "solve_lagrangian", counted_solve)
+        monkeypatch.setattr(ratecost.system.Rows, "operating_point", counted_pass)
+        return events
+
+    @pytest.mark.parametrize("make, batches", [
+        (lambda: noisy_actuator(6), [22]),
+        (lambda: without_markov(noisy_actuator(4)), [22]),
+        # 252 table entries and 5 * 128 per policy: blocks of 5
+        (lambda: dataclasses.replace(noisy_actuator(6), budget=5 * (252 + 5 * 128)),
+         [5, 5, 5, 5, 2])], ids=["noisy6", "history4", "noisy6-blocks"])
+    def test_batched_sweep_equals_single_passes(self, make, batches, monkeypatch):
+        spec = make()
+        events = self.recorded(monkeypatch)
+        _, raw = sweep_curve(spec, SolverOptions(restarts=1))
+        monkeypatch.undo()
+        assert [size for kind, size in events if kind == "pass"] == batches
+        for p in raw:
+            rate, cost, _, _ = spec.rows.operating_point(
+                [tab[None] for tab in p.policy.tables])
+            assert (rate[0], cost[0]) == (p.rate, p.cost)
+
+    def test_cut_sweep_passes_end_at_the_stopping_point(self, monkeypatch):
+        # a point whose objective leaves its cost in doubt is passed alone
+        # right after its solve; the sweep's last solve and last single pass
+        # are the point above the budget, and one batch passes the rest
+        spec, opts = noisy_actuator(6), SolverOptions(restarts=1)
+        floor, open_loop = min_expected_cost(spec), min_open_loop_cost(spec)[0]
+        budget = floor + 0.5 * (open_loop - floor)
+        events = self.recorded(monkeypatch)
+        _, raw = sweep_curve(spec, opts, until_cost=budget)
+        monkeypatch.undo()
+        by_mu = {p.multiplier: p for p in raw}
+        solved = [mu for kind, mu in events if kind == "solve"]
+        alone = [events[i - 1][1] for i, e in enumerate(events)
+                 if e[0] == "pass" and events[i - 1][0] == "solve"]
+        assert solved[-1] == alone[-1] == min(by_mu)
+        assert [p.multiplier for p in raw if p.cost > budget] == [solved[-1]]
+        assert events[-1] == ("pass", len(raw) - len(alone)) and len(alone) < len(raw)
+        for mu in solved:
+            p = by_mu[mu]
+            if mu in alone:
+                assert p.objective > mu * budget * (1.0 - 1e-9)
+            else:
+                assert p.objective <= mu * budget and p.cost <= budget
+
+    def test_cost_dp_once_per_spec(self, monkeypatch):
+        spec, opts = sticky_tracking(4), SolverOptions(restarts=1)
+        cost_dp, calls = ratecost.solver._cost_dp, []
+        monkeypatch.setattr(ratecost.solver, "_cost_dp",
+                            lambda spec: calls.append(spec) or cost_dp(spec))
+        floor, open_loop = min_expected_cost(spec), min_open_loop_cost(spec)[0]
+        _, raw = sweep_curve(spec, opts)
+        for share in (0.25, 0.5, 0.75):
+            solve_rate_cost(spec, floor + share * (open_loop - floor), opts, sweep=raw)
+        assert ratecost.solver.cost_floor_point(spec) is ratecost.solver.cost_floor_point(spec)
+        assert calls == [spec]
 
 
 class TestRows:
@@ -827,7 +919,9 @@ class TestBoundedSweep:
         monkeypatch.setattr(ratecost.solver, "solve_lagrangian", counted)
         q = solve_rate_cost(spec, budget, self.OPTS, sweep=full)
         assert q.converged and q.cost <= budget
-        assert len(searched) <= 5       # bisection took up to 11 on these
+        # bisection took up to 11 on these; false position and the first
+        # step on the ends' slopes up to 5 (bernoulli3 and sticky4 at 0.1)
+        assert len(searched) <= 5
         points = full + searched
         over = [p.multiplier for p in points if p.cost > budget]
         if not over:                    # nothing to bracket
@@ -840,9 +934,10 @@ class TestBoundedSweep:
                 or hi - lo <= 1e-12 * max(1.0, hi))
 
     def test_mid_curve_query_search_solves(self, monkeypatch):
-        # after the cut sweep (2^10 ... 2^0), false position meets the
-        # window in four solves at the bracket gap (the midpoint bisection
-        # took eight), and the fourth, the answer, is solved again to tol
+        # after the cut sweep (2^10 ... 2^0), the search meets the window in
+        # three solves at the bracket gap (false position alone took four,
+        # the midpoint bisection eight), and the third, the answer, is
+        # solved again to tol
         spec = sticky_tracking(4)
         budget = 0.5 * (min_expected_cost(spec) + min_open_loop_cost(spec)[0])
         solves = []
@@ -856,9 +951,9 @@ class TestBoundedSweep:
         q = solve_rate_cost(spec, budget, self.OPTS)
         tol, loose = self.OPTS.tol, ratecost.solver._BRACKET_GAP
         assert solves[:11] == [(2.0 ** k, tol) for k in range(10, -1, -1)]
-        assert len(solves) == 11 + 4 + 1
-        assert all(1.0 < mu < 2.0 and gap == loose for mu, gap in solves[11:15])
-        assert solves[15] == (solves[14][0], tol) == (q.multiplier, tol)
+        assert len(solves) == 11 + 3 + 1
+        assert all(1.0 < mu < 2.0 and gap == loose for mu, gap in solves[11:14])
+        assert solves[14] == (solves[13][0], tol) == (q.multiplier, tol)
         assert 0.0 <= budget - q.cost <= self.OPTS.bisect_cost_tol
 
     @pytest.mark.parametrize("share", [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.5])
