@@ -11,15 +11,9 @@ from .system import (
     CausalPolicy,
     DimensionMismatchError,
     InvariantError,
-    JointLaw,
     NormalizationError,
     SystemSpec,
-    average_cost,
-    conditional_action_entropies,
-    directed_information,
     entropy_bits,
-    evaluate_joint,
-    stage_information_terms,
 )
 
 __all__ = [
@@ -27,13 +21,7 @@ __all__ = [
     "CausalPolicy",
     "DimensionMismatchError",
     "InvariantError",
-    "JointLaw",
     "NormalizationError",
     "SystemSpec",
-    "average_cost",
-    "conditional_action_entropies",
-    "directed_information",
     "entropy_bits",
-    "evaluate_joint",
-    "stage_information_terms",
 ]

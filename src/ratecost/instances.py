@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .system import CausalPolicy, SystemSpec, evaluate_joint
+from .system import CausalPolicy, SystemSpec, average_cost, evaluate_joint
 
 
 def drive_to_zero(horizon: int, flip: float = 0.9, initial_one: float = 0.5) -> SystemSpec:
@@ -79,35 +79,6 @@ def product_bernoulli_source(horizon: int, p: float, k: int) -> SystemSpec:
     return SystemSpec.from_source(marg, tx, cost, horizon, num_actions=size)
 
 
-def symmetric_pair(crossover: float = 0.11):
-    """One-shot uniform binary state with a binary-symmetric action channel.
-
-    Returns (spec, policy): the policy rows are the crossover channel, so
-    the induced pair is the doubly symmetric binary pair.
-    """
-    spec = SystemSpec.from_markov(
-        initial=np.array([0.5, 0.5]),
-        transition=np.full((2, 2, 2), 0.5),
-        cost=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        horizon=1,
-    )
-    row = np.array([[1.0 - crossover, crossover], [crossover, 1.0 - crossover]])
-    policy = CausalPolicy((row[None, :, :],))
-    return spec, policy
-
-
-def xor_reference(horizon: int = 2, flip: float = 0.9):
-    """Fixed 2-state/2-action system with a deterministic mirror policy.
-
-    The policy plays u_t = x_t, so under the XOR dynamics the next state
-    is driven toward 0 with probability ``flip``.  Used as the frozen
-    enumeration-oracle instance.
-    """
-    spec = drive_to_zero(horizon, flip=flip)
-    policy = CausalPolicy.from_choices(spec, lambda t, x_hist, u_hist: x_hist[-1])
-    return spec, policy
-
-
 def random_markov_panel(count: int = 300) -> list[SystemSpec]:
     """The first ``count`` random 2x2 Markov specs of ``default_rng(0)``.
     Spec i, counting from 0, draws in order: n = integers(1, 4), the
@@ -129,8 +100,6 @@ def min_open_loop_cost(spec: SystemSpec) -> tuple[float, tuple[int, ...]]:
     Rate-zero policies are exactly the state-ignoring ones, and among those
     the expected cost is minimized at a deterministic sequence.
     """
-    from .system import average_cost
-
     best = (np.inf, ())
     U = spec.num_actions
     for seq in np.ndindex(*([U] * spec.horizon)):

@@ -85,13 +85,6 @@ def log_gap_budget(info_rate: float, horizon: int) -> float:
     return info_rate + math.log2(info_rate + 3.4) + 2.0 + 1.0 / horizon
 
 
-def per_coordinate_overhead(per_coord_info_rate: float, k: int, horizon: int
-                            ) -> float:
-    """Additive rate overhead per coordinate for k i.i.d. coordinates."""
-    return (math.log2(k * per_coord_info_rate + 3.4) / k + 2.0 / k
-            + 1.0 / (k * horizon))
-
-
 @dataclass
 class SchemeOptions:
     epsilon: float = 0.1

@@ -115,29 +115,20 @@ its plant row p_t, so the term is E log2 pi_t(U_t | U^{t-1}, P_t) / P(U_t
 times pi_t.  For a Markov spec the kernel also reads x^t only through x_t,
 so the mass of a stage-(t+1) row (u^t, x_{t+1}) is a sum over x_t of
 stage-t masses times the kernel, and the x_t rows carry the exact term
-from stage to stage.  The stage cost reads only (x_t, u_t).
-``evaluate_joint`` and ``directed_information`` on the trajectory law
-stay the oracle.
+from stage to stage.  The stage cost reads only (x_t, u_t).  The tests
+check this pass against literal sums over the enumerated trajectory law
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .system import (
-    CausalPolicy,
-    InvariantError,
-    Rows,
-    SystemSpec,
-    average_cost,
-    directed_information,
-    evaluate_joint,
-)
+from .system import CausalPolicy, InvariantError, Rows, SystemSpec
 from .timeshare import lower_hull
 
 _LOG_FLOOR = -1000.0
@@ -162,10 +153,6 @@ class InfeasibleCostError(ValueError):
             f"cost budget {requested} infeasible; minimum achievable average "
             f"cost is {minimum}"
         )
-
-
-class InstanceTooLargeError(ValueError):
-    """Exhaustive search over the policy grid would be astronomically large."""
 
 
 @dataclass
@@ -715,59 +702,3 @@ def _lower_rate(p: RateCostPoint, best: RateCostPoint) -> bool:
     """``p`` has a lower rate than ``best``, or the same rate at a lower cost."""
     return p.rate < best.rate - 1e-15 or (abs(p.rate - best.rate) <= 1e-15
                                           and p.cost < best.cost)
-
-
-def brute_force_rate_cost(spec: SystemSpec, budget_cost: float,
-                          resolution: float = 0.01,
-                          max_combos: int = 250_000) -> RateCostPoint:
-    """Certification oracle: exhaustive grid over every policy-row simplex.
-
-    Enforced to instances whose total policy parameter count (probability
-    entries across all rows) is at most 12, and to grids of at most
-    ``max_combos`` policies, checked before any is evaluated.  Each grid
-    policy goes through ``evaluate_joint``; the information term is
-    computed only for policies within the budget.  A grid policy costs
-    about 85 us (a 2-vCPU Xeon VM), so the default cap is about 20 s.
-    Returns the best grid point with cost <= budget; ties broken toward
-    lower cost.
-    """
-    n, X, U = spec.horizon, spec.num_states, spec.num_actions
-    rows = [U ** (t - 1) * X ** t for t in range(1, n + 1)]
-    n_params = sum(rows) * U
-    if n_params > 12:
-        raise InstanceTooLargeError(
-            f"{n_params} policy parameters exceed the brute-force cap of 12"
-        )
-    steps = int(round(1.0 / resolution))
-    simplex = [np.array(c, dtype=float) / steps
-               for c in itertools.product(range(steps + 1), repeat=U)
-               if sum(c) == steps]
-    total_rows = sum(rows)
-    n_combos = len(simplex) ** total_rows
-    if n_combos > max_combos:
-        raise InstanceTooLargeError(
-            f"{n_combos} grid combinations exceed the cap of {max_combos}"
-        )
-    best = None
-    min_cost_seen = math.inf
-    bounds = np.cumsum([0] + rows)
-    for combo in itertools.product(simplex, repeat=total_rows):
-        policy = CausalPolicy(tuple(np.reshape(combo[a:b], (U ** t, X ** (t + 1), U))
-                                    for t, (a, b) in enumerate(zip(bounds, bounds[1:]))))
-        law = evaluate_joint(spec, policy)
-        cost = average_cost(law, spec)
-        min_cost_seen = min(min_cost_seen, cost)
-        if cost > budget_cost + 1e-12:
-            continue
-        rate = directed_information(law) / n
-        if best is None or (rate, cost) < (best.rate, best.cost):
-            best = RateCostPoint(rate=rate, cost=cost, multiplier=math.nan,
-                                 policy=policy)
-    if best is None:
-        raise InfeasibleCostError(budget_cost, min_cost_seen)
-    return best
-
-
-def grid_slack(resolution: float) -> float:
-    """Documented tolerance credited to a grid oracle at a given resolution."""
-    return 2.0 * resolution

@@ -4,17 +4,20 @@ A system is a horizon-n sequence of state kernels over a finite state
 alphabet plus a nonnegative per-stage cost table.  A causal policy assigns
 one conditional pmf over actions to every observable history
 (x_1..x_t, u_1..u_{t-1}), stored on rows (action context, plant row).
-Together they induce a joint law over trajectories, from which average
-costs, conditional action entropies, and the causally conditioned
-information flow from states to actions are computed exactly by dense
-enumeration.
+Together they induce a joint law over trajectories.  Its exact average
+cost and causally conditioned information flow from states to actions
+(the directed information) come from one forward pass over the policy
+rows, ``Rows.operating_point``.  The flat trajectory law itself
+(``JointLaw``, ``evaluate_joint``, ``average_cost``) stays only for the
+open-loop brute force of ``instances.min_open_loop_cost``, until the
+open-loop cost runs on the rows.
 
 Trajectory indexing is stage-major big-endian: the flat index of
 (x_1,u_1,...,x_n,u_n) is built by repeated ``idx = (idx*X + x_t)*U + u_t``,
 so the length-t prefix of a trajectory is ``idx // (X*U)**(n-t)``.  Joint
 laws and full-history kernels live on these flat (history, state) rows; a
 Markov spec holds only its (initial, transition) pair, and ``stage_kernel``
-derives its flat rows on demand for the oracle.  State keys (x_1..x_t) and
+derives its flat rows on demand.  State keys (x_1..x_t) and
 action contexts (u_1..u_{t-1}) are big-endian over X and U; policies live
 on (context, plant row) rows, the plant row being the state key mod P_t.
 ``history_digits`` and ``policy_rows`` are the only implementation of the
@@ -33,7 +36,6 @@ values, and either is kept.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -329,9 +331,9 @@ class Rows:
         stage's pair mass P(u^{n-1}, u_n), (B, U**(n-1), U): the action
         law.  Every reduction runs along one policy's entries, so a
         policy's numbers do not depend on the batch it is evaluated in.
-        Checks what ``JointLaw`` and ``stage_information_terms`` check: the
-        total mass within ``MASS_TOL`` and every stage term above -1e-9; a
-        term in (-1e-9, 0) counts as 0.
+        Raises ``NormalizationError`` when a policy's total mass is off 1
+        by more than ``MASS_TOL`` and ``InvariantError`` when a stage term
+        is below -1e-9; a term in (-1e-9, 0) counts as 0.
         """
         B = tables[0].shape[0]
         mass = self.initial
@@ -429,34 +431,6 @@ class CausalPolicy:
         return cls(tuple(np.broadcast_to(np.eye(U)[int(seq[t - 1])], (U ** (t - 1), X, U))
                          for t in range(1, spec.horizon + 1)))
 
-    @classmethod
-    def state_ignoring(cls, spec: SystemSpec, stage_rows) -> "CausalPolicy":
-        """Policy that may look at past actions but never at states.
-
-        ``stage_rows[t-1]`` has shape (U**(t-1), U), indexed by the
-        big-endian action history.
-        """
-        X = spec.num_states
-        return cls(tuple(np.repeat(np.asarray(rows, dtype=float)[:, None], X, axis=1)
-                         for rows in stage_rows))
-
-    @classmethod
-    def from_choices(cls, spec: SystemSpec, choose) -> "CausalPolicy":
-        """Deterministic policy from ``choose(t, x_hist, u_hist) -> action``.
-
-        Enumerates every history explicitly; meant for tests and tiny specs.
-        """
-        X, U = spec.num_states, spec.num_actions
-        tabs = []
-        for t in range(1, spec.horizon + 1):
-            tab = np.zeros((U ** (t - 1), X ** t, U))
-            for c, u_hist in enumerate(itertools.product(range(U), repeat=t - 1)):
-                for k, x_hist in enumerate(itertools.product(range(X), repeat=t)):
-                    tab[c, k, int(choose(t, x_hist, u_hist))] = 1.0
-            tabs.append(tab)
-        return cls(tuple(tabs))
-
-
 @dataclass(frozen=True, eq=False)
 class JointLaw:
     """Exact trajectory law over (x_1,u_1,...,x_n,u_n), stage-major flat."""
@@ -486,32 +460,12 @@ class JointLaw:
         flat = self.probs.reshape((X * U) ** t, -1).sum(axis=1)
         return flat.reshape((X, U) * t)
 
-    def action_marginal(self, t: int | None = None) -> np.ndarray:
-        """Marginal of (u_1,...,u_t), axes (U,)*t.  Defaults to the full horizon."""
-        t = self.horizon if t is None else t
-        pre = self.prefix_marginal(t)
-        return pre.sum(axis=tuple(range(0, 2 * t, 2)))
-
-    def state_marginal(self, t: int | None = None) -> np.ndarray:
-        """Marginal of (x_1,...,x_t), axes (X,)*t."""
-        t = self.horizon if t is None else t
-        pre = self.prefix_marginal(t)
-        return pre.sum(axis=tuple(range(1, 2 * t, 2)))
-
     def stage_pair_marginal(self, t: int) -> np.ndarray:
         """Marginal of (x_t, u_t), shape (X, U)."""
         pre = self.prefix_marginal(t)
         keep = (2 * t - 2, 2 * t - 1)
         axes = tuple(a for a in range(2 * t) if a not in keep)
         return pre.sum(axis=axes)
-
-    def trajectories(self):
-        """Yield ((x_1..x_n), (u_1..u_n), prob) for trajectories with mass."""
-        idx = np.flatnonzero(self.probs)
-        xs, us = history_digits(idx, self.num_states, self.num_actions,
-                                self.horizon)
-        for i, x_path, u_path in zip(idx, xs.tolist(), us.tolist()):
-            yield tuple(x_path), tuple(u_path), float(self.probs[i])
 
 
 def evaluate_joint(spec: SystemSpec, policy: CausalPolicy) -> JointLaw:
@@ -541,48 +495,3 @@ def average_cost(law: JointLaw, spec: SystemSpec) -> float:
     for t in range(1, law.horizon + 1):
         total += float((law.stage_pair_marginal(t) * spec.cost).sum())
     return total / law.horizon
-
-
-def stage_information_terms(law: JointLaw) -> list[float]:
-    """Per-stage terms I(X_{1..t}; U_t | U_{1..t-1}) in bits, each >= 0."""
-    terms = []
-    for t in range(1, law.horizon + 1):
-        m1 = law.prefix_marginal(t)                       # (X,U)^t
-        m0 = m1.sum(axis=2 * t - 1, keepdims=True)        # drop u_t
-        x_axes = tuple(range(0, 2 * t, 2))
-        a1 = m1.sum(axis=x_axes, keepdims=True)           # actions only
-        a0 = a1.sum(axis=2 * t - 1, keepdims=True)
-        mask = m1 > 0.0
-        num = np.where(mask, m1 * np.broadcast_to(a0, m1.shape), 1.0)
-        den = np.where(mask, np.broadcast_to(m0 * a1, m1.shape), 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_ratio = np.log2(num / den)
-        # below ~1e-200 the products underflow; take the logs apart there
-        bad = mask & ~np.isfinite(log_ratio)
-        m0, a0, a1 = (np.broadcast_to(a, m1.shape)[bad] for a in (m0, a0, a1))
-        log_ratio[bad] = np.log2(m1[bad]) + np.log2(a0) - np.log2(m0) - np.log2(a1)
-        term = float((m1 * log_ratio)[mask].sum())
-        if term < -1e-9:
-            raise InvariantError(f"stage information term {term} below -1e-9")
-        terms.append(max(term, 0.0))
-    return terms
-
-
-def directed_information(law: JointLaw) -> float:
-    """Causally conditioned information from states to actions, in bits."""
-    return float(sum(stage_information_terms(law)))
-
-
-def conditional_action_entropies(law: JointLaw) -> list[float]:
-    """H(U_t | U_{1..t-1}) in bits for each stage t."""
-    out = []
-    prev = 0.0
-    for t in range(1, law.horizon + 1):
-        cur = entropy_bits(law.action_marginal(t))
-        h = cur - prev
-        cap = np.log2(law.num_actions)
-        if h < -1e-9 or h > cap + 1e-9:
-            raise InvariantError(f"conditional action entropy {h} out of [0, {cap}]")
-        out.append(min(max(h, 0.0), cap))
-        prev = cur
-    return out

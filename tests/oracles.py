@@ -1,21 +1,36 @@
 """Independent reference implementations used only to check the library.
 
 Everything here is deliberately written the slow, literal way (dicts,
-nested loops, defining sums) so it shares no code path with the package.
-Two spec builders that several test modules share live here too: a
-full-history spec no Markov spec can express and a Markov spec's
-full-history twin.  ``SPEC_SCHEMA`` is the JSON Schema of a spec file's
-structure, the reference ``parse_spec``'s own checks are held to.
+nested loops, defining sums) so it shares no code path with the package:
+a trajectory law is the dict of ``enumerate_joint``, and every quantity
+of it is a defining sum over that dict.  The brute-force rate-cost grid
+(``brute_force_rate_cost``) evaluates each grid policy that way.  The
+race's entropy and fidelity readers (``estimate_stage_entropy``,
+``stage_entropy_given_tables``, ``conditional_fidelity``) run the
+package's race maps, which they check, on context and row masses taken
+from the dict.
+
+Fixtures that several test modules share live here too: a full-history
+spec no Markov spec can express and a Markov spec's full-history twin,
+the doubly symmetric binary pair (``symmetric_pair``), state-ignoring and
+choice-built policies, and the paper's rate overhead per coordinate of k
+i.i.d. coordinates (``per_coordinate_overhead``).  ``SPEC_SCHEMA`` is the
+JSON Schema of a spec file's structure, the reference ``parse_spec``'s
+own checks are held to.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ratecost import SystemSpec
+from ratecost import CausalPolicy, SystemSpec
+from ratecost.sfrl import race_maps, stage_maps
+from ratecost.solver import InfeasibleCostError, RateCostPoint
+from ratecost.system import DEFAULT_BUDGET
 
 
 SPEC_SCHEMA = {
@@ -81,28 +96,31 @@ def without_markov(spec):
 
 
 def enumerate_joint(spec, policy):
-    """Hand-rolled forward enumeration: {(x_seq, u_seq): prob}.
+    """Hand-rolled forward enumeration: {(x_seq, u_seq): prob}, in
+    lexicographic order of (x_seq, u_seq).
 
-    The kernel row is the flat (x, u)-history index; the policy row is the
-    action context u^{t-1} and the plant row key(x^t) mod the table's plant
-    rows (x_t for a Markov table, x^t for a full-history one).
+    Each stage extends every trajectory prefix of positive mass by one pair
+    (x_t, u_t), multiplying in the kernel entry and then the policy entry,
+    so a prefix of zero mass is never extended.  The kernel row is the flat
+    (x, u)-history index; the policy row is the action context u^{t-1} and
+    the plant row key(x^t) mod the table's plant rows (x_t for a Markov
+    table, x^t for a full-history one).
     """
-    n, X, U = spec.horizon, spec.num_states, spec.num_actions
-    kernels = [spec.stage_kernel(t) for t in range(1, n + 1)]
-    out = {}
-    for xs in itertools.product(range(X), repeat=n):
-        for us in itertools.product(range(U), repeat=n):
-            p = 1.0
-            hidx = 0
-            for t in range(n):
-                tab = policy.tables[t]
-                plant = big_endian_key(xs[:t + 1], X) % tab.shape[1]
-                p *= kernels[t][hidx, xs[t]]
-                p *= tab[big_endian_key(us[:t], U), plant, us[t]]
-                hidx = (hidx * X + xs[t]) * U + us[t]
-            if p > 0.0:
-                out[(xs, us)] = p
-    return out
+    X, U = spec.num_states, spec.num_actions
+    prefixes = {((), ()): (1.0, 0)}      # (x^t, u^t) -> (mass, history index)
+    for t, tab in enumerate(policy.tables):
+        kernel = spec.stage_kernel(t + 1)
+        grown = {}
+        for (xs, us), (p, hidx) in prefixes.items():
+            for x in range(X):
+                px = p * kernel[hidx, x]
+                plant = big_endian_key(xs + (x,), X) % tab.shape[1]
+                for u in range(U):
+                    q = px * tab[big_endian_key(us, U), plant, u]
+                    if q > 0.0:
+                        grown[(xs + (x,), us + (u,))] = (q, (hidx * X + x) * U + u)
+        prefixes = grown
+    return {key: prefixes[key][0] for key in sorted(prefixes)}
 
 
 def average_cost_from_dict(law, cost, n):
@@ -113,8 +131,10 @@ def average_cost_from_dict(law, cost, n):
 
 
 def directed_information_from_dict(law, n):
-    """Defining sum of the per-stage conditional mutual informations."""
-    total = 0.0
+    """Defining sums of the per-stage conditional mutual informations
+    I(X_{1..t}; U_t | U_{1..t-1}), t = 1..n; the directed information is
+    their sum."""
+    terms = []
     for t in range(1, n + 1):
         # joint over (x_{1..t}, u_{1..t}) and the needed marginals
         m1, m0, a1, a0 = {}, {}, {}, {}
@@ -124,9 +144,12 @@ def directed_information_from_dict(law, n):
             m0[(kx, ku[:-1])] = m0.get((kx, ku[:-1]), 0.0) + p
             a1[ku] = a1.get(ku, 0.0) + p
             a0[ku[:-1]] = a0.get(ku[:-1], 0.0) + p
-        for (kx, ku), p in m1.items():
-            total += p * math.log2(p * a0[ku[:-1]] / (m0[(kx, ku[:-1])] * a1[ku]))
-    return total
+        # the log of the ratio taken apart, so that subnormal masses do not
+        # underflow the products
+        terms.append(sum(p * (math.log2(p) + math.log2(a0[ku[:-1]])
+                              - math.log2(m0[(kx, ku[:-1])]) - math.log2(a1[ku]))
+                         for (kx, ku), p in m1.items()))
+    return terms
 
 
 def conditional_action_entropies_from_dict(law, n):
@@ -141,6 +164,109 @@ def conditional_action_entropies_from_dict(law, n):
             h -= p * math.log2(p / a0[ku[:-1]])
         out.append(h)
     return out
+
+
+def action_law_from_dict(law, t, num_actions):
+    """P(u_1..u_t), an array of shape (U,) * t."""
+    out = np.zeros((num_actions,) * t)
+    for (_, us), p in law.items():
+        out[us[:t]] += p
+    return out
+
+
+def state_ignoring_policy(spec, stage_rows):
+    """Policy that may look at past actions but never at states:
+    ``stage_rows[t-1]``, (U**(t-1), U), over the big-endian action
+    contexts, repeated over the X plant rows."""
+    X = spec.num_states
+    return CausalPolicy(tuple(np.repeat(np.asarray(rows, dtype=float)[:, None], X, axis=1)
+                              for rows in stage_rows))
+
+
+def policy_from_choices(spec, choose):
+    """Deterministic policy on state-history rows from ``choose(t, x_hist,
+    u_hist) -> action``, every history enumerated explicitly."""
+    X, U = spec.num_states, spec.num_actions
+    tabs = []
+    for t in range(1, spec.horizon + 1):
+        tab = np.zeros((U ** (t - 1), X ** t, U))
+        for c, u_hist in enumerate(itertools.product(range(U), repeat=t - 1)):
+            for k, x_hist in enumerate(itertools.product(range(X), repeat=t)):
+                tab[c, k, int(choose(t, x_hist, u_hist))] = 1.0
+        tabs.append(tab)
+    return CausalPolicy(tuple(tabs))
+
+
+def symmetric_pair(crossover=0.11):
+    """One-shot uniform binary state with a binary-symmetric action channel.
+
+    Returns (spec, policy): the policy rows are the crossover channel, so
+    the induced pair is the doubly symmetric binary pair.
+    """
+    spec = SystemSpec.from_markov(
+        initial=np.array([0.5, 0.5]),
+        transition=np.full((2, 2, 2), 0.5),
+        cost=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        horizon=1,
+    )
+    row = np.array([[1.0 - crossover, crossover], [crossover, 1.0 - crossover]])
+    return spec, CausalPolicy((row[None, :, :],))
+
+
+class InstanceTooLargeError(ValueError):
+    """Exhaustive search over the policy grid would be astronomically large."""
+
+
+def brute_force_rate_cost(spec, budget_cost, resolution=0.01, max_combos=250_000):
+    """Certification oracle: exhaustive grid over every policy-row simplex.
+
+    Enforced to instances whose total policy parameter count (probability
+    entries across all rows) is at most 12, and to grids of at most
+    ``max_combos`` policies, checked before any is evaluated.  Each grid
+    policy's law comes from ``enumerate_joint`` and its cost from the
+    defining sum; the information term is summed only for policies within
+    the budget.  Returns the best grid point with cost <= budget; ties
+    broken toward lower cost.  Raises ``InfeasibleCostError`` with the
+    grid's least cost when no grid policy is within the budget.
+    """
+    n, X, U = spec.horizon, spec.num_states, spec.num_actions
+    rows = [U ** (t - 1) * X ** t for t in range(1, n + 1)]
+    n_params = sum(rows) * U
+    if n_params > 12:
+        raise InstanceTooLargeError(
+            f"{n_params} policy parameters exceed the brute-force cap of 12")
+    steps = int(round(1.0 / resolution))
+    simplex = [np.array(c, dtype=float) / steps
+               for c in itertools.product(range(steps + 1), repeat=U)
+               if sum(c) == steps]
+    total_rows = sum(rows)
+    n_combos = len(simplex) ** total_rows
+    if n_combos > max_combos:
+        raise InstanceTooLargeError(
+            f"{n_combos} grid combinations exceed the cap of {max_combos}")
+    best = None
+    min_cost_seen = math.inf
+    bounds = np.cumsum([0] + rows)
+    for combo in itertools.product(simplex, repeat=total_rows):
+        policy = CausalPolicy(tuple(np.reshape(combo[a:b], (U ** t, X ** (t + 1), U))
+                                    for t, (a, b) in enumerate(zip(bounds, bounds[1:]))))
+        law = enumerate_joint(spec, policy)
+        cost = average_cost_from_dict(law, spec.cost, n)
+        min_cost_seen = min(min_cost_seen, cost)
+        if cost > budget_cost + 1e-12:
+            continue
+        rate = sum(directed_information_from_dict(law, n)) / n
+        if best is None or (rate, cost) < (best.rate, best.cost):
+            best = RateCostPoint(rate=rate, cost=cost, multiplier=math.nan,
+                                 policy=policy)
+    if best is None:
+        raise InfeasibleCostError(budget_cost, min_cost_seen)
+    return best
+
+
+def grid_slack(resolution):
+    """Documented tolerance credited to a grid oracle at a given resolution."""
+    return 2.0 * resolution
 
 
 def argmin_selection(symbols, times, marginal, conditional):
@@ -324,3 +450,108 @@ def riccati_fixed_point(a, b, q, r, s0=None, iters=100000, tol=1e-14):
             return s_new
         s = s_new
     return s
+
+
+def context_mass(law, t, num_actions):
+    """P(u_1..u_{t-1}) over the big-endian action contexts of stage t."""
+    return action_law_from_dict(law, t - 1, num_actions).reshape(-1)
+
+
+def row_mass(law, t, policy):
+    """P(u_1..u_{t-1}, plant row) on the rows of the policy's stage-t table,
+    (U**(t-1), P): the state history x_1..x_t reads row key(x^t) mod P."""
+    X, U = policy.num_states, policy.num_actions
+    out = np.zeros(policy.tables[t - 1].shape[:2])
+    for (xs, us), p in law.items():
+        out[big_endian_key(us[:t - 1], U), big_endian_key(xs[:t], X) % out.shape[1]] += p
+    return out
+
+
+def _stage_entropies(rows, maps, num_actions):
+    """Exact H(U_t | U_{1..t-1}) in bits under each of the (R, U**(t-1), P)
+    maps, ``rows`` the stage's ``row_mass``.
+
+    With the draws fixed the action is a function of the plant row, so per
+    context the entropy is that of the pushforward of the exact row law
+    through the map.
+    """
+    R, C, _ = maps.shape
+    U = num_actions
+    keep = rows > 0.0
+    keys = (np.arange(R)[:, None] * C + np.nonzero(keep)[0]) * U + maps[:, keep]
+    pushed = np.bincount(
+        keys.ravel(), weights=np.broadcast_to(rows[keep], keys.shape).ravel(),
+        minlength=R * C * U).reshape(R, C, U)
+    mass = pushed.sum(axis=2, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(pushed > 0.0, np.log2(pushed / mass), 0.0)
+    return -(pushed * logs).sum(axis=(1, 2))
+
+
+def _cloud_maps(t, law, policy, num_tables, seed):
+    """The package's stage-t race maps of realizations 0..num_tables-1, in
+    blocks of at most ``DEFAULT_BUDGET`` (realization, row, action)
+    entries."""
+    table = policy.tables[t - 1]
+    mass = context_mass(law, t, policy.num_actions)
+    block = max(1, DEFAULT_BUDGET // table.size)
+    for first in range(0, num_tables, block):
+        yield race_maps(t, table, mass, seed, first, min(block, num_tables - first))
+
+
+def stage_entropy_given_tables(t, law, policy, draws):
+    """Exact H(U_t | U_{1..t-1}, auxiliary = these race draws) in bits."""
+    U = policy.num_actions
+    maps = stage_maps(policy.tables[t - 1], context_mass(law, t, U), draws[None])
+    return float(_stage_entropies(row_mass(law, t, policy), maps, U)[0])
+
+
+def estimate_stage_entropy(t, law, policy, num_tables=1000, seed=0):
+    """Monte-Carlo estimate of H(U_t | U_{1..t-1}, Z_t) over race draws.
+
+    Draw j is realization j's stage-t race at ``seed``.  Returns (mean,
+    standard error, per-draw values), reproducible bit for bit.
+    """
+    rows = row_mass(law, t, policy)
+    values = np.concatenate([
+        _stage_entropies(rows, maps, policy.num_actions)
+        for maps in _cloud_maps(t, law, policy, num_tables, seed)])
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / np.sqrt(num_tables)) if num_tables > 1 else 0.0
+    return mean, se, values
+
+
+@dataclass(frozen=True)
+class FidelityReport:
+    max_tv: float
+    mean_tv: float
+    num_tables: int
+
+
+def conditional_fidelity(t, law, policy, num_tables=10_000, seed=0):
+    """Total-variation distance between the draw-averaged stage map output
+    and the exact conditional, per reachable policy row (action context,
+    plant row); the reported figures are the worst row and the mean over
+    rows.
+    """
+    conditional = policy.tables[t - 1]
+    C, P, U = conditional.shape
+    counts = np.zeros(C * P * U)
+    for maps in _cloud_maps(t, law, policy, num_tables, seed):
+        reached = maps >= 0
+        rows = np.broadcast_to(np.arange(C * P).reshape(C, P), maps.shape)
+        counts += np.bincount(rows[reached] * U + maps[reached],
+                              minlength=C * P * U)
+    emp = counts.reshape(C, P, U) / num_tables
+    tv = 0.5 * np.abs(emp - conditional).sum(axis=2)[row_mass(law, t, policy) > 0.0]
+    return FidelityReport(
+        max_tv=float(tv.max()) if tv.size else 0.0,
+        mean_tv=float(tv.mean()) if tv.size else 0.0,
+        num_tables=num_tables,
+    )
+
+
+def per_coordinate_overhead(per_coord_info_rate, k, horizon):
+    """Additive rate overhead per coordinate for k i.i.d. coordinates."""
+    return (math.log2(k * per_coord_info_rate + 3.4) / k + 2.0 / k
+            + 1.0 / (k * horizon))

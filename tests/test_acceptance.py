@@ -9,7 +9,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ratecost import evaluate_joint
 from ratecost.coder import build_codebooks
 from ratecost.instances import (
     bernoulli_source,
@@ -17,33 +16,31 @@ from ratecost.instances import (
     min_open_loop_cost,
     noisy_actuator,
     sticky_tracking,
-    symmetric_pair,
 )
 from ratecost.lqg import ScalarLqgSpec, min_rate_at_cost, rate_cost_curve, \
     riccati_solve
 from ratecost.scheme import (
     SchemeOptions,
-    per_coordinate_overhead,
     run_trials,
     synthesize,
     verify_sandwich,
 )
-from ratecost.sfrl import conditional_fidelity, estimate_stage_entropy
-from ratecost.solver import (
-    SolverOptions,
-    brute_force_rate_cost,
-    grid_slack,
-    min_expected_cost,
-    solve_rate_cost,
-)
-from ratecost.system import stage_information_terms
+from ratecost.solver import SolverOptions, min_expected_cost, solve_rate_cost
 from ratecost.timeshare import RealizationPoint, caratheodory_reduce, \
     selector_certificate
 
 from oracles import (
     binary_entropy,
     blahut_arimoto_rate,
+    brute_force_rate_cost,
+    conditional_fidelity,
+    directed_information_from_dict,
+    enumerate_joint,
+    estimate_stage_entropy,
+    grid_slack,
     lowest_rate_at_budget,
+    per_coordinate_overhead,
+    symmetric_pair,
 )
 
 SOLVER = SolverOptions(restarts=8, max_iters=3000, seed=0)
@@ -133,8 +130,8 @@ def test_criterion_3_functional_representation_bound():
     details = []
     ok = True
     for name, sp, pol, t in stage_instances:
-        law = evaluate_joint(sp, pol)
-        info_t = stage_information_terms(law)[t - 1]
+        law = enumerate_joint(sp, pol)
+        info_t = directed_information_from_dict(law, sp.horizon)[t - 1]
         mean, se, _ = estimate_stage_entropy(t, law, pol, num_tables=1000, seed=0)
         bound = info_t + math.log2(info_t + 3.4) + 1.0
         ent_ok = mean <= bound + 2.0 * se

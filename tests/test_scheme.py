@@ -32,7 +32,6 @@ from ratecost.scheme import (
     _onehot,
     build_realization,
     log_gap_budget,
-    per_coordinate_overhead,
     realize_cloud,
     run_trials,
     synthesize,
@@ -45,14 +44,17 @@ from ratecost.solver import (
     min_expected_cost,
     solve_rate_cost,
 )
-from ratecost.system import JointLaw, average_cost, entropy_bits, evaluate_joint
+from ratecost.system import JointLaw, entropy_bits, evaluate_joint
 from ratecost.timeshare import InvariantError
 
 from oracles import (
+    action_law_from_dict,
     average_cost_from_dict,
     binary_entropy,
     enumerate_joint,
     full_history_spec,
+    per_coordinate_overhead,
+    policy_from_choices,
     race_selection,
     without_markov,
 )
@@ -325,11 +327,11 @@ def exact_point(spec, policy):
 
 
 class TestExactCoordinates:
-    # ``from_choices`` tables read the state history, so they run on the
+    # ``policy_from_choices`` tables read the state history, so they run on the
     # spec's full-history twin
     def test_deterministic_dynamics_zero_rate(self):
         spec = drive_to_zero(2, flip=1.0, initial_one=1.0)
-        policy = CausalPolicy.from_choices(spec, lambda t, xh, uh: xh[-1])
+        policy = policy_from_choices(spec, lambda t, xh, uh: xh[-1])
         rate, _ = exact_point(without_markov(spec), policy)
         assert rate == pytest.approx(0.0, abs=1e-12)
 
@@ -343,7 +345,7 @@ class TestExactCoordinates:
     def test_matches_enumeration_oracle(self):
         spec = drive_to_zero(2, flip=0.9)
         rng = np.random.default_rng(7)
-        policy = CausalPolicy.from_choices(
+        policy = policy_from_choices(
             spec, lambda t, xh, uh: int(rng.integers(0, 2))
         )
         rate, cost = exact_point(without_markov(spec), policy)
@@ -370,18 +372,18 @@ class TestCloud:
 
     def test_batched_points_match_per_realization_evaluation(self, solved):
         spec, policy = solved
+        n = spec.horizon
         race = RowPass(spec, policy)
         points = realize_cloud(race, 3, 40, 40)
         assert [p.realization_id for p in points] == list(range(40, 80))
         for p in points:
             re = build_realization(race, 3, p)
             realized = CausalPolicy(tuple(_onehot(m, spec.num_actions) for m in re.maps))
-            induced = evaluate_joint(spec, realized)
-            assert abs(p.rate - entropy_bits(induced.action_marginal())
-                       / spec.horizon) <= 1e-12
-            assert abs(p.cost - average_cost(induced, spec)) <= 1e-12
-            np.testing.assert_allclose(re.action_law, induced.action_marginal(),
-                                       rtol=0, atol=1e-15)
+            law = enumerate_joint(spec, realized)
+            action_law = action_law_from_dict(law, n, spec.num_actions)
+            assert abs(p.rate - entropy_bits(action_law) / n) <= 1e-12
+            assert abs(p.cost - average_cost_from_dict(law, spec.cost, n)) <= 1e-12
+            np.testing.assert_allclose(re.action_law, action_law, rtol=0, atol=1e-15)
 
     def test_block_of_one_gives_identical_points(self, solved):
         # one realization per call gives the points of one block of 200

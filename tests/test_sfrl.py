@@ -6,33 +6,36 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratecost import CausalPolicy, SystemSpec, evaluate_joint
+from ratecost import CausalPolicy, SystemSpec
 from ratecost.instances import (
     drive_to_zero,
     min_open_loop_cost,
     noisy_actuator,
     sticky_tracking,
-    symmetric_pair,
 )
-from ratecost.sfrl import (
-    STREAM_TABLES,
+from ratecost.sfrl import STREAM_TABLES, race_draws, stage_maps
+from ratecost.solver import SolverOptions, min_expected_cost, solve_rate_cost
+
+from oracles import (
+    action_law_from_dict,
+    argmin_selection,
     conditional_fidelity,
     context_mass,
+    directed_information_from_dict,
+    enumerate_joint,
     estimate_stage_entropy,
-    race_draws,
+    race_selection,
     stage_entropy_given_tables,
-    stage_maps,
+    state_ignoring_policy,
+    symmetric_pair,
 )
-from ratecost.solver import SolverOptions, min_expected_cost, solve_rate_cost
-from ratecost.system import directed_information, stage_information_terms
-
-from oracles import argmin_selection, race_selection
 
 
 def maps_for(t, law, policy, seed=0, first=0, count=1):
     """Stage-t maps of realizations first..first+count-1, (count, U**(t-1), P)."""
-    draws = race_draws(seed, t, policy.num_actions, first, count)
-    return stage_maps(policy.tables[t - 1], context_mass(law, t), draws)
+    U = policy.num_actions
+    draws = race_draws(seed, t, U, first, count)
+    return stage_maps(policy.tables[t - 1], context_mass(law, t, U), draws)
 
 
 class TestSelect:
@@ -41,7 +44,7 @@ class TestSelect:
             [0.5, 0.5], np.full((2, 1, 2), 0.5), [[0.0], [1.0]], horizon=1
         )
         policy = CausalPolicy.uniform(spec)
-        law = evaluate_joint(spec, policy)
+        law = enumerate_joint(spec, policy)
         np.testing.assert_array_equal(maps_for(1, law, policy, seed=3), [[[0, 0]]])
 
     def test_conditional_equal_marginal_selects_first_proposal(self):
@@ -65,7 +68,7 @@ class TestSelect:
         # action 0 at stage 1 always: stage-2 context u_1 = 1 has no mass
         spec = drive_to_zero(2)
         policy = CausalPolicy.constant_action(spec, 0)
-        law = evaluate_joint(spec, policy)
+        law = enumerate_joint(spec, policy)
         maps = maps_for(2, law, policy, count=3)
         assert maps.shape == (3, 2, 2) and maps.dtype == np.int64
         assert np.all(maps[:, 1] == -1)
@@ -79,7 +82,7 @@ class TestSelect:
         tabs = [rng.dirichlet(np.ones(3), size=(1, 2)),
                 rng.dirichlet(np.full(3, 0.4), size=(3, 4))]
         policy = CausalPolicy(tuple(tabs))
-        law = evaluate_joint(spec, policy)
+        law = enumerate_joint(spec, policy)
         maps = maps_for(2, law, policy, seed=13, first=5, count=20)
         for r, i in enumerate(range(5, 25)):
             draws = race_draws(13, 2, 3, i, 1)[0]
@@ -104,8 +107,8 @@ class TestSelect:
         tabs = [rng.dirichlet(np.ones(3), size=(1, 2)),
                 rng.dirichlet(np.full(3, 0.4), size=(3, 4))]
         policy = CausalPolicy(tuple(tabs))
-        law = evaluate_joint(spec, policy)
-        act = law.action_marginal(2).reshape(-1, 3)
+        law = enumerate_joint(spec, policy)
+        act = action_law_from_dict(law, 2, 3)
         short = np.full((1, 3, 3), np.inf)
         long = np.full((1, 3, 3), np.inf)
         tables = []
@@ -124,7 +127,7 @@ class TestSelect:
                     if hits[0] < num_proposals:
                         short[0, ctx, u] = q[u] * times[hits[0]]
             tables.append((q, symbols, times))
-        mass = context_mass(law, 2)
+        mass = context_mass(law, 2, 3)
         maps = stage_maps(policy.tables[1], mass, short)[0]
         full = stage_maps(policy.tables[1], mass, long)[0]
         certificates = []
@@ -146,8 +149,8 @@ class TestSelect:
     def test_state_ignoring_policy_map_ignores_state(self):
         spec = drive_to_zero(2)
         rows = [np.array([[0.25, 0.75]]), np.array([[0.6, 0.4], [0.1, 0.9]])]
-        policy = CausalPolicy.state_ignoring(spec, rows)
-        law = evaluate_joint(spec, policy)
+        policy = state_ignoring_policy(spec, rows)
+        law = enumerate_joint(spec, policy)
         for t in (1, 2):
             maps = maps_for(t, law, policy, seed=11, count=8)
             assert np.all(maps == maps[:, :, :1])
@@ -166,12 +169,12 @@ class TestSelect:
         d_open, _ = min_open_loop_cost(spec)
         point = solve_rate_cost(spec, dmin + 0.5 * (d_open - dmin),
                                 SolverOptions(restarts=1))
-        law = evaluate_joint(spec, point.policy)
+        law = enumerate_joint(spec, point.policy)
         X, U = spec.num_states, spec.num_actions
         rng = np.random.default_rng(2024)
         rows = 0
         for t in range(1, spec.horizon + 1):
-            act = law.action_marginal(t).reshape(-1, U)
+            act = action_law_from_dict(law, t, U).reshape(-1, U)
             for ctx in range(U ** (t - 1)):
                 mass = act[ctx].sum()
                 if mass <= 0.0:
@@ -192,7 +195,7 @@ class TestSelect:
                     assert sym == race_selection(first, row)
                     rows += 1
         # the solved policy of these Markov specs has rows (u^{t-1}, x_t)
-        assert rows == sum(int((context_mass(law, t) > 0).sum()) * X
+        assert rows == sum(int((context_mass(law, t, U) > 0).sum()) * X
                            for t in range(1, spec.horizon + 1))
 
 
@@ -287,8 +290,8 @@ class TestIndependenceByConstruction:
         # flipped policy's map is the state-flipped map
         spec, bsc_policy = symmetric_pair(0.11)
         flipped = CausalPolicy((bsc_policy.tables[0][:, ::-1, :],))
-        a = maps_for(1, evaluate_joint(spec, bsc_policy), bsc_policy, 5, 0, 40)
-        b = maps_for(1, evaluate_joint(spec, flipped), flipped, 5, 0, 40)
+        a = maps_for(1, enumerate_joint(spec, bsc_policy), bsc_policy, 5, 0, 40)
+        b = maps_for(1, enumerate_joint(spec, flipped), flipped, 5, 0, 40)
         np.testing.assert_array_equal(b, a[:, :, ::-1])
         assert len({tuple(m.ravel()) for m in a}) > 1
 
@@ -296,13 +299,13 @@ class TestIndependenceByConstruction:
 class TestFidelity:
     def test_crossover_pair_tv_small_at_m256(self):
         spec, policy = symmetric_pair(0.11)
-        law = evaluate_joint(spec, policy)
+        law = enumerate_joint(spec, policy)
         report = conditional_fidelity(1, law, policy, num_tables=50_000, seed=42)
         assert report.max_tv <= 0.02
 
     def test_crossover_pair_tv_one_percent_at_m1024(self):
         spec, policy = symmetric_pair(0.11)
-        law = evaluate_joint(spec, policy)
+        law = enumerate_joint(spec, policy)
         report = conditional_fidelity(1, law, policy, num_tables=10_000, seed=42)
         assert report.max_tv <= 0.01
 
@@ -310,8 +313,8 @@ class TestFidelity:
 class TestStageEntropy:
     def test_zero_for_state_ignoring_tables(self):
         spec, _ = symmetric_pair()
-        policy = CausalPolicy.state_ignoring(spec, [np.array([[0.4, 0.6]])])
-        law = evaluate_joint(spec, policy)
+        policy = state_ignoring_policy(spec, [np.array([[0.4, 0.6]])])
+        law = enumerate_joint(spec, policy)
         for i in range(5):
             draws = race_draws(0, 1, 2, i, 1)[0]
             assert stage_entropy_given_tables(1, law, policy, draws) \
@@ -322,14 +325,14 @@ class TestStageEntropy:
             [0.5, 0.5], np.full((2, 1, 2), 0.5), [[0.0], [1.0]], horizon=1
         )
         policy = CausalPolicy.uniform(spec)
-        law = evaluate_joint(spec, policy)
+        law = enumerate_joint(spec, policy)
         draws = race_draws(0, 1, 1, 0, 1)[0]
         assert stage_entropy_given_tables(1, law, policy, draws) == 0.0
 
     def test_crossover_pair_entropy_bound(self):
         spec, policy = symmetric_pair(0.11)
-        law = evaluate_joint(spec, policy)
-        info = directed_information(law)
+        law = enumerate_joint(spec, policy)
+        info = sum(directed_information_from_dict(law, 1))
         mean, se, values = estimate_stage_entropy(1, law, policy,
                                                   num_tables=1000, seed=2)
         bound = info + math.log2(info + 3.4) + 1.0
@@ -343,8 +346,8 @@ class TestStageEntropy:
     def test_summed_jensen_bound_multistage(self):
         spec = drive_to_zero(2)
         point = solve_rate_cost(spec, 0.4, SolverOptions(restarts=4, max_iters=1200))
-        law = evaluate_joint(spec, point.policy)
-        info_terms = stage_information_terms(law)
+        law = enumerate_joint(spec, point.policy)
+        info_terms = directed_information_from_dict(law, spec.horizon)
         n = spec.horizon
         total_mean, total_var = 0.0, 0.0
         for t in (1, 2):

@@ -1,4 +1,5 @@
-"""Rate-cost solver: Lagrangian optimizer, budget queries, brute-force oracle."""
+"""Rate-cost solver: Lagrangian optimizer, budget queries, and the
+brute-force oracle they are checked against."""
 
 import dataclasses
 import hashlib
@@ -25,32 +26,28 @@ from ratecost.instances import (
 from ratecost.scheme import SchemeOptions, run_trials, synthesize
 from ratecost.solver import (
     InfeasibleCostError,
-    InstanceTooLargeError,
     RateCostCurve,
     RateCostPoint,
     SolverOptions,
-    brute_force_rate_cost,
-    grid_slack,
     min_expected_cost,
     solve_lagrangian,
     solve_rate_cost,
     sweep_curve,
 )
-from ratecost.system import (
-    NormalizationError,
-    average_cost,
-    directed_information,
-    evaluate_joint,
-)
+from ratecost.system import JointLaw, NormalizationError
 
+import oracles
 from oracles import (
+    InstanceTooLargeError,
     average_cost_from_dict,
     binary_entropy,
     blahut_arimoto_rate,
+    brute_force_rate_cost,
     directed_information_from_dict,
     enumerate_joint,
     full_history_spec,
     grid_marginal_search,
+    grid_slack,
     lagrangian_value_given_marginals,
     without_markov,
 )
@@ -90,8 +87,10 @@ def induced_marginals(spec, policy):
 
 
 def exact_objective(spec, policy, mu):
-    law = evaluate_joint(spec, policy)
-    return directed_information(law) / spec.horizon + mu * average_cost(law, spec)
+    law = enumerate_joint(spec, policy)
+    n = spec.horizon
+    return sum(directed_information_from_dict(law, n)) / n \
+        + mu * average_cost_from_dict(law, spec.cost, n)
 
 
 class TestBlahutArimoto:
@@ -229,17 +228,18 @@ ROW_PASS_SPECS = {
 
 class TestRowPass:
     """Operating points from the forward pass on the chain rows against the
-    trajectory law's ``directed_information`` and ``average_cost``."""
+    defining sums over the enumerated trajectory law."""
 
     @pytest.mark.parametrize("name", sorted(ROW_PASS_SPECS))
     def test_points_match_trajectory_law(self, name):
         spec = ROW_PASS_SPECS[name]()
         _, raw = sweep_curve(spec, SolverOptions(restarts=1))
         chains = spec.rows
+        n = spec.horizon
         for p in raw + [ratecost.solver.cost_floor_point(spec)]:
-            law = evaluate_joint(spec, p.policy)
-            assert abs(p.rate - directed_information(law) / spec.horizon) <= 1e-12
-            assert abs(p.cost - average_cost(law, spec)) <= 1e-12
+            law = enumerate_joint(spec, p.policy)
+            assert abs(p.rate - sum(directed_information_from_dict(law, n)) / n) <= 1e-12
+            assert abs(p.cost - average_cost_from_dict(law, spec.cost, n)) <= 1e-12
             # a fresh single-policy pass repeats the stored point; zero
             # entries (the anchor is one-hot) raise no warning
             with warnings.catch_warnings():
@@ -249,14 +249,13 @@ class TestRowPass:
             assert (rate[0], cost[0]) == (p.rate, p.cost)
 
     def test_solve_loop_never_builds_the_trajectory_law(self, monkeypatch):
-        def refused(*args, **kwargs):
+        def refused(law):
             raise AssertionError("the solve loop reached the trajectory law")
 
         spec = noisy_actuator(6)
         floor = min_expected_cost(spec)
-        open_loop, _ = min_open_loop_cost(spec)
-        monkeypatch.setattr(ratecost.solver, "evaluate_joint", refused)
-        monkeypatch.setattr(ratecost.solver, "directed_information", refused)
+        open_loop, _ = min_open_loop_cost(spec)     # builds the law per sequence
+        monkeypatch.setattr(JointLaw, "__post_init__", refused)
         opts = SolverOptions(restarts=1)
         _, raw = sweep_curve(spec, opts)
         for share in (0.25, 0.5, 0.75):
@@ -1035,7 +1034,7 @@ class TestBruteForce:
         def evaluated(*args, **kwargs):
             raise AssertionError("a grid policy was evaluated")
 
-        monkeypatch.setattr(ratecost.solver, "evaluate_joint", evaluated)
+        monkeypatch.setattr(oracles, "enumerate_joint", evaluated)
         with pytest.raises(InstanceTooLargeError, match="251001"):
             brute_force_rate_cost(asymmetric_one_shot(), 0.15, resolution=0.002)
 
@@ -1048,11 +1047,13 @@ class TestBruteForce:
                 initial=[0.6, 0.4], transition=np.full((2, 3, 2), 0.5),
                 cost=[[0.0, 0.5, 1.0], [1.0, 0.3, 0.0]], horizon=1)
             budget, resolution = 0.2, 0.1
+        # the grid's point comes from the dict oracles; the row pass must
+        # give it the same rate and cost
         point = brute_force_rate_cost(spec, budget, resolution=resolution)
-        law = enumerate_joint(spec, point.policy)
-        n = spec.horizon
-        assert abs(point.rate - directed_information_from_dict(law, n) / n) <= 1e-12
-        assert abs(point.cost - average_cost_from_dict(law, spec.cost, n)) <= 1e-12
+        rate, cost, _, _ = spec.rows.operating_point(
+            [tab[None] for tab in point.policy.tables])
+        assert abs(point.rate - rate[0]) <= 1e-12
+        assert abs(point.cost - cost[0]) <= 1e-12
         assert point.cost <= budget + 1e-12
 
     def test_agrees_with_solver_on_small_instances(self):

@@ -1,4 +1,5 @@
-"""System model: joint-law enumeration, costs, and information accounting."""
+"""System model: joint-law enumeration, costs, and the row pass's
+information accounting."""
 
 import itertools
 import types
@@ -14,21 +15,18 @@ from ratecost import (
     DimensionMismatchError,
     NormalizationError,
     SystemSpec,
-    average_cost,
-    conditional_action_entropies,
-    directed_information,
-    evaluate_joint,
-    stage_information_terms,
 )
-from ratecost.instances import drive_to_zero, noisy_actuator, sticky_tracking, \
-    xor_reference
-from ratecost.system import history_digits, policy_rows
+from ratecost.instances import drive_to_zero, noisy_actuator, sticky_tracking
+from ratecost.system import average_cost, evaluate_joint, history_digits, policy_rows
 
 from oracles import (
     average_cost_from_dict,
     conditional_action_entropies_from_dict,
     directed_information_from_dict,
     enumerate_joint,
+    policy_from_choices,
+    state_ignoring_policy,
+    without_markov,
 )
 
 
@@ -46,6 +44,34 @@ def random_policy(rng, spec):
     for t in range(1, spec.horizon + 1):
         tabs.append(rng.dirichlet(np.ones(U), size=(U ** (t - 1), X ** t)))
     return CausalPolicy(tuple(tabs))
+
+
+def xor_reference(horizon=2, flip=0.9):
+    """Fixed 2-state/2-action system with a deterministic mirror policy.
+
+    The policy plays u_t = x_t, so under the XOR dynamics the next state
+    is driven toward 0 with probability ``flip``.  The frozen
+    enumeration-oracle instance.
+    """
+    spec = drive_to_zero(horizon, flip=flip)
+    return spec, policy_from_choices(spec, lambda t, x_hist, u_hist: x_hist[-1])
+
+
+def trajectories(law):
+    """The law's trajectories of positive mass as {(x_seq, u_seq): prob}."""
+    idx = np.flatnonzero(law.probs)
+    xs, us = history_digits(idx, law.num_states, law.num_actions, law.horizon)
+    return {(tuple(x), tuple(u)): float(law.probs[i])
+            for i, x, u in zip(idx, xs.tolist(), us.tolist())}
+
+
+def row_pass_information(spec, policy):
+    """Directed information of one policy, in bits, from the spec's row
+    pass; policies on state-history rows run on the full-history twin."""
+    if policy.tables[-1].shape[1] != spec.num_states:
+        spec = without_markov(spec)
+    rate, _, _, _ = spec.rows.operating_point([tab[None] for tab in policy.tables])
+    return float(rate[0]) * spec.horizon
 
 
 def full_history_spec():
@@ -82,7 +108,7 @@ class TestEvaluateJoint:
         spec, policy = xor_reference(horizon=2, flip=0.9)
         law = evaluate_joint(spec, policy)
         oracle = enumerate_joint(spec, policy)
-        got = {(xs, us): p for xs, us, p in law.trajectories()}
+        got = trajectories(law)
         assert set(got) == set(oracle)
         for key, p in oracle.items():
             assert got[key] == pytest.approx(p, abs=1e-14)
@@ -121,7 +147,7 @@ class TestEvaluateJoint:
                                     for t in (1, 2)))
         law = evaluate_joint(spec, markov)
         oracle = enumerate_joint(spec, markov)
-        got = {(xs, us): p for xs, us, p in law.trajectories()}
+        got = trajectories(law)
         assert set(got) == set(oracle)
         for key, want in oracle.items():
             assert got[key] == pytest.approx(want, abs=1e-14)
@@ -176,64 +202,39 @@ class TestAverageCost:
 
 
 class TestDirectedInformation:
+    """The row pass's information term, ``Rows.operating_point``."""
+
     def test_state_ignoring_policy_gives_zero(self):
         spec = drive_to_zero(2)
         rows = [np.array([[0.3, 0.7]]), np.array([[0.9, 0.1], [0.2, 0.8]])]
-        law = evaluate_joint(spec, CausalPolicy.state_ignoring(spec, rows))
-        assert directed_information(law) == pytest.approx(0.0, abs=1e-12)
+        policy = state_ignoring_policy(spec, rows)
+        assert row_pass_information(spec, policy) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_stage_equals_mutual_information(self, rng):
         spec = random_spec(rng, n=1)
         policy = random_policy(rng, spec)
-        law = evaluate_joint(spec, policy)
-        pair = law.stage_pair_marginal(1)
+        pair = spec.stage_kernel(1)[0][:, None] * policy.tables[0][0]
         px = pair.sum(axis=1, keepdims=True)
         pu = pair.sum(axis=0, keepdims=True)
         mask = pair > 0
         mi = float((pair[mask] * np.log2(pair / (px * pu))[mask]).sum())
-        assert directed_information(law) == pytest.approx(mi, abs=1e-12)
+        assert row_pass_information(spec, policy) == pytest.approx(mi, abs=1e-12)
 
     def test_matches_defining_sum_oracle(self):
         spec, policy = xor_reference(horizon=2, flip=0.9)
-        law = evaluate_joint(spec, policy)
         oracle = directed_information_from_dict(
             enumerate_joint(spec, policy), spec.horizon
         )
-        assert directed_information(law) == pytest.approx(oracle, abs=1e-12)
+        assert row_pass_information(spec, policy) == pytest.approx(sum(oracle), abs=1e-12)
 
     def test_stage_terms_nonnegative(self, rng):
+        # ``operating_point`` raises on a stage term below -1e-9
         for _ in range(20):
             spec = random_spec(rng, n=3)
-            law = evaluate_joint(spec, random_policy(rng, spec))
-            assert all(term >= 0.0 for term in stage_information_terms(law))
-
-
-class TestConditionalActionEntropies:
-    def test_deterministic_loop_all_zero(self):
-        spec = SystemSpec.from_markov(
-            [1.0, 0.0],
-            np.eye(2)[np.newaxis].repeat(2, 0).transpose(1, 0, 2),  # x' = x
-            np.zeros((2, 2)),
-            horizon=3,
-        )
-        policy = CausalPolicy.from_choices(spec, lambda t, xh, uh: xh[-1])
-        law = evaluate_joint(spec, policy)
-        assert conditional_action_entropies(law) == pytest.approx([0.0] * 3, abs=1e-12)
-
-    def test_uniform_independent_actions(self):
-        spec = drive_to_zero(3)
-        law = evaluate_joint(spec, CausalPolicy.uniform(spec))
-        np.testing.assert_allclose(conditional_action_entropies(law), 1.0, atol=1e-12)
-
-    def test_matches_oracle(self):
-        spec, policy = xor_reference(horizon=2, flip=0.9)
-        law = evaluate_joint(spec, policy)
-        oracle = conditional_action_entropies_from_dict(
-            enumerate_joint(spec, policy), spec.horizon
-        )
-        np.testing.assert_allclose(
-            conditional_action_entropies(law), oracle, atol=1e-12
-        )
+            policy = random_policy(rng, spec)
+            terms = directed_information_from_dict(enumerate_joint(spec, policy), 3)
+            assert all(term >= -1e-12 for term in terms)
+            assert row_pass_information(spec, policy) == pytest.approx(sum(terms), abs=1e-12)
 
 
 class TestHistoryIndex:
@@ -270,9 +271,9 @@ class TestInvariants:
     def test_chain_rule_bound(self, seed):
         rng = np.random.default_rng(seed)
         spec = random_spec(rng, n=2)
-        law = evaluate_joint(spec, random_policy(rng, spec))
-        assert directed_information(law) <= sum(
-            conditional_action_entropies(law)
+        policy = random_policy(rng, spec)
+        assert row_pass_information(spec, policy) <= sum(
+            conditional_action_entropies_from_dict(enumerate_joint(spec, policy), 2)
         ) + 1e-9
 
     @given(seed=st.integers(0, 10_000), alpha=st.floats(0.0, 1.0))
@@ -302,7 +303,7 @@ class TestInvariants:
         spec = random_spec(rng, n=2)
         rows = [rng.dirichlet(np.ones(2), size=1),
                 rng.dirichlet(np.ones(2), size=2)]
-        policy = CausalPolicy.state_ignoring(spec, rows)
+        policy = state_ignoring_policy(spec, rows)
         law = evaluate_joint(spec, policy)
         # open-loop oracle: average the state chain over the action process
         X, U, n = 2, 2, 2
@@ -317,7 +318,8 @@ class TestInvariants:
                             pu * spec.stage_kernel(1)[0, x1]
                             * spec.stage_kernel(2)[h2, x2]
                         )
-        np.testing.assert_allclose(law.state_marginal(), open_loop, atol=1e-14)
+        np.testing.assert_allclose(law.prefix_marginal(n).sum(axis=(1, 3)), open_loop,
+                                   atol=1e-14)
 
     def test_tracking_source_kernel_ignores_actions(self):
         spec = sticky_tracking(3)
@@ -329,10 +331,10 @@ class TestInvariants:
 
     def test_full_history_kernel_not_markov_realizable(self):
         spec = full_history_spec()
-        policy = CausalPolicy.from_choices(spec, lambda t, xh, uh: xh[-1])
+        policy = policy_from_choices(spec, lambda t, xh, uh: xh[-1])
         law = evaluate_joint(spec, policy)
         oracle = enumerate_joint(spec, policy)
-        got = {(xs, us): p for xs, us, p in law.trajectories()}
+        got = trajectories(law)
         assert set(got) == set(oracle)
         for key, want in oracle.items():
             assert got[key] == pytest.approx(want, abs=1e-14)
