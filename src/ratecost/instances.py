@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .system import CausalPolicy, SystemSpec, average_cost, evaluate_joint
+from .system import BudgetExceededError, SystemSpec, count_text
 
 
 def drive_to_zero(horizon: int, flip: float = 0.9, initial_one: float = 0.5) -> SystemSpec:
@@ -98,13 +100,30 @@ def min_open_loop_cost(spec: SystemSpec) -> tuple[float, tuple[int, ...]]:
     """Best average cost over deterministic open-loop action sequences.
 
     Rate-zero policies are exactly the state-ignoring ones, and among those
-    the expected cost is minimized at a deterministic sequence.
+    the expected cost is minimized at a deterministic sequence.  Brute
+    force: each of the U**n sequences builds its flat trajectory law,
+    (X*U)**n entries (``system`` module docstring), and sums its stage-t
+    pair marginals against the cost.  Raises ``BudgetExceededError`` when
+    that law exceeds the spec's budget, before anything is built.
     """
+    n, X, U = spec.horizon, spec.num_states, spec.num_actions
+    if (X * U) ** n > spec.budget:
+        raise BudgetExceededError(
+            f"trajectory law of (|X|*|U|)**n = {count_text((X * U) ** n)} "
+            f"entries exceeds budget {spec.budget}; raise the budget for larger instances")
+    kernels = [spec.stage_kernel(t)[:, :, None] for t in range(1, n + 1)]
+    actions = np.eye(U)
     best = (np.inf, ())
-    U = spec.num_actions
-    for seq in np.ndindex(*([U] * spec.horizon)):
-        policy = CausalPolicy.constant_action(spec, seq)
-        c = average_cost(evaluate_joint(spec, policy), spec)
+    for seq in itertools.product(range(U), repeat=n):
+        law = np.ones(1)
+        for k, u in zip(kernels, seq):
+            law = (law[:, None, None] * k * actions[u]).reshape(-1)
+        np.clip(law, 0.0, None, out=law)    # ``SystemSpec`` admits kernel entries to -1e-15
+        total = 0.0
+        for t in range(1, n + 1):
+            prefix = law.reshape((X * U) ** t, -1).sum(axis=1).reshape((X, U) * t)
+            total += float((prefix.sum(axis=tuple(range(2 * t - 2))) * spec.cost).sum())
+        c = total / n
         if c < best[0] - 1e-15:
-            best = (c, tuple(int(u) for u in seq))
+            best = (c, seq)
     return best

@@ -7,21 +7,16 @@ one conditional pmf over actions to every observable history
 Together they induce a joint law over trajectories.  Its exact average
 cost and causally conditioned information flow from states to actions
 (the directed information) come from one forward pass over the policy
-rows, ``Rows.operating_point``.  The flat trajectory law itself
-(``JointLaw``, ``evaluate_joint``, ``average_cost``) stays only for the
-open-loop brute force of ``instances.min_open_loop_cost``, until the
-open-loop cost runs on the rows.
+rows, ``Rows.operating_point``.
 
 Trajectory indexing is stage-major big-endian: the flat index of
 (x_1,u_1,...,x_n,u_n) is built by repeated ``idx = (idx*X + x_t)*U + u_t``,
-so the length-t prefix of a trajectory is ``idx // (X*U)**(n-t)``.  Joint
-laws and full-history kernels live on these flat (history, state) rows; a
-Markov spec holds only its (initial, transition) pair, and ``stage_kernel``
-derives its flat rows on demand.  State keys (x_1..x_t) and
-action contexts (u_1..u_{t-1}) are big-endian over X and U; policies live
-on (context, plant row) rows, the plant row being the state key mod P_t.
-``history_digits`` and ``policy_rows`` are the only implementation of the
-flat convention: ``policy_rows`` carries every flat row to its policy row.
+so the length-t prefix of a trajectory is ``idx // (X*U)**(n-t)``.
+Full-history kernels live on these flat (history, state) rows; a Markov
+spec holds only its (initial, transition) pair, and ``stage_kernel``
+derives its flat rows on demand.  State keys (x_1..x_t) and action
+contexts (u_1..u_{t-1}) are big-endian over X and U; policies live on
+(context, plant row) rows, the plant row being the state key mod P_t.
 
 ``Rows`` holds the layout of the policy rows and the exact passes over
 them; ``SystemSpec.rows`` builds it once per spec object, on first use.
@@ -47,7 +42,7 @@ DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetExceededError(ValueError):
-    """Trajectory enumeration would exceed the configured entry budget."""
+    """An array would exceed the spec's entry budget."""
 
 
 def count_text(count: int) -> str:
@@ -92,39 +87,6 @@ def _check_rows(rows: np.ndarray, what: str) -> None:
         raise NormalizationError(
             f"{what} rows deviate from 1 by {worst:.3e} (tolerance {KERNEL_ROW_TOL})"
         )
-
-
-def history_digits(index, num_states: int, num_actions: int, length: int):
-    """Per-stage digits of flat history indices.
-
-    Returns ``(xs, us)``, integer arrays of shape ``np.shape(index) +
-    (length,)`` whose column s holds x_{s+1} and u_{s+1}.
-    """
-    base = num_states * num_actions
-    place = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    pairs = np.asarray(index, dtype=np.int64)[..., None] // place % base
-    return pairs // num_actions, pairs % num_actions
-
-
-@functools.lru_cache(maxsize=None)
-def policy_rows(num_states: int, num_actions: int, t: int, plants: int) -> np.ndarray:
-    """Where each flat stage-t history h sits in a policy-layout array.
-
-    For a (U**(t-1), plants, ...) array viewed as (-1, X, ...), entry h of
-    the returned ((X*U)**(t-1),) integer array is the block of X rows that
-    flat rows (h, x_t) read: context key(u_1..u_{t-1}), plant rows
-    key(x_1..x_t) mod ``plants`` (X divides ``plants``, so x_t is the last
-    axis of the block).  ``a.reshape(-1, X, ...)[rows]`` gathers the
-    array onto the flat rows.  Cached, so the array is read-only.
-    """
-    X, U = num_states, num_actions
-    xs, us = history_digits(np.arange((X * U) ** (t - 1)), X, U, t - 1)
-    ctx = us @ U ** np.arange(t - 2, -1, -1, dtype=np.int64)
-    keys = xs @ X ** np.arange(t - 2, -1, -1, dtype=np.int64)
-    blocks = plants // X
-    rows = ctx * blocks + keys % blocks
-    rows.setflags(write=False)
-    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,76 +384,3 @@ class CausalPolicy:
         X, U = spec.num_states, spec.num_actions
         return cls(tuple(np.full((U ** (t - 1), X, U), 1.0 / U)
                          for t in range(1, spec.horizon + 1)))
-
-    @classmethod
-    def constant_action(cls, spec: SystemSpec, action) -> "CausalPolicy":
-        """Deterministic open-loop policy; ``action`` is an int or one per stage."""
-        X, U = spec.num_states, spec.num_actions
-        seq = [action] * spec.horizon if np.isscalar(action) else list(action)
-        return cls(tuple(np.broadcast_to(np.eye(U)[int(seq[t - 1])], (U ** (t - 1), X, U))
-                         for t in range(1, spec.horizon + 1)))
-
-@dataclass(frozen=True, eq=False)
-class JointLaw:
-    """Exact trajectory law over (x_1,u_1,...,x_n,u_n), stage-major flat."""
-
-    horizon: int
-    num_states: int
-    num_actions: int
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.probs, dtype=float, copy=True)
-        T = (self.num_states * self.num_actions) ** self.horizon
-        if p.shape != (T,):
-            raise DimensionMismatchError(f"probs must be flat of length {T}")
-        if np.any(p < -1e-14):
-            raise NormalizationError("trajectory probabilities must be nonnegative")
-        np.clip(p, 0.0, None, out=p)
-        mass = float(p.sum())
-        if abs(mass - 1.0) > MASS_TOL:
-            raise NormalizationError(f"trajectory mass {mass!r} is not 1 within {MASS_TOL}")
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-    def prefix_marginal(self, t: int) -> np.ndarray:
-        """Marginal of (x_1,u_1,...,x_t,u_t), axes interleaved (X,U)*t."""
-        X, U = self.num_states, self.num_actions
-        flat = self.probs.reshape((X * U) ** t, -1).sum(axis=1)
-        return flat.reshape((X, U) * t)
-
-    def stage_pair_marginal(self, t: int) -> np.ndarray:
-        """Marginal of (x_t, u_t), shape (X, U)."""
-        pre = self.prefix_marginal(t)
-        keep = (2 * t - 2, 2 * t - 1)
-        axes = tuple(a for a in range(2 * t) if a not in keep)
-        return pre.sum(axis=axes)
-
-
-def evaluate_joint(spec: SystemSpec, policy: CausalPolicy) -> JointLaw:
-    """Forward product of state kernels and policy rows over all trajectories."""
-    if (policy.horizon != spec.horizon or policy.num_states != spec.num_states
-            or policy.num_actions != spec.num_actions):
-        raise DimensionMismatchError("policy does not match system dimensions")
-    X, U = spec.num_states, spec.num_actions
-    if (X * U) ** spec.horizon > spec.budget:
-        raise BudgetExceededError(
-            f"trajectory law of (|X|*|U|)**n = {count_text((X * U) ** spec.horizon)} "
-            f"entries exceeds budget {spec.budget}; raise the budget for larger instances")
-    p = np.ones(1)
-    for t, tab in enumerate(policy.tables, start=1):
-        k = spec.stage_kernel(t)                                # (H, X)
-        pi = tab.reshape(-1, X, U)[policy_rows(X, U, t, tab.shape[1])]  # (H, X, U)
-        p = (p[:, None, None] * k[:, :, None] * pi).reshape(-1)
-    return JointLaw(spec.horizon, X, U, p)
-
-
-def average_cost(law: JointLaw, spec: SystemSpec) -> float:
-    """(1/n) sum_t E[c(X_t, U_t)] under the law, exactly."""
-    if (law.horizon, law.num_states, law.num_actions) != \
-            (spec.horizon, spec.num_states, spec.num_actions):
-        raise DimensionMismatchError("law does not match system dimensions")
-    total = 0.0
-    for t in range(1, law.horizon + 1):
-        total += float((law.stage_pair_marginal(t) * spec.cost).sum())
-    return total / law.horizon

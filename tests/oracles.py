@@ -4,7 +4,8 @@ Everything here is deliberately written the slow, literal way (dicts,
 nested loops, defining sums) so it shares no code path with the package:
 a trajectory law is the dict of ``enumerate_joint``, and every quantity
 of it is a defining sum over that dict.  The brute-force rate-cost grid
-(``brute_force_rate_cost``) evaluates each grid policy that way.  The
+(``brute_force_rate_cost``) and the open-loop costs (``open_loop_costs``)
+evaluate each of their policies that way.  The
 race's entropy and fidelity readers (``estimate_stage_entropy``,
 ``stage_entropy_given_tables``, ``conditional_fidelity``) run the
 package's race maps, which they check, on context and row masses taken
@@ -12,8 +13,8 @@ from the dict.
 
 Fixtures that several test modules share live here too: a full-history
 spec no Markov spec can express and a Markov spec's full-history twin,
-the doubly symmetric binary pair (``symmetric_pair``), state-ignoring and
-choice-built policies, and the paper's rate overhead per coordinate of k
+the doubly symmetric binary pair (``symmetric_pair``), open-loop,
+state-ignoring and choice-built policies, and the paper's rate overhead per coordinate of k
 i.i.d. coordinates (``per_coordinate_overhead``).  ``SPEC_SCHEMA`` is the
 JSON Schema of a spec file's structure, the reference ``parse_spec``'s
 own checks are held to.
@@ -172,6 +173,24 @@ def action_law_from_dict(law, t, num_actions):
     for (_, us), p in law.items():
         out[us[:t]] += p
     return out
+
+
+def constant_action_policy(spec, action):
+    """Deterministic open-loop policy on Markov rows; ``action`` is an int
+    or one per stage."""
+    X, U = spec.num_states, spec.num_actions
+    seq = [action] * spec.horizon if np.isscalar(action) else list(action)
+    return CausalPolicy(tuple(np.broadcast_to(np.eye(U)[int(seq[t - 1])], (U ** (t - 1), X, U))
+                              for t in range(1, spec.horizon + 1)))
+
+
+def open_loop_costs(spec):
+    """{action sequence: average cost} over all U**n open-loop sequences,
+    each from the defining sum over its ``enumerate_joint`` law."""
+    return {seq: average_cost_from_dict(
+                enumerate_joint(spec, constant_action_policy(spec, seq)),
+                spec.cost, spec.horizon)
+            for seq in itertools.product(range(spec.num_actions), repeat=spec.horizon)}
 
 
 def state_ignoring_policy(spec, stage_rows):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ratecost.instances
 import ratecost.scheme
 import ratecost.solver
 from ratecost import BudgetExceededError, CausalPolicy, SystemSpec
@@ -44,13 +45,14 @@ from ratecost.solver import (
     min_expected_cost,
     solve_rate_cost,
 )
-from ratecost.system import JointLaw, entropy_bits, evaluate_joint
+from ratecost.system import entropy_bits
 from ratecost.timeshare import InvariantError
 
 from oracles import (
     action_law_from_dict,
     average_cost_from_dict,
     binary_entropy,
+    constant_action_policy,
     enumerate_joint,
     full_history_spec,
     per_coordinate_overhead,
@@ -337,7 +339,7 @@ class TestExactCoordinates:
 
     def test_single_action_open_loop_cost(self):
         spec = sticky_tracking(2)
-        rate, cost = exact_point(spec, CausalPolicy.constant_action(spec, 0))
+        rate, cost = exact_point(spec, constant_action_policy(spec, 0))
         assert rate == 0.0
         # states are Bern(1/2) marginally at each stage; tracking cost 1/2
         assert cost == pytest.approx(0.5, abs=1e-12)
@@ -441,20 +443,21 @@ def test_cloud_blocks_count_the_largest_array_of_the_pass(make):
 
 
 def test_synthesis_and_trials_build_no_trajectory_law(monkeypatch):
-    # nor the flat kernel rows past stage 1, which only the oracle reads
+    # the open-loop brute force builds a flat law from the flat kernel rows
+    # past stage 1, which only it and the oracle read
     spec = noisy_actuator(6)
-    budget = mid_curve_budget(spec)      # the open-loop cost reads the law
+    budget = mid_curve_budget(spec)
     stage_kernel = SystemSpec.stage_kernel
 
-    def refused(law):
-        raise AssertionError("a trajectory law was built")
+    def refused(spec):
+        raise AssertionError("the open-loop brute force was run")
 
     def first_stage_only(spec, t):
         if t >= 2:
             raise AssertionError(f"the flat stage-{t} kernel was read")
         return stage_kernel(spec, t)
 
-    monkeypatch.setattr(JointLaw, "__post_init__", refused)
+    monkeypatch.setattr(ratecost.instances, "min_open_loop_cost", refused)
     monkeypatch.setattr(SystemSpec, "stage_kernel", first_stage_only)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -466,10 +469,11 @@ def test_synthesis_and_trials_build_no_trajectory_law(monkeypatch):
 
 def test_long_horizon_synthesizes_without_the_trajectory_law():
     # (X*U)**12 = 16.8M trajectory entries exceed the default budget, so
-    # the oracle refuses the law; synthesis and simulation run on the rows
+    # the open-loop brute force refuses; synthesis and simulation run on
+    # the rows
     spec = noisy_actuator(12)
     with pytest.raises(BudgetExceededError):
-        evaluate_joint(spec, CausalPolicy.uniform(spec))
+        min_open_loop_cost(spec)
     budget = min_expected_cost(spec) + 0.001
     b = synthesize(spec, budget, SchemeOptions(
         cloud_size=20, solver=SolverOptions(restarts=1)))

@@ -20,6 +20,7 @@ from oracles import (
     action_law_from_dict,
     argmin_selection,
     conditional_fidelity,
+    constant_action_policy,
     context_mass,
     directed_information_from_dict,
     enumerate_joint,
@@ -67,7 +68,7 @@ class TestSelect:
     def test_unreachable_context_rows_are_minus_one(self):
         # action 0 at stage 1 always: stage-2 context u_1 = 1 has no mass
         spec = drive_to_zero(2)
-        policy = CausalPolicy.constant_action(spec, 0)
+        policy = constant_action_policy(spec, 0)
         law = enumerate_joint(spec, policy)
         maps = maps_for(2, law, policy, count=3)
         assert maps.shape == (3, 2, 2) and maps.dtype == np.int64

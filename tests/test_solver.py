@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ratecost.instances
 import ratecost.solver
 import ratecost.system
 from ratecost import BudgetExceededError, CausalPolicy, InvariantError, SystemSpec
@@ -34,7 +35,7 @@ from ratecost.solver import (
     solve_rate_cost,
     sweep_curve,
 )
-from ratecost.system import JointLaw, NormalizationError
+from ratecost.system import NormalizationError
 
 import oracles
 from oracles import (
@@ -249,13 +250,23 @@ class TestRowPass:
             assert (rate[0], cost[0]) == (p.rate, p.cost)
 
     def test_solve_loop_never_builds_the_trajectory_law(self, monkeypatch):
-        def refused(law):
-            raise AssertionError("the solve loop reached the trajectory law")
+        # the open-loop brute force builds a flat law per sequence from the
+        # flat kernel rows past stage 1, which the Markov rows never read
+        stage_kernel = SystemSpec.stage_kernel
+
+        def refused(spec):
+            raise AssertionError("the solve loop ran the open-loop brute force")
+
+        def first_stage_only(spec, t):
+            if t >= 2:
+                raise AssertionError(f"the solve loop read the flat stage-{t} kernel")
+            return stage_kernel(spec, t)
 
         spec = noisy_actuator(6)
         floor = min_expected_cost(spec)
-        open_loop, _ = min_open_loop_cost(spec)     # builds the law per sequence
-        monkeypatch.setattr(JointLaw, "__post_init__", refused)
+        open_loop, _ = min_open_loop_cost(spec)
+        monkeypatch.setattr(ratecost.instances, "min_open_loop_cost", refused)
+        monkeypatch.setattr(SystemSpec, "stage_kernel", first_stage_only)
         opts = SolverOptions(restarts=1)
         _, raw = sweep_curve(spec, opts)
         for share in (0.25, 0.5, 0.75):
