@@ -7,13 +7,13 @@ add the cost floor's greedy policy as realization ``cloud_size`` (the
 cost-floor anchor, a zero-weight candidate), reduce the cloud to a binary
 time-sharing selector, and match conditional Shannon codebooks to the
 resulting mixture action law.  The cloud is selected and evaluated in
-blocks: each stage's maps are one ``argmin`` over the block's race draws,
-and the block's exact coordinates come from one batched row pass
-(``Rows.operating_point``) on the one-hot tables of its maps,
-holding about ``spec.budget`` entries at once.  The same pass gives the
-races' context masses and the kept realizations' action laws, so
-synthesis builds no trajectory law.  Only the two realizations the
-selector picks are kept.  Every reported quantity of the final scheme
+blocks: each stage's maps are one ``argmin`` over the block's race draws
+on every row of the policy's tables, and the block's exact coordinates
+come from one batched row pass (``Rows.operating_point``) on the one-hot
+tables of its maps, holding about ``spec.budget`` entries at once.  The
+two realizations the selector picks are blocks of one, whose pass also
+gives their action laws, so synthesis builds no trajectory law.  Only
+those two realizations are kept.  Every reported quantity of the final scheme
 (cost, codeword-length rate, entropies) is recomputed exactly from the
 realized deterministic policies, so the guarantees do not rest on the
 Monte-Carlo step.  The ledger (``verify_sandwich``) checks the paper's
@@ -53,8 +53,8 @@ from .solver import (
 )
 from .system import (
     DEFAULT_BUDGET,
-    CausalPolicy,
     InvariantError,
+    Rows,
     SystemSpec,
 )
 from .timeshare import (
@@ -108,7 +108,7 @@ class Realization:
     """One realization's stage maps and everything they induce."""
 
     realization_id: int
-    maps: tuple[np.ndarray, ...]     # stage maps, (U**(t-1), P_t) each
+    maps: tuple[np.ndarray, ...]     # stage maps, (U**(t-1), P_t) actions each
     action_law: np.ndarray
     point: RealizationPoint
 
@@ -153,59 +153,38 @@ class SchemeBundle:
         self.exact_rate = total / (scale * law.ndim)
 
 
-def _onehot(maps: np.ndarray, num_actions: int) -> np.ndarray:
-    """Policy rows of stage maps: one-hot at the mapped action, uniform
-    placeholders on unmapped (-1) rows, which the realization never
-    reaches (mass zero)."""
-    return np.where(maps[..., None] >= 0, np.eye(num_actions)[maps],
-                    1.0 / num_actions)
+def _race_block(rows: Rows, tables, seed: int, first: int, count: int):
+    """Realizations first..first+count-1 of the policy ``tables`` on
+    ``rows``: their stage maps, (count, U**(t-1), P_t) per stage t, exact
+    points and action laws, from one row pass on the maps' one-hot tables."""
+    maps = [race_maps(t, tab, seed, first, count)
+            for t, tab in enumerate(tables, start=1)]
+    rates, costs, actions = rows.operating_point([np.eye(rows.U)[m] for m in maps])
+    points = [RealizationPoint(realization_id=i, rate=float(r), cost=float(c))
+              for i, r, c in zip(range(first, first + count), rates, costs)]
+    return maps, points, actions
 
 
-class RowPass:
-    """A policy's exact row pass on ``spec.rows``: its context masses
-    P(u^{t-1}), (U**(t-1),) per stage t, which its races read."""
-
-    def __init__(self, spec: SystemSpec, policy: CausalPolicy):
-        self.spec, self.policy = spec, policy
-        contexts = spec.rows.operating_point([tab[None] for tab in policy.tables])[2]
-        self.masses = [m[0] for m in contexts]
-
-
-def realize_cloud(race: RowPass, seed: int, first: int,
+def realize_cloud(rows: Rows, tables, seed: int, first: int,
                   count: int) -> list[RealizationPoint]:
-    """Exact (rate, cost) points of realizations first..first+count-1 of
-    ``race.policy``.
-
-    Realizations are selected and evaluated in blocks of ``Rows.block``
-    realizations, each with its one-hot tables.  Each block draws each
-    stage's race from one generator and runs one exact row pass
-    (``Rows.operating_point``) on the one-hot tables of its maps.
-    """
-    rows = race.spec.rows
-    block = rows.block(sum(tab.size for tab in race.policy.tables))
+    """Exact (rate, cost) points of realizations first..first+count-1 of the
+    policy ``tables`` on ``rows`` (``SystemSpec.rows``), raced and evaluated
+    in blocks of ``Rows.block`` realizations."""
+    block = rows.block(sum(tab.size for tab in tables))
     points = []
     for start in range(first, first + count, block):
         size = min(block, first + count - start)
-        tables = [_onehot(race_maps(t, race.policy.tables[t - 1], race.masses[t - 1],
-                                    seed, start, size), rows.U)
-                  for t in range(1, rows.n + 1)]
-        rates, costs, _, _ = rows.operating_point(tables)
-        points += [RealizationPoint(realization_id=i, rate=float(r), cost=float(c))
-                   for i, r, c in zip(range(start, start + size), rates, costs)]
+        points += _race_block(rows, tables, seed, start, size)[1]
     return points
 
 
-def build_realization(race: RowPass, seed: int, point: RealizationPoint) -> Realization:
-    """The full realization behind a cloud point of ``race.policy``: maps
-    and action law, recomputed from its race stream as ``realize_cloud``
-    maps it."""
-    n, U = race.spec.horizon, race.spec.num_actions
-    i = point.realization_id
-    maps = tuple(race_maps(t, tab, mass, seed, i, 1)[0] for t, tab, mass
-                 in zip(range(1, n + 1), race.policy.tables, race.masses))
-    actions = race.spec.rows.operating_point([_onehot(m, U)[None] for m in maps])[3]
-    return Realization(realization_id=i, maps=maps,
-                       action_law=actions[0].reshape((U,) * n), point=point)
+def build_realization(rows: Rows, tables, seed: int, i: int) -> Realization:
+    """Realization ``i`` of the policy ``tables`` in full: its maps, point
+    and action law, raced and evaluated as a block of one, so its point is
+    the one ``realize_cloud`` gives it."""
+    maps, (point,), actions = _race_block(rows, tables, seed, i, 1)
+    return Realization(realization_id=i, maps=tuple(m[0] for m in maps),
+                       action_law=actions[0].reshape((rows.U,) * rows.n), point=point)
 
 
 def code_sequences(codebooks: tuple[dict[int, ContextCode], ...],
@@ -258,8 +237,9 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     Deterministic given the option seeds.  The solver runs once, at the
     budget.  Realizations 0 .. cloud_size-1 of the solved policy form the
     cloud; realization ``cloud_size`` is the cost floor's greedy policy
-    (``solver.cost_floor_point``), a zero-weight candidate whose exact
-    coordinates come from the same row pass as the anchor's, so they equal
+    (``solver.cost_floor_point``), a zero-weight candidate: the race on its
+    one-hot tables maps every row to the greedy action, so its exact
+    coordinates come from a row pass on the anchor's own tables and equal
     the anchor's bit for bit.  The selector (``caratheodory_reduce``)
     picks the lowest-rate mixture of these within the budget.  When that
     misses the rate cap, the greedy realization is selected alone and its
@@ -271,13 +251,13 @@ def synthesize(spec: SystemSpec, budget_cost: float,
     ``DecodeMismatchError`` (``code_sequences``).
     """
     opt = options or SchemeOptions()
-    n = spec.horizon
+    n, rows = spec.horizon, spec.rows
     anchor = cost_floor_point(spec)
     solution = solve_rate_cost(spec, budget_cost, opt.solver)
     # realizations 0 .. cloud_size-1 race the solved policy, cloud_size the floor's
-    solved, floored = RowPass(spec, solution.policy), RowPass(spec, anchor.policy)
-    points = realize_cloud(solved, opt.seed, 0, opt.cloud_size)
-    floor = realize_cloud(floored, opt.seed, opt.cloud_size, 1)
+    solved, floored = solution.policy.tables, anchor.policy.tables
+    points = realize_cloud(rows, solved, opt.seed, 0, opt.cloud_size)
+    floor = realize_cloud(rows, floored, opt.seed, opt.cloud_size, 1)
     attempts = 1
     try:
         selector = caratheodory_reduce(points + floor, [1.0] * len(points) + [0.0],
@@ -286,9 +266,8 @@ def synthesize(spec: SystemSpec, budget_cost: float,
         attempts, solution = 2, replace(anchor, rate_lower=solution.rate_lower)
         selector = caratheodory_reduce(floor, [1.0], budget_cost, opt.epsilon)
 
-    by_id = {p.realization_id: p for p in points + floor}
-    picked = {i: build_realization(floored if i == opt.cloud_size else solved,
-                                   opt.seed, by_id[i])
+    picked = {i: build_realization(rows, floored if i == opt.cloud_size else solved,
+                                   opt.seed, i)
               for i in (selector.index0, selector.index1)}
     re0, re1 = picked[selector.index0], picked[selector.index1]
     lam = selector.weight
@@ -366,11 +345,11 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
     at the last stage the sequence's bits (``SchemeBundle.sequence_bits``).
     Each table has at most 2 * ``Rows.width`` entries.  The loop makes no
     coder call: synthesis coded every sequence the bundle can send.  A
-    stage-map entry of -1 reached by a trial, or a sequence without a
-    codeword, raises ``CodingError`` naming the first trial that reaches
-    it; both are fatal by design.  A trial count that ``check_trial_count``
-    refuses for the spec's budget, or a negative seed, raises
-    ``ValueError`` before any trial runs.
+    trial count that ``check_trial_count`` refuses for the spec's budget, or
+    a negative seed, raises ``ValueError``, and a stage-map entry outside
+    [0, U) ``CodingError`` naming the realization and stage, before any
+    trial runs; a sequence without a codeword raises ``CodingError`` naming
+    the first trial that sends it.
     """
     spec = bundle.spec
     check_trial_count(num_trials, spec.budget)
@@ -391,12 +370,15 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
                                                        bundle.realization1.maps)]
     cost_of = spec.cost.reshape(-1)     # entry x * U + u
     # per stage and key: the stage cost, the law of the next plant state, and
-    # the next key less that state (the sequence's bits at the last stage);
-    # -1 where the map has no action
+    # the next key less that state (the sequence's bits at the last stage)
     stage_costs, laws, nexts = [], [], []
-    for t, (mapped, P) in enumerate(zip(maps, rows.plants)):
-        plant, rest = np.divmod(np.arange(mapped.size), P)[::-1]
-        u = np.maximum(mapped, 0)
+    for t, (u, P) in enumerate(zip(maps, rows.plants)):
+        wrong = (u < 0) | (u >= U)
+        if wrong.any():
+            k = int(wrong.argmax())
+            raise CodingError(f"realization {k // (U ** t * P)} stage {t + 1}: "
+                              f"stage map entry {u[k]} is not an action in [0, {U})")
+        plant, rest = np.divmod(np.arange(u.size), P)[::-1]
         stage_costs.append(cost_of.take(plant % X * U + u))
         if t + 1 < n:
             laws.append(cums[t + 1].take((rest % U ** t * strides[t] + plant) * U + u,
@@ -404,7 +386,7 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
             after = (rest * U + u) * rows.plants[t + 1] + plant * rows.grow
         else:
             after = bundle.sequence_bits.take(rest % U ** t * U + u)
-        nexts.append(np.where(mapped < 0, -1, after))
+        nexts.append(after)
     lam = bundle.selector.weight
     bits = np.empty(num_trials)
     costs = np.empty(num_trials)
@@ -427,21 +409,15 @@ def run_trials(bundle: SchemeBundle, num_trials: int, seed: int = 0,
             key += np.minimum(np.add.reduce(cum <= uniforms[:, t] * cum[-1], axis=0,
                                             dtype=np.intp), X - 1)
             after = nexts[t].take(key)
-            if after.min() < 0:
-                i = int(np.argmax(after < 0))
-                rest, plant = divmod(int(key[i]), rows.plants[t])
-                which, ctx = divmod(rest, U ** t)
-                if maps[t][key[i]] >= 0:
-                    raise CodingError(f"trial {first + i}: action sequence "
-                                      f"{ctx * U + maps[t][key[i]]} has no codeword")
-                raise CodingError(
-                    f"trial {first + i} stage {t + 1}: realization "
-                    f"{which}'s stage map has no action for action context "
-                    f"{ctx}, plant row {plant}")
             cost += stage_costs[t].take(key)
             if t + 1 < n:
                 cum = laws[t].take(key, axis=1)
                 key[:] = after
+        if after.min() < 0:
+            i = int(np.argmax(after < 0))
+            ctx = int(key[i]) // rows.plants[-1] % U ** (n - 1)
+            raise CodingError(f"trial {first + i}: action sequence "
+                              f"{ctx * U + maps[-1][key[i]]} has no codeword")
         bits[first:first + m] = after / n
         costs[first:first + m] = cost / n
     emp_rate = float(bits.mean())

@@ -25,7 +25,7 @@ stage its own stream, ``SeedSequence((seed, STREAM_TABLES, r, t))``.)  The
 layout does not depend on the law, and the draws never touch state
 randomness: independence from (states, past actions) holds by
 construction.  ``stage_maps`` turns a block of such draws into stage maps
-with one ``argmin``.
+with one ``argmin`` on every row, whatever its probability.
 """
 
 from __future__ import annotations
@@ -50,28 +50,25 @@ def race_draws(seed: int, t: int, num_actions: int, first: int,
     return draws.reshape(count, contexts, num_actions)
 
 
-def stage_maps(conditional: np.ndarray, mass: np.ndarray,
-               draws: np.ndarray) -> np.ndarray:
+def stage_maps(conditional: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Stage maps of a block of realizations in the policy-table layout.
 
-    ``conditional`` is the stage-t policy table (U**(t-1), P, U), ``mass``
-    the context masses (U**(t-1),) and ``draws`` the block's race draws
-    (R, U**(t-1), U).  Returns (R, U**(t-1), P) int64: on row (c, p) the
-    action argmin_u draws[r, c, u] / p(u | c, p), weighted +inf where
-    p = 0, ties to the smallest action; -1 on rows of zero-mass contexts.
+    ``conditional`` is the stage-t policy table (U**(t-1), P, U) and
+    ``draws`` the block's race draws (R, U**(t-1), U).  Returns (R,
+    U**(t-1), P) int64: on every row (c, p) the action argmin_u draws[r, c,
+    u] / p(u | c, p), weighted +inf where p = 0, ties to the smallest
+    action.
     """
     # a draw over a subnormal probability overflows to +inf, its due weight
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         weights = np.where(conditional > 0.0,
                            draws[:, :, None, :] / conditional, np.inf)
-    maps = np.argmin(weights, axis=-1)
-    maps[:, mass <= 0.0, :] = -1
-    return maps
+    return np.argmin(weights, axis=-1)
 
 
-def race_maps(t: int, conditional: np.ndarray, mass: np.ndarray, seed: int,
-              first: int, count: int) -> np.ndarray:
+def race_maps(t: int, conditional: np.ndarray, seed: int, first: int,
+              count: int) -> np.ndarray:
     """Stage maps (count, U**(t-1), P) of realizations
     first..first+count-1 at ``seed``."""
     draws = race_draws(seed, t, conditional.shape[2], first, count)
-    return stage_maps(conditional, mass, draws)
+    return stage_maps(conditional, draws)

@@ -70,7 +70,7 @@ solver's certified near-minimizers this is checked rather than proved
 (``tests/test_solver.py``, five instances at eight budgets each).
 
 The search is safeguarded false position on cost(mu), aiming at the middle
-of the ``bisect_cost_tol`` window below the budget.  Each bracket end is a
+of the ``BISECT_COST_TOL`` window below the budget.  Each bracket end is a
 supporting line of slope -mu on the convex curve R(c) (Blahut, IEEE
 Trans. IT 1972), so the first step goes to mu = -R'(aim) on the ends'
 cubic Hermite interpolant when that lies strictly inside the bracket.
@@ -80,7 +80,7 @@ kept is halved, so neither end stalls.  A step takes the midpoint instead
 while there is no feasible upper point, when the interpolated multiplier
 rounds onto an end, and once the solves left would only just collapse the
 bracket by halving it, so a cost that jumps across the budget still
-collapses the bracket within ``max_bisect`` solves.  The search stops on a
+collapses the bracket within ``MAX_BISECT`` solves.  The search stops on a
 feasible point within the window, or when the bracket has collapsed.
 
 A bracket point steers the search only by the side of the budget its cost
@@ -100,7 +100,7 @@ Exact operating points.  Every point this module reports (a solve's answer
 and the cost floor's greedy policy) has its policy on the spec's rows, and
 its rate and cost come from one forward pass over those rows, not from the
 (X*U)**n trajectory law; ``scheme`` runs the same pass, batched over
-policies, for the cloud's points, the races' context masses and the
+policies, for the cloud's points and, as blocks of one, for the
 realized action laws.  A point's pass waits until its rate or cost is
 read.  A sweep reads a cost at once only from a point that might stop it:
 rate >= 0, so a point whose objective is at most mu * ``until_cost`` (less
@@ -132,6 +132,10 @@ from .system import CausalPolicy, InvariantError, Rows, SystemSpec
 from .timeshare import lower_hull
 
 _LOG_FLOOR = -1000.0
+# a query's cost window below the budget and its search's solve cap (module docstring)
+BISECT_COST_TOL = 1e-4
+MAX_BISECT = 60
+CURVE_TOL = 1e-6    # rate slack, bits per stage, of the curve's envelope checks
 # certified gap, bits per stage, of the bracket-search solves (module docstring)
 _BRACKET_GAP = 1e-6
 # share of |objective| + mu D + 1 taken off each dual bound (``solve_rate_cost``)
@@ -167,8 +171,6 @@ class SolverOptions:
     tol: float = 1e-9
     seed: int = 0
     mu_grid: tuple[float, ...] = (0.0,) + tuple(2.0 ** k for k in range(-10, 11))
-    bisect_cost_tol: float = 1e-4
-    max_bisect: int = 60
 
     def __post_init__(self):
         for name in ("restarts", "max_iters"):
@@ -229,7 +231,7 @@ class RateCostCurve:
     points: tuple[RateCostPoint, ...]
 
     @classmethod
-    def from_points(cls, pts, tol: float = 1e-6) -> "RateCostCurve":
+    def from_points(cls, pts) -> "RateCostCurve":
         pts = sorted(pts, key=lambda p: (p.cost, p.rate))
         # drop points dominated in rate, ties broken toward lower cost
         pareto: list[RateCostPoint] = []
@@ -237,16 +239,16 @@ class RateCostCurve:
             if pareto and p.rate >= pareto[-1].rate - 1e-15:
                 continue
             pareto.append(p)
-        # lower convex envelope: slopes must be nondecreasing within tol
-        hull = lower_hull([(p.cost, p.rate) for p in pareto], tol)
+        # lower convex envelope: slopes must be nondecreasing within CURVE_TOL
+        hull = lower_hull([(p.cost, p.rate) for p in pareto], CURVE_TOL)
         return cls(tuple(pareto[k] for k in hull))
 
-    def validate(self, tol: float = 1e-6) -> None:
+    def validate(self) -> None:
         for a, b in zip(self.points, self.points[1:]):
-            if b.rate > a.rate + tol:
+            if b.rate > a.rate + CURVE_TOL:
                 raise InvariantError("curve rate must be nonincreasing in cost")
         xy = [(p.cost, p.rate) for p in self.points]
-        if len(lower_hull(xy, tol)) < len(xy):
+        if len(lower_hull(xy, CURVE_TOL)) < len(xy):
             raise InvariantError("curve must be convex within tolerance")
 
 
@@ -505,7 +507,7 @@ def _exact_passes(points) -> None:
         rows = waiting[0]._pending
         batch = waiting[:rows.block(sum(tab.size for tab in waiting[0].policy.tables))]
         del waiting[:len(batch)]
-        rate, cost, _, _ = rows.operating_point(
+        rate, cost, _ = rows.operating_point(
             [np.stack(tabs) for tabs in zip(*(p.policy.tables for p in batch))])
         for p, r, c in zip(batch, rate.tolist(), cost.tolist()):
             p.rate, p.cost, p._pending = r, c, None
@@ -592,7 +594,7 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
     Sweeps the multiplier grid down to the first point above the budget
     (the points below it are infeasible and never read; see the module
     docstring), then searches the bracketing multipliers by safeguarded
-    false position until the achieved cost is within ``bisect_cost_tol``
+    false position until the achieved cost is within ``BISECT_COST_TOL``
     of the budget (from below), each solve warm-started from the feasible
     bracket point (the infeasible one while there is none).  The bracket
     solves certify a gap of at most 1e-6 bits per stage; the answer, when
@@ -628,7 +630,7 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
     infeasible = [p for p in pts if p.cost > budget_cost]
     best = min(feasible, key=lambda p: (p.rate, p.cost))
     # refine: bracket the budget between a too-costly and a feasible multiplier
-    if infeasible and best.cost < budget_cost - opts.bisect_cost_tol:
+    if infeasible and best.cost < budget_cost - BISECT_COST_TOL:
         lo_point = max((p for p in infeasible if math.isfinite(p.multiplier)),
                        key=lambda p: p.multiplier)
         hi_point = min((p for p in feasible if math.isfinite(p.multiplier)
@@ -636,18 +638,18 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
                        key=lambda p: p.multiplier, default=None)
         lo = lo_point.multiplier
         hi = hi_point.multiplier if hi_point else max(lo * 4.0, 1.0)
-        aim = budget_cost - 0.5 * opts.bisect_cost_tol
+        aim = budget_cost - 0.5 * BISECT_COST_TOL
         w_lo = w_hi = 1.0       # Illinois weights on the ends' residuals
         kept = None             # the end the last step kept
         loose = replace(opts, tol=max(opts.tol, _BRACKET_GAP))
         open_end = None         # a loose feasible end not yet solved to ``tol``
-        for k in range(opts.max_bisect):
-            if budget_cost - best.cost <= opts.bisect_cost_tol:
+        for k in range(MAX_BISECT):
+            if budget_cost - best.cost <= BISECT_COST_TOL:
                 break
             mu = 0.5 * (lo + hi)
             # halvings that collapse the bracket, as ``hi`` can fall to ``lo``
             halvings = math.ceil(math.log2((hi - lo) / (1e-12 * max(1.0, lo))))
-            if hi_point is not None and opts.max_bisect - k > halvings:
+            if hi_point is not None and MAX_BISECT - k > halvings:
                 f_lo = w_lo * (lo_point.cost - aim)
                 f_hi = w_hi * (hi_point.cost - aim)
                 slope = _hermite_slope(hi_point, lo_point, aim) if k == 0 else math.nan
@@ -660,7 +662,7 @@ def solve_rate_cost(spec: SystemSpec, budget_cost: float,
             p = solve_lagrangian(spec, mu, loose, warm=hi_point or lo_point)
             pts.append(p)
             final = not p.gap > opts.tol
-            if not final and 0.0 <= budget_cost - p.cost <= opts.bisect_cost_tol:
+            if not final and 0.0 <= budget_cost - p.cost <= BISECT_COST_TOL:
                 # a candidate answer: solved again to ``tol`` from its marginals
                 p, final = solve_lagrangian(spec, mu, opts, warm=p), True
                 pts.append(p)

@@ -288,10 +288,9 @@ class Rows:
         taken apart so that nothing underflows (``solver`` module
         docstring): each on its whole array, summed in place, the summands
         zeroed where J = 0; a stage drops its arrays before the next builds
-        its own (``block``).  Returns the rates and costs, (B,) each, the
-        context masses P(u^s) of every stage, (B, U**s) each, and the last
-        stage's pair mass P(u^{n-1}, u_n), (B, U**(n-1), U): the action
-        law.  Every reduction runs along one policy's entries, so a
+        its own (``block``).  Returns the rates and costs, (B,) each, and
+        the last stage's pair mass P(u^{n-1}, u_n), (B, U**(n-1), U): the
+        action law.  Every reduction runs along one policy's entries, so a
         policy's numbers do not depend on the batch it is evaluated in.
         Raises ``NormalizationError`` when a policy's total mass is off 1
         by more than ``MASS_TOL`` and ``InvariantError`` when a stage term
@@ -299,7 +298,7 @@ class Rows:
         """
         B = tables[0].shape[0]
         mass = self.initial
-        rate, cost, contexts = np.zeros(B), np.zeros(B), []
+        rate, cost = np.zeros(B), np.zeros(B)
         with np.errstate(divide="ignore", invalid="ignore"):
             for s, pi in enumerate(tables):
                 joint = mass[..., None] * pi
@@ -307,7 +306,6 @@ class Rows:
                 cost += np.add.reduce((joint * self.stage_costs[s]).reshape(B, -1), axis=1)
                 pair = np.add.reduce(joint, axis=2, keepdims=True)       # P(u^s, u)
                 context = np.add.reduce(pair, axis=3, keepdims=True)     # P(u^s)
-                contexts.append(context.reshape(B, -1))
                 summands = np.log2(pi)
                 summands += np.log2(context)
                 summands -= np.log2(pair)
@@ -326,7 +324,7 @@ class Rows:
         worst = float(total[np.abs(total - 1.0).argmax()])
         if abs(worst - 1.0) > MASS_TOL:
             raise NormalizationError(f"trajectory mass {worst!r} is not 1 within {MASS_TOL}")
-        return rate / self.n, cost / self.n, contexts, pair[:, :, 0]
+        return rate / self.n, cost / self.n, pair[:, :, 0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -507,22 +507,20 @@ def _stage_entropies(rows, maps, num_actions):
     return -(pushed * logs).sum(axis=(1, 2))
 
 
-def _cloud_maps(t, law, policy, num_tables, seed):
+def _cloud_maps(t, policy, num_tables, seed):
     """The package's stage-t race maps of realizations 0..num_tables-1, in
     blocks of at most ``DEFAULT_BUDGET`` (realization, row, action)
     entries."""
     table = policy.tables[t - 1]
-    mass = context_mass(law, t, policy.num_actions)
     block = max(1, DEFAULT_BUDGET // table.size)
     for first in range(0, num_tables, block):
-        yield race_maps(t, table, mass, seed, first, min(block, num_tables - first))
+        yield race_maps(t, table, seed, first, min(block, num_tables - first))
 
 
 def stage_entropy_given_tables(t, law, policy, draws):
     """Exact H(U_t | U_{1..t-1}, auxiliary = these race draws) in bits."""
-    U = policy.num_actions
-    maps = stage_maps(policy.tables[t - 1], context_mass(law, t, U), draws[None])
-    return float(_stage_entropies(row_mass(law, t, policy), maps, U)[0])
+    maps = stage_maps(policy.tables[t - 1], draws[None])
+    return float(_stage_entropies(row_mass(law, t, policy), maps, policy.num_actions)[0])
 
 
 def estimate_stage_entropy(t, law, policy, num_tables=1000, seed=0):
@@ -534,7 +532,7 @@ def estimate_stage_entropy(t, law, policy, num_tables=1000, seed=0):
     rows = row_mass(law, t, policy)
     values = np.concatenate([
         _stage_entropies(rows, maps, policy.num_actions)
-        for maps in _cloud_maps(t, law, policy, num_tables, seed)])
+        for maps in _cloud_maps(t, policy, num_tables, seed)])
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(num_tables)) if num_tables > 1 else 0.0
     return mean, se, values
@@ -556,11 +554,9 @@ def conditional_fidelity(t, law, policy, num_tables=10_000, seed=0):
     conditional = policy.tables[t - 1]
     C, P, U = conditional.shape
     counts = np.zeros(C * P * U)
-    for maps in _cloud_maps(t, law, policy, num_tables, seed):
-        reached = maps >= 0
-        rows = np.broadcast_to(np.arange(C * P).reshape(C, P), maps.shape)
-        counts += np.bincount(rows[reached] * U + maps[reached],
-                              minlength=C * P * U)
+    rows = np.arange(C * P).reshape(C, P) * U
+    for maps in _cloud_maps(t, policy, num_tables, seed):
+        counts += np.bincount((rows + maps).ravel(), minlength=C * P * U)
     emp = counts.reshape(C, P, U) / num_tables
     tv = 0.5 * np.abs(emp - conditional).sum(axis=2)[row_mass(law, t, policy) > 0.0]
     return FidelityReport(

@@ -28,9 +28,7 @@ from ratecost.instances import (
 from ratecost.scheme import (
     TRIAL_BLOCK,
     DecodeMismatchError,
-    RowPass,
     SchemeOptions,
-    _onehot,
     build_realization,
     log_gap_budget,
     realize_cloud,
@@ -45,7 +43,7 @@ from ratecost.solver import (
     min_expected_cost,
     solve_rate_cost,
 )
-from ratecost.system import entropy_bits
+from ratecost.system import Rows, entropy_bits
 from ratecost.timeshare import InvariantError
 
 from oracles import (
@@ -163,16 +161,13 @@ class TestSynthesize:
     def test_one_solve_and_one_sweep_per_synthesis(self, monkeypatch):
         # at table seed 2 the cloud's barycenter costs more than the budget;
         # the solver still runs once, at the budget, and the selector mixes
-        # onto the budget.  One row pass serves each realized policy (the
-        # solved one and the cost floor's), its cloud and its realizations
+        # onto the budget.  Outside the solver, synthesis runs the row pass
+        # only on realizations' one-hot tables: the cloud as one block, the
+        # cost floor's realization and the two picks as blocks of one
         sweeps, queries, passes = [], [], []
         sweep = ratecost.solver.sweep_curve
         query = ratecost.scheme.solve_rate_cost
-
-        class CountedPass(RowPass):
-            def __init__(self, spec, policy):
-                passes.append(policy)
-                super().__init__(spec, policy)
+        operating_point = Rows.operating_point
 
         def counted(*args, **kwargs):
             sweeps.append(args)
@@ -180,11 +175,18 @@ class TestSynthesize:
 
         def recorded(spec, target, *args, **kwargs):
             queries.append(target)
-            return query(spec, target, *args, **kwargs)
+            point = query(spec, target, *args, **kwargs)
+            point.rate, point.cost      # the solver's own passes run here
+            del passes[:]
+            return point
+
+        def recorded_pass(rows, tables):
+            passes.append(tables)
+            return operating_point(rows, tables)
 
         monkeypatch.setattr(ratecost.solver, "sweep_curve", counted)
         monkeypatch.setattr(ratecost.scheme, "solve_rate_cost", recorded)
-        monkeypatch.setattr(ratecost.scheme, "RowPass", CountedPass)
+        monkeypatch.setattr(Rows, "operating_point", recorded_pass)
         spec = noisy_actuator(3)
         budget = mid_curve_budget(spec)
         b = synthesize(spec, budget, SchemeOptions(
@@ -193,7 +195,10 @@ class TestSynthesize:
         assert b.selector.barycenter_cost > budget
         assert queries == [budget]
         assert len(sweeps) == 1
-        assert len(passes) == 2
+        assert [len(tables[0]) for tables in passes] == [20, 1, 1, 1]
+        for tables in passes:
+            for tab in tables:
+                assert np.isin(tab, (0.0, 1.0)).all() and (tab.sum(axis=-1) == 1.0).all()
         assert b.exact_cost <= budget
 
     def test_retarget_stays_at_or_above_cost_floor(self, monkeypatch):
@@ -277,6 +282,18 @@ class TestSynthesize:
         assert abs(report.empirical_cost - b.exact_cost) <= 4.0 * report.empirical_cost_se
         assert abs(report.empirical_rate - b.exact_rate) <= 4.0 * report.empirical_rate_se
 
+    def test_cost_floor_realization_is_the_anchor_on_every_row(self):
+        # noisy_actuator(3)'s greedy policy leaves 4 action contexts
+        # unreached; the race maps those rows too, so the realization is the
+        # anchor's own tables and its point is the anchor's
+        spec = noisy_actuator(3)
+        anchor = ratecost.solver.cost_floor_point(spec)
+        tables = anchor.policy.tables
+        floor = build_realization(spec.rows, tables, 0, 20)
+        for maps, tab in zip(floor.maps, tables, strict=True):
+            np.testing.assert_array_equal(maps, tab.argmax(axis=2))
+        assert (floor.point.rate, floor.point.cost) == (anchor.rate, anchor.cost)
+
     def test_cost_floor_realization_is_the_fallback(self):
         # a one-point cloud over the budget whose mixture with the cost
         # floor's greedy realization misses the rate cap: the greedy
@@ -322,9 +339,9 @@ class TestSynthesize:
 def exact_point(spec, policy):
     """(rate, cost) of a deterministic policy through the batched row pass on
     the one-hot tables of its stage maps, the argmax of its tables."""
-    tables = [_onehot(tab.argmax(axis=2)[None], spec.num_actions)
+    tables = [np.eye(spec.num_actions)[tab.argmax(axis=2)[None]]
               for tab in policy.tables]
-    rates, costs, _, _ = spec.rows.operating_point(tables)
+    rates, costs, _ = spec.rows.operating_point(tables)
     return float(rates[0]), float(costs[0])
 
 
@@ -375,12 +392,12 @@ class TestCloud:
     def test_batched_points_match_per_realization_evaluation(self, solved):
         spec, policy = solved
         n = spec.horizon
-        race = RowPass(spec, policy)
-        points = realize_cloud(race, 3, 40, 40)
+        points = realize_cloud(spec.rows, policy.tables, 3, 40, 40)
         assert [p.realization_id for p in points] == list(range(40, 80))
         for p in points:
-            re = build_realization(race, 3, p)
-            realized = CausalPolicy(tuple(_onehot(m, spec.num_actions) for m in re.maps))
+            re = build_realization(spec.rows, policy.tables, 3, p.realization_id)
+            assert re.point == p
+            realized = CausalPolicy(tuple(np.eye(spec.num_actions)[m] for m in re.maps))
             law = enumerate_joint(spec, realized)
             action_law = action_law_from_dict(law, n, spec.num_actions)
             assert abs(p.rate - entropy_bits(action_law) / n) <= 1e-12
@@ -389,9 +406,10 @@ class TestCloud:
 
     def test_block_of_one_gives_identical_points(self, solved):
         # one realization per call gives the points of one block of 200
-        race = RowPass(*solved)
-        one_by_one = [p for i in range(200) for p in realize_cloud(race, 0, i, 1)]
-        assert realize_cloud(race, 0, 0, 200) == one_by_one
+        spec, policy = solved
+        one_by_one = [p for i in range(200)
+                      for p in realize_cloud(spec.rows, policy.tables, 0, i, 1)]
+        assert realize_cloud(spec.rows, policy.tables, 0, 0, 200) == one_by_one
 
     def test_batch_gives_the_numbers_of_single_passes(self, solved):
         # random policies, half of them one-hot: every output of a batch of 8
@@ -403,12 +421,10 @@ class TestCloud:
         tables = [np.concatenate([rng.dirichlet(np.ones(U), size=(4,) + tab.shape[:2]),
                                   np.eye(U)[rng.integers(U, size=(4,) + tab.shape[:2])]])
                   for tab in policy.tables]
-        rates, costs, contexts, pairs = rows.operating_point(tables)
+        rates, costs, pairs = rows.operating_point(tables)
         for b in range(8):
-            rate, cost, context, pair = rows.operating_point([t[b:b + 1] for t in tables])
+            rate, cost, pair = rows.operating_point([t[b:b + 1] for t in tables])
             assert (rate[0], cost[0]) == (rates[b], costs[b])
-            for one, batch in zip(context, contexts, strict=True):
-                np.testing.assert_array_equal(one[0], batch[b])
             np.testing.assert_array_equal(pair[0], pairs[b])
 
 
@@ -435,7 +451,7 @@ def test_cloud_blocks_count_the_largest_array_of_the_pass(make):
     anchor = ratecost.solver.cost_floor_point(spec)
     tracemalloc.start()
     try:
-        realize_cloud(RowPass(spec, anchor.policy), 0, 0, 200)
+        realize_cloud(spec.rows, anchor.policy.tables, 0, 0, 200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -481,16 +497,41 @@ def test_long_horizon_synthesizes_without_the_trajectory_law():
 
 
 def test_budget_at_anchor_cost_is_feasible_on_random_panel():
-    # the cost floor's greedy realization and the anchor come from the same
-    # row pass, so a budget at the anchor's cost admits the realization
+    # the cost floor's greedy realization and the anchor come from a row
+    # pass on the same tables, so a budget at the anchor's cost admits the
+    # realization
     opts = SchemeOptions(cloud_size=20, solver=SolverOptions(restarts=1))
     for i, spec in enumerate(random_markov_panel()):
         anchor = ratecost.solver.cost_floor_point(spec)
-        floor, = realize_cloud(RowPass(spec, anchor.policy), opts.seed,
+        floor, = realize_cloud(spec.rows, anchor.policy.tables, opts.seed,
                                opts.cloud_size, 1)
         assert floor.cost == anchor.cost, i
         b = synthesize(spec, anchor.cost, opts)
         assert b.exact_cost <= anchor.cost, i
+
+
+def budget_at_share(spec, share):
+    """The budget a share of the way from the cost floor's exact cost to the
+    open-loop cost, that cost itself at share 1."""
+    floor = ratecost.solver.cost_floor_point(spec).cost
+    open_loop, _ = min_open_loop_cost(spec)
+    return open_loop if share == 1 else floor + share * (open_loop - floor)
+
+
+@pytest.mark.parametrize("share", [0.0, 0.1, 0.5, 1.0])
+def test_synthesized_maps_hold_only_actions(share):
+    # every row of both picked realizations is raced, the rows their
+    # policy never reaches included
+    opts = SchemeOptions(cloud_size=20, solver=SolverOptions(restarts=1))
+    specs = [make(n) for make in (drive_to_zero, noisy_actuator, sticky_tracking)
+             for n in range(1, 7)]
+    if share == 0.5:
+        specs += random_markov_panel(50)
+    for i, spec in enumerate(specs):
+        b = synthesize(spec, budget_at_share(spec, share), opts)
+        for re in (b.realization0, b.realization1):
+            for maps in re.maps:
+                assert maps.min() >= 0 and maps.max() < spec.num_actions, i
 
 
 def sequence_digits(index, horizon, num_actions):
@@ -735,17 +776,17 @@ class TestRunTrials:
         np.testing.assert_array_equal(shorter.per_trial_costs,
                                       longer.per_trial_costs[:k])
 
-    def test_reached_unmapped_row_raises(self, bundle):
-        # stage 1 has a single history row, so every trial reaches it
-        def unmapped(re):
-            maps = list(re.maps)
-            maps[0] = maps[0].copy()
-            maps[0][0, :] = -1
-            return dataclasses.replace(re, maps=tuple(maps))
-
-        broken = dataclasses.replace(bundle, realization0=unmapped(bundle.realization0),
-                                     realization1=unmapped(bundle.realization1))
-        with pytest.raises(CodingError, match="trial 0 stage 1"):
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_map_entry_outside_the_actions_raises_before_any_trial(self, bundle, side):
+        # at weight 1 every trial runs realization 0, so no trial reads
+        # realization 1's maps: only a check before the trials refuses them
+        maps = list(bundle.realization1.maps)
+        maps[1] = maps[1].copy()
+        maps[1][-1, -1] = -1 if side == "below" else bundle.spec.num_actions
+        broken = dataclasses.replace(
+            bundle, selector=dataclasses.replace(bundle.selector, weight=1.0),
+            realization1=dataclasses.replace(bundle.realization1, maps=tuple(maps)))
+        with pytest.raises(CodingError, match="^realization 1 stage 2: stage map entry"):
             run_trials(broken, 10, seed=0)
 
     def test_sticky4_full_history_rows_give_the_pinned_trial_stream(self):

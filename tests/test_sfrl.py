@@ -32,11 +32,10 @@ from oracles import (
 )
 
 
-def maps_for(t, law, policy, seed=0, first=0, count=1):
+def maps_for(t, policy, seed=0, first=0, count=1):
     """Stage-t maps of realizations first..first+count-1, (count, U**(t-1), P)."""
-    U = policy.num_actions
-    draws = race_draws(seed, t, U, first, count)
-    return stage_maps(policy.tables[t - 1], context_mass(law, t, U), draws)
+    draws = race_draws(seed, t, policy.num_actions, first, count)
+    return stage_maps(policy.tables[t - 1], draws)
 
 
 class TestSelect:
@@ -45,8 +44,7 @@ class TestSelect:
             [0.5, 0.5], np.full((2, 1, 2), 0.5), [[0.0], [1.0]], horizon=1
         )
         policy = CausalPolicy.uniform(spec)
-        law = enumerate_joint(spec, policy)
-        np.testing.assert_array_equal(maps_for(1, law, policy, seed=3), [[[0, 0]]])
+        np.testing.assert_array_equal(maps_for(1, policy, seed=3), [[[0, 0]]])
 
     def test_conditional_equal_marginal_selects_first_proposal(self):
         # p(u | x) = q(u) for every state: the race reduces to the first
@@ -57,23 +55,24 @@ class TestSelect:
             e = np.array([[draws]])
             first = int(np.argmin(np.array(draws) / q))
             np.testing.assert_array_equal(
-                stage_maps(conditional, np.ones(1), e), [[[first, first]]])
+                stage_maps(conditional, e), [[[first, first]]])
 
     def test_point_mass_conditional_returns_atom(self):
         conditional = np.array([[[0.0, 1.0], [0.0, 1.0]]])
         draws = np.array([[[1e-9, 50.0]]])   # the atom arrives last
         np.testing.assert_array_equal(
-            stage_maps(conditional, np.ones(1), draws), [[[1, 1]]])
+            stage_maps(conditional, draws), [[[1, 1]]])
 
-    def test_unreachable_context_rows_are_minus_one(self):
-        # action 0 at stage 1 always: stage-2 context u_1 = 1 has no mass
+    def test_unreachable_context_rows_are_raced(self):
+        # action 0 at stage 1 always: stage-2 context u_1 = 1 has no mass,
+        # and its rows take the race's action like the reached ones
         spec = drive_to_zero(2)
         policy = constant_action_policy(spec, 0)
         law = enumerate_joint(spec, policy)
-        maps = maps_for(2, law, policy, count=3)
+        assert context_mass(law, 2, 2)[1] == 0.0
+        maps = maps_for(2, policy, count=3)
         assert maps.shape == (3, 2, 2) and maps.dtype == np.int64
-        assert np.all(maps[:, 1] == -1)
-        assert np.all(maps[:, 0] == 0)
+        assert np.all(maps == 0)
 
     def test_maps_match_race_oracle(self):
         # a random stage-2 policy on a three-action plant
@@ -83,8 +82,7 @@ class TestSelect:
         tabs = [rng.dirichlet(np.ones(3), size=(1, 2)),
                 rng.dirichlet(np.full(3, 0.4), size=(3, 4))]
         policy = CausalPolicy(tuple(tabs))
-        law = enumerate_joint(spec, policy)
-        maps = maps_for(2, law, policy, seed=13, first=5, count=20)
+        maps = maps_for(2, policy, seed=13, first=5, count=20)
         for r, i in enumerate(range(5, 25)):
             draws = race_draws(13, 2, 3, i, 1)[0]
             for ctx in range(3):
@@ -128,9 +126,8 @@ class TestSelect:
                     if hits[0] < num_proposals:
                         short[0, ctx, u] = q[u] * times[hits[0]]
             tables.append((q, symbols, times))
-        mass = context_mass(law, 2, 3)
-        maps = stage_maps(policy.tables[1], mass, short)[0]
-        full = stage_maps(policy.tables[1], mass, long)[0]
+        maps = stage_maps(policy.tables[1], short)[0]
+        full = stage_maps(policy.tables[1], long)[0]
         certificates = []
         for ctx, (q, symbols, times) in enumerate(tables):
             for p, row in enumerate(policy.tables[1][ctx]):
@@ -151,9 +148,8 @@ class TestSelect:
         spec = drive_to_zero(2)
         rows = [np.array([[0.25, 0.75]]), np.array([[0.6, 0.4], [0.1, 0.9]])]
         policy = state_ignoring_policy(spec, rows)
-        law = enumerate_joint(spec, policy)
         for t in (1, 2):
-            maps = maps_for(t, law, policy, seed=11, count=8)
+            maps = maps_for(t, policy, seed=11, count=8)
             assert np.all(maps == maps[:, :, :1])
 
     @pytest.mark.parametrize("make", [lambda: drive_to_zero(2),
@@ -203,8 +199,8 @@ class TestSelect:
 @st.composite
 def stage_cases(draw):
     """A small random stage: X, U in {1, 2, 3}, t in {1, 2}, plant rows
-    x_t or x^t, conditional rows with zero entries, context masses with
-    zeros, and draws from a three-value set so that exact ties occur."""
+    x_t or x^t, conditional rows with zero entries, and draws from a
+    three-value set so that exact ties occur."""
     X = draw(st.integers(1, 3))
     U = draw(st.integers(1, 3))
     t = draw(st.integers(1, 2))
@@ -216,27 +212,24 @@ def stage_cases(draw):
                    dtype=float).reshape(C, P, U)
     raw[raw.sum(axis=2) == 0.0, 0] = 1.0
     conditional = raw / raw.sum(axis=2, keepdims=True)
-    mass = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
-                                  min_size=C, max_size=C)))
     draws = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
                                    min_size=R * C * U, max_size=R * C * U)),
                      dtype=float).reshape(R, C, U)
-    return conditional, mass, draws
+    return conditional, draws
 
 
 class TestRaceProperty:
     @settings(max_examples=200, deadline=None)
     @given(stage_cases())
     def test_block_maps_equal_race_oracle(self, case):
-        conditional, mass, draws = case
+        conditional, draws = case
         C, P, _ = conditional.shape
-        maps = stage_maps(conditional, mass, draws)
+        maps = stage_maps(conditional, draws)
         assert maps.shape == (draws.shape[0], C, P)
         for r in range(draws.shape[0]):
             for ctx in range(C):
                 for p in range(P):
-                    want = race_selection(draws[r, ctx], conditional[ctx, p]) \
-                        if mass[ctx] > 0.0 else -1
+                    want = race_selection(draws[r, ctx], conditional[ctx, p])
                     assert maps[r, ctx, p] == want
 
 
@@ -291,8 +284,8 @@ class TestIndependenceByConstruction:
         # flipped policy's map is the state-flipped map
         spec, bsc_policy = symmetric_pair(0.11)
         flipped = CausalPolicy((bsc_policy.tables[0][:, ::-1, :],))
-        a = maps_for(1, enumerate_joint(spec, bsc_policy), bsc_policy, 5, 0, 40)
-        b = maps_for(1, enumerate_joint(spec, flipped), flipped, 5, 0, 40)
+        a = maps_for(1, bsc_policy, 5, 0, 40)
+        b = maps_for(1, flipped, 5, 0, 40)
         np.testing.assert_array_equal(b, a[:, :, ::-1])
         assert len({tuple(m.ravel()) for m in a}) > 1
 

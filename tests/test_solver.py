@@ -26,6 +26,8 @@ from ratecost.instances import (
 )
 from ratecost.scheme import SchemeOptions, run_trials, synthesize
 from ratecost.solver import (
+    BISECT_COST_TOL,
+    MAX_BISECT,
     InfeasibleCostError,
     RateCostCurve,
     RateCostPoint,
@@ -245,7 +247,7 @@ class TestRowPass:
             # entries (the anchor is one-hot) raise no warning
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                rate, cost, _, _ = chains.operating_point(
+                rate, cost, _ = chains.operating_point(
                     [tab[None] for tab in p.policy.tables])
             assert (rate[0], cost[0]) == (p.rate, p.cost)
 
@@ -387,7 +389,7 @@ class TestLeanLoop:
         # interpolant of the bracket ends: the sweep is unchanged; the three
         # answers' multipliers 15.8719/12.1545/9.9798 -> 15.8101/12.2056/
         # 9.9827, rates 0.064719/0.038221/0.017556 -> 0.064368/0.038662/
-        # 0.017586 (up by at most 4.4e-4, under mu * bisect_cost_tol), costs
+        # 0.017586 (up by at most 4.4e-4, under mu * BISECT_COST_TOL), costs
         # by at most 3.6e-5, rate_lower 0.0631754/0.0375863/0.0170704 ->
         # 0.0631807/0.0375826/0.0170703, maps 5/5/5 -> 5/5/7, the tables by
         # at most 4.7e-3; all three still converge
@@ -582,7 +584,7 @@ class TestExactPasses:
         monkeypatch.undo()
         assert [size for kind, size in events if kind == "pass"] == batches
         for p in raw:
-            rate, cost, _, _ = spec.rows.operating_point(
+            rate, cost, _ = spec.rows.operating_point(
                 [tab[None] for tab in p.policy.tables])
             assert (rate[0], cost[0]) == (p.rate, p.cost)
 
@@ -804,7 +806,7 @@ class TestSolveRateCost:
         # cost jumps across the budget at mu = 1.7, so no multiplier meets
         # the window; the far side's large residual keeps plain false
         # position on the feasible side, and the midpoint safeguard must
-        # collapse the bracket onto the jump within max_bisect solves
+        # collapse the bracket onto the jump within MAX_BISECT solves
         spec = drive_to_zero(2)
         budget, jump = 0.4, 1.7
         policy = CausalPolicy.uniform(spec)
@@ -823,7 +825,7 @@ class TestSolveRateCost:
         monkeypatch.setattr(ratecost.solver, "solve_lagrangian", counted)
         opts = SolverOptions(restarts=1)
         q = solve_rate_cost(spec, budget, opts, sweep=[step(spec, 1.0), step(spec, 2.0)])
-        assert len(searched) <= opts.max_bisect
+        assert len(searched) <= MAX_BISECT
         assert q.cost <= budget
         lo = max(p.multiplier for p in searched if p.cost > budget)
         hi = min(p.multiplier for p in searched if p.cost <= budget)
@@ -851,7 +853,7 @@ class TestSolveRateCost:
 
     def test_sweep_envelope_convex(self):
         curve, _ = sweep_curve(bernoulli_source(1, 0.3), FAST)
-        curve.validate(tol=1e-6)
+        curve.validate()
         costs = [p.cost for p in curve.points]
         assert costs == sorted(costs)
 
@@ -940,7 +942,7 @@ class TestBoundedSweep:
         lo = max(over)
         hi = min((p.multiplier for p in points
                   if p.cost <= budget and p.multiplier > lo), default=math.inf)
-        assert (budget - q.cost <= self.OPTS.bisect_cost_tol
+        assert (budget - q.cost <= BISECT_COST_TOL
                 or hi - lo <= 1e-12 * max(1.0, hi))
 
     def test_mid_curve_query_search_solves(self, monkeypatch):
@@ -964,7 +966,7 @@ class TestBoundedSweep:
         assert len(solves) == 11 + 3 + 1
         assert all(1.0 < mu < 2.0 and gap == loose for mu, gap in solves[11:14])
         assert solves[14] == (solves[13][0], tol) == (q.multiplier, tol)
-        assert 0.0 <= budget - q.cost <= self.OPTS.bisect_cost_tol
+        assert 0.0 <= budget - q.cost <= BISECT_COST_TOL
 
     @pytest.mark.parametrize("share", [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.5])
     def test_answer_is_solved_to_tol_from_its_loose_point(self, swept, share,
@@ -1061,7 +1063,7 @@ class TestBruteForce:
         # the grid's point comes from the dict oracles; the row pass must
         # give it the same rate and cost
         point = brute_force_rate_cost(spec, budget, resolution=resolution)
-        rate, cost, _, _ = spec.rows.operating_point(
+        rate, cost, _ = spec.rows.operating_point(
             [tab[None] for tab in point.policy.tables])
         assert abs(point.rate - rate[0]) <= 1e-12
         assert abs(point.cost - cost[0]) <= 1e-12

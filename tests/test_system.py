@@ -76,7 +76,7 @@ def row_pass(spec, policy):
     full-history twin."""
     if policy.tables[-1].shape[1] != spec.num_states:
         spec = without_markov(spec)
-    rate, cost, _, _ = spec.rows.operating_point([tab[None] for tab in policy.tables])
+    rate, cost, _ = spec.rows.operating_point([tab[None] for tab in policy.tables])
     return float(rate[0]) * spec.horizon, float(cost[0])
 
 
@@ -98,7 +98,7 @@ class TestEvaluateJoint:
         law = enumerate_joint(spec, policy)
         assert len(law) == 16 and set(law.values()) == {1.0 / 16.0}
         # the row pass's action law P(u_1, u_2)
-        _, _, _, actions = spec.rows.operating_point([tab[None] for tab in policy.tables])
+        _, _, actions = spec.rows.operating_point([tab[None] for tab in policy.tables])
         np.testing.assert_array_equal(actions, np.full((1, 2, 2), 0.25))
 
     def test_non_normalized_policy_rejected(self):
@@ -299,7 +299,7 @@ class TestInvariants:
         # the three policies in one batch on the full-history twin: cost and
         # action law P(u_1, u_2) are linear in the last stage's rows
         tables = [np.stack(tabs) for tabs in zip(base.tables, mixed_tables, alt_tables)]
-        _, cost, _, actions = without_markov(spec).rows.operating_point(tables)
+        _, cost, actions = without_markov(spec).rows.operating_point(tables)
         assert cost[1] == pytest.approx(alpha * cost[0] + (1 - alpha) * cost[2], abs=1e-14)
         np.testing.assert_allclose(actions[1], alpha * actions[0] + (1 - alpha) * actions[2],
                                    atol=1e-14)
